@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -76,6 +78,27 @@ struct EventFrame {
     return domains_measured[i] > 0 && ok[i] == 0;
   }
   std::int64_t duration_s(std::size_t i) const;
+};
+
+/// An EventFrame over owned columns laid out from joined rows in the
+/// store schema — how an in-memory run presents its events to a
+/// frame consumer (frame_equals_events(frame(), rows) holds).
+class OwnedEventFrame {
+ public:
+  explicit OwnedEventFrame(const std::vector<NssetAttackEvent>& events);
+
+  OwnedEventFrame(const OwnedEventFrame&) = delete;
+  OwnedEventFrame& operator=(const OwnedEventFrame&) = delete;
+
+  const EventFrame& frame() const { return frame_; }
+
+ private:
+  EventFrame frame_;
+  // Deques: appending a column never moves the ones frame_ already spans.
+  std::deque<std::vector<std::uint64_t>> u64_;
+  std::deque<std::vector<double>> f64_;
+  std::deque<std::vector<std::uint8_t>> u8_;
+  std::string org_bytes_;
 };
 
 // ---- kernels (bit-identical to the row functions of analysis.h) ------

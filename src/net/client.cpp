@@ -3,11 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <utility>
 
@@ -217,6 +219,25 @@ const Answer* Client::try_recv() {
   if (parse_buffered()) return &answer_;
   if (!fill(/*blocking=*/false)) return nullptr;
   return parse_buffered() ? &answer_ : nullptr;
+}
+
+bool Client::wait_readable(std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return false;
+    timespec timeout{};
+    timeout.tv_sec = static_cast<std::time_t>(left / 1'000'000'000);
+    timeout.tv_nsec = static_cast<long>(left % 1'000'000'000);
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    const int n = ::ppoll(&pfd, 1, &timeout, nullptr);
+    if (n > 0) return true;
+    if (n == 0) return false;
+    if (errno != EINTR) throw_errno("net::Client poll");
+  }
 }
 
 }  // namespace ddos::net

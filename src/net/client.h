@@ -13,12 +13,15 @@
 //
 // recv() blocks until one complete response frame is buffered; try_recv()
 // drains whatever the kernel already has (MSG_DONTWAIT) and returns
-// nullptr when no complete frame is available — the open-loop driver
-// calls it between scheduled sends so waiting for the next send slot also
-// drains completions. Malformed server bytes throw std::runtime_error:
+// nullptr when no complete frame is available. wait_readable() blocks
+// until the socket has bytes or a deadline passes; the open-loop driver
+// alternates the two while it waits for the next send slot, so a reply
+// is decoded (and timestamped) as soon as it arrives, not at the slot.
+// Malformed server bytes throw std::runtime_error:
 // a client has no way to resynchronize a broken stream.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -72,6 +75,9 @@ class Client {
   /// Non-blocking: decode a buffered frame if one is complete, else pull
   /// whatever the kernel has ready and retry once. nullptr = nothing yet.
   const Answer* try_recv();
+  /// Block until the socket is readable (bytes or EOF) or `deadline`
+  /// passes; true when readable. Consumes nothing.
+  bool wait_readable(std::chrono::steady_clock::time_point deadline);
 
  private:
   bool parse_buffered();          // rx_buf_ -> answer_; false = need more

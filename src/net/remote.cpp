@@ -144,14 +144,16 @@ void run_open_loop(const ThreadArgs& args) {
       complete(client.recv());  // blocking tail drain
       continue;
     }
-    // Drain completions opportunistically while waiting for the slot; the
-    // send itself happens at (or as soon as possible after) the intended
-    // time even when earlier responses are still outstanding.
+    // Drain completions while waiting for the slot, waking on a readable
+    // socket rather than sleeping to the slot: a reply is timestamped
+    // when it arrives, never at the next send. The send itself happens at
+    // (or as soon as possible after) the intended time even when earlier
+    // responses are still outstanding.
     while (Clock::now() < intended) {
       if (const Answer* answer = client.try_recv()) {
         complete(*answer);
       } else {
-        std::this_thread::sleep_until(intended);
+        client.wait_readable(intended);
       }
     }
     const serve::Op op = wl.next();

@@ -563,9 +563,9 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   // Telescope: observe backscatter, infer the feed, stitch events — but
   // retire each ingest shard's records the moment they are folded into the
   // incremental stitcher (and the store's feed columns). The ordered shard
-  // reduction feeds the sink in records_ order, and EventStitcher::finish
-  // equals segment_events over the same multiset, so events, columns and
-  // counts are bit-identical to the materialized telescope block while
+  // reduction feeds the sink in records_ order, and RSDoSFeed::events()
+  // runs the same EventStitcher over the same multiset, so events, columns
+  // and counts are bit-identical to the materialized telescope block while
   // peak memory stays bounded by the parallel region itself.
   {
     obs::ScopedSpan span(tracer, "telescope.infer");
@@ -906,6 +906,23 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   return result;
 }
 
+telescope::InferenceParams stored_inference(const store::Reader& reader) {
+  telescope::InferenceParams inf;
+  inf.min_packets_per_window = static_cast<std::uint32_t>(
+      meta_u64(reader, "inference.min_packets_per_window"));
+  inf.min_distinct_slash16 = static_cast<std::uint32_t>(
+      meta_u64(reader, "inference.min_distinct_slash16"));
+  inf.min_ppm = meta_f64(reader, "inference.min_ppm");
+  inf.max_gap_windows =
+      static_cast<std::uint32_t>(meta_u64(reader, "inference.max_gap_windows"));
+  return inf;
+}
+
+void check_stored_count(const store::Reader& reader, const std::string& what,
+                        const std::string& key, std::uint64_t decoded) {
+  check_count(reader, what, meta_u64(reader, key), decoded);
+}
+
 StoredRun load_run(const std::string& path, bool use_mmap) {
   obs::Observer* observer = obs::Observer::installed();
   obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.read");
@@ -944,14 +961,7 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
       meta_f64(reader, "workload.dns_port_intensity_boost");
   wl.scripted_cases = meta_u64(reader, "workload.scripted_cases") != 0;
 
-  telescope::InferenceParams& inf = cfg.inference;
-  inf.min_packets_per_window = static_cast<std::uint32_t>(
-      meta_u64(reader, "inference.min_packets_per_window"));
-  inf.min_distinct_slash16 = static_cast<std::uint32_t>(
-      meta_u64(reader, "inference.min_distinct_slash16"));
-  inf.min_ppm = meta_f64(reader, "inference.min_ppm");
-  inf.max_gap_windows =
-      static_cast<std::uint32_t>(meta_u64(reader, "inference.max_gap_windows"));
+  cfg.inference = stored_inference(reader);
 
   core::JoinParams& jp = cfg.join;
   jp.min_measured_domains = static_cast<std::uint32_t>(
@@ -985,22 +995,22 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   run.feed = telescope::RSDoSFeed(cfg.inference, cfg.backscatter);
   run.feed.set_records(store::read_feed_records(reader));
   run.feed_records = run.feed.records().size();
-  check_count(reader, "feed record", meta_u64(reader, "result.feed_records"),
-              run.feed_records);
+  check_stored_count(reader, "feed record", "result.feed_records",
+                     run.feed_records);
 
   // Stitched events are not stored: they are a deterministic function of
   // the records + inference params, so re-deriving them is both cheaper
   // and a consistency check against the stored count.
   run.events = run.feed.events();
-  check_count(reader, "stitched event", meta_u64(reader, "result.events"),
-              run.events.size());
+  check_stored_count(reader, "stitched event", "result.events",
+                     run.events.size());
 
   store::read_measurements(reader, run.store);
   run.store.set_total_measurements(run.swept_measurements);
 
   run.joined = store::read_joined_events(reader);
-  check_count(reader, "joined event", meta_u64(reader, "result.joined"),
-              run.joined.size());
+  check_stored_count(reader, "joined event", "result.joined",
+                     run.joined.size());
 
   span.set_items(reader.columns().size());
   if (observer) {

@@ -28,6 +28,10 @@
 #include "scenario/world.h"
 #include "telescope/feed.h"
 
+namespace ddos::store {
+class Reader;
+}  // namespace ddos::store
+
 namespace ddos::scenario {
 
 struct LongitudinalConfig {
@@ -182,6 +186,18 @@ std::uint64_t save_run(const std::string& path,
 /// so nothing dangles when the mapping closes on return) or the
 /// buffered fallback (`analyze --no-mmap`).
 StoredRun load_run(const std::string& path, bool use_mmap = true);
+
+/// The generating run's telescope inference params, restored from a
+/// save_run store's provenance meta — what the event stitcher needs to
+/// re-derive events from the stored feed. Throws store::StoreError when
+/// a key is missing or malformed.
+telescope::InferenceParams stored_inference(const store::Reader& reader);
+
+/// Throws store::StoreError naming the store when `decoded` differs from
+/// the unsigned count the meta records under `key` ("result.events", ...)
+/// — `what` names the count in the message.
+void check_stored_count(const store::Reader& reader, const std::string& what,
+                        const std::string& key, std::uint64_t decoded);
 
 /// Re-run the join stage from a loaded store: the world is rebuilt from
 /// the stored provenance (deterministic in the seed) and the join reads

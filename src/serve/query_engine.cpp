@@ -1,12 +1,14 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
-#include <cassert>
+#include <chrono>
 
 #include "core/impact.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "openintel/storage.h"
+#include "store/reader.h"
+#include "store/scan.h"
 
 namespace ddos::serve {
 
@@ -19,12 +21,58 @@ const char* to_string(TopKMetric metric) {
   return "?";
 }
 
-QueryEngine::QueryEngine(const scenario::RunArtifacts& run) : run_(&run) {
+namespace {
+
+/// Events per victim, ascending by victim.
+std::vector<VictimAttacks> count_attacks(
+    const std::vector<telescope::RSDoSEvent>& events) {
+  std::vector<std::uint32_t> victims;
+  victims.reserve(events.size());
+  for (const auto& ev : events) victims.push_back(ev.victim.value());
+  std::sort(victims.begin(), victims.end());
+  std::vector<VictimAttacks> out;
+  for (const std::uint32_t victim : victims) {
+    if (out.empty() || out.back().victim != victim) out.push_back({victim, 0});
+    ++out.back().attacks;
+  }
+  return out;
+}
+
+netsim::DayIndex start_day(const core::EventFrame& f, std::size_t i) {
+  return netsim::window_start(static_cast<netsim::WindowIndex>(
+                                  f.start_window[i]))
+      .day();
+}
+
+}  // namespace
+
+QueryEngine::QueryEngine(const EngineColumns& columns) { build(columns); }
+
+QueryEngine::QueryEngine(const scenario::RunArtifacts& run) {
+  const core::OwnedEventFrame joined(run.joined);
+  const auto daily_rows = run.store.sorted_daily();
+  std::vector<std::uint64_t> key, measured, timeout, servfail, rtt_n;
+  std::vector<double> rtt_sum;
+  for (const auto& [k, agg] : daily_rows) {
+    key.push_back(k);
+    measured.push_back(agg.measured);
+    timeout.push_back(agg.timeout);
+    servfail.push_back(agg.servfail);
+    rtt_n.push_back(agg.rtt.raw().n);
+    rtt_sum.push_back(agg.rtt.raw().sum);
+  }
+  const std::vector<VictimAttacks> attacks = count_attacks(run.events);
+  build(EngineColumns{joined.frame(),
+                      {key, measured, timeout, servfail, rtt_n, rtt_sum},
+                      attacks});
+}
+
+void QueryEngine::build(const EngineColumns& columns) {
   obs::ScopedSpan span(obs::installed_tracer(), "serve.build_indexes");
-  build_nsset_index();
-  build_series_index();
-  build_leaderboards();
-  build_window_index();
+  build_nsset_index(columns.joined);
+  build_series_index(columns.daily);
+  build_leaderboards(columns.attacks);
+  build_window_index(columns.joined);
   span.set_items(summaries_.size());
   if (obs::Observer* o = obs::Observer::installed()) {
     o->metrics().gauge("serve.index_nssets")
@@ -36,21 +84,22 @@ QueryEngine::QueryEngine(const scenario::RunArtifacts& run) : run_(&run) {
   }
 }
 
-void QueryEngine::build_nsset_index() {
-  const auto& joined = run_->joined;
-
+void QueryEngine::build_nsset_index(const core::EventFrame& joined) {
   // Group joined-event indices by NSSet with a counting pass, preserving
   // canonical event order within each group (the grouping walk is stable).
-  // Slot order is first-appearance order in the joined vector — a pure
+  // Slot order is first-appearance order in the joined rows — a pure
   // function of the run, never of hashing.
-  slot_of_.reserve(joined.size());
-  for (const auto& ev : joined) {
+  const auto nsset_of = [&joined](std::size_t i) {
+    return static_cast<dns::NssetId>(joined.nsset[i]);
+  };
+  slot_of_.reserve(joined.rows);
+  for (std::size_t i = 0; i < joined.rows; ++i) {
     const auto [slot, inserted] =
-        slot_of_.try_emplace(ev.nsset, static_cast<std::uint32_t>(0));
+        slot_of_.try_emplace(nsset_of(i), static_cast<std::uint32_t>(0));
     if (inserted) {
       *slot = static_cast<std::uint32_t>(summaries_.size());
       summaries_.emplace_back();
-      summaries_.back().nsset = ev.nsset;
+      summaries_.back().nsset = nsset_of(i);
       event_ranges_.emplace_back();
     }
     ++event_ranges_[*slot].count;
@@ -61,42 +110,50 @@ void QueryEngine::build_nsset_index() {
     offset += range.count;
     range.count = 0;  // reused as the fill cursor below
   }
-  event_index_.resize(joined.size());
-  for (std::uint32_t i = 0; i < joined.size(); ++i) {
-    const std::uint32_t slot = *slot_of_.find(joined[i].nsset);
+  event_index_.resize(joined.rows);
+  for (std::uint32_t i = 0; i < joined.rows; ++i) {
+    const std::uint32_t slot = *slot_of_.find(nsset_of(i));
     auto& range = event_ranges_[slot];
     event_index_[range.offset + range.count++] = i;
 
     NssetSummary& s = summaries_[slot];
-    const core::NssetAttackEvent& ev = joined[i];
-    const netsim::DayIndex day = ev.rsdos.start_time().day();
+    const netsim::DayIndex day = start_day(joined, i);
     if (s.events == 0 || day < s.first_day) s.first_day = day;
     if (s.events == 0 || day > s.last_day) s.last_day = day;
     ++s.events;
-    s.domains_hosted = ev.domains_hosted;
-    s.peak_impact = std::max(s.peak_impact, ev.peak_impact);
-    s.max_failure_rate = std::max(s.max_failure_rate, ev.failure_rate);
-    s.ok += ev.ok;
-    s.timeouts += ev.timeouts;
-    s.servfails += ev.servfails;
+    s.domains_hosted = joined.domains_hosted[i];
+    s.peak_impact = std::max(s.peak_impact, joined.peak_impact[i]);
+    s.max_failure_rate = std::max(s.max_failure_rate, joined.failure_rate[i]);
+    s.ok += static_cast<std::uint32_t>(joined.ok[i]);
+    s.timeouts += static_cast<std::uint32_t>(joined.timeouts[i]);
+    s.servfails += static_cast<std::uint32_t>(joined.servfails[i]);
   }
 }
 
-void QueryEngine::build_series_index() {
-  // The store's daily map is keyed time-major ((day, nsset) ascending);
-  // the serving index wants nsset-major so one NSSet's series is a
-  // contiguous span. Re-key and sort — unique keys, so the order is total.
-  const auto daily = run_->store.sorted_daily();
+void QueryEngine::build_series_index(const DailyColumns& daily) {
+  // The store's daily keys are time-major ((day, nsset) ascending); the
+  // serving index wants nsset-major so one NSSet's series is a contiguous
+  // span. Re-key and sort — unique keys, so the order is total.
   struct Keyed {
     dns::NssetId nsset;
     DayPoint point;
   };
   std::vector<Keyed> rows;
-  rows.reserve(daily.size());
-  for (const auto& [key, agg] : daily) {
+  rows.reserve(daily.key.size());
+  for (std::size_t i = 0; i < daily.key.size(); ++i) {
+    // avg_rtt / failure_rate exactly as openintel::Aggregate derives them.
+    openintel::Aggregate agg;
+    agg.measured = static_cast<std::uint32_t>(daily.measured[i]);
+    agg.timeout = static_cast<std::uint32_t>(daily.timeout[i]);
+    agg.servfail = static_cast<std::uint32_t>(daily.servfail[i]);
+    util::RunningStats::Raw raw;
+    raw.n = daily.rtt_n[i];
+    raw.sum = daily.rtt_sum[i];
+    agg.rtt = util::RunningStats::from_raw(raw);
+
     Keyed row;
-    row.nsset = openintel::MeasurementStore::key_nsset(key);
-    row.point.day = openintel::MeasurementStore::day_key_day(key);
+    row.nsset = openintel::MeasurementStore::key_nsset(daily.key[i]);
+    row.point.day = openintel::MeasurementStore::day_key_day(daily.key[i]);
     row.point.measured = agg.measured;
     row.point.avg_rtt_ms = agg.avg_rtt();
     row.point.failure_rate = agg.failure_rate();
@@ -138,20 +195,16 @@ void QueryEngine::build_series_index() {
   std::sort(keys_.begin(), keys_.end());
 }
 
-void QueryEngine::build_leaderboards() {
+void QueryEngine::build_leaderboards(std::span<const VictimAttacks> attacks) {
   // Attacks per victim IP, over ALL telescope events (the raw "top
   // attacked targets" view; the joined leaderboards below are DNS-only by
   // construction).
-  util::FlatMap<std::uint32_t, std::uint64_t> per_victim;
-  for (const auto& ev : run_->events) {
-    ++*per_victim.try_emplace(ev.victim.value(), std::uint64_t{0}).first;
+  top_attacks_.reserve(attacks.size());
+  for (const VictimAttacks& row : attacks) {
+    top_attacks_.push_back({row.victim, static_cast<double>(row.attacks)});
   }
-  top_attacks_.reserve(per_victim.size());
-  for (const auto& [ip, count] : per_victim.sorted_items()) {
-    top_attacks_.push_back({ip, static_cast<double>(count)});
-  }
-  // Descending value; the pre-sort by ascending key makes the stable sort's
-  // tie order total.
+  // Descending value; the input's ascending victim order makes the stable
+  // sort's tie order total.
   const auto by_value_desc = [](const TopEntry& a, const TopEntry& b) {
     return a.value > b.value;
   };
@@ -169,26 +222,26 @@ void QueryEngine::build_leaderboards() {
   std::stable_sort(top_failure_.begin(), top_failure_.end(), by_value_desc);
 }
 
-void QueryEngine::build_window_index() {
-  const auto& joined = run_->joined;
-  if (joined.empty()) return;
-  day_min_ = day_max_ = joined.front().rsdos.start_time().day();
-  for (const auto& ev : joined) {
-    const netsim::DayIndex day = ev.rsdos.start_time().day();
+void QueryEngine::build_window_index(const core::EventFrame& joined) {
+  if (joined.rows == 0) return;
+  day_min_ = day_max_ = start_day(joined, 0);
+  for (std::size_t i = 0; i < joined.rows; ++i) {
+    const netsim::DayIndex day = start_day(joined, i);
     day_min_ = std::min(day_min_, day);
     day_max_ = std::max(day_max_, day);
   }
   by_day_.assign(static_cast<std::size_t>(day_max_ - day_min_ + 1), {});
-  for (const auto& ev : joined) {
-    DayAgg& agg = by_day_[static_cast<std::size_t>(
-        ev.rsdos.start_time().day() - day_min_)];
+  for (std::size_t i = 0; i < joined.rows; ++i) {
+    DayAgg& agg =
+        by_day_[static_cast<std::size_t>(start_day(joined, i) - day_min_)];
+    const double peak = joined.peak_impact[i];
     ++agg.events;
-    if (ev.any_failure()) ++agg.events_with_failures;
-    agg.timeouts += ev.timeouts;
-    agg.servfails += ev.servfails;
-    if (ev.peak_impact >= core::kImpairedThreshold) ++agg.impaired_10x;
-    if (ev.peak_impact >= core::kSevereThreshold) ++agg.severe_100x;
-    agg.max_peak_impact = std::max(agg.max_peak_impact, ev.peak_impact);
+    if (joined.any_failure(i)) ++agg.events_with_failures;
+    agg.timeouts += static_cast<std::uint32_t>(joined.timeouts[i]);
+    agg.servfails += static_cast<std::uint32_t>(joined.servfails[i]);
+    if (peak >= core::kImpairedThreshold) ++agg.impaired_10x;
+    if (peak >= core::kSevereThreshold) ++agg.severe_100x;
+    agg.max_peak_impact = std::max(agg.max_peak_impact, peak);
   }
 }
 
@@ -240,6 +293,71 @@ WindowScanResult QueryEngine::window_scan(netsim::DayIndex day_lo,
         std::max(result.max_peak_impact, agg.max_peak_impact);
   }
   return result;
+}
+
+std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
+  obs::Observer* observer = obs::Observer::installed();
+  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr,
+                       "serve.load_engine");
+  const auto load_start = std::chrono::steady_clock::now();
+
+  const store::Reader reader(store_path, store::ReadMode::Mapped);
+  // Every block is CRC-checked up front, the ones the engine never reads
+  // included: a corrupt store is refused whole, never served in part.
+  reader.validate_all();
+  store::ColumnArena arena;
+  const auto u64 = [&](const char* dataset, const char* column) {
+    return store::scan_u64(reader, reader.column(dataset, column), arena);
+  };
+
+  // Attacks per victim: event boundaries depend only on (victim, window),
+  // so stitching those two feed columns yields the stored run's events
+  // one for one without materializing a single feed record.
+  const std::uint64_t feed_rows = reader.dataset_rows("feed");
+  scenario::check_stored_count(reader, "feed record", "result.feed_records",
+                               feed_rows);
+  const auto victim = u64("feed", "victim");
+  const auto window = u64("feed", "window");
+  telescope::EventStitcher stitcher(scenario::stored_inference(reader));
+  telescope::RSDoSRecord record;
+  for (std::uint64_t i = 0; i < feed_rows; ++i) {
+    record.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(victim[i]));
+    record.window = static_cast<netsim::WindowIndex>(window[i]);
+    stitcher.add(record);
+  }
+  const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
+  scenario::check_stored_count(reader, "stitched event", "result.events",
+                               events.size());
+  const std::vector<VictimAttacks> attacks = count_attacks(events);
+
+  const core::EventFrame joined = store::read_event_frame(reader, arena);
+  scenario::check_stored_count(reader, "joined event", "result.joined",
+                               joined.rows);
+
+  reader.dataset_rows("daily");  // throws when the columns disagree
+  DailyColumns daily;
+  daily.key = u64("daily", "key");
+  daily.measured = u64("daily", "measured");
+  daily.timeout = u64("daily", "timeout");
+  daily.servfail = u64("daily", "servfail");
+  daily.rtt_n = u64("daily", "rtt_n");
+  daily.rtt_sum =
+      store::scan_f64(reader, reader.column("daily", "rtt_sum"), arena);
+
+  auto engine =
+      std::make_unique<QueryEngine>(EngineColumns{joined, daily, attacks});
+  if (observer) {
+    observer->pipeline.store_bytes_read.set(
+        static_cast<double>(reader.file_size()));
+    const double load_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - load_start)
+            .count());
+    if (load_ns > 0.0)
+      observer->pipeline.store_read_MBps.set(
+          static_cast<double>(reader.file_size()) * 1e3 / load_ns);
+  }
+  return engine;
 }
 
 }  // namespace ddos::serve

@@ -2,10 +2,11 @@
 //
 // A run today is write-once/analyze-once: `analyze --store` recomputes the
 // headline statistics in one batch pass and exits. The engine turns the
-// same artifacts into an interactive read path: it loads a run (a
-// scenario::StoredRun from scenario::load_run, or a live
-// LongitudinalResult — both are RunArtifacts) and builds three immutable,
-// read-optimized indexes:
+// same data into an interactive read path. Its index build reads three
+// column inputs (EngineColumns): the joined NSSet-attack events as a
+// core::EventFrame, the per-(NSSet, day) sweep aggregates as the store's
+// "daily" columns, and the telescope attack count per victim IP. It
+// builds three immutable, read-optimized indexes from them:
 //
 //   * per-NSSet index — joined NSSet-attack events grouped by NSSet plus
 //     the per-(NSSet, day) sweep time series, both behind one
@@ -18,6 +19,14 @@
 //     core::ImpactFold/FailureFold), so WindowScan(day_lo, day_hi) is a
 //     short scan of a contiguous array (WindowScan).
 //
+// Two sources lay out those inputs. load_engine maps a DRS store and
+// reads only the columns the build needs — it never materializes feed
+// records, a MeasurementStore or joined rows, and the per-victim counts
+// come from stitching the feed's victim and window columns. The
+// RunArtifacts constructor lays a live run (or a scenario::load_run
+// image) out as the same inputs. Either way the engine copies what it
+// indexes and keeps no pointer into its source.
+//
 // Concurrency model: shared-nothing reads. build happens once on the
 // constructing thread; afterwards every query method is const, touches
 // only immutable state, and takes no locks — callers bring their own
@@ -26,20 +35,22 @@
 // (serve/driver.h) hammers exactly this contract and CI runs it under
 // TSan.
 //
-// Determinism: answers are pure functions of the run artifacts. Index
-// build order is fixed (canonical joined-event order, ascending keys,
+// Determinism: answers are pure functions of the run's data. Index build
+// order is fixed (canonical joined-event order, ascending keys,
 // total-ordered leaderboard ties), so two engines built from bit-identical
-// runs — e.g. a live run and its DRS round trip — answer every query
-// bit-identically. The parity test asserts this against the batch
-// analysis path (core::impact_summary / failure_summary and brute-force
-// folds).
+// runs — a live run, its load_run image and its load_engine columns —
+// answer every query bit-identically. The parity test asserts this and
+// checks answers against the batch analysis path (core::impact_summary /
+// failure_summary and brute-force folds).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "core/join.h"
+#include "core/columnar.h"
 #include "netsim/simtime.h"
 #include "scenario/driver.h"
 #include "util/flat_map.h"
@@ -89,7 +100,8 @@ struct DayPoint {
 struct PointResult {
   bool found = false;
   NssetSummary summary;
-  /// Indices into joined() of this NSSet's events, canonical order.
+  /// Row indices of this NSSet's joined events (the order of the run's
+  /// joined vector, which is the store's "events" row order).
   std::span<const std::uint32_t> event_indices;
   /// Daily sweep series, ascending by day.
   std::span<const DayPoint> series;
@@ -128,10 +140,38 @@ struct WindowScanResult {
                          const WindowScanResult&) = default;
 };
 
+/// Per-(NSSet, day) sweep aggregates in the store's "daily" schema
+/// (store/dataset.cpp): MeasurementStore day keys, ascending, and the
+/// counts and RTT sums a DayPoint derives from. Equal-length spans.
+struct DailyColumns {
+  std::span<const std::uint64_t> key;
+  std::span<const std::uint64_t> measured;
+  std::span<const std::uint64_t> timeout;
+  std::span<const std::uint64_t> servfail;
+  std::span<const std::uint64_t> rtt_n;
+  std::span<const double> rtt_sum;
+};
+
+/// Telescope attack events against one victim IP.
+struct VictimAttacks {
+  std::uint32_t victim = 0;
+  std::uint64_t attacks = 0;
+};
+
+/// Everything the index build reads. The spans are only read during
+/// construction.
+struct EngineColumns {
+  core::EventFrame joined;
+  DailyColumns daily;
+  std::span<const VictimAttacks> attacks;  // ascending, unique victims
+};
+
 class QueryEngine {
  public:
-  /// Build the indexes from a finished run. `run` must outlive the engine
-  /// (joined-event spans alias it). Single-threaded, called once.
+  /// Build the indexes. Single-threaded, called once.
+  explicit QueryEngine(const EngineColumns& columns);
+  /// Lay a run's joined rows, sorted_daily() aggregates and stitched
+  /// events out as EngineColumns and build from those.
   explicit QueryEngine(const scenario::RunArtifacts& run);
 
   QueryEngine(const QueryEngine&) = delete;
@@ -158,11 +198,6 @@ class QueryEngine {
   /// Load drivers map key-chooser indices through this span.
   std::span<const dns::NssetId> keys() const { return keys_; }
 
-  /// Joined events the per-NSSet index refers into (the run's vector).
-  const std::vector<core::NssetAttackEvent>& joined() const {
-    return run_->joined;
-  }
-
   /// Indexed day range of the window index ([0, -1] when no events).
   netsim::DayIndex day_min() const { return day_min_; }
   netsim::DayIndex day_max() const { return day_max_; }
@@ -188,12 +223,11 @@ class QueryEngine {
     double max_peak_impact = 0.0;
   };
 
-  void build_nsset_index();
-  void build_series_index();
-  void build_leaderboards();
-  void build_window_index();
-
-  const scenario::RunArtifacts* run_;
+  void build(const EngineColumns& columns);
+  void build_nsset_index(const core::EventFrame& joined);
+  void build_series_index(const DailyColumns& daily);
+  void build_leaderboards(std::span<const VictimAttacks> attacks);
+  void build_window_index(const core::EventFrame& joined);
 
   // nsset -> slot into summaries_/event_ranges_/series_ranges_.
   util::FlatMap<dns::NssetId, std::uint32_t> slot_of_;
@@ -212,5 +246,13 @@ class QueryEngine {
   netsim::DayIndex day_max_ = -1;
   std::vector<DayAgg> by_day_;  // dense, index = day - day_min_
 };
+
+/// The serving load path, shared by `serve --store` and
+/// net::EngineHandle::load: map the save_run store at `store_path`,
+/// CRC-check every block, read only the columns EngineColumns needs,
+/// check the feed, stitched-event and joined counts against the meta,
+/// and build the engine. Throws store::StoreError naming the path on any
+/// defect.
+std::unique_ptr<QueryEngine> load_engine(const std::string& store_path);
 
 }  // namespace ddos::serve

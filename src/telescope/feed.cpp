@@ -99,9 +99,11 @@ std::size_t RSDoSFeed::ingest_stream(
 }
 
 std::vector<RSDoSEvent> RSDoSFeed::events() const {
-  obs::ScopedSpan span(obs::installed_tracer(), "feed.segment_events");
+  obs::ScopedSpan span(obs::installed_tracer(), "feed.stitch");
   span.set_items(records_.size());
-  return segment_events(records_, inference_);
+  EventStitcher stitcher(inference_);
+  for (const RSDoSRecord& rec : records_) stitcher.add(rec);
+  return stitcher.finish();
 }
 
 void RSDoSFeed::write_csv(std::ostream& out) const {

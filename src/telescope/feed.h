@@ -57,15 +57,9 @@ class RSDoSFeed {
 
   const std::vector<RSDoSRecord>& records() const { return records_; }
 
-  /// Stitched per-victim events (recomputed on call).
+  /// Stitched per-victim events (EventStitcher over records(), recomputed
+  /// on call).
   std::vector<RSDoSEvent> events() const;
-
-  /// The stitched events as per-day batches (grouped by last attacked
-  /// day), the unit the streaming driver consumes — indices reference the
-  /// events() vector so the canonical order survives day-wise processing.
-  std::vector<DayEventBatch> day_batches() const {
-    return group_events_by_day(events());
-  }
 
   /// Table-1 style totals. `origin_of` maps a victim IP to its origin AS
   /// (0 = unrouted, excluded from the AS count).

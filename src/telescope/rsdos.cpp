@@ -78,44 +78,35 @@ bool record_less(const RSDoSRecord& a, const RSDoSRecord& b) {
   return tail(a) < tail(b);
 }
 
-std::vector<RSDoSEvent> segment_events(std::vector<RSDoSRecord> records,
-                                       const InferenceParams& params) {
-  std::sort(records.begin(), records.end(), record_less);
-  std::vector<RSDoSEvent> events;
-  for (std::size_t i = 0; i < records.size();) {
-    const RSDoSRecord& first = records[i];
-    RSDoSEvent ev;
-    ev.victim = first.victim;
-    ev.start_window = ev.end_window = first.window;
-    ev.max_ppm = first.max_ppm;
-    ev.total_packets = first.packets;
-    ev.max_slash16 = first.distinct_slash16;
-    ev.protocol = first.protocol;
-    ev.first_port = first.first_port;
-    ev.max_unique_ports = first.unique_ports;
-    std::size_t j = i + 1;
-    while (j < records.size() && records[j].victim == ev.victim &&
-           records[j].window - ev.end_window <=
-               static_cast<netsim::WindowIndex>(params.max_gap_windows) + 1) {
-      ev.end_window = records[j].window;
-      ev.max_ppm = std::max(ev.max_ppm, records[j].max_ppm);
-      ev.total_packets += records[j].packets;
-      ev.max_slash16 = std::max(ev.max_slash16, records[j].distinct_slash16);
-      ev.max_unique_ports =
-          std::max(ev.max_unique_ports, records[j].unique_ports);
-      ++j;
-    }
-    events.push_back(ev);
-    i = j;
-  }
-  return events;
+namespace {
+
+template <typename Run>
+void absorb(Run& a, const Run& b) {
+  if (record_less(b.head, a.head)) a.head = b.head;
+  a.start = std::min(a.start, b.start);
+  a.end = std::max(a.end, b.end);
+  a.max_ppm = std::max(a.max_ppm, b.max_ppm);
+  a.total_packets += b.total_packets;
+  a.max_slash16 = std::max(a.max_slash16, b.max_slash16);
+  a.max_unique_ports = std::max(a.max_unique_ports, b.max_unique_ports);
 }
+
+}  // namespace
 
 void EventStitcher::add(const RSDoSRecord& record) {
   ++records_added_;
   const netsim::WindowIndex reach =
       static_cast<netsim::WindowIndex>(params_.max_gap_windows) + 1;
-  std::vector<Run>& runs = victims_[record.victim.value()];
+  // Feed records arrive grouped by attack, so consecutive adds mostly hit
+  // one victim: reuse its slot without a hash probe.
+  if (runs_.empty() || record.victim.value() != last_victim_) {
+    last_victim_ = record.victim.value();
+    const auto [slot, inserted] = slot_of_.try_emplace(
+        last_victim_, static_cast<std::uint32_t>(runs_.size()));
+    if (inserted) runs_.emplace_back();
+    last_slot_ = *slot;
+  }
+  std::vector<Run>& runs = runs_[last_slot_];
 
   Run single;
   single.head = record;
@@ -125,46 +116,34 @@ void EventStitcher::add(const RSDoSRecord& record) {
   single.max_slash16 = record.distinct_slash16;
   single.max_unique_ports = record.unique_ports;
 
-  // Insert after the last run whose start <= record.window, then merge
-  // with the neighbours the new window now bridges. Runs are separated by
-  // gaps > reach, so at most one merge per side can fire: merging left
-  // extends end to at most max(left.end, window), and the run past the
-  // right neighbour stays > reach away from the right neighbour's end.
+  // Fold into the last run whose start <= record.window when the window
+  // is within its reach, else insert after it; then merge with the right
+  // neighbour if the run now bridges to it. Runs are separated by gaps >
+  // reach, so at most one merge per side can fire: merging left extends
+  // end to at most max(left.end, window), and the run past the right
+  // neighbour stays > reach away from the right neighbour's end.
   const auto pos = std::upper_bound(
       runs.begin(), runs.end(), record.window,
       [](netsim::WindowIndex w, const Run& r) { return w < r.start; });
   std::size_t i = static_cast<std::size_t>(pos - runs.begin());
-  runs.insert(pos, single);
-
-  const auto merge_into = [&](std::size_t left) {
-    Run& a = runs[left];
-    const Run& b = runs[left + 1];
-    if (record_less(b.head, a.head)) a.head = b.head;
-    a.start = std::min(a.start, b.start);
-    a.end = std::max(a.end, b.end);
-    a.max_ppm = std::max(a.max_ppm, b.max_ppm);
-    a.total_packets += b.total_packets;
-    a.max_slash16 = std::max(a.max_slash16, b.max_slash16);
-    a.max_unique_ports = std::max(a.max_unique_ports, b.max_unique_ports);
-    runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(left) + 1);
-  };
-  if (i > 0 && runs[i].start - runs[i - 1].end <= reach) {
-    merge_into(--i);
+  if (i > 0 && single.start - runs[i - 1].end <= reach) {
+    absorb(runs[--i], single);
+  } else {
+    runs.insert(pos, single);
   }
   if (i + 1 < runs.size() && runs[i + 1].start - runs[i].end <= reach) {
-    merge_into(i);
+    absorb(runs[i], runs[i + 1]);
+    runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(i) + 1);
   }
 }
 
 std::vector<RSDoSEvent> EventStitcher::finish() const {
-  std::vector<std::uint32_t> victims;
-  victims.reserve(victims_.size());
-  for (const auto& [victim, runs] : victims_) victims.push_back(victim);
-  std::sort(victims.begin(), victims.end());
-
+  std::size_t total = 0;
+  for (const auto& runs : runs_) total += runs.size();
   std::vector<RSDoSEvent> events;
-  for (const std::uint32_t victim : victims) {
-    for (const Run& run : victims_.at(victim)) {
+  events.reserve(total);
+  for (const auto& [victim, slot] : slot_of_.sorted_items()) {
+    for (const Run& run : runs_[slot]) {
       RSDoSEvent ev;
       ev.victim = netsim::IPv4Addr(victim);
       ev.start_window = run.start;

@@ -15,12 +15,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "attack/backscatter.h"
 #include "netsim/ipv4.h"
 #include "netsim/simtime.h"
+#include "util/flat_map.h"
 
 namespace ddos::telescope {
 
@@ -92,33 +92,32 @@ struct RSDoSEvent {
 /// event order — then every remaining field as a tie-break. Two attacks
 /// can hit one victim in the same window (victim reuse), and the stitched
 /// event's protocol/first_port come from the run's first record, so the
-/// sort must not leave that choice to the sort algorithm: under a total
-/// order, batch segmentation and the incremental stitcher pick the same
-/// head record no matter how the input was produced.
+/// choice must not depend on arrival order: under a total order the
+/// stitcher picks the same head record no matter how the input was
+/// produced (ingest order, shard order, a store's column order).
 bool record_less(const RSDoSRecord& a, const RSDoSRecord& b);
 
-/// Stitch per-window records (any order) into events per victim.
-std::vector<RSDoSEvent> segment_events(std::vector<RSDoSRecord> records,
-                                       const InferenceParams& params);
-
-/// Incremental event stitcher: accepts records one at a time in any order
-/// and, on finish(), yields exactly segment_events' output — without ever
-/// holding the record vector. Per victim it maintains disjoint runs
-/// (adjacent runs separated by more than max_gap_windows+1 windows); a new
-/// record inserts as a singleton run and merges with at most one neighbour
-/// on each side. Each run keeps only the record_less-minimal record (the
-/// head, which supplies protocol/first_port) plus order-independent folds
-/// (max_ppm, total_packets, max_slash16, max_unique_ports), so memory is
-/// O(events), not O(records). This is what lets the streaming driver
-/// retire feed records shard by shard.
+/// The event stitcher — the one place feed records become RSDoSEvents.
+/// Accepts records one at a time in any order; finish() yields one event
+/// per maximal run of a victim's records whose consecutive windows are at
+/// most max_gap_windows+1 apart, in canonical (victim, start_window)
+/// order. Per victim it maintains disjoint runs (adjacent runs separated
+/// by more than max_gap_windows+1 windows); a new record inserts as a
+/// singleton run and merges with at most one neighbour on each side. Each
+/// run keeps only the record_less-minimal record (the head, which
+/// supplies protocol/first_port) plus order-independent folds (max_ppm,
+/// total_packets, max_slash16, max_unique_ports), so memory is
+/// O(events), not O(records) and the output is a function of the record
+/// multiset alone. That is what lets the streaming driver retire feed
+/// records shard by shard, and RSDoSFeed::events() and the serving load
+/// path run the same code over a record vector or a store's columns.
 class EventStitcher {
  public:
   explicit EventStitcher(const InferenceParams& params) : params_(params) {}
 
   void add(const RSDoSRecord& record);
 
-  /// Events in canonical (victim, start_window) order — bit-identical to
-  /// segment_events over the same record multiset.
+  /// Events in canonical (victim, start_window) order.
   std::vector<RSDoSEvent> finish() const;
 
   std::uint64_t records_added() const { return records_added_; }
@@ -136,9 +135,13 @@ class EventStitcher {
 
   InferenceParams params_;
   std::uint64_t records_added_ = 0;
-  // Keyed by victim address value; run vectors stay sorted by start with
-  // gaps > max_gap_windows+1 between neighbours.
-  std::unordered_map<std::uint32_t, std::vector<Run>> victims_;
+  // Victim address value -> its run list in runs_. Run lists stay sorted
+  // by start with gaps > max_gap_windows+1 between neighbours.
+  util::FlatMap<std::uint32_t, std::uint32_t> slot_of_;
+  std::vector<std::vector<Run>> runs_;
+  // The previous add's victim and its slot.
+  std::uint32_t last_victim_ = 0;
+  std::uint32_t last_slot_ = 0;
 };
 
 /// One day-epoch's worth of stitched events, identified by index into the

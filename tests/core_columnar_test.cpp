@@ -73,6 +73,21 @@ TEST_F(ColumnarParity, FrameMatchesRows) {
   EXPECT_TRUE(frame_equals_events(*frame_, result_->joined));
 }
 
+// An in-memory run's frame, laid out from its rows, equals the stored
+// frame column for column — string column included.
+TEST_F(ColumnarParity, OwnedFrameOfRowsMatchesRows) {
+  const OwnedEventFrame owned(result_->joined);
+  const EventFrame& f = owned.frame();
+  EXPECT_EQ(f.rows, frame_->rows);
+  EXPECT_TRUE(frame_equals_events(f, result_->joined));
+  for (std::size_t i = 0; i < f.rows; ++i) {
+    EXPECT_EQ(f.org[i], (*frame_).org[i]) << "row " << i;
+  }
+  const OwnedEventFrame empty({});
+  EXPECT_EQ(empty.frame().rows, 0u);
+  EXPECT_TRUE(frame_equals_events(empty.frame(), {}));
+}
+
 TEST_F(ColumnarParity, FrameEqualityIsFieldExact) {
   // A single mutated field in a single row must be caught.
   auto mutated = result_->joined;

@@ -21,10 +21,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "scenario/driver.h"
 #include "serve/driver.h"
 #include "serve/query_engine.h"
+#include "store/format.h"
 
 namespace ddos::net {
 namespace {
@@ -101,9 +104,9 @@ TEST_F(NetServerTest, HelloReportsEngineShapeAndEpoch) {
   EXPECT_EQ(stats.malformed_frames, 0u);
 }
 
-// EngineHandle::load owns the whole DRS store -> StoredRun -> engine
-// chain; a server built from it must answer with the same shape as the
-// live engine the store was saved from.
+// EngineHandle::load builds its engine from the store's columns; a
+// server built from it must answer with the same shape as the live
+// engine the store was saved from.
 TEST_F(NetServerTest, EngineHandleLoadServesASavedStore) {
   const std::string path = temp_path("net-load.drs");
   ASSERT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
@@ -258,6 +261,91 @@ TEST_F(NetServerTest, OpenLoopBelowSaturationPacesTheSchedule) {
   EXPECT_LT(point.p99_us, 20'000.0);
 }
 
+// Replies are timestamped when they arrive: between send slots the
+// driver waits on the socket, not on a sleep to the next slot. At 1,000
+// q/s the slots are 1 ms apart, so a driver that sleeps through the reply
+// reports a p50 near the interval. The bound: the open loop's p50 may
+// exceed the closed loop's (one bare round trip on the same server — tens
+// of microseconds natively, a few hundred under TSan) by less than a
+// quarter of the interval. A sleeping driver misses it on every attempt;
+// the best of three keeps a host busy with other tests from failing a
+// correct one.
+TEST_F(NetServerTest, OpenLoopTimestampsRepliesOnArrival) {
+  Server server(handle(), ServerOptions{});
+  server.start();
+
+  RemoteDriveOptions closed;
+  closed.host = "127.0.0.1";
+  closed.port = server.port();
+  closed.connections = 1;
+  closed.workload.seed = 9;
+  closed.workload.mix = {1, 0, 0};
+  closed.ops_per_thread = 300;
+  RemoteDriveOptions open = closed;
+  open.target_qps = 1000.0;
+  const auto point_p50_us = [](const serve::DriveReport& report) {
+    EXPECT_EQ(report.total_ops, 300u);
+    return report
+        .by_type[static_cast<std::size_t>(serve::QueryType::PointLookup)]
+        .p50_us;
+  };
+  double best_excess_us = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const double round_trip_us = point_p50_us(drive_remote(closed));
+    const double excess_us = point_p50_us(drive_remote(open)) - round_trip_us;
+    best_excess_us = attempt == 0 ? excess_us
+                                  : std::min(best_excess_us, excess_us);
+    if (best_excess_us < 250.0) break;
+  }
+  server.stop();
+
+  EXPECT_LT(best_excess_us, 250.0)
+      << "replies are timestamped at the next send slot, not on arrival";
+}
+
+// A reload that fails never reaches install_engine: the store is
+// refused before the swap, so the server keeps answering at the
+// previous epoch with the previous engine.
+TEST_F(NetServerTest, FailedReloadKeepsServingThePreviousEpoch) {
+  const std::string path = temp_path("net-bad-reload.drs");
+  ASSERT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
+  {
+    // Flip one byte of the first block.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(store::kHeaderSize + 3);
+    char byte = 0;
+    f.get(byte);
+    f.seekp(store::kHeaderSize + 3);
+    f.put(static_cast<char>(byte ^ 0xFF));
+  }
+
+  Server server(handle(/*epoch=*/4), ServerOptions{});
+  server.start();
+  EXPECT_THROW(server.install_engine(EngineHandle::load(path, /*epoch=*/5)),
+               store::StoreError);
+  EXPECT_EQ(server.stats().engine_swaps, 0u);
+  EXPECT_EQ(server.current_engine()->epoch(), 4u);
+
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  EXPECT_EQ(client.hello().engine_epoch, 4u);
+  serve::Op op;
+  op.type = serve::QueryType::TopK;
+  op.k = 5;
+  op.metric = static_cast<std::uint8_t>(serve::TopKMetric::PeakImpact);
+  client.queue_op(op, 9);
+  client.flush();
+  const Answer& answer = client.recv();
+  ASSERT_EQ(answer.opcode, Opcode::TopKOk);
+  std::vector<serve::TopEntry> expected;
+  expected.resize(engine_->top_k(serve::TopKMetric::PeakImpact, 5, expected));
+  ASSERT_NE(answer.rows, nullptr);
+  EXPECT_EQ(*answer.rows, expected);
+  client.close();
+  server.stop();
+  std::filesystem::remove(path);
+}
+
 // Live re-fill: install_engine is one guarded shared_ptr swap, pinned
 // per event batch by the loops. Clients hammer the server across the swap
 // (this is the TSan target for the RCU handoff), must never see an
@@ -356,10 +444,9 @@ TEST_F(NetServerTest, InstallEngineSwapsLiveUnderConcurrentLoad) {
 }
 
 // Unmap safety across store-backed swaps: EngineHandle::load goes
-// through the mmap reader, and load_run copies every decoded dataset
-// into the StoredRun before the mapping closes — so answers must never
-// reference bytes of a store file that has since been swapped out (and
-// even deleted). Swapping repeatedly between two loaded stores while
+// through the mmap reader, and the engine copies everything it indexes
+// before the mapping closes — so answers must never reference bytes of
+// a store file that has since been swapped out (and even deleted). Swapping repeatedly between two loaded stores while
 // clients hammer TopK (whose rows point into the engine's run) is the
 // dangling-read probe; the TSan job runs this binary to make any
 // lifetime violation loud.

@@ -1,8 +1,9 @@
 // Serve/batch parity: every QueryEngine answer must equal a brute-force
 // recomputation from the run artifacts — the exact statistics the batch
 // `analyze --store` path prints. Also asserts the engine is insensitive
-// to which side of a DRS round trip it is built from: a live run and its
-// save_run/load_run image answer every query identically.
+// to what it is built from: a live run, its save_run/load_run image and
+// the store's columns (load_engine, the serving load path) answer every
+// query identically.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -241,45 +243,66 @@ TEST_F(ServeParityTest, TopKNssetBoardsMatchBruteForce) {
   check(TopKMetric::FailureRate, fail);
 }
 
+// Every answer of `got` equals `want`'s: each key's point lookup, every
+// leaderboard in full, and every single-day and the full-range window
+// scan.
+void expect_same_answers(const QueryEngine& want, const QueryEngine& got) {
+  ASSERT_EQ(got.nsset_count(), want.nsset_count());
+  ASSERT_EQ(got.series_points(), want.series_points());
+  ASSERT_EQ(got.leaderboard_entries(), want.leaderboard_entries());
+  ASSERT_EQ(got.day_min(), want.day_min());
+  ASSERT_EQ(got.day_max(), want.day_max());
+  ASSERT_TRUE(std::equal(got.keys().begin(), got.keys().end(),
+                         want.keys().begin(), want.keys().end()));
+
+  for (const dns::NssetId nsset : want.keys()) {
+    const PointResult a = want.point_lookup(nsset);
+    const PointResult b = got.point_lookup(nsset);
+    ASSERT_EQ(a.found, b.found);
+    EXPECT_EQ(a.summary, b.summary) << "nsset " << nsset;
+    EXPECT_TRUE(std::equal(a.event_indices.begin(), a.event_indices.end(),
+                           b.event_indices.begin(), b.event_indices.end()))
+        << "nsset " << nsset;
+    EXPECT_TRUE(std::equal(a.series.begin(), a.series.end(),
+                           b.series.begin(), b.series.end()))
+        << "nsset " << nsset;
+  }
+  const std::size_t universe = want.leaderboard_entries();
+  for (const TopKMetric metric :
+       {TopKMetric::Attacks, TopKMetric::PeakImpact,
+        TopKMetric::FailureRate}) {
+    std::vector<TopEntry> a, b;
+    want.top_k(metric, universe, a);
+    got.top_k(metric, universe, b);
+    EXPECT_FALSE(a.empty()) << to_string(metric);
+    EXPECT_EQ(a, b) << to_string(metric);
+  }
+  for (netsim::DayIndex d = want.day_min(); d <= want.day_max(); ++d) {
+    EXPECT_EQ(want.window_scan(d, d), got.window_scan(d, d)) << "day " << d;
+  }
+  EXPECT_EQ(want.window_scan(want.day_min(), want.day_max()),
+            got.window_scan(got.day_min(), got.day_max()));
+}
+
 // A DRS round trip must not change a single answer: build a second engine
 // from save_run/load_run and compare every query against the live one.
 TEST_F(ServeParityTest, StoredRunEngineAnswersIdentically) {
   const std::string path = temp_path("serve-parity.drs");
   ASSERT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
   const scenario::StoredRun stored = scenario::load_run(path);
-  QueryEngine loaded(stored);
+  const QueryEngine loaded(stored);
+  expect_same_answers(*engine_, loaded);
+  std::filesystem::remove(path);
+}
 
-  ASSERT_EQ(loaded.nsset_count(), engine_->nsset_count());
-  ASSERT_EQ(loaded.series_points(), engine_->series_points());
-  ASSERT_EQ(loaded.day_min(), engine_->day_min());
-  ASSERT_EQ(loaded.day_max(), engine_->day_max());
-  ASSERT_TRUE(std::equal(loaded.keys().begin(), loaded.keys().end(),
-                         engine_->keys().begin(), engine_->keys().end()));
-
-  for (const dns::NssetId nsset : engine_->keys()) {
-    const PointResult a = engine_->point_lookup(nsset);
-    const PointResult b = loaded.point_lookup(nsset);
-    ASSERT_EQ(a.found, b.found);
-    EXPECT_EQ(a.summary, b.summary) << "nsset " << nsset;
-    ASSERT_EQ(a.event_indices.size(), b.event_indices.size());
-    EXPECT_TRUE(std::equal(a.event_indices.begin(), a.event_indices.end(),
-                           b.event_indices.begin()));
-    ASSERT_EQ(a.series.size(), b.series.size());
-    EXPECT_TRUE(
-        std::equal(a.series.begin(), a.series.end(), b.series.begin()));
-  }
-  for (const TopKMetric metric :
-       {TopKMetric::Attacks, TopKMetric::PeakImpact,
-        TopKMetric::FailureRate}) {
-    std::vector<TopEntry> a, b;
-    engine_->top_k(metric, 1u << 20, a);
-    loaded.top_k(metric, 1u << 20, b);
-    EXPECT_EQ(a, b) << to_string(metric);
-  }
-  for (netsim::DayIndex d = engine_->day_min(); d <= engine_->day_max();
-       d += 11) {
-    EXPECT_EQ(engine_->window_scan(d, d + 30), loaded.window_scan(d, d + 30));
-  }
+// The serving load path reads only store columns — the joined frame, the
+// daily aggregates and the feed's victim/window columns through the
+// stitcher — and must answer exactly as the live run's engine does.
+TEST_F(ServeParityTest, StoreColumnEngineAnswersIdentically) {
+  const std::string path = temp_path("serve-parity-columns.drs");
+  ASSERT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
+  const std::unique_ptr<QueryEngine> loaded = load_engine(path);
+  expect_same_answers(*engine_, *loaded);
   std::filesystem::remove(path);
 }
 

@@ -3,7 +3,9 @@
 // loudly on FIRST TOUCH (not at open) and keep failing on every touch,
 // the ColumnArena must reuse its buffers across repeat scans, and v3's
 // 8-byte block alignment must hold so Fixed columns map as aligned
-// spans straight over the file.
+// spans straight over the file. The serving load path (which reads only
+// a few columns) must still refuse a store with any corrupt block or a
+// count that disagrees with its meta.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,11 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "net/server.h"
 #include "scenario/driver.h"
+#include "serve/query_engine.h"
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/scan.h"
 #include "store/writer.h"
+#include "util/strings.h"
 
 namespace ddos::store {
 namespace {
@@ -206,6 +211,111 @@ TEST(MmapReader, LoadRunIdenticalInBothModes) {
   corrupt_byte(path, kHeaderSize + 3);
   EXPECT_THROW(scenario::load_run(path, true), StoreError);
   EXPECT_THROW(scenario::load_run(path, false), StoreError);
+  std::filesystem::remove(path);
+}
+
+// ---- the serving load path (serve::load_engine via EngineHandle) -----
+
+class ServingLoad : public testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    config_ = new scenario::LongitudinalConfig(
+        scenario::small_longitudinal_config(21));
+    result_ = new scenario::LongitudinalResult(
+        scenario::run_longitudinal(*config_));
+  }
+  static void TearDownTestSuite() {
+    delete result_;
+    result_ = nullptr;
+    delete config_;
+    config_ = nullptr;
+  }
+
+  static std::string saved(const char* name) {
+    const std::string path = temp_path(name);
+    EXPECT_GT(scenario::save_run(path, *config_, 1, *result_), 0u);
+    return path;
+  }
+
+  static scenario::LongitudinalConfig* config_;
+  static scenario::LongitudinalResult* result_;
+};
+
+scenario::LongitudinalConfig* ServingLoad::config_ = nullptr;
+scenario::LongitudinalResult* ServingLoad::result_ = nullptr;
+
+// Copy `src` to `dst` block for block, with meta `key` set to `value`.
+void copy_with_meta(const std::string& src, const std::string& dst,
+                    const std::string& key, const std::string& value) {
+  const Reader reader(src);
+  Writer writer(dst);
+  for (const auto& [k, v] : reader.meta()) {
+    writer.add_meta(k, k == key ? value : v);
+  }
+  for (const ColumnDesc& desc : reader.columns()) {
+    writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                       desc.rows, std::string(reader.verified_payload(desc)));
+  }
+  ASSERT_TRUE(writer.finish());
+}
+
+// The engine reads a handful of columns, yet a corrupt block anywhere
+// fails the load, and the error names the store and the column.
+TEST_F(ServingLoad, CorruptColumnTheEngineNeverReadsFailsTheLoad) {
+  const std::string path = saved("serve_corrupt.drs");
+  ASSERT_NO_THROW(net::EngineHandle::load(path, 1));
+  for (const auto& [dataset, column] :
+       {std::pair<std::string, std::string>{"feed", "protocol"},
+        {"window", "rtt_m2"}}) {
+    const std::string copy = temp_path("serve_corrupt_copy.drs");
+    std::filesystem::copy_file(
+        path, copy, std::filesystem::copy_options::overwrite_existing);
+    std::uint64_t offset = 0;
+    {
+      const Reader reader(copy);
+      const ColumnDesc& desc = reader.column(dataset, column);
+      offset = desc.offset + desc.size / 2;
+    }
+    corrupt_byte(copy, offset);
+    try {
+      net::EngineHandle::load(copy, 1);
+      ADD_FAILURE() << dataset << "." << column << ": load succeeded";
+    } catch (const StoreError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(copy), std::string::npos) << what;
+      EXPECT_NE(what.find(dataset + "." + column), std::string::npos) << what;
+    }
+    std::filesystem::remove(copy);
+  }
+  std::filesystem::remove(path);
+}
+
+// A store whose feed, stitched-event or joined count disagrees with its
+// meta is refused by the serving load, as by load_run.
+TEST_F(ServingLoad, MetaCountMismatchIsRejected) {
+  const std::string path = saved("serve_counts.drs");
+  const Reader original(path);
+  for (const char* key :
+       {"result.feed_records", "result.events", "result.joined"}) {
+    const std::string copy = temp_path("serve_counts_copy.drs");
+    // The unchanged copy loads: the copy itself is sound.
+    copy_with_meta(path, copy, key, original.meta_value(key));
+    ASSERT_NO_THROW(serve::load_engine(copy)) << key;
+
+    std::uint64_t stored = 0;
+    ASSERT_TRUE(util::parse_u64(original.meta_value(key), stored));
+    copy_with_meta(path, copy, key, std::to_string(stored + 1));
+    try {
+      net::EngineHandle::load(copy, 1);
+      ADD_FAILURE() << key << ": load succeeded";
+    } catch (const StoreError& e) {
+      EXPECT_NE(std::string(e.what()).find("count mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(scenario::load_run(copy), StoreError) << key;
+    std::filesystem::remove(copy);
+  }
   std::filesystem::remove(path);
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
 
+#include "scenario/driver.h"
 #include "telescope/darknet.h"
 #include "telescope/feed.h"
 #include "telescope/rsdos.h"
@@ -94,9 +97,54 @@ RSDoSRecord rec_at(IPv4Addr victim, netsim::WindowIndex w, double ppm = 100.0) {
   return rec;
 }
 
+// Brute-force oracle for the event stitcher: sort the records under the
+// total order, then open a new event wherever the victim changes or the
+// next window lies more than max_gap_windows + 1 past the event's end.
+// The head (first sorted) record supplies protocol and first_port.
+std::vector<RSDoSEvent> segment_events(std::vector<RSDoSRecord> records,
+                                       const InferenceParams& params) {
+  std::sort(records.begin(), records.end(), record_less);
+  std::vector<RSDoSEvent> events;
+  for (std::size_t i = 0; i < records.size();) {
+    const RSDoSRecord& first = records[i];
+    RSDoSEvent ev;
+    ev.victim = first.victim;
+    ev.start_window = ev.end_window = first.window;
+    ev.max_ppm = first.max_ppm;
+    ev.total_packets = first.packets;
+    ev.max_slash16 = first.distinct_slash16;
+    ev.protocol = first.protocol;
+    ev.first_port = first.first_port;
+    ev.max_unique_ports = first.unique_ports;
+    std::size_t j = i + 1;
+    while (j < records.size() && records[j].victim == ev.victim &&
+           records[j].window - ev.end_window <=
+               static_cast<netsim::WindowIndex>(params.max_gap_windows) + 1) {
+      ev.end_window = records[j].window;
+      ev.max_ppm = std::max(ev.max_ppm, records[j].max_ppm);
+      ev.total_packets += records[j].packets;
+      ev.max_slash16 = std::max(ev.max_slash16, records[j].distinct_slash16);
+      ev.max_unique_ports =
+          std::max(ev.max_unique_ports, records[j].unique_ports);
+      ++j;
+    }
+    events.push_back(ev);
+    i = j;
+  }
+  return events;
+}
+
+/// The production path under test: RSDoSFeed::events() over `records`.
+std::vector<RSDoSEvent> feed_events(const std::vector<RSDoSRecord>& records,
+                                    const InferenceParams& params) {
+  RSDoSFeed feed{params, attack::BackscatterModelParams{}};
+  feed.set_records(records);
+  return feed.events();
+}
+
 TEST(Segmentation, ConsecutiveWindowsFormOneEvent) {
   const InferenceParams params;
-  const auto events = segment_events(
+  const auto events = feed_events(
       {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(1, 1, 1, 1), 11),
        rec_at(IPv4Addr(1, 1, 1, 1), 12)},
       params);
@@ -111,12 +159,12 @@ TEST(Segmentation, GapToleranceStitches) {
   InferenceParams params;
   params.max_gap_windows = 2;
   // Windows 10 and 13: gap of two empty windows (11, 12) — stitched.
-  const auto events = segment_events(
+  const auto events = feed_events(
       {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(1, 1, 1, 1), 13)},
       params);
   ASSERT_EQ(events.size(), 1u);
   // Windows 10 and 14: gap of three — split.
-  const auto split = segment_events(
+  const auto split = feed_events(
       {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(1, 1, 1, 1), 14)},
       params);
   EXPECT_EQ(split.size(), 2u);
@@ -124,7 +172,7 @@ TEST(Segmentation, GapToleranceStitches) {
 
 TEST(Segmentation, SeparatesVictims) {
   const InferenceParams params;
-  const auto events = segment_events(
+  const auto events = feed_events(
       {rec_at(IPv4Addr(1, 1, 1, 1), 10), rec_at(IPv4Addr(2, 2, 2, 2), 10)},
       params);
   EXPECT_EQ(events.size(), 2u);
@@ -136,7 +184,7 @@ TEST(Segmentation, AggregatesMaxima) {
   auto r2 = rec_at(IPv4Addr(1, 1, 1, 1), 11, 500.0);
   r2.distinct_slash16 = 90;
   r2.unique_ports = 7;
-  const auto events = segment_events({r2, r1}, params);  // order-insensitive
+  const auto events = feed_events({r2, r1}, params);  // order-insensitive
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].max_ppm, 500.0);
   EXPECT_EQ(events[0].max_slash16, 90u);
@@ -186,10 +234,113 @@ TEST(Segmentation, IncrementalStitcherMatchesBatch) {
 TEST(Segmentation, EventTimes) {
   const InferenceParams params;
   const auto events =
-      segment_events({rec_at(IPv4Addr(1, 1, 1, 1), 10)}, params);
+      feed_events({rec_at(IPv4Addr(1, 1, 1, 1), 10)}, params);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].start_time().seconds(), 3000);
   EXPECT_EQ(events[0].end_time().seconds(), 3300);
+}
+
+// RSDoSFeed::events() == the oracle on a realistic feed, in ingest order
+// and shuffled: the stitcher's output is a function of the record
+// multiset alone.
+TEST(Segmentation, FeedEventsMatchOracleOnShuffledSmallConfigFeed) {
+  const scenario::LongitudinalConfig cfg =
+      scenario::small_longitudinal_config(7);
+  const auto world = scenario::build_world(cfg.world);
+  const scenario::Workload workload =
+      scenario::generate_workload(*world, cfg.workload);
+  RSDoSFeed feed(cfg.inference, cfg.backscatter);
+  feed.ingest(workload.schedule, Darknet::ucsd_like(), cfg.feed_seed);
+  ASSERT_GT(feed.records().size(), 1000u);
+
+  const std::vector<RSDoSEvent> oracle =
+      segment_events(feed.records(), cfg.inference);
+  ASSERT_LT(oracle.size(), feed.records().size());
+  EXPECT_EQ(feed.events(), oracle);
+
+  std::vector<RSDoSRecord> shuffled = feed.records();
+  std::mt19937_64 rng(2022);
+  for (int round = 0; round < 3; ++round) {
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    EXPECT_EQ(feed_events(shuffled, cfg.inference), oracle) << "round "
+                                                            << round;
+  }
+}
+
+// Same-(victim, window) records that differ only in tail fields: the
+// event head is the record_less-minimal record in every arrival order,
+// which pins the event's protocol and first port.
+TEST(Segmentation, TailFieldTiesPinTheHeadRecord) {
+  const InferenceParams params;
+  std::vector<RSDoSRecord> records;
+  const auto tie = [&](attack::Protocol protocol, std::uint16_t port,
+                       std::uint32_t slash16, std::uint16_t ports,
+                       std::uint64_t packets, double ppm) {
+    RSDoSRecord rec = rec_at(IPv4Addr(3, 3, 3, 3), 50, ppm);
+    rec.protocol = protocol;
+    rec.first_port = port;
+    rec.distinct_slash16 = slash16;
+    rec.unique_ports = ports;
+    rec.packets = packets;
+    records.push_back(rec);
+  };
+  // record_less compares (slash16, protocol, first_port, unique_ports,
+  // packets, max_ppm) after (victim, window); TCP sorts before UDP.
+  tie(attack::Protocol::ICMP, 0, 41, 1, 500, 100.0);  // larger slash16
+  tie(attack::Protocol::UDP, 53, 40, 1, 500, 100.0);
+  tie(attack::Protocol::TCP, 443, 40, 1, 500, 100.0);
+  tie(attack::Protocol::TCP, 80, 40, 1, 500, 100.0);  // the minimum
+  tie(attack::Protocol::TCP, 80, 40, 3, 10, 5.0);
+  tie(attack::Protocol::TCP, 80, 40, 1, 900, 100.0);
+  tie(attack::Protocol::TCP, 80, 40, 1, 500, 250.0);
+
+  const std::vector<RSDoSEvent> oracle = segment_events(records, params);
+  ASSERT_EQ(oracle.size(), 1u);
+  EXPECT_EQ(oracle[0].protocol, attack::Protocol::TCP);
+  EXPECT_EQ(oracle[0].first_port, 80u);
+  EXPECT_EQ(oracle[0].max_unique_ports, 3u);
+  EXPECT_EQ(oracle[0].max_slash16, 41u);
+
+  std::sort(records.begin(), records.end(), record_less);
+  do {
+    ASSERT_EQ(feed_events(records, params), oracle);
+  } while (std::next_permutation(records.begin(), records.end(),
+                                 record_less));
+}
+
+// Gaps of exactly max_gap_windows + 1 windows stitch; + 2 split — for
+// several gap settings, bridging records arriving last or first.
+TEST(Segmentation, GapBoundaryMatchesOracle) {
+  for (const int gap : {0, 1, 2, 5}) {
+    InferenceParams params;
+    params.max_gap_windows = gap;
+    const netsim::WindowIndex reach = gap + 1;
+    const IPv4Addr victim(4, 4, 4, 4);
+    // 10 -> 10+reach (stitches) -> +reach+1 more (splits) -> bridged
+    // back by a record exactly reach past the split point.
+    const netsim::WindowIndex a = 10;
+    const netsim::WindowIndex b = a + reach;
+    const netsim::WindowIndex c = b + reach + 1;
+    std::vector<RSDoSRecord> split = {rec_at(victim, a), rec_at(victim, b),
+                                      rec_at(victim, c)};
+    const auto oracle_split = segment_events(split, params);
+    ASSERT_EQ(oracle_split.size(), 2u) << "gap " << gap;
+    EXPECT_EQ(oracle_split[0].end_window, b);
+    EXPECT_EQ(oracle_split[1].start_window, c);
+    EXPECT_EQ(feed_events(split, params), oracle_split) << "gap " << gap;
+    std::reverse(split.begin(), split.end());
+    EXPECT_EQ(feed_events(split, params), oracle_split) << "gap " << gap;
+
+    // A record reach windows past b is within reach of c too when
+    // c - (b + reach) == 1 <= reach: the two events merge into one.
+    std::vector<RSDoSRecord> bridged = split;
+    bridged.push_back(rec_at(victim, b + reach));
+    const auto oracle_bridged = segment_events(bridged, params);
+    ASSERT_EQ(oracle_bridged.size(), 1u) << "gap " << gap;
+    EXPECT_EQ(feed_events(bridged, params), oracle_bridged) << "gap " << gap;
+    std::rotate(bridged.begin(), bridged.end() - 1, bridged.end());
+    EXPECT_EQ(feed_events(bridged, params), oracle_bridged) << "gap " << gap;
+  }
 }
 
 TEST(Feed, IngestVisibleAttack) {

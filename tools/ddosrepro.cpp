@@ -801,6 +801,17 @@ int cmd_serve(util::FlagParser& flags) {
   const auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
+  // The fill line shared by the in-process and --listen paths.
+  const auto report_fill = [&store_path](const serve::QueryEngine& engine,
+                                         double seconds) {
+    std::cout << "fill: " << store_path << " loaded+indexed in "
+              << util::format_fixed(seconds, 2) << "s; "
+              << util::with_commas(engine.nsset_count()) << " NSSets, "
+              << util::with_commas(engine.series_points())
+              << " series points, "
+              << util::with_commas(engine.leaderboard_entries())
+              << " leaderboard rows\n";
+  };
 
   // Report print + observability outputs shared by the in-process and
   // remote drive paths (`source` is the store path or the server address).
@@ -964,14 +975,7 @@ int cmd_serve(util::FlagParser& flags) {
       std::cerr << "store error: " << e.what() << "\n";
       return 1;
     }
-    std::cout << "fill: " << store_path << " loaded+indexed in "
-              << util::format_fixed(seconds_since(load_start), 2) << "s; "
-              << util::with_commas(handle->engine().nsset_count())
-              << " NSSets, "
-              << util::with_commas(handle->engine().series_points())
-              << " series points, "
-              << util::with_commas(handle->engine().leaderboard_entries())
-              << " leaderboard rows\n";
+    report_fill(handle->engine(), seconds_since(load_start));
     if (handle->engine().keys().empty()) {
       std::cerr << "store has no indexable NSSets to serve\n";
       return 1;
@@ -1103,27 +1107,17 @@ int cmd_serve(util::FlagParser& flags) {
     return 0;
   }
 
-  // Fill phase: load the stored run, then build the serve indexes.
-  scenario::StoredRun run;
+  // Fill phase: map the store and build the serve indexes from its columns.
+  std::unique_ptr<serve::QueryEngine> loaded;
   const Clock::time_point load_start = Clock::now();
   try {
-    run = scenario::load_run(store_path);
+    loaded = serve::load_engine(store_path);
   } catch (const store::StoreError& e) {
     std::cerr << "store error: " << e.what() << "\n";
     return 1;
   }
-  const double load_s = seconds_since(load_start);
-  const Clock::time_point build_start = Clock::now();
-  serve::QueryEngine engine(run);
-  const double build_s = seconds_since(build_start);
-  std::cout << "fill: " << store_path << " loaded in "
-            << util::format_fixed(load_s, 2) << "s; indexed "
-            << util::with_commas(engine.nsset_count()) << " NSSets, "
-            << util::with_commas(engine.series_points())
-            << " series points, "
-            << util::with_commas(engine.leaderboard_entries())
-            << " leaderboard rows in " << util::format_fixed(build_s, 2)
-            << "s\n";
+  const serve::QueryEngine& engine = *loaded;
+  report_fill(engine, seconds_since(load_start));
   if (engine.keys().empty()) {
     std::cerr << "store has no indexable NSSets to serve\n";
     return 1;
