@@ -99,11 +99,11 @@ PeakRss measure_peak_rss() {
   // regime where pipeline data — the feed record stream and the folded
   // sweep state — dominates the footprint (the production 17-month
   // telescope feed), so the probe lowers the workload scale divisor for
-  // more attacks and more feed records. The materialized run holds the
-  // record vector plus its segmentation sort copy on top of the ingest
-  // region's shard outputs; the streaming run retires each shard into the
-  // incremental stitcher, so only the region itself plus the fixed world
-  // stays resident. At toy scale the fixed world term would drown that
+  // more attacks and more feed records. run_longitudinal retains the
+  // record vector and every folded day; the streaming run retires each
+  // ingest shard into the incremental stitcher and each day at the join
+  // watermark, so only the region itself plus the fixed world stays
+  // resident. At toy scale the fixed world term would drown that
   // difference.
   scenario::LongitudinalConfig cfg = bench_config();
   cfg.workload.scale = 20.0;
@@ -362,8 +362,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
               << threads << " runs disagree\n";
   }
 
-  const std::uint64_t sweep_t1 = stage_wall_ns(observer_t1, "sweep");
-  const std::uint64_t sweep_tn = stage_wall_ns(observer, "sweep");
+  const std::uint64_t sweep_t1 = stage_wall_ns(observer_t1, "stream.sweep");
+  const std::uint64_t sweep_tn = stage_wall_ns(observer, "stream.sweep");
   const std::uint64_t total_t1 = stage_wall_ns(observer_t1, "run_longitudinal");
   const std::uint64_t total_tn = stage_wall_ns(observer, "run_longitudinal");
 

@@ -120,13 +120,13 @@ class JoinPipeline {
   /// join, expand to NSSets, build the NSSet-events. Appends produced
   /// events to `out` and bumps `stats` (total_events excepted — callers
   /// own that tally). This is the shard-loop body of run(), shared with
-  /// the streaming driver so both paths run literally the same code.
+  /// the run executor so both paths run literally the same code.
   void join_event(const telescope::RSDoSEvent& ev,
                   std::vector<NssetAttackEvent>& out, JoinStats& stats,
                   BaselineCache* baselines = nullptr) const;
 
   /// Shared tail of run(): optional concurrent-event merge, final joined
-  /// count, stats publication and observer metrics. The streaming driver
+  /// count, stats publication and observer metrics. The run executor
   /// assembles its event-ordered joined vector and summed stats, then
   /// calls this — so merge semantics and accounting cannot drift between
   /// the two paths.

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -23,7 +21,6 @@
 #include "store/reader.h"
 #include "store/scan.h"
 #include "store/writer.h"
-#include "util/flat_map.h"
 #include "util/strings.h"
 
 namespace ddos::scenario {
@@ -43,130 +40,6 @@ LongitudinalConfig small_longitudinal_config(std::uint64_t seed) {
   cfg.sweep_seed = seed ^ 0x77;
   cfg.feed_seed = seed ^ 0x99;
   return cfg;
-}
-
-namespace {
-
-// Shared head of the materialized and streaming drivers: world + workload
-// into `result`. The telescope stage differs between the two (materialized
-// retains the record vector; streaming retires it shard by shard), so it
-// lives with each driver.
-void run_world_and_workload(const LongitudinalConfig& config,
-                            LongitudinalResult& result, obs::Tracer* tracer) {
-  {
-    obs::ScopedSpan span(tracer, "world.build");
-    result.world = build_world(config.world);
-    span.set_items(result.world->registry.domain_count());
-  }
-  {
-    obs::ScopedSpan span(tracer, "workload.generate");
-    result.workload = generate_workload(*result.world, config.workload);
-    span.set_items(result.workload.schedule.size());
-  }
-}
-
-}  // namespace
-
-LongitudinalResult run_longitudinal(const LongitudinalConfig& config) {
-  obs::Observer* observer = obs::Observer::installed();
-  obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
-  obs::ScopedSpan total(tracer, "run_longitudinal");
-
-  LongitudinalResult result;
-  run_world_and_workload(config, result, tracer);
-  // Telescope: observe backscatter, infer the feed, stitch events.
-  {
-    obs::ScopedSpan span(tracer, "telescope.infer");
-    result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
-    result.feed.ingest(result.workload.schedule, result.darknet,
-                       config.feed_seed);
-    result.feed_records = result.feed.records().size();
-    result.events = result.feed.events();
-    span.set_items(result.events.size());
-  }
-  const World& world = *result.world;
-
-  const SweepPlan plan =
-      derive_sweep_plan(world, result.events, tracer, observer);
-  const PlanRetention retention{plan.daily_keys, plan.window_keys,
-                                plan.ns_seen_keys};
-  const auto& sweep_plan = plan.days;
-
-  // ---- Sparse sweep.
-  {
-    obs::ScopedSpan sweep_span(tracer, "sweep");
-    openintel::SweeperParams sp;
-    sp.resolver = config.resolver;
-    sp.model = config.model;
-    sp.seed = config.sweep_seed;
-    const openintel::Sweeper sweeper(world.registry, result.workload.schedule,
-                                     sp);
-    const std::uint64_t days_total = sweep_plan.size();
-    std::uint64_t days_done = 0;
-    std::vector<dns::DomainId> day_domains;
-    for (const auto& [day, domains] : sweep_plan) {
-      obs::ScopedSpan day_span(tracer, "sweep.day");
-      day_span.arg("day", static_cast<std::int64_t>(day));
-      day_span.set_items(domains.size());
-      day_domains = domains.sorted_keys();
-      // Parallel across domains within the day; the batch sink below runs
-      // on this thread in shard (= domain) order, and the store's grouped
-      // fold preserves per-key measurement order, so the resulting state
-      // is bit-identical to per-measurement add() at any thread count.
-      sweeper.sweep_domains_batched(
-          day, day_domains, exec::global_pool(),
-          [&result, &retention](std::span<const openintel::Measurement> batch) {
-            result.store.add_batch(batch, retention);
-            result.swept_measurements += batch.size();
-          });
-      ++days_done;
-      if (observer) {
-        observer->pipeline.run_days_swept.set(static_cast<double>(days_done));
-        obs::ProgressEvent progress;
-        progress.stage = "sweep";
-        progress.day = day;
-        progress.days_done = days_done;
-        progress.days_total = days_total;
-        progress.measurements = result.swept_measurements;
-        progress.events = result.events.size();
-        const double elapsed_s =
-            static_cast<double>(total.elapsed_ns()) / 1e9;
-        progress.sweep_rate_per_s =
-            elapsed_s > 0.0
-                ? static_cast<double>(result.swept_measurements) / elapsed_s
-                : 0.0;
-        observer->emit_progress(progress, days_done == days_total);
-      }
-    }
-    sweep_span.set_items(result.swept_measurements);
-  }
-  if (observer) {
-    observer->pipeline.run_store_measurements.set(
-        static_cast<double>(result.swept_measurements));
-  }
-
-  // ---- Join.
-  {
-    obs::ScopedSpan span(tracer, "join");
-    const core::ResilienceClassifier classifier(world.registry, world.census,
-                                                world.routes, world.orgs);
-    core::JoinPipeline pipeline(world.registry, result.store, classifier,
-                                config.join);
-    result.joined = pipeline.run(result.events);
-    result.join_stats = pipeline.stats();
-    span.set_items(result.joined.size());
-  }
-  if (observer) {
-    obs::ProgressEvent progress;
-    progress.stage = "join";
-    progress.days_done = sweep_plan.size();
-    progress.days_total = sweep_plan.size();
-    progress.measurements = result.swept_measurements;
-    progress.events = result.events.size();
-    progress.joined = result.joined.size();
-    observer->emit_progress(progress, /*force=*/true);
-  }
-  return result;
 }
 
 // ---- DRS persistence (generate/analyze stage split).
@@ -209,12 +82,16 @@ void check_count(const store::Reader& reader, const std::string& what,
   }
 }
 
-// The provenance meta block, shared between save_run and the streaming
-// writer so the two paths can never emit different key sets or orders (the
-// footer serialises meta in insertion order, and CI compares the files
-// byte for byte).
-void write_provenance_meta(store::Writer& writer,
-                           const LongitudinalConfig& config, unsigned threads) {
+// The closing sequence of every store this driver writes — save_run's and
+// the executor's — so the two can never emit different key sets or orders
+// (the footer serialises meta in insertion order, and CI compares the
+// files byte for byte): the joined events, the last dataset; the
+// generating provenance; the result counts; then the publish.
+std::uint64_t publish_store(store::Writer& writer,
+                            const LongitudinalConfig& config, unsigned threads,
+                            const LongitudinalResult& result,
+                            std::uint64_t feed_rows, obs::ScopedSpan& span) {
+  store::write_joined_events(writer, result.joined);
   writer.add_meta("format.tool", "ddosrepro");
 
   const WorldParams& w = config.world;
@@ -261,22 +138,16 @@ void write_provenance_meta(store::Writer& writer,
   writer.add_meta("run.sweep_seed", std::to_string(config.sweep_seed));
   writer.add_meta("run.feed_seed", std::to_string(config.feed_seed));
   writer.add_meta("run.threads", std::to_string(threads));
-}
 
-// Result/stat counts, written by save_run right after the provenance and
-// by the streaming writer at the end of the run; add_meta overwrites in
-// place for existing keys, so insertion position — not rewrite time —
-// fixes the footer order either way.
-void write_result_meta(store::Writer& writer, std::uint64_t attacks,
-                       std::uint64_t feed_records, std::uint64_t events,
-                       std::uint64_t joined, std::uint64_t swept,
-                       const core::JoinStats& js) {
-  writer.add_meta("result.attacks", std::to_string(attacks));
-  writer.add_meta("result.feed_records", std::to_string(feed_records));
-  writer.add_meta("result.events", std::to_string(events));
-  writer.add_meta("result.joined", std::to_string(joined));
-  writer.add_meta("result.swept_measurements", std::to_string(swept));
+  writer.add_meta("result.attacks",
+                  std::to_string(result.workload.schedule.size()));
+  writer.add_meta("result.feed_records", std::to_string(feed_rows));
+  writer.add_meta("result.events", std::to_string(result.events.size()));
+  writer.add_meta("result.joined", std::to_string(result.joined.size()));
+  writer.add_meta("result.swept_measurements",
+                  std::to_string(result.swept_measurements));
 
+  const core::JoinStats& js = result.join_stats;
   writer.add_meta("stats.total_events", std::to_string(js.total_events));
   writer.add_meta("stats.open_resolver_filtered",
                   std::to_string(js.open_resolver_filtered));
@@ -288,6 +159,14 @@ void write_result_meta(store::Writer& writer, std::uint64_t attacks,
   writer.add_meta("stats.no_baseline", std::to_string(js.no_baseline));
   writer.add_meta("stats.joined", std::to_string(js.joined));
   writer.add_meta("stats.dns_events", std::to_string(js.dns_events));
+
+  writer.finish();
+  span.set_items(writer.column_count());
+  if (obs::Observer* observer = obs::Observer::installed()) {
+    observer->pipeline.store_bytes_written.set(
+        static_cast<double>(writer.bytes_written()));
+  }
+  return writer.bytes_written();
 }
 
 }  // namespace
@@ -295,220 +174,16 @@ void write_result_meta(store::Writer& writer, std::uint64_t attacks,
 std::uint64_t save_run(const std::string& path,
                        const LongitudinalConfig& config, unsigned threads,
                        const LongitudinalResult& result) {
-  obs::Observer* observer = obs::Observer::installed();
-  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.write");
-
+  obs::ScopedSpan span(obs::installed_tracer(), "store.write");
   store::Writer writer(path);
-  write_provenance_meta(writer, config, threads);
-  write_result_meta(writer, result.workload.schedule.size(),
-                    result.feed_records, result.events.size(),
-                    result.joined.size(), result.swept_measurements,
-                    result.join_stats);
-
   store::write_feed_records(writer, result.feed.records());
   store::write_measurements(writer, result.store);
-  store::write_joined_events(writer, result.joined);
-
-  writer.finish();
-  const std::uint64_t bytes = writer.bytes_written();
-  span.set_items(writer.column_count());
-  if (observer) {
-    observer->pipeline.store_bytes_written.set(static_cast<double>(bytes));
-  }
-  return bytes;
+  return publish_store(writer, config, threads, result, result.feed_records,
+                       span);
 }
 
-// ---- sharded generation (plan/execute; compaction is store::merge_stores).
-
-ShardRunResult run_shard(const LongitudinalConfig& config,
-                         const ShardSpec& spec, unsigned threads,
-                         const std::string& store_path) {
-  if (spec.count == 0 || spec.index >= spec.count) {
-    throw std::invalid_argument(
-        "run_shard: need shard index < count, count >= 1");
-  }
-  obs::Observer* observer = obs::Observer::installed();
-  obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
-  obs::ScopedSpan total(tracer, "run_shard");
-  total.arg("shard", static_cast<std::int64_t>(spec.index));
-  total.arg("count", static_cast<std::int64_t>(spec.count));
-
-  LongitudinalResult result;
-  run_world_and_workload(config, result, tracer);
-  {
-    obs::ScopedSpan span(tracer, "telescope.infer");
-    result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
-    result.feed.ingest(result.workload.schedule, result.darknet,
-                       config.feed_seed);
-    result.feed_records = result.feed.records().size();
-    result.events = result.feed.events();
-    span.set_items(result.events.size());
-  }
-  const World& world = *result.world;
-
-  // The GLOBAL plan: every shard derives the identical retention sets,
-  // day-domain sets and day cuts from the identical event list (world,
-  // workload, telescope and sweep are pure functions of their seeds, so
-  // no seed depends on process layout). A day swept here is therefore
-  // bit-identical to the same day swept by the whole-world run, and all
-  // shards agree on the partition without coordinating.
-  const SweepPlan plan =
-      derive_sweep_plan(world, result.events, tracer, observer);
-  const PlanRetention retention{plan.daily_keys, plan.window_keys,
-                                plan.ns_seen_keys};
-  const ShardBounds bounds = shard_bounds(plan, spec);
-
-  // Owned events (canonical stitch order preserved) and the sweep halo:
-  // an event owned here reads daily/ns_seen state at first_day-1 and its
-  // attack windows, all on days <= its final (owning) day — so sweeping
-  // [min over owned of first_day-1, day_hi) with the global retention
-  // covers every read this shard's joins perform.
-  std::vector<std::uint32_t> owned;
-  netsim::DayIndex halo_lo = bounds.day_lo;
-  for (std::uint32_t idx = 0;
-       idx < static_cast<std::uint32_t>(result.events.size()); ++idx) {
-    const auto& ev = result.events[idx];
-    if (!bounds.owns_event(ev)) continue;
-    owned.push_back(idx);
-    halo_lo = std::min(halo_lo, ev.start_time().day() - 1);
-  }
-
-  // ---- Sparse sweep over the shard's day range (owned days + halo).
-  {
-    obs::ScopedSpan sweep_span(tracer, "sweep");
-    openintel::SweeperParams sp;
-    sp.resolver = config.resolver;
-    sp.model = config.model;
-    sp.seed = config.sweep_seed;
-    const openintel::Sweeper sweeper(world.registry, result.workload.schedule,
-                                     sp);
-    std::uint64_t days_total = 0;
-    for (const auto& [day, domains] : plan.days) {
-      if (day >= halo_lo && day < bounds.day_hi) ++days_total;
-    }
-    std::uint64_t days_done = 0;
-    std::vector<dns::DomainId> day_domains;
-    for (const auto& [day, domains] : plan.days) {
-      if (day < halo_lo || day >= bounds.day_hi) continue;
-      // Halo days below day_lo serve this shard's joins only; their
-      // folded state is retired before the store is written and their
-      // measurements belong to the preceding shard's count.
-      const bool owned_day = bounds.owns_day(day);
-      obs::ScopedSpan day_span(tracer, "sweep.day");
-      day_span.arg("day", static_cast<std::int64_t>(day));
-      day_span.set_items(domains.size());
-      day_domains = domains.sorted_keys();
-      sweeper.sweep_domains_batched(
-          day, day_domains, exec::global_pool(),
-          [&result, &retention,
-           owned_day](std::span<const openintel::Measurement> batch) {
-            result.store.add_batch(batch, retention);
-            if (owned_day) result.swept_measurements += batch.size();
-          });
-      ++days_done;
-      if (observer) {
-        observer->pipeline.run_days_swept.set(static_cast<double>(days_done));
-        obs::ProgressEvent progress;
-        progress.stage = "sweep";
-        progress.day = day;
-        progress.days_done = days_done;
-        progress.days_total = days_total;
-        progress.measurements = result.swept_measurements;
-        progress.events = result.events.size();
-        const double elapsed_s = static_cast<double>(total.elapsed_ns()) / 1e9;
-        progress.sweep_rate_per_s =
-            elapsed_s > 0.0
-                ? static_cast<double>(result.swept_measurements) / elapsed_s
-                : 0.0;
-        observer->emit_progress(progress, days_done == days_total);
-      }
-    }
-    sweep_span.set_items(result.swept_measurements);
-  }
-  if (observer) {
-    observer->pipeline.run_store_measurements.set(
-        static_cast<double>(result.swept_measurements));
-  }
-
-  // ---- Join the owned events, in canonical stitch order, pre-merge.
-  // The concurrent-event merge is deferred to the compaction stage (it is
-  // a global sort over all shards' rows); src_event records each output
-  // row's canonical telescope-event index so the merger can interleave
-  // the shards back into exactly the single-process pre-merge vector.
-  core::JoinStats stats;
-  std::vector<std::uint64_t> src_event;
-  {
-    obs::ScopedSpan span(tracer, "join");
-    const core::ResilienceClassifier classifier(world.registry, world.census,
-                                                world.routes, world.orgs);
-    const core::JoinPipeline pipeline(world.registry, result.store, classifier,
-                                      config.join);
-    stats.total_events = owned.size();
-    core::JoinPipeline::BaselineCache baselines;
-    for (const std::uint32_t idx : owned) {
-      const std::size_t before = result.joined.size();
-      pipeline.join_event(result.events[idx], result.joined, stats,
-                          &baselines);
-      for (std::size_t i = before; i < result.joined.size(); ++i) {
-        src_event.push_back(idx);
-      }
-    }
-    result.join_stats = stats;
-    span.set_items(result.joined.size());
-  }
-
-  // Keep only owned-day state: the halo existed solely to serve reads, and
-  // the preceding shard persists those days itself. After this the store
-  // remnant is exactly the whole-run store restricted to [day_lo, day_hi).
-  result.store.retire_days_below(bounds.day_lo);
-
-  // ---- Shard store: save_run's exact meta/block layout plus a shard
-  // manifest and the src_event column (both stripped by the merger).
-  const auto [feed_lo, feed_hi] = shard_feed_slice(result.feed_records, spec);
-  {
-    obs::ScopedSpan span(tracer, "store.write");
-    store::Writer writer(store_path);
-    write_provenance_meta(writer, config, threads);
-    write_result_meta(writer, result.workload.schedule.size(),
-                      feed_hi - feed_lo, result.events.size(),
-                      result.joined.size(), result.swept_measurements, stats);
-    writer.add_meta("shard.index", std::to_string(spec.index));
-    writer.add_meta("shard.count", std::to_string(spec.count));
-    writer.add_meta("shard.owned_events", std::to_string(owned.size()));
-
-    const std::vector<telescope::RSDoSRecord> slice(
-        result.feed.records().begin() +
-            static_cast<std::ptrdiff_t>(feed_lo),
-        result.feed.records().begin() + static_cast<std::ptrdiff_t>(feed_hi));
-    store::write_feed_records(writer, slice);
-    store::write_measurements(writer, result.store);
-    store::write_joined_events(writer, result.joined);
-    writer.add_u64("shard", "src_event", src_event,
-                   store::Encoding::DeltaVarint);
-
-    writer.finish();
-    result.store_bytes = writer.bytes_written();
-    span.set_items(writer.column_count());
-    if (observer) {
-      observer->pipeline.store_bytes_written.set(
-          static_cast<double>(result.store_bytes));
-    }
-  }
-
-  ShardRunResult out;
-  out.spec = spec;
-  out.day_lo = bounds.day_lo;
-  out.day_hi = bounds.day_hi;
-  out.events_total = result.events.size();
-  out.owned_events = owned.size();
-  out.feed_rows = feed_hi - feed_lo;
-  out.joined_rows = result.joined.size();
-  out.swept_measurements = result.swept_measurements;
-  out.store_bytes = result.store_bytes;
-  return out;
-}
-
-// ---- streaming day-epoch pipeline.
+// ---- the run executor: one streaming day-epoch pipeline behind all three
+// drivers.
 
 namespace {
 
@@ -520,95 +195,135 @@ struct SweepTask {
 
 /// One swept day's measurements, preserved as the sink-call batches in
 /// sink-call order so the fold stage replays the exact add_batch sequence
-/// the materialized driver performs.
+/// of an in-place fold.
 struct SweptDay {
   netsim::DayIndex day = 0;
   std::vector<std::vector<openintel::Measurement>> batches;
 };
 
-}  // namespace
+/// Bounded capacity of each inter-stage channel; output never depends on it.
+constexpr std::size_t kChannelCapacity = 4;
 
-LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
-                                              const StreamingOptions& options) {
-  if (options.window_days < 1) {
-    throw std::invalid_argument(
-        "streaming window_days must be >= 1 (day d's fold still feeds the "
-        "day-after join)");
-  }
+/// One executor configuration: the three public drivers differ only here.
+struct RunSpec {
+  const char* name = "";  // root span
+  /// Null: every day and event, joined and merged. Else shard->spec's
+  /// owned day range plus the halo its owned events read below it, joined
+  /// pre-merge with each row's event index stored as shard.src_event; the
+  /// rest of *shard is filled in.
+  ShardRunResult* shard = nullptr;
+  /// Keep every folded day in result.store (what save_run writes) instead
+  /// of retiring days at the join watermark.
+  bool retain_store = false;
+  bool retain_feed = false;  // keep the record vector in result.feed
+  std::string store_path;    // non-empty: write a DRS store here
+  unsigned threads = 0;      // run.threads provenance meta
+};
 
+LongitudinalResult execute(const LongitudinalConfig& config,
+                           const RunSpec& spec) {
   obs::Observer* observer = obs::Observer::installed();
   obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
-  obs::ScopedSpan total(tracer, "run_longitudinal_streaming");
+  obs::ScopedSpan total(tracer, spec.name);
+  if (spec.shard) {
+    total.arg("shard", static_cast<std::int64_t>(spec.shard->spec.index));
+    total.arg("count", static_cast<std::int64_t>(spec.shard->spec.count));
+  }
 
-  LongitudinalResult result;
-  run_world_and_workload(config, result, tracer);
-
-  // Optional streaming DRS store, opened before the telescope stage so the
-  // feed columns stream straight from the ingest shards: provenance meta
-  // and feed blocks up front (save_run's block order starts with "feed"),
-  // aggregate columns appended per retired epoch, result meta + joined
-  // events at the end.
+  // The store opens first, so an unwritable path fails before any work:
+  // the feed blocks go out up front (save_run's block order starts with
+  // "feed"), aggregate columns are appended per retired epoch, and
+  // publish_store closes it.
   std::optional<store::Writer> writer;
   std::optional<store::AggregateColumnsAppender> daily_columns;
   std::optional<store::AggregateColumnsAppender> window_columns;
   std::optional<store::NsSeenAppender> ns_seen_columns;
-  if (!options.store_path.empty()) {
-    writer.emplace(options.store_path);
-    write_provenance_meta(*writer, config, options.threads);
+  if (!spec.store_path.empty()) {
+    writer.emplace(spec.store_path);
     daily_columns.emplace("daily");
     window_columns.emplace("window");
     ns_seen_columns.emplace();
   }
 
-  // Telescope: observe backscatter, infer the feed, stitch events — but
-  // retire each ingest shard's records the moment they are folded into the
-  // incremental stitcher (and the store's feed columns). The ordered shard
-  // reduction feeds the sink in records_ order, and RSDoSFeed::events()
-  // runs the same EventStitcher over the same multiset, so events, columns
-  // and counts are bit-identical to the materialized telescope block while
-  // peak memory stays bounded by the parallel region itself.
+  LongitudinalResult result;
+  {
+    obs::ScopedSpan span(tracer, "world.build");
+    result.world = build_world(config.world);
+    span.set_items(result.world->registry.domain_count());
+  }
+  {
+    obs::ScopedSpan span(tracer, "workload.generate");
+    result.workload = generate_workload(*result.world, config.workload);
+    span.set_items(result.workload.schedule.size());
+  }
+  const World& world = *result.world;
+
+  // Telescope: observe backscatter, infer the feed, and stitch events as
+  // the ordered shard reduction hands each ingest shard's records over in
+  // records() order. RSDoSFeed::events() runs the same EventStitcher over
+  // the same sequence, so the events match it bit for bit; unless kept,
+  // each shard's records are released once folded, so peak memory stays
+  // bounded by the parallel region itself. A shard persists only its row
+  // slice of the feed, which needs the total first, so it keeps them.
+  std::uint64_t feed_rows = 0;
   {
     obs::ScopedSpan span(tracer, "telescope.infer");
     result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
     telescope::EventStitcher stitcher(config.inference);
+    const bool keep_records = spec.retain_feed || spec.shard;
     std::optional<store::FeedColumnsAppender> feed_columns;
     if (writer) feed_columns.emplace();
     result.feed_records = result.feed.ingest_stream(
         result.workload.schedule, result.darknet, config.feed_seed,
         [&](std::vector<telescope::RSDoSRecord>&& records) {
           for (const telescope::RSDoSRecord& rec : records) {
-            if (feed_columns) feed_columns->append(rec);
+            if (feed_columns && !spec.shard) feed_columns->append(rec);
             stitcher.add(rec);
-            if (options.retain_feed) result.feed.add_record(rec);
+            if (keep_records) result.feed.add_record(rec);
           }
         });
+    feed_rows = result.feed_records;
+    if (spec.shard) {
+      const auto [lo, hi] = shard_feed_slice(feed_rows, spec.shard->spec);
+      for (std::uint64_t i = lo; feed_columns && i < hi; ++i) {
+        feed_columns->append(result.feed.records()[i]);
+      }
+      feed_rows = hi - lo;
+    }
     if (feed_columns) feed_columns->flush_to(*writer);
     result.events = stitcher.finish();
     span.set_items(result.events.size());
   }
-  const World& world = *result.world;
 
   const SweepPlan plan =
       derive_sweep_plan(world, result.events, tracer, observer);
   const PlanRetention retention{plan.daily_keys, plan.window_keys,
                                 plan.ns_seen_keys};
-  std::vector<netsim::DayIndex> plan_days;
-  plan_days.reserve(plan.days.size());
-  for (const auto& [day, domains] : plan.days) plan_days.push_back(day);
+
+  // The owned day range: every day, or one shard of the plan's partition.
+  // Every shard derives the identical plan from the identical event list
+  // (world, workload, telescope and sweep are pure functions of their
+  // seeds), so a day swept here is bit-identical to the same day of the
+  // whole-world run, and the shards agree on the cuts without
+  // coordinating. An event is owned by the range holding its last day.
+  constexpr netsim::DayIndex kNoPendingReads =
+      std::numeric_limits<netsim::DayIndex>::max();
+  const ShardBounds bounds =
+      spec.shard ? shard_bounds(plan, spec.shard->spec)
+                 : ShardBounds{std::numeric_limits<netsim::DayIndex>::min(),
+                               kNoPendingReads};
 
   // Join readiness: an event's store reads — daily and ns_seen at
   // first_day-1, ns_seen at first_day, windows across the attack — are all
   // for days <= its last attacked day, and day-d sweeps only write day-d
-  // state. So once every plan day <= D is folded, every event with
-  // last day <= D joins finally. ready_order lists events by (last day,
-  // canonical index); min_first_read[i] is the earliest day any event from
-  // position i on still reads (a suffix-min of first_day-1), which is the
-  // retirement watermark once the cursor passes the joined prefix.
-  constexpr netsim::DayIndex kNoPendingReads =
-      std::numeric_limits<netsim::DayIndex>::max();
+  // state. So once every plan day <= D is folded, every event with last
+  // day <= D joins finally. ready_order lists the owned events by (last
+  // day, canonical index); min_first_read[i] is the earliest day any event
+  // from position i on still reads (a suffix-min of first_day-1), which is
+  // the retirement watermark once the cursor passes the joined prefix.
   std::vector<std::pair<netsim::DayIndex, std::uint32_t>> ready_order;
-  ready_order.reserve(result.events.size());
   for (const auto& batch : telescope::group_events_by_day(result.events)) {
+    if (!bounds.owns_day(batch.day)) continue;
     for (const std::uint32_t idx : batch.event_indices) {
       ready_order.emplace_back(batch.day, idx);
     }
@@ -621,15 +336,27 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
         std::min(min_first_read[i + 1], ev.start_time().day() - 1);
   }
 
+  // Swept days: the owned range plus the halo below it that the owned
+  // events' previous-day reads reach. Halo days serve those joins only:
+  // they are neither counted nor persisted here (the preceding shard owns
+  // them).
+  const auto plan_begin =
+      plan.days.lower_bound(std::min(bounds.day_lo, min_first_read[0]));
+  const auto plan_end = plan.days.lower_bound(bounds.day_hi);
+  std::vector<netsim::DayIndex> plan_days;
+  for (auto it = plan_begin; it != plan_end; ++it) {
+    plan_days.push_back(it->first);
+  }
+
   // Per-event output slots, concatenated in canonical order at the end —
-  // the same assembly the materialized run's ordered reduction performs.
+  // the ordered reduction JoinPipeline::run performs.
   const core::ResilienceClassifier classifier(world.registry, world.census,
                                               world.routes, world.orgs);
   core::JoinPipeline pipeline(world.registry, result.store, classifier,
                               config.join);
   std::vector<std::vector<core::NssetAttackEvent>> slots(result.events.size());
   core::JoinStats stats;
-  stats.total_events = result.events.size();
+  stats.total_events = ready_order.size();
   core::JoinPipeline::BaselineCache baselines;
   std::size_t next_ready = 0;
 
@@ -642,14 +369,16 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
     }
   };
 
-  // Retirement: evict (and, when persisting, append to the store columns)
-  // every day strictly below min(watermark, d - window_days + 1). The
-  // watermark alone guarantees no pending join loses data; window_days
-  // only delays eviction, so any value >= 1 yields identical output.
+  // Retirement evicts every day below `threshold` and, when persisting,
+  // appends it to the store columns; callers never pass a threshold above
+  // the watermark, so no pending join loses data. Halo days are evicted
+  // unpersisted.
   netsim::DayIndex last_threshold = std::numeric_limits<netsim::DayIndex>::min();
-  std::size_t retired_days = 0;
   const auto retire_epochs = [&](netsim::DayIndex threshold) {
-    if (threshold <= last_threshold) return;
+    if (spec.retain_store || threshold <= last_threshold) return;
+    if (last_threshold < bounds.day_lo) {
+      result.store.retire_days_below(std::min(threshold, bounds.day_lo));
+    }
     last_threshold = threshold;
     const auto retired = result.store.retire_days_below(threshold);
     if (writer) {
@@ -663,13 +392,10 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
         ns_seen_columns->append(day, ip);
       }
     }
-    while (retired_days < plan_days.size() &&
-           plan_days[retired_days] < threshold) {
-      ++retired_days;
-    }
     if (observer) {
-      observer->pipeline.stream_retired_days.set(
-          static_cast<double>(retired_days));
+      observer->pipeline.stream_retired_days.set(static_cast<double>(
+          std::lower_bound(plan_days.begin(), plan_days.end(), threshold) -
+          plan_days.begin()));
     }
   };
 
@@ -683,16 +409,16 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   // threaded. Every stage closes its output channel on all exits —
   // including unwinds — so a dying stage drains the others instead of
   // deadlocking them; Stage::join() then rethrows the original error.
-  exec::Channel<SweepTask> task_channel(options.channel_capacity);
-  exec::Channel<SweptDay> swept_channel(options.channel_capacity);
+  exec::Channel<SweepTask> task_channel(kChannelCapacity);
+  exec::Channel<SweptDay> swept_channel(kChannelCapacity);
 
   exec::Stage plan_stage("stream.plan", [&](exec::StageContext& ctx) {
     try {
       obs::ScopedSpan span(tracer, "stream.plan");
-      for (const auto& [day, domains] : plan.days) {
+      for (auto it = plan_begin; it != plan_end; ++it) {
         SweepTask task;
-        task.day = day;
-        task.domains = domains.sorted_keys();
+        task.day = it->first;
+        task.domains = it->second.sorted_keys();
         if (!task_channel.push(std::move(task))) break;  // consumer died
         ctx.tick();
         if (observer) {
@@ -724,9 +450,10 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
         SweptDay out;
         out.day = task->day;
         // Parallel across domains within the day; the batch sink runs on
-        // this thread in shard (= domain) order, so replaying the batches
-        // in order downstream folds the store bit-identically to the
-        // materialized driver's in-place add_batch calls.
+        // this thread in shard (= domain) order, and the store's grouped
+        // fold preserves per-key measurement order, so replaying the
+        // batches in order downstream yields the same state at any thread
+        // count.
         sweeper.sweep_domains_batched(
             task->day, task->domains, exec::global_pool(),
             [&out](std::span<const openintel::Measurement> batch) {
@@ -792,16 +519,12 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
   std::uint64_t days_done = 0;
   try {
     obs::ScopedSpan fold_span(tracer, "stream.fold");
-    // Events whose last day precedes the first plan day read nothing the
-    // sweep will ever write; join them against the empty store up front.
-    join_ready_through((plan_days.empty() ? kNoPendingReads
-                                          : plan_days.front()) -
-                       1);
     while (auto day = swept_channel.pop()) {
+      const bool owned_day = bounds.owns_day(day->day);
       for (const auto& batch : day->batches) {
         result.store.add_batch(
             std::span<const openintel::Measurement>(batch), retention);
-        result.swept_measurements += batch.size();
+        if (owned_day) result.swept_measurements += batch.size();
         fold_batches.fetch_add(1, std::memory_order_relaxed);
       }
       ++days_done;
@@ -811,8 +534,7 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
       join_ready_through(next_plan_day - 1);
 
       const netsim::DayIndex watermark = min_first_read[next_ready];
-      retire_epochs(
-          std::min(watermark, day->day - options.window_days + 1));
+      retire_epochs(std::min(watermark, day->day));
 
       if (observer) {
         observer->pipeline.run_days_swept.set(static_cast<double>(days_done));
@@ -852,26 +574,36 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
         static_cast<double>(result.swept_measurements));
   }
 
-  // Final drain: every plan day is folded, so everything left is ready,
+  // Final drain: every swept day is folded, so everything left is ready,
   // and afterwards nothing pins any epoch — retire the whole remnant
   // (sweeps only write plan days, so last plan day + 1 clears the store).
   join_ready_through(kNoPendingReads - 1);
   if (!plan_days.empty()) retire_epochs(plan_days.back() + 1);
 
-  // Assemble per-event slots in canonical order — byte-for-byte the
-  // ordered reduction of the materialized join — then run the shared
-  // merge/stats tail.
+  // Assemble the per-event slots in canonical order. A whole run then
+  // merges concurrent events; a shard defers that global sort to
+  // store::merge_stores, which uses src_event to interleave the shards
+  // back into exactly the single-process pre-merge vector.
+  std::vector<std::uint64_t> src_event;
   {
     obs::ScopedSpan span(tracer, "join");
     std::size_t total_out = 0;
     for (const auto& slot : slots) total_out += slot.size();
     std::vector<core::NssetAttackEvent> assembled;
     assembled.reserve(total_out);
-    for (auto& slot : slots) {
-      for (auto& ev : slot) assembled.push_back(std::move(ev));
+    for (std::size_t idx = 0; idx < slots.size(); ++idx) {
+      for (auto& ev : slots[idx]) {
+        assembled.push_back(std::move(ev));
+        if (spec.shard) src_event.push_back(idx);
+      }
     }
-    result.joined = pipeline.finalize(std::move(assembled), stats);
-    result.join_stats = pipeline.stats();
+    if (spec.shard) {
+      result.joined = std::move(assembled);
+      result.join_stats = stats;
+    } else {
+      result.joined = pipeline.finalize(std::move(assembled), stats);
+      result.join_stats = pipeline.stats();
+    }
     span.set_items(result.joined.size());
   }
   if (observer) {
@@ -890,20 +622,69 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
     daily_columns->flush_to(*writer);
     window_columns->flush_to(*writer);
     ns_seen_columns->flush_to(*writer);
-    store::write_joined_events(*writer, result.joined);
-    write_result_meta(*writer, result.workload.schedule.size(),
-                      result.feed_records, result.events.size(),
-                      result.joined.size(), result.swept_measurements,
-                      result.join_stats);
-    writer->finish();
-    result.store_bytes = writer->bytes_written();
-    span.set_items(writer->column_count());
-    if (observer) {
-      observer->pipeline.store_bytes_written.set(
-          static_cast<double>(result.store_bytes));
+    if (spec.shard) {
+      // The shard manifest and src_event column; the merger strips both.
+      writer->add_meta("shard.index", std::to_string(spec.shard->spec.index));
+      writer->add_meta("shard.count", std::to_string(spec.shard->spec.count));
+      writer->add_meta("shard.owned_events",
+                       std::to_string(ready_order.size()));
+      writer->add_u64("shard", "src_event", src_event,
+                      store::Encoding::DeltaVarint);
     }
+    result.store_bytes = publish_store(*writer, config, spec.threads, result,
+                                       feed_rows, span);
+  }
+
+  if (spec.shard) {
+    ShardRunResult& out = *spec.shard;
+    out.day_lo = bounds.day_lo;
+    out.day_hi = bounds.day_hi;
+    out.events_total = result.events.size();
+    out.owned_events = ready_order.size();
+    out.feed_rows = feed_rows;
+    out.joined_rows = result.joined.size();
+    out.swept_measurements = result.swept_measurements;
+    out.store_bytes = result.store_bytes;
   }
   return result;
+}
+
+}  // namespace
+
+LongitudinalResult run_longitudinal(const LongitudinalConfig& config) {
+  RunSpec spec;
+  spec.name = "run_longitudinal";
+  spec.retain_store = true;
+  spec.retain_feed = true;
+  return execute(config, spec);
+}
+
+LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
+                                              const StreamingOptions& options) {
+  RunSpec spec;
+  spec.name = "run_longitudinal_streaming";
+  spec.retain_feed = options.retain_feed;
+  spec.store_path = options.store_path;
+  spec.threads = options.threads;
+  return execute(config, spec);
+}
+
+ShardRunResult run_shard(const LongitudinalConfig& config,
+                         const ShardSpec& spec, unsigned threads,
+                         const std::string& store_path) {
+  if (spec.count == 0 || spec.index >= spec.count) {
+    throw std::invalid_argument(
+        "run_shard: need shard index < count, count >= 1");
+  }
+  ShardRunResult out;
+  out.spec = spec;
+  RunSpec run;
+  run.name = "run_shard";
+  run.shard = &out;
+  run.store_path = store_path;
+  run.threads = threads;
+  execute(config, run);
+  return out;
 }
 
 telescope::InferenceParams stored_inference(const store::Reader& reader) {

@@ -13,6 +13,15 @@
 // Because each measurement's time and randomness depend only on
 // (seed, domain, day), the retained measurements are bit-identical to a
 // full sweep's — the skipped ones are those no analysis reads.
+//
+// One executor runs that pipeline as a streaming day-epoch dataflow: the
+// sweep plan's days flow through channel-connected stages (plan producer
+// -> sweep -> fold/join), and each event joins as soon as the last day it
+// reads has been folded. run_longitudinal, run_longitudinal_streaming and
+// run_shard are three configurations of it, differing in the day range
+// they own, whether folded days are retained or retired at the join
+// watermark, and where the output goes (the in-memory result, a DRS
+// store, or a DRS shard store).
 #pragma once
 
 #include <memory>
@@ -75,19 +84,24 @@ struct LongitudinalResult : RunArtifacts {
   std::unique_ptr<World> world;
   Workload workload;
   /// Bytes written to StreamingOptions::store_path (streaming runs that
-  /// persist a store only; materialized runs persist via save_run).
+  /// persist a store only; run_longitudinal results persist via save_run).
   std::uint64_t store_bytes = 0;
 };
 
+/// The whole day range with every folded day and feed record retained:
+/// the result carries the full MeasurementStore and record vector that
+/// save_run writes.
 LongitudinalResult run_longitudinal(const LongitudinalConfig& config);
 
 // ---- sharded generation (`generate --shard i/N`, plan/execute/compact).
 //
-// run_shard executes one shard of plan.h's N-way day partition and writes
-// an independent DRS shard store: the same meta/block layout as save_run
-// restricted to the shard's owned day range and events, plus a shard
-// manifest (shard.index/shard.count footer meta) and a "shard.src_event"
-// column recording each joined row's canonical telescope-event index.
+// run_shard executes one shard of plan.h's N-way day partition — its
+// owned day range plus the halo day below it that its owned events'
+// previous-day reads reach — and writes an independent DRS shard store:
+// the same meta/block layout as save_run restricted to the owned days
+// and events, plus a shard manifest (shard.index/shard.count footer meta)
+// and a "shard.src_event" column recording each pre-merge joined row's
+// canonical telescope-event index.
 // store::merge_stores k-way merges the N shard files into one store
 // byte-identical to a single-process `generate --store` of the same
 // config — for any N and any thread count.
@@ -115,36 +129,25 @@ ShardRunResult run_shard(const LongitudinalConfig& config,
                          const ShardSpec& spec, unsigned threads,
                          const std::string& store_path);
 
-// ---- streaming day-epoch pipeline.
+// ---- bounded-memory run (the CLI's run/generate).
 //
-// Same pipeline, bounded memory: the sweep plan's days flow through
-// exec::Channel-connected stages (plan producer -> sweep -> fold/join),
-// each event joins as soon as the last day it reads has been folded, and
-// the MeasurementStore retires every day no pending join can still need
-// (the join only ever reads day d-1 baselines, attack-window days, and
-// the previous-day seen-NS sets). Epoch boundaries are pure functions of
-// the day index, so the output — joined events, join stats, the store
-// remnant, and an optional DRS file — is bit-identical to
-// run_longitudinal at any thread count and any channel capacity.
+// The whole day range, but the MeasurementStore retires every day no
+// pending join can still need (the join only ever reads day d-1
+// baselines, attack-window days, and the previous-day seen-NS sets).
+// Epoch boundaries are pure functions of the day index, so the output —
+// joined events, join stats, and an optional DRS file — is bit-identical
+// to run_longitudinal (+ save_run) at any thread count.
 
 struct StreamingOptions {
-  /// Days of folded state kept beyond the join watermark before eviction
-  /// (>= 1; more window only delays retirement, never changes output).
-  netsim::DayIndex window_days = 2;
-  /// Bounded capacity of each inter-stage channel (clamped to >= 1).
-  std::size_t channel_capacity = 4;
-  /// When non-empty, stream a save_run-equivalent DRS store to this path
-  /// (columns appended per retired epoch — the full store never
-  /// materialises in memory).
+  /// When non-empty, write a save_run-equivalent DRS store to this path,
+  /// aggregate columns appended per retired epoch.
   std::string store_path;
   /// Recorded as the run.threads provenance meta when store_path is set
   /// (save_run takes the same value as a parameter).
   unsigned threads = 0;
   /// Keep the full record vector in result.feed (needed by --feed-csv).
-  /// Off by default: each ingest shard's records are folded into the
-  /// incremental event stitcher (and the DRS feed columns, when
-  /// persisting) and released, so peak memory stays bounded by one
-  /// parallel region's shard output instead of the whole feed.
+  /// Off by default, so peak memory stays bounded by one ingest region's
+  /// records instead of the whole feed.
   bool retain_feed = false;
 };
 

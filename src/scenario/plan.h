@@ -4,9 +4,9 @@
 //   plan     derive_sweep_plan: the retention key sets and per-day domain
 //            sets every analysis read needs, a pure function of
 //            (world, stitched events);
-//   execute  run_longitudinal / run_shard (driver.cpp): sweep the plan's
-//            days and join the events — either the whole world in one
-//            process, or one shard of a contiguous day partition;
+//   execute  the run executor (driver.cpp): sweep the plan's days and
+//            join the events — either the whole world in one process,
+//            or one shard of a contiguous day partition (run_shard);
 //   compact  store::merge_stores (store/merge.cpp): k-way merge the shard
 //            stores into one DRS file byte-identical to the whole run's.
 //

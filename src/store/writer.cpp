@@ -1,17 +1,35 @@
 #include "store/writer.h"
 
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+
 #include "store/checksum.h"
 
 namespace ddos::store {
 
 Writer::Writer(const std::string& path)
-    : out_(path, std::ios::binary | std::ios::trunc) {
+    : path_(path),
+      tmp_path_(path + ".tmp." + std::to_string(::getpid())),
+      out_(tmp_path_, std::ios::binary | std::ios::trunc) {
+  if (!out_) {
+    throw StoreError(path_ + ": cannot create store file (" +
+                     std::strerror(errno) + ")");
+  }
   std::string header;
   put_fixed32(header, kMagic);
   put_fixed32(header, kFormatVersion);
   put_fixed64(header, 0);  // reserved
   out_.write(header.data(), static_cast<std::streamsize>(header.size()));
   offset_ = header.size();
+}
+
+Writer::~Writer() {
+  if (published_) return;
+  out_.close();
+  std::remove(tmp_path_.c_str());
 }
 
 void Writer::add_meta(std::string_view key, std::string_view value) {
@@ -75,8 +93,8 @@ void Writer::add_strings(std::string_view dataset, std::string_view column,
                values.size(), encode_string_column(values));
 }
 
-bool Writer::finish() {
-  if (finished_) return ok();
+void Writer::finish() {
+  if (finished_) return;
   finished_ = true;
 
   std::string footer;
@@ -105,8 +123,13 @@ bool Writer::finish() {
   out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
   out_.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
   offset_ += footer.size() + trailer.size();
-  out_.flush();
-  return ok();
+  out_.close();
+  if (!out_) throw StoreError(path_ + ": write failed");
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+    throw StoreError(path_ + ": cannot publish store file (" +
+                     std::strerror(errno) + ")");
+  }
+  published_ = true;
 }
 
 }  // namespace ddos::store

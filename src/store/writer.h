@@ -3,6 +3,12 @@
 // into named datasets ("feed", "events", ...); metadata key/value pairs
 // (provenance: config, seed, thread count, result counts) travel in the
 // footer. Blocks are checksummed (CRC32C) as written.
+//
+// The file is built under a per-process sibling temp name and renamed
+// onto the target path only by a successful finish(), so the path never
+// names a torn store: a reader that mapped the previous file keeps its
+// intact inode, and a writer abandoned before finish() (an exception
+// mid-run) leaves the previous file untouched and no temp file behind.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +25,14 @@ namespace ddos::store {
 
 class Writer {
  public:
-  /// Opens `path` for writing and emits the header. Check ok().
+  /// Opens `<path>.tmp.<pid>` for writing and emits the header. Throws
+  /// StoreError naming `path` when the file cannot be created.
   explicit Writer(const std::string& path);
+  /// Removes the temp file unless finish() published it.
+  ~Writer();
 
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
-
-  bool ok() const { return static_cast<bool>(out_); }
 
   /// Footer metadata; later add_meta with the same key overwrites.
   void add_meta(std::string_view key, std::string_view value);
@@ -50,9 +57,10 @@ class Writer {
     append_block(dataset, column, type, encoding, rows, payload);
   }
 
-  /// Write footer + trailer and flush. Returns stream health; the writer
-  /// accepts no further columns afterwards.
-  bool finish();
+  /// Write footer + trailer, close, and rename the temp file onto the
+  /// path. Throws StoreError naming the path when any write failed or the
+  /// rename does; the writer accepts no further columns afterwards.
+  void finish();
 
   /// Bytes emitted so far (file size after finish()).
   std::uint64_t bytes_written() const { return offset_; }
@@ -63,11 +71,14 @@ class Writer {
                     ColumnType type, Encoding encoding, std::uint64_t rows,
                     const std::string& payload);
 
+  std::string path_;
+  std::string tmp_path_;
   std::ofstream out_;
   std::uint64_t offset_ = 0;
   std::vector<ColumnDesc> columns_;
   std::vector<std::pair<std::string, std::string>> meta_;
   bool finished_ = false;
+  bool published_ = false;
 };
 
 }  // namespace ddos::store

@@ -38,7 +38,7 @@ class RSDoSFeed {
   /// parallel shard's batch to `sink` — in deterministic shard order, so
   /// concatenating the batches reproduces exactly what ingest() would have
   /// appended to records(). The records are moved out and released as soon
-  /// as the sink returns, which is what bounds the streaming driver's
+  /// as the sink returns, which is what bounds the run executor's
   /// memory: the sink folds them into the incremental event stitcher and
   /// the DRS feed columns, never a full vector. Returns the record count;
   /// identical observer metrics to ingest().

@@ -3,7 +3,8 @@
 // diagnostics are asserted verbatim (the CLI prints them after "flag --",
 // like parse_mix); shard_day_cuts must partition every plan day and every
 // telescope event deterministically; and merge(shard_0..N-1) must be
-// byte-identical to save_run of the whole world for N in {1, 2, 3, 8}.
+// byte-identical to save_run of reference_run (the plain composition of
+// the public stages) for N in {1, 2, 3, 8}.
 // ctest variants re-run this binary under DDOSREPRO_THREADS=2/8 so the
 // identity also holds across sweep-pool widths.
 #include <gtest/gtest.h>
@@ -20,8 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "reference_run.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
+#include "store/format.h"
 #include "store/merge.h"
 
 namespace ddos::scenario {
@@ -55,7 +58,7 @@ LongitudinalConfig test_config() {
 
 // One whole-world run shared across test cases (the expensive part).
 const LongitudinalResult& whole() {
-  static const LongitudinalResult result = run_longitudinal(test_config());
+  static const LongitudinalResult result = reference_run(test_config());
   return result;
 }
 
@@ -232,6 +235,12 @@ TEST(ShardMerge, ByteIdenticalToWholeRunStore) {
     std::filesystem::remove(merged_path);
   }
   std::filesystem::remove(whole_path);
+}
+
+TEST(ShardRun, UnwritableStorePathThrows) {
+  EXPECT_THROW(run_shard(test_config(), ShardSpec{0, 2}, 1,
+                         temp_path("missing-dir") + "/x.drs"),
+               store::StoreError);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "reference_run.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
 #include "store/merge.h"
@@ -86,7 +87,7 @@ void expect_merge_error(const std::vector<std::string>& paths,
 
 TEST(StoreMerge, MatchesSaveRunBytes) {
   const scenario::LongitudinalConfig cfg = test_config();
-  const scenario::LongitudinalResult whole = scenario::run_longitudinal(cfg);
+  const scenario::LongitudinalResult whole = scenario::reference_run(cfg);
   const std::string whole_path = temp_path("merge-whole.drs");
   scenario::save_run(whole_path, cfg, 1, whole);
 
@@ -120,7 +121,7 @@ TEST(StoreMerge, EmptyShardsStayByteIdentical) {
   scenario::LongitudinalConfig cfg = test_config();
   cfg.workload.scale = 8000.0;
   cfg.workload.scripted_cases = false;
-  const scenario::LongitudinalResult whole = scenario::run_longitudinal(cfg);
+  const scenario::LongitudinalResult whole = scenario::reference_run(cfg);
   const std::string whole_path = temp_path("merge-sparse-whole.drs");
   scenario::save_run(whole_path, cfg, 1, whole);
 
@@ -217,6 +218,17 @@ TEST(StoreMerge, NoInputsIsRejected) {
   expect_merge_error({}, "at least one shard store");
 }
 
+TEST(StoreMerge, UnwritableOutputPathThrows) {
+  const std::string bad = temp_path("missing-dir") + "/merged.drs";
+  try {
+    merge_stores(bad, shards2());
+    FAIL() << "merge_stores to an unwritable path did not throw";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+        << "message: " << e.what();
+  }
+}
+
 // Satellite: Reader decode failures carry the file path and column, so a
 // corrupt-but-CRC-valid block (possible only via add_encoded, whose
 // caller vouches for the payload) is still attributed to its shard file.
@@ -224,14 +236,13 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
   const std::string path = temp_path("decode-err.drs");
   {
     Writer writer(path);
-    ASSERT_TRUE(writer.ok());
     // One truncated varint: the continuation bit promises a second byte
     // that never comes. The CRC is computed over this payload as
     // written, so checksum validation passes and only the decode fails.
     const std::string payload(1, '\x80');
     writer.add_encoded("ds", "col", ColumnType::U64, Encoding::Varint, 1,
                        payload);
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
   }
   const Reader reader(path, ReadMode::Buffered);
   try {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -106,7 +107,6 @@ TEST(WriterReader, RoundTripAllColumnTypes) {
                                          std::string(1, '\0')};
   {
     Writer writer(path);
-    ASSERT_TRUE(writer.ok());
     writer.add_meta("seed", "42");
     writer.add_meta("seed", "43");  // same key overwrites
     writer.add_meta("tool", "test");
@@ -115,7 +115,7 @@ TEST(WriterReader, RoundTripAllColumnTypes) {
     writer.add_f64("ds", "rtt", rtts);
     writer.add_u8("ds", "protocol", protocols);
     writer.add_strings("ds", "org", orgs);
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
     EXPECT_EQ(writer.bytes_written(),
               std::filesystem::file_size(path));
   }
@@ -142,7 +142,7 @@ TEST(WriterReader, EmptyDatasetRoundTrips) {
     writer.add_u64("feed", "window", {}, Encoding::DeltaVarint);
     writer.add_f64("feed", "ppm", {});
     writer.add_strings("feed", "org", {});
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
   }
   const Reader reader(path);
   EXPECT_EQ(reader.dataset_rows("feed"), 0u);
@@ -159,7 +159,7 @@ TEST(WriterReader, SingleRowBlocks) {
     writer.add_u64("ds", "key", std::vector<std::uint64_t>{
         std::numeric_limits<std::uint64_t>::max()});
     writer.add_f64("ds", "value", std::vector<double>{-0.0});
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
   }
   const Reader reader(path);
   EXPECT_EQ(reader.read_u64("ds", "key"),
@@ -176,7 +176,7 @@ TEST(WriterReader, DetectsCorruptBlock) {
     Writer writer(path);
     const std::vector<std::uint64_t> keys = {1000, 2000, 3000, 4000};
     writer.add_u64("ds", "key", keys);
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
   }
   // First block payload starts right after the 16-byte header.
   corrupt_byte(path, kHeaderSize);
@@ -190,7 +190,7 @@ TEST(WriterReader, DetectsTruncatedFile) {
   {
     Writer writer(path);
     writer.add_u64("ds", "key", std::vector<std::uint64_t>{1, 2, 3});
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
   }
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 8);
@@ -202,7 +202,7 @@ TEST(WriterReader, RejectsBadMagicAndVersion) {
   {
     Writer writer(path);
     writer.add_u64("ds", "key", std::vector<std::uint64_t>{7});
-    ASSERT_TRUE(writer.finish());
+    writer.finish();
   }
   {
     // Bump the format version field (bytes 4..7 of the header).
@@ -226,10 +226,76 @@ TEST(WriterReader, MissingFileThrows) {
 TEST(Writer, RejectsColumnsAfterFinish) {
   const std::string path = temp_path("finished.drs");
   Writer writer(path);
-  ASSERT_TRUE(writer.finish());
+  writer.finish();
   EXPECT_THROW(
       writer.add_u64("ds", "key", std::vector<std::uint64_t>{1}),
       StoreError);
+}
+
+// A one-dataset store whose "gen" meta and key column identify which
+// write produced it.
+void write_generation(const std::string& path, const std::string& gen,
+                      const std::vector<std::uint64_t>& keys) {
+  Writer writer(path);
+  writer.add_meta("gen", gen);
+  writer.add_u64("ds", "key", keys);
+  writer.finish();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Writer, UnwritablePathThrowsNamingIt) {
+  const std::string bad = temp_path("missing-dir") + "/x.drs";
+  try {
+    Writer writer(bad);
+    FAIL() << "opening " << bad << " did not throw";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+  }
+}
+
+// A writer that never reaches finish() (a run that threw midway) must not
+// touch the published store, and must not leave its temp file behind.
+TEST(Writer, AbandonedWriterLeavesOldFileAndNoTempFile) {
+  const std::filesystem::path dir = temp_path("abandon-dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "s.drs").string();
+  write_generation(path, "old", {1, 2, 3});
+  const std::string before = read_file(path);
+  {
+    Writer writer(path);
+    writer.add_meta("gen", "new");
+    writer.add_u64("ds", "key", std::vector<std::uint64_t>{9, 9, 9, 9});
+  }
+  EXPECT_EQ(read_file(path), before);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"s.drs"});
+  std::filesystem::remove_all(dir);
+}
+
+// Publishing by rename leaves the old inode intact under an existing
+// mapping: a serving reader never sees a torn or swapped-out store.
+TEST(Writer, MappedReaderSurvivesRepublish) {
+  const std::string path = temp_path("republish.drs");
+  write_generation(path, "old", {1, 2, 3});
+  const Reader old_reader(path, ReadMode::Mapped);
+  write_generation(path, "new", {4, 5, 6, 7});
+
+  old_reader.validate_all();
+  EXPECT_EQ(old_reader.meta_value("gen"), "old");
+  EXPECT_EQ(old_reader.read_u64("ds", "key"),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  const Reader new_reader(path, ReadMode::Mapped);
+  EXPECT_EQ(new_reader.meta_value("gen"), "new");
+  EXPECT_EQ(new_reader.read_u64("ds", "key"),
+            (std::vector<std::uint64_t>{4, 5, 6, 7}));
 }
 
 }  // namespace
