@@ -118,14 +118,17 @@ class StreamingTest : public ::testing::Test {
 LongitudinalConfig* StreamingTest::config_ = nullptr;
 LongitudinalResult* StreamingTest::reference_ = nullptr;
 
-TEST_F(StreamingTest, MatchesReferenceRun) {
+// run_longitudinal_streaming retires every day as soon as the join
+// watermark passes it: the tightest retirement window the executor has.
+TEST_F(StreamingTest, MatchesMaterializedAtMinimumWindow) {
   const auto streamed = run_longitudinal_streaming(*config_, {});
   expect_equivalent(streamed, *reference_);
 }
 
-// The retain configuration keeps the whole store and record vector, so
-// save_run over it writes the reference run's bytes.
-TEST_F(StreamingTest, RetainedRunMatchesReferenceRun) {
+// run_longitudinal never retires (the widest window): slack only delays
+// retirement, never output. It keeps the whole store and record vector,
+// so save_run over it writes the reference run's bytes.
+TEST_F(StreamingTest, MatchesMaterializedAtWiderWindow) {
   const auto retained = run_longitudinal(*config_);
   expect_equivalent(retained, *reference_, /*feed_retired=*/false);
 
