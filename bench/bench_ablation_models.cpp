@@ -9,7 +9,7 @@
 //       intensity would predict impact and Fig. 9's null result vanishes.
 #include "bench_common.h"
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "core/impact.h"
 #include "dns/load_model.h"
 
@@ -113,15 +113,16 @@ void ablate_headroom() {
   flat.world.capacity_exponent = 0.0;
   flat.world.capacity_base_pps = 80e3;  // one size fits nobody
   const auto flat_result = scenario::run_longitudinal(flat);
-  const auto flat_series =
-      core::intensity_impact_series(flat_result.joined, flat_result.darknet);
+  const auto flat_series = core::intensity_impact_series_columnar(
+      core::OwnedEventFrame(flat_result.joined).frame(), flat_result.darknet);
 
   scenario::LongitudinalConfig scaled = flat;
   scaled.world.capacity_exponent = 0.40;
   scaled.world.capacity_base_pps = 18e3;
   const auto scaled_result = scenario::run_longitudinal(scaled);
-  const auto scaled_series = core::intensity_impact_series(
-      scaled_result.joined, scaled_result.darknet);
+  const auto scaled_series = core::intensity_impact_series_columnar(
+      core::OwnedEventFrame(scaled_result.joined).frame(),
+      scaled_result.darknet);
 
   util::TextTable table({"Capacity model", "Pearson(intensity, impact)",
                          "events"});

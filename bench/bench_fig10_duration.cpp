@@ -2,7 +2,7 @@
 // long attacks weak, with the 19-hour Contabo outlier.
 #include "bench_common.h"
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 
 using namespace ddos;
 
@@ -12,7 +12,8 @@ int main() {
       "durations bimodal at 15 min and 1 h; high-impact attacks live in "
       "those modes; long attacks trend weak except Contabo (19h, ~30x)");
   const auto& r = bench::longitudinal();
-  const auto series = core::duration_impact_series(r.joined);
+  const core::OwnedEventFrame joined(r.joined);
+  const auto series = core::duration_impact_series_columnar(joined.frame());
 
   util::TextTable table({"Metric", "Paper", "Measured"});
   table.add_row({"Pearson(duration, impact)", "weak",
@@ -40,7 +41,7 @@ int main() {
               << util::ascii_bar(raw.fraction(bucket), 40) << "\n";
   }
 
-  const auto hist = core::duration_mode_histogram(r.joined);
+  const auto hist = core::duration_mode_histogram_columnar(joined.frame());
   std::cout << "\nduration histogram over joined events:\n";
   for (const char* bucket :
        {"<=15m", "15-30m", "30-60m", "1-3h", "3-12h", ">12h"}) {

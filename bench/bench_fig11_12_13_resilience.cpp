@@ -2,7 +2,7 @@
 // diversity, and /24 prefix diversity.
 #include "bench_common.h"
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 
 using namespace ddos;
 
@@ -34,14 +34,17 @@ int main() {
       "single-ASN; 60% of failing NSSets single-/24; 99% of failing domains "
       "unicast");
   const auto& r = bench::longitudinal();
+  const core::OwnedEventFrame joined(r.joined);
+  const core::EventFrame& f = joined.frame();
 
-  print_groups("Fig. 11 — anycast class:", core::impact_by_anycast(r.joined));
+  print_groups("Fig. 11 — anycast class:",
+               core::impact_by_anycast_columnar(f));
   print_groups("Fig. 12 — AS diversity:",
-               core::impact_by_as_diversity(r.joined));
+               core::impact_by_as_diversity_columnar(f));
   print_groups("Fig. 13 — /24 prefix diversity:",
-               core::impact_by_prefix_diversity(r.joined));
+               core::impact_by_prefix_diversity_columnar(f));
 
-  const auto attr = core::failure_attribution(r.joined);
+  const auto attr = core::failure_attribution_columnar(f);
   util::TextTable table({"Complete-failure attribution", "Paper", "Measured"});
   table.add_row({"complete failures", "-",
                  util::with_commas(attr.complete_failures)});

@@ -3,7 +3,7 @@
 // mix of harmful attacks.
 #include "bench_common.h"
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 
 using namespace ddos;
 
@@ -14,7 +14,8 @@ int main() {
       "SERVFAIL; harmful attacks target 53 (49%), 80 (31%), 443 (11%); 99% "
       "of failing domains on unicast");
   const auto& r = bench::longitudinal();
-  const auto s = core::failure_summary(r.joined);
+  const core::OwnedEventFrame joined(r.joined);
+  const auto s = core::failure_summary_columnar(joined.frame());
 
   util::TextTable table({"Metric", "Paper", "Measured"});
   table.add_row({"events analysed", "12,691",
@@ -36,7 +37,7 @@ int main() {
 
   // The Fig. 7 scatter: failure rate vs measured domains, coloured by
   // hosted-domain magnitude.
-  const auto pts = core::failure_points(r.joined);
+  const auto pts = core::failure_points_columnar(joined.frame());
   std::cout << "\nFig. 7 scatter (failing events): measured-domains, "
                "failure-rate, base-curve (1/measured), hosted-domains, "
                "deployment\n";

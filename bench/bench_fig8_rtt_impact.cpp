@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "util/histogram.h"
 #include "util/stats.h"
 
@@ -15,7 +15,8 @@ int main() {
       "~5% of events at >=10x; one third of those at >=100x; very large "
       "deployments cap at 2-3x");
   const auto& r = bench::longitudinal();
-  const auto s = core::impact_summary(r.joined);
+  const core::OwnedEventFrame joined(r.joined);
+  const auto s = core::impact_summary_columnar(joined.frame());
 
   util::TextTable table({"Metric", "Paper", "Measured"});
   table.add_row({"events with >=10x impact", "~5% (585/12,691)",
@@ -25,7 +26,7 @@ int main() {
   std::cout << table.to_string();
 
   // Impact by hosted-size magnitude (the figure's x-axis, log-binned).
-  const auto pts = core::impact_points(r.joined);
+  const auto pts = core::impact_points_columnar(joined.frame());
   util::LogHistogram sizes(1.0, 1.0, 7);
   std::map<std::size_t, std::vector<double>> impacts_by_bin;
   for (const auto& p : pts) {

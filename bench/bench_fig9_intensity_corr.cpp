@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "util/histogram.h"
 
 using namespace ddos;
@@ -15,7 +15,9 @@ int main() {
       "low Pearson correlation; bimodal telescope rate with modes near 50 "
       "ppm (~17K ppm victim-side) and 6,000 ppm (~2M ppm victim-side)");
   const auto& r = bench::longitudinal();
-  const auto series = core::intensity_impact_series(r.joined, r.darknet);
+  const core::OwnedEventFrame joined(r.joined);
+  const auto series =
+      core::intensity_impact_series_columnar(joined.frame(), r.darknet);
 
   util::TextTable table({"Metric", "Paper", "Measured"});
   table.add_row({"Pearson(intensity, impact)", "low (no strong corr.)",

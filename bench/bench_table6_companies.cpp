@@ -1,7 +1,7 @@
 // Table 6 — the organisations with the largest observed Impact_on_RTT.
 #include "bench_common.h"
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 
 using namespace ddos;
 
@@ -21,7 +21,8 @@ int main() {
 
   util::TextTable table({"Rank", "Paper company (impact)", "Measured company",
                          "Impact"});
-  const auto top = core::top_companies_by_impact(r.joined, 10);
+  const core::OwnedEventFrame joined(r.joined);
+  const auto top = core::top_companies_by_impact_columnar(joined.frame(), 10);
   for (std::size_t i = 0; i < 10; ++i) {
     table.add_row({std::to_string(i + 1),
                    i < std::size(kPaper) ? kPaper[i] : "",

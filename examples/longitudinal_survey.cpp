@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/analysis.h"
+#include "core/columnar.h"
 #include "scenario/driver.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -63,8 +64,11 @@ int main(int argc, char** argv) {
             << util::format_fixed(100 * ports.tcp_ports.fraction("443"), 1)
             << "% (paper 37/30/~20)\n";
 
-  // §6.3.1 + Fig 7.
-  const auto fails = core::failure_summary(r.joined);
+  // §6.3.1 + Fig 7. The joined-event statistics are frame kernels: lay
+  // the joined rows out once.
+  const core::OwnedEventFrame joined(r.joined);
+  const core::EventFrame& f = joined.frame();
+  const auto fails = core::failure_summary_columnar(f);
   std::cout << "events with failures: "
             << util::format_fixed(100 * fails.failing_event_share(), 2)
             << "% (paper ~1%); timeouts among failures: "
@@ -79,7 +83,7 @@ int main(int argc, char** argv) {
             << "% (paper 49/31/11)\n";
 
   // Fig 8.
-  const auto impacts = core::impact_summary(r.joined);
+  const auto impacts = core::impact_summary_columnar(f);
   std::cout << "impact >=10x: "
             << util::format_fixed(100 * impacts.impaired_share(), 1)
             << "% of events (paper ~5%); >=100x share of impaired: "
@@ -87,8 +91,8 @@ int main(int argc, char** argv) {
             << "% (paper ~34%)\n";
 
   // Fig 9 / 10.
-  const auto fig9 = core::intensity_impact_series(r.joined, r.darknet);
-  const auto fig10 = core::duration_impact_series(r.joined);
+  const auto fig9 = core::intensity_impact_series_columnar(f, r.darknet);
+  const auto fig10 = core::duration_impact_series_columnar(f);
   std::cout << "intensity-impact Pearson: "
             << util::format_fixed(fig9.pearson, 3) << " (paper: low)  "
             << "duration-impact Pearson: "
@@ -106,11 +110,11 @@ int main(int argc, char** argv) {
                 << ", complete failures: " << g.complete_failures << ")\n";
     }
   };
-  print_groups(core::impact_by_anycast(r.joined));
-  print_groups(core::impact_by_as_diversity(r.joined));
-  print_groups(core::impact_by_prefix_diversity(r.joined));
+  print_groups(core::impact_by_anycast_columnar(f));
+  print_groups(core::impact_by_as_diversity_columnar(f));
+  print_groups(core::impact_by_prefix_diversity_columnar(f));
 
-  const auto attr = core::failure_attribution(r.joined);
+  const auto attr = core::failure_attribution_columnar(f);
   std::cout << "complete failures: " << attr.complete_failures
             << "; single-ASN share "
             << util::format_fixed(100 * attr.single_asn_share(), 0)
@@ -123,7 +127,7 @@ int main(int argc, char** argv) {
   // Table 6.
   std::cout << "\ntop organisations by RTT impact (paper: NForce 348x, "
                "Co-Co 219x, NMU 181x, Hetzner 174x, ...):\n";
-  for (const auto& c : core::top_companies_by_impact(r.joined, 10)) {
+  for (const auto& c : core::top_companies_by_impact_columnar(f, 10)) {
     std::cout << "  " << c.org << ": "
               << util::format_fixed(c.max_impact, 0) << "x\n";
   }

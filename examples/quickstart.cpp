@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "core/impact.h"
 #include "scenario/driver.h"
 #include "util/strings.h"
@@ -57,11 +57,15 @@ int main() {
   std::cout << "events with >=2x RTT impact or failures:\n"
             << table.to_string() << "\n";
 
-  const core::ImpactSummary impacts = core::impact_summary(r.joined);
+  // The summaries are frame kernels: lay the joined rows out once.
+  const core::OwnedEventFrame joined(r.joined);
+  const core::ImpactSummary impacts =
+      core::impact_summary_columnar(joined.frame());
   std::cout << "impact summary: " << impacts.events << " events, "
             << impacts.impaired_10x << " at >=10x, " << impacts.severe_100x
             << " at >=100x\n";
-  const core::FailureSummary failures = core::failure_summary(r.joined);
+  const core::FailureSummary failures =
+      core::failure_summary_columnar(joined.frame());
   std::cout << "failures: " << failures.events_with_failures
             << " events with resolution failures ("
             << failures.timeouts << " timeouts, " << failures.servfails

@@ -15,9 +15,10 @@
 //     attacks per victim IP, peak Impact_on_RTT per NSSet, failure rate
 //     per NSSet), so TopK(k) is a k-entry copy (TopK);
 //   * day-epoch window index — dense per-day aggregates of the joined
-//     events (failure/impact tallies using the same thresholds as
-//     core::ImpactFold/FailureFold), so WindowScan(day_lo, day_hi) is a
-//     short scan of a contiguous array (WindowScan).
+//     events (failure/impact tallies using the same thresholds and
+//     failure test as core::impact_summary_columnar /
+//     failure_summary_columnar), so WindowScan(day_lo, day_hi) is a short
+//     scan of a contiguous array (WindowScan).
 //
 // Two sources lay out those inputs. load_engine maps a DRS store and
 // reads only the columns the build needs — it never materializes feed
@@ -40,8 +41,9 @@
 // total-ordered leaderboard ties), so two engines built from bit-identical
 // runs — a live run, its load_run image and its load_engine columns —
 // answer every query bit-identically. The parity test asserts this and
-// checks answers against the batch analysis path (core::impact_summary /
-// failure_summary and brute-force folds).
+// checks answers against the batch frame kernels
+// (core::impact_summary_columnar / failure_summary_columnar) and
+// brute-force folds.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +122,7 @@ struct TopEntry {
 /// [day_lo, day_hi] (inclusive, clamped to the indexed range). Tallies
 /// use the batch thresholds: impaired/severe are peak_impact >=
 /// core::kImpairedThreshold / kSevereThreshold, failure counts follow
-/// core::FailureFold.
+/// core::failure_summary_columnar.
 struct WindowScanResult {
   netsim::DayIndex day_lo = 0;
   netsim::DayIndex day_hi = -1;      // empty when day_hi < day_lo

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/columnar.h"
+
 namespace ddos::core {
 namespace {
 
@@ -179,13 +181,25 @@ NssetAttackEvent make_event(double peak_impact, std::uint32_t timeouts,
   return ev;
 }
 
+// The joined-event kernels take a frame: each hand-built row set is laid
+// out once, as an in-memory run does.
+class Frame {
+ public:
+  explicit Frame(const std::vector<NssetAttackEvent>& events)
+      : owned_(events) {}
+  operator const EventFrame&() const { return owned_.frame(); }
+
+ private:
+  OwnedEventFrame owned_;
+};
+
 TEST(FailureSummary, CountsAndShares) {
-  const std::vector<NssetAttackEvent> events = {
+  const Frame events({
       make_event(1.0, 0, 0, 10),
       make_event(5.0, 9, 1, 0),
       make_event(2.0, 1, 0, 9),
-  };
-  const auto s = failure_summary(events);
+  });
+  const auto s = failure_summary_columnar(events);
   EXPECT_EQ(s.events, 3u);
   EXPECT_EQ(s.events_with_failures, 2u);
   EXPECT_EQ(s.timeouts, 10u);
@@ -196,11 +210,11 @@ TEST(FailureSummary, CountsAndShares) {
 }
 
 TEST(FailurePoints, OnlyFailingEvents) {
-  const std::vector<NssetAttackEvent> events = {
+  const Frame events({
       make_event(1.0, 0, 0, 10),
       make_event(5.0, 5, 0, 5, 1000, anycast::AnycastClass::None),
-  };
-  const auto pts = failure_points(events);
+  });
+  const auto pts = failure_points_columnar(events);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_EQ(pts[0].domains_measured, 10u);
   EXPECT_DOUBLE_EQ(pts[0].failure_rate, 0.5);
@@ -209,15 +223,30 @@ TEST(FailurePoints, OnlyFailingEvents) {
 }
 
 TEST(ImpactSummary, ThresholdCounts) {
-  const std::vector<NssetAttackEvent> events = {
-      make_event(1.5, 0, 0, 10), make_event(15.0, 0, 0, 10),
-      make_event(150.0, 0, 0, 10)};
-  const auto s = impact_summary(events);
+  const Frame events({make_event(1.5, 0, 0, 10), make_event(15.0, 0, 0, 10),
+                      make_event(150.0, 0, 0, 10)});
+  const auto s = impact_summary_columnar(events);
   EXPECT_EQ(s.events, 3u);
   EXPECT_EQ(s.impaired_10x, 2u);
   EXPECT_EQ(s.severe_100x, 1u);
   EXPECT_NEAR(s.impaired_share(), 2.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.severe_share_of_impaired(), 0.5);
+}
+
+TEST(ImpactPoints, OnePerEventInOrder) {
+  const Frame events({
+      make_event(150.0, 0, 0, 10, 7, anycast::AnycastClass::None),
+      make_event(1.2, 0, 0, 10, 9000, anycast::AnycastClass::Full),
+      make_event(3.0, 0, 0, 10, 40, anycast::AnycastClass::Partial),
+  });
+  const auto pts = impact_points_columnar(events);
+  ASSERT_EQ(pts.size(), 3u);
+  EXPECT_EQ(pts[0].domains_hosted, 7u);
+  EXPECT_EQ(pts[0].peak_impact, 150.0);
+  EXPECT_FALSE(pts[0].anycast);
+  EXPECT_EQ(pts[1].domains_hosted, 9000u);
+  EXPECT_TRUE(pts[1].anycast);   // only full anycast counts
+  EXPECT_FALSE(pts[2].anycast);  // partial does not
 }
 
 TEST(CorrelationSeries, PerfectCorrelationDetected) {
@@ -227,47 +256,56 @@ TEST(CorrelationSeries, PerfectCorrelationDetected) {
     ev.rsdos.max_ppm = 100.0 * i;
     events.push_back(ev);
   }
-  const auto series =
-      intensity_impact_series(events, telescope::Darknet::ucsd_like());
+  const auto darknet = telescope::Darknet::ucsd_like();
+  const auto series = intensity_impact_series_columnar(Frame(events), darknet);
   EXPECT_EQ(series.n(), 20u);
   EXPECT_NEAR(series.pearson, 1.0, 1e-9);
   EXPECT_NEAR(series.spearman, 1.0, 1e-9);
+  // x is telescope ppm extrapolated to victim pps.
+  EXPECT_EQ(series.x[0], 100.0 * darknet.extrapolation_factor() / 60.0);
 }
 
 TEST(CorrelationSeries, SkipsZeroImpactEvents) {
-  const std::vector<NssetAttackEvent> events = {make_event(0.0, 10, 0, 0),
-                                                make_event(2.0, 0, 0, 10)};
-  const auto series = duration_impact_series(events);
-  EXPECT_EQ(series.n(), 1u);
+  const Frame events({make_event(0.0, 10, 0, 0), make_event(2.0, 0, 0, 10)});
+  const auto series = duration_impact_series_columnar(events);
+  ASSERT_EQ(series.n(), 1u);
+  EXPECT_EQ(series.x[0], 3600.0);  // windows 0..11: one hour
+  EXPECT_EQ(series.y[0], 2.0);
+  EXPECT_EQ(intensity_impact_series_columnar(
+                events, telescope::Darknet::ucsd_like())
+                .n(),
+            1u);
 }
 
 TEST(DurationHistogram, Buckets) {
-  std::vector<NssetAttackEvent> events;
   auto quick = make_event(1.0, 0, 0, 10);
   quick.rsdos.end_window = 2;  // 15 minutes
   auto hour = make_event(1.0, 0, 0, 10);
   hour.rsdos.end_window = 11;  // 60 minutes
   auto marathon = make_event(1.0, 0, 0, 10);
   marathon.rsdos.end_window = 12 * 19 - 1;  // 19 hours (Contabo)
-  events = {quick, hour, marathon};
-  const auto hist = duration_mode_histogram(events);
+  const auto hist =
+      duration_mode_histogram_columnar(Frame({quick, hour, marathon}));
   EXPECT_EQ(hist.count("<=15m"), 1u);
   EXPECT_EQ(hist.count("30-60m"), 1u);
   EXPECT_EQ(hist.count(">12h"), 1u);
+  EXPECT_EQ(hist.total(), 3u);
 }
 
 TEST(GroupImpact, AnycastGrouping) {
-  const std::vector<NssetAttackEvent> events = {
+  const Frame events({
       make_event(150.0, 0, 0, 10, 100, anycast::AnycastClass::None),
       make_event(1.2, 0, 0, 10, 100, anycast::AnycastClass::Full),
       make_event(1.4, 0, 0, 10, 100, anycast::AnycastClass::Full),
       make_event(3.0, 0, 0, 10, 100, anycast::AnycastClass::Partial),
-  };
-  const auto groups = impact_by_anycast(events);
+  });
+  const auto groups = impact_by_anycast_columnar(events);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].group, "unicast");
   EXPECT_EQ(groups[0].events, 1u);
   EXPECT_EQ(groups[0].severe_100x, 1u);
+  EXPECT_EQ(groups[1].group, "partial-anycast");
+  EXPECT_EQ(groups[1].events, 1u);
   EXPECT_EQ(groups[2].group, "anycast");
   EXPECT_EQ(groups[2].events, 2u);
   EXPECT_EQ(groups[2].severe_100x, 0u);
@@ -275,31 +313,55 @@ TEST(GroupImpact, AnycastGrouping) {
 }
 
 TEST(GroupImpact, EmptyGroupsStillListed) {
-  const auto groups = impact_by_as_diversity({});
+  const auto groups = impact_by_as_diversity_columnar(Frame({}));
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].group, "1 ASN");
   EXPECT_EQ(groups[0].events, 0u);
 }
 
+TEST(GroupImpact, AsDiversityBands) {
+  const Frame events({
+      make_event(5.0, 10, 0, 0, 100, anycast::AnycastClass::None, 0, 1),
+      make_event(5.0, 0, 0, 10, 100, anycast::AnycastClass::None, 1, 1),
+      make_event(7.0, 0, 0, 10, 100, anycast::AnycastClass::None, 2, 1),
+      make_event(9.0, 0, 0, 10, 100, anycast::AnycastClass::None, 3, 1),
+      make_event(4.0, 0, 0, 10, 100, anycast::AnycastClass::None, 6, 1),
+  });
+  const auto groups = impact_by_as_diversity_columnar(events);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0].group, "1 ASN");
+  EXPECT_EQ(groups[0].events, 2u);  // an unrecorded count bands as 1
+  EXPECT_EQ(groups[0].complete_failures, 1u);
+  EXPECT_EQ(groups[1].group, "2 ASNs");
+  EXPECT_EQ(groups[1].events, 1u);
+  EXPECT_EQ(groups[1].max_impact, 7.0);
+  EXPECT_EQ(groups[2].group, "3+ ASNs");
+  EXPECT_EQ(groups[2].events, 2u);
+  EXPECT_EQ(groups[2].max_impact, 9.0);
+}
+
 TEST(GroupImpact, PrefixDiversityBands) {
-  const std::vector<NssetAttackEvent> events = {
+  const Frame events({
       make_event(5.0, 0, 0, 10, 100, anycast::AnycastClass::None, 1, 1),
       make_event(5.0, 0, 0, 10, 100, anycast::AnycastClass::None, 1, 2),
       make_event(5.0, 0, 0, 10, 100, anycast::AnycastClass::None, 1, 5),
-  };
-  const auto groups = impact_by_prefix_diversity(events);
+  });
+  const auto groups = impact_by_prefix_diversity_columnar(events);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0].group, "1 /24");
   EXPECT_EQ(groups[0].events, 1u);
   EXPECT_EQ(groups[1].events, 1u);
+  EXPECT_EQ(groups[2].group, "3+ /24s");
   EXPECT_EQ(groups[2].events, 1u);
 }
 
 TEST(FailureAttribution, SharesOverCompleteFailures) {
-  const std::vector<NssetAttackEvent> events = {
+  const Frame events({
       make_event(0.0, 10, 0, 0, 100, anycast::AnycastClass::None, 1, 1),
       make_event(0.0, 10, 0, 0, 100, anycast::AnycastClass::None, 2, 2),
       make_event(5.0, 1, 0, 9, 100, anycast::AnycastClass::None, 1, 1),
-  };
-  const auto attr = failure_attribution(events);
+  });
+  const auto attr = failure_attribution_columnar(events);
   EXPECT_EQ(attr.complete_failures, 2u);  // the partial failure is excluded
   EXPECT_EQ(attr.single_asn, 1u);
   EXPECT_EQ(attr.single_prefix, 1u);
@@ -309,7 +371,6 @@ TEST(FailureAttribution, SharesOverCompleteFailures) {
 }
 
 TEST(TopCompanies, MaxImpactPerOrg) {
-  std::vector<NssetAttackEvent> events;
   auto a1 = make_event(50.0, 0, 0, 10);
   a1.resilience.org = "Alpha";
   auto a2 = make_event(348.0, 0, 0, 10);
@@ -318,12 +379,101 @@ TEST(TopCompanies, MaxImpactPerOrg) {
   b.resilience.org = "Beta";
   auto anon = make_event(999.0, 0, 0, 10);
   anon.resilience.org = "";  // unattributed: excluded
-  events = {a1, a2, b, anon};
-  const auto top = top_companies_by_impact(events, 10);
+  const auto top =
+      top_companies_by_impact_columnar(Frame({a1, a2, b, anon}), 10);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].org, "Alpha");
   EXPECT_DOUBLE_EQ(top[0].max_impact, 348.0);
   EXPECT_EQ(top[1].org, "Beta");
+  EXPECT_EQ(top_companies_by_impact_columnar(Frame({a1, a2, b}), 1).size(),
+            1u);
+}
+
+// Every joined-event kernel over a zero-row frame: empty series and
+// points, zero tallies, and the three listed groups of each grouping.
+const EventFrame& empty_frame() {
+  static const OwnedEventFrame owned({});
+  return owned.frame();
+}
+
+TEST(EmptyFrame, FailureSummary) {
+  const auto s = failure_summary_columnar(empty_frame());
+  EXPECT_EQ(s.events, 0u);
+  EXPECT_EQ(s.events_with_failures, 0u);
+  EXPECT_EQ(s.failed_event_ports.total(), 0u);
+  EXPECT_EQ(s.failing_event_share(), 0.0);
+}
+
+TEST(EmptyFrame, FailurePoints) {
+  EXPECT_TRUE(failure_points_columnar(empty_frame()).empty());
+}
+
+TEST(EmptyFrame, ImpactSummary) {
+  const auto s = impact_summary_columnar(empty_frame());
+  EXPECT_EQ(s.events, 0u);
+  EXPECT_EQ(s.impaired_share(), 0.0);
+}
+
+TEST(EmptyFrame, ImpactPoints) {
+  EXPECT_TRUE(impact_points_columnar(empty_frame()).empty());
+}
+
+TEST(EmptyFrame, IntensitySeries) {
+  const auto s = intensity_impact_series_columnar(
+      empty_frame(), telescope::Darknet::ucsd_like());
+  EXPECT_EQ(s.n(), 0u);
+  EXPECT_TRUE(s.y.empty());
+}
+
+TEST(EmptyFrame, DurationSeries) {
+  const auto s = duration_impact_series_columnar(empty_frame());
+  EXPECT_EQ(s.n(), 0u);
+  EXPECT_TRUE(s.y.empty());
+}
+
+TEST(EmptyFrame, DurationHistogram) {
+  EXPECT_EQ(duration_mode_histogram_columnar(empty_frame()).total(), 0u);
+}
+
+void expect_three_empty_groups(const std::vector<GroupImpact>& groups) {
+  ASSERT_EQ(groups.size(), 3u);
+  for (const auto& g : groups) {
+    EXPECT_FALSE(g.group.empty());
+    EXPECT_EQ(g.events, 0u);
+    EXPECT_EQ(g.max_impact, 0.0);
+  }
+}
+
+TEST(EmptyFrame, AnycastGroups) {
+  expect_three_empty_groups(impact_by_anycast_columnar(empty_frame()));
+}
+
+TEST(EmptyFrame, AsDiversityGroups) {
+  expect_three_empty_groups(impact_by_as_diversity_columnar(empty_frame()));
+}
+
+TEST(EmptyFrame, PrefixDiversityGroups) {
+  expect_three_empty_groups(
+      impact_by_prefix_diversity_columnar(empty_frame()));
+}
+
+TEST(EmptyFrame, FailureAttribution) {
+  const auto attr = failure_attribution_columnar(empty_frame());
+  EXPECT_EQ(attr.complete_failures, 0u);
+  EXPECT_EQ(attr.unicast_share(), 0.0);
+}
+
+TEST(EmptyFrame, TldBreakdown) {
+  const auto reg = registry_with_ns({IPv4Addr(10, 0, 0, 1)});
+  EXPECT_TRUE(tld_breakdown_columnar(empty_frame(), reg).empty());
+}
+
+TEST(EmptyFrame, TopCompanies) {
+  EXPECT_TRUE(top_companies_by_impact_columnar(empty_frame(), 10).empty());
+}
+
+TEST(EmptyFrame, MonthlyJoinedSummary) {
+  EXPECT_TRUE(monthly_joined_summary_columnar(empty_frame()).empty());
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "scenario/driver.h"
 
 namespace ddos::core {
@@ -110,12 +110,14 @@ TEST(EventsCsv, PipelineEventsRoundTripAggregates) {
   const auto events = read_events_csv(in);
   ASSERT_EQ(events.size(), result.joined.size());
   // The figure-level analyses over the re-imported events must agree.
-  const auto a = impact_summary(result.joined);
-  const auto b = impact_summary(events);
+  const OwnedEventFrame run(result.joined);
+  const OwnedEventFrame imported(events);
+  const auto a = impact_summary_columnar(run.frame());
+  const auto b = impact_summary_columnar(imported.frame());
   EXPECT_EQ(a.impaired_10x, b.impaired_10x);
   EXPECT_EQ(a.severe_100x, b.severe_100x);
-  const auto fa = failure_summary(result.joined);
-  const auto fb = failure_summary(events);
+  const auto fa = failure_summary_columnar(run.frame());
+  const auto fb = failure_summary_columnar(imported.frame());
   EXPECT_EQ(fa.timeouts, fb.timeouts);
   EXPECT_EQ(fa.servfails, fb.servfails);
 }
@@ -130,7 +132,8 @@ TEST(TldBreakdown, CountsDomainsOfAffectedNssets) {
 
   NssetAttackEvent ev;
   ev.nsset = reg.nsset_of_domain(0);
-  const auto rows = tld_breakdown({ev, ev}, reg);  // duplicate events dedup
+  const OwnedEventFrame joined({ev, ev});  // duplicate events dedup
+  const auto rows = tld_breakdown_columnar(joined.frame(), reg);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].tld, "nl");
   EXPECT_EQ(rows[0].affected_domains, 2u);

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "core/analysis.h"
+#include "core/columnar.h"
 #include "scenario/driver.h"
 
 namespace ddos::scenario {
@@ -105,7 +106,8 @@ TEST_F(PipelineTest, AnycastNeverSuffersSevereImpact) {
 }
 
 TEST_F(PipelineTest, CompleteFailuresAreUnicastSingleAsn) {
-  const auto attr = core::failure_attribution(result_->joined);
+  const auto attr = core::failure_attribution_columnar(
+      core::OwnedEventFrame(result_->joined).frame());
   if (attr.complete_failures > 0) {
     EXPECT_GT(attr.single_asn_share(), 0.5);
     EXPECT_GT(attr.unicast_share(), 0.5);
@@ -113,8 +115,8 @@ TEST_F(PipelineTest, CompleteFailuresAreUnicastSingleAsn) {
 }
 
 TEST_F(PipelineTest, IntensityDoesNotPredictImpact) {
-  const auto series =
-      core::intensity_impact_series(result_->joined, result_->darknet);
+  const auto series = core::intensity_impact_series_columnar(
+      core::OwnedEventFrame(result_->joined).frame(), result_->darknet);
   if (series.n() >= 20) {
     EXPECT_LT(std::abs(series.pearson), 0.5);  // Fig. 9's key takeaway
   }

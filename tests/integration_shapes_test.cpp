@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/analysis.h"
+#include "core/columnar.h"
 #include "scenario/driver.h"
 
 namespace ddos::scenario {
@@ -41,14 +42,16 @@ TEST_P(ShapeSweep, HeadlineShapesHold) {
 
   // Fig. 8 shape: a minority of events are impaired; a minority of those
   // severe.
-  const auto impacts = core::impact_summary(r.joined);
+  const core::OwnedEventFrame joined(r.joined);
+  const auto impacts = core::impact_summary_columnar(joined.frame());
   EXPECT_LT(impacts.impaired_share(), 0.25);
   if (impacts.impaired_10x > 0) {
     EXPECT_LT(impacts.severe_share_of_impaired(), 0.8);
   }
 
   // Fig. 9 shape: intensity does not predict impact.
-  const auto fig9 = core::intensity_impact_series(r.joined, r.darknet);
+  const auto fig9 =
+      core::intensity_impact_series_columnar(joined.frame(), r.darknet);
   if (fig9.n() >= 30) {
     EXPECT_LT(std::abs(fig9.pearson), 0.5);
   }
@@ -63,7 +66,7 @@ TEST_P(ShapeSweep, HeadlineShapesHold) {
   }
 
   // §6.3 shape: failures are a small minority and mostly timeouts.
-  const auto failures = core::failure_summary(r.joined);
+  const auto failures = core::failure_summary_columnar(joined.frame());
   EXPECT_LT(failures.failing_event_share(), 0.12);
   if (failures.timeouts + failures.servfails > 10) {
     EXPECT_GT(failures.timeout_share_of_failures(), 0.6);

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "core/analysis.h"
+#include "core/columnar.h"
 #include "reference_run.h"
 #include "scenario/driver.h"
 #include "store/format.h"
@@ -85,16 +86,18 @@ void expect_equivalent(const LongitudinalResult& streamed,
     EXPECT_EQ(ms[i].dns_ips, mm[i].dns_ips);
     EXPECT_EQ(ms[i].other_ips, mm[i].other_ips);
   }
-  const auto fs = core::failure_attribution(streamed.joined);
-  const auto fm = core::failure_attribution(reference.joined);
+  const core::OwnedEventFrame streamed_joined(streamed.joined);
+  const core::OwnedEventFrame reference_joined(reference.joined);
+  const auto fs = core::failure_attribution_columnar(streamed_joined.frame());
+  const auto fm = core::failure_attribution_columnar(reference_joined.frame());
   EXPECT_EQ(fs.complete_failures, fm.complete_failures);
   EXPECT_EQ(fs.single_asn, fm.single_asn);
   EXPECT_EQ(fs.single_prefix, fm.single_prefix);
   EXPECT_EQ(fs.unicast, fm.unicast);
-  const auto is = core::intensity_impact_series(streamed.joined,
-                                                streamed.darknet);
-  const auto im = core::intensity_impact_series(reference.joined,
-                                                reference.darknet);
+  const auto is = core::intensity_impact_series_columnar(
+      streamed_joined.frame(), streamed.darknet);
+  const auto im = core::intensity_impact_series_columnar(
+      reference_joined.frame(), reference.darknet);
   EXPECT_EQ(is.n(), im.n());
   EXPECT_EQ(is.pearson, im.pearson);
 }

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "core/impact.h"
 #include "openintel/storage.h"
 #include "scenario/driver.h"
@@ -68,9 +68,11 @@ TEST_F(ServeParityTest, RunHasEnoughStateToBeWorthServing) {
 // WindowScan over the full indexed range must reproduce the batch
 // headline statistics byte for byte.
 TEST_F(ServeParityTest, FullRangeWindowScanMatchesBatchSummaries) {
-  const core::ImpactSummary impacts = core::impact_summary(result_->joined);
+  const core::OwnedEventFrame joined(result_->joined);
+  const core::ImpactSummary impacts =
+      core::impact_summary_columnar(joined.frame());
   const core::FailureSummary failures =
-      core::failure_summary(result_->joined);
+      core::failure_summary_columnar(joined.frame());
 
   const WindowScanResult scan =
       engine_->window_scan(engine_->day_min(), engine_->day_max());

@@ -13,7 +13,7 @@
 #include <fstream>
 #include <string>
 
-#include "core/analysis.h"
+#include "core/columnar.h"
 #include "scenario/driver.h"
 #include "store/format.h"
 
@@ -133,17 +133,19 @@ TEST_F(StorePipelineTest, JoinedEventsRoundTripBitForBit) {
 }
 
 TEST_F(StorePipelineTest, HeadlineStatisticsMatch) {
-  const auto a = core::impact_summary(result_->joined);
-  const auto b = core::impact_summary(loaded_->joined);
+  const core::OwnedEventFrame run(result_->joined);
+  const core::OwnedEventFrame loaded(loaded_->joined);
+  const auto a = core::impact_summary_columnar(run.frame());
+  const auto b = core::impact_summary_columnar(loaded.frame());
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.impaired_share(), b.impaired_share());
   EXPECT_EQ(a.severe_share_of_impaired(), b.severe_share_of_impaired());
-  const auto fa = core::failure_summary(result_->joined);
-  const auto fb = core::failure_summary(loaded_->joined);
+  const auto fa = core::failure_summary_columnar(run.frame());
+  const auto fb = core::failure_summary_columnar(loaded.frame());
   EXPECT_EQ(fa.failing_event_share(), fb.failing_event_share());
   EXPECT_EQ(fa.timeout_share_of_failures(), fb.timeout_share_of_failures());
-  EXPECT_EQ(core::duration_impact_series(result_->joined).pearson,
-            core::duration_impact_series(loaded_->joined).pearson);
+  EXPECT_EQ(core::duration_impact_series_columnar(run.frame()).pearson,
+            core::duration_impact_series_columnar(loaded.frame()).pearson);
 }
 
 TEST_F(StorePipelineTest, RejoinReproducesStoredJoin) {

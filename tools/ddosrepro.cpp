@@ -76,12 +76,15 @@
 #include <iostream>
 #include <optional>
 #include <thread>
+#include <tuple>
 
-#include "core/analysis.h"
-#include "exec/pool.h"
+#include <sys/stat.h>
+
 #include "core/audit.h"
+#include "core/columnar.h"
 #include "core/export.h"
 #include "dns/zonefile.h"
+#include "exec/pool.h"
 #include "net/remote.h"
 #include "net/server.h"
 #include "obs/export_html.h"
@@ -161,10 +164,11 @@ int cmd_world(util::FlagParser& flags) {
   return 0;
 }
 
-// Shared value printer: `run` feeds it from the row kernels, `analyze
-// --store` from the columnar kernels. One formatting path is what makes
-// the two outputs byte-identical whenever the values agree (CI diffs
-// them).
+// Shared value printer: `run` and `analyze --events-csv` feed it through
+// print_analysis from a frame of their rows, `analyze --store` from the
+// values analyze_store computed over the stored frame. The kernels and
+// this one formatting path are shared, so the outputs are byte-identical
+// whenever the events agree (CI diffs them).
 void print_analysis_values(const core::ImpactSummary& impacts,
                            const core::FailureSummary& failures,
                            const core::CorrelationSeries& duration,
@@ -197,10 +201,12 @@ void print_analysis_values(const core::ImpactSummary& impacts,
 }
 
 void print_analysis(const std::vector<core::NssetAttackEvent>& events) {
-  print_analysis_values(core::impact_summary(events),
-                        core::failure_summary(events),
-                        core::duration_impact_series(events),
-                        core::impact_by_anycast(events));
+  const core::OwnedEventFrame owned(events);
+  const core::EventFrame& f = owned.frame();
+  print_analysis_values(core::impact_summary_columnar(f),
+                        core::failure_summary_columnar(f),
+                        core::duration_impact_series_columnar(f),
+                        core::impact_by_anycast_columnar(f));
 }
 
 // The one-line pipeline summary printed by both `run` and
@@ -641,6 +647,18 @@ int cmd_russia(util::FlagParser&) {
 volatile std::sig_atomic_t g_serve_stop = 0;
 void on_serve_signal(int) { g_serve_stop = 1; }
 
+// What `serve --refill` compares between polls: the file's device, inode,
+// size and mtime. A publish renames a new inode onto the path, and that
+// file may carry any mtime (touch -r, rsync -t, a copied-in store), so
+// the mtime alone misses it. Empty when stat() fails.
+using FileIdentity = std::tuple<dev_t, ino_t, off_t, time_t, long>;
+std::optional<FileIdentity> file_identity(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return FileIdentity{st.st_dev, st.st_ino, st.st_size, st.st_mtim.tv_sec,
+                      st.st_mtim.tv_nsec};
+}
+
 /// "host:port" -> (host, port). Port must be 0..65535; 0 means ephemeral.
 bool parse_host_port(const std::string& spec, std::string& host,
                      std::uint16_t& port, std::string& error) {
@@ -963,8 +981,7 @@ int cmd_serve(util::FlagParser& flags) {
     g_serve_stop = 0;
     std::signal(SIGINT, on_serve_signal);
     std::signal(SIGTERM, on_serve_signal);
-    std::error_code ec;
-    auto last_mtime = std::filesystem::last_write_time(store_path, ec);
+    std::optional<FileIdentity> last_identity = file_identity(store_path);
     std::uint64_t epoch = 0;
     const auto poll_interval = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(refill_s > 0.0 ? refill_s : 1.0));
@@ -973,9 +990,9 @@ int cmd_serve(util::FlagParser& flags) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       if (refill_s <= 0.0 || Clock::now() < next_poll) continue;
       next_poll = Clock::now() + poll_interval;
-      const auto mtime = std::filesystem::last_write_time(store_path, ec);
-      if (ec || mtime == last_mtime) continue;
-      last_mtime = mtime;
+      const std::optional<FileIdentity> identity = file_identity(store_path);
+      if (!identity || identity == last_identity) continue;
+      last_identity = identity;
       const Clock::time_point t0 = Clock::now();
       try {
         auto fresh = net::EngineHandle::load(store_path, ++epoch);
@@ -1229,9 +1246,10 @@ int main(int argc, char** argv) {
                    "percentiles; 0 = closed loop (serve --connect)",
                    0.0, 1e9);
   flags.add_double("refill", 0.0,
-                   "poll the DRS store's mtime every this-many seconds and "
-                   "atomically swap in a freshly built engine when it "
-                   "changes; 0 disables (serve --listen)",
+                   "poll the DRS store file every this-many seconds and "
+                   "atomically swap in a freshly built engine when its "
+                   "device, inode, size or mtime changes; 0 disables "
+                   "(serve --listen)",
                    0.0, 86400.0);
 
   if (!flags.parse(argc - 1, argv + 1)) {
