@@ -1,11 +1,9 @@
-// Micro-benchmarks of the DRS column decoders: the scalar reference
-// codecs (store/format.h decode_u64_column / decode_string_column, one
-// bounds-checked get_varint per row plus a per-row vector grow) against
-// the columnar scan layer's unrolled block decoders (store/scan.h
-// decode_varint_block / decode_delta_varint_block /
-// decode_string_offsets, which decode into a pre-sized buffer with a
-// fully unrolled LEB128 inner loop and SoA string offsets instead of
-// per-row std::string copies).
+// Micro-benchmarks of the DRS block decoders behind the scan layer
+// (store/scan.h decode_varint_block / decode_delta_varint_block /
+// decode_string_offsets, the store's one decoder): they decode into a
+// pre-sized buffer with a fully unrolled LEB128 inner loop, and strings
+// to SoA offsets instead of per-row std::string copies. Payloads are
+// encoded by the store/epoch.h appenders, the store's one encoder.
 //
 // Inputs are pipeline-shaped, not uniform-random:
 //
@@ -27,7 +25,7 @@
 #include <vector>
 
 #include "netsim/rng.h"
-#include "store/format.h"
+#include "store/epoch.h"
 #include "store/scan.h"
 
 using namespace ddos;
@@ -82,6 +80,13 @@ std::vector<std::string> org_names(std::size_t n, std::uint64_t seed) {
   return values;
 }
 
+// The column payload the store writes for `values`.
+template <typename Appender, typename Values>
+std::string encode(Appender appender, const Values& values) {
+  for (const auto& v : values) appender.append(v);
+  return appender.payload();
+}
+
 void set_throughput(benchmark::State& state, std::size_t rows,
                     std::size_t payload_bytes) {
   state.SetItemsProcessed(state.iterations() *
@@ -92,25 +97,11 @@ void set_throughput(benchmark::State& state, std::size_t rows,
 
 // ---- varint (tailed counts) -----------------------------------------
 
-void BM_VarintDecodeScalar(benchmark::State& state) {
-  const auto values =
-      tailed_values(static_cast<std::size_t>(state.range(0)), 1);
-  const std::string payload =
-      store::encode_u64_column(values, store::Encoding::Varint);
-  for (auto _ : state) {
-    const auto out = store::decode_u64_column(payload, store::Encoding::Varint,
-                                              values.size());
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_throughput(state, values.size(), payload.size());
-}
-BENCHMARK(BM_VarintDecodeScalar)->Arg(1 << 16)->Arg(1 << 20);
-
 void BM_VarintDecodeUnrolled(benchmark::State& state) {
   const auto values =
       tailed_values(static_cast<std::size_t>(state.range(0)), 1);
   const std::string payload =
-      store::encode_u64_column(values, store::Encoding::Varint);
+      encode(store::U64Appender(store::Encoding::Varint), values);
   std::vector<std::uint64_t> out;
   for (auto _ : state) {
     store::decode_varint_block(payload, values.size(), out);
@@ -122,23 +113,10 @@ BENCHMARK(BM_VarintDecodeUnrolled)->Arg(1 << 16)->Arg(1 << 20);
 
 // ---- delta-varint (sorted keys) -------------------------------------
 
-void BM_DeltaVarintDecodeScalar(benchmark::State& state) {
-  const auto values = sorted_keys(static_cast<std::size_t>(state.range(0)), 2);
-  const std::string payload =
-      store::encode_u64_column(values, store::Encoding::DeltaVarint);
-  for (auto _ : state) {
-    const auto out = store::decode_u64_column(
-        payload, store::Encoding::DeltaVarint, values.size());
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_throughput(state, values.size(), payload.size());
-}
-BENCHMARK(BM_DeltaVarintDecodeScalar)->Arg(1 << 16)->Arg(1 << 20);
-
 void BM_DeltaVarintDecodeUnrolled(benchmark::State& state) {
   const auto values = sorted_keys(static_cast<std::size_t>(state.range(0)), 2);
   const std::string payload =
-      store::encode_u64_column(values, store::Encoding::DeltaVarint);
+      encode(store::U64Appender(store::Encoding::DeltaVarint), values);
   std::vector<std::uint64_t> out;
   for (auto _ : state) {
     store::decode_delta_varint_block(payload, values.size(), out);
@@ -150,20 +128,9 @@ BENCHMARK(BM_DeltaVarintDecodeUnrolled)->Arg(1 << 16)->Arg(1 << 20);
 
 // ---- strings (org names) --------------------------------------------
 
-void BM_StringDecodeScalar(benchmark::State& state) {
-  const auto values = org_names(static_cast<std::size_t>(state.range(0)), 3);
-  const std::string payload = store::encode_string_column(values);
-  for (auto _ : state) {
-    const auto out = store::decode_string_column(payload, values.size());
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_throughput(state, values.size(), payload.size());
-}
-BENCHMARK(BM_StringDecodeScalar)->Arg(1 << 14)->Arg(1 << 18);
-
 void BM_StringDecodeOffsets(benchmark::State& state) {
   const auto values = org_names(static_cast<std::size_t>(state.range(0)), 3);
-  const std::string payload = store::encode_string_column(values);
+  const std::string payload = encode(store::StringAppender(), values);
   std::vector<std::uint64_t> starts;
   std::vector<std::uint64_t> lens;
   for (auto _ : state) {

@@ -83,6 +83,43 @@ OwnedEventFrame::OwnedEventFrame(const std::vector<NssetAttackEvent>& events) {
   f.org.lens = lens;
 }
 
+std::vector<NssetAttackEvent> events_from_frame(const EventFrame& f) {
+  std::vector<NssetAttackEvent> events(f.rows);
+  for (std::size_t i = 0; i < f.rows; ++i) {
+    NssetAttackEvent& e = events[i];
+    e.rsdos.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(f.victim[i]));
+    e.rsdos.start_window = static_cast<netsim::WindowIndex>(f.start_window[i]);
+    e.rsdos.end_window = static_cast<netsim::WindowIndex>(f.end_window[i]);
+    e.rsdos.max_ppm = f.max_ppm[i];
+    e.rsdos.total_packets = f.total_packets[i];
+    e.rsdos.max_slash16 = static_cast<std::uint32_t>(f.max_slash16[i]);
+    e.rsdos.protocol = static_cast<attack::Protocol>(f.protocol[i]);
+    e.rsdos.first_port = static_cast<std::uint16_t>(f.first_port[i]);
+    e.rsdos.max_unique_ports =
+        static_cast<std::uint16_t>(f.max_unique_ports[i]);
+    e.nsset = static_cast<dns::NssetId>(f.nsset[i]);
+    e.domains_hosted = f.domains_hosted[i];
+    e.domains_measured = static_cast<std::uint32_t>(f.domains_measured[i]);
+    e.baseline_rtt_ms = f.baseline_rtt_ms[i];
+    e.peak_impact = f.peak_impact[i];
+    e.mean_impact = f.mean_impact[i];
+    e.ok = static_cast<std::uint32_t>(f.ok[i]);
+    e.timeouts = static_cast<std::uint32_t>(f.timeouts[i]);
+    e.servfails = static_cast<std::uint32_t>(f.servfails[i]);
+    e.failure_rate = f.failure_rate[i];
+    e.resilience.anycast_class =
+        static_cast<anycast::AnycastClass>(f.anycast_class[i]);
+    e.resilience.distinct_asns = static_cast<std::uint32_t>(f.distinct_asns[i]);
+    e.resilience.distinct_slash24 =
+        static_cast<std::uint32_t>(f.distinct_slash24[i]);
+    e.resilience.nameserver_count =
+        static_cast<std::uint32_t>(f.nameserver_count[i]);
+    e.resilience.asn = static_cast<topology::Asn>(f.asn[i]);
+    e.resilience.org = f.org[i];
+  }
+  return events;
+}
+
 namespace {
 
 constexpr auto kUnicast =
@@ -456,40 +493,6 @@ std::vector<MonthlyJoinedRow> monthly_joined_summary_columnar(
     out.push_back(row);
   }
   return out;
-}
-
-bool frame_equals_events(const EventFrame& f,
-                         const std::vector<NssetAttackEvent>& events) {
-  if (f.rows != events.size()) return false;
-  for (std::size_t i = 0; i < f.rows; ++i) {
-    const NssetAttackEvent& e = events[i];
-    const bool same =
-        f.victim[i] == e.rsdos.victim.value() &&
-        f.start_window[i] ==
-            static_cast<std::uint64_t>(e.rsdos.start_window) &&
-        f.end_window[i] == static_cast<std::uint64_t>(e.rsdos.end_window) &&
-        f.max_ppm[i] == e.rsdos.max_ppm &&
-        f.total_packets[i] == e.rsdos.total_packets &&
-        f.max_slash16[i] == e.rsdos.max_slash16 &&
-        f.protocol[i] == static_cast<std::uint8_t>(e.rsdos.protocol) &&
-        f.first_port[i] == e.rsdos.first_port &&
-        f.max_unique_ports[i] == e.rsdos.max_unique_ports &&
-        f.nsset[i] == e.nsset && f.domains_hosted[i] == e.domains_hosted &&
-        f.domains_measured[i] == e.domains_measured &&
-        f.baseline_rtt_ms[i] == e.baseline_rtt_ms &&
-        f.peak_impact[i] == e.peak_impact &&
-        f.mean_impact[i] == e.mean_impact && f.ok[i] == e.ok &&
-        f.timeouts[i] == e.timeouts && f.servfails[i] == e.servfails &&
-        f.failure_rate[i] == e.failure_rate &&
-        f.anycast_class[i] ==
-            static_cast<std::uint8_t>(e.resilience.anycast_class) &&
-        f.distinct_asns[i] == e.resilience.distinct_asns &&
-        f.distinct_slash24[i] == e.resilience.distinct_slash24 &&
-        f.nameserver_count[i] == e.resilience.nameserver_count &&
-        f.asn[i] == e.resilience.asn && f.org[i] == e.resilience.org;
-    if (!same) return false;
-  }
-  return true;
 }
 
 }  // namespace ddos::core

@@ -47,7 +47,7 @@ struct StringColumnView {
 };
 
 /// Column spans of the joined NSSet-attack "events" dataset, in the
-/// store schema (store/dataset.cpp write_joined_events). All spans have
+/// store schema (store/dataset.h for_each_event_column). All spans have
 /// `rows` elements.
 struct EventFrame {
   std::size_t rows = 0;
@@ -91,8 +91,8 @@ struct EventFrame {
 
 /// An EventFrame over owned columns laid out from joined rows in the
 /// store schema — how an in-memory run presents its events to the
-/// kernels (frame_equals_events(frame(), rows) holds). Build it once per
-/// row set and pass frame() to every kernel.
+/// kernels, and how rows are written to a store. Build it once per row
+/// set and pass frame() to every kernel.
 class OwnedEventFrame {
  public:
   explicit OwnedEventFrame(const std::vector<NssetAttackEvent>& events);
@@ -110,6 +110,11 @@ class OwnedEventFrame {
   std::deque<std::vector<std::uint8_t>> u8_;
   std::string org_bytes_;
 };
+
+/// The joined rows of a frame — the inverse of OwnedEventFrame:
+/// events_from_frame(OwnedEventFrame(rows).frame()) == rows. load_run and
+/// merge_stores read stored events back as rows through it.
+std::vector<NssetAttackEvent> events_from_frame(const EventFrame& f);
 
 // ---------------------------------------------------- Fig 7 and §6.3.1
 
@@ -281,11 +286,5 @@ struct MonthlyJoinedRow {
 
 std::vector<MonthlyJoinedRow> monthly_joined_summary_columnar(
     const EventFrame& f);
-
-/// Field-exact comparison of a frame against materialized rows — the
-/// columnar form of the --rejoin bit-for-bit assertion (no stored-row
-/// materialization needed on the left side).
-bool frame_equals_events(const EventFrame& f,
-                         const std::vector<NssetAttackEvent>& events);
 
 }  // namespace ddos::core

@@ -21,7 +21,6 @@
 #include "store/reader.h"
 #include "store/scan.h"
 #include "store/writer.h"
-#include "util/strings.h"
 
 namespace ddos::scenario {
 
@@ -54,24 +53,6 @@ std::string meta_double(double v) {
   return buf;
 }
 
-std::uint64_t meta_u64(const store::Reader& reader, const std::string& key) {
-  std::uint64_t out = 0;
-  if (!util::parse_u64(reader.meta_value(key), out)) {
-    throw store::StoreError(reader.path() + ": meta key '" + key +
-                            "' is not an unsigned integer");
-  }
-  return out;
-}
-
-double meta_f64(const store::Reader& reader, const std::string& key) {
-  double out = 0.0;
-  if (!util::parse_double(reader.meta_value(key), out)) {
-    throw store::StoreError(reader.path() + ": meta key '" + key +
-                            "' is not a double");
-  }
-  return out;
-}
-
 void check_count(const store::Reader& reader, const std::string& what,
                  std::uint64_t stored, std::uint64_t got) {
   if (stored != got) {
@@ -91,7 +72,8 @@ std::uint64_t publish_store(store::Writer& writer,
                             const LongitudinalConfig& config, unsigned threads,
                             const LongitudinalResult& result,
                             std::uint64_t feed_rows, obs::ScopedSpan& span) {
-  store::write_joined_events(writer, result.joined);
+  store::write_joined_events(writer,
+                             core::OwnedEventFrame(result.joined).frame());
   writer.add_meta("format.tool", "ddosrepro");
 
   const WorldParams& w = config.world;
@@ -690,18 +672,18 @@ ShardRunResult run_shard(const LongitudinalConfig& config,
 telescope::InferenceParams stored_inference(const store::Reader& reader) {
   telescope::InferenceParams inf;
   inf.min_packets_per_window = static_cast<std::uint32_t>(
-      meta_u64(reader, "inference.min_packets_per_window"));
+      reader.meta_u64("inference.min_packets_per_window"));
   inf.min_distinct_slash16 = static_cast<std::uint32_t>(
-      meta_u64(reader, "inference.min_distinct_slash16"));
-  inf.min_ppm = meta_f64(reader, "inference.min_ppm");
+      reader.meta_u64("inference.min_distinct_slash16"));
+  inf.min_ppm = reader.meta_f64("inference.min_ppm");
   inf.max_gap_windows =
-      static_cast<std::uint32_t>(meta_u64(reader, "inference.max_gap_windows"));
+      static_cast<std::uint32_t>(reader.meta_u64("inference.max_gap_windows"));
   return inf;
 }
 
 void check_stored_count(const store::Reader& reader, const std::string& what,
                         const std::string& key, std::uint64_t decoded) {
-  check_count(reader, what, meta_u64(reader, key), decoded);
+  check_count(reader, what, reader.meta_u64(key), decoded);
 }
 
 StoredRun load_run(const std::string& path, bool use_mmap) {
@@ -717,56 +699,56 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   cfg.workload.model = cfg.model;
 
   WorldParams& w = cfg.world;
-  w.seed = meta_u64(reader, "world.seed");
+  w.seed = reader.meta_u64("world.seed");
   w.provider_count =
-      static_cast<std::uint32_t>(meta_u64(reader, "world.provider_count"));
+      static_cast<std::uint32_t>(reader.meta_u64("world.provider_count"));
   w.domain_count =
-      static_cast<std::uint32_t>(meta_u64(reader, "world.domain_count"));
-  w.size_exponent = meta_f64(reader, "world.size_exponent");
-  w.anycast_recall = meta_f64(reader, "world.anycast_recall");
+      static_cast<std::uint32_t>(reader.meta_u64("world.domain_count"));
+  w.size_exponent = reader.meta_f64("world.size_exponent");
+  w.anycast_recall = reader.meta_f64("world.anycast_recall");
   w.open_resolver_misconfigs = static_cast<std::uint32_t>(
-      meta_u64(reader, "world.open_resolver_misconfigs"));
-  w.single_ns_share = meta_f64(reader, "world.single_ns_share");
-  w.lame_ns_share = meta_f64(reader, "world.lame_ns_share");
-  w.capacity_base_pps = meta_f64(reader, "world.capacity_base_pps");
-  w.capacity_exponent = meta_f64(reader, "world.capacity_exponent");
-  w.legit_pps_per_domain = meta_f64(reader, "world.legit_pps_per_domain");
-  w.legit_pps_floor = meta_f64(reader, "world.legit_pps_floor");
+      reader.meta_u64("world.open_resolver_misconfigs"));
+  w.single_ns_share = reader.meta_f64("world.single_ns_share");
+  w.lame_ns_share = reader.meta_f64("world.lame_ns_share");
+  w.capacity_base_pps = reader.meta_f64("world.capacity_base_pps");
+  w.capacity_exponent = reader.meta_f64("world.capacity_exponent");
+  w.legit_pps_per_domain = reader.meta_f64("world.legit_pps_per_domain");
+  w.legit_pps_floor = reader.meta_f64("world.legit_pps_floor");
 
   LongitudinalParams& wl = cfg.workload;
-  wl.seed = meta_u64(reader, "workload.seed");
-  wl.scale = meta_f64(reader, "workload.scale");
-  wl.multivector_prob = meta_f64(reader, "workload.multivector_prob");
-  wl.victim_reuse_prob = meta_f64(reader, "workload.victim_reuse_prob");
+  wl.seed = reader.meta_u64("workload.seed");
+  wl.scale = reader.meta_f64("workload.scale");
+  wl.multivector_prob = reader.meta_f64("workload.multivector_prob");
+  wl.victim_reuse_prob = reader.meta_f64("workload.victim_reuse_prob");
   wl.dns_port_intensity_boost =
-      meta_f64(reader, "workload.dns_port_intensity_boost");
-  wl.scripted_cases = meta_u64(reader, "workload.scripted_cases") != 0;
+      reader.meta_f64("workload.dns_port_intensity_boost");
+  wl.scripted_cases = reader.meta_u64("workload.scripted_cases") != 0;
 
   cfg.inference = stored_inference(reader);
 
   core::JoinParams& jp = cfg.join;
   jp.min_measured_domains = static_cast<std::uint32_t>(
-      meta_u64(reader, "join.min_measured_domains"));
-  jp.match_slash24 = meta_u64(reader, "join.match_slash24") != 0;
-  jp.merge_concurrent = meta_u64(reader, "join.merge_concurrent") != 0;
+      reader.meta_u64("join.min_measured_domains"));
+  jp.match_slash24 = reader.meta_u64("join.match_slash24") != 0;
+  jp.merge_concurrent = reader.meta_u64("join.merge_concurrent") != 0;
 
-  cfg.sweep_seed = meta_u64(reader, "run.sweep_seed");
-  cfg.feed_seed = meta_u64(reader, "run.feed_seed");
-  run.threads = static_cast<unsigned>(meta_u64(reader, "run.threads"));
+  cfg.sweep_seed = reader.meta_u64("run.sweep_seed");
+  cfg.feed_seed = reader.meta_u64("run.feed_seed");
+  run.threads = static_cast<unsigned>(reader.meta_u64("run.threads"));
 
-  run.attacks = meta_u64(reader, "result.attacks");
-  run.swept_measurements = meta_u64(reader, "result.swept_measurements");
+  run.attacks = reader.meta_u64("result.attacks");
+  run.swept_measurements = reader.meta_u64("result.swept_measurements");
 
   core::JoinStats& js = run.join_stats;
-  js.total_events = meta_u64(reader, "stats.total_events");
-  js.open_resolver_filtered = meta_u64(reader, "stats.open_resolver_filtered");
-  js.non_dns = meta_u64(reader, "stats.non_dns");
-  js.not_seen_day_before = meta_u64(reader, "stats.not_seen_day_before");
+  js.total_events = reader.meta_u64("stats.total_events");
+  js.open_resolver_filtered = reader.meta_u64("stats.open_resolver_filtered");
+  js.non_dns = reader.meta_u64("stats.non_dns");
+  js.not_seen_day_before = reader.meta_u64("stats.not_seen_day_before");
   js.below_measurement_floor =
-      meta_u64(reader, "stats.below_measurement_floor");
-  js.no_baseline = meta_u64(reader, "stats.no_baseline");
-  js.joined = meta_u64(reader, "stats.joined");
-  js.dns_events = meta_u64(reader, "stats.dns_events");
+      reader.meta_u64("stats.below_measurement_floor");
+  js.no_baseline = reader.meta_u64("stats.no_baseline");
+  js.joined = reader.meta_u64("stats.joined");
+  js.dns_events = reader.meta_u64("stats.dns_events");
 
   // Every block checksum is verified up front so corruption fails loudly
   // before any analysis consumes decoded data. Verification is tracked
@@ -789,7 +771,9 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   store::read_measurements(reader, run.store);
   run.store.set_total_measurements(run.swept_measurements);
 
-  run.joined = store::read_joined_events(reader);
+  store::ColumnArena arena;
+  run.joined =
+      core::events_from_frame(store::read_event_frame(reader, arena));
   check_stored_count(reader, "joined event", "result.joined",
                      run.joined.size());
 
@@ -827,16 +811,6 @@ RejoinResult rejoin_from_store(const StoredRun& run) {
   return result;
 }
 
-bool rejoin_matches_store(const std::string& path, bool use_mmap,
-                          const StoredRun& run, const RejoinResult& rejoin) {
-  const store::Reader reader(
-      path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
-  store::ColumnArena arena;
-  const core::EventFrame frame = store::read_event_frame(reader, arena);
-  return core::frame_equals_events(frame, rejoin.joined) &&
-         rejoin.stats == run.join_stats;
-}
-
 StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   obs::Observer* observer = obs::Observer::installed();
   obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.scan");
@@ -845,21 +819,21 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
 
   StoreAnalysis a;
-  a.world_seed = meta_u64(reader, "world.seed");
+  a.world_seed = reader.meta_u64("world.seed");
   a.domain_count =
-      static_cast<std::uint32_t>(meta_u64(reader, "world.domain_count"));
+      static_cast<std::uint32_t>(reader.meta_u64("world.domain_count"));
   a.provider_count =
-      static_cast<std::uint32_t>(meta_u64(reader, "world.provider_count"));
-  a.workload_seed = meta_u64(reader, "workload.seed");
-  a.workload_scale = meta_f64(reader, "workload.scale");
-  a.sweep_seed = meta_u64(reader, "run.sweep_seed");
-  a.feed_seed = meta_u64(reader, "run.feed_seed");
-  a.threads = static_cast<unsigned>(meta_u64(reader, "run.threads"));
-  a.attacks = meta_u64(reader, "result.attacks");
-  a.feed_records = meta_u64(reader, "result.feed_records");
-  a.events = meta_u64(reader, "result.events");
-  a.joined = meta_u64(reader, "result.joined");
-  a.swept_measurements = meta_u64(reader, "result.swept_measurements");
+      static_cast<std::uint32_t>(reader.meta_u64("world.provider_count"));
+  a.workload_seed = reader.meta_u64("workload.seed");
+  a.workload_scale = reader.meta_f64("workload.scale");
+  a.sweep_seed = reader.meta_u64("run.sweep_seed");
+  a.feed_seed = reader.meta_u64("run.feed_seed");
+  a.threads = static_cast<unsigned>(reader.meta_u64("run.threads"));
+  a.attacks = reader.meta_u64("result.attacks");
+  a.feed_records = reader.meta_u64("result.feed_records");
+  a.events = reader.meta_u64("result.events");
+  a.joined = reader.meta_u64("result.joined");
+  a.swept_measurements = reader.meta_u64("result.swept_measurements");
   a.file_bytes = reader.file_size();
   a.mapped = reader.mapped();
 

@@ -205,19 +205,13 @@ void check_stored_count(const store::Reader& reader, const std::string& what,
 /// Re-run the join stage from a loaded store: the world is rebuilt from
 /// the stored provenance (deterministic in the seed) and the join reads
 /// the stored aggregates — no sweep. The result must equal `run.joined`
-/// bit-for-bit; callers assert that.
+/// and `run.join_stats` bit-for-bit (operator== over every field);
+/// callers assert that.
 struct RejoinResult {
   std::vector<core::NssetAttackEvent> joined;
   core::JoinStats stats;
 };
 RejoinResult rejoin_from_store(const StoredRun& run);
-
-/// Field-exact comparison of a rejoin result against the stored events
-/// *columns* (core::frame_equals_events over a fresh scan) plus the
-/// stored join stats — the columnar form of the --rejoin bit-for-bit
-/// assertion; the stored rows are never materialized for the check.
-bool rejoin_matches_store(const std::string& path, bool use_mmap,
-                          const StoredRun& run, const RejoinResult& rejoin);
 
 // ---- columnar analyze pass (store/scan.h + core/columnar.h).
 //

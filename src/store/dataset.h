@@ -9,17 +9,21 @@
 //               with their full Welford RTT state, plus the seen-NS sets
 //               driving the previous-day join;
 //   "events"  — the joined NSSet-attack events (core::NssetAttackEvent),
-//               every field, lossless (unlike the events CSV).
+//               every field, lossless (unlike the events CSV); its one
+//               column list is for_each_event_column below.
 //
 // Id/timestamp columns are delta+varint encoded (sorted keys compress to
 // ~1 byte per row); counts are varints; RTT/impact columns are raw f64
-// bit patterns so round trips are bit-exact. Readers fan block decoding
-// out across the exec worker pool and throw store::StoreError on any
-// checksum or schema defect.
+// bit patterns so round trips are bit-exact. Writers encode one column
+// at a time through the store/epoch.h appenders; readers decode through
+// store/scan.h, fan block decoding out across the exec worker pool and
+// throw store::StoreError on any checksum or schema defect.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "core/columnar.h"
 #include "core/join.h"
 #include "openintel/storage.h"
 #include "store/reader.h"
@@ -40,8 +44,44 @@ void write_measurements(Writer& writer,
 void read_measurements(const Reader& reader,
                        openintel::MeasurementStore& store);
 
-void write_joined_events(Writer& writer,
-                         const std::vector<core::NssetAttackEvent>& events);
-std::vector<core::NssetAttackEvent> read_joined_events(const Reader& reader);
+/// The "events" dataset schema: calls visit(column, encoding, span) for
+/// each column of `frame` in block order. The span's type is the column's
+/// type (u64, f64, u8 or the org string column). The events writer and
+/// read_event_frame (store/scan.h) both walk this list.
+template <typename Frame, typename Visit>
+void for_each_event_column(Frame& frame, Visit&& visit) {
+  // telescope event
+  visit("victim", Encoding::Varint, frame.victim);
+  visit("start_window", Encoding::DeltaVarint, frame.start_window);
+  visit("end_window", Encoding::DeltaVarint, frame.end_window);
+  visit("max_ppm", Encoding::Fixed, frame.max_ppm);
+  visit("total_packets", Encoding::Varint, frame.total_packets);
+  visit("max_slash16", Encoding::Varint, frame.max_slash16);
+  visit("protocol", Encoding::Fixed, frame.protocol);
+  visit("first_port", Encoding::Varint, frame.first_port);
+  visit("max_unique_ports", Encoding::Varint, frame.max_unique_ports);
+  // join outcome
+  visit("nsset", Encoding::Varint, frame.nsset);
+  visit("domains_hosted", Encoding::Varint, frame.domains_hosted);
+  visit("domains_measured", Encoding::Varint, frame.domains_measured);
+  visit("baseline_rtt_ms", Encoding::Fixed, frame.baseline_rtt_ms);
+  visit("peak_impact", Encoding::Fixed, frame.peak_impact);
+  visit("mean_impact", Encoding::Fixed, frame.mean_impact);
+  visit("ok", Encoding::Varint, frame.ok);
+  visit("timeouts", Encoding::Varint, frame.timeouts);
+  visit("servfails", Encoding::Varint, frame.servfails);
+  visit("failure_rate", Encoding::Fixed, frame.failure_rate);
+  // resilience profile
+  visit("anycast_class", Encoding::Fixed, frame.anycast_class);
+  visit("distinct_asns", Encoding::Varint, frame.distinct_asns);
+  visit("distinct_slash24", Encoding::Varint, frame.distinct_slash24);
+  visit("nameserver_count", Encoding::Varint, frame.nameserver_count);
+  visit("asn", Encoding::Varint, frame.asn);
+  visit("org", Encoding::StringBlock, frame.org);
+}
+
+/// Row holders pass core::OwnedEventFrame(rows).frame(); a stored run
+/// reads back with core::events_from_frame(read_event_frame(...)).
+void write_joined_events(Writer& writer, const core::EventFrame& events);
 
 }  // namespace ddos::store

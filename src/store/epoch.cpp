@@ -1,31 +1,11 @@
 #include "store/epoch.h"
 
-#include <bit>
-
 namespace ddos::store {
 
-void U64Appender::append(std::uint64_t v) {
-  switch (encoding_) {
-    case Encoding::DeltaVarint:
-      put_varint(payload_,
-                 zigzag_encode(static_cast<std::int64_t>(v - prev_)));
-      prev_ = v;
-      break;
-    case Encoding::Varint:
-      put_varint(payload_, v);
-      break;
-    case Encoding::Fixed:
-      put_fixed64(payload_, v);
-      break;
-    case Encoding::StringBlock:
-      throw StoreError("u64 column cannot use string-block encoding");
-  }
-  ++rows_;
-}
-
-void F64Appender::append(double v) {
-  put_fixed64(payload_, std::bit_cast<std::uint64_t>(v));
-  ++rows_;
+U64Appender::U64Appender(Encoding encoding)
+    : BlockAppender(ColumnType::U64, encoding) {
+  if (encoding == Encoding::StringBlock)
+    throw StoreError("u64 column cannot use string-block encoding");
 }
 
 void FeedColumnsAppender::append(const telescope::RSDoSRecord& record) {

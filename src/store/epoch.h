@@ -1,14 +1,13 @@
-// Per-epoch incremental column encoders for the streaming pipeline. The
-// materialized save path (dataset.cpp) encodes each column from a complete
-// in-memory vector; the streaming driver instead retires one day-epoch at
-// a time and must release that state immediately. These appenders keep
-// only the growing encoded payload per column — DeltaVarint carries its
-// `prev` across append calls, so feeding the same values in the same order
-// chunk-by-chunk produces byte-identical payloads to the one-shot
-// encode_u64_column/encode_f64_column, which is what keeps a streamed DRS
-// file bit-for-bit equal to a materialized one.
+// Column encoders: one appender per (type, encoding), the only code that
+// writes DRS block payloads. Writer::add_* feeds a whole column through
+// one; the streaming executor feeds one day-epoch at a time and keeps only
+// the growing encoded payload. DeltaVarint carries its `prev` across
+// append calls, so feeding the same values in the same order, whole or
+// chunk by chunk, produces the same bytes — which is what keeps a streamed
+// DRS file bit-for-bit equal to save_run's.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -20,71 +19,110 @@
 
 namespace ddos::store {
 
-/// Incrementally builds one u64 column payload (DeltaVarint or Varint).
-class U64Appender {
+/// One column payload under construction: the encoded bytes so far and
+/// their row count.
+class BlockAppender {
  public:
-  explicit U64Appender(Encoding encoding = Encoding::DeltaVarint)
-      : encoding_(encoding) {}
-
-  void append(std::uint64_t v);
-
   void flush_to(Writer& writer, std::string_view dataset,
                 std::string_view column) const {
-    writer.add_encoded(dataset, column, ColumnType::U64, encoding_, rows_,
-                       payload_);
+    writer.add_encoded(dataset, column, type_, encoding_, rows_, payload_);
   }
 
   std::uint64_t rows() const { return rows_; }
+  const std::string& payload() const { return payload_; }
 
- private:
+ protected:
+  BlockAppender(ColumnType type, Encoding encoding)
+      : type_(type), encoding_(encoding) {}
+
+  ColumnType type_;
   Encoding encoding_;
   std::string payload_;
   std::uint64_t rows_ = 0;
+};
+
+/// u64 column: DeltaVarint, Varint or Fixed.
+class U64Appender : public BlockAppender {
+ public:
+  explicit U64Appender(Encoding encoding = Encoding::DeltaVarint);
+
+  /// Room for `rows` more values at ~2 bytes each (1-2 byte varints are
+  /// the common case; Fixed grows past it).
+  void reserve(std::size_t rows) {
+    payload_.reserve(payload_.size() + rows * 2);
+  }
+
+  void append(std::uint64_t v) {
+    if (encoding_ == Encoding::DeltaVarint) {
+      // Deltas wrap mod 2^64; zigzag keeps small negative steps short.
+      put_varint(payload_,
+                 zigzag_encode(static_cast<std::int64_t>(v - prev_)));
+      prev_ = v;
+    } else if (encoding_ == Encoding::Varint) {
+      put_varint(payload_, v);
+    } else {
+      put_fixed64(payload_, v);
+    }
+    ++rows_;
+  }
+
+ private:
   std::uint64_t prev_ = 0;  // DeltaVarint carry across appends
 };
 
-/// Incrementally builds one f64 column payload (Fixed, bit-exact).
-class F64Appender {
+/// f64 column: Fixed little-endian bit patterns, bit-exact.
+class F64Appender : public BlockAppender {
  public:
-  void append(double v);
+  F64Appender() : BlockAppender(ColumnType::F64, Encoding::Fixed) {}
 
-  void flush_to(Writer& writer, std::string_view dataset,
-                std::string_view column) const {
-    writer.add_encoded(dataset, column, ColumnType::F64, Encoding::Fixed,
-                       rows_, payload_);
+  void reserve(std::size_t rows) {
+    payload_.reserve(payload_.size() + rows * 8);
   }
-
-  std::uint64_t rows() const { return rows_; }
-
- private:
-  std::string payload_;
-  std::uint64_t rows_ = 0;
+  void append(double v) {
+    put_fixed64(payload_, std::bit_cast<std::uint64_t>(v));
+    ++rows_;
+  }
 };
 
-/// Incrementally builds one u8 column payload (Fixed: raw bytes, exactly
-/// encode_u8_column's layout).
-class U8Appender {
+/// u8 column: Fixed raw bytes.
+class U8Appender : public BlockAppender {
  public:
+  U8Appender() : BlockAppender(ColumnType::U8, Encoding::Fixed) {}
+
+  void reserve(std::size_t rows) { payload_.reserve(payload_.size() + rows); }
   void append(std::uint8_t v) {
     payload_.push_back(static_cast<char>(v));
     ++rows_;
   }
-
-  void flush_to(Writer& writer, std::string_view dataset,
-                std::string_view column) const {
-    writer.add_encoded(dataset, column, ColumnType::U8, Encoding::Fixed,
-                       rows_, payload_);
-  }
-
-  std::uint64_t rows() const { return rows_; }
-
- private:
-  std::string payload_;
-  std::uint64_t rows_ = 0;
 };
 
+/// String column: StringBlock, a varint length then the bytes per row.
+class StringAppender : public BlockAppender {
+ public:
+  StringAppender() : BlockAppender(ColumnType::Str, Encoding::StringBlock) {}
+
+  /// Room for `rows` more length prefixes (the bytes grow as they come).
+  void reserve(std::size_t rows) { payload_.reserve(payload_.size() + rows); }
+  void append(std::string_view s) {
+    put_string(payload_, s);
+    ++rows_;
+  }
+};
+
+/// Encode one whole column through `appender`, get(row) giving each row's
+/// value, and add it to `writer` as one block. Only the column's payload
+/// is built, never a column vector of the values.
+template <typename Appender, typename Rows, typename Get>
+void write_column(Writer& writer, std::string_view dataset,
+                  std::string_view column, Appender appender,
+                  const Rows& rows, Get get) {
+  appender.reserve(std::size(rows));
+  for (const auto& row : rows) appender.append(get(row));
+  appender.flush_to(writer, dataset, column);
+}
+
 /// The 8 columns of the "feed" dataset, append-per-record. flush_to emits
-/// blocks in exactly the column order of dataset.cpp's write_feed_records,
+/// blocks in exactly the column order of write_feed_records (dataset.h),
 /// so a streamed store keeps save_run's block layout byte for byte while
 /// the record vector itself is never materialised.
 class FeedColumnsAppender {
@@ -107,7 +145,7 @@ class FeedColumnsAppender {
 
 /// The 11 columns of one aggregate dataset ("daily" or "window"),
 /// append-per-row. flush_to emits blocks in exactly the column order of
-/// dataset.cpp's write_aggregates.
+/// write_measurements (dataset.h).
 class AggregateColumnsAppender {
  public:
   explicit AggregateColumnsAppender(std::string dataset)

@@ -1,7 +1,5 @@
 #include "store/format.h"
 
-#include <bit>
-
 namespace ddos::store {
 
 const char* to_string(ColumnType t) {
@@ -83,131 +81,11 @@ void put_string(std::string& out, std::string_view s) {
 bool get_string(std::string_view buf, std::size_t& pos, std::string& s) {
   std::uint64_t len = 0;
   if (!get_varint(buf, pos, len)) return false;
-  if (pos + len > buf.size()) return false;
+  // pos <= size here; `pos + len` could wrap for a hostile length.
+  if (len > buf.size() - pos) return false;
   s.assign(buf.substr(pos, len));
   pos += len;
   return true;
-}
-
-std::string encode_u64_column(std::span<const std::uint64_t> values,
-                              Encoding encoding) {
-  std::string payload;
-  payload.reserve(values.size() * 2);
-  switch (encoding) {
-    case Encoding::DeltaVarint: {
-      std::uint64_t prev = 0;
-      for (const std::uint64_t v : values) {
-        // Deltas wrap mod 2^64; zigzag keeps small negative steps short.
-        put_varint(payload,
-                   zigzag_encode(static_cast<std::int64_t>(v - prev)));
-        prev = v;
-      }
-      break;
-    }
-    case Encoding::Varint:
-      for (const std::uint64_t v : values) put_varint(payload, v);
-      break;
-    case Encoding::Fixed:
-      for (const std::uint64_t v : values) put_fixed64(payload, v);
-      break;
-    case Encoding::StringBlock:
-      throw StoreError("u64 column cannot use string-block encoding");
-  }
-  return payload;
-}
-
-std::vector<std::uint64_t> decode_u64_column(std::string_view payload,
-                                             Encoding encoding,
-                                             std::uint64_t rows) {
-  std::vector<std::uint64_t> values;
-  values.reserve(rows);
-  std::size_t pos = 0;
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::uint64_t v = 0;
-    switch (encoding) {
-      case Encoding::DeltaVarint: {
-        std::uint64_t zz = 0;
-        if (!get_varint(payload, pos, zz))
-          throw StoreError("truncated delta-varint block");
-        prev += static_cast<std::uint64_t>(zigzag_decode(zz));
-        v = prev;
-        break;
-      }
-      case Encoding::Varint:
-        if (!get_varint(payload, pos, v))
-          throw StoreError("truncated varint block");
-        break;
-      case Encoding::Fixed:
-        if (!get_fixed64(payload, pos, v))
-          throw StoreError("truncated fixed64 block");
-        break;
-      case Encoding::StringBlock:
-        throw StoreError("u64 column cannot use string-block encoding");
-    }
-    values.push_back(v);
-  }
-  if (pos != payload.size())
-    throw StoreError("trailing bytes after u64 block");
-  return values;
-}
-
-std::string encode_f64_column(std::span<const double> values) {
-  std::string payload;
-  payload.reserve(values.size() * 8);
-  for (const double v : values)
-    put_fixed64(payload, std::bit_cast<std::uint64_t>(v));
-  return payload;
-}
-
-std::vector<double> decode_f64_column(std::string_view payload,
-                                      std::uint64_t rows) {
-  if (payload.size() != rows * 8)
-    throw StoreError("f64 block size does not match row count");
-  std::vector<double> values;
-  values.reserve(rows);
-  std::size_t pos = 0;
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::uint64_t bits = 0;
-    get_fixed64(payload, pos, bits);
-    values.push_back(std::bit_cast<double>(bits));
-  }
-  return values;
-}
-
-std::string encode_u8_column(std::span<const std::uint8_t> values) {
-  if (values.empty()) return {};
-  return std::string(reinterpret_cast<const char*>(values.data()),
-                     values.size());
-}
-
-std::vector<std::uint8_t> decode_u8_column(std::string_view payload,
-                                           std::uint64_t rows) {
-  if (payload.size() != rows)
-    throw StoreError("u8 block size does not match row count");
-  return std::vector<std::uint8_t>(payload.begin(), payload.end());
-}
-
-std::string encode_string_column(std::span<const std::string> values) {
-  std::string payload;
-  for (const std::string& s : values) put_string(payload, s);
-  return payload;
-}
-
-std::vector<std::string> decode_string_column(std::string_view payload,
-                                              std::uint64_t rows) {
-  std::vector<std::string> values;
-  values.reserve(rows);
-  std::size_t pos = 0;
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string s;
-    if (!get_string(payload, pos, s))
-      throw StoreError("truncated string block");
-    values.push_back(std::move(s));
-  }
-  if (pos != payload.size())
-    throw StoreError("trailing bytes after string block");
-  return values;
 }
 
 }  // namespace ddos::store

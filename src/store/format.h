@@ -13,7 +13,11 @@
 //
 // A reader seeks to the trailer, validates magic + footer checksum, and
 // has O(1) access to any column's block from the footer index. Every
-// block carries its own CRC32C, validated on read. Encodings:
+// block carries its own CRC32C, validated on read. Each encoding has one
+// encoder, the appenders of store/epoch.h (Writer::add_* and the
+// streaming executor both use them), and one decoder, the block decoders
+// of store/scan.h behind scan_u64/scan_f64/scan_u8/scan_strings.
+// Encodings:
 //
 //   DeltaVarint  u64 values as zigzag(value - previous) LEB128 varints
 //                (timestamps, window indices, sorted keys/ids);
@@ -24,11 +28,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ddos::store {
 
@@ -97,26 +99,5 @@ void put_fixed64(std::string& out, std::uint64_t v);
 bool get_fixed64(std::string_view buf, std::size_t& pos, std::uint64_t& v);
 void put_string(std::string& out, std::string_view s);
 bool get_string(std::string_view buf, std::size_t& pos, std::string& s);
-
-// ---- column codecs. Encoders produce a payload; decoders throw
-//      StoreError on malformed payloads or row-count mismatches.
-
-std::string encode_u64_column(std::span<const std::uint64_t> values,
-                              Encoding encoding);
-std::vector<std::uint64_t> decode_u64_column(std::string_view payload,
-                                             Encoding encoding,
-                                             std::uint64_t rows);
-
-std::string encode_f64_column(std::span<const double> values);
-std::vector<double> decode_f64_column(std::string_view payload,
-                                      std::uint64_t rows);
-
-std::string encode_u8_column(std::span<const std::uint8_t> values);
-std::vector<std::uint8_t> decode_u8_column(std::string_view payload,
-                                           std::uint64_t rows);
-
-std::string encode_string_column(std::span<const std::string> values);
-std::vector<std::string> decode_string_column(std::string_view payload,
-                                              std::uint64_t rows);
 
 }  // namespace ddos::store

@@ -8,26 +8,18 @@
 #include <string_view>
 #include <utility>
 
+#include "core/columnar.h"
 #include "core/join.h"
 #include "obs/obs.h"
 #include "store/dataset.h"
 #include "store/epoch.h"
 #include "store/reader.h"
+#include "store/scan.h"
 #include "store/writer.h"
-#include "util/strings.h"
 
 namespace ddos::store {
 
 namespace {
-
-std::uint64_t meta_u64(const Reader& reader, std::string_view key) {
-  std::uint64_t out = 0;
-  if (!util::parse_u64(reader.meta_value(key), out)) {
-    throw StoreError(reader.path() + ": meta key '" + std::string(key) +
-                     "' is not an unsigned integer");
-  }
-  return out;
-}
 
 bool has_prefix(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
@@ -51,16 +43,57 @@ bool is_time_major_key(const ColumnDesc& desc) {
          (desc.dataset == "ns_seen" && desc.column == "day");
 }
 
-// Generic column path: decode every shard's block in parallel, validate
-// type/encoding agreement, then replay the values in shard order through
-// the matching epoch appender — whose chunk-wise appends produce payloads
-// byte-identical to the one-shot encode of the concatenated vector that
-// save_run would have written.
+// Generic column path: scan every shard's block in parallel, each into
+// its own short-lived arena (one column per shard resident at a time),
+// then replay the values in shard order through the column's appender —
+// whose chunk-wise appends produce payloads byte-identical to the
+// one-shot encode of the concatenated column that save_run would have
+// written. `appender` and `scan` fix the column type.
+template <typename Appender, typename Scan>
+std::uint64_t merge_values(Writer& writer,
+                           const std::vector<const Reader*>& shards,
+                           const ColumnDesc& desc, Appender appender,
+                           Scan scan,
+                           std::atomic<std::uint64_t>* columns_done) {
+  const std::size_t n = shards.size();
+  std::vector<ColumnArena> arenas(n);
+  std::vector<decltype(scan(*shards[0], desc, arenas[0]))> values(n);
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs.push_back([&, i] {
+      values[i] = scan(*shards[i],
+                       shards[i]->column(desc.dataset, desc.column),
+                       arenas[i]);
+    });
+  }
+  Reader::parallel_decode(jobs);
+  if (is_time_major_key(desc)) {
+    std::size_t prev = n;  // last non-empty shard so far
+    for (std::size_t i = 0; i < n; ++i) {
+      if (values[i].empty()) continue;
+      if (prev != n && values[i].front() <= values[prev].back()) {
+        throw StoreError(shards[i]->path() + ": '" + desc.dataset + "." +
+                         desc.column +
+                         "' overlaps the preceding shard's range — "
+                         "shard day ranges must be disjoint and "
+                         "ascending by shard index");
+      }
+      prev = i;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto v : values[i]) appender.append(v);
+    if (columns_done) columns_done[i].fetch_add(1, std::memory_order_relaxed);
+  }
+  appender.flush_to(writer, desc.dataset, desc.column);
+  return appender.rows();
+}
+
 std::uint64_t merge_column(Writer& writer,
                            const std::vector<const Reader*>& shards,
                            const ColumnDesc& desc,
                            std::atomic<std::uint64_t>* columns_done) {
-  const std::size_t n = shards.size();
   for (const Reader* shard : shards) {
     const ColumnDesc& d = shard->column(desc.dataset, desc.column);
     if (d.type != desc.type || d.encoding != desc.encoding) {
@@ -70,95 +103,28 @@ std::uint64_t merge_column(Writer& writer,
                        " — shards were written by different builds?");
     }
   }
-
-  std::uint64_t rows = 0;
   switch (desc.type) {
-    case ColumnType::U64: {
-      std::vector<std::vector<std::uint64_t>> decoded(n);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        jobs.push_back([&decoded, &shards, &desc, i] {
-          decoded[i] = shards[i]->read_u64(desc.dataset, desc.column);
-        });
-      }
-      Reader::parallel_decode(jobs);
-      if (is_time_major_key(desc)) {
-        const std::uint64_t* prev_last = nullptr;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (decoded[i].empty()) continue;
-          if (prev_last != nullptr && decoded[i].front() <= *prev_last) {
-            throw StoreError(shards[i]->path() + ": '" + desc.dataset + "." +
-                             desc.column +
-                             "' overlaps the preceding shard's range — "
-                             "shard day ranges must be disjoint and "
-                             "ascending by shard index");
-          }
-          prev_last = &decoded[i].back();
-        }
-      }
-      U64Appender appender(desc.encoding);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (const std::uint64_t v : decoded[i]) appender.append(v);
-        if (columns_done) {
-          columns_done[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      rows = appender.rows();
-      appender.flush_to(writer, desc.dataset, desc.column);
-      break;
-    }
-    case ColumnType::F64: {
-      std::vector<std::vector<double>> decoded(n);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        jobs.push_back([&decoded, &shards, &desc, i] {
-          decoded[i] = shards[i]->read_f64(desc.dataset, desc.column);
-        });
-      }
-      Reader::parallel_decode(jobs);
-      F64Appender appender;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (const double v : decoded[i]) appender.append(v);
-        if (columns_done) {
-          columns_done[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      rows = appender.rows();
-      appender.flush_to(writer, desc.dataset, desc.column);
-      break;
-    }
-    case ColumnType::U8: {
-      std::vector<std::vector<std::uint8_t>> decoded(n);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        jobs.push_back([&decoded, &shards, &desc, i] {
-          decoded[i] = shards[i]->read_u8(desc.dataset, desc.column);
-        });
-      }
-      Reader::parallel_decode(jobs);
-      U8Appender appender;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (const std::uint8_t v : decoded[i]) appender.append(v);
-        if (columns_done) {
-          columns_done[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      rows = appender.rows();
-      appender.flush_to(writer, desc.dataset, desc.column);
-      break;
-    }
-    case ColumnType::Str:
+    case ColumnType::U64:
+      return merge_values(writer, shards, desc, U64Appender(desc.encoding),
+                          scan_u64, columns_done);
+    case ColumnType::F64:
+      return merge_values(writer, shards, desc, F64Appender(), scan_f64,
+                          columns_done);
+    case ColumnType::U8:
+      return merge_values(
+          writer, shards, desc, U8Appender(),
+          [](const Reader& r, const ColumnDesc& d, ColumnArena&) {
+            return scan_u8(r, d);
+          },
+          columns_done);
+    default:
       // Only the events dataset carries strings, and events take the
       // row-merge path below — a Str column here means a layout the
       // merger does not understand.
-      throw StoreError(shards[0]->path() + ": unexpected string column '" +
-                       desc.dataset + "." + desc.column +
-                       "' outside the events dataset");
+      throw StoreError(shards[0]->path() + ": unexpected " +
+                       to_string(desc.type) + " column '" + desc.dataset +
+                       "." + desc.column + "' outside the events dataset");
   }
-  return rows;
 }
 
 // Events path: rows must interleave across shards, not concatenate. Each
@@ -176,13 +142,16 @@ std::uint64_t merge_events(Writer& writer,
   std::vector<std::vector<core::NssetAttackEvent>> rows(n);
   std::vector<std::vector<std::uint64_t>> src(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!shards[i]->has_column("shard", "src_event")) {
-      throw StoreError(shards[i]->path() +
+    const Reader& shard = *shards[i];
+    if (!shard.has_column("shard", "src_event")) {
+      throw StoreError(shard.path() +
                        ": missing shard.src_event column — not a shard "
                        "store written by generate --shard?");
     }
-    rows[i] = read_joined_events(*shards[i]);
-    src[i] = shards[i]->read_u64("shard", "src_event");
+    ColumnArena arena;
+    rows[i] = core::events_from_frame(read_event_frame(shard, arena));
+    const auto s = scan_u64(shard, shard.column("shard", "src_event"), arena);
+    src[i].assign(s.begin(), s.end());
     if (rows[i].size() != src[i].size()) {
       throw StoreError(shards[i]->path() + ": shard.src_event has " +
                        std::to_string(src[i].size()) +
@@ -217,7 +186,7 @@ std::uint64_t merge_events(Writer& writer,
   if (merge_concurrent) {
     merged = core::merge_concurrent_events(std::move(merged));
   }
-  write_joined_events(writer, merged);
+  write_joined_events(writer, core::OwnedEventFrame(merged).frame());
   return merged.size();
 }
 
@@ -248,8 +217,8 @@ MergeStats merge_stores(const std::string& out_path,
                        "manifest; shard stores come from generate --shard "
                        "i/N)");
     }
-    const std::uint64_t index = meta_u64(*reader, "shard.index");
-    const std::uint64_t n = meta_u64(*reader, "shard.count");
+    const std::uint64_t index = reader->meta_u64("shard.index");
+    const std::uint64_t n = reader->meta_u64("shard.count");
     if (n != count) {
       throw StoreError(reader->path() + ": shard count mismatch — store is "
                        "shard " +
@@ -303,9 +272,9 @@ MergeStats merge_stores(const std::string& out_path,
   // ---- recomputed result/stat counts: whole-world counts must agree
   // across shards, per-shard dispositions sum.
   const auto equal_across = [&](std::string_view key) {
-    const std::uint64_t v = meta_u64(first, key);
+    const std::uint64_t v = first.meta_u64(key);
     for (std::uint32_t s = 1; s < count; ++s) {
-      if (meta_u64(*shards[s], key) != v) {
+      if (shards[s]->meta_u64(key) != v) {
         throw StoreError("merge provenance mismatch on '" + std::string(key) +
                          "': " + first.path() + " and " + shards[s]->path() +
                          " disagree — shards must come from one generate "
@@ -316,7 +285,7 @@ MergeStats merge_stores(const std::string& out_path,
   };
   const auto summed = [&](std::string_view key) {
     std::uint64_t v = 0;
-    for (const Reader* shard : shards) v += meta_u64(*shard, key);
+    for (const Reader* shard : shards) v += shard->meta_u64(key);
     return v;
   };
 
@@ -391,7 +360,7 @@ MergeStats merge_stores(const std::string& out_path,
   // ---- column merge in shard 0's block order == save_run's block order
   // (feed, daily, window, ns_seen, events), with the manifest dataset
   // dropped and the events dataset row-merged as one unit.
-  const bool merge_concurrent = meta_u64(first, "join.merge_concurrent") != 0;
+  const bool merge_concurrent = first.meta_u64("join.merge_concurrent") != 0;
   bool events_merged = false;
   for (const ColumnDesc& desc : first.columns()) {
     if (desc.dataset == "shard") continue;  // manifest column, not data

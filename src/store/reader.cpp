@@ -11,6 +11,7 @@
 #include "exec/parallel.h"
 #include "obs/obs.h"
 #include "store/checksum.h"
+#include "util/strings.h"
 
 namespace ddos::store {
 
@@ -135,7 +136,10 @@ void Reader::parse(std::string_view data) {
       fail(path, "malformed footer column index");
     if (!get_fixed32(footer, fpos, c.crc))
       fail(path, "malformed footer column index");
-    if (c.offset < kHeaderSize || c.offset + c.size > footer_begin)
+    // Subtraction, not `offset + size`: both are untrusted and the sum
+    // can wrap past the check.
+    if (c.offset < kHeaderSize || c.offset > footer_begin ||
+        c.size > footer_begin - c.offset)
       fail(path, "column '" + c.dataset + "." + c.column +
                      "' extends outside the block region");
     columns_.push_back(std::move(c));
@@ -160,6 +164,21 @@ std::string Reader::meta_or(std::string_view key,
   for (const auto& [k, v] : meta_)
     if (k == key) return v;
   return std::string(fallback);
+}
+
+std::uint64_t Reader::meta_u64(std::string_view key) const {
+  std::uint64_t out = 0;
+  if (!util::parse_u64(meta_value(key), out))
+    fail(path_, "meta key '" + std::string(key) +
+                    "' is not an unsigned integer");
+  return out;
+}
+
+double Reader::meta_f64(std::string_view key) const {
+  double out = 0.0;
+  if (!util::parse_double(meta_value(key), out))
+    fail(path_, "meta key '" + std::string(key) + "' is not a double");
+  return out;
 }
 
 bool Reader::has_column(std::string_view dataset,
@@ -215,72 +234,6 @@ void Reader::check_crc(const ColumnDesc& desc) const {
     lazy_checks_.fetch_add(1, std::memory_order_relaxed);
     if (obs::Observer* o = obs::Observer::installed())
       o->pipeline.store_crc_lazy_checks.inc();
-  }
-}
-
-namespace {
-
-// Decode failures from format.cpp carry no file context; re-throw with
-// the path and column so a multi-shard merge failure names the corrupt
-// shard, not just the block shape.
-[[noreturn]] void rethrow_decode_error(const std::string& path,
-                                       const ColumnDesc& c,
-                                       const StoreError& e) {
-  throw StoreError(path + ": column '" + c.dataset + "." + c.column +
-                   "': " + e.what());
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> Reader::read_u64(std::string_view dataset,
-                                            std::string_view col) const {
-  const ColumnDesc& c = column(dataset, col);
-  if (c.type != ColumnType::U64)
-    fail(path_, "column '" + c.dataset + "." + c.column + "' is not u64");
-  check_crc(c);
-  try {
-    return decode_u64_column(payload(c), c.encoding, c.rows);
-  } catch (const StoreError& e) {
-    rethrow_decode_error(path_, c, e);
-  }
-}
-
-std::vector<double> Reader::read_f64(std::string_view dataset,
-                                     std::string_view col) const {
-  const ColumnDesc& c = column(dataset, col);
-  if (c.type != ColumnType::F64)
-    fail(path_, "column '" + c.dataset + "." + c.column + "' is not f64");
-  check_crc(c);
-  try {
-    return decode_f64_column(payload(c), c.rows);
-  } catch (const StoreError& e) {
-    rethrow_decode_error(path_, c, e);
-  }
-}
-
-std::vector<std::uint8_t> Reader::read_u8(std::string_view dataset,
-                                          std::string_view col) const {
-  const ColumnDesc& c = column(dataset, col);
-  if (c.type != ColumnType::U8)
-    fail(path_, "column '" + c.dataset + "." + c.column + "' is not u8");
-  check_crc(c);
-  try {
-    return decode_u8_column(payload(c), c.rows);
-  } catch (const StoreError& e) {
-    rethrow_decode_error(path_, c, e);
-  }
-}
-
-std::vector<std::string> Reader::read_strings(std::string_view dataset,
-                                              std::string_view col) const {
-  const ColumnDesc& c = column(dataset, col);
-  if (c.type != ColumnType::Str)
-    fail(path_, "column '" + c.dataset + "." + c.column + "' is not str");
-  check_crc(c);
-  try {
-    return decode_string_column(payload(c), c.rows);
-  } catch (const StoreError& e) {
-    rethrow_decode_error(path_, c, e);
   }
 }
 

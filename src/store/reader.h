@@ -1,5 +1,6 @@
-// DRS reader — loads a store file, parses the footer index, and decodes
-// column blocks on demand. Two backing modes share one API:
+// DRS reader — loads a store file, parses the footer index, and hands out
+// CRC-checked block payloads; store/scan.h decodes them. Two backing modes
+// share one API:
 //
 //   Buffered  the whole file is slurped into an owned string (the
 //             original behaviour; works on any filesystem).
@@ -61,6 +62,10 @@ class Reader {
   std::string meta_value(std::string_view key) const;
   /// Metadata value or `fallback` when absent.
   std::string meta_or(std::string_view key, std::string_view fallback) const;
+  /// Metadata value parsed as an unsigned integer / a double; throws
+  /// StoreError naming the path and key when absent or malformed.
+  std::uint64_t meta_u64(std::string_view key) const;
+  double meta_f64(std::string_view key) const;
 
   bool has_column(std::string_view dataset, std::string_view column) const;
   /// Footer entry for (dataset, column); throws when absent.
@@ -70,27 +75,18 @@ class Reader {
   /// absent or its columns disagree.
   std::uint64_t dataset_rows(std::string_view dataset) const;
 
-  /// Decode one column (CRC-checked). Type must match the footer entry.
-  std::vector<std::uint64_t> read_u64(std::string_view dataset,
-                                      std::string_view column) const;
-  std::vector<double> read_f64(std::string_view dataset,
-                               std::string_view column) const;
-  std::vector<std::uint8_t> read_u8(std::string_view dataset,
-                                    std::string_view column) const;
-  std::vector<std::string> read_strings(std::string_view dataset,
-                                        std::string_view column) const;
-
   /// CRC-checked view of a block's raw payload — bytes of the mapping
-  /// itself in Mapped mode, valid for the Reader's lifetime. The
-  /// columnar scan layer (store/scan.h) decodes straight from this.
+  /// itself in Mapped mode, valid for the Reader's lifetime. Column
+  /// values are decoded from it by the scan layer (store/scan.h), the
+  /// store's one decoder.
   std::string_view verified_payload(const ColumnDesc& desc) const {
     check_crc(desc);
     return payload(desc);
   }
 
   /// Run `jobs` (independent column decodes) across the exec pool; each
-  /// job must write only its own output slot. Dataset readers use this to
-  /// fan block decoding out.
+  /// job must write only its own output slot. Dataset readers and
+  /// scan_all use this to fan block decoding out.
   static void parallel_decode(const std::vector<std::function<void()>>& jobs);
 
   /// Validate every block's CRC32C in parallel; throws on the first

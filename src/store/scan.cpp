@@ -2,14 +2,24 @@
 
 #include <cstring>
 #include <functional>
+#include <mutex>
+#include <type_traits>
 
-#include "exec/parallel.h"
+#include "store/dataset.h"
 
 namespace ddos::store {
 
 namespace {
 
 [[noreturn]] void bad_block(const char* what) { throw StoreError(what); }
+
+// Every varint, and every string's length prefix, takes at least one
+// byte: more rows than payload bytes is a truncated block, caught before
+// a hostile row count sizes the output buffers.
+void expect_rows_fit(std::string_view payload, std::uint64_t rows,
+                     const char* what) {
+  if (rows > payload.size()) bad_block(what);
+}
 
 // Fully unrolled decode of one LEB128 varint with >= 10 readable bytes.
 // Returns the advanced pointer, or nullptr on a non-canonical 10-byte
@@ -77,6 +87,7 @@ std::vector<std::uint64_t>& ColumnArena::u64_slot(std::string_view dataset,
     key.push_back('.');
     key.append(aux);
   }
+  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = u64_[key];
   if (!slot) slot = std::make_unique<std::vector<std::uint64_t>>();
   return *slot;
@@ -88,6 +99,7 @@ std::vector<double>& ColumnArena::f64_slot(std::string_view dataset,
   key.reserve(dataset.size() + column.size() + 1);
   key.append(dataset).push_back('.');
   key.append(column);
+  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = f64_[key];
   if (!slot) slot = std::make_unique<std::vector<double>>();
   return *slot;
@@ -95,6 +107,7 @@ std::vector<double>& ColumnArena::f64_slot(std::string_view dataset,
 
 void decode_varint_block(std::string_view payload, std::uint64_t rows,
                          std::vector<std::uint64_t>& out) {
+  expect_rows_fit(payload, rows, "truncated varint block");
   out.resize(rows);
   std::uint64_t* dst = out.data();
   decode_varints(payload, rows,
@@ -103,6 +116,7 @@ void decode_varint_block(std::string_view payload, std::uint64_t rows,
 
 void decode_delta_varint_block(std::string_view payload, std::uint64_t rows,
                                std::vector<std::uint64_t>& out) {
+  expect_rows_fit(payload, rows, "truncated varint block");
   out.resize(rows);
   std::uint64_t* dst = out.data();
   std::uint64_t prev = 0;
@@ -117,13 +131,15 @@ void decode_delta_varint_block(std::string_view payload, std::uint64_t rows,
 void decode_string_offsets(std::string_view payload, std::uint64_t rows,
                            std::vector<std::uint64_t>& starts,
                            std::vector<std::uint64_t>& lens) {
+  expect_rows_fit(payload, rows, "truncated string block");
   starts.resize(rows);
   lens.resize(rows);
   std::size_t pos = 0;
   for (std::uint64_t i = 0; i < rows; ++i) {
     std::uint64_t len = 0;
     if (!get_varint(payload, pos, len)) bad_block("truncated string block");
-    if (pos + len > payload.size()) bad_block("truncated string block");
+    // pos <= size here; `pos + len` could wrap for a hostile length.
+    if (len > payload.size() - pos) bad_block("truncated string block");
     starts[i] = pos;
     lens[i] = len;
     pos += len;
@@ -137,51 +153,72 @@ bool aligned8(const char* p) {
   return (reinterpret_cast<std::uintptr_t>(p) & 7u) == 0;
 }
 
+// The block decoders name only the defect; a scan adds the store path and
+// the column, so a failure in a multi-shard merge names the corrupt file.
+[[noreturn]] void column_error(const Reader& reader, const ColumnDesc& desc,
+                               std::string_view what) {
+  throw StoreError(reader.path() + ": column '" + desc.dataset + "." +
+                   desc.column + "': " + std::string(what));
+}
+
+void expect_type(const Reader& reader, const ColumnDesc& desc,
+                 ColumnType type) {
+  if (desc.type != type) {
+    column_error(reader, desc,
+                 std::string("stored as ") + to_string(desc.type) +
+                     ", read as " + to_string(type));
+  }
+}
+
+// A Fixed block holds exactly desc.rows values of `width` bytes, checked
+// before any span is formed over it — by division, as rows * width can
+// wrap for a hostile row count.
+void expect_fixed_size(const Reader& reader, const ColumnDesc& desc,
+                       std::string_view payload, std::uint64_t width) {
+  if (payload.size() / width != desc.rows || payload.size() % width != 0)
+    column_error(reader, desc, "fixed block size does not match row count");
+}
+
 }  // namespace
 
 std::span<const std::uint64_t> scan_u64(const Reader& reader,
                                         const ColumnDesc& desc,
                                         ColumnArena& arena) {
-  if (desc.type != ColumnType::U64)
-    throw StoreError("scan_u64: column '" + desc.dataset + "." + desc.column +
-                     "' is not u64");
+  expect_type(reader, desc, ColumnType::U64);
   const std::string_view payload = reader.verified_payload(desc);
-  switch (desc.encoding) {
-    case Encoding::DeltaVarint: {
-      auto& buf = arena.u64_slot(desc.dataset, desc.column);
-      decode_delta_varint_block(payload, desc.rows, buf);
-      return {buf.data(), buf.size()};
-    }
-    case Encoding::Varint: {
-      auto& buf = arena.u64_slot(desc.dataset, desc.column);
-      decode_varint_block(payload, desc.rows, buf);
-      return {buf.data(), buf.size()};
-    }
-    case Encoding::Fixed: {
-      if (payload.size() != desc.rows * 8)
-        bad_block("fixed64 block size does not match row count");
-      if (aligned8(payload.data()))
-        return {reinterpret_cast<const std::uint64_t*>(payload.data()),
-                desc.rows};
-      auto& buf = arena.u64_slot(desc.dataset, desc.column);
-      buf.resize(desc.rows);
-      std::memcpy(buf.data(), payload.data(), payload.size());
-      return {buf.data(), buf.size()};
-    }
-    case Encoding::StringBlock:
-      throw StoreError("u64 column cannot use string-block encoding");
+  if (desc.encoding == Encoding::Fixed) {
+    expect_fixed_size(reader, desc, payload, 8);
+    if (aligned8(payload.data()))
+      return {reinterpret_cast<const std::uint64_t*>(payload.data()),
+              desc.rows};
   }
-  bad_block("unknown u64 encoding");
+  auto& buf = arena.u64_slot(desc.dataset, desc.column);
+  try {
+    switch (desc.encoding) {
+      case Encoding::DeltaVarint:
+        decode_delta_varint_block(payload, desc.rows, buf);
+        break;
+      case Encoding::Varint:
+        decode_varint_block(payload, desc.rows, buf);
+        break;
+      case Encoding::Fixed:  // misaligned (never written by our writer)
+        buf.resize(desc.rows);
+        std::memcpy(buf.data(), payload.data(), payload.size());
+        break;
+      default:
+        bad_block("u64 column needs a varint or fixed encoding");
+    }
+  } catch (const StoreError& e) {
+    column_error(reader, desc, e.what());
+  }
+  return {buf.data(), buf.size()};
 }
 
 std::span<const double> scan_f64(const Reader& reader, const ColumnDesc& desc,
                                  ColumnArena& arena) {
-  if (desc.type != ColumnType::F64)
-    throw StoreError("scan_f64: column '" + desc.dataset + "." + desc.column +
-                     "' is not f64");
+  expect_type(reader, desc, ColumnType::F64);
   const std::string_view payload = reader.verified_payload(desc);
-  if (payload.size() != desc.rows * 8)
-    bad_block("f64 block size does not match row count");
+  expect_fixed_size(reader, desc, payload, 8);
   if (aligned8(payload.data()))
     return {reinterpret_cast<const double*>(payload.data()), desc.rows};
   std::vector<double>& buf = arena.f64_slot(desc.dataset, desc.column);
@@ -192,27 +229,26 @@ std::span<const double> scan_f64(const Reader& reader, const ColumnDesc& desc,
 
 std::span<const std::uint8_t> scan_u8(const Reader& reader,
                                       const ColumnDesc& desc) {
-  if (desc.type != ColumnType::U8)
-    throw StoreError("scan_u8: column '" + desc.dataset + "." + desc.column +
-                     "' is not u8");
+  expect_type(reader, desc, ColumnType::U8);
   const std::string_view payload = reader.verified_payload(desc);
-  if (payload.size() != desc.rows)
-    bad_block("u8 block size does not match row count");
+  expect_fixed_size(reader, desc, payload, 1);
   return {reinterpret_cast<const std::uint8_t*>(payload.data()), desc.rows};
 }
 
 core::StringColumnView scan_strings(const Reader& reader,
                                     const ColumnDesc& desc,
                                     ColumnArena& arena) {
-  if (desc.type != ColumnType::Str)
-    throw StoreError("scan_strings: column '" + desc.dataset + "." +
-                     desc.column + "' is not str");
+  expect_type(reader, desc, ColumnType::Str);
   const std::string_view payload = reader.verified_payload(desc);
   std::vector<std::uint64_t>& starts =
       arena.u64_slot(desc.dataset, desc.column, "starts");
   std::vector<std::uint64_t>& lens =
       arena.u64_slot(desc.dataset, desc.column, "lens");
-  decode_string_offsets(payload, desc.rows, starts, lens);
+  try {
+    decode_string_offsets(payload, desc.rows, starts, lens);
+  } catch (const StoreError& e) {
+    column_error(reader, desc, e.what());
+  }
   core::StringColumnView view;
   view.bytes = payload;
   view.starts = {starts.data(), starts.size()};
@@ -223,103 +259,37 @@ core::StringColumnView scan_strings(const Reader& reader,
 core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena) {
   core::EventFrame f;
   f.rows = reader.dataset_rows("events");
-  const auto u64c = [&](std::string_view col) {
-    return scan_u64(reader, reader.column("events", col), arena);
-  };
-  const auto f64c = [&](std::string_view col) {
-    return scan_f64(reader, reader.column("events", col), arena);
-  };
-  const auto u8c = [&](std::string_view col) {
-    return scan_u8(reader, reader.column("events", col));
-  };
-  f.victim = u64c("victim");
-  f.start_window = u64c("start_window");
-  f.end_window = u64c("end_window");
-  f.max_ppm = f64c("max_ppm");
-  f.total_packets = u64c("total_packets");
-  f.max_slash16 = u64c("max_slash16");
-  f.protocol = u8c("protocol");
-  f.first_port = u64c("first_port");
-  f.max_unique_ports = u64c("max_unique_ports");
-  f.nsset = u64c("nsset");
-  f.domains_hosted = u64c("domains_hosted");
-  f.domains_measured = u64c("domains_measured");
-  f.baseline_rtt_ms = f64c("baseline_rtt_ms");
-  f.peak_impact = f64c("peak_impact");
-  f.mean_impact = f64c("mean_impact");
-  f.ok = u64c("ok");
-  f.timeouts = u64c("timeouts");
-  f.servfails = u64c("servfails");
-  f.failure_rate = f64c("failure_rate");
-  f.anycast_class = u8c("anycast_class");
-  f.distinct_asns = u64c("distinct_asns");
-  f.distinct_slash24 = u64c("distinct_slash24");
-  f.nameserver_count = u64c("nameserver_count");
-  f.asn = u64c("asn");
-  f.org = scan_strings(reader, reader.column("events", "org"), arena);
+  for_each_event_column(f, [&](const char* column, Encoding, auto& values) {
+    const ColumnDesc& desc = reader.column("events", column);
+    using Values = std::remove_reference_t<decltype(values)>;
+    if constexpr (std::is_same_v<Values, std::span<const std::uint64_t>>) {
+      values = scan_u64(reader, desc, arena);
+    } else if constexpr (std::is_same_v<Values, std::span<const double>>) {
+      values = scan_f64(reader, desc, arena);
+    } else if constexpr (std::is_same_v<Values,
+                                         std::span<const std::uint8_t>>) {
+      values = scan_u8(reader, desc);
+    } else {
+      values = scan_strings(reader, desc, arena);
+    }
+  });
   return f;
 }
 
 std::uint64_t scan_all(const Reader& reader, ColumnArena& arena) {
-  // Acquire arena slots serially (the arena is not thread-safe), then
-  // fan the per-block decodes out across the pool.
   std::vector<std::function<void()>> jobs;
   std::uint64_t bytes = 0;
   for (const ColumnDesc& desc : reader.columns()) {
     bytes += desc.size;
-    switch (desc.type) {
-      case ColumnType::U64: {
-        if (desc.encoding == Encoding::Fixed) {
-          // Zero-copy when aligned (every v3 block is); the pre-acquired
-          // buffer keeps the misaligned fallback off the shared map.
-          auto& buf = arena.u64_slot(desc.dataset, desc.column);
-          jobs.push_back([&reader, &desc, &buf] {
-            const std::string_view payload = reader.verified_payload(desc);
-            if (payload.size() != desc.rows * 8)
-              bad_block("fixed64 block size does not match row count");
-            if (!aligned8(payload.data())) {
-              buf.resize(desc.rows);
-              std::memcpy(buf.data(), payload.data(), payload.size());
-            }
-          });
-          break;
-        }
-        auto& buf = arena.u64_slot(desc.dataset, desc.column);
-        jobs.push_back([&reader, &desc, &buf] {
-          const std::string_view payload = reader.verified_payload(desc);
-          if (desc.encoding == Encoding::DeltaVarint)
-            decode_delta_varint_block(payload, desc.rows, buf);
-          else
-            decode_varint_block(payload, desc.rows, buf);
-        });
-        break;
+    jobs.push_back([&reader, &desc, &arena] {
+      switch (desc.type) {
+        case ColumnType::U64: scan_u64(reader, desc, arena); return;
+        case ColumnType::F64: scan_f64(reader, desc, arena); return;
+        case ColumnType::U8: scan_u8(reader, desc); return;
+        case ColumnType::Str: scan_strings(reader, desc, arena); return;
       }
-      case ColumnType::F64: {
-        auto& buf = arena.f64_slot(desc.dataset, desc.column);
-        jobs.push_back([&reader, &desc, &buf] {
-          const std::string_view payload = reader.verified_payload(desc);
-          if (payload.size() != desc.rows * 8)
-            bad_block("f64 block size does not match row count");
-          if (!aligned8(payload.data())) {
-            buf.resize(desc.rows);
-            std::memcpy(buf.data(), payload.data(), payload.size());
-          }
-        });
-        break;
-      }
-      case ColumnType::U8:
-        jobs.push_back([&reader, &desc] { scan_u8(reader, desc); });
-        break;
-      case ColumnType::Str: {
-        auto& starts = arena.u64_slot(desc.dataset, desc.column, "starts");
-        auto& lens = arena.u64_slot(desc.dataset, desc.column, "lens");
-        jobs.push_back([&reader, &desc, &starts, &lens] {
-          decode_string_offsets(reader.verified_payload(desc), desc.rows,
-                                starts, lens);
-        });
-        break;
-      }
-    }
+      column_error(reader, desc, "unknown column type");
+    });
   }
   Reader::parallel_decode(jobs);
   return bytes;

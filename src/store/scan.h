@@ -1,5 +1,7 @@
-// Columnar scan layer over a store::Reader — the zero-copy fast path the
-// analysis kernels (core/columnar.h) run on.
+// Columnar scan layer over a store::Reader — the store's one decoder.
+// The analysis kernels (core/columnar.h), the serving load, the row
+// loaders of store/dataset.h (load_run) and merge_stores all read column
+// values through scan_u64/scan_f64/scan_u8/scan_strings.
 //
 //   * Fixed-width columns (f64, u8, and Fixed-encoded u64) are returned
 //     as spans directly over the reader's backing — in Mapped mode that
@@ -14,12 +16,15 @@
 //     payload; the bytes themselves stay in the mapping.
 //
 // Every scan CRC-checks its block via Reader::verified_payload, which
-// verifies lazily and exactly once per block. Spans borrow from the
-// Reader and the arena: keep both alive while a frame is in use.
+// verifies lazily and exactly once per block, and throws StoreError
+// "<path>: column 'dataset.column': <defect>" on a malformed block. Spans
+// borrow from the Reader and the arena: keep both alive while a frame is
+// in use.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -34,7 +39,9 @@ namespace ddos::store {
 /// Named decode buffers keyed by dataset.column, reused across scans so a
 /// re-analysis of the same store (threshold sweeps, rejoin checks) does
 /// zero steady-state allocation. Buffers are heap-stable: growing the
-/// arena never invalidates spans handed out earlier.
+/// arena never invalidates spans handed out earlier. Slot lookup is
+/// locked, so scans of distinct columns may share an arena across
+/// threads (scan_all, the parallel row loaders).
 class ColumnArena {
  public:
   /// Buffer for (dataset, column[, aux]); created on first use, reused
@@ -50,6 +57,7 @@ class ColumnArena {
   std::size_t slots() const { return u64_.size() + f64_.size(); }
 
  private:
+  std::mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<std::vector<std::uint64_t>>>
       u64_;
   std::unordered_map<std::string, std::unique_ptr<std::vector<double>>> f64_;
@@ -84,12 +92,13 @@ core::StringColumnView scan_strings(const Reader& reader,
                                     const ColumnDesc& desc,
                                     ColumnArena& arena);
 
-/// Columnar view of the joined "events" dataset; spans borrow from
-/// `reader` and `arena`.
+/// Columnar view of the joined "events" dataset, read column by column
+/// per store/dataset.h's events schema; spans borrow from `reader` and
+/// `arena`.
 core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena);
 
-/// Decode every column of every dataset once (block decodes fan out
-/// across the exec pool). Returns the payload bytes touched — the
+/// Decode every column of every dataset once (one scan per block, fanned
+/// out across the exec pool). Returns the payload bytes touched — the
 /// numerator of a full-file scan-throughput measurement.
 std::uint64_t scan_all(const Reader& reader, ColumnArena& arena);
 

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "store/checksum.h"
+#include "store/epoch.h"
 
 namespace ddos::store {
 
@@ -68,29 +69,31 @@ void Writer::append_block(std::string_view dataset, std::string_view column,
   columns_.push_back(std::move(desc));
 }
 
+namespace {
+
+constexpr auto kSame = [](const auto& v) -> const auto& { return v; };
+
+}  // namespace
+
 void Writer::add_u64(std::string_view dataset, std::string_view column,
                      std::span<const std::uint64_t> values,
                      Encoding encoding) {
-  append_block(dataset, column, ColumnType::U64, encoding, values.size(),
-               encode_u64_column(values, encoding));
+  write_column(*this, dataset, column, U64Appender(encoding), values, kSame);
 }
 
 void Writer::add_f64(std::string_view dataset, std::string_view column,
                      std::span<const double> values) {
-  append_block(dataset, column, ColumnType::F64, Encoding::Fixed,
-               values.size(), encode_f64_column(values));
+  write_column(*this, dataset, column, F64Appender(), values, kSame);
 }
 
 void Writer::add_u8(std::string_view dataset, std::string_view column,
                     std::span<const std::uint8_t> values) {
-  append_block(dataset, column, ColumnType::U8, Encoding::Fixed,
-               values.size(), encode_u8_column(values));
+  write_column(*this, dataset, column, U8Appender(), values, kSame);
 }
 
 void Writer::add_strings(std::string_view dataset, std::string_view column,
                          std::span<const std::string> values) {
-  append_block(dataset, column, ColumnType::Str, Encoding::StringBlock,
-               values.size(), encode_string_column(values));
+  write_column(*this, dataset, column, StringAppender(), values, kSame);
 }
 
 void Writer::finish() {

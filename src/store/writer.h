@@ -37,7 +37,8 @@ class Writer {
   /// Footer metadata; later add_meta with the same key overwrites.
   void add_meta(std::string_view key, std::string_view value);
 
-  /// Append one column block. Dataset/column pairs must be unique.
+  /// Append one column block, encoded by the matching store/epoch.h
+  /// appender. Dataset/column pairs must be unique.
   void add_u64(std::string_view dataset, std::string_view column,
                std::span<const std::uint64_t> values,
                Encoding encoding = Encoding::DeltaVarint);
@@ -48,9 +49,9 @@ class Writer {
   void add_strings(std::string_view dataset, std::string_view column,
                    std::span<const std::string> values);
 
-  /// Append a block whose payload was encoded incrementally elsewhere
-  /// (store::EpochAppender builds payloads across streaming epochs). The
-  /// caller vouches that `payload` is a valid encoding of `rows` rows.
+  /// Append a block whose payload was encoded elsewhere (the appenders'
+  /// flush_to). The caller vouches that `payload` is a valid encoding of
+  /// `rows` rows; a block that is not fails its decode on read.
   void add_encoded(std::string_view dataset, std::string_view column,
                    ColumnType type, Encoding encoding, std::uint64_t rows,
                    const std::string& payload) {

@@ -3,14 +3,15 @@
 // equal a serial loop over the run's joined rows written in this file —
 // exactly, series element order and group medians/p90s included — at
 // any thread count (the threads2/8 ctest variants re-run this binary
-// under DDOSREPRO_THREADS). Also pins frame_equals_events (the columnar
-// --rejoin assertion) positive and negative.
+// under DDOSREPRO_THREADS). Also pins events_from_frame, the inverse of
+// OwnedEventFrame that load_run and merge read stored events through.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -207,7 +208,7 @@ EventFrame* ColumnarParity::frame_ = nullptr;
 TEST_F(ColumnarParity, FrameMatchesRows) {
   ASSERT_GT(frame_->rows, 0u) << "small run produced no joined events";
   EXPECT_EQ(frame_->rows, result_->joined.size());
-  EXPECT_TRUE(frame_equals_events(*frame_, result_->joined));
+  EXPECT_EQ(events_from_frame(*frame_), result_->joined);
 }
 
 // An in-memory run's frame, laid out from its rows, equals the stored
@@ -216,25 +217,47 @@ TEST_F(ColumnarParity, OwnedFrameOfRowsMatchesRows) {
   const OwnedEventFrame owned(result_->joined);
   const EventFrame& f = owned.frame();
   EXPECT_EQ(f.rows, frame_->rows);
-  EXPECT_TRUE(frame_equals_events(f, result_->joined));
+  EXPECT_EQ(events_from_frame(f), result_->joined);
   for (std::size_t i = 0; i < f.rows; ++i) {
     EXPECT_EQ(f.org[i], (*frame_).org[i]) << "row " << i;
   }
   const OwnedEventFrame empty({});
   EXPECT_EQ(empty.frame().rows, 0u);
-  EXPECT_TRUE(frame_equals_events(empty.frame(), {}));
+  EXPECT_TRUE(events_from_frame(empty.frame()).empty());
 }
 
-TEST_F(ColumnarParity, FrameEqualityIsFieldExact) {
-  // A single mutated field in a single row must be caught.
-  auto mutated = result_->joined;
-  ASSERT_FALSE(mutated.empty());
-  mutated.back().timeouts += 1;
-  EXPECT_FALSE(frame_equals_events(*frame_, mutated));
-  // So must a length mismatch.
-  mutated = result_->joined;
-  mutated.pop_back();
-  EXPECT_FALSE(frame_equals_events(*frame_, mutated));
+// events_from_frame inverts OwnedEventFrame field for field, at the
+// extremes of every field's type.
+TEST_F(ColumnarParity, EventsFromFrameInvertsOwnedFrame) {
+  auto rows = result_->joined;
+  ASSERT_FALSE(rows.empty());
+  core::NssetAttackEvent& e = rows.back();
+  e.rsdos.victim = netsim::IPv4Addr(0xFFFFFFFFu);
+  e.rsdos.start_window = -3;
+  e.rsdos.end_window = std::numeric_limits<netsim::WindowIndex>::max();
+  e.rsdos.max_ppm = -0.0;
+  e.rsdos.total_packets = std::numeric_limits<std::uint64_t>::max();
+  e.rsdos.max_slash16 = std::numeric_limits<std::uint32_t>::max();
+  e.rsdos.protocol = attack::Protocol::UDP;
+  e.rsdos.first_port = 65535;
+  e.rsdos.max_unique_ports = 65535;
+  e.nsset = std::numeric_limits<dns::NssetId>::max();
+  e.domains_hosted = std::numeric_limits<std::uint64_t>::max();
+  e.domains_measured = std::numeric_limits<std::uint32_t>::max();
+  e.baseline_rtt_ms = 1e308;
+  e.peak_impact = 5e-324;
+  e.mean_impact = -1.5;
+  e.ok = 1;
+  e.timeouts = 2;
+  e.servfails = std::numeric_limits<std::uint32_t>::max();
+  e.failure_rate = 0.125;
+  e.resilience.anycast_class = anycast::AnycastClass::Full;
+  e.resilience.distinct_asns = 7;
+  e.resilience.distinct_slash24 = 9;
+  e.resilience.nameserver_count = 13;
+  e.resilience.asn = std::numeric_limits<topology::Asn>::max();
+  e.resilience.org = std::string("with\0nul", 8);
+  EXPECT_EQ(events_from_frame(OwnedEventFrame(rows).frame()), rows);
 }
 
 TEST_F(ColumnarParity, ImpactSummaryBitIdentical) {

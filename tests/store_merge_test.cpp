@@ -2,9 +2,10 @@
 // when the inputs are a complete, healthy shard set — and must fail
 // loudly, naming the offending shard file, on every defect (corrupt
 // block, non-shard input, wrong or duplicate shard index, provenance
-// mismatch). Also covers the Reader decode-error path gained for merge:
-// decode failures now carry the file path and column name, so a
-// multi-shard merge failure identifies the corrupt shard.
+// mismatch). Also covers the scan layer's error attribution: decode
+// failures carry the file path and column name, so a multi-shard merge
+// failure identifies the corrupt shard, and one matrix of malformed
+// blocks that pass their CRC fails every store consumer the same way.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <limits>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,8 +23,11 @@
 #include "reference_run.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
+#include "serve/query_engine.h"
+#include "store/format.h"
 #include "store/merge.h"
 #include "store/reader.h"
+#include "store/scan.h"
 #include "store/writer.h"
 
 namespace ddos::store {
@@ -229,9 +234,9 @@ TEST(StoreMerge, UnwritableOutputPathThrows) {
   }
 }
 
-// Satellite: Reader decode failures carry the file path and column, so a
-// corrupt-but-CRC-valid block (possible only via add_encoded, whose
-// caller vouches for the payload) is still attributed to its shard file.
+// Scan failures carry the file path and column, so a corrupt-but-CRC-
+// valid block (possible only via add_encoded, whose caller vouches for the
+// payload) is still attributed to its shard file.
 TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
   const std::string path = temp_path("decode-err.drs");
   {
@@ -245,8 +250,9 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
     writer.finish();
   }
   const Reader reader(path, ReadMode::Buffered);
+  ColumnArena arena;
   try {
-    reader.read_u64("ds", "col");
+    scan_u64(reader, reader.column("ds", "col"), arena);
     FAIL() << "decode of a truncated varint did not throw";
   } catch (const StoreError& e) {
     const std::string message = e.what();
@@ -254,6 +260,120 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
     EXPECT_NE(message.find("column 'ds.col'"), std::string::npos) << message;
   }
   std::filesystem::remove(path);
+}
+
+// ---- malformed blocks that pass their CRC ----------------------------
+
+// Copy `src` to `dst` block for block, with the payload of
+// dataset.column replaced by `payload` (row count kept). The writer
+// checksums the new payload, so only its decode can catch it.
+void copy_with_block(const std::string& src, const std::string& dst,
+                     const std::string& dataset, const std::string& column,
+                     const std::string& payload) {
+  const Reader reader(src);
+  Writer writer(dst);
+  for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
+  for (const ColumnDesc& desc : reader.columns()) {
+    const bool target = desc.dataset == dataset && desc.column == column;
+    writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                       desc.rows,
+                       target ? payload
+                              : std::string(reader.verified_payload(desc)));
+  }
+  writer.finish();
+}
+
+struct MalformedBlock {
+  const char* name;
+  const char* column;  // in the events dataset, which every consumer reads
+  std::string (*payload)(std::uint64_t rows);
+};
+
+std::string ones(std::uint64_t n) { return std::string(n, '\x01'); }
+
+const MalformedBlock kMalformedBlocks[] = {
+    {"truncated varint", "nsset",
+     [](std::uint64_t rows) { return ones(rows - 1) + "\x80"; }},
+    {"non-canonical 10-byte varint", "nsset",
+     [](std::uint64_t rows) {
+       return std::string(9, '\xff') + "\x02" + ones(rows - 1);
+     }},
+    {"trailing bytes", "nsset",
+     [](std::uint64_t rows) { return ones(rows + 1); }},
+    {"fixed block not rows x 8", "peak_impact",
+     [](std::uint64_t rows) { return std::string(rows * 8 + 1, '\0'); }},
+    {"string length past the end", "org",
+     [](std::uint64_t rows) {
+       return std::string(rows - 1, '\0') + "\x05" + "ab";
+     }},
+    // Length 2^64-1: an unchecked `pos + len` moves pos back one byte, to
+    // the length's own last byte (0x01), which the last row then reads
+    // as a 1-byte string "x" — a block that parses to its exact end.
+    {"string length that wraps", "org",
+     [](std::uint64_t rows) {
+       std::string payload(rows - 2, '\0');
+       put_varint(payload, ~std::uint64_t{0});
+       return payload + "x";
+     }},
+};
+
+void expect_names_path_and_column(const std::function<void()>& consume,
+                                  const std::string& path,
+                                  const std::string& column,
+                                  const std::string& what) {
+  try {
+    consume();
+    ADD_FAILURE() << what << ": no StoreError";
+  } catch (const StoreError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path), std::string::npos) << what << ": " << message;
+    EXPECT_NE(message.find("column '" + column + "'"), std::string::npos)
+        << what << ": " << message;
+  }
+}
+
+// load_run, analyze_store, serve::load_engine and merge_stores share one
+// decoder, so each malformed block fails all four the same way.
+TEST(MalformedBlock, EveryConsumerNamesPathAndColumn) {
+  const scenario::LongitudinalConfig cfg = test_config();
+  const std::string whole = temp_path("malformed-whole.drs");
+  scenario::save_run(whole, cfg, 1, scenario::run_longitudinal(cfg));
+  const std::uint64_t rows = Reader(whole).dataset_rows("events");
+  ASSERT_GE(rows, 2u);  // the wrapping-length block needs two rows
+
+  // The shard to damage must own events for its events block to decode.
+  std::size_t target = shards2().size();
+  for (std::size_t i = 0; i < shards2().size(); ++i) {
+    if (Reader(shards2()[i]).dataset_rows("events") >= 2) target = i;
+  }
+  ASSERT_LT(target, shards2().size());
+  const std::uint64_t shard_rows =
+      Reader(shards2()[target]).dataset_rows("events");
+
+  const std::string bad = temp_path("malformed.drs");
+  const std::string bad_shard = temp_path("malformed-shard.drs");
+  const std::string merged = temp_path("malformed-merged.drs");
+  for (const MalformedBlock& block : kMalformedBlocks) {
+    const std::string column = std::string("events.") + block.column;
+    copy_with_block(whole, bad, "events", block.column, block.payload(rows));
+    expect_names_path_and_column([&] { scenario::load_run(bad); }, bad,
+                                 column, block.name + std::string(" load_run"));
+    expect_names_path_and_column([&] { scenario::analyze_store(bad); }, bad,
+                                 column, block.name + std::string(" analyze"));
+    expect_names_path_and_column([&] { serve::load_engine(bad); }, bad, column,
+                                 block.name + std::string(" load_engine"));
+
+    copy_with_block(shards2()[target], bad_shard, "events", block.column,
+                    block.payload(shard_rows));
+    std::vector<std::string> inputs = shards2();
+    inputs[target] = bad_shard;
+    expect_names_path_and_column([&] { merge_stores(merged, inputs); },
+                                 bad_shard, column,
+                                 block.name + std::string(" merge"));
+  }
+  for (const std::string& path : {whole, bad, bad_shard, merged}) {
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace

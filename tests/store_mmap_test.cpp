@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/server.h"
+#include "scan_columns.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
 #include "store/format.h"
@@ -27,6 +28,11 @@
 
 namespace ddos::store {
 namespace {
+
+using testing_columns::f64s;
+using testing_columns::strings;
+using testing_columns::u64s;
+using testing_columns::u8s;
 
 // Per-process temp names: gtest_discover_tests runs each case as its own
 // ctest entry, so concurrent ctest -j workers would otherwise race on
@@ -48,6 +54,7 @@ void corrupt_byte(const std::string& path, std::uint64_t offset) {
 }
 
 // One store exercising every (type, encoding) pair the writer produces.
+// The columns are read back through the scan layer (scan_columns.h).
 std::string write_sample_store(const char* name) {
   const std::string path = temp_path(name);
   const std::vector<std::uint64_t> sorted = {3, 7, 7, 40, 1000, 1000000};
@@ -77,36 +84,18 @@ TEST(MmapReader, MappedMatchesBufferedOnEveryColumnType) {
   EXPECT_TRUE(mapped.mapped());
   EXPECT_FALSE(buffered.mapped());
 
-  EXPECT_EQ(mapped.read_u64("ds", "sorted"), buffered.read_u64("ds", "sorted"));
-  EXPECT_EQ(mapped.read_u64("ds", "counts"), buffered.read_u64("ds", "counts"));
-  EXPECT_EQ(mapped.read_u64("ds", "raw"), buffered.read_u64("ds", "raw"));
-  EXPECT_EQ(mapped.read_f64("ds", "reals"), buffered.read_f64("ds", "reals"));
-  EXPECT_EQ(mapped.read_u8("ds", "bytes"), buffered.read_u8("ds", "bytes"));
-  EXPECT_EQ(mapped.read_strings("ds", "names"),
-            buffered.read_strings("ds", "names"));
+  EXPECT_EQ(u64s(mapped, "ds", "sorted"), u64s(buffered, "ds", "sorted"));
+  EXPECT_EQ(u64s(mapped, "ds", "counts"), u64s(buffered, "ds", "counts"));
+  EXPECT_EQ(u64s(mapped, "ds", "raw"), u64s(buffered, "ds", "raw"));
+  EXPECT_EQ(u64s(mapped, "ds", "raw"), u64s(mapped, "ds", "counts"));
+  EXPECT_EQ(f64s(mapped, "ds", "reals"), f64s(buffered, "ds", "reals"));
+  EXPECT_EQ(u8s(mapped, "ds", "bytes"), u8s(buffered, "ds", "bytes"));
+  EXPECT_EQ(strings(mapped, "ds", "names"), strings(buffered, "ds", "names"));
   EXPECT_EQ(mapped.meta_value("purpose"), buffered.meta_value("purpose"));
-
-  // The scan layer agrees with the row decoders in both modes.
-  ColumnArena arena_m;
-  ColumnArena arena_b;
-  for (const char* col : {"sorted", "counts", "raw"}) {
-    const auto span_m = scan_u64(mapped, mapped.column("ds", col), arena_m);
-    const auto span_b = scan_u64(buffered, buffered.column("ds", col),
-                                 arena_b);
-    const auto rows = mapped.read_u64("ds", col);
-    ASSERT_EQ(span_m.size(), rows.size()) << col;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(span_m[i], rows[i]) << col << "[" << i << "]";
-      EXPECT_EQ(span_b[i], rows[i]) << col << "[" << i << "]";
-    }
-  }
-  const auto strings_m = scan_strings(mapped, mapped.column("ds", "names"),
-                                      arena_m);
-  const auto expected = mapped.read_strings("ds", "names");
-  ASSERT_EQ(strings_m.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(strings_m[i], expected[i]);
-  }
+  EXPECT_EQ(strings(mapped, "ds", "names"),
+            (std::vector<std::string>{"transip", "", "ovh",
+                                      "a much longer org name", "x",
+                                      "selfhosted"}));
 }
 
 TEST(MmapReader, V3BlocksAreEightByteAlignedAndFixedSpansZeroCopy) {
@@ -137,16 +126,16 @@ TEST(MmapReader, LazyCrcFailsOnFirstTouchNotAtOpen) {
     const Reader reader(path, mode);
     EXPECT_EQ(reader.lazy_crc_checks(), 0u);
     // Healthy columns stay readable around the corrupt one.
-    EXPECT_NO_THROW(reader.read_u64("ds", "counts"));
+    EXPECT_NO_THROW(u64s(reader, "ds", "counts"));
     EXPECT_EQ(reader.lazy_crc_checks(), 1u);
     // First touch of the corrupt block throws...
-    EXPECT_THROW(reader.read_u64("ds", "sorted"), StoreError);
+    EXPECT_THROW(u64s(reader, "ds", "sorted"), StoreError);
     // ...and a failed check is never recorded as verified, so every
     // subsequent touch fails just as loudly.
-    EXPECT_THROW(reader.read_u64("ds", "sorted"), StoreError);
+    EXPECT_THROW(u64s(reader, "ds", "sorted"), StoreError);
     EXPECT_EQ(reader.lazy_crc_checks(), 1u);
     // A repeat read of a verified block does not re-hash it.
-    EXPECT_NO_THROW(reader.read_u64("ds", "counts"));
+    EXPECT_NO_THROW(u64s(reader, "ds", "counts"));
     EXPECT_EQ(reader.lazy_crc_checks(), 1u);
     std::filesystem::remove(path);
   }

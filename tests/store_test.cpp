@@ -9,13 +9,21 @@
 #include <string>
 #include <vector>
 
+#include "scan_columns.h"
 #include "store/checksum.h"
+#include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
+#include "store/scan.h"
 #include "store/writer.h"
 
 namespace ddos::store {
 namespace {
+
+using testing_columns::f64s;
+using testing_columns::strings;
+using testing_columns::u64s;
+using testing_columns::u8s;
 
 std::string temp_path(const char* name) {
   return (std::filesystem::path(testing::TempDir()) / name).string();
@@ -84,17 +92,20 @@ TEST(Format, DeltaVarintHandlesDescendingValues) {
   // Deltas wrap mod 2^64, so unsorted and descending sequences survive.
   const std::vector<std::uint64_t> values = {
       100, 5, std::numeric_limits<std::uint64_t>::max(), 0, 100};
-  const std::string payload = encode_u64_column(values, Encoding::DeltaVarint);
-  EXPECT_EQ(decode_u64_column(payload, Encoding::DeltaVarint, values.size()),
-            values);
+  U64Appender appender(Encoding::DeltaVarint);
+  for (const auto v : values) appender.append(v);
+  std::vector<std::uint64_t> decoded;
+  decode_delta_varint_block(appender.payload(), values.size(), decoded);
+  EXPECT_EQ(decoded, values);
 }
 
 TEST(Format, DecodeRejectsTrailingBytes) {
-  const std::vector<std::uint64_t> values = {1, 2, 3};
-  std::string payload = encode_u64_column(values, Encoding::Varint);
+  U64Appender appender(Encoding::Varint);
+  for (const std::uint64_t v : {1, 2, 3}) appender.append(v);
+  std::string payload = appender.payload();
   payload.push_back('\0');
-  EXPECT_THROW(decode_u64_column(payload, Encoding::Varint, values.size()),
-               StoreError);
+  std::vector<std::uint64_t> decoded;
+  EXPECT_THROW(decode_varint_block(payload, 3, decoded), StoreError);
 }
 
 TEST(WriterReader, RoundTripAllColumnTypes) {
@@ -125,11 +136,11 @@ TEST(WriterReader, RoundTripAllColumnTypes) {
   EXPECT_EQ(reader.meta_or("absent", "fallback"), "fallback");
   EXPECT_THROW(reader.meta_value("absent"), StoreError);
   EXPECT_EQ(reader.dataset_rows("ds"), 4u);
-  EXPECT_EQ(reader.read_u64("ds", "key"), keys);
-  EXPECT_EQ(reader.read_u64("ds", "count"), counts);
-  EXPECT_EQ(reader.read_f64("ds", "rtt"), rtts);
-  EXPECT_EQ(reader.read_u8("ds", "protocol"), protocols);
-  EXPECT_EQ(reader.read_strings("ds", "org"), orgs);
+  EXPECT_EQ(u64s(reader, "ds", "key"), keys);
+  EXPECT_EQ(u64s(reader, "ds", "count"), counts);
+  EXPECT_EQ(f64s(reader, "ds", "rtt"), rtts);
+  EXPECT_EQ(u8s(reader, "ds", "protocol"), protocols);
+  EXPECT_EQ(strings(reader, "ds", "org"), orgs);
   EXPECT_FALSE(reader.has_column("ds", "absent"));
   EXPECT_THROW(reader.column("ds", "absent"), StoreError);
   EXPECT_NO_THROW(reader.validate_all());
@@ -146,9 +157,9 @@ TEST(WriterReader, EmptyDatasetRoundTrips) {
   }
   const Reader reader(path);
   EXPECT_EQ(reader.dataset_rows("feed"), 0u);
-  EXPECT_TRUE(reader.read_u64("feed", "window").empty());
-  EXPECT_TRUE(reader.read_f64("feed", "ppm").empty());
-  EXPECT_TRUE(reader.read_strings("feed", "org").empty());
+  EXPECT_TRUE(u64s(reader, "feed", "window").empty());
+  EXPECT_TRUE(f64s(reader, "feed", "ppm").empty());
+  EXPECT_TRUE(strings(reader, "feed", "org").empty());
   EXPECT_NO_THROW(reader.validate_all());
 }
 
@@ -162,10 +173,10 @@ TEST(WriterReader, SingleRowBlocks) {
     writer.finish();
   }
   const Reader reader(path);
-  EXPECT_EQ(reader.read_u64("ds", "key"),
+  EXPECT_EQ(u64s(reader, "ds", "key"),
             (std::vector<std::uint64_t>{
                 std::numeric_limits<std::uint64_t>::max()}));
-  const auto values = reader.read_f64("ds", "value");
+  const auto values = f64s(reader, "ds", "value");
   ASSERT_EQ(values.size(), 1u);
   EXPECT_TRUE(std::signbit(values[0]));  // -0.0 bit pattern preserved
 }
@@ -181,7 +192,7 @@ TEST(WriterReader, DetectsCorruptBlock) {
   // First block payload starts right after the 16-byte header.
   corrupt_byte(path, kHeaderSize);
   const Reader reader(path);  // footer itself is intact
-  EXPECT_THROW(reader.read_u64("ds", "key"), StoreError);
+  EXPECT_THROW(u64s(reader, "ds", "key"), StoreError);
   EXPECT_THROW(reader.validate_all(), StoreError);
 }
 
@@ -290,12 +301,122 @@ TEST(Writer, MappedReaderSurvivesRepublish) {
 
   old_reader.validate_all();
   EXPECT_EQ(old_reader.meta_value("gen"), "old");
-  EXPECT_EQ(old_reader.read_u64("ds", "key"),
+  EXPECT_EQ(u64s(old_reader, "ds", "key"),
             (std::vector<std::uint64_t>{1, 2, 3}));
   const Reader new_reader(path, ReadMode::Mapped);
   EXPECT_EQ(new_reader.meta_value("gen"), "new");
-  EXPECT_EQ(new_reader.read_u64("ds", "key"),
+  EXPECT_EQ(u64s(new_reader, "ds", "key"),
             (std::vector<std::uint64_t>{4, 5, 6, 7}));
+}
+
+TEST(Reader, MetaParsersNameThePathAndKey) {
+  const std::string path = temp_path("meta.drs");
+  {
+    Writer writer(path);
+    writer.add_meta("count", "12");
+    writer.add_meta("ratio", "0.25");
+    writer.add_meta("word", "twelve");
+    writer.finish();
+  }
+  const Reader reader(path);
+  EXPECT_EQ(reader.meta_u64("count"), 12u);
+  EXPECT_EQ(reader.meta_f64("ratio"), 0.25);
+  for (const char* key : {"word", "absent"}) {
+    try {
+      reader.meta_u64(key);
+      ADD_FAILURE() << key << ": parsed";
+    } catch (const StoreError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW(reader.meta_f64("word"), StoreError);
+}
+
+// ---- hostile footers: the footer CRC matches (the test recomputes it),
+// so only the reader's bounds checks stand between the bytes and an
+// out-of-range access. Both sums they guard could wrap on u64 overflow.
+
+// Replace the footer of the store at `path` with `footer` and a fresh
+// trailer whose CRC covers it.
+void replace_footer(const std::string& path, const std::string& footer) {
+  std::string file = read_file(path);
+  std::size_t tpos = file.size() - kTrailerSize;
+  std::uint64_t footer_size = 0;
+  ASSERT_TRUE(get_fixed64(file, tpos, footer_size));
+  file.resize(file.size() - kTrailerSize - footer_size);
+  file += footer;
+  put_fixed64(file, footer.size());
+  put_fixed32(file, crc32c(footer));
+  put_fixed32(file, kMagic);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << file;
+}
+
+void expect_open_fails(const std::string& path, const std::string& expected) {
+  for (const ReadMode mode : {ReadMode::Mapped, ReadMode::Buffered}) {
+    try {
+      const Reader reader(path, mode);
+      ADD_FAILURE() << "opened a store with a hostile footer";
+    } catch (const StoreError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(expected), std::string::npos) << what;
+    }
+  }
+}
+
+// Row counts come from the footer too. rows * 8 wraps to 8 for the f64
+// column, and a varint or string block cannot hold more rows than bytes:
+// each is a StoreError, never a span past the payload or a huge buffer.
+TEST(HostileFooter, RowCountsBeyondThePayloadAreRejected) {
+  const std::string path = temp_path("hostile-rows.drs");
+  const std::uint64_t huge = (std::uint64_t{1} << 61) + 1;
+  {
+    Writer writer(path);
+    writer.add_encoded("f", "x", ColumnType::F64, Encoding::Fixed, huge,
+                       std::string(8, '\0'));
+    writer.add_encoded("v", "x", ColumnType::U64, Encoding::Varint, huge,
+                       "\x01");
+    writer.add_encoded("s", "x", ColumnType::Str, Encoding::StringBlock, huge,
+                       std::string(1, '\0'));
+    writer.finish();
+  }
+  const Reader reader(path);
+  EXPECT_THROW(f64s(reader, "f", "x"), StoreError);
+  EXPECT_THROW(u64s(reader, "v", "x"), StoreError);
+  EXPECT_THROW(strings(reader, "s", "x"), StoreError);
+}
+
+TEST(HostileFooter, ColumnExtentWhoseEndWrapsIsRejected) {
+  const std::string path = temp_path("hostile-extent.drs");
+  write_generation(path, "x", {1, 2, 3});
+  std::string footer;
+  put_varint(footer, 0);  // no metadata
+  put_varint(footer, 1);  // one column
+  put_string(footer, "ds");
+  put_string(footer, "key");
+  footer.push_back(static_cast<char>(ColumnType::U64));
+  footer.push_back(static_cast<char>(Encoding::DeltaVarint));
+  put_varint(footer, 3);                         // rows
+  put_varint(footer, std::uint64_t{1} << 63);    // offset
+  put_varint(footer, (std::uint64_t{1} << 63) + 16);  // offset + size == 16
+  put_fixed32(footer, 0);
+  replace_footer(path, footer);
+  expect_open_fails(path, "extends outside the block region");
+}
+
+TEST(HostileFooter, StringLengthThatWrapsIsRejected) {
+  const std::string path = temp_path("hostile-string.drs");
+  write_generation(path, "x", {1, 2, 3});
+  std::string footer;
+  put_varint(footer, 1);  // one metadata pair whose key length is 2^64-1:
+  put_varint(footer, ~std::uint64_t{0});  // pos + len wraps to pos - 1
+  footer += "key";
+  put_string(footer, "value");
+  put_varint(footer, 0);  // no columns
+  replace_footer(path, footer);
+  expect_open_fails(path, "malformed footer metadata");
 }
 
 }  // namespace
