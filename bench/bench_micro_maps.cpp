@@ -5,8 +5,9 @@
 //     nssets, windows advancing through a day (the MeasurementStore fold);
 //   * sparse probe keys — hash-scrambled lookups with a ~50% hit rate
 //     (the join's window probes and retention key-set membership);
-//   * churn — insert/erase waves (finalize_day window pruning), which for
-//     FlatMap exercises the tombstone-free backward-shift erase.
+//   * churn — insert/erase waves (the store erasing retired days in
+//     retire_days_below), which for FlatMap exercises the tombstone-free
+//     backward-shift erase.
 //
 // Each case writes an entry consumed by tools/check_perf_regression.py via
 // the google-benchmark console output; run with --benchmark_min_time=0.25
@@ -111,8 +112,8 @@ void BM_UnorderedMapProbe(benchmark::State& state) {
 BENCHMARK(BM_UnorderedMapProbe);
 
 void BM_FlatSetChurn(benchmark::State& state) {
-  // finalize_day-shaped churn: insert a day of window keys, erase the
-  // ~90% outside attack windows, repeat on the next day's key range.
+  // Day-by-day churn: insert a day of window keys, erase ~90% of them,
+  // repeat on the next day's key range.
   const std::size_t per_day = 1 << 14;
   std::uint64_t day = 0;
   util::FlatSet<std::uint64_t> set;

@@ -1,7 +1,6 @@
 #include "attack/attack.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ddos::attack {
 
@@ -12,15 +11,6 @@ std::string to_string(Protocol p) {
     case Protocol::ICMP: return "ICMP";
   }
   return "PROTO";
-}
-
-std::string to_string(SpoofType s) {
-  switch (s) {
-    case SpoofType::RandomUniform: return "random-spoofed";
-    case SpoofType::Reflected: return "reflected";
-    case SpoofType::Direct: return "direct";
-  }
-  return "unknown";
 }
 
 double AttackSpec::pps_in_window(netsim::WindowIndex window) const {
@@ -40,13 +30,6 @@ double AttackSpec::pps_in_window(netsim::WindowIndex window) const {
   const double wobble =
       0.9 + 0.2 * (static_cast<double>(h >> 11) * 0x1.0p-53);
   return peak_pps * coverage * wobble;
-}
-
-double expected_unique_spoofed_sources(double pps, double seconds) {
-  if (pps <= 0.0 || seconds <= 0.0) return 0.0;
-  constexpr double kSpace = 4294967296.0;  // 2^32
-  const double packets = pps * seconds;
-  return kSpace * (1.0 - std::exp(-packets / kSpace));
 }
 
 }  // namespace ddos::attack

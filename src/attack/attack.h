@@ -25,7 +25,6 @@ enum class SpoofType : std::uint8_t {
   Reflected,      // amplification via reflectors — telescope-invisible
   Direct,         // unspoofed botnet traffic — telescope-invisible
 };
-std::string to_string(SpoofType s);
 
 struct AttackSpec {
   std::uint64_t id = 0;
@@ -69,11 +68,5 @@ struct AttackSpec {
     return pps_in_window(window) * (1.0 - scrubbed_fraction);
   }
 };
-
-/// Expected number of distinct spoofed source addresses for a
-/// randomly-and-uniformly spoofed flood of `pps` lasting `seconds`
-/// (coupon-collector overlap over the 2^32 IPv4 space). This is the
-/// "Attacker IP Count" column of Table 2.
-double expected_unique_spoofed_sources(double pps, double seconds);
 
 }  // namespace ddos::attack

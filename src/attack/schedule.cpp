@@ -14,13 +14,6 @@ std::uint64_t AttackSchedule::add(AttackSpec spec) {
   return spec.id;
 }
 
-const AttackSpec* AttackSchedule::find(std::uint64_t id) const {
-  for (const auto& a : attacks_) {
-    if (a.id == id) return &a;
-  }
-  return nullptr;
-}
-
 double AttackSchedule::attack_pps_at(netsim::IPv4Addr ip,
                                      netsim::WindowIndex window) const {
   const std::vector<std::size_t>* idxs = by_ip_.find(ip);
@@ -61,44 +54,6 @@ bool AttackSchedule::truncate_attack(std::uint64_t id, netsim::SimTime at) {
     return true;
   }
   return false;
-}
-
-std::vector<const AttackSpec*> AttackSchedule::attacks_on(
-    netsim::IPv4Addr ip) const {
-  std::vector<const AttackSpec*> out;
-  const std::vector<std::size_t>* idxs = by_ip_.find(ip);
-  if (!idxs) return out;
-  out.reserve(idxs->size());
-  for (const std::size_t idx : *idxs) out.push_back(&attacks_[idx]);
-  return out;
-}
-
-std::vector<const AttackSpec*> AttackSchedule::active_in(
-    netsim::WindowIndex window) const {
-  std::vector<const AttackSpec*> out;
-  for (const auto& a : attacks_) {
-    if (a.first_window() <= window && window <= a.last_window())
-      out.push_back(&a);
-  }
-  return out;
-}
-
-netsim::SimTime AttackSchedule::earliest_start() const {
-  netsim::SimTime t;
-  bool first = true;
-  for (const auto& a : attacks_) {
-    if (first || a.start < t) t = a.start;
-    first = false;
-  }
-  return t;
-}
-
-netsim::SimTime AttackSchedule::latest_end() const {
-  netsim::SimTime t;
-  for (const auto& a : attacks_) {
-    if (a.end() > t) t = a.end();
-  }
-  return t;
 }
 
 }  // namespace ddos::attack

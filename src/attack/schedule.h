@@ -23,7 +23,6 @@ class AttackSchedule {
 
   std::size_t size() const { return attacks_.size(); }
   const std::vector<AttackSpec>& attacks() const { return attacks_; }
-  const AttackSpec* find(std::uint64_t id) const;
 
   /// Total flood pps arriving at `ip` during `window` (all vectors,
   /// including telescope-invisible ones — the victim feels them all).
@@ -43,16 +42,6 @@ class AttackSchedule {
   /// silence the flood's observable effects mid-attack). Returns false if
   /// the id is unknown or `at` is not strictly inside the attack.
   bool truncate_attack(std::uint64_t id, netsim::SimTime at);
-
-  /// Attacks targeting exactly `ip`, any time.
-  std::vector<const AttackSpec*> attacks_on(netsim::IPv4Addr ip) const;
-
-  /// Attacks active during `window` (for feed-driven iteration).
-  std::vector<const AttackSpec*> active_in(netsim::WindowIndex window) const;
-
-  /// Earliest start / latest end over all attacks (0/0 when empty).
-  netsim::SimTime earliest_start() const;
-  netsim::SimTime latest_end() const;
 
  private:
   // Flat open-addressing indexes: the load model probes by_ip_/by_slash24_

@@ -4,17 +4,6 @@
 
 namespace ddos::core {
 
-const char* to_string(DelegationIssue issue) {
-  switch (issue) {
-    case DelegationIssue::SingleNameserver: return "single-nameserver";
-    case DelegationIssue::SingleSlash24: return "single-/24";
-    case DelegationIssue::SingleAsn: return "single-asn";
-    case DelegationIssue::LameNameserver: return "lame-nameserver";
-    case DelegationIssue::OpenResolverAsNs: return "open-resolver-as-ns";
-  }
-  return "unknown";
-}
-
 DelegationAuditor::DelegationAuditor(const dns::DnsRegistry& registry,
                                      const anycast::AnycastCensus& census,
                                      const topology::PrefixTable& routes)

@@ -27,7 +27,6 @@ enum class DelegationIssue : std::uint8_t {
   LameNameserver,      // NS address with no server behind it
   OpenResolverAsNs,    // NS record pointing at a public resolver
 };
-const char* to_string(DelegationIssue issue);
 
 struct DelegationFinding {
   dns::DomainId domain = 0;

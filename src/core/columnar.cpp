@@ -5,7 +5,6 @@
 #include <map>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/analysis.h"
@@ -388,25 +387,6 @@ FailureAttribution failure_attribution_columnar(const EventFrame& f) {
     if (f.anycast_class[i] == kUnicast) ++attr.unicast;
   }
   return attr;
-}
-
-std::vector<TldBreakdownRow> tld_breakdown_columnar(
-    const EventFrame& f, const dns::DnsRegistry& registry,
-    std::size_t top_k) {
-  std::unordered_set<std::uint64_t> seen;
-  util::CategoryCounter counter;
-  for (std::size_t i = 0; i < f.rows; ++i) {
-    if (!seen.insert(f.nsset[i]).second) continue;  // count each NSSet once
-    const auto nsset = static_cast<dns::NssetId>(f.nsset[i]);
-    for (const dns::DomainId d : registry.domains_of_nsset(nsset)) {
-      counter.add(std::string(registry.domain_name(d).tld()));
-    }
-  }
-  std::vector<TldBreakdownRow> rows;
-  for (const auto& [tld, count] : counter.top(top_k)) {
-    rows.push_back(TldBreakdownRow{tld, count});
-  }
-  return rows;
 }
 
 std::vector<CompanyImpact> top_companies_by_impact_columnar(

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/join.h"
-#include "dns/registry.h"
 #include "telescope/darknet.h"
 #include "util/histogram.h"
 
@@ -245,20 +244,6 @@ struct FailureAttribution {
 };
 
 FailureAttribution failure_attribution_columnar(const EventFrame& f);
-
-// ------------------------------------------------------------ TLD slicing
-
-/// Affected-domain counts by TLD — the §5.1 "two-thirds of the affected
-/// domains were .nl" style breakdown, over the domains of the NSSets the
-/// joined events touched.
-struct TldBreakdownRow {
-  std::string tld;
-  std::uint64_t affected_domains = 0;
-};
-
-std::vector<TldBreakdownRow> tld_breakdown_columnar(
-    const EventFrame& f, const dns::DnsRegistry& registry,
-    std::size_t top_k = 10);
 
 // ---------------------------------------------------------------- Table 6
 

@@ -9,8 +9,4 @@ double impact_on_rtt(const openintel::Aggregate& window_agg,
   return window_agg.avg_rtt() / baseline_avg_rtt_ms;
 }
 
-double failure_rate(const openintel::Aggregate& window_agg) {
-  return window_agg.failure_rate();
-}
-
 }  // namespace ddos::core

@@ -21,7 +21,4 @@ double impact_on_rtt(const openintel::Aggregate& window_agg,
 inline constexpr double kImpairedThreshold = 10.0;   // "10-fold increase"
 inline constexpr double kSevereThreshold = 100.0;    // "100-fold increase"
 
-/// Window failure rate (timeout + SERVFAIL over measured).
-double failure_rate(const openintel::Aggregate& window_agg);
-
 }  // namespace ddos::core

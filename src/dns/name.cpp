@@ -49,39 +49,10 @@ std::vector<std::string_view> DomainName::labels() const {
   return out;
 }
 
-std::size_t DomainName::label_count() const {
-  if (name_.empty()) return 0;
-  std::size_t dots = 0;
-  for (char c : name_)
-    if (c == '.') ++dots;
-  return dots + 1;
-}
-
 std::string_view DomainName::tld() const {
   const auto pos = name_.rfind('.');
   if (pos == std::string::npos) return name_;
   return std::string_view(name_).substr(pos + 1);
-}
-
-DomainName DomainName::registered_domain() const {
-  const auto lbls = labels();
-  if (lbls.size() <= 2) return *this;
-  std::string reg = std::string(lbls[lbls.size() - 2]) + "." +
-                    std::string(lbls[lbls.size() - 1]);
-  return DomainName(std::move(reg));
-}
-
-bool DomainName::is_subdomain_of(const DomainName& ancestor) const {
-  if (name_ == ancestor.name_) return true;
-  if (name_.size() <= ancestor.name_.size() + 1) return false;
-  return util::ends_with(name_, "." + ancestor.name_);
-}
-
-bool DomainName::is_idn() const {
-  for (const auto label : labels()) {
-    if (util::starts_with(label, "xn--")) return true;
-  }
-  return false;
 }
 
 }  // namespace ddos::dns

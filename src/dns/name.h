@@ -1,7 +1,7 @@
 // Domain names. Stored lower-case without the trailing root dot; label
 // structure is validated on construction. Supports the operations the
-// pipeline needs: TLD extraction (.nl share in the TransIP study),
-// registered-domain grouping and subdomain tests (mil.ru and subdomains).
+// pipeline needs: labels (the wire-format name codec) and TLD extraction
+// (zone-file export per TLD).
 #pragma once
 
 #include <compare>
@@ -33,21 +33,9 @@ class DomainName {
   /// Labels right-to-left would be DNS order; we return left-to-right,
   /// e.g. "www.mil.ru" -> {"www", "mil", "ru"}.
   std::vector<std::string_view> labels() const;
-  std::size_t label_count() const;
 
   /// Rightmost label: "ru" for "www.mil.ru".
   std::string_view tld() const;
-
-  /// Registered domain under a single-label public suffix:
-  /// "www.mil.ru" -> "mil.ru"; a bare TLD returns itself.
-  DomainName registered_domain() const;
-
-  /// True if *this is `ancestor` or a subdomain of it.
-  bool is_subdomain_of(const DomainName& ancestor) const;
-
-  /// True for internationalised (punycode "xn--") names, e.g. the Cyrillic
-  /// IDN of mil.ru studied in §5.2.1.
-  bool is_idn() const;
 
  private:
   explicit DomainName(std::string normalised) : name_(std::move(normalised)) {}

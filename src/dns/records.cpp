@@ -4,49 +4,6 @@
 
 namespace ddos::dns {
 
-std::string to_string(RRType t) {
-  switch (t) {
-    case RRType::A: return "A";
-    case RRType::NS: return "NS";
-    case RRType::CNAME: return "CNAME";
-    case RRType::SOA: return "SOA";
-    case RRType::AAAA: return "AAAA";
-  }
-  return "TYPE" + std::to_string(static_cast<std::uint16_t>(t));
-}
-
-std::string to_string(ResponseStatus s) {
-  switch (s) {
-    case ResponseStatus::Ok: return "OK";
-    case ResponseStatus::ServFail: return "SERVFAIL";
-    case ResponseStatus::NxDomain: return "NXDOMAIN";
-    case ResponseStatus::Timeout: return "TIMEOUT";
-  }
-  return "UNKNOWN";
-}
-
-Zone::Zone(DomainName apex) : apex_(std::move(apex)) {}
-
-void Zone::add(ResourceRecord rr) { records_.push_back(std::move(rr)); }
-
-std::vector<ResourceRecord> Zone::find(const DomainName& owner,
-                                       RRType type) const {
-  std::vector<ResourceRecord> out;
-  for (const auto& rr : records_) {
-    if (rr.type == type && rr.owner == owner) out.push_back(rr);
-  }
-  return out;
-}
-
-std::string NSSetKey::to_string() const {
-  std::string out;
-  for (std::size_t i = 0; i < ips.size(); ++i) {
-    if (i) out.push_back('|');
-    out += ips[i].to_string();
-  }
-  return out;
-}
-
 NSSetKey NSSetKey::from_ips(std::vector<netsim::IPv4Addr> in) {
   std::sort(in.begin(), in.end());
   in.erase(std::unique(in.begin(), in.end()), in.end());

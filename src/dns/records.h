@@ -1,4 +1,4 @@
-// Resource records, zones, and delegations. The paper's unit of analysis is
+// Response statuses, delegations and NSSets. The paper's unit of analysis is
 // the delegation: a registered domain and the set of authoritative NS
 // hostnames/IPs serving it. The *NSSet* (§4.1) is the deduplicated set of
 // NS IPv4 addresses shared by one or more domains.
@@ -15,16 +15,6 @@
 
 namespace ddos::dns {
 
-enum class RRType : std::uint16_t {
-  A = 1,
-  NS = 2,
-  CNAME = 5,
-  SOA = 6,
-  AAAA = 28,
-};
-
-std::string to_string(RRType t);
-
 /// Response codes as recorded by the OpenINTEL-style sweeper. TIMEOUT is
 /// not a wire rcode but a measurement outcome; the paper treats it as a
 /// first-class status (§3.2).
@@ -33,33 +23,6 @@ enum class ResponseStatus : std::uint8_t {
   ServFail = 1,
   NxDomain = 2,
   Timeout = 3,
-};
-
-std::string to_string(ResponseStatus s);
-
-struct ResourceRecord {
-  DomainName owner;
-  RRType type = RRType::A;
-  std::uint32_t ttl = 3600;
-  std::string rdata;  // Presentation form: address or target name.
-};
-
-/// A zone: authoritative data for one apex. Only what the pipeline needs —
-/// NS records at the apex and A records for in-bailiwick nameservers.
-class Zone {
- public:
-  explicit Zone(DomainName apex);
-
-  const DomainName& apex() const { return apex_; }
-
-  void add(ResourceRecord rr);
-  std::vector<ResourceRecord> find(const DomainName& owner, RRType type) const;
-  const std::vector<ResourceRecord>& all() const { return records_; }
-  std::size_t size() const { return records_.size(); }
-
- private:
-  DomainName apex_;
-  std::vector<ResourceRecord> records_;
 };
 
 /// A registered domain's delegation: NS hostnames and their resolved
@@ -77,8 +40,6 @@ struct NSSetKey {
   std::vector<netsim::IPv4Addr> ips;  // sorted, unique
 
   bool operator==(const NSSetKey&) const = default;
-  /// "1.2.3.4|5.6.7.8" — stable string form for map keys and CSV export.
-  std::string to_string() const;
 
   static NSSetKey from_ips(std::vector<netsim::IPv4Addr> ips);
 };

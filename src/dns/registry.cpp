@@ -92,14 +92,6 @@ std::vector<DomainId> DnsRegistry::domains_of_ns_ip(
   return out;
 }
 
-std::uint64_t DnsRegistry::domain_count_of_ns_ip(netsim::IPv4Addr ip) const {
-  std::uint64_t n = 0;
-  for (const NssetId ns : nssets_containing(ip)) {
-    n += nssets_[ns].domains.size();
-  }
-  return n;
-}
-
 std::vector<netsim::IPv4Addr> DnsRegistry::all_ns_ips() const {
   std::vector<netsim::IPv4Addr> out;
   out.reserve(ip_to_nssets_.size());

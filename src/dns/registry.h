@@ -59,9 +59,6 @@ class DnsRegistry {
   /// construction: a domain belongs to exactly one NSSet).
   std::vector<DomainId> domains_of_ns_ip(netsim::IPv4Addr ip) const;
 
-  /// Number of domains whose NSSet contains `ip`.
-  std::uint64_t domain_count_of_ns_ip(netsim::IPv4Addr ip) const;
-
   /// All distinct NS IPv4 addresses referenced by any delegation,
   /// ascending (the flat index has no stable iteration order, so the
   /// snapshot is sorted to stay deterministic).

@@ -2,56 +2,6 @@
 
 namespace ddos::dns {
 
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint16_t>((in[at] << 8) | in[at + 1]);
-}
-
-}  // namespace
-
-void WireHeader::encode(std::vector<std::uint8_t>& out) const {
-  put_u16(out, id);
-  std::uint16_t flags = 0;
-  if (qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>((opcode & 0x0F) << 11);
-  if (aa) flags |= 0x0400;
-  if (tc) flags |= 0x0200;
-  if (rd) flags |= 0x0100;
-  if (ra) flags |= 0x0080;
-  flags |= static_cast<std::uint16_t>(rcode) & 0x000F;
-  put_u16(out, flags);
-  put_u16(out, qdcount);
-  put_u16(out, ancount);
-  put_u16(out, nscount);
-  put_u16(out, arcount);
-}
-
-std::optional<WireHeader> WireHeader::decode(
-    std::span<const std::uint8_t> in) {
-  if (in.size() < kSize) return std::nullopt;
-  WireHeader h;
-  h.id = get_u16(in, 0);
-  const std::uint16_t flags = get_u16(in, 2);
-  h.qr = flags & 0x8000;
-  h.opcode = (flags >> 11) & 0x0F;
-  h.aa = flags & 0x0400;
-  h.tc = flags & 0x0200;
-  h.rd = flags & 0x0100;
-  h.ra = flags & 0x0080;
-  h.rcode = static_cast<WireRcode>(flags & 0x000F);
-  h.qdcount = get_u16(in, 4);
-  h.ancount = get_u16(in, 6);
-  h.nscount = get_u16(in, 8);
-  h.arcount = get_u16(in, 10);
-  return h;
-}
-
 bool encode_name(const DomainName& name, std::vector<std::uint8_t>& out) {
   if (name.empty()) return false;
   std::vector<std::uint8_t> buf;
@@ -102,54 +52,6 @@ std::optional<DomainName> decode_name(std::span<const std::uint8_t> message,
   }
   if (name.empty()) return std::nullopt;  // the bare root is not a domain
   return DomainName::parse(name);
-}
-
-std::vector<std::uint8_t> encode_query(std::uint16_t id,
-                                       const WireQuestion& question,
-                                       bool recursion_desired) {
-  std::vector<std::uint8_t> out;
-  WireHeader header;
-  header.id = id;
-  header.rd = recursion_desired;
-  header.qdcount = 1;
-  header.encode(out);
-  encode_name(question.qname, out);
-  put_u16(out, static_cast<std::uint16_t>(question.qtype));
-  put_u16(out, question.qclass);
-  return out;
-}
-
-std::optional<ParsedMessage> parse_message(
-    std::span<const std::uint8_t> message) {
-  const auto header = WireHeader::decode(message);
-  if (!header) return std::nullopt;
-  ParsedMessage parsed;
-  parsed.header = *header;
-  std::size_t pos = WireHeader::kSize;
-  for (std::uint16_t q = 0; q < header->qdcount; ++q) {
-    std::size_t next = 0;
-    const auto qname = decode_name(message, pos, next);
-    if (!qname) return std::nullopt;
-    if (next + 4 > message.size()) return std::nullopt;
-    WireQuestion question;
-    question.qname = *qname;
-    question.qtype = static_cast<RRType>(get_u16(message, next));
-    question.qclass = get_u16(message, next + 2);
-    parsed.questions.push_back(std::move(question));
-    pos = next + 4;
-  }
-  return parsed;
-}
-
-ResponseStatus to_response_status(WireRcode rcode) {
-  switch (rcode) {
-    case WireRcode::NoError: return ResponseStatus::Ok;
-    case WireRcode::ServFail: return ResponseStatus::ServFail;
-    case WireRcode::NxDomain: return ResponseStatus::NxDomain;
-    case WireRcode::FormErr:
-    case WireRcode::Refused: return ResponseStatus::ServFail;
-  }
-  return ResponseStatus::ServFail;
 }
 
 }  // namespace ddos::dns

@@ -1,13 +1,7 @@
-// DNS wire format (RFC 1035 §4) — message header, question section, and
-// name encoding with compression-pointer decoding.
-//
-// The analysis pipeline works on measurement *records*, but the probing
-// components (OpenINTEL's sweeper, the reactive platform) ultimately put
-// real queries on the wire; this codec is what a deployment of this
-// library would serialise them with. It is deliberately scoped to what
-// the paper's measurements use: QUERY opcode, one question, NS/A lookups,
-// and response-code extraction — plus robust (bounds- and loop-checked)
-// name decompression, where most real-world DNS parser bugs live.
+// DNS wire-format name codec (RFC 1035 §4.1.4): length-prefixed labels
+// on encode, and robust (bounds- and loop-checked) compression-pointer
+// decoding, where most real-world DNS parser bugs live. The analysis
+// pipeline works on measurement records and never builds full messages.
 #pragma once
 
 #include <cstdint>
@@ -17,43 +11,8 @@
 #include <vector>
 
 #include "dns/name.h"
-#include "dns/records.h"
 
 namespace ddos::dns {
-
-/// Wire rcodes (subset the pipeline observes).
-enum class WireRcode : std::uint8_t {
-  NoError = 0,
-  FormErr = 1,
-  ServFail = 2,
-  NxDomain = 3,
-  Refused = 5,
-};
-
-struct WireHeader {
-  std::uint16_t id = 0;
-  bool qr = false;      // response flag
-  std::uint8_t opcode = 0;
-  bool aa = false;      // authoritative answer
-  bool tc = false;      // truncated (the DNS-over-TCP trigger, §6.2)
-  bool rd = false;
-  bool ra = false;
-  WireRcode rcode = WireRcode::NoError;
-  std::uint16_t qdcount = 0;
-  std::uint16_t ancount = 0;
-  std::uint16_t nscount = 0;
-  std::uint16_t arcount = 0;
-
-  static constexpr std::size_t kSize = 12;
-  void encode(std::vector<std::uint8_t>& out) const;
-  static std::optional<WireHeader> decode(std::span<const std::uint8_t> in);
-};
-
-struct WireQuestion {
-  DomainName qname;
-  RRType qtype = RRType::NS;
-  std::uint16_t qclass = 1;  // IN
-};
 
 /// Encode a name as a sequence of length-prefixed labels + root.
 /// Returns false (and leaves `out` untouched) for invalid names.
@@ -65,23 +24,5 @@ bool encode_name(const DomainName& name, std::vector<std::uint8_t>& out);
 /// forward pointers, out-of-bounds reads and over-long names.
 std::optional<DomainName> decode_name(std::span<const std::uint8_t> message,
                                       std::size_t offset, std::size_t& next);
-
-/// Build a complete query message (header + one question).
-std::vector<std::uint8_t> encode_query(std::uint16_t id,
-                                       const WireQuestion& question,
-                                       bool recursion_desired = false);
-
-/// Parsed view of a message (header + questions; records left as raw
-/// offsets for the layers above, which only need counts and rcode).
-struct ParsedMessage {
-  WireHeader header;
-  std::vector<WireQuestion> questions;
-};
-
-std::optional<ParsedMessage> parse_message(
-    std::span<const std::uint8_t> message);
-
-/// Map a wire rcode to the measurement status the pipeline stores.
-ResponseStatus to_response_status(WireRcode rcode);
 
 }  // namespace ddos::dns

@@ -43,23 +43,4 @@ std::uint64_t Prefix::size() const {
   return std::uint64_t{1} << (32 - len_);
 }
 
-IPv4Addr Prefix::last() const {
-  return IPv4Addr(net_.value() | ~prefix_mask(len_));
-}
-
-std::string Prefix::to_string() const {
-  return net_.to_string() + "/" + std::to_string(len_);
-}
-
-std::optional<Prefix> Prefix::parse(std::string_view s) {
-  const auto slash = s.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  const auto addr = IPv4Addr::parse(s.substr(0, slash));
-  if (!addr) return std::nullopt;
-  std::uint64_t len = 0;
-  if (!util::parse_u64(s.substr(slash + 1), len) || len > 32)
-    return std::nullopt;
-  return Prefix(*addr, static_cast<int>(len));
-}
-
 }  // namespace ddos::netsim

@@ -57,13 +57,8 @@ class Prefix {
   /// Number of addresses covered (2^(32-len)); 2^32 saturates to max u64.
   std::uint64_t size() const;
 
-  /// First/last address covered.
+  /// First address covered.
   IPv4Addr first() const { return net_; }
-  IPv4Addr last() const;
-
-  /// "1.2.3.0/24".
-  std::string to_string() const;
-  static std::optional<Prefix> parse(std::string_view s);
 
  private:
   IPv4Addr net_{};

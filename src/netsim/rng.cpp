@@ -129,22 +129,6 @@ std::uint64_t Rng::poisson(double mean) {
   return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w > 0.0 ? w : 0.0;
-  if (total <= 0.0)
-    throw std::invalid_argument("weighted_index: no positive weights");
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (r < w) return i;
-    r -= w;
-  }
-  return weights.size() - 1;  // Floating-point edge: last positive bucket.
-}
-
-Rng Rng::fork() { return Rng(next_u64()); }
-
 Rng Rng::split(std::uint64_t stream_id) const {
   // Condense the four state words (rotations break the xoshiro linearity),
   // then mix in the stream id through two SplitMix64 rounds so adjacent ids

@@ -59,9 +59,6 @@ class Rng {
   /// Poisson-distributed count (Knuth for small means, normal approx above).
   std::uint64_t poisson(double mean);
 
-  /// Pick an index in [0, weights.size()) proportional to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -71,10 +68,6 @@ class Rng {
       swap(v[i - 1], v[j]);
     }
   }
-
-  /// Derive an independent child generator (for per-entity streams).
-  /// Advances this generator; successive forks yield different children.
-  Rng fork();
 
   /// Derive an independent child stream keyed by `stream_id` WITHOUT
   /// advancing this generator: split(k) is a pure function of (state, k),

@@ -95,12 +95,4 @@ std::string SimTime::to_string() const {
   return buf;
 }
 
-std::string SimTime::year_month() const {
-  int year = 0, month = 0, dom = 0;
-  day_to_ymd(day(), year, month, dom);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d", year, month);
-  return buf;
-}
-
 }  // namespace ddos::netsim

@@ -48,8 +48,6 @@ class SimTime {
 
   /// "2020-12-01 08:00:00" (UTC).
   std::string to_string() const;
-  /// "2020-12" — used for the monthly breakdowns of Table 3 / Fig. 5.
-  std::string year_month() const;
 
  private:
   static constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -331,14 +330,6 @@ void write_dashboard_html(std::ostream& out, const Observer& observer,
   }
 
   out << "</body>\n</html>\n";
-}
-
-std::string render_dashboard_html(const Observer& observer,
-                                  const TelemetrySampler* sampler,
-                                  const DashboardOptions& options) {
-  std::ostringstream out;
-  write_dashboard_html(out, observer, sampler, options);
-  return out.str();
 }
 
 bool write_dashboard_html_file(const std::string& path,

@@ -36,10 +36,6 @@ struct DashboardOptions {
 
 /// Renders the dashboard for an observer (timeline + metrics) and an
 /// optional sampler (sparkline series; pass nullptr for timeline-only).
-std::string render_dashboard_html(const Observer& observer,
-                                  const TelemetrySampler* sampler,
-                                  const DashboardOptions& options = {});
-
 void write_dashboard_html(std::ostream& out, const Observer& observer,
                           const TelemetrySampler* sampler,
                           const DashboardOptions& options = {});

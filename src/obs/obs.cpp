@@ -18,8 +18,6 @@ PipelineMetrics::PipelineMetrics(MetricsRegistry& r)
       server_answered(r.counter("server.answered")),
       server_servfail(r.counter("server.servfail")),
       server_dropped(r.counter("server.dropped")),
-      cache_hits(r.counter("cache.hits")),
-      cache_misses(r.counter("cache.misses")),
       sweep_measurements(r.counter("sweep.measurements")),
       sweep_ok(r.counter("sweep.ok")),
       sweep_servfail(r.counter("sweep.servfail")),
@@ -96,11 +94,6 @@ std::vector<ProgressRegistry::Reading> ProgressRegistry::read() const {
     out.push_back(std::move(r));
   }
   return out;
-}
-
-std::size_t ProgressRegistry::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return sources_.size();
 }
 
 void Observer::emit_progress(const ProgressEvent& event, bool force) {

@@ -53,7 +53,6 @@ class ProgressRegistry {
   };
   /// One reading per live source, in registration order.
   std::vector<Reading> read() const;
-  std::size_t size() const;
 
  private:
   struct Source {
@@ -103,9 +102,6 @@ struct PipelineMetrics {
   Counter& server_answered;
   Counter& server_servfail;
   Counter& server_dropped;      // blackholed/geofenced/queue-lost, no answer
-  // dns/cache.cpp — resolver cache effectiveness.
-  Counter& cache_hits;
-  Counter& cache_misses;
   // openintel/sweeper.cpp — sweep measurements by outcome.
   Counter& sweep_measurements;
   Counter& sweep_ok;

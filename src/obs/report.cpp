@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace ddos::obs {
 
@@ -37,6 +36,9 @@ void RunReport::add_config(const std::string& key, const std::string& value) {
   config_.emplace_back(key, "\"" + json_escape(value) + "\"");
 }
 void RunReport::add_config(const std::string& key, std::int64_t value) {
+  config_.emplace_back(key, std::to_string(value));
+}
+void RunReport::add_config(const std::string& key, std::uint64_t value) {
   config_.emplace_back(key, std::to_string(value));
 }
 void RunReport::add_config(const std::string& key, double value) {
@@ -77,13 +79,6 @@ void RunReport::write(std::ostream& out, const Observer& observer,
   out << "]";
 
   out << ",\"metrics\":" << observer.metrics().snapshot().to_json() << "}";
-}
-
-std::string RunReport::to_json(const Observer& observer,
-                               std::uint32_t max_stage_depth) const {
-  std::ostringstream out;
-  write(out, observer, max_stage_depth);
-  return out.str();
 }
 
 }  // namespace ddos::obs

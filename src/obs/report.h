@@ -23,6 +23,7 @@ class RunReport {
 
   void add_config(const std::string& key, const std::string& value);
   void add_config(const std::string& key, std::int64_t value);
+  void add_config(const std::string& key, std::uint64_t value);
   void add_config(const std::string& key, double value);
   void add_result(const std::string& key, const std::string& value);
   void add_result(const std::string& key, std::int64_t value);
@@ -34,8 +35,6 @@ class RunReport {
   /// depth <= max_stage_depth (default: root + direct children).
   void write(std::ostream& out, const Observer& observer,
              std::uint32_t max_stage_depth = 1) const;
-  std::string to_json(const Observer& observer,
-                      std::uint32_t max_stage_depth = 1) const;
 
  private:
   using Section = std::vector<std::pair<std::string, std::string>>;

@@ -22,26 +22,12 @@ SeriesPoint TimeSeries::at(std::size_t i) const {
   return points_[(start + i) % points_.size()];
 }
 
-std::vector<SeriesPoint> TimeSeries::points() const { return tail(size_); }
-
 std::vector<SeriesPoint> TimeSeries::tail(std::size_t n) const {
   const std::size_t count = std::min(n, size_);
   std::vector<SeriesPoint> out;
   out.reserve(count);
   for (std::size_t i = size_ - count; i < size_; ++i) out.push_back(at(i));
   return out;
-}
-
-double TimeSeries::min_value() const {
-  double v = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < size_; ++i) v = std::min(v, at(i).value);
-  return size_ > 0 ? v : 0.0;
-}
-
-double TimeSeries::max_value() const {
-  double v = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < size_; ++i) v = std::max(v, at(i).value);
-  return size_ > 0 ? v : 0.0;
 }
 
 TimeSeriesSet::TimeSeriesSet(std::size_t capacity_per_series)

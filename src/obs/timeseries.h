@@ -53,13 +53,8 @@ class TimeSeries {
   SeriesPoint at(std::size_t i) const;
   SeriesPoint back() const { return at(size_ - 1); }
 
-  /// Oldest-to-newest copy of the retained window.
-  std::vector<SeriesPoint> points() const;
   /// The newest min(n, size()) points, oldest first (watchdog dumps).
   std::vector<SeriesPoint> tail(std::size_t n) const;
-
-  double min_value() const;
-  double max_value() const;
 
  private:
   SeriesKind kind_;

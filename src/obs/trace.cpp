@@ -3,7 +3,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -130,12 +129,6 @@ void Tracer::write_chrome_json(std::ostream& out) const {
   out << "],\"displayTimeUnit\":\"ms\"}";
 }
 
-std::string Tracer::chrome_json() const {
-  std::ostringstream out;
-  write_chrome_json(out);
-  return out.str();
-}
-
 ScopedSpan::ScopedSpan(Tracer* tracer, std::string name) : tracer_(tracer) {
   if (!tracer_) return;
   name_ = std::move(name);
@@ -168,11 +161,6 @@ ScopedSpan::~ScopedSpan() {
   ev.items = items_;
   ev.args = std::move(args_);
   tracer_->record(std::move(ev));
-}
-
-void ScopedSpan::arg(const std::string& key, const std::string& value) {
-  if (!tracer_) return;
-  args_.emplace_back(key, value);
 }
 
 void ScopedSpan::arg(const std::string& key, std::int64_t value) {

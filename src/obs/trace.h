@@ -55,7 +55,6 @@ class Tracer {
 
   /// {"traceEvents":[{"name":...,"ph":"X","ts":us,"dur":us,...},...]}
   void write_chrome_json(std::ostream& out) const;
-  std::string chrome_json() const;
 
  private:
   std::chrono::steady_clock::time_point epoch_;
@@ -106,7 +105,6 @@ class ScopedSpan {
   void add_items(std::uint64_t n = 1) { items_ += n; }
 
   /// Attach an extra key/value to the emitted event (no-op when disabled).
-  void arg(const std::string& key, const std::string& value);
   void arg(const std::string& key, std::int64_t value);
 
   bool enabled() const { return tracer_ != nullptr; }

@@ -69,22 +69,6 @@ bool MeasurementStore::ns_seen_on(netsim::IPv4Addr ns,
   return ips && ips->contains(ns);
 }
 
-std::size_t MeasurementStore::ns_seen_count(netsim::DayIndex day) const {
-  const util::FlatSet<netsim::IPv4Addr>* ips = ns_seen_.find(day);
-  return ips ? ips->size() : 0;
-}
-
-void MeasurementStore::finalize_day(
-    netsim::DayIndex day,
-    const std::function<bool(dns::NssetId, netsim::WindowIndex)>& keep) {
-  const netsim::WindowIndex first = day * netsim::kWindowsPerDay;
-  const netsim::WindowIndex last = first + netsim::kWindowsPerDay - 1;
-  window_.erase_if([&](std::uint64_t key, const Aggregate&) {
-    const netsim::WindowIndex window = window_key_window(key);
-    return window >= first && window <= last && !keep(key_nsset(key), window);
-  });
-}
-
 MeasurementStore::RetiredState MeasurementStore::retire_days_below(
     netsim::DayIndex day) {
   RetiredState out;

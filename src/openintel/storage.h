@@ -11,10 +11,9 @@
 // thousand domains produces ~10^8 records, so the store folds each into
 // O(1) state on ingest. The fold tables are open-addressing FlatMaps — the
 // fold is the single hottest call in the pipeline, and flat probing plus
-// the batched ingest below keep it at memory bandwidth. Window-level state
-// for quiet periods is pruned by `finalize_day` with a caller-supplied
-// keep-predicate (the longitudinal driver keeps only windows overlapping
-// inferred attacks).
+// the batched ingest below keep it at memory bandwidth. The run executor
+// bounds memory by moving every day behind the join watermark out with
+// `retire_days_below`, which erases whole days from the fold tables.
 #pragma once
 
 #include <cstdint>
@@ -168,21 +167,14 @@ class MeasurementStore {
   /// Convenience: previous-day average RTT, 0.0 when absent.
   double daily_avg_rtt(dns::NssetId nsset, netsim::DayIndex day) const;
 
-  /// Window aggregate for (nsset, window); nullptr when nothing measured
-  /// or pruned by finalize_day.
+  /// Window aggregate for (nsset, window); nullptr when nothing measured,
+  /// rejected by the window retention predicate, or retired.
   const Aggregate* window(dns::NssetId nsset,
                           netsim::WindowIndex window) const;
 
   /// Was `ns` successfully queried (answered at least once as the chosen
   /// server) on `day`? Drives the previous-day nameserver join.
   bool ns_seen_on(netsim::IPv4Addr ns, netsim::DayIndex day) const;
-  std::size_t ns_seen_count(netsim::DayIndex day) const;
-
-  /// Prune window aggregates of `day` that the predicate rejects. Call
-  /// after each swept day in long runs to bound memory.
-  void finalize_day(netsim::DayIndex day,
-                    const std::function<bool(dns::NssetId,
-                                             netsim::WindowIndex)>& keep);
 
   std::size_t window_entries() const { return window_.size(); }
   std::size_t daily_entries() const { return daily_.size(); }

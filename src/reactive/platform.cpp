@@ -129,14 +129,6 @@ Campaign ReactivePlatform::run_campaign(
 
 // ---- Multi-vantage mode ---------------------------------------------------
 
-std::vector<VantagePoint> default_vantage_points() {
-  return {
-      {7, "NL", "NL-AMS"},   {101, "US", "US-IAD"}, {202, "US", "US-SJC"},
-      {303, "DE", "DE-FRA"}, {404, "JP", "JP-NRT"}, {505, "BR", "BR-GRU"},
-      {606, "AU", "AU-SYD"}, {707, "ZA", "ZA-JNB"},
-  };
-}
-
 double MultiVantageWindow::min_rate() const {
   double lo = 1.0;
   for (const double r : rate_per_vantage) lo = std::min(lo, r);
@@ -147,27 +139,6 @@ double MultiVantageWindow::max_rate() const {
   double hi = 0.0;
   for (const double r : rate_per_vantage) hi = std::max(hi, r);
   return hi;
-}
-
-std::size_t MultiVantageCampaign::degraded_windows_any_vantage(
-    double threshold) const {
-  std::size_t n = 0;
-  for (const auto& w : windows) {
-    if (w.during_attack && w.min_rate() < threshold) ++n;
-  }
-  return n;
-}
-
-std::size_t MultiVantageCampaign::degraded_windows_from(
-    std::size_t v, double threshold) const {
-  std::size_t n = 0;
-  for (const auto& w : windows) {
-    if (w.during_attack && v < w.rate_per_vantage.size() &&
-        w.rate_per_vantage[v] < threshold) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 std::size_t MultiVantageCampaign::masked_windows(double spread) const {
@@ -233,16 +204,6 @@ MultiVantageCampaign MultiVantagePlatform::run_campaign(
     campaign.windows.push_back(std::move(mvw));
   }
   return campaign;
-}
-
-std::vector<Campaign> ReactivePlatform::run_all(
-    const std::vector<telescope::RSDoSEvent>& events) const {
-  std::vector<Campaign> out;
-  for (const auto& ev : events) {
-    if (!registry_.is_ns_ip(ev.victim)) continue;
-    out.push_back(run_campaign(ev));
-  }
-  return out;
 }
 
 }  // namespace ddos::reactive

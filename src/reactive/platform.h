@@ -92,10 +92,6 @@ class ReactivePlatform {
   /// (no domains to probe) — mirroring the production join.
   Campaign run_campaign(const telescope::RSDoSEvent& event) const;
 
-  /// Feed a whole feed's events; returns one campaign per NS-IP victim.
-  std::vector<Campaign> run_all(
-      const std::vector<telescope::RSDoSEvent>& events) const;
-
   const ReactiveParams& params() const { return params_; }
 
   /// The (stable) domain sample probed for a victim: up to
@@ -126,9 +122,6 @@ struct VantagePoint {
   std::string label;        // e.g. "NL-AMS"
 };
 
-/// A built-in spread of vantage points across regions.
-std::vector<VantagePoint> default_vantage_points();
-
 struct MultiVantageWindow {
   netsim::WindowIndex window = 0;
   bool during_attack = false;
@@ -151,11 +144,6 @@ struct MultiVantageCampaign {
   std::vector<VantagePoint> vantages;
   std::vector<MultiVantageWindow> windows;
 
-  /// Attack windows where at least one vantage saw degradation (< thresh).
-  std::size_t degraded_windows_any_vantage(double threshold = 0.9) const;
-  /// Attack windows where vantage `v` alone saw degradation.
-  std::size_t degraded_windows_from(std::size_t v,
-                                    double threshold = 0.9) const;
   /// Attack windows with a masked (vantage-dependent) outage.
   std::size_t masked_windows(double spread = 0.5) const;
 };

@@ -125,10 +125,6 @@ std::optional<ShardSpec> parse_shard(std::string_view spec,
   return ShardSpec{parts[0], parts[1]};
 }
 
-netsim::DayIndex event_final_day(const telescope::RSDoSEvent& ev) {
-  return (ev.end_time() - 1).day();
-}
-
 std::vector<netsim::DayIndex> shard_day_cuts(const SweepPlan& plan,
                                              std::uint32_t count) {
   if (count == 0) {

@@ -90,12 +90,6 @@ struct ShardSpec {
 std::optional<ShardSpec> parse_shard(std::string_view spec,
                                      std::string* error = nullptr);
 
-/// A telescope event's final attacked day — the day whose owner shard
-/// joins the event. Keyed on the END of the attack so every store read
-/// the join performs (previous-day baselines, attack windows) lands at or
-/// before the owning shard's day range.
-netsim::DayIndex event_final_day(const telescope::RSDoSEvent& ev);
-
 /// The shard's owned day range [day_lo, day_hi). Outer shards carry
 /// int64 min/max sentinels so ownership covers every representable day.
 struct ShardBounds {
@@ -104,9 +98,6 @@ struct ShardBounds {
 
   bool owns_day(netsim::DayIndex day) const {
     return day >= day_lo && day < day_hi;
-  }
-  bool owns_event(const telescope::RSDoSEvent& ev) const {
-    return owns_day(event_final_day(ev));
   }
 };
 

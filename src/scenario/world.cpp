@@ -90,15 +90,6 @@ class PrefixAllocator {
 
 }  // namespace
 
-const std::vector<std::string>& famous_provider_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> v;
-    for (const auto& o : kFamous) v.emplace_back(o.name);
-    return v;
-  }();
-  return names;
-}
-
 const std::vector<std::string>& table6_provider_names() {
   static const std::vector<std::string> names = {
       "NForce B.V.", "Co-Co NL",       "NMU Group", "Hetzner",
@@ -122,14 +113,6 @@ int World::provider_index(const std::string& name) const {
     if (providers[i].name == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-netsim::IPv4Addr World::ns_ip_of(const std::string& provider_name,
-                                 std::size_t idx) const {
-  const int p = provider_index(provider_name);
-  if (p < 0)
-    throw std::out_of_range("World: unknown provider " + provider_name);
-  return providers[static_cast<std::size_t>(p)].ns_ips.at(idx);
 }
 
 WorldParams small_world_params(std::uint64_t seed) {

@@ -97,10 +97,6 @@ struct World {
 
   /// Provider index by organisation name; -1 when absent.
   int provider_index(const std::string& name) const;
-
-  /// Any NS IP of a named provider (first one); throws if absent.
-  netsim::IPv4Addr ns_ip_of(const std::string& provider_name,
-                            std::size_t idx = 0) const;
 };
 
 /// Build the world. Deterministic in params.seed.
@@ -108,10 +104,6 @@ std::unique_ptr<World> build_world(const WorldParams& params);
 
 /// Small-world preset for unit tests (fast to build and sweep).
 WorldParams small_world_params(std::uint64_t seed = 7);
-
-/// Well-known organisations assigned to the top size ranks, in rank order.
-/// Index 0 is the largest provider.
-const std::vector<std::string>& famous_provider_names();
 
 /// The Table-6 organisations (small-to-medium providers hit hardest).
 const std::vector<std::string>& table6_provider_names();

@@ -12,15 +12,6 @@
 
 namespace ddos::serve {
 
-const char* to_string(TopKMetric metric) {
-  switch (metric) {
-    case TopKMetric::Attacks: return "attacks";
-    case TopKMetric::PeakImpact: return "peak_impact";
-    case TopKMetric::FailureRate: return "failure_rate";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Events per victim, ascending by victim.

@@ -66,8 +66,6 @@ enum class TopKMetric {
   FailureRate,  // max joined-event failure rate per NSSet
 };
 
-const char* to_string(TopKMetric metric);
-
 /// Precomputed per-NSSet fold over its joined attack events.
 struct NssetSummary {
   dns::NssetId nsset = dns::kInvalidNsset;

@@ -12,16 +12,6 @@ const char* to_string(ColumnType t) {
   return "?";
 }
 
-const char* to_string(Encoding e) {
-  switch (e) {
-    case Encoding::DeltaVarint: return "delta-varint";
-    case Encoding::Varint: return "varint";
-    case Encoding::Fixed: return "fixed";
-    case Encoding::StringBlock: return "string-block";
-  }
-  return "?";
-}
-
 void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80u) {
     out.push_back(static_cast<char>((v & 0x7Fu) | 0x80u));

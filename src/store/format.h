@@ -65,7 +65,6 @@ enum class Encoding : std::uint8_t {
 };
 
 const char* to_string(ColumnType t);
-const char* to_string(Encoding e);
 
 /// One column block as recorded in the footer index.
 struct ColumnDesc {

@@ -13,13 +13,6 @@ AmpPotFleet::AmpPotFleet(AmpPotParams params) : params_(params) {
         "AmpPotFleet: fleet larger than reflector population");
 }
 
-double AmpPotFleet::detection_probability(
-    std::uint32_t reflectors_used) const {
-  const double miss_one = 1.0 - static_cast<double>(params_.honeypots) /
-                                    params_.reflector_population;
-  return 1.0 - std::pow(miss_one, static_cast<double>(reflectors_used));
-}
-
 std::optional<AmpPotObservation> AmpPotFleet::observe(
     const attack::AttackSpec& attack, netsim::Rng& rng) const {
   if (attack.spoof != attack::SpoofType::Reflected) return std::nullopt;

@@ -54,9 +54,6 @@ class AmpPotFleet {
 
   const AmpPotParams& params() const { return params_; }
 
-  /// Probability the fleet sees an attack using `reflectors_used` sources.
-  double detection_probability(std::uint32_t reflectors_used) const;
-
   /// Observe one attack. Returns nullopt for non-reflected attacks (the
   /// honeypots never see direct or randomly-spoofed floods) and for
   /// reflected attacks whose reflector draw misses the fleet.

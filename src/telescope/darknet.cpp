@@ -47,11 +47,4 @@ std::uint32_t Darknet::slash16_count() const {
   return static_cast<std::uint32_t>(total);
 }
 
-bool Darknet::contains(netsim::IPv4Addr addr) const {
-  for (const auto& p : prefixes_) {
-    if (p.contains(addr)) return true;
-  }
-  return false;
-}
-
 }  // namespace ddos::telescope

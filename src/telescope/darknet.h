@@ -34,8 +34,6 @@ class Darknet {
   /// Number of /16-equivalent subnets covered (the RSDoS "spread" unit).
   std::uint32_t slash16_count() const;
 
-  bool contains(netsim::IPv4Addr addr) const;
-
  private:
   std::vector<netsim::Prefix> prefixes_;
 };

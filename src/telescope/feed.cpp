@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <istream>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -109,19 +108,6 @@ std::vector<RSDoSEvent> RSDoSFeed::events() const {
 void RSDoSFeed::write_csv(std::ostream& out) const {
   out << RSDoSRecord::csv_header() << '\n';
   for (const auto& rec : records_) out << rec.to_csv_row() << '\n';
-}
-
-std::size_t RSDoSFeed::read_csv(std::istream& in) {
-  std::size_t count = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line == RSDoSRecord::csv_header() || line.empty()) continue;
-    if (const auto rec = RSDoSRecord::from_csv_row(line)) {
-      records_.push_back(*rec);
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace ddos::telescope

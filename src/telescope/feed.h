@@ -90,10 +90,6 @@ class RSDoSFeed {
   /// Serialise all records as CSV (header + rows).
   void write_csv(std::ostream& out) const;
 
-  /// Load records from a write_csv() stream (header optional). Returns
-  /// the number of records read; malformed rows are skipped.
-  std::size_t read_csv(std::istream& in);
-
   const InferenceParams& inference() const { return inference_; }
 
  private:

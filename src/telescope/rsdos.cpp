@@ -21,31 +21,6 @@ std::string RSDoSRecord::to_csv_row() const {
          util::format_fixed(max_ppm, 1) + "," + std::to_string(packets);
 }
 
-std::optional<RSDoSRecord> RSDoSRecord::from_csv_row(std::string_view line) {
-  const auto fields = util::split(line, ',');
-  if (fields.size() != 8) return std::nullopt;
-  RSDoSRecord rec;
-  std::uint64_t v = 0;
-  if (!util::parse_u64(fields[0], v)) return std::nullopt;
-  rec.window = static_cast<netsim::WindowIndex>(v);
-  const auto victim = netsim::IPv4Addr::parse(fields[1]);
-  if (!victim) return std::nullopt;
-  rec.victim = *victim;
-  if (!util::parse_u64(fields[2], v) || v > 0xFFFFFFFFu) return std::nullopt;
-  rec.distinct_slash16 = static_cast<std::uint32_t>(v);
-  if (util::iequals(fields[3], "TCP")) rec.protocol = attack::Protocol::TCP;
-  else if (util::iequals(fields[3], "UDP")) rec.protocol = attack::Protocol::UDP;
-  else if (util::iequals(fields[3], "ICMP")) rec.protocol = attack::Protocol::ICMP;
-  else return std::nullopt;
-  if (!util::parse_u64(fields[4], v) || v > 0xFFFF) return std::nullopt;
-  rec.first_port = static_cast<std::uint16_t>(v);
-  if (!util::parse_u64(fields[5], v) || v > 0xFFFF) return std::nullopt;
-  rec.unique_ports = static_cast<std::uint16_t>(v);
-  if (!util::parse_double(fields[6], rec.max_ppm)) return std::nullopt;
-  if (!util::parse_u64(fields[7], rec.packets)) return std::nullopt;
-  return rec;
-}
-
 bool passes_thresholds(const attack::BackscatterWindow& bw,
                        const InferenceParams& params) {
   if (bw.packets < params.min_packets_per_window) return false;

@@ -12,9 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "attack/backscatter.h"
@@ -37,8 +35,6 @@ struct RSDoSRecord {
 
   std::string to_csv_row() const;
   static std::string csv_header();
-  /// Parse one to_csv_row() line back; nullopt on malformed input.
-  static std::optional<RSDoSRecord> from_csv_row(std::string_view line);
 
   /// Field-exact equality (store round-trip assertions).
   friend bool operator==(const RSDoSRecord&, const RSDoSRecord&) = default;

@@ -9,12 +9,6 @@ bool AsRegistry::add(const AsInfo& info) {
   return !conflict;
 }
 
-std::optional<AsInfo> AsRegistry::lookup(Asn asn) const {
-  const auto it = by_asn_.find(asn);
-  if (it == by_asn_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::string AsRegistry::org_of(Asn asn) const {
   const auto it = by_asn_.find(asn);
   return it == by_asn_.end() ? std::string{} : it->second.org;
@@ -23,16 +17,6 @@ std::string AsRegistry::org_of(Asn asn) const {
 std::string AsRegistry::country_of(Asn asn) const {
   const auto it = by_asn_.find(asn);
   return it == by_asn_.end() ? std::string{} : it->second.country_code;
-}
-
-bool AsRegistry::contains(Asn asn) const { return by_asn_.contains(asn); }
-
-std::vector<Asn> AsRegistry::asns_of_org(const std::string& org) const {
-  std::vector<Asn> out;
-  for (const auto& [asn, info] : by_asn_) {
-    if (info.org == org) out.push_back(asn);
-  }
-  return out;
 }
 
 }  // namespace ddos::topology

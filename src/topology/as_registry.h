@@ -4,10 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace ddos::topology {
 
@@ -19,7 +17,7 @@ struct AsInfo {
   std::string country_code;  // ISO-3166 alpha-2, e.g. "US".
 };
 
-/// Registry of known ASes. Unknown lookups return nullopt rather than
+/// Registry of known ASes. Unknown lookups return "" rather than
 /// fabricating entries — callers decide how to handle unattributed space.
 class AsRegistry {
  public:
@@ -27,15 +25,10 @@ class AsRegistry {
   /// with a different organisation (update still applied).
   bool add(const AsInfo& info);
 
-  std::optional<AsInfo> lookup(Asn asn) const;
   std::string org_of(Asn asn) const;           // "" when unknown
   std::string country_of(Asn asn) const;       // "" when unknown
-  bool contains(Asn asn) const;
 
   std::size_t size() const { return by_asn_.size(); }
-
-  /// All ASNs registered to an organisation (exact name match).
-  std::vector<Asn> asns_of_org(const std::string& org) const;
 
  private:
   std::unordered_map<Asn, AsInfo> by_asn_;

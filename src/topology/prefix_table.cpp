@@ -1,7 +1,5 @@
 #include "topology/prefix_table.h"
 
-#include <algorithm>
-
 namespace ddos::topology {
 
 struct PrefixTable::Node {
@@ -33,21 +31,6 @@ void PrefixTable::announce(const netsim::Prefix& prefix, Asn origin) {
   node->origin = origin;
 }
 
-bool PrefixTable::withdraw(const netsim::Prefix& prefix) {
-  Node* node = root_.get();
-  const std::uint32_t net = prefix.network().value();
-  for (int i = 0; i < prefix.length(); ++i) {
-    const int b = bit_at(net, i);
-    if (!node->child[b]) return false;
-    node = node->child[b].get();
-  }
-  if (!node->has_entry) return false;
-  node->has_entry = false;
-  node->origin = 0;
-  --size_;
-  return true;
-}
-
 std::optional<RouteEntry> PrefixTable::lookup(netsim::IPv4Addr addr) const {
   const std::uint32_t v = addr.value();
   const Node* node = root_.get();
@@ -70,50 +53,6 @@ std::optional<RouteEntry> PrefixTable::lookup(netsim::IPv4Addr addr) const {
 Asn PrefixTable::origin_of(netsim::IPv4Addr addr) const {
   const auto entry = lookup(addr);
   return entry ? entry->origin : 0;
-}
-
-std::optional<Asn> PrefixTable::exact(const netsim::Prefix& prefix) const {
-  const Node* node = root_.get();
-  const std::uint32_t net = prefix.network().value();
-  for (int i = 0; i < prefix.length(); ++i) {
-    const int b = bit_at(net, i);
-    if (!node->child[b]) return std::nullopt;
-    node = node->child[b].get();
-  }
-  if (!node->has_entry) return std::nullopt;
-  return node->origin;
-}
-
-std::vector<RouteEntry> PrefixTable::entries() const {
-  std::vector<RouteEntry> out;
-  // Depth-first walk reconstructing prefixes from the path.
-  struct Frame {
-    const Node* node;
-    std::uint32_t net;
-    int depth;
-  };
-  std::vector<Frame> stack{{root_.get(), 0, 0}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    if (f.node->has_entry) {
-      out.push_back(RouteEntry{
-          netsim::Prefix(netsim::IPv4Addr(f.net), f.depth), f.node->origin});
-    }
-    for (int b = 0; b < 2; ++b) {
-      if (f.node->child[b]) {
-        std::uint32_t net = f.net;
-        if (b && f.depth < 32) net |= (1u << (31 - f.depth));
-        stack.push_back(Frame{f.node->child[b].get(), net, f.depth + 1});
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const RouteEntry& a, const RouteEntry& b) {
-    if (a.prefix.network() != b.prefix.network())
-      return a.prefix.network() < b.prefix.network();
-    return a.prefix.length() < b.prefix.length();
-  });
-  return out;
 }
 
 }  // namespace ddos::topology

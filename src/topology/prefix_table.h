@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "netsim/ipv4.h"
 #include "topology/as_registry.h"
@@ -33,22 +32,13 @@ class PrefixTable {
   /// Announce a prefix with its origin AS. Re-announcing replaces the origin.
   void announce(const netsim::Prefix& prefix, Asn origin);
 
-  /// Withdraw a prefix; returns false if it was not announced.
-  bool withdraw(const netsim::Prefix& prefix);
-
   /// Longest-prefix match; nullopt for unrouted space.
   std::optional<RouteEntry> lookup(netsim::IPv4Addr addr) const;
 
   /// Origin AS of the longest match, or 0 when unrouted.
   Asn origin_of(netsim::IPv4Addr addr) const;
 
-  /// Exact-match query.
-  std::optional<Asn> exact(const netsim::Prefix& prefix) const;
-
   std::size_t size() const { return size_; }
-
-  /// All entries (insertion-order independent; sorted by prefix).
-  std::vector<RouteEntry> entries() const;
 
  private:
   struct Node;

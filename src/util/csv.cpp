@@ -61,19 +61,4 @@ std::vector<std::string> parse_csv_line(std::string_view line, char delim) {
   return fields;
 }
 
-std::vector<std::vector<std::string>> parse_csv(std::string_view text,
-                                                char delim) {
-  std::vector<std::vector<std::string>> rows;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) rows.push_back(parse_csv_line(line, delim));
-    start = end + 1;
-  }
-  return rows;
-}
-
 }  // namespace ddos::util

@@ -1,5 +1,5 @@
-// Minimal RFC-4180-ish CSV reader/writer for exporting bench series and
-// round-tripping simulated feed snapshots.
+// Minimal RFC-4180-ish CSV writer and line parser for the events and feed
+// CSV exports.
 #pragma once
 
 #include <ostream>
@@ -43,9 +43,5 @@ class CsvWriter {
 
 /// Parse one CSV line honouring quotes and doubled-quote escapes.
 std::vector<std::string> parse_csv_line(std::string_view line, char delim = ',');
-
-/// Parse a whole CSV document (no embedded newlines inside quoted fields).
-std::vector<std::vector<std::string>> parse_csv(std::string_view text,
-                                                char delim = ',');
 
 }  // namespace ddos::util

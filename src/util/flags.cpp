@@ -15,12 +15,6 @@ void FlagParser::add_string(const std::string& name,
                       std::move(help)};
 }
 
-void FlagParser::add_int(const std::string& name, std::int64_t default_value,
-                         std::string help) {
-  const std::string v = std::to_string(default_value);
-  flags_[name] = Flag{Type::Int, v, v, std::move(help)};
-}
-
 void FlagParser::add_uint(const std::string& name, std::uint64_t default_value,
                           std::string help, std::uint64_t min_value,
                           std::uint64_t max_value) {
@@ -60,15 +54,6 @@ bool FlagParser::set_value(const std::string& name, const std::string& value) {
     return false;
   }
   switch (it->second.type) {
-    case Type::Int: {
-      std::uint64_t u = 0;
-      double d = 0.0;
-      if (!parse_u64(value, u) && !(parse_double(value, d))) {
-        error_ = "flag --" + name + " expects an integer, got '" + value + "'";
-        return false;
-      }
-      break;
-    }
     case Type::Uint: {
       std::uint64_t u = 0;
       if (!parse_u64(value, u) || u < it->second.min_value ||
@@ -165,12 +150,6 @@ bool FlagParser::parse(int argc, const char* const* argv) {
 
 std::string FlagParser::get_string(const std::string& name) const {
   return flags_.at(name).value;
-}
-
-std::int64_t FlagParser::get_int(const std::string& name) const {
-  double d = 0.0;
-  parse_double(flags_.at(name).value, d);
-  return static_cast<std::int64_t>(d);
 }
 
 std::uint64_t FlagParser::get_uint(const std::string& name) const {

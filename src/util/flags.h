@@ -20,11 +20,10 @@ class FlagParser {
   /// Register flags with defaults; `help` appears in usage output.
   void add_string(const std::string& name, std::string default_value,
                   std::string help);
-  void add_int(const std::string& name, std::int64_t default_value,
-               std::string help);
   /// Unsigned integer with inclusive range validation: values outside
-  /// [min_value, max_value] (or non-numeric input) fail the parse with a
-  /// message naming the accepted range.
+  /// [min_value, max_value], and anything that is not a plain decimal
+  /// integer ("-5", "2000.9", "1e3"), fail the parse with a message naming
+  /// the accepted range. Values are held exactly across the full u64 range.
   void add_uint(const std::string& name, std::uint64_t default_value,
                 std::string help, std::uint64_t min_value = 0,
                 std::uint64_t max_value = UINT64_MAX);
@@ -44,7 +43,6 @@ class FlagParser {
   bool parse(const std::vector<std::string>& args);
 
   std::string get_string(const std::string& name) const;
-  std::int64_t get_int(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
@@ -57,7 +55,7 @@ class FlagParser {
   std::string usage() const;
 
  private:
-  enum class Type { String, Int, Uint, Double, Bool };
+  enum class Type { String, Uint, Double, Bool };
   struct Flag {
     Type type;
     std::string value;  // textual; parsed on get

@@ -24,7 +24,7 @@
 //
 // Deletion is tombstone-free: erase backward-shifts the displaced tail of
 // the probe chain into the hole, so lookup cost never degrades as entries
-// churn (finalize_day prunes thousands of window aggregates per day).
+// churn (retire_days_below erases every aggregate of each retired day).
 //
 // Requirements: K and V default-constructible and move-assignable; K
 // equality-comparable, and `<`-comparable for the sorted snapshots.

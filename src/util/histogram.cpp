@@ -6,50 +6,6 @@
 
 namespace ddos::util {
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("LinearHistogram: bins == 0");
-  if (!(hi > lo)) throw std::invalid_argument("LinearHistogram: hi <= lo");
-}
-
-void LinearHistogram::add(double x, std::uint64_t weight) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>(std::floor((x - lo_) / width));
-  idx = std::clamp(idx, 0L, static_cast<long>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double LinearHistogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double LinearHistogram::bin_hi(std::size_t i) const {
-  return bin_lo(i + 1);
-}
-
-double LinearHistogram::fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
-
-std::size_t LinearHistogram::mode_bin() const {
-  return static_cast<std::size_t>(
-      std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
-}
-
-void LinearHistogram::merge(const LinearHistogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ ||
-      counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument("LinearHistogram::merge: shape mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-}
-
 LogHistogram::LogHistogram(double base, double decades_per_bin,
                            std::size_t bins)
     : base_(base), decades_(decades_per_bin), counts_(bins, 0) {

@@ -1,5 +1,6 @@
-// Linear and logarithmic binned histograms, used by the figure benches
-// (port distributions, duration modes, impact magnitude buckets).
+// Log-binned histograms and category counters, used by the figure benches
+// (impact magnitude buckets, port and org tallies), the metrics registry
+// and the serve latency driver.
 #pragma once
 
 #include <cstddef>
@@ -10,36 +11,6 @@
 #include <vector>
 
 namespace ddos::util {
-
-/// Fixed-width linear histogram over [lo, hi). Out-of-range samples are
-/// clamped into the first/last bin so totals always match sample counts.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-  /// Fraction of mass in bin i; 0.0 when the histogram is empty.
-  double fraction(std::size_t i) const;
-  /// Index of the fullest bin (first one on ties).
-  std::size_t mode_bin() const;
-
-  /// Add `other`'s counts bin-by-bin (per-thread histogram aggregation).
-  /// Throws std::invalid_argument unless both histograms share the same
-  /// (lo, hi, bins) shape.
-  void merge(const LinearHistogram& other);
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Log10-spaced histogram for heavy-tailed quantities (hosted-domain
 /// counts, RTT impact factors). Bin i covers [base*r^i, base*r^(i+1)).

@@ -110,17 +110,6 @@ double Ecdf::quantile(double q) const {
   return sorted_[idx == 0 ? 0 : idx - 1];
 }
 
-std::vector<std::pair<double, double>> Ecdf::curve(std::size_t points) const {
-  std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || points == 0) return out;
-  out.reserve(points);
-  for (std::size_t i = 1; i <= points; ++i) {
-    const double q = static_cast<double>(i) / static_cast<double>(points);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
-}
-
 void RunningStats::add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;

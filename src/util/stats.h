@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace ddos::util {
@@ -52,8 +51,6 @@ class Ecdf {
   double at(double x) const;
   /// Inverse: smallest sample value v with P(X <= v) >= q, q in (0, 1].
   double quantile(double q) const;
-  /// Evenly spaced (value, cumulative probability) points for plotting.
-  std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
  private:
   std::vector<double> sorted_;

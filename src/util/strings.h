@@ -21,7 +21,6 @@ bool iequals(std::string_view a, std::string_view b);
 std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Parse an unsigned integer; returns false on any non-digit or overflow.
 bool parse_u64(std::string_view s, std::uint64_t& out);

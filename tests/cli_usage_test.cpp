@@ -3,11 +3,17 @@
 // now derive from cli::kCommands — main() static_asserts its handler table
 // against it — so this test pins the remaining human-visible contract:
 // the rendered header names every dispatched command, exactly once, with
-// a summary line.
+// a summary line. The last cases run the built CLI: malformed integer
+// flags must fail the parse (exit 2, naming the flag), and the seed must
+// reach the world without passing through a double.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "cli_commands.h"
 
@@ -71,6 +77,41 @@ TEST(CliUsage, KnownCommandsArePresent) {
         "russia"}) {
     EXPECT_NE(usage.find(name), std::string::npos) << name;
   }
+}
+
+// Runs `ddosrepro <args>`; returns its exit status and combined output.
+std::pair<int, std::string> run_cli(const std::string& args) {
+  const std::string cmd =
+      std::string("'") + DDOSREPRO_BINARY + "' " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(CliUsage, BadIntegerFlagsExitTwoAndNameTheFlag) {
+  for (const char* args : {"--domains -5", "--domains 0", "--domains 2000.9",
+                           "--providers 0", "--seed 1.5"}) {
+    const auto [status, out] = run_cli(std::string("world ") + args);
+    EXPECT_EQ(status, 2) << args << "\n" << out;
+    const std::string flag(args, std::string(args).find(' '));
+    EXPECT_NE(out.find("flag " + flag + " expects an unsigned integer"),
+              std::string::npos)
+        << args << "\n" << out;
+  }
+}
+
+TEST(CliUsage, SeedsBeyondTwoToThe53BuildDistinctWorlds) {
+  const std::string world = "world --domains 2000 --providers 40 --seed ";
+  const auto a = run_cli(world + "9007199254740992");  // 2^53
+  const auto b = run_cli(world + "9007199254740993");  // 2^53 + 1
+  ASSERT_EQ(a.first, 0) << a.second;
+  ASSERT_EQ(b.first, 0) << b.second;
+  EXPECT_NE(a.second, b.second);
 }
 
 }  // namespace

@@ -463,11 +463,6 @@ TEST(EmptyFrame, FailureAttribution) {
   EXPECT_EQ(attr.unicast_share(), 0.0);
 }
 
-TEST(EmptyFrame, TldBreakdown) {
-  const auto reg = registry_with_ns({IPv4Addr(10, 0, 0, 1)});
-  EXPECT_TRUE(tld_breakdown_columnar(empty_frame(), reg).empty());
-}
-
 TEST(EmptyFrame, TopCompanies) {
   EXPECT_TRUE(top_companies_by_impact_columnar(empty_frame(), 10).empty());
 }

@@ -134,15 +134,6 @@ TEST(Audit, SummaryCountsAndAdoption) {
   EXPECT_DOUBLE_EQ(summary.share(summary.single_ns), 0.25);
 }
 
-TEST(Audit, IssueNames) {
-  EXPECT_STREQ(to_string(DelegationIssue::SingleNameserver),
-               "single-nameserver");
-  EXPECT_STREQ(to_string(DelegationIssue::LameNameserver),
-               "lame-nameserver");
-  EXPECT_STREQ(to_string(DelegationIssue::OpenResolverAsNs),
-               "open-resolver-as-ns");
-}
-
 TEST(Audit, SyntheticWorldPlantsFindableMisconfigurations) {
   scenario::WorldParams params = scenario::small_world_params(23);
   params.domain_count = 6000;

@@ -122,24 +122,5 @@ TEST(EventsCsv, PipelineEventsRoundTripAggregates) {
   EXPECT_EQ(fa.servfails, fb.servfails);
 }
 
-TEST(TldBreakdown, CountsDomainsOfAffectedNssets) {
-  dns::DnsRegistry reg;
-  const netsim::IPv4Addr ns1(10, 0, 0, 1), ns2(10, 0, 0, 2);
-  reg.add_domain(dns::DomainName::must("a.nl"), {ns1});
-  reg.add_domain(dns::DomainName::must("b.nl"), {ns1});
-  reg.add_domain(dns::DomainName::must("c.com"), {ns1});
-  reg.add_domain(dns::DomainName::must("other.com"), {ns2});
-
-  NssetAttackEvent ev;
-  ev.nsset = reg.nsset_of_domain(0);
-  const OwnedEventFrame joined({ev, ev});  // duplicate events dedup
-  const auto rows = tld_breakdown_columnar(joined.frame(), reg);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].tld, "nl");
-  EXPECT_EQ(rows[0].affected_domains, 2u);
-  EXPECT_EQ(rows[1].tld, "com");
-  EXPECT_EQ(rows[1].affected_domains, 1u);
-}
-
 }  // namespace
 }  // namespace ddos::core

@@ -44,7 +44,7 @@ TEST(Impact, TimeoutsDoNotDiluteRtt) {
   // failure rate instead.
   const auto agg = agg_with_rtts({100.0}, 9);
   EXPECT_DOUBLE_EQ(impact_on_rtt(agg, 10.0), 10.0);
-  EXPECT_DOUBLE_EQ(failure_rate(agg), 0.9);
+  EXPECT_DOUBLE_EQ(agg.failure_rate(), 0.9);
 }
 
 TEST(Impact, Thresholds) {

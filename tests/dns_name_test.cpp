@@ -49,37 +49,12 @@ TEST(DomainName, Labels) {
   EXPECT_EQ(lbls[0], "www");
   EXPECT_EQ(lbls[1], "mil");
   EXPECT_EQ(lbls[2], "ru");
-  EXPECT_EQ(d.label_count(), 3u);
-  EXPECT_EQ(DomainName::must("com").label_count(), 1u);
 }
 
 TEST(DomainName, Tld) {
   EXPECT_EQ(DomainName::must("www.mil.ru").tld(), "ru");
   EXPECT_EQ(DomainName::must("example.nl").tld(), "nl");
   EXPECT_EQ(DomainName::must("localhost").tld(), "localhost");
-}
-
-TEST(DomainName, RegisteredDomain) {
-  EXPECT_EQ(DomainName::must("www.mil.ru").registered_domain().str(),
-            "mil.ru");
-  EXPECT_EQ(DomainName::must("a.b.c.example.com").registered_domain().str(),
-            "example.com");
-  EXPECT_EQ(DomainName::must("mil.ru").registered_domain().str(), "mil.ru");
-  EXPECT_EQ(DomainName::must("ru").registered_domain().str(), "ru");
-}
-
-TEST(DomainName, SubdomainChecks) {
-  const auto mil = DomainName::must("mil.ru");
-  EXPECT_TRUE(DomainName::must("www.mil.ru").is_subdomain_of(mil));
-  EXPECT_TRUE(mil.is_subdomain_of(mil));
-  EXPECT_FALSE(DomainName::must("notmil.ru").is_subdomain_of(mil));
-  EXPECT_FALSE(DomainName::must("ru").is_subdomain_of(mil));
-}
-
-TEST(DomainName, IdnDetection) {
-  // The Cyrillic IDN of mil.ru studied in §5.2.1 is punycode.
-  EXPECT_TRUE(DomainName::must("xn--90adear.xn--p1ai").is_idn());
-  EXPECT_FALSE(DomainName::must("mil.ru").is_idn());
 }
 
 TEST(DomainName, OrderingAndHash) {

@@ -7,37 +7,6 @@ namespace {
 
 using netsim::IPv4Addr;
 
-TEST(RRType, ToString) {
-  EXPECT_EQ(to_string(RRType::A), "A");
-  EXPECT_EQ(to_string(RRType::NS), "NS");
-  EXPECT_EQ(to_string(RRType::AAAA), "AAAA");
-}
-
-TEST(ResponseStatus, ToString) {
-  EXPECT_EQ(to_string(ResponseStatus::Ok), "OK");
-  EXPECT_EQ(to_string(ResponseStatus::ServFail), "SERVFAIL");
-  EXPECT_EQ(to_string(ResponseStatus::Timeout), "TIMEOUT");
-  EXPECT_EQ(to_string(ResponseStatus::NxDomain), "NXDOMAIN");
-}
-
-TEST(Zone, AddAndFind) {
-  Zone zone(DomainName::must("example.com"));
-  zone.add(ResourceRecord{DomainName::must("example.com"), RRType::NS, 3600,
-                          "ns1.example.com"});
-  zone.add(ResourceRecord{DomainName::must("example.com"), RRType::NS, 3600,
-                          "ns2.example.com"});
-  zone.add(ResourceRecord{DomainName::must("ns1.example.com"), RRType::A,
-                          3600, "192.0.2.1"});
-  const auto ns = zone.find(DomainName::must("example.com"), RRType::NS);
-  EXPECT_EQ(ns.size(), 2u);
-  const auto a = zone.find(DomainName::must("ns1.example.com"), RRType::A);
-  ASSERT_EQ(a.size(), 1u);
-  EXPECT_EQ(a[0].rdata, "192.0.2.1");
-  EXPECT_TRUE(zone.find(DomainName::must("other.com"), RRType::A).empty());
-  EXPECT_EQ(zone.size(), 3u);
-  EXPECT_EQ(zone.apex().str(), "example.com");
-}
-
 TEST(NSSetKey, DeduplicatesAndSorts) {
   const auto key = NSSetKey::from_ips(
       {IPv4Addr(2, 2, 2, 2), IPv4Addr(1, 1, 1, 1), IPv4Addr(2, 2, 2, 2)});
@@ -57,12 +26,6 @@ TEST(NSSetKey, DifferentSetsDiffer) {
   const auto a = NSSetKey::from_ips({IPv4Addr(1, 0, 0, 1)});
   const auto b = NSSetKey::from_ips({IPv4Addr(1, 0, 0, 2)});
   EXPECT_NE(a, b);
-}
-
-TEST(NSSetKey, StringForm) {
-  const auto key = NSSetKey::from_ips({IPv4Addr(8, 8, 8, 8), IPv4Addr(1, 1, 1, 1)});
-  EXPECT_EQ(key.to_string(), "1.1.1.1|8.8.8.8");
-  EXPECT_EQ(NSSetKey{}.to_string(), "");
 }
 
 }  // namespace

@@ -82,7 +82,6 @@ TEST(Prefix, SizeAndRange) {
   const Prefix p(IPv4Addr(192, 168, 1, 0), 24);
   EXPECT_EQ(p.size(), 256u);
   EXPECT_EQ(p.first().to_string(), "192.168.1.0");
-  EXPECT_EQ(p.last().to_string(), "192.168.1.255");
   EXPECT_EQ(Prefix(IPv4Addr(0), 0).size(), std::uint64_t{1} << 32);
 }
 
@@ -91,16 +90,6 @@ TEST(Prefix, UcsdTelescopeSizes) {
   const Prefix p9(IPv4Addr(44, 0, 0, 0), 9);
   const Prefix p10(IPv4Addr(45, 128, 0, 0), 10);
   EXPECT_EQ(p9.size() + p10.size(), (1u << 23) + (1u << 22));
-}
-
-TEST(Prefix, ParseAndFormat) {
-  const auto p = Prefix::parse("10.1.2.0/24");
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->to_string(), "10.1.2.0/24");
-  EXPECT_EQ(p->length(), 24);
-  EXPECT_FALSE(Prefix::parse("10.1.2.0"));
-  EXPECT_FALSE(Prefix::parse("10.1.2.0/33"));
-  EXPECT_FALSE(Prefix::parse("bad/8"));
 }
 
 TEST(Prefix, LengthClamped) {

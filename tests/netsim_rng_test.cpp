@@ -129,25 +129,6 @@ TEST(Rng, PoissonSmallAndLargeMeans) {
   EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
-TEST(Rng, WeightedIndexProportions) {
-  Rng rng(13);
-  const std::vector<double> w = {1.0, 3.0, 6.0};
-  std::vector<int> counts(3, 0);
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_NEAR(counts[0], n * 0.1, n * 0.02);
-  EXPECT_NEAR(counts[1], n * 0.3, n * 0.02);
-  EXPECT_NEAR(counts[2], n * 0.6, n * 0.02);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
-}
-
-TEST(Rng, WeightedIndexIgnoresNegative) {
-  Rng rng(14);
-  const std::vector<double> w = {-5.0, 1.0};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.weighted_index(w), 1u);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(15);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -168,15 +149,6 @@ TEST(Rng, ShuffleIsUniformOverPermutations) {
   }
   ASSERT_EQ(counts.size(), 6u);
   for (const auto& [perm, c] : counts) EXPECT_NEAR(c, n / 6, n / 6 * 0.1);
-}
-
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(17);
-  Rng child = a.fork();
-  // The child should not replay the parent's stream.
-  Rng b(17);
-  b.next_u64();  // align with 'a' post-fork
-  EXPECT_NE(child.next_u64(), b.next_u64());
 }
 
 TEST(Mix64, StatelessAndDispersive) {

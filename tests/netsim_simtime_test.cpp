@@ -46,7 +46,6 @@ TEST(SimTime, NegativeTimesFloorCorrectly) {
 TEST(SimTime, ToStringFormatsUtc) {
   const SimTime t = SimTime::from_utc(2020, 12, 1, 8, 0, 0);
   EXPECT_EQ(t.to_string(), "2020-12-01 08:00:00");
-  EXPECT_EQ(t.year_month(), "2020-12");
 }
 
 TEST(SimTime, TransIPAttackTimestamps) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <thread>
 
 #include "obs/obs.h"
@@ -57,7 +58,7 @@ TEST(ScopedSpan, NullTracerIsNoOp) {
   ScopedSpan span(nullptr, "disabled");
   EXPECT_FALSE(span.enabled());
   span.set_items(5);
-  span.arg("k", "v");
+  span.arg("k", static_cast<std::int64_t>(1));
   EXPECT_EQ(span.elapsed_ns(), 0u);
   // Destruction records nothing and must not crash.
 }
@@ -91,7 +92,9 @@ TEST(Tracer, ChromeJsonShape) {
     span.set_items(7);
     span.arg("day", static_cast<std::int64_t>(123));
   }
-  const std::string json = tracer.chrome_json();
+  std::ostringstream out;
+  tracer.write_chrome_json(out);
+  const std::string json = out.str();
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\":"), std::string::npos);
@@ -121,7 +124,9 @@ TEST(RunReport, JsonContainsConfigResultsStagesAndMetrics) {
   report.add_config("preset", "small");
   report.add_result("joined", static_cast<std::int64_t>(12));
 
-  const std::string json = report.to_json(obs);
+  std::ostringstream out;
+  report.write(out, obs);
+  const std::string json = out.str();
   EXPECT_EQ(json.find("{\"tool\":\"ddosrepro\",\"command\":\"run\""), 0u);
   EXPECT_NE(json.find("\"config\":{\"seed\":42,\"scale\":30,\"preset\":\"small\"}"),
             std::string::npos);

@@ -85,7 +85,7 @@ TEST(Watchdog, DiagnosticReportIncludesSamplerTails) {
   SamplerOptions sampler_options;
   sampler_options.sample_process = false;
   TelemetrySampler sampler(observer, sampler_options);
-  observer.pipeline.cache_hits.inc(2);
+  observer.pipeline.sweep_measurements.inc(2);
   sampler.sample_now();
 
   WatchdogOptions options;
@@ -95,7 +95,7 @@ TEST(Watchdog, DiagnosticReportIncludesSamplerTails) {
   EXPECT_EQ(report.find("STALL:"), std::string::npos);
   EXPECT_NE(report.find("metrics snapshot:"), std::string::npos);
   EXPECT_NE(report.find("telemetry tails"), std::string::npos);
-  EXPECT_NE(report.find("cache.hits"), std::string::npos);
+  EXPECT_NE(report.find("sweep.measurements"), std::string::npos);
 }
 
 // The scenario the watchdog exists for: producer -> channel -> consumer,

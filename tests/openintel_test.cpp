@@ -202,7 +202,7 @@ TEST(MeasurementStore, NsSeenTracksAnsweredOnly) {
   EXPECT_TRUE(store.ns_seen_on(IPv4Addr(10, 0, 0, 1), 0));
   EXPECT_FALSE(store.ns_seen_on(IPv4Addr(10, 0, 0, 2), 0));
   EXPECT_FALSE(store.ns_seen_on(IPv4Addr(10, 0, 0, 1), 1));
-  EXPECT_EQ(store.ns_seen_count(0), 1u);
+  EXPECT_EQ(store.sorted_ns_seen().size(), 1u);
 }
 
 TEST(MeasurementStore, RetentionPredicatesFilterOnIngest) {
@@ -219,21 +219,6 @@ TEST(MeasurementStore, RetentionPredicatesFilterOnIngest) {
   EXPECT_EQ(store.window(2, 1), nullptr);
   EXPECT_FALSE(store.ns_seen_on(IPv4Addr(10, 0, 0, 1), 0));
   EXPECT_EQ(store.total_measurements(), 2u);  // counting is unaffected
-}
-
-TEST(MeasurementStore, FinalizeDayPrunes) {
-  MeasurementStore store;
-  store.add(make_measurement(1, 100, dns::ResponseStatus::Ok, 20.0));
-  store.add(make_measurement(2, 400, dns::ResponseStatus::Ok, 30.0));
-  EXPECT_EQ(store.window_entries(), 2u);
-  store.finalize_day(0, [](dns::NssetId nsset, netsim::WindowIndex) {
-    return nsset == 1;
-  });
-  EXPECT_EQ(store.window_entries(), 1u);
-  EXPECT_NE(store.window(1, 0), nullptr);
-  EXPECT_EQ(store.window(2, 1), nullptr);
-  // Daily aggregates survive finalize_day.
-  EXPECT_NE(store.daily(2, 0), nullptr);
 }
 
 }  // namespace

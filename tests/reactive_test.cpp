@@ -155,17 +155,6 @@ TEST(Reactive, NoRecoveryReportedWhenCampaignEndsDegraded) {
   EXPECT_EQ(campaign.recovery_window(), -1);
 }
 
-TEST(Reactive, RunAllSkipsNonNsVictims) {
-  const Fixture fx;
-  const auto platform = fx.platform();
-  telescope::RSDoSEvent other;
-  other.victim = IPv4Addr(99, 99, 99, 99);
-  other.start_window = 5;
-  other.end_window = 6;
-  const auto campaigns = platform.run_all({fx.event(100, 101), other});
-  EXPECT_EQ(campaigns.size(), 1u);
-}
-
 TEST(Reactive, ProbesSpreadWithinWindow) {
   // 50 probes over 300 s is one query every 6 seconds (§8); with fewer
   // domains the spacing widens. We verify via the parameters.

@@ -141,12 +141,15 @@ TEST(ShardPlan, DayCutsDeterministicAndCovering) {
       }
       EXPECT_EQ(owners, 1u) << "day " << day << " at N=" << count;
     }
-    for (const auto& ev : whole().events) {
+    // An event is owned by the shard owning its last attacked day.
+    for (const auto& batch : telescope::group_events_by_day(whole().events)) {
       std::uint32_t owners = 0;
       for (std::uint32_t i = 0; i < count; ++i) {
-        if (shard_bounds(plan, ShardSpec{i, count}).owns_event(ev)) ++owners;
+        if (shard_bounds(plan, ShardSpec{i, count}).owns_day(batch.day)) {
+          ++owners;
+        }
       }
-      EXPECT_EQ(owners, 1u) << "event ending day " << event_final_day(ev)
+      EXPECT_EQ(owners, 1u) << "events ending day " << batch.day
                             << " at N=" << count;
     }
   }

@@ -35,7 +35,7 @@ TEST_F(WorkloadTest, MonthlyTotalsTrackTable3) {
   std::map<std::string, std::uint64_t> by_month;
   for (const auto& a : workload_->schedule.attacks()) {
     if (a.spoof != attack::SpoofType::RandomUniform) continue;
-    ++by_month[a.start.year_month()];
+    ++by_month[a.start.to_string().substr(0, 7)];  // YYYY-MM
   }
   for (const auto& row : paper_monthly_totals()) {
     char key[16];
@@ -105,8 +105,8 @@ TEST_F(WorkloadTest, ScriptedCasesPresent) {
   // The Fig-5 megas hit the top provider's pool.
   const auto& top = world_->providers[0];
   bool mega_found = false;
-  for (const auto& a : workload_->schedule.attacks_on(top.ns_ips[0])) {
-    if (a->peak_pps > 5e5) mega_found = true;
+  for (const auto& a : workload_->schedule.attacks()) {
+    if (a.target == top.ns_ips[0] && a.peak_pps > 5e5) mega_found = true;
   }
   EXPECT_TRUE(mega_found);
   // The Apple Russia attack is pinned to 2022-01-21 (§6.3.2).
@@ -115,8 +115,8 @@ TEST_F(WorkloadTest, ScriptedCasesPresent) {
   bool apple_found = false;
   for (const auto& ip :
        world_->providers[static_cast<std::size_t>(apple)].ns_ips) {
-    for (const auto* a : workload_->schedule.attacks_on(ip)) {
-      if (a->start.to_string().substr(0, 10) == "2022-01-21")
+    for (const auto& a : workload_->schedule.attacks()) {
+      if (a.target == ip && a.start.to_string().substr(0, 10) == "2022-01-21")
         apple_found = true;
     }
   }

@@ -236,9 +236,10 @@ TEST_F(ServeParityTest, TopKNssetBoardsMatchBruteForce) {
                      });
     std::vector<TopEntry> got;
     const std::size_t n = engine_->top_k(metric, by_key.size(), got);
-    ASSERT_EQ(n, expected.size()) << to_string(metric);
+    ASSERT_EQ(n, expected.size()) << "metric " << static_cast<int>(metric);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], expected[i]) << to_string(metric) << " row " << i;
+      EXPECT_EQ(got[i], expected[i])
+          << "metric " << static_cast<int>(metric) << " row " << i;
     }
   };
   check(TopKMetric::PeakImpact, peak);
@@ -276,8 +277,8 @@ void expect_same_answers(const QueryEngine& want, const QueryEngine& got) {
     std::vector<TopEntry> a, b;
     want.top_k(metric, universe, a);
     got.top_k(metric, universe, b);
-    EXPECT_FALSE(a.empty()) << to_string(metric);
-    EXPECT_EQ(a, b) << to_string(metric);
+    EXPECT_FALSE(a.empty()) << "metric " << static_cast<int>(metric);
+    EXPECT_EQ(a, b) << "metric " << static_cast<int>(metric);
   }
   for (netsim::DayIndex d = want.day_min(); d <= want.day_max(); ++d) {
     EXPECT_EQ(want.window_scan(d, d), got.window_scan(d, d)) << "day " << d;

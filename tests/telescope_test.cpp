@@ -26,13 +26,6 @@ TEST(Darknet, UcsdLikeGeometry) {
   EXPECT_EQ(net.slash16_count(), 128u + 64u);
 }
 
-TEST(Darknet, Containment) {
-  const Darknet net = Darknet::ucsd_like();
-  EXPECT_TRUE(net.contains(IPv4Addr(44, 1, 2, 3)));
-  EXPECT_TRUE(net.contains(IPv4Addr(45, 150, 0, 1)));
-  EXPECT_FALSE(net.contains(IPv4Addr(8, 8, 8, 8)));
-}
-
 TEST(Darknet, RejectsBadConfigurations) {
   EXPECT_THROW(Darknet({}), std::invalid_argument);
   EXPECT_THROW(Darknet({Prefix(IPv4Addr(10, 0, 0, 0), 8),

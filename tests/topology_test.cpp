@@ -13,20 +13,16 @@ using netsim::Prefix;
 TEST(AsRegistry, AddAndLookup) {
   AsRegistry reg;
   EXPECT_TRUE(reg.add(AsInfo{15169, "Google", "US"}));
-  EXPECT_TRUE(reg.contains(15169));
-  const auto info = reg.lookup(15169);
-  ASSERT_TRUE(info);
-  EXPECT_EQ(info->org, "Google");
+  EXPECT_EQ(reg.size(), 1u);
   EXPECT_EQ(reg.org_of(15169), "Google");
   EXPECT_EQ(reg.country_of(15169), "US");
 }
 
 TEST(AsRegistry, UnknownLookups) {
   const AsRegistry reg;
-  EXPECT_FALSE(reg.lookup(1));
   EXPECT_EQ(reg.org_of(1), "");
   EXPECT_EQ(reg.country_of(1), "");
-  EXPECT_FALSE(reg.contains(1));
+  EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(AsRegistry, UpdateReportsConflict) {
@@ -35,16 +31,6 @@ TEST(AsRegistry, UpdateReportsConflict) {
   EXPECT_FALSE(reg.add(AsInfo{100, "OrgB", "NL"}));  // conflict flagged
   EXPECT_EQ(reg.org_of(100), "OrgB");                // but applied
   EXPECT_TRUE(reg.add(AsInfo{100, "OrgB", "DE"}));   // same org: no conflict
-}
-
-TEST(AsRegistry, AsnsOfOrg) {
-  AsRegistry reg;
-  reg.add(AsInfo{1, "Multi", "US"});
-  reg.add(AsInfo{2, "Multi", "US"});
-  reg.add(AsInfo{3, "Other", "US"});
-  auto asns = reg.asns_of_org("Multi");
-  std::sort(asns.begin(), asns.end());
-  EXPECT_EQ(asns, (std::vector<Asn>{1, 2}));
 }
 
 TEST(PrefixTable, EmptyLookupIsNull) {
@@ -72,7 +58,7 @@ TEST(PrefixTable, LongestPrefixWins) {
   EXPECT_EQ(table.origin_of(IPv4Addr(10, 9, 9, 9)), 1u);
   const auto entry = table.lookup(IPv4Addr(10, 1, 2, 3));
   ASSERT_TRUE(entry);
-  EXPECT_EQ(entry->prefix.to_string(), "10.1.2.0/24");
+  EXPECT_EQ(entry->prefix, Prefix(IPv4Addr(10, 1, 2, 0), 24));
 }
 
 TEST(PrefixTable, ReannounceReplacesOrigin) {
@@ -82,24 +68,6 @@ TEST(PrefixTable, ReannounceReplacesOrigin) {
   table.announce(p, 2);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.origin_of(IPv4Addr(192, 0, 2, 55)), 2u);
-}
-
-TEST(PrefixTable, WithdrawRestoresCoveringRoute) {
-  PrefixTable table;
-  table.announce(Prefix(IPv4Addr(10, 0, 0, 0), 8), 1);
-  table.announce(Prefix(IPv4Addr(10, 1, 0, 0), 16), 2);
-  EXPECT_TRUE(table.withdraw(Prefix(IPv4Addr(10, 1, 0, 0), 16)));
-  EXPECT_EQ(table.origin_of(IPv4Addr(10, 1, 2, 3)), 1u);
-  EXPECT_FALSE(table.withdraw(Prefix(IPv4Addr(10, 1, 0, 0), 16)));
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(PrefixTable, ExactMatch) {
-  PrefixTable table;
-  table.announce(Prefix(IPv4Addr(10, 0, 0, 0), 8), 7);
-  EXPECT_EQ(table.exact(Prefix(IPv4Addr(10, 0, 0, 0), 8)), 7u);
-  EXPECT_FALSE(table.exact(Prefix(IPv4Addr(10, 0, 0, 0), 9)));
-  EXPECT_FALSE(table.exact(Prefix(IPv4Addr(11, 0, 0, 0), 8)));
 }
 
 TEST(PrefixTable, DefaultRouteMatchesEverything) {
@@ -114,18 +82,6 @@ TEST(PrefixTable, HostRoutes) {
   table.announce(Prefix(IPv4Addr(8, 8, 8, 8), 32), 15169);
   EXPECT_EQ(table.origin_of(IPv4Addr(8, 8, 8, 8)), 15169u);
   EXPECT_EQ(table.origin_of(IPv4Addr(8, 8, 8, 9)), 0u);
-}
-
-TEST(PrefixTable, EntriesEnumeratesSorted) {
-  PrefixTable table;
-  table.announce(Prefix(IPv4Addr(20, 0, 0, 0), 8), 2);
-  table.announce(Prefix(IPv4Addr(10, 0, 0, 0), 8), 1);
-  table.announce(Prefix(IPv4Addr(10, 0, 0, 0), 16), 3);
-  const auto entries = table.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].prefix.to_string(), "10.0.0.0/8");
-  EXPECT_EQ(entries[1].prefix.to_string(), "10.0.0.0/16");
-  EXPECT_EQ(entries[2].prefix.to_string(), "20.0.0.0/8");
 }
 
 // Property: LPM result equals brute-force over announced entries.

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace ddos::util {
 namespace {
 
 FlagParser make_parser() {
   FlagParser flags("test tool");
   flags.add_string("name", "default", "a string");
-  flags.add_int("count", 7, "an int");
+  flags.add_uint("count", 7, "a uint");
   flags.add_double("scale", 1.5, "a double");
   flags.add_bool("verbose", "a bool");
   return flags;
@@ -18,7 +21,7 @@ TEST(Flags, DefaultsApply) {
   auto flags = make_parser();
   ASSERT_TRUE(flags.parse({}));
   EXPECT_EQ(flags.get_string("name"), "default");
-  EXPECT_EQ(flags.get_int("count"), 7);
+  EXPECT_EQ(flags.get_uint("count"), 7u);
   EXPECT_DOUBLE_EQ(flags.get_double("scale"), 1.5);
   EXPECT_FALSE(flags.get_bool("verbose"));
 }
@@ -27,7 +30,7 @@ TEST(Flags, SpaceSeparatedValues) {
   auto flags = make_parser();
   ASSERT_TRUE(flags.parse({"--name", "mil.ru", "--count", "42"}));
   EXPECT_EQ(flags.get_string("name"), "mil.ru");
-  EXPECT_EQ(flags.get_int("count"), 42);
+  EXPECT_EQ(flags.get_uint("count"), 42u);
 }
 
 TEST(Flags, EqualsSyntaxAndBool) {
@@ -121,30 +124,51 @@ TEST(Flags, UintRangeValidation) {
   EXPECT_FALSE(garbage.parse({"--threads", "lots"}));
   EXPECT_NE(garbage.error().find("got 'lots'"), std::string::npos);
 
-  FlagParser negative("test tool");
-  negative.add_uint("threads", 4, "worker threads", 1, 4096);
-  EXPECT_FALSE(negative.parse({"--threads", "-2"}));
+  // Anything but a plain decimal integer in range fails the same way.
+  for (const char* bad : {"-2", "-5", "2000.9", "1e3", "4097", ""}) {
+    FlagParser flags("test tool");
+    flags.add_uint("threads", 4, "worker threads", 1, 4096);
+    EXPECT_FALSE(flags.parse({"--threads", bad})) << bad;
+    EXPECT_NE(flags.error().find("flag --threads expects an unsigned integer "
+                                 "in [1, 4096]"),
+              std::string::npos)
+        << flags.error();
+  }
 }
 
 TEST(Flags, NegativeAndScientificNumbers) {
+  // Doubles take either form; unsigned integers take neither (see
+  // UintRangeValidation).
   auto flags = make_parser();
-  ASSERT_TRUE(flags.parse({"--scale", "-3e2", "--count", "-5"}));
+  ASSERT_TRUE(flags.parse({"--scale", "-3e2"}));
   EXPECT_DOUBLE_EQ(flags.get_double("scale"), -300.0);
-  EXPECT_EQ(flags.get_int("count"), -5);
+}
+
+TEST(Flags, UintHoldsTheFullRangeExactly) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  for (const std::uint64_t v :
+       {std::uint64_t{9007199254740992u}, std::uint64_t{9007199254740993u},
+        std::uint64_t{9223372036854775808u}, UINT64_MAX}) {
+    auto flags = make_parser();
+    ASSERT_TRUE(flags.parse({"--count", std::to_string(v)})) << v;
+    EXPECT_EQ(flags.get_uint("count"), v);
+  }
+  auto overflow = make_parser();
+  EXPECT_FALSE(overflow.parse({"--count=18446744073709551616"}));
 }
 
 TEST(Flags, EqualsFormParsesEveryType) {
   FlagParser flags("test tool");
   flags.add_string("name", "default", "a string");
-  flags.add_int("count", 1, "an int");
-  flags.add_uint("threads", 2, "a uint", 1, 64);
+  flags.add_uint("count", 1, "a uint");
+  flags.add_uint("threads", 2, "a bounded uint", 1, 64);
   flags.add_double("scale", 1.0, "a double");
   flags.add_bool("verbose", "a bool");
-  ASSERT_TRUE(flags.parse({"--name=run7", "--count=-3", "--threads=8",
+  ASSERT_TRUE(flags.parse({"--name=run7", "--count=3", "--threads=8",
                            "--scale=2.5", "--verbose=true"}))
       << flags.error();
   EXPECT_EQ(flags.get_string("name"), "run7");
-  EXPECT_EQ(flags.get_int("count"), -3);
+  EXPECT_EQ(flags.get_uint("count"), 3u);
   EXPECT_EQ(flags.get_uint("threads"), 8u);
   EXPECT_DOUBLE_EQ(flags.get_double("scale"), 2.5);
   EXPECT_TRUE(flags.get_bool("verbose"));

@@ -7,55 +7,6 @@
 namespace ddos::util {
 namespace {
 
-TEST(LinearHistogram, BinsAndEdges) {
-  LinearHistogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(LinearHistogram, AddAndCount) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(9.9);
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 2.0 / 3.0);
-}
-
-TEST(LinearHistogram, OutOfRangeClampsIntoEdgeBins) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(LinearHistogram, WeightedAdd) {
-  LinearHistogram h(0.0, 4.0, 4);
-  h.add(0.5, 10);
-  EXPECT_EQ(h.bin(0), 10u);
-  EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(LinearHistogram, ModeBin) {
-  LinearHistogram h(0.0, 3.0, 3);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  EXPECT_EQ(h.mode_bin(), 1u);
-}
-
-TEST(LinearHistogram, InvalidConstructionThrows) {
-  EXPECT_THROW(LinearHistogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(10.0, 0.0, 5), std::invalid_argument);
-}
-
 TEST(LogHistogram, OrderOfMagnitudeBins) {
   LogHistogram h(1.0, 1.0, 6);  // bins [1,10), [10,100), ...
   EXPECT_DOUBLE_EQ(h.bin_lo(0), 1.0);
@@ -87,37 +38,6 @@ TEST(LogHistogram, InvalidConstructionThrows) {
   EXPECT_THROW(LogHistogram(0.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(LogHistogram(1.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(LogHistogram(1.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(LinearHistogram, MergeAddsBinwise) {
-  LinearHistogram a(0.0, 10.0, 5);
-  LinearHistogram b(0.0, 10.0, 5);
-  a.add(1.0);
-  a.add(9.0, 2);
-  b.add(1.5, 3);
-  b.add(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.bin(0), 4u);   // 1.0 + 1.5x3
-  EXPECT_EQ(a.bin(2), 1u);   // 5.0
-  EXPECT_EQ(a.bin(4), 2u);   // 9.0x2
-  EXPECT_EQ(a.total(), 7u);
-  // b is untouched.
-  EXPECT_EQ(b.total(), 4u);
-}
-
-TEST(LinearHistogram, MergeShapeMismatchThrows) {
-  LinearHistogram a(0.0, 10.0, 5);
-  EXPECT_THROW(a.merge(LinearHistogram(0.0, 10.0, 4)), std::invalid_argument);
-  EXPECT_THROW(a.merge(LinearHistogram(0.0, 20.0, 5)), std::invalid_argument);
-  EXPECT_THROW(a.merge(LinearHistogram(1.0, 10.0, 5)), std::invalid_argument);
-}
-
-TEST(LinearHistogram, MergeEmptyIsIdentity) {
-  LinearHistogram a(0.0, 4.0, 4);
-  a.add(1.0, 5);
-  a.merge(LinearHistogram(0.0, 4.0, 4));
-  EXPECT_EQ(a.total(), 5u);
-  EXPECT_EQ(a.bin(1), 5u);
 }
 
 TEST(LogHistogram, MergeAddsBinwise) {

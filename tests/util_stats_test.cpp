@@ -163,7 +163,6 @@ TEST(Ecdf, EmptySample) {
   EXPECT_TRUE(ecdf.empty());
   EXPECT_DOUBLE_EQ(ecdf.at(1.0), 0.0);
   EXPECT_DOUBLE_EQ(ecdf.quantile(0.5), 0.0);
-  EXPECT_TRUE(ecdf.curve(10).empty());
 }
 
 TEST(Ecdf, StepFunction) {
@@ -183,20 +182,6 @@ TEST(Ecdf, QuantileInverse) {
   EXPECT_DOUBLE_EQ(ecdf.quantile(0.21), 20.0);
   EXPECT_DOUBLE_EQ(ecdf.quantile(1.0), 50.0);
   EXPECT_DOUBLE_EQ(ecdf.quantile(0.0), 10.0);
-}
-
-TEST(Ecdf, CurveIsMonotone) {
-  netsim::Rng rng(4);
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) xs.push_back(rng.lognormal(0, 1));
-  const Ecdf ecdf(xs);
-  const auto curve = ecdf.curve(50);
-  ASSERT_EQ(curve.size(), 50u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].first, curve[i - 1].first);
-    EXPECT_GT(curve[i].second, curve[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
 TEST(Ecdf, AtAndQuantileConsistent) {

@@ -112,10 +112,10 @@ namespace {
 
 int cmd_world(util::FlagParser& flags) {
   scenario::WorldParams params;
-  params.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  params.domain_count = static_cast<std::uint32_t>(flags.get_int("domains"));
+  params.seed = flags.get_uint("seed");
+  params.domain_count = static_cast<std::uint32_t>(flags.get_uint("domains"));
   params.provider_count =
-      static_cast<std::uint32_t>(flags.get_int("providers"));
+      static_cast<std::uint32_t>(flags.get_uint("providers"));
   const auto world = scenario::build_world(params);
 
   std::cout << "world: " << world->registry.domain_count() << " domains, "
@@ -236,11 +236,11 @@ void print_progress(const obs::ProgressEvent& e) {
 
 int cmd_run(util::FlagParser& flags) {
   scenario::LongitudinalConfig cfg = scenario::default_longitudinal_config();
-  cfg.world.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.world.seed = flags.get_uint("seed");
   cfg.world.domain_count =
-      static_cast<std::uint32_t>(flags.get_int("domains"));
+      static_cast<std::uint32_t>(flags.get_uint("domains"));
   cfg.world.provider_count =
-      static_cast<std::uint32_t>(flags.get_int("providers"));
+      static_cast<std::uint32_t>(flags.get_uint("providers"));
   cfg.workload.scale = flags.get_double("scale");
 
   const unsigned threads = static_cast<unsigned>(flags.get_uint("threads"));
@@ -361,11 +361,11 @@ int cmd_run(util::FlagParser& flags) {
   if (!dashboard_path.empty()) {
     obs::DashboardOptions dopts;
     dopts.title = "ddosrepro run (seed " +
-                  std::to_string(flags.get_int("seed")) + ")";
+                  std::to_string(flags.get_uint("seed")) + ")";
     dopts.meta = {
-        {"seed", std::to_string(flags.get_int("seed"))},
-        {"domains", std::to_string(flags.get_int("domains"))},
-        {"providers", std::to_string(flags.get_int("providers"))},
+        {"seed", std::to_string(flags.get_uint("seed"))},
+        {"domains", std::to_string(flags.get_uint("domains"))},
+        {"providers", std::to_string(flags.get_uint("providers"))},
         {"scale", util::format_fixed(flags.get_double("scale"), 2)},
         {"threads", std::to_string(threads)},
         {"wall time",
@@ -393,9 +393,9 @@ int cmd_run(util::FlagParser& flags) {
     std::cout << "wrote OpenMetrics exposition to " << metrics_path << "\n";
   } else if (!metrics_path.empty()) {
     obs::RunReport report("run");
-    report.add_config("seed", flags.get_int("seed"));
-    report.add_config("domains", flags.get_int("domains"));
-    report.add_config("providers", flags.get_int("providers"));
+    report.add_config("seed", flags.get_uint("seed"));
+    report.add_config("domains", flags.get_uint("domains"));
+    report.add_config("providers", flags.get_uint("providers"));
     report.add_config("scale", flags.get_double("scale"));
     report.add_config("threads", static_cast<std::int64_t>(threads));
     report.add_result("attacks",
@@ -424,11 +424,11 @@ int cmd_run(util::FlagParser& flags) {
 int cmd_generate_shard(util::FlagParser& flags,
                        const scenario::ShardSpec& shard) {
   scenario::LongitudinalConfig cfg = scenario::default_longitudinal_config();
-  cfg.world.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.world.seed = flags.get_uint("seed");
   cfg.world.domain_count =
-      static_cast<std::uint32_t>(flags.get_int("domains"));
+      static_cast<std::uint32_t>(flags.get_uint("domains"));
   cfg.world.provider_count =
-      static_cast<std::uint32_t>(flags.get_int("providers"));
+      static_cast<std::uint32_t>(flags.get_uint("providers"));
   cfg.workload.scale = flags.get_double("scale");
 
   const unsigned threads = static_cast<unsigned>(flags.get_uint("threads"));
@@ -705,7 +705,7 @@ int cmd_serve(util::FlagParser& flags) {
   }
 
   serve::DriveOptions opts;
-  opts.workload.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  opts.workload.seed = flags.get_uint("seed");
   const auto dist = serve::parse_distribution(flags.get_string("dist"));
   if (!dist) {
     std::cerr << "--dist must be uniform or zipfian, got '"
@@ -865,7 +865,7 @@ int cmd_serve(util::FlagParser& flags) {
     } else if (!metrics_path.empty()) {
       obs::RunReport run_report("serve");
       run_report.add_config("source", source);
-      run_report.add_config("seed", flags.get_int("seed"));
+      run_report.add_config("seed", flags.get_uint("seed"));
       run_report.add_config("threads",
                             static_cast<std::int64_t>(report.threads));
       run_report.add_config("dist",
@@ -1151,9 +1151,11 @@ static_assert(handlers_match_usage(),
 
 int main(int argc, char** argv) {
   util::FlagParser flags(cli::usage_header());
-  flags.add_int("seed", 42, "world/workload seed");
-  flags.add_int("domains", 120000, "registered domains in the world");
-  flags.add_int("providers", 1200, "hosting providers in the world");
+  flags.add_uint("seed", 42, "world/workload seed");
+  flags.add_uint("domains", 120000, "registered domains in the world", 1,
+                 UINT32_MAX);
+  flags.add_uint("providers", 1200, "hosting providers in the world", 1,
+                 UINT32_MAX);
   flags.add_double("scale", 30.0, "divide the paper's attack counts by this");
   const unsigned hw = std::thread::hardware_concurrency();
   flags.add_uint("threads", hw > 0 ? hw : 1,
