@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -330,16 +329,6 @@ void write_dashboard_html(std::ostream& out, const Observer& observer,
   }
 
   out << "</body>\n</html>\n";
-}
-
-bool write_dashboard_html_file(const std::string& path,
-                               const Observer& observer,
-                               const TelemetrySampler* sampler,
-                               const DashboardOptions& options) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  write_dashboard_html(out, observer, sampler, options);
-  return out.good();
 }
 
 }  // namespace ddos::obs

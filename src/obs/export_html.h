@@ -40,11 +40,4 @@ void write_dashboard_html(std::ostream& out, const Observer& observer,
                           const TelemetrySampler* sampler,
                           const DashboardOptions& options = {});
 
-/// Convenience: render to a file; returns false when the file cannot be
-/// opened for writing.
-bool write_dashboard_html_file(const std::string& path,
-                               const Observer& observer,
-                               const TelemetrySampler* sampler,
-                               const DashboardOptions& options = {});
-
 }  // namespace ddos::obs

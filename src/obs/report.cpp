@@ -50,6 +50,9 @@ void RunReport::add_result(const std::string& key, const std::string& value) {
 void RunReport::add_result(const std::string& key, std::int64_t value) {
   results_.emplace_back(key, std::to_string(value));
 }
+void RunReport::add_result(const std::string& key, std::uint64_t value) {
+  results_.emplace_back(key, std::to_string(value));
+}
 void RunReport::add_result(const std::string& key, double value) {
   results_.emplace_back(key, json_number(value));
 }

@@ -27,6 +27,7 @@ class RunReport {
   void add_config(const std::string& key, double value);
   void add_result(const std::string& key, const std::string& value);
   void add_result(const std::string& key, std::int64_t value);
+  void add_result(const std::string& key, std::uint64_t value);
   void add_result(const std::string& key, double value);
 
   const std::string& command() const { return command_; }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -103,11 +104,7 @@ ProcStats read_proc_stats() {
 TelemetrySampler::TelemetrySampler(Observer& observer, SamplerOptions options)
     : observer_(observer),
       options_(options),
-      series_(options.capacity_per_series) {
-  if (!options_.jsonl_path.empty()) {
-    jsonl_.open(options_.jsonl_path, std::ios::trunc);
-  }
-}
+      series_(options.capacity_per_series) {}
 
 TelemetrySampler::~TelemetrySampler() { stop(); }
 
@@ -129,7 +126,7 @@ void TelemetrySampler::stop() {
   // Final sample so the run's end state is captured even when the run was
   // shorter than one interval.
   sample_now();
-  if (jsonl_.is_open()) jsonl_.flush();
+  if (options_.jsonl) options_.jsonl->flush();
   stopped_ = true;
 }
 
@@ -220,18 +217,19 @@ void TelemetrySampler::sample_now() {
     series_.push(key, SeriesKind::Rate, t0, value);
   }
 
-  if (jsonl_.is_open()) {
-    jsonl_ << "{\"t_ms\":" << jsonl_number(static_cast<double>(t0) / 1e6)
-           << ",\"values\":{";
+  if (options_.jsonl) {
+    std::ostream& jsonl = *options_.jsonl;
+    jsonl << "{\"t_ms\":" << jsonl_number(static_cast<double>(t0) / 1e6)
+          << ",\"values\":{";
     bool first = true;
     const auto emit = [&](const std::string& key, double value) {
-      if (!first) jsonl_ << ",";
+      if (!first) jsonl << ",";
       first = false;
-      jsonl_ << "\"" << json_escape(key) << "\":" << jsonl_number(value);
+      jsonl << "\"" << json_escape(key) << "\":" << jsonl_number(value);
     };
     for (const auto& [key, value] : level_values) emit(key, value);
     for (const auto& [key, value] : rate_values) emit(key, value);
-    jsonl_ << "}}\n";
+    jsonl << "}}\n";
   }
 
   prev_t_ns_ = t0;

@@ -29,9 +29,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 
@@ -54,16 +54,17 @@ struct SamplerOptions {
   std::uint64_t interval_ms = 250;
   /// Ring capacity per series; memory bound = series x capacity x 16 B.
   std::size_t capacity_per_series = 4096;
-  /// When non-empty, stream one JSON object per sample to this file.
-  std::string jsonl_path;
+  /// When set, stream one JSON object per sample here; the stream must
+  /// outlive the sampler, and its owner checks the stream state.
+  std::ostream* jsonl = nullptr;
   /// Include proc.* series (off only in deterministic unit tests).
   bool sample_process = true;
 };
 
 class TelemetrySampler {
  public:
-  /// The observer must outlive the sampler. Construction opens the JSONL
-  /// stream (if any) but takes no samples; call start().
+  /// The observer must outlive the sampler. Construction takes no
+  /// samples; call start().
   TelemetrySampler(Observer& observer, SamplerOptions options);
   /// Stops the thread; does NOT take a final sample (stop() does).
   ~TelemetrySampler();
@@ -98,7 +99,6 @@ class TelemetrySampler {
   Observer& observer_;
   SamplerOptions options_;
   TimeSeriesSet series_;
-  std::ofstream jsonl_;
   // Previous counter levels for delta/rate columns, keyed like the
   // series; only touched from inside sample_now (serialised by mu_).
   std::map<std::string, double> prev_levels_;

@@ -35,16 +35,9 @@ void Aggregate::merge(const Aggregate& other) {
 void MeasurementStore::add(const Measurement& m) {
   ++total_;
   const netsim::DayIndex day = m.time.day();
-  const netsim::WindowIndex window = m.time.window();
-  if (!daily_keep_ || daily_keep_(m.nsset, day)) {
-    daily_[day_key(m.nsset, day)].fold(m);
-  }
-  if (!window_keep_ || window_keep_(m.nsset, window)) {
-    window_[window_key(m.nsset, window)].fold(m);
-  }
-  if (m.answered() && (!ns_seen_keep_ || ns_seen_keep_(m.chosen_ns, day))) {
-    ns_seen_[day].insert(m.chosen_ns);
-  }
+  daily_[day_key(m.nsset, day)].fold(m);
+  window_[window_key(m.nsset, m.time.window())].fold(m);
+  if (m.answered()) ns_seen_[day].insert(m.chosen_ns);
 }
 
 const Aggregate* MeasurementStore::daily(dns::NssetId nsset,

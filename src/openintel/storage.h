@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -63,25 +62,8 @@ struct KeepAll {
 
 class MeasurementStore {
  public:
-  /// Retention predicates for long runs. When set, add() only folds state
-  /// the predicate accepts; unset (default) keeps everything. The
-  /// longitudinal driver derives these from the attack schedule: daily
-  /// baselines for attack-adjacent days, window aggregates inside attack
-  /// windows, seen-NS sets for days preceding an attack on that server.
-  /// (The batched ingest path takes a devirtualized policy instead —
-  /// prefer add_batch on hot paths.)
-  using DailyKeep = std::function<bool(dns::NssetId, netsim::DayIndex)>;
-  using WindowKeep = std::function<bool(dns::NssetId, netsim::WindowIndex)>;
-  using NsSeenKeep = std::function<bool(netsim::IPv4Addr, netsim::DayIndex)>;
-
-  void set_retention(DailyKeep daily_keep, WindowKeep window_keep,
-                     NsSeenKeep ns_seen_keep) {
-    daily_keep_ = std::move(daily_keep);
-    window_keep_ = std::move(window_keep);
-    ns_seen_keep_ = std::move(ns_seen_keep);
-  }
-
-  /// Ingest one measurement (updates daily, window and seen-NS state).
+  /// Ingest one measurement (updates daily, window and seen-NS state);
+  /// keeps everything. Retention is add_batch's `keep` policy.
   void add(const Measurement& m);
 
   /// Batched ingest: fold a whole span with one table probe per distinct
@@ -90,9 +72,10 @@ class MeasurementStore {
   /// (nsset, window) key — see fold_runs for why that both deduplicates
   /// probes and makes them sequential — and within a key the fold order is
   /// the arrival order, so the resulting state is bit-for-bit identical to
-  /// per-measurement add(). `keep` is a compile-time retention policy
-  /// (KeepAll, or a key-set-backed struct); the std::function retention
-  /// predicates are NOT consulted on this path.
+  /// per-measurement add() under KeepAll. `keep` is a compile-time
+  /// retention policy (KeepAll, or a key-set-backed struct such as
+  /// scenario::PlanRetention) and the only retention mechanism: add()
+  /// keeps everything.
   ///
   /// Retention placement follows key cardinality. Daily keys repeat
   /// heavily inside a batch (every domain of an nsset swept that day
@@ -168,7 +151,7 @@ class MeasurementStore {
   double daily_avg_rtt(dns::NssetId nsset, netsim::DayIndex day) const;
 
   /// Window aggregate for (nsset, window); nullptr when nothing measured,
-  /// rejected by the window retention predicate, or retired.
+  /// rejected by the window retention policy, or retired.
   const Aggregate* window(dns::NssetId nsset,
                           netsim::WindowIndex window) const;
 
@@ -182,8 +165,7 @@ class MeasurementStore {
 
   // ---- persistence hooks (the DRS dataset store). Snapshots are sorted
   //      by key so the serialised bytes are deterministic; restore_*
-  //      bypasses the retention predicates (the generating run already
-  //      applied them).
+  //      applies no retention (the generating run already did).
 
   /// (key, aggregate) pairs of the daily map, ascending by key.
   std::vector<std::pair<std::uint64_t, Aggregate>> sorted_daily() const;
@@ -319,9 +301,6 @@ class MeasurementStore {
     }
   }
 
-  DailyKeep daily_keep_;
-  WindowKeep window_keep_;
-  NsSeenKeep ns_seen_keep_;
   util::FlatMap<std::uint64_t, Aggregate> daily_;
   util::FlatMap<std::uint64_t, Aggregate> window_;
   util::FlatMap<netsim::DayIndex, util::FlatSet<netsim::IPv4Addr>> ns_seen_;

@@ -52,52 +52,13 @@ class Sweeper {
 
   /// Sweep only a subset of domains for one day — the sparse-sweep path of
   /// the longitudinal driver, which skips domains whose measurements no
-  /// later analysis can consume. Statistically identical to sweep_day for
-  /// the retained keys because measurements are independent and their
-  /// times/randomness depend only on (seed, domain, day).
-  template <typename Sink>
-  void sweep_domains(netsim::DayIndex day,
-                     std::span<const dns::DomainId> domains,
-                     Sink&& sink) const {
-    for (const dns::DomainId d : domains) {
-      sink(measure(d, measurement_time(d, day)));
-    }
-  }
-
-  /// Parallel variant: shards `domains` over `pool` workers (each
-  /// measurement already has its own (seed, domain, day)-keyed RNG stream)
-  /// and invokes `sink` on the calling thread in exact domain order, so
-  /// the output is bit-identical to the sequential overload for any
-  /// thread count.
-  template <typename Sink>
-  void sweep_domains(netsim::DayIndex day,
-                     std::span<const dns::DomainId> domains,
-                     exec::WorkerPool& pool, Sink&& sink) const {
-    exec::RegionOptions opts;
-    opts.label = "sweep.domains";
-    opts.pool = &pool;
-    exec::parallel_map_reduce(
-        domains.size(), opts, std::size_t{0},
-        [&](const exec::ShardRange& range) {
-          std::vector<Measurement> out;
-          out.reserve(range.size());
-          for (std::size_t i = range.begin; i < range.end; ++i) {
-            const dns::DomainId d = domains[i];
-            out.push_back(measure(d, measurement_time(d, day)));
-          }
-          return out;
-        },
-        [&](std::size_t& total, std::vector<Measurement>&& shard) {
-          for (const Measurement& m : shard) sink(m);
-          total += shard.size();
-        });
-  }
-
-  /// Batch-oriented parallel variant: like the pooled sweep_domains, but
-  /// the sink receives each shard's measurements as one contiguous span
-  /// (still on the calling thread, still in exact domain order) so the
-  /// store can fold them with its batched, group-by-key ingest instead of
-  /// one probe per measurement.
+  /// later analysis can consume. Identical to sweep_day for the retained
+  /// domains because each measurement's time and randomness depend only on
+  /// (seed, domain, day). Shards `domains` over `pool` workers; the sink
+  /// receives each shard's measurements as one contiguous span on the
+  /// calling thread, in exact domain order, so the output is bit-identical
+  /// for any thread count and the store can fold each span with its
+  /// batched, group-by-key ingest.
   template <typename BatchSink>
   void sweep_domains_batched(netsim::DayIndex day,
                              std::span<const dns::DomainId> domains,

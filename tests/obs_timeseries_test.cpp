@@ -160,8 +160,9 @@ TEST(Sampler, JsonlStreamOneObjectPerSample) {
   Observer observer;
   SamplerOptions options;
   options.sample_process = false;
-  options.jsonl_path = path;
   {
+    std::ofstream jsonl(path, std::ios::trunc);
+    options.jsonl = &jsonl;
     TelemetrySampler sampler(observer, options);
     observer.pipeline.sweep_measurements.inc(3);
     sampler.sample_now();

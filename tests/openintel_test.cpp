@@ -1,5 +1,10 @@
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "exec/pool.h"
 #include "openintel/storage.h"
 #include "openintel/sweeper.h"
 
@@ -133,13 +138,19 @@ TEST(Sweeper, SweepDomainsSubsetMatchesFullSweep) {
   std::vector<Measurement> full;
   sweeper.sweep_day(3, [&](const Measurement& m) { full.push_back(m); });
   const std::vector<dns::DomainId> subset = {5, 17};
-  std::vector<Measurement> sparse;
-  sweeper.sweep_domains(3, subset,
-                        [&](const Measurement& m) { sparse.push_back(m); });
-  ASSERT_EQ(sparse.size(), 2u);
-  EXPECT_DOUBLE_EQ(sparse[0].rtt_ms, full[5].rtt_ms);
-  EXPECT_DOUBLE_EQ(sparse[1].rtt_ms, full[17].rtt_ms);
-  EXPECT_EQ(sparse[0].status, full[5].status);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    exec::WorkerPool pool(threads);
+    std::vector<Measurement> sparse;
+    sweeper.sweep_domains_batched(
+        3, subset, pool, [&](std::span<const Measurement> batch) {
+          sparse.insert(sparse.end(), batch.begin(), batch.end());
+        });
+    ASSERT_EQ(sparse.size(), 2u);
+    EXPECT_DOUBLE_EQ(sparse[0].rtt_ms, full[5].rtt_ms);
+    EXPECT_DOUBLE_EQ(sparse[1].rtt_ms, full[17].rtt_ms);
+    EXPECT_EQ(sparse[0].status, full[5].status);
+  }
 }
 
 Measurement make_measurement(dns::NssetId nsset, std::int64_t t,
@@ -205,14 +216,33 @@ TEST(MeasurementStore, NsSeenTracksAnsweredOnly) {
   EXPECT_EQ(store.sorted_ns_seen().size(), 1u);
 }
 
+// A key-set retention policy in the shape of scenario::PlanRetention:
+// add_batch is the only retention path, add() keeps everything.
+struct KeySetKeep {
+  std::set<dns::NssetId> daily_nssets;
+  std::set<netsim::WindowIndex> windows;
+  std::set<std::pair<std::uint32_t, netsim::DayIndex>> ns_days;
+
+  bool daily(dns::NssetId nsset, netsim::DayIndex) const {
+    return daily_nssets.contains(nsset);
+  }
+  bool window(dns::NssetId, netsim::WindowIndex w) const {
+    return windows.contains(w);
+  }
+  bool ns_seen(IPv4Addr ns, netsim::DayIndex day) const {
+    return ns_days.contains({ns.value(), day});
+  }
+};
+
 TEST(MeasurementStore, RetentionPredicatesFilterOnIngest) {
   MeasurementStore store;
-  store.set_retention(
-      [](dns::NssetId nsset, netsim::DayIndex) { return nsset == 1; },
-      [](dns::NssetId, netsim::WindowIndex w) { return w == 0; },
-      [](IPv4Addr, netsim::DayIndex) { return false; });
-  store.add(make_measurement(1, 100, dns::ResponseStatus::Ok, 20.0));
-  store.add(make_measurement(2, 400, dns::ResponseStatus::Ok, 30.0));
+  KeySetKeep keep;
+  keep.daily_nssets = {1};
+  keep.windows = {0};
+  const std::vector<Measurement> batch = {
+      make_measurement(1, 100, dns::ResponseStatus::Ok, 20.0),
+      make_measurement(2, 400, dns::ResponseStatus::Ok, 30.0)};
+  store.add_batch(batch, keep);
   EXPECT_NE(store.daily(1, 0), nullptr);
   EXPECT_EQ(store.daily(2, 0), nullptr);
   EXPECT_NE(store.window(1, 0), nullptr);

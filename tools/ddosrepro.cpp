@@ -5,12 +5,9 @@
 //   ddosrepro run      [--seed N --scale X --domains N --providers N]
 //                      [--threads N] [--store <file.drs>]
 //                      [--events-csv <file>] [--feed-csv <file>]
-//                      [--metrics-out <file>] [--trace-out <file>] [--progress]
-//   ddosrepro generate --store <file.drs> [run flags]
-//   ddosrepro generate --shard i/N --store <shard.drs> [run flags]
+//   ddosrepro generate [--shard i/N] --store <file.drs> [run flags]
 //   ddosrepro merge    <out.drs> <shard.drs> [shard.drs ...]
-//   ddosrepro analyze  --store <file.drs> [--rejoin] [--threads N]
-//   ddosrepro analyze  --events-csv <file>
+//   ddosrepro analyze  --store <file.drs> [--rejoin] | --events-csv <file>
 //   ddosrepro serve    --store <file.drs> [--threads N] [--duration-s S]
 //                      [--serve-ops N] [--dist uniform|zipfian] [--theta X]
 //                      [--mix P:T:S] [--topk K] [--scan-days N]
@@ -19,59 +16,42 @@
 //   ddosrepro transip  [--scale X]
 //   ddosrepro russia
 //
-// `run` executes the seventeen-month pipeline and prints the headline
-// shapes. `generate` is `run` that persists the three pipeline datasets
-// (RSDoS feed windows, sweep aggregates, joined NSSet-attack events) plus
-// full provenance to a DRS dataset store; `analyze --store` reads one back
-// — every block checksum-validated — and recomputes the same headline
-// statistics without re-simulating (--rejoin additionally re-runs the join
-// stage from the stored aggregates and asserts a bit-for-bit match).
-// `analyze --events-csv` replays the lossy CSV export instead.
+// `run` executes the seventeen-month pipeline (the bounded-memory
+// day-epoch executor; output is bit-identical at any --threads) and prints
+// the headline shapes. `generate` also persists the pipeline datasets and
+// provenance to a DRS store; `analyze --store` recomputes the same
+// statistics from one without re-simulating (--rejoin re-runs the join
+// from the stored aggregates and asserts a bit-for-bit match), `analyze
+// --events-csv` from the lossy CSV export. `generate --shard i/N` writes
+// one shard of a deterministic N-way day partition; `merge` combines the
+// N shards into a store byte-identical to a whole `generate` (see
+// scenario/plan.h and store/merge.h).
 //
-// Sharded generation: `generate --shard i/N` executes one shard of a
-// deterministic N-way day partition of the same world and writes an
-// independent shard store; `merge` k-way merges the N shard files into
-// one store byte-identical (`cmp`) to a single-process `generate
-// --store` of the same config — see scenario/plan.h and store/merge.h.
+// `serve` builds the serve indexes from a store (fill phase), drives the
+// query API from --threads client threads, and prints per-type throughput,
+// latency quantiles and an answer fingerprint (equal for equal seed and
+// threads with --serve-ops). --listen serves the engine over TCP (--refill
+// hot-swaps a rebuilt one when the store changes); --connect drives a
+// remote server, closed loop or at --target-qps, with the fingerprint of
+// a local drive with as many threads as connections.
 //
-// run/generate execute the bounded-memory day-epoch pipeline
-// (channel-connected stages; folded state retires once the joins that
-// read it are done, and a --store is appended per retired epoch) — the
-// output is bit-identical at any --threads.
-//
-// Observability (run): --metrics-out writes a run-report JSON (config,
-// stage timings, metric snapshot, headline results) — or, with
-// --metrics-format=openmetrics, a Prometheus-style text exposition —
-// --trace-out writes a Chrome trace_event file (open in chrome://tracing
-// or Perfetto), and --progress emits a one-line heartbeat per simulated
-// sweep day on stderr.
-//
-// `serve` loads a DRS store, builds the read-optimized serve indexes
-// (fill phase), then drives the concurrent query API from --threads
-// closed-loop client threads (mixed phase) and reports per-query-type
-// throughput and latency quantiles plus a deterministic answer
-// fingerprint (--serve-ops fixed-ops mode; re-runs must print the same
-// fingerprint line for equal seed/threads). With --listen it instead puts
-// the engine on the wire (net::Server, epoll event loops; --refill polls
-// the store and hot-swaps a rebuilt engine); with --connect it drives a
-// remote server over TCP — closed loop by default, open loop at a fixed
-// schedule with --target-qps — and a remote drive with C connections
-// prints the same fingerprint as a local drive with C threads over the
-// same store, seed and mix.
-//
-// Time-resolved telemetry (run): --telemetry-out streams one JSONL sample
-// of every metric/progress/process series per --telemetry-interval-ms;
-// --dashboard-out renders a self-contained HTML dashboard (sparklines +
-// stage timeline, no external assets); --watchdog-timeout-s N aborts with
-// a full diagnostic dump if no pipeline stage makes progress for N
-// seconds (0 disables).
+// Observability, for every command: --metrics-out writes a run report
+// (config, results, stage timings, metrics) as JSON or, with
+// --metrics-format=openmetrics, Prometheus text; --trace-out a Chrome
+// trace; --telemetry-out a JSONL sample of every series per
+// --telemetry-interval-ms; --dashboard-out an HTML dashboard. --progress
+// prints a heartbeat per sweep day (run, generate). --watchdog-timeout-s
+// N aborts with a diagnostic dump when no stage progresses for N seconds;
+// serve --listen rejects it, as an idle server makes no progress. One
+// Session owns this wiring, and every file the CLI writes goes through
+// OutputFile: an unwritable path exits 1 with "cannot write <path>".
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -110,14 +90,218 @@ using namespace ddos;
 
 namespace {
 
-int cmd_world(util::FlagParser& flags) {
+void print_progress(const obs::ProgressEvent& e) {
+  if (e.stage == "join") {
+    std::cerr << "[progress] join: " << e.joined << " NSSet-events from "
+              << e.events << " telescope events, "
+              << util::with_commas(e.measurements) << " measurements\n";
+    return;
+  }
+  std::cerr << "[progress] day " << e.day << " (" << e.days_done << "/"
+            << e.days_total << "): " << util::with_commas(e.measurements)
+            << " measurements, " << e.events << " events, "
+            << util::format_count(e.sweep_rate_per_s) << " sweeps/s\n";
+}
+
+// Every file the CLI writes goes through OutputFile. A failed open, or a
+// stream left bad by the writes or the closing flush, throws CannotWrite:
+// main() prints "cannot write <path>" and exits 1.
+struct CannotWrite {
+  std::string path;
+};
+
+class OutputFile {
+ public:
+  explicit OutputFile(const std::string& path)
+      : path_(path), out_(path, std::ios::trunc) {
+    if (!out_) throw CannotWrite{path_};
+  }
+  std::ostream& stream() { return out_; }
+  const std::string& path() const { return path_; }
+  void close() {
+    out_.close();
+    if (!out_) throw CannotWrite{path_};
+  }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+};
+
+// Writes a file in one go (`body` streams its contents), then reports
+// "wrote <what> to <path>".
+template <typename Body>
+void write_file(const std::string& path, const std::string& what,
+                const Body& body) {
+  OutputFile file(path);
+  body(file.stream());
+  file.close();
+  std::cout << "wrote " << what << " to " << path << "\n";
+}
+
+// What every command shares, built by main() from the flags before
+// dispatch: the observer and its --progress heartbeat, the telemetry
+// sampler, the stall watchdog and the run report. A handler adds only its
+// own report rows; after it returns 0, main() calls write_outputs(). The
+// dashboard's meta table shows the same rows: each fact is stated once.
+class Session {
+ public:
+  Session(const util::FlagParser& flags, const std::string& command)
+      : report_(command),
+        trace_path_(flags.get_string("trace-out")),
+        metrics_path_(flags.get_string("metrics-out")),
+        dashboard_path_(flags.get_string("dashboard-out")),
+        openmetrics_(flags.get_string("metrics-format") == "openmetrics") {
+    const std::string telemetry_path = flags.get_string("telemetry-out");
+    const double watchdog_s = flags.get_double("watchdog-timeout-s");
+    const bool progress = flags.get_bool("progress");
+    // Observability is opt-in: with none of the flags present, no observer
+    // is installed and the command runs uninstrumented (and bit-identically
+    // to an instrumented run — telemetry never feeds back into results).
+    if (!progress && watchdog_s <= 0.0 &&
+        (trace_path_ + metrics_path_ + dashboard_path_ + telemetry_path)
+            .empty()) {
+      return;
+    }
+    observer_.emplace();
+    if (progress) observer_->set_progress(print_progress);
+    install_.emplace(*observer_);
+    // The sampler feeds --telemetry-out and the dashboard's sparklines.
+    if (!telemetry_path.empty()) telemetry_.emplace(telemetry_path);
+    if (telemetry_ || !dashboard_path_.empty()) {
+      sampler_.emplace(
+          *observer_,
+          obs::SamplerOptions{
+              .interval_ms = flags.get_uint("telemetry-interval-ms"),
+              .capacity_per_series = flags.get_uint("telemetry-capacity"),
+              .jsonl = telemetry_ ? &telemetry_->stream() : nullptr});
+      sampler_->start();
+    }
+    // Aborts with a diagnostic dump when no progress source advances.
+    if (watchdog_s > 0.0) {
+      obs::WatchdogOptions wopts;
+      wopts.timeout_s = watchdog_s;
+      wopts.poll_ms = std::max<std::uint64_t>(
+          50, static_cast<std::uint64_t>(watchdog_s * 1000.0 / 4.0));
+      wopts.crash_path = "ddosrepro_stall_report.txt";
+      wopts.sampler = sampler_ ? &*sampler_ : nullptr;
+      watchdog_.emplace(*observer_, wopts);
+      watchdog_->start();
+    }
+  }
+
+  // The observer's address is installed globally and held by the threads.
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  /// For a handler's own progress sources; nullptr when observability is off.
+  obs::ProgressRegistry* progress_sources() {
+    return observer_ ? &observer_->progress_sources() : nullptr;
+  }
+
+  /// Renames the report's command; call before adding rows.
+  void set_command(std::string command) {
+    report_ = obs::RunReport(std::move(command));
+  }
+
+  /// One fact of the command (a string, std::uint64_t or double): a config
+  /// or results row of the run report, and a dashboard meta row.
+  template <typename T>
+  void config(const std::string& key, const T& value) {
+    report_.add_config(key, value);
+    meta_.emplace_back(key, display(value));
+  }
+  template <typename T>
+  void result(const std::string& key, const T& value) {
+    report_.add_result(key, value);
+    meta_.emplace_back(key, display(value));
+  }
+
+  /// Ends the measured window: the watchdog stops (writing outputs is not
+  /// a stall) and the sampler takes its final sample. Idempotent; serve
+  /// calls it while its own progress source is still registered.
+  void stop() {
+    if (watchdog_) watchdog_->stop();
+    if (sampler_) sampler_->stop();
+  }
+
+  /// Writes the trace, telemetry, dashboard and metrics the flags ask for.
+  void write_outputs() {
+    stop();
+    if (!observer_) return;
+    const obs::Tracer& tracer = observer_->tracer();
+    if (!trace_path_.empty()) {
+      write_file(trace_path_,
+                 std::to_string(tracer.event_count()) + " trace spans",
+                 [&](std::ostream& out) { tracer.write_chrome_json(out); });
+    }
+    if (telemetry_) {
+      telemetry_->close();
+      std::cout << "wrote " << sampler_->samples_taken()
+                << " telemetry samples (" << sampler_->series().series_count()
+                << " series) to " << telemetry_->path() << "\n";
+    }
+    if (!dashboard_path_.empty()) {
+      obs::DashboardOptions dopts;
+      dopts.title = "ddosrepro " + report_.command();
+      dopts.meta = meta_;
+      dopts.meta.emplace_back(
+          "wall time", display(static_cast<double>(tracer.now_ns()) / 1e9) +
+                           " s");
+      write_file(dashboard_path_, report_.command() + " dashboard",
+                 [&](std::ostream& out) {
+                   obs::write_dashboard_html(out, *observer_, &*sampler_,
+                                             dopts);
+                 });
+    }
+    if (!metrics_path_.empty()) {
+      write_file(metrics_path_,
+                 openmetrics_ ? "OpenMetrics exposition"
+                              : report_.command() + " report",
+                 [&](std::ostream& out) {
+                   if (openmetrics_) {
+                     out << observer_->metrics().snapshot().to_openmetrics();
+                   } else {
+                     report_.write(out, *observer_);
+                   }
+                 });
+    }
+  }
+
+ private:
+  static std::string display(const std::string& v) { return v; }
+  static std::string display(std::uint64_t v) { return util::with_commas(v); }
+  static std::string display(double v) { return util::format_fixed(v, 2); }
+
+  obs::RunReport report_;
+  std::vector<std::pair<std::string, std::string>> meta_;
+  std::string trace_path_, metrics_path_, dashboard_path_;
+  bool openmetrics_;
+  // Destroyed in reverse: the watchdog and sampler stop before the
+  // telemetry stream they write closes and the observer they read goes.
+  std::optional<obs::Observer> observer_;
+  std::optional<obs::ScopedInstall> install_;
+  std::optional<OutputFile> telemetry_;
+  std::optional<obs::TelemetrySampler> sampler_;
+  std::optional<obs::StallWatchdog> watchdog_;
+};
+
+// The world flags of world, run and generate, recorded as config rows.
+scenario::WorldParams world_params(const util::FlagParser& flags,
+                                   Session& session) {
   scenario::WorldParams params;
   params.seed = flags.get_uint("seed");
   params.domain_count = static_cast<std::uint32_t>(flags.get_uint("domains"));
   params.provider_count =
       static_cast<std::uint32_t>(flags.get_uint("providers"));
-  const auto world = scenario::build_world(params);
+  session.config("seed", params.seed);
+  session.config("domains", flags.get_uint("domains"));
+  session.config("providers", flags.get_uint("providers"));
+  return params;
+}
 
+int cmd_world(util::FlagParser& flags, Session& session) {
+  const auto world = scenario::build_world(world_params(flags, session));
   std::cout << "world: " << world->registry.domain_count() << " domains, "
             << world->registry.nsset_count() << " NSSets, "
             << world->registry.nameserver_count() << " nameservers, "
@@ -136,14 +320,13 @@ int cmd_world(util::FlagParser& flags) {
     if (out_path.empty()) {
       std::cout << zone;
     } else {
-      std::ofstream out(out_path);
-      out << zone;
-      std::cout << "wrote ." << tld << " zone ("
-                << util::format_count(static_cast<double>(zone.size()))
-                << "B) to " << out_path << "\n";
+      write_file(out_path,
+                 "." + tld + " zone (" +
+                     util::format_count(static_cast<double>(zone.size())) +
+                     "B)",
+                 [&](std::ostream& out) { out << zone; });
     }
   }
-
   if (flags.get_bool("audit")) {
     const core::DelegationAuditor auditor(world->registry, world->census,
                                           world->routes);
@@ -209,116 +392,48 @@ void print_analysis(const std::vector<core::NssetAttackEvent>& events) {
                         core::impact_by_anycast_columnar(f));
 }
 
-// The one-line pipeline summary printed by both `run` and
-// `analyze --store`; CI diffs everything from this line on between the
-// two paths, so the text must match byte for byte.
-void print_pipeline_line(std::uint64_t attacks, std::uint64_t feed_records,
-                         std::uint64_t events, std::uint64_t joined,
-                         std::uint64_t swept) {
+// The pipeline summary line and result rows of both `run` and `analyze
+// --store`; CI diffs everything from this line on between the two paths,
+// so the text must match byte for byte.
+void print_pipeline_line(Session& session, std::uint64_t attacks,
+                         std::uint64_t feed_records, std::uint64_t events,
+                         std::uint64_t joined, std::uint64_t swept) {
   std::cout << "pipeline: " << attacks << " attacks -> " << feed_records
             << " feed records -> " << events << " events -> " << joined
             << " joined NSSet-attack events (" << util::with_commas(swept)
             << " measurements swept)\n\n";
+  session.result("attacks", attacks);
+  session.result("feed_records", feed_records);
+  session.result("events", events);
+  session.result("joined", joined);
+  session.result("swept_measurements", swept);
 }
 
-void print_progress(const obs::ProgressEvent& e) {
-  if (e.stage == "join") {
-    std::cerr << "[progress] join: " << e.joined << " NSSet-events from "
-              << e.events << " telescope events, "
-              << util::with_commas(e.measurements) << " measurements\n";
-    return;
-  }
-  std::cerr << "[progress] day " << e.day << " (" << e.days_done << "/"
-            << e.days_total << "): " << util::with_commas(e.measurements)
-            << " measurements, " << e.events << " events, "
-            << util::format_count(e.sweep_rate_per_s) << " sweeps/s\n";
-}
-
-int cmd_run(util::FlagParser& flags) {
+// The pipeline config of run and generate (whole or --shard); also sets
+// the pool width and records the config rows.
+scenario::LongitudinalConfig run_config(const util::FlagParser& flags,
+                                        Session& session) {
   scenario::LongitudinalConfig cfg = scenario::default_longitudinal_config();
-  cfg.world.seed = flags.get_uint("seed");
-  cfg.world.domain_count =
-      static_cast<std::uint32_t>(flags.get_uint("domains"));
-  cfg.world.provider_count =
-      static_cast<std::uint32_t>(flags.get_uint("providers"));
+  cfg.world = world_params(flags, session);
   cfg.workload.scale = flags.get_double("scale");
+  exec::set_global_threads(static_cast<unsigned>(flags.get_uint("threads")));
+  session.config("scale", cfg.workload.scale);
+  session.config("threads", flags.get_uint("threads"));
+  return cfg;
+}
 
-  const unsigned threads = static_cast<unsigned>(flags.get_uint("threads"));
-  exec::set_global_threads(threads);
-
-  const std::string metrics_path = flags.get_string("metrics-out");
-  const std::string metrics_format = flags.get_string("metrics-format");
-  const std::string trace_path = flags.get_string("trace-out");
-  const std::string telemetry_path = flags.get_string("telemetry-out");
-  const std::string dashboard_path = flags.get_string("dashboard-out");
-  const double watchdog_timeout_s = flags.get_double("watchdog-timeout-s");
-  const bool progress = flags.get_bool("progress");
-
-  if (metrics_format != "json" && metrics_format != "openmetrics") {
-    std::cerr << "--metrics-format must be json or openmetrics, got '"
-              << metrics_format << "'\n";
-    return 2;
-  }
-
-  // Observability is opt-in: with none of the flags present, no observer
-  // is installed and the pipeline runs uninstrumented (and bit-identically
-  // to an instrumented run — telemetry never feeds back into results).
-  std::optional<obs::Observer> observer;
-  std::optional<obs::ScopedInstall> install;
-  if (progress || !metrics_path.empty() || !trace_path.empty() ||
-      !telemetry_path.empty() || !dashboard_path.empty() ||
-      watchdog_timeout_s > 0.0) {
-    observer.emplace();
-    if (progress) observer->set_progress(print_progress);
-    install.emplace(*observer);
-  }
-
-  // Background telemetry sampler: needed by --telemetry-out (JSONL stream)
-  // and --dashboard-out (sparkline series).
-  std::optional<obs::TelemetrySampler> sampler;
-  if (!telemetry_path.empty() || !dashboard_path.empty()) {
-    obs::SamplerOptions sopts;
-    sopts.interval_ms = flags.get_uint("telemetry-interval-ms");
-    sopts.capacity_per_series =
-        static_cast<std::size_t>(flags.get_uint("telemetry-capacity"));
-    sopts.jsonl_path = telemetry_path;
-    sampler.emplace(*observer, sopts);
-    sampler->start();
-  }
-
-  // Stall watchdog: aborts with a diagnostic dump when no registered
-  // progress source advances within the timeout.
-  std::optional<obs::StallWatchdog> watchdog;
-  if (watchdog_timeout_s > 0.0) {
-    obs::WatchdogOptions wopts;
-    wopts.timeout_s = watchdog_timeout_s;
-    wopts.poll_ms = std::max<std::uint64_t>(
-        50, static_cast<std::uint64_t>(watchdog_timeout_s * 1000.0 / 4.0));
-    wopts.crash_path = "ddosrepro_stall_report.txt";
-    wopts.sampler = sampler ? &*sampler : nullptr;
-    watchdog.emplace(*observer, wopts);
-    watchdog->start();
-  }
-
+int cmd_run(util::FlagParser& flags, Session& session) {
+  const scenario::LongitudinalConfig cfg = run_config(flags, session);
   const std::string store_path = flags.get_string("store");
-  scenario::LongitudinalResult r;
-  try {
-    scenario::StreamingOptions opts;
-    opts.threads = threads;
-    opts.store_path = store_path;
-    // Feed records retire as they are folded; only the CSV export still
-    // needs the full vector resident.
-    opts.retain_feed = !flags.get_string("feed-csv").empty();
-    r = scenario::run_longitudinal_streaming(cfg, opts);
-  } catch (const store::StoreError& e) {
-    std::cerr << "store error: " << e.what() << "\n";
-    return 1;
-  }
-  // The run is done: the watchdog must not treat report writing as a
-  // stall, and the sampler's stop() takes the final end-of-run sample.
-  if (watchdog) watchdog->stop();
-  if (sampler) sampler->stop();
-  print_pipeline_line(r.workload.schedule.size(), r.feed_records,
+  scenario::StreamingOptions opts;
+  opts.threads = static_cast<unsigned>(flags.get_uint("threads"));
+  opts.store_path = store_path;
+  // Feed records retire as they are folded; only the CSV export still
+  // needs the full vector resident.
+  opts.retain_feed = !flags.get_string("feed-csv").empty();
+  const scenario::LongitudinalResult r =
+      scenario::run_longitudinal_streaming(cfg, opts);
+  print_pipeline_line(session, r.workload.schedule.size(), r.feed_records,
                       r.events.size(), r.joined.size(), r.swept_measurements);
   print_analysis(r.joined);
 
@@ -330,159 +445,62 @@ int cmd_run(util::FlagParser& flags) {
 
   const std::string events_path = flags.get_string("events-csv");
   if (!events_path.empty()) {
-    std::ofstream out(events_path);
-    core::write_events_csv(out, r.joined);
-    std::cout << "\nwrote " << r.joined.size() << " events to "
-              << events_path << "\n";
+    std::cout << "\n";
+    write_file(events_path, std::to_string(r.joined.size()) + " events",
+               [&](std::ostream& out) {
+                 core::write_events_csv(out, r.joined);
+               });
   }
   const std::string feed_path = flags.get_string("feed-csv");
   if (!feed_path.empty()) {
-    std::ofstream out(feed_path);
-    r.feed.write_csv(out);
-    std::cout << "wrote " << r.feed.records().size() << " feed records to "
-              << feed_path << "\n";
-  }
-
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::cerr << "cannot write " << trace_path << "\n";
-      return 1;
-    }
-    observer->tracer().write_chrome_json(out);
-    std::cout << "wrote " << observer->tracer().event_count()
-              << " trace spans to " << trace_path << "\n";
-  }
-  if (sampler && !telemetry_path.empty()) {
-    std::cout << "wrote " << sampler->samples_taken() << " telemetry samples ("
-              << sampler->series().series_count() << " series) to "
-              << telemetry_path << "\n";
-  }
-  if (!dashboard_path.empty()) {
-    obs::DashboardOptions dopts;
-    dopts.title = "ddosrepro run (seed " +
-                  std::to_string(flags.get_uint("seed")) + ")";
-    dopts.meta = {
-        {"seed", std::to_string(flags.get_uint("seed"))},
-        {"domains", std::to_string(flags.get_uint("domains"))},
-        {"providers", std::to_string(flags.get_uint("providers"))},
-        {"scale", util::format_fixed(flags.get_double("scale"), 2)},
-        {"threads", std::to_string(threads)},
-        {"wall time",
-         util::format_fixed(
-             static_cast<double>(observer->tracer().now_ns()) / 1e9, 2) +
-             " s"},
-        {"joined events", std::to_string(r.joined.size())},
-        {"swept measurements", util::with_commas(r.swept_measurements)},
-    };
-    if (!obs::write_dashboard_html_file(dashboard_path, *observer,
-                                        sampler ? &*sampler : nullptr,
-                                        dopts)) {
-      std::cerr << "cannot write " << dashboard_path << "\n";
-      return 1;
-    }
-    std::cout << "wrote run dashboard to " << dashboard_path << "\n";
-  }
-  if (!metrics_path.empty() && metrics_format == "openmetrics") {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    out << observer->metrics().snapshot().to_openmetrics();
-    std::cout << "wrote OpenMetrics exposition to " << metrics_path << "\n";
-  } else if (!metrics_path.empty()) {
-    obs::RunReport report("run");
-    report.add_config("seed", flags.get_uint("seed"));
-    report.add_config("domains", flags.get_uint("domains"));
-    report.add_config("providers", flags.get_uint("providers"));
-    report.add_config("scale", flags.get_double("scale"));
-    report.add_config("threads", static_cast<std::int64_t>(threads));
-    report.add_result("attacks",
-                      static_cast<std::int64_t>(r.workload.schedule.size()));
-    report.add_result("feed_records",
-                      static_cast<std::int64_t>(r.feed_records));
-    report.add_result("events", static_cast<std::int64_t>(r.events.size()));
-    report.add_result("joined", static_cast<std::int64_t>(r.joined.size()));
-    report.add_result("swept_measurements",
-                      static_cast<std::int64_t>(r.swept_measurements));
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    report.write(out, *observer);
-    std::cout << "wrote run report to " << metrics_path << "\n";
+    write_file(feed_path,
+               std::to_string(r.feed.records().size()) + " feed records",
+               [&](std::ostream& out) { r.feed.write_csv(out); });
   }
   return 0;
 }
 
-// `generate --shard i/N`: execute one shard of the deterministic N-way
-// day partition (scenario/plan.h) and write an independent shard store.
-// Kept apart from cmd_run — a shard's joined rows are pre-merge, so it
-// prints a shard accounting line instead of the whole-run analyses.
-int cmd_generate_shard(util::FlagParser& flags,
-                       const scenario::ShardSpec& shard) {
-  scenario::LongitudinalConfig cfg = scenario::default_longitudinal_config();
-  cfg.world.seed = flags.get_uint("seed");
-  cfg.world.domain_count =
-      static_cast<std::uint32_t>(flags.get_uint("domains"));
-  cfg.world.provider_count =
-      static_cast<std::uint32_t>(flags.get_uint("providers"));
-  cfg.workload.scale = flags.get_double("scale");
-
-  const unsigned threads = static_cast<unsigned>(flags.get_uint("threads"));
-  exec::set_global_threads(threads);
-
-  std::optional<obs::Observer> observer;
-  std::optional<obs::ScopedInstall> install;
-  if (flags.get_bool("progress")) {
-    observer.emplace();
-    observer->set_progress(print_progress);
-    install.emplace(*observer);
-  }
-
+// `generate` is `run` with a --store; `generate --shard i/N` executes one
+// shard of the deterministic N-way day partition (scenario/plan.h) and
+// writes an independent shard store. A shard's joined rows are pre-merge,
+// so it prints a shard accounting line instead of the whole-run analyses.
+int cmd_generate(util::FlagParser& flags, Session& session) {
   const std::string store_path = flags.get_string("store");
-  try {
-    const scenario::ShardRunResult r =
-        scenario::run_shard(cfg, shard, threads, store_path);
-    std::cout << "shard " << shard.index << "/" << shard.count << ": "
-              << r.owned_events << "/" << r.events_total
-              << " telescope events owned, " << r.joined_rows
-              << " joined rows, " << util::with_commas(r.feed_rows)
-              << " feed rows, " << util::with_commas(r.swept_measurements)
-              << " measurements swept\n";
-    std::cout << "wrote shard store ("
-              << util::format_count(static_cast<double>(r.store_bytes))
-              << "B) to " << store_path
-              << " — combine the " << shard.count
-              << " shards with 'ddosrepro merge'\n";
-  } catch (const store::StoreError& e) {
-    std::cerr << "store error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
-}
-
-int cmd_generate(util::FlagParser& flags) {
-  if (flags.get_string("store").empty()) {
+  if (store_path.empty()) {
     std::cerr << "generate requires --store <file.drs>\n";
     return 1;
   }
   const std::string shard_spec = flags.get_string("shard");
-  if (!shard_spec.empty()) {
-    std::string shard_error;
-    const auto shard = scenario::parse_shard(shard_spec, &shard_error);
-    if (!shard) {
-      std::cerr << "flag --" << shard_error << "\n";
-      return 2;
-    }
-    return cmd_generate_shard(flags, *shard);
+  if (shard_spec.empty()) return cmd_run(flags, session);
+  std::string shard_error;
+  const auto shard = scenario::parse_shard(shard_spec, &shard_error);
+  if (!shard) {
+    std::cerr << "flag --" << shard_error << "\n";
+    return 2;
   }
-  return cmd_run(flags);
+  const scenario::LongitudinalConfig cfg = run_config(flags, session);
+  session.config("shard", shard_spec);
+  const scenario::ShardRunResult r = scenario::run_shard(
+      cfg, *shard, static_cast<unsigned>(flags.get_uint("threads")),
+      store_path);
+  std::cout << "shard " << shard->index << "/" << shard->count << ": "
+            << r.owned_events << "/" << r.events_total
+            << " telescope events owned, " << r.joined_rows
+            << " joined rows, " << util::with_commas(r.feed_rows)
+            << " feed rows, " << util::with_commas(r.swept_measurements)
+            << " measurements swept\n";
+  std::cout << "wrote shard store ("
+            << util::format_count(static_cast<double>(r.store_bytes))
+            << "B) to " << store_path
+            << " — combine the " << shard->count
+            << " shards with 'ddosrepro merge'\n";
+  session.result("joined_rows", r.joined_rows);
+  session.result("swept_measurements", r.swept_measurements);
+  session.result("store_bytes", r.store_bytes);
+  return 0;
 }
 
-int cmd_merge(util::FlagParser& flags) {
+int cmd_merge(util::FlagParser& flags, Session& session) {
   const auto& args = flags.positional();
   if (args.size() < 3) {
     std::cerr << "merge requires an output path and at least one shard "
@@ -492,55 +510,45 @@ int cmd_merge(util::FlagParser& flags) {
   }
   const std::string& out_path = args[1];
   const std::vector<std::string> shard_paths(args.begin() + 2, args.end());
-  try {
-    const auto merge_start = std::chrono::steady_clock::now();
-    const store::MergeStats stats = store::merge_stores(out_path, shard_paths);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      merge_start)
-            .count();
-    std::cout << "merged " << stats.shards << " shard stores -> " << out_path
-              << " ("
-              << util::format_count(static_cast<double>(stats.bytes_written))
-              << "B): " << util::with_commas(stats.rows_merged)
-              << " column values, " << stats.events_out << " joined events";
-    if (secs > 0.0) {
-      std::cout << " in " << util::format_fixed(secs, 2) << "s ("
-                << util::format_count(
-                       static_cast<double>(stats.bytes_written) / secs)
-                << "B/s)";
-    }
-    std::cout << "\n";
-  } catch (const store::StoreError& e) {
-    std::cerr << "store error: " << e.what() << "\n";
-    return 1;
+  session.config("out", out_path);
+  const auto merge_start = std::chrono::steady_clock::now();
+  const store::MergeStats stats = store::merge_stores(out_path, shard_paths);
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - merge_start)
+                          .count();
+  std::cout << "merged " << stats.shards << " shard stores -> " << out_path
+            << " ("
+            << util::format_count(static_cast<double>(stats.bytes_written))
+            << "B): " << util::with_commas(stats.rows_merged)
+            << " column values, " << stats.events_out << " joined events";
+  if (secs > 0.0) {
+    std::cout << " in " << util::format_fixed(secs, 2) << "s ("
+              << util::format_count(
+                     static_cast<double>(stats.bytes_written) / secs)
+              << "B/s)";
   }
+  std::cout << "\n";
+  session.result("rows_merged", stats.rows_merged);
+  session.result("events_out", stats.events_out);
+  session.result("bytes_written", stats.bytes_written);
   return 0;
 }
 
-int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
+int cmd_analyze_store(util::FlagParser& flags, Session& session,
+                      const std::string& path) {
   exec::set_global_threads(static_cast<unsigned>(flags.get_uint("threads")));
   // Column-native analysis: the store is mapped read-only (--no-mmap
   // falls back to the buffered reader) and every headline statistic is
   // recomputed from column spans — no row materialization. Output is
   // byte-identical to the row path (`run`); CI diffs the two.
   const bool use_mmap = !flags.get_bool("no-mmap");
-  scenario::StoreAnalysis analysis;
-  try {
-    analysis = scenario::analyze_store(path, use_mmap);
-  } catch (const store::StoreError& e) {
-    std::cerr << "store error: " << e.what() << "\n";
-    return 1;
-  }
+  session.config("store", path);
+  const scenario::StoreAnalysis analysis =
+      scenario::analyze_store(path, use_mmap);
 
-  std::error_code ec;
-  const auto bytes = std::filesystem::file_size(path, ec);
-  std::cout << "store: " << path;
-  if (!ec) {
-    std::cout << " (" << util::format_count(static_cast<double>(bytes))
-              << "B)";
-  }
-  std::cout << "\nprovenance: world seed " << analysis.world_seed << ", "
+  std::cout << "store: " << path << " ("
+            << util::format_count(static_cast<double>(analysis.file_bytes))
+            << "B)\nprovenance: world seed " << analysis.world_seed << ", "
             << analysis.domain_count << " domains, "
             << analysis.provider_count << " providers; workload seed "
             << analysis.workload_seed << ", scale "
@@ -549,29 +557,24 @@ int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
             << "; generated with " << analysis.threads << " threads\n";
 
   if (flags.get_bool("rejoin")) {
-    try {
-      const scenario::StoredRun run = scenario::load_run(path, use_mmap);
-      const auto rejoin = scenario::rejoin_from_store(run);
-      const bool match =
-          rejoin.joined == run.joined && rejoin.stats == run.join_stats;
-      std::cout << "rejoin: " << rejoin.joined.size()
-                << " joined events recomputed from stored aggregates — "
-                << (match ? "bit-for-bit match with stored events"
-                          : "MISMATCH with stored events")
-                << "\n";
-      if (!match) {
-        std::cerr << "rejoin mismatch: store provenance does not reproduce "
-                     "the generating run\n";
-        return 1;
-      }
-    } catch (const store::StoreError& e) {
-      std::cerr << "store error: " << e.what() << "\n";
+    const scenario::StoredRun run = scenario::load_run(path, use_mmap);
+    const auto rejoin = scenario::rejoin_from_store(run);
+    const bool match =
+        rejoin.joined == run.joined && rejoin.stats == run.join_stats;
+    std::cout << "rejoin: " << rejoin.joined.size()
+              << " joined events recomputed from stored aggregates — "
+              << (match ? "bit-for-bit match with stored events"
+                        : "MISMATCH with stored events")
+              << "\n";
+    if (!match) {
+      std::cerr << "rejoin mismatch: store provenance does not reproduce "
+                   "the generating run\n";
       return 1;
     }
   }
 
   std::cout << "\n";
-  print_pipeline_line(analysis.attacks, analysis.feed_records,
+  print_pipeline_line(session, analysis.attacks, analysis.feed_records,
                       analysis.events, analysis.joined,
                       analysis.swept_measurements);
   print_analysis_values(analysis.impact, analysis.failures,
@@ -579,9 +582,9 @@ int cmd_analyze_store(util::FlagParser& flags, const std::string& path) {
   return 0;
 }
 
-int cmd_analyze(util::FlagParser& flags) {
+int cmd_analyze(util::FlagParser& flags, Session& session) {
   const std::string store_path = flags.get_string("store");
-  if (!store_path.empty()) return cmd_analyze_store(flags, store_path);
+  if (!store_path.empty()) return cmd_analyze_store(flags, session, store_path);
 
   const std::string path = flags.get_string("events-csv");
   if (path.empty()) {
@@ -594,6 +597,7 @@ int cmd_analyze(util::FlagParser& flags) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
+  session.config("events_csv", path);
   core::EventsCsvReport report;
   const auto events = core::read_events_csv(in, &report);
   if (report.rows_skipped > 0) {
@@ -604,12 +608,14 @@ int cmd_analyze(util::FlagParser& flags) {
   std::cout << "loaded " << events.size() << " events from " << path
             << "\n\n";
   print_analysis(events);
+  session.result("events", events.size());
   return 0;
 }
 
-int cmd_transip(util::FlagParser& flags) {
+int cmd_transip(util::FlagParser& flags, Session& session) {
   scenario::TransIPParams params;
   params.scale = flags.get_double("scale");
+  session.config("scale", params.scale);
   const auto r = scenario::run_transip(params);
   std::cout << "TransIP replay at scale " << params.scale << ": "
             << util::with_commas(r.domains_hosted) << " domains\n";
@@ -625,7 +631,7 @@ int cmd_transip(util::FlagParser& flags) {
   return 0;
 }
 
-int cmd_russia(util::FlagParser&) {
+int cmd_russia(util::FlagParser&, Session&) {
   const auto r = scenario::run_russia(scenario::RussiaParams{});
   std::cout << "mil.ru: " << r.milru.attack_windows_probed
             << " attack windows probed, "
@@ -640,6 +646,54 @@ int cmd_russia(util::FlagParser&) {
                                   : "n/a")
             << " (paper: ~06:00 next day)\n";
   return 0;
+}
+
+// The drive report of the in-process and --connect paths, printed and as
+// report rows (`source` is the store path or the server address).
+void report_drive(Session& session, const serve::DriveReport& report,
+                  const serve::WorkloadSpec& workload,
+                  const std::string& source) {
+  util::TextTable table(
+      {"query", "ops", "ops/sec", "p50 us", "p99 us", "p99.9 us"});
+  for (const serve::QueryTypeReport& tr : report.by_type) {
+    table.add_row({serve::to_string(tr.type), util::with_commas(tr.ops),
+                   util::format_count(tr.ops_per_sec),
+                   util::format_fixed(tr.p50_us, 2),
+                   util::format_fixed(tr.p99_us, 2),
+                   util::format_fixed(tr.p999_us, 2)});
+  }
+  std::cout << table.to_string();
+  std::cout << "total: " << util::with_commas(report.total_ops) << " ops in "
+            << util::format_fixed(report.wall_s, 2)
+            << "s = " << util::format_count(report.ops_per_sec) << "ops/sec";
+  if (report.target_qps > 0.0) {
+    std::cout << " (open loop, intended "
+              << util::format_count(report.target_qps)
+              << "qps; latency from intended send times)";
+  }
+  std::cout << "\n";
+  char fp[17];
+  std::snprintf(fp, sizeof(fp), "%016llx",
+                static_cast<unsigned long long>(report.fingerprint));
+  std::cout << "fingerprint: " << fp << "\n";
+
+  session.config("source", source);
+  session.config("seed", workload.seed);
+  session.config("threads", std::uint64_t{report.threads});
+  session.config("dist", std::string(serve::to_string(workload.dist)));
+  session.config("theta", workload.theta);
+  session.config("mix", workload.mix.to_string());
+  if (report.target_qps > 0.0) session.config("target_qps", report.target_qps);
+  session.result("total_ops", report.total_ops);
+  session.result("ops_per_sec", report.ops_per_sec);
+  session.result("fingerprint", std::string(fp));
+  for (const serve::QueryTypeReport& tr : report.by_type) {
+    const std::string prefix = serve::to_string(tr.type);
+    session.result(prefix + "_ops", tr.ops);
+    session.result(prefix + "_p50_us", tr.p50_us);
+    session.result(prefix + "_p99_us", tr.p99_us);
+    session.result(prefix + "_p999_us", tr.p999_us);
+  }
 }
 
 // SIGINT/SIGTERM flag for `serve --listen`: the handler only sets this,
@@ -659,48 +713,61 @@ std::optional<FileIdentity> file_identity(const std::string& path) {
                       st.st_mtim.tv_nsec};
 }
 
-/// "host:port" -> (host, port). Port must be 0..65535; 0 means ephemeral.
-bool parse_host_port(const std::string& spec, std::string& host,
-                     std::uint16_t& port, std::string& error) {
+/// "host:port" -> (host, port); returns the error, empty on success. Port
+/// must be 0..65535; 0 means ephemeral.
+std::string parse_host_port(const std::string& spec, std::string& host,
+                            std::uint16_t& port) {
   const std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 ||
       colon + 1 == spec.size()) {
-    error = "expected host:port, got '" + spec + "'";
-    return false;
+    return "expected host:port, got '" + spec + "'";
   }
   host = spec.substr(0, colon);
   const std::string port_str = spec.substr(colon + 1);
   char* end = nullptr;
   const unsigned long v = std::strtoul(port_str.c_str(), &end, 10);
   if (end == port_str.c_str() || *end != '\0' || v > 65535) {
-    error = "bad port '" + port_str + "' in '" + spec + "'";
-    return false;
+    return "bad port '" + port_str + "' in '" + spec + "'";
   }
   port = static_cast<std::uint16_t>(v);
-  return true;
+  return "";
 }
 
-int cmd_serve(util::FlagParser& flags) {
+int cmd_serve(util::FlagParser& flags, Session& session) {
   const std::string store_path = flags.get_string("store");
   const std::string listen_spec = flags.get_string("listen");
   const std::string connect_spec = flags.get_string("connect");
   const double target_qps = flags.get_double("target-qps");
   const double refill_s = flags.get_double("refill");
-  if (!listen_spec.empty() && !connect_spec.empty()) {
-    std::cerr << "--listen and --connect are mutually exclusive\n";
-    return 2;
+  const bool listen_mode = !listen_spec.empty();
+  const bool connect_mode = !connect_spec.empty();
+  const std::pair<bool, const char*> misuse[] = {
+      {listen_mode && connect_mode,
+       "--listen and --connect are mutually exclusive"},
+      {target_qps > 0.0 && !connect_mode,
+       "--target-qps (open-loop driving) requires --connect"},
+      {refill_s > 0.0 && !listen_mode, "--refill requires --listen"},
+      {listen_mode && flags.get_double("watchdog-timeout-s") > 0.0,
+       "--watchdog-timeout-s does not apply to serve --listen: an idle "
+       "server makes no progress by design"},
+      {store_path.empty() && !connect_mode,
+       "serve requires --store <file.drs> (or --connect to drive a remote "
+       "server)"},
+  };
+  for (const auto& [bad, message] : misuse) {
+    if (bad) {
+      std::cerr << message << "\n";
+      return 2;
+    }
   }
-  if (target_qps > 0.0 && connect_spec.empty()) {
-    std::cerr << "--target-qps (open-loop driving) requires --connect\n";
-    return 2;
-  }
-  if (refill_s > 0.0 && listen_spec.empty()) {
-    std::cerr << "--refill requires --listen\n";
-    return 2;
-  }
-  if (store_path.empty() && connect_spec.empty()) {
-    std::cerr << "serve requires --store <file.drs> (or --connect to drive "
-                 "a remote server)\n";
+  std::string host;  // of --listen or --connect
+  std::uint16_t port = 0;
+  const std::string& address = listen_mode ? listen_spec : connect_spec;
+  const std::string address_error =
+      address.empty() ? "" : parse_host_port(address, host, port);
+  if (!address_error.empty()) {
+    std::cerr << "flag --" << (listen_mode ? "listen " : "connect ")
+              << address_error << "\n";
     return 2;
   }
 
@@ -729,192 +796,33 @@ int cmd_serve(util::FlagParser& flags) {
   opts.duration_s = flags.get_double("duration-s");
 
   const unsigned threads = static_cast<unsigned>(flags.get_uint("threads"));
-  if (listen_spec.empty() && connect_spec.empty()) {
-    exec::set_global_threads(threads);
-  }
+  if (!listen_mode && !connect_mode) exec::set_global_threads(threads);
 
-  const std::string metrics_path = flags.get_string("metrics-out");
-  const std::string metrics_format = flags.get_string("metrics-format");
-  const std::string trace_path = flags.get_string("trace-out");
-  const std::string telemetry_path = flags.get_string("telemetry-out");
-  const std::string dashboard_path = flags.get_string("dashboard-out");
-  if (metrics_format != "json" && metrics_format != "openmetrics") {
-    std::cerr << "--metrics-format must be json or openmetrics, got '"
-              << metrics_format << "'\n";
-    return 2;
-  }
-
-  std::optional<obs::Observer> observer;
-  std::optional<obs::ScopedInstall> install;
-  if (!metrics_path.empty() || !trace_path.empty() ||
-      !telemetry_path.empty() || !dashboard_path.empty()) {
-    observer.emplace();
-    install.emplace(*observer);
-  }
-  std::optional<obs::TelemetrySampler> sampler;
-  if (!telemetry_path.empty() || !dashboard_path.empty()) {
-    obs::SamplerOptions sopts;
-    sopts.interval_ms = flags.get_uint("telemetry-interval-ms");
-    sopts.capacity_per_series =
-        static_cast<std::size_t>(flags.get_uint("telemetry-capacity"));
-    sopts.jsonl_path = telemetry_path;
-    sampler.emplace(*observer, sopts);
-    sampler->start();
-  }
-  // Command-lifetime progress source: drive() registers a finer-grained
-  // per-op source, but that one only exists for the drive window, which a
-  // short fixed-ops run can squeeze between two sampler ticks. This one
-  // spans every sample the sampler takes, including the stop() bookend.
+  // Command-lifetime progress source: drive()'s per-op source exists only
+  // for the drive window, which a short fixed-ops run can squeeze between
+  // two sampler ticks. This one spans every sample up to the
+  // session.stop() bookend each path calls once its ops are counted.
   std::atomic<std::uint64_t> completed_ops{0};
-  std::optional<obs::ScopedProgressSource> progress;
-  if (observer) {
-    progress.emplace(&observer->progress_sources(), "serve.completed_ops",
-                     [&completed_ops] {
-                       return completed_ops.load(std::memory_order_relaxed);
-                     });
-  }
+  const obs::ScopedProgressSource progress(
+      session.progress_sources(), "serve.completed_ops", [&completed_ops] {
+        return completed_ops.load(std::memory_order_relaxed);
+      });
+  const auto ops_done = [&](std::uint64_t ops) {
+    completed_ops.store(ops, std::memory_order_relaxed);
+    session.stop();
+  };
 
   using Clock = std::chrono::steady_clock;
   const auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
-  // The fill line shared by the in-process and --listen paths.
-  const auto report_fill = [&store_path](const serve::QueryEngine& engine,
-                                         double seconds) {
-    std::cout << "fill: " << store_path << " loaded+indexed in "
-              << util::format_fixed(seconds, 2) << "s; "
-              << util::with_commas(engine.nsset_count()) << " NSSets, "
-              << util::with_commas(engine.series_points())
-              << " series points, "
-              << util::with_commas(engine.leaderboard_entries())
-              << " leaderboard rows\n";
-  };
 
-  // Report print + observability outputs shared by the in-process and
-  // remote drive paths (`source` is the store path or the server address).
-  const auto drive_epilogue = [&](const serve::DriveReport& report,
-                                  const std::string& source) -> int {
-    util::TextTable table(
-        {"query", "ops", "ops/sec", "p50 us", "p99 us", "p99.9 us"});
-    for (const serve::QueryTypeReport& tr : report.by_type) {
-      table.add_row({serve::to_string(tr.type), util::with_commas(tr.ops),
-                     util::format_count(tr.ops_per_sec),
-                     util::format_fixed(tr.p50_us, 2),
-                     util::format_fixed(tr.p99_us, 2),
-                     util::format_fixed(tr.p999_us, 2)});
-    }
-    std::cout << table.to_string();
-    std::cout << "total: " << util::with_commas(report.total_ops)
-              << " ops in " << util::format_fixed(report.wall_s, 2)
-              << "s = " << util::format_count(report.ops_per_sec)
-              << "ops/sec";
-    if (report.target_qps > 0.0) {
-      std::cout << " (open loop, intended "
-                << util::format_count(report.target_qps)
-                << "qps; latency from intended send times)";
-    }
-    std::cout << "\n";
-    char fp[17];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(report.fingerprint));
-    std::cout << "fingerprint: " << fp << "\n";
-
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (!out) {
-        std::cerr << "cannot write " << trace_path << "\n";
-        return 1;
-      }
-      observer->tracer().write_chrome_json(out);
-      std::cout << "wrote " << observer->tracer().event_count()
-                << " trace spans to " << trace_path << "\n";
-    }
-    if (sampler && !telemetry_path.empty()) {
-      std::cout << "wrote " << sampler->samples_taken()
-                << " telemetry samples (" << sampler->series().series_count()
-                << " series) to " << telemetry_path << "\n";
-    }
-    if (!dashboard_path.empty()) {
-      obs::DashboardOptions dopts;
-      dopts.title = "ddosrepro serve (" + source + ")";
-      dopts.meta = {
-          {"source", source},
-          {"threads", std::to_string(report.threads)},
-          {"distribution", serve::to_string(opts.workload.dist)},
-          {"mix", opts.workload.mix.to_string()},
-          {"total ops", util::with_commas(report.total_ops)},
-          {"ops/sec", util::format_count(report.ops_per_sec)},
-      };
-      if (!obs::write_dashboard_html_file(dashboard_path, *observer,
-                                          sampler ? &*sampler : nullptr,
-                                          dopts)) {
-        std::cerr << "cannot write " << dashboard_path << "\n";
-        return 1;
-      }
-      std::cout << "wrote serve dashboard to " << dashboard_path << "\n";
-    }
-    if (!metrics_path.empty() && metrics_format == "openmetrics") {
-      std::ofstream out(metrics_path);
-      if (!out) {
-        std::cerr << "cannot write " << metrics_path << "\n";
-        return 1;
-      }
-      out << observer->metrics().snapshot().to_openmetrics();
-      std::cout << "wrote OpenMetrics exposition to " << metrics_path
-                << "\n";
-    } else if (!metrics_path.empty()) {
-      obs::RunReport run_report("serve");
-      run_report.add_config("source", source);
-      run_report.add_config("seed", flags.get_uint("seed"));
-      run_report.add_config("threads",
-                            static_cast<std::int64_t>(report.threads));
-      run_report.add_config("dist",
-                            std::string(serve::to_string(opts.workload.dist)));
-      run_report.add_config("theta", opts.workload.theta);
-      run_report.add_config("mix", opts.workload.mix.to_string());
-      if (report.target_qps > 0.0) {
-        run_report.add_config("target_qps", report.target_qps);
-      }
-      run_report.add_result("total_ops",
-                            static_cast<std::int64_t>(report.total_ops));
-      run_report.add_result("ops_per_sec", report.ops_per_sec);
-      run_report.add_result("fingerprint", std::string(fp));
-      for (const serve::QueryTypeReport& tr : report.by_type) {
-        const std::string prefix = serve::to_string(tr.type);
-        run_report.add_result(prefix + "_ops",
-                              static_cast<std::int64_t>(tr.ops));
-        run_report.add_result(prefix + "_p50_us", tr.p50_us);
-        run_report.add_result(prefix + "_p99_us", tr.p99_us);
-        run_report.add_result(prefix + "_p999_us", tr.p999_us);
-      }
-      std::ofstream out(metrics_path);
-      if (!out) {
-        std::cerr << "cannot write " << metrics_path << "\n";
-        return 1;
-      }
-      run_report.write(out, *observer);
-      std::cout << "wrote serve report to " << metrics_path << "\n";
-    }
-    return 0;
-  };
-
-  // Remote drive: the server owns the store and the engine; this side is
-  // workload generation, wire round trips and the shared epilogue.
-  if (!connect_spec.empty()) {
-    std::string host, hp_error;
-    std::uint16_t port = 0;
-    if (!parse_host_port(connect_spec, host, port, hp_error)) {
-      std::cerr << "flag --connect " << hp_error << "\n";
-      return 2;
-    }
-    net::RemoteDriveOptions ropts;
-    ropts.host = host;
-    ropts.port = port;
-    ropts.connections = threads;
-    ropts.workload = opts.workload;
-    ropts.ops_per_thread = opts.ops_per_thread;
-    ropts.duration_s = opts.duration_s;
-    ropts.target_qps = target_qps;
+  // Remote drive: the server owns the store and the engine.
+  if (connect_mode) {
+    const net::RemoteDriveOptions ropts{
+        .host = host, .port = port, .connections = threads,
+        .workload = opts.workload, .ops_per_thread = opts.ops_per_thread,
+        .duration_s = opts.duration_s, .target_qps = target_qps};
     std::cout << "remote: " << host << ":" << port << ", " << threads
               << " connection" << (threads == 1 ? "" : "s") << ", ";
     if (target_qps > 0.0) {
@@ -930,33 +838,31 @@ int cmd_serve(util::FlagParser& flags) {
       std::cerr << "remote drive failed: " << e.what() << "\n";
       return 1;
     }
-    completed_ops.store(report.total_ops, std::memory_order_relaxed);
-    if (sampler) sampler->stop();
-    return drive_epilogue(report, connect_spec);
+    ops_done(report.total_ops);
+    report_drive(session, report, opts.workload, connect_spec);
+    return 0;
+  }
+
+  // Fill phase: map the store and build the serve indexes from its columns.
+  const Clock::time_point load_start = Clock::now();
+  std::shared_ptr<const net::EngineHandle> handle =
+      net::EngineHandle::load(store_path, /*epoch=*/0);
+  const serve::QueryEngine& engine = handle->engine();
+  std::cout << "fill: " << store_path << " loaded+indexed in "
+            << util::format_fixed(seconds_since(load_start), 2) << "s; "
+            << util::with_commas(engine.nsset_count()) << " NSSets, "
+            << util::with_commas(engine.series_points()) << " series points, "
+            << util::with_commas(engine.leaderboard_entries())
+            << " leaderboard rows\n";
+  if (engine.keys().empty()) {
+    std::cerr << "store has no indexable NSSets to serve\n";
+    return 1;
   }
 
   // Listen mode: the engine lives behind the server's atomic handle so
   // --refill can swap a rebuilt one in without dropping connections.
-  if (!listen_spec.empty()) {
-    std::string host, hp_error;
-    std::uint16_t port = 0;
-    if (!parse_host_port(listen_spec, host, port, hp_error)) {
-      std::cerr << "flag --listen " << hp_error << "\n";
-      return 2;
-    }
-    std::shared_ptr<const net::EngineHandle> handle;
-    const Clock::time_point load_start = Clock::now();
-    try {
-      handle = net::EngineHandle::load(store_path, /*epoch=*/0);
-    } catch (const store::StoreError& e) {
-      std::cerr << "store error: " << e.what() << "\n";
-      return 1;
-    }
-    report_fill(handle->engine(), seconds_since(load_start));
-    if (handle->engine().keys().empty()) {
-      std::cerr << "store has no indexable NSSets to serve\n";
-      return 1;
-    }
+  if (listen_mode) {
+    session.set_command("serve-listen");
     net::ServerOptions sopts;
     sopts.host = host;
     sopts.port = port;
@@ -1013,8 +919,7 @@ int cmd_serve(util::FlagParser& flags) {
     std::signal(SIGTERM, SIG_DFL);
     server.stop();
     const net::ServerStats stats = server.stats();
-    completed_ops.store(stats.requests, std::memory_order_relaxed);
-    if (sampler) sampler->stop();
+    ops_done(stats.requests);
     std::cout << "served " << util::with_commas(stats.requests)
               << " requests over "
               << util::with_commas(stats.connections_accepted)
@@ -1023,80 +928,15 @@ int cmd_serve(util::FlagParser& flags) {
               << stats.malformed_frames << " malformed, "
               << stats.engine_swaps << " engine swap"
               << (stats.engine_swaps == 1 ? "" : "s") << "\n";
-    if (sampler && !telemetry_path.empty()) {
-      std::cout << "wrote " << sampler->samples_taken()
-                << " telemetry samples (" << sampler->series().series_count()
-                << " series) to " << telemetry_path << "\n";
-    }
-    if (!dashboard_path.empty()) {
-      obs::DashboardOptions dopts;
-      dopts.title = "ddosrepro serve --listen (" + store_path + ")";
-      dopts.meta = {
-          {"store", store_path},
-          {"listen", host + ":" + std::to_string(server.port())},
-          {"requests", util::with_commas(stats.requests)},
-          {"connections", util::with_commas(stats.connections_accepted)},
-          {"engine swaps", std::to_string(stats.engine_swaps)},
-      };
-      if (!obs::write_dashboard_html_file(dashboard_path, *observer,
-                                          sampler ? &*sampler : nullptr,
-                                          dopts)) {
-        std::cerr << "cannot write " << dashboard_path << "\n";
-        return 1;
-      }
-      std::cout << "wrote serve dashboard to " << dashboard_path << "\n";
-    }
-    if (!metrics_path.empty() && metrics_format == "openmetrics") {
-      std::ofstream out(metrics_path);
-      if (!out) {
-        std::cerr << "cannot write " << metrics_path << "\n";
-        return 1;
-      }
-      out << observer->metrics().snapshot().to_openmetrics();
-      std::cout << "wrote OpenMetrics exposition to " << metrics_path
-                << "\n";
-    } else if (!metrics_path.empty()) {
-      obs::RunReport run_report("serve-listen");
-      run_report.add_config("store", store_path);
-      run_report.add_config("listen",
-                            host + ":" + std::to_string(server.port()));
-      run_report.add_config("threads", static_cast<std::int64_t>(threads));
-      run_report.add_result("requests",
-                            static_cast<std::int64_t>(stats.requests));
-      run_report.add_result(
-          "connections",
-          static_cast<std::int64_t>(stats.connections_accepted));
-      run_report.add_result("rx_bytes",
-                            static_cast<std::int64_t>(stats.rx_bytes));
-      run_report.add_result("tx_bytes",
-                            static_cast<std::int64_t>(stats.tx_bytes));
-      run_report.add_result(
-          "engine_swaps", static_cast<std::int64_t>(stats.engine_swaps));
-      std::ofstream out(metrics_path);
-      if (!out) {
-        std::cerr << "cannot write " << metrics_path << "\n";
-        return 1;
-      }
-      run_report.write(out, *observer);
-      std::cout << "wrote serve report to " << metrics_path << "\n";
-    }
+    session.config("store", store_path);
+    session.config("listen", host + ":" + std::to_string(server.port()));
+    session.config("threads", std::uint64_t{threads});
+    session.result("requests", stats.requests);
+    session.result("connections", stats.connections_accepted);
+    session.result("rx_bytes", stats.rx_bytes);
+    session.result("tx_bytes", stats.tx_bytes);
+    session.result("engine_swaps", stats.engine_swaps);
     return 0;
-  }
-
-  // Fill phase: map the store and build the serve indexes from its columns.
-  std::unique_ptr<serve::QueryEngine> loaded;
-  const Clock::time_point load_start = Clock::now();
-  try {
-    loaded = serve::load_engine(store_path);
-  } catch (const store::StoreError& e) {
-    std::cerr << "store error: " << e.what() << "\n";
-    return 1;
-  }
-  const serve::QueryEngine& engine = *loaded;
-  report_fill(engine, seconds_since(load_start));
-  if (engine.keys().empty()) {
-    std::cerr << "store has no indexable NSSets to serve\n";
-    return 1;
   }
 
   // Mixed phase: the closed-loop drive.
@@ -1114,16 +954,16 @@ int cmd_serve(util::FlagParser& flags) {
     std::cout << util::format_fixed(opts.duration_s, 1) << "s\n";
   }
   const serve::DriveReport report = serve::drive(engine, opts);
-  completed_ops.store(report.total_ops, std::memory_order_relaxed);
-  if (sampler) sampler->stop();
-  return drive_epilogue(report, store_path);
+  ops_done(report.total_ops);
+  report_drive(session, report, opts.workload, store_path);
+  return 0;
 }
 
 // Command dispatch, index-aligned with cli::kCommands (the usage header's
 // source of truth); the static_assert below keeps the two from drifting.
 struct CommandHandler {
   std::string_view name;
-  int (*handler)(util::FlagParser&);
+  int (*handler)(util::FlagParser&, Session&);
 };
 
 constexpr std::array<CommandHandler, cli::kCommands.size()> kHandlers{{
@@ -1159,66 +999,58 @@ int main(int argc, char** argv) {
   flags.add_double("scale", 30.0, "divide the paper's attack counts by this");
   const unsigned hw = std::thread::hardware_concurrency();
   flags.add_uint("threads", hw > 0 ? hw : 1,
-                 "worker threads for the pipeline; results are identical "
-                 "for any value (run/generate/analyze)",
-                 1, 4096);
+                 "worker threads; results are identical for any value "
+                 "(run/generate/analyze)", 1, 4096);
   flags.add_string("zone", "", "TLD to export as a parent-zone file");
   flags.add_string("out", "", "output path for --zone");
-  flags.add_string("events-csv", "", "events CSV path (run: write; analyze: read)");
+  flags.add_string("events-csv", "",
+                   "events CSV path (run: write; analyze: read)");
   flags.add_string("feed-csv", "", "RSDoS feed CSV output path (run)");
   flags.add_string("store", "",
-                   "DRS dataset store path (generate/run: write; analyze: "
-                   "read)");
+                   "DRS store path (run/generate: write; analyze/serve: read)");
   flags.add_string("shard", "",
-                   "i/N: write only shard i of a deterministic N-way day "
-                   "partition of the world to --store; merge the N shard "
-                   "files with 'ddosrepro merge' for a store byte-identical "
-                   "to a whole-world generate (generate)");
+                   "i/N: write shard i of a deterministic N-way day "
+                   "partition to --store; 'ddosrepro merge' of the N shards "
+                   "equals a whole-world generate (generate)");
   flags.add_bool("rejoin",
                  "re-run the join from the stored aggregates and assert a "
                  "bit-for-bit match (analyze --store)");
   flags.add_bool("no-mmap",
-                 "read the store through the buffered reader instead of "
-                 "the zero-copy mmap path; output is byte-identical "
-                 "(analyze --store)");
+                 "read the store through the buffered reader, not mmap; "
+                 "output is byte-identical (analyze --store)");
   flags.add_bool("audit", "run the structural delegation audit (world)");
   flags.add_string("metrics-out", "",
-                   "run-report JSON output path: config, stage timings, "
-                   "metric snapshot (run)");
+                   "run-report JSON output path: config, results, stage "
+                   "timings, metric snapshot (every command)");
   flags.add_string("trace-out", "",
-                   "Chrome trace_event JSON output path (run; open in "
-                   "chrome://tracing)");
+                   "Chrome trace_event JSON output path; open in "
+                   "chrome://tracing (every command)");
   flags.add_bool("progress",
-                 "print a per-sweep-day heartbeat line on stderr (run)");
+                 "per-sweep-day heartbeat on stderr (run, generate)");
   flags.add_string("metrics-format", "json",
-                   "format for --metrics-out: json (run report) or "
-                   "openmetrics (Prometheus text exposition) (run)");
+                   "--metrics-out format: json (run report) or openmetrics "
+                   "(Prometheus text) (every command)");
   flags.add_string("telemetry-out", "",
-                   "JSONL time-series output path: one sample of every "
-                   "metric/progress/process series per interval (run)");
+                   "JSONL output path: one sample of every metric/progress/"
+                   "process series per interval (every command)");
   flags.add_uint("telemetry-interval-ms", 250,
-                 "telemetry sampling cadence in milliseconds (run with "
-                 "--telemetry-out/--dashboard-out)",
-                 10, 60000);
+                 "telemetry sampling cadence in ms (every command)", 10,
+                 60000);
   flags.add_uint("telemetry-capacity", 4096,
-                 "in-memory ring capacity per telemetry series; memory "
-                 "bound is series x capacity x 16 bytes (run)",
-                 2, 1 << 22);
+                 "ring capacity per telemetry series; memory is series x "
+                 "capacity x 16 bytes (every command)", 2, 1 << 22);
   flags.add_string("dashboard-out", "",
-                   "self-contained HTML run dashboard output path: "
-                   "sparklines + stage timeline, no external assets (run)");
+                   "self-contained HTML dashboard output path: report rows, "
+                   "sparklines, stage timeline (every command)");
   flags.add_double("watchdog-timeout-s", 0.0,
-                   "abort with a full diagnostic dump when no pipeline "
-                   "stage makes progress for this many seconds; 0 "
-                   "disables (run)",
-                   0.0, 86400.0);
+                   "abort with a diagnostic dump when no stage progresses "
+                   "for this many seconds; 0 disables (every command but "
+                   "serve --listen)", 0.0, 86400.0);
   flags.add_double("duration-s", 2.0,
                    "wall-clock budget of the mixed phase (serve; ignored "
-                   "when --serve-ops > 0)",
-                   0.0, 3600.0);
+                   "when --serve-ops > 0)", 0.0, 3600.0);
   flags.add_uint("serve-ops", 0,
-                 "fixed per-thread op budget; > 0 selects the "
-                 "deterministic fixed-ops mode whose fingerprint line is "
+                 "fixed per-thread op budget; > 0 makes the fingerprint "
                  "reproducible for equal seed and threads (serve)",
                  0, 1ull << 40);
   flags.add_string("dist", "zipfian",
@@ -1230,29 +1062,22 @@ int main(int argc, char** argv) {
                    "relative point:topk:scan query weights (serve)");
   flags.add_uint("topk", 10, "rows per TopK query (serve)", 1, 100000);
   flags.add_uint("scan-days", 30,
-                 "WindowScan width in days; windows are placed uniformly "
-                 "over the indexed range (serve)",
-                 1, 1000000);
+                 "WindowScan width in days, placed uniformly over the "
+                 "indexed range (serve)", 1, 1000000);
   flags.add_string("listen", "",
-                   "host:port to serve the query engine on over TCP; port 0 "
-                   "picks an ephemeral port, printed on the 'listening on' "
-                   "line; SIGINT/SIGTERM shuts down gracefully (serve)");
+                   "serve the engine over TCP at host:port (port 0: "
+                   "ephemeral, printed); SIGINT/SIGTERM drains (serve)");
   flags.add_string("connect", "",
-                   "drive a remote serve server at host:port instead of an "
-                   "in-process engine; --threads sets the connection count "
-                   "(serve)");
+                   "drive a remote server at host:port; --threads sets the "
+                   "connection count (serve)");
   flags.add_double("target-qps", 0.0,
-                   "open-loop aggregate request rate across all "
-                   "connections, latency measured from each op's intended "
-                   "send time so server stalls cannot hide from the "
-                   "percentiles; 0 = closed loop (serve --connect)",
-                   0.0, 1e9);
+                   "open-loop aggregate request rate; latency counts from "
+                   "each op's intended send time; 0 = closed loop (serve "
+                   "--connect)", 0.0, 1e9);
   flags.add_double("refill", 0.0,
-                   "poll the DRS store file every this-many seconds and "
-                   "atomically swap in a freshly built engine when its "
-                   "device, inode, size or mtime changes; 0 disables "
-                   "(serve --listen)",
-                   0.0, 86400.0);
+                   "poll the store every this-many seconds; swap in a "
+                   "rebuilt engine when its device, inode, size or mtime "
+                   "changes; 0 disables (serve --listen)", 0.0, 86400.0);
 
   if (!flags.parse(argc - 1, argv + 1)) {
     std::cerr << flags.error() << "\n" << flags.usage();
@@ -1264,9 +1089,30 @@ int main(int argc, char** argv) {
   }
 
   const std::string& command = flags.positional().front();
-  for (const CommandHandler& entry : kHandlers) {
-    if (command == entry.name) return entry.handler(flags);
+  const auto entry =
+      std::find_if(kHandlers.begin(), kHandlers.end(),
+                   [&](const CommandHandler& h) { return h.name == command; });
+  if (entry == kHandlers.end()) {
+    std::cerr << "unknown command '" << command << "'\n" << flags.usage();
+    return 2;
   }
-  std::cerr << "unknown command '" << command << "'\n" << flags.usage();
-  return 2;
+  const std::string metrics_format = flags.get_string("metrics-format");
+  if (metrics_format != "json" && metrics_format != "openmetrics") {
+    std::cerr << "--metrics-format must be json or openmetrics, got '"
+              << metrics_format << "'\n";
+    return 2;
+  }
+  // The one place store errors and unwritable outputs end a command; the
+  // session is gone (its threads joined) before either handler runs.
+  try {
+    Session session(flags, command);
+    const int status = entry->handler(flags, session);
+    if (status == 0) session.write_outputs();
+    return status;
+  } catch (const store::StoreError& e) {
+    std::cerr << "store error: " << e.what() << "\n";
+  } catch (const CannotWrite& e) {
+    std::cerr << "cannot write " << e.path << "\n";
+  }
+  return 1;
 }
