@@ -46,6 +46,15 @@ using namespace ddos;
 
 namespace {
 
+// A broken contract (the runs below disagree) fails the whole binary:
+// main returns non-zero once any check has reported.
+bool contract_violated = false;
+
+void report_violation(const std::string& message) {
+  std::cerr << message << "\n";
+  contract_violated = true;
+}
+
 // ---- peak-RSS comparison: streaming vs materialized pipeline.
 //
 // VmHWM is the process-lifetime RSS high-water mark, so ordering is the
@@ -122,8 +131,9 @@ PeakRss measure_peak_rss() {
     benchmark::DoNotOptimize(r.joined.size());
     peaks.materialized_bytes = read_vm_hwm_bytes();
     if (r.joined.size() != streamed_joined) {
-      std::cerr << "STREAMING DETERMINISM VIOLATION: streaming and "
-                   "materialized joined counts disagree\n";
+      report_violation(
+          "STREAMING DETERMINISM VIOLATION: streaming and materialized "
+          "joined counts disagree");
     }
   }
   return peaks;
@@ -358,8 +368,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
 
   if (result.joined.size() != result_t1.joined.size() ||
       result.swept_measurements != result_t1.swept_measurements) {
-    std::cerr << "DETERMINISM VIOLATION: --threads 1 and --threads "
-              << threads << " runs disagree\n";
+    report_violation("DETERMINISM VIOLATION: --threads 1 and --threads " +
+                     std::to_string(threads) + " runs disagree");
   }
 
   const std::uint64_t sweep_t1 = stage_wall_ns(observer_t1, "stream.sweep");
@@ -390,8 +400,9 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
   const scenario::StoredRun loaded = scenario::load_run(store_path);
   const auto load_end = std::chrono::steady_clock::now();
   if (loaded.joined != result.joined) {
-    std::cerr << "STORE ROUND-TRIP VIOLATION: loaded events differ from the "
-                 "generating run\n";
+    report_violation(
+        "STORE ROUND-TRIP VIOLATION: loaded events differ from the "
+        "generating run");
   }
   const auto scan_start = std::chrono::steady_clock::now();
   {
@@ -401,16 +412,18 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
     const core::EventFrame frame = store::read_event_frame(reader, arena);
     benchmark::DoNotOptimize(payload);
     if (frame.rows != result.joined.size()) {
-      std::cerr << "STORE SCAN VIOLATION: event frame rows differ from the "
-                   "generating run\n";
+      report_violation(
+          "STORE SCAN VIOLATION: event frame rows differ from the "
+          "generating run");
     }
   }
   const auto scan_end = std::chrono::steady_clock::now();
   const scenario::StoreAnalysis analysis = scenario::analyze_store(store_path);
   const auto analyze_end = std::chrono::steady_clock::now();
   if (analysis.joined != result.joined.size()) {
-    std::cerr << "STORE ANALYZE VIOLATION: analyzed event count differs from "
-                 "the generating run\n";
+    report_violation(
+        "STORE ANALYZE VIOLATION: analyzed event count differs from the "
+        "generating run");
   }
   std::filesystem::remove(store_path);
 
@@ -452,8 +465,9 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
     const auto t1 = std::chrono::steady_clock::now();
     merge_ns = wall_ns(t0, t1);
     if (merge_stats.bytes_written != store_bytes) {
-      std::cerr << "SHARD MERGE VIOLATION: merged store size differs from "
-                   "save_run's\n";
+      report_violation(
+          "SHARD MERGE VIOLATION: merged store size differs from "
+          "save_run's");
     }
     if (merge_ns > 0) {
       merge_MBps = static_cast<double>(merge_stats.bytes_written) * 1e3 /
@@ -708,5 +722,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_pipeline_json("bench_perf_pipeline.json", peaks);
-  return 0;
+  return contract_violated ? 1 : 0;
 }

@@ -18,9 +18,9 @@ JoinPipeline::JoinPipeline(const dns::DnsRegistry& registry,
       classifier_(classifier),
       params_(params) {}
 
-bool JoinPipeline::build_event(const telescope::RSDoSEvent& ev,
-                               dns::NssetId nsset, NssetAttackEvent& out,
-                               BaselineCache* baselines) const {
+JoinPipeline::PairOutcome JoinPipeline::build_event(
+    const telescope::RSDoSEvent& ev, dns::NssetId nsset,
+    NssetAttackEvent& out, BaselineCache* baselines) const {
   const netsim::DayIndex day_before = ev.start_time().day() - 1;
   double baseline;
   if (baselines) {
@@ -50,8 +50,10 @@ bool JoinPipeline::build_event(const telescope::RSDoSEvent& ev,
     }
   }
 
-  if (total.measured < params_.min_measured_domains) return false;
-  if (baseline <= 0.0) return false;
+  if (total.measured < params_.min_measured_domains) {
+    return PairOutcome::BelowFloor;
+  }
+  if (baseline <= 0.0) return PairOutcome::NoBaseline;
 
   out.rsdos = ev;
   out.nsset = nsset;
@@ -67,7 +69,7 @@ bool JoinPipeline::build_event(const telescope::RSDoSEvent& ev,
   out.servfails = total.servfail;
   out.failure_rate = total.failure_rate();
   out.resilience = classifier_.classify(nsset, ev.start_time().day());
-  return true;
+  return PairOutcome::Joined;
 }
 
 std::vector<NssetAttackEvent> merge_concurrent_events(
@@ -128,11 +130,14 @@ void JoinPipeline::join_event(const telescope::RSDoSEvent& ev,
 
   for (const dns::NssetId nsset : registry_.nssets_containing(ev.victim)) {
     NssetAttackEvent nae;
-    if (build_event(ev, nsset, nae, baselines)) {
+    const PairOutcome outcome = build_event(ev, nsset, nae, baselines);
+    if (outcome == PairOutcome::Joined) {
       out.push_back(std::move(nae));
       ++stats.joined;
-    } else {
+    } else if (outcome == PairOutcome::BelowFloor) {
       ++stats.below_measurement_floor;
+    } else {
+      ++stats.no_baseline;
     }
   }
 }
@@ -152,6 +157,7 @@ std::vector<NssetAttackEvent> JoinPipeline::finalize(
     p.join_non_dns.inc(stats_.non_dns);
     p.join_not_seen_day_before.inc(stats_.not_seen_day_before);
     p.join_below_floor.inc(stats_.below_measurement_floor);
+    p.join_no_baseline.inc(stats_.no_baseline);
   }
   return out;
 }
@@ -190,12 +196,7 @@ std::vector<NssetAttackEvent> JoinPipeline::run(
         out.insert(out.end(),
                    std::make_move_iterator(shard.joined.begin()),
                    std::make_move_iterator(shard.joined.end()));
-        stats.open_resolver_filtered += shard.stats.open_resolver_filtered;
-        stats.non_dns += shard.stats.non_dns;
-        stats.dns_events += shard.stats.dns_events;
-        stats.not_seen_day_before += shard.stats.not_seen_day_before;
-        stats.below_measurement_floor += shard.stats.below_measurement_floor;
-        stats.joined += shard.stats.joined;
+        stats += shard.stats;
       });
   return finalize(std::move(out), stats);
 }

@@ -64,11 +64,23 @@ struct JoinStats {
   std::uint64_t open_resolver_filtered = 0;
   std::uint64_t non_dns = 0;            // victim not a nameserver IP
   std::uint64_t not_seen_day_before = 0;
+  // These three count (event, NSSet) pairs, not telescope events.
   std::uint64_t below_measurement_floor = 0;  // <5 measured domains
-  std::uint64_t no_baseline = 0;
+  std::uint64_t no_baseline = 0;        // no day-before RTT baseline
   std::uint64_t joined = 0;             // NSSet-events produced
   std::uint64_t dns_events = 0;         // events whose victim is an NS IP
 
+  JoinStats& operator+=(const JoinStats& o) {
+    total_events += o.total_events;
+    open_resolver_filtered += o.open_resolver_filtered;
+    non_dns += o.non_dns;
+    not_seen_day_before += o.not_seen_day_before;
+    below_measurement_floor += o.below_measurement_floor;
+    no_baseline += o.no_baseline;
+    joined += o.joined;
+    dns_events += o.dns_events;
+    return *this;
+  }
   friend bool operator==(const JoinStats&, const JoinStats&) = default;
 };
 
@@ -108,13 +120,17 @@ class JoinPipeline {
   /// same NSSet would otherwise re-probe daily_avg_rtt once per event.
   using BaselineCache = util::FlatMap<std::uint64_t, double>;
 
-  /// The NSSet-level impact computation for one (event, nsset) pair;
-  /// exposed for the reactive platform and tests. Returns false when the
-  /// pair fails the measurement floor or baseline requirements. `baselines`
-  /// (optional) memoises the previous-day RTT probe across calls.
-  bool build_event(const telescope::RSDoSEvent& ev, dns::NssetId nsset,
-                   NssetAttackEvent& out,
-                   BaselineCache* baselines = nullptr) const;
+  /// What build_event made of one (event, nsset) pair.
+  enum class PairOutcome : std::uint8_t { Joined, BelowFloor, NoBaseline };
+
+  /// The NSSet-level impact computation for one (event, nsset) pair: fills
+  /// `out` when the pair passes the measurement floor and has a
+  /// previous-day baseline, else says which requirement failed (the floor
+  /// is checked first). `baselines` (optional) memoises the previous-day
+  /// RTT probe across calls.
+  PairOutcome build_event(const telescope::RSDoSEvent& ev, dns::NssetId nsset,
+                          NssetAttackEvent& out,
+                          BaselineCache* baselines = nullptr) const;
 
   /// Dispose of ONE telescope event: classify the victim, previous-day
   /// join, expand to NSSets, build the NSSet-events. Appends produced

@@ -33,6 +33,7 @@ PipelineMetrics::PipelineMetrics(MetricsRegistry& r)
       join_non_dns(r.counter("join.non_dns")),
       join_not_seen_day_before(r.counter("join.not_seen_day_before")),
       join_below_floor(r.counter("join.below_measurement_floor")),
+      join_no_baseline(r.counter("join.no_baseline")),
       run_days_swept(r.gauge("run.days_swept")),
       run_domains_planned(r.gauge("run.domains_planned")),
       run_store_measurements(r.gauge("run.store_measurements")),

@@ -118,6 +118,7 @@ struct PipelineMetrics {
   Counter& join_non_dns;
   Counter& join_not_seen_day_before;
   Counter& join_below_floor;
+  Counter& join_no_baseline;
   // scenario/driver.cpp — longitudinal run shape.
   Gauge& run_days_swept;
   Gauge& run_domains_planned;

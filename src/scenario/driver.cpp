@@ -9,6 +9,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "exec/channel.h"
@@ -45,21 +47,75 @@ LongitudinalConfig small_longitudinal_config(std::uint64_t seed) {
 
 namespace {
 
-// %.17g round-trips every finite double exactly (17 significant digits);
-// the store's provenance must restore configs bit-for-bit.
-std::string meta_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+// The generating provenance in footer order: calls visit(key, field) for
+// each field the footer records — the config fields the CLI can set, the
+// writing tool and run.threads. publish_store writes it, stored_provenance
+// reads it back, and merge_stores requires it equal across shards.
+template <typename Config, typename Threads, typename Visit>
+void for_each_provenance_key(Config& cfg, Threads& threads, Visit&& visit) {
+  static constexpr std::string_view kTool = "ddosrepro";
+  visit("format.tool", kTool);
+  auto& w = cfg.world;
+  visit("world.seed", w.seed);
+  visit("world.provider_count", w.provider_count);
+  visit("world.domain_count", w.domain_count);
+  visit("world.size_exponent", w.size_exponent);
+  visit("world.anycast_recall", w.anycast_recall);
+  visit("world.open_resolver_misconfigs", w.open_resolver_misconfigs);
+  visit("world.single_ns_share", w.single_ns_share);
+  visit("world.lame_ns_share", w.lame_ns_share);
+  visit("world.capacity_base_pps", w.capacity_base_pps);
+  visit("world.capacity_exponent", w.capacity_exponent);
+  visit("world.legit_pps_per_domain", w.legit_pps_per_domain);
+  visit("world.legit_pps_floor", w.legit_pps_floor);
+  auto& wl = cfg.workload;
+  visit("workload.seed", wl.seed);
+  visit("workload.scale", wl.scale);
+  visit("workload.multivector_prob", wl.multivector_prob);
+  visit("workload.victim_reuse_prob", wl.victim_reuse_prob);
+  visit("workload.dns_port_intensity_boost", wl.dns_port_intensity_boost);
+  visit("workload.scripted_cases", wl.scripted_cases);
+  auto& inf = cfg.inference;
+  visit("inference.min_packets_per_window", inf.min_packets_per_window);
+  visit("inference.min_distinct_slash16", inf.min_distinct_slash16);
+  visit("inference.min_ppm", inf.min_ppm);
+  visit("inference.max_gap_windows", inf.max_gap_windows);
+  auto& jp = cfg.join;
+  visit("join.min_measured_domains", jp.min_measured_domains);
+  visit("join.match_slash24", jp.match_slash24);
+  visit(store::kMergeConcurrentKey, jp.merge_concurrent);
+  visit("run.sweep_seed", cfg.sweep_seed);
+  visit("run.feed_seed", cfg.feed_seed);
+  visit("run.threads", threads);
 }
 
-void check_count(const store::Reader& reader, const std::string& what,
-                 std::uint64_t stored, std::uint64_t got) {
-  if (stored != got) {
-    throw store::StoreError(reader.path() + ": " + what + " count mismatch (" +
-                            std::to_string(got) + " decoded, provenance says " +
-                            std::to_string(stored) +
-                            ") — store and generating run disagree");
+// Footer text of one provenance field: bools as 1/0, integers in decimal,
+// doubles as %.17g, which round-trips every finite double exactly — the
+// provenance must restore configs bit-for-bit.
+template <typename T>
+std::string meta_text(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "1" : "0";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    return buf;
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else {
+    return std::string(value);
+  }
+}
+
+// The inverse of meta_text; the writing tool (a constant) is not read.
+template <typename T>
+void read_meta(const store::Reader& reader, std::string_view key, T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = reader.meta_u64(key) != 0;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    field = reader.meta_f64(key);
+  } else if constexpr (std::is_integral_v<T>) {
+    field = static_cast<T>(reader.meta_u64(key));
   }
 }
 
@@ -74,73 +130,17 @@ std::uint64_t publish_store(store::Writer& writer,
                             std::uint64_t feed_rows, obs::ScopedSpan& span) {
   store::write_joined_events(writer,
                              core::OwnedEventFrame(result.joined).frame());
-  writer.add_meta("format.tool", "ddosrepro");
-
-  const WorldParams& w = config.world;
-  writer.add_meta("world.seed", std::to_string(w.seed));
-  writer.add_meta("world.provider_count", std::to_string(w.provider_count));
-  writer.add_meta("world.domain_count", std::to_string(w.domain_count));
-  writer.add_meta("world.size_exponent", meta_double(w.size_exponent));
-  writer.add_meta("world.anycast_recall", meta_double(w.anycast_recall));
-  writer.add_meta("world.open_resolver_misconfigs",
-                  std::to_string(w.open_resolver_misconfigs));
-  writer.add_meta("world.single_ns_share", meta_double(w.single_ns_share));
-  writer.add_meta("world.lame_ns_share", meta_double(w.lame_ns_share));
-  writer.add_meta("world.capacity_base_pps", meta_double(w.capacity_base_pps));
-  writer.add_meta("world.capacity_exponent", meta_double(w.capacity_exponent));
-  writer.add_meta("world.legit_pps_per_domain",
-                  meta_double(w.legit_pps_per_domain));
-  writer.add_meta("world.legit_pps_floor", meta_double(w.legit_pps_floor));
-
-  const LongitudinalParams& wl = config.workload;
-  writer.add_meta("workload.seed", std::to_string(wl.seed));
-  writer.add_meta("workload.scale", meta_double(wl.scale));
-  writer.add_meta("workload.multivector_prob", meta_double(wl.multivector_prob));
-  writer.add_meta("workload.victim_reuse_prob",
-                  meta_double(wl.victim_reuse_prob));
-  writer.add_meta("workload.dns_port_intensity_boost",
-                  meta_double(wl.dns_port_intensity_boost));
-  writer.add_meta("workload.scripted_cases", wl.scripted_cases ? "1" : "0");
-
-  const telescope::InferenceParams& inf = config.inference;
-  writer.add_meta("inference.min_packets_per_window",
-                  std::to_string(inf.min_packets_per_window));
-  writer.add_meta("inference.min_distinct_slash16",
-                  std::to_string(inf.min_distinct_slash16));
-  writer.add_meta("inference.min_ppm", meta_double(inf.min_ppm));
-  writer.add_meta("inference.max_gap_windows",
-                  std::to_string(inf.max_gap_windows));
-
-  const core::JoinParams& jp = config.join;
-  writer.add_meta("join.min_measured_domains",
-                  std::to_string(jp.min_measured_domains));
-  writer.add_meta("join.match_slash24", jp.match_slash24 ? "1" : "0");
-  writer.add_meta("join.merge_concurrent", jp.merge_concurrent ? "1" : "0");
-
-  writer.add_meta("run.sweep_seed", std::to_string(config.sweep_seed));
-  writer.add_meta("run.feed_seed", std::to_string(config.feed_seed));
-  writer.add_meta("run.threads", std::to_string(threads));
-
-  writer.add_meta("result.attacks",
-                  std::to_string(result.workload.schedule.size()));
-  writer.add_meta("result.feed_records", std::to_string(feed_rows));
-  writer.add_meta("result.events", std::to_string(result.events.size()));
-  writer.add_meta("result.joined", std::to_string(result.joined.size()));
-  writer.add_meta("result.swept_measurements",
-                  std::to_string(result.swept_measurements));
-
-  const core::JoinStats& js = result.join_stats;
-  writer.add_meta("stats.total_events", std::to_string(js.total_events));
-  writer.add_meta("stats.open_resolver_filtered",
-                  std::to_string(js.open_resolver_filtered));
-  writer.add_meta("stats.non_dns", std::to_string(js.non_dns));
-  writer.add_meta("stats.not_seen_day_before",
-                  std::to_string(js.not_seen_day_before));
-  writer.add_meta("stats.below_measurement_floor",
-                  std::to_string(js.below_measurement_floor));
-  writer.add_meta("stats.no_baseline", std::to_string(js.no_baseline));
-  writer.add_meta("stats.joined", std::to_string(js.joined));
-  writer.add_meta("stats.dns_events", std::to_string(js.dns_events));
+  for_each_provenance_key(config, threads,
+                          [&](std::string_view key, const auto& field) {
+                            writer.add_meta(key, meta_text(field));
+                          });
+  store::write_counts(writer,
+                      {.attacks = result.workload.schedule.size(),
+                       .feed_records = feed_rows,
+                       .events = result.events.size(),
+                       .joined = result.joined.size(),
+                       .swept_measurements = result.swept_measurements,
+                       .stats = result.join_stats});
 
   writer.finish();
   span.set_items(writer.column_count());
@@ -669,103 +669,46 @@ ShardRunResult run_shard(const LongitudinalConfig& config,
   return out;
 }
 
-telescope::InferenceParams stored_inference(const store::Reader& reader) {
-  telescope::InferenceParams inf;
-  inf.min_packets_per_window = static_cast<std::uint32_t>(
-      reader.meta_u64("inference.min_packets_per_window"));
-  inf.min_distinct_slash16 = static_cast<std::uint32_t>(
-      reader.meta_u64("inference.min_distinct_slash16"));
-  inf.min_ppm = reader.meta_f64("inference.min_ppm");
-  inf.max_gap_windows =
-      static_cast<std::uint32_t>(reader.meta_u64("inference.max_gap_windows"));
-  return inf;
-}
-
-void check_stored_count(const store::Reader& reader, const std::string& what,
-                        const std::string& key, std::uint64_t decoded) {
-  check_count(reader, what, reader.meta_u64(key), decoded);
+Provenance stored_provenance(const store::Reader& reader) {
+  Provenance p;
+  for_each_provenance_key(p.config, p.threads,
+                          [&](std::string_view key, auto& field) {
+                            read_meta(reader, key, field);
+                          });
+  return p;
 }
 
 StoredRun load_run(const std::string& path, bool use_mmap) {
-  obs::Observer* observer = obs::Observer::installed();
-  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.read");
+  obs::ScopedSpan span(obs::installed_tracer(), "store.read");
   const auto load_start = std::chrono::steady_clock::now();
 
   const store::Reader reader(
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
 
   StoredRun run;
-  LongitudinalConfig& cfg = run.config;
-  cfg.workload.model = cfg.model;
-
-  WorldParams& w = cfg.world;
-  w.seed = reader.meta_u64("world.seed");
-  w.provider_count =
-      static_cast<std::uint32_t>(reader.meta_u64("world.provider_count"));
-  w.domain_count =
-      static_cast<std::uint32_t>(reader.meta_u64("world.domain_count"));
-  w.size_exponent = reader.meta_f64("world.size_exponent");
-  w.anycast_recall = reader.meta_f64("world.anycast_recall");
-  w.open_resolver_misconfigs = static_cast<std::uint32_t>(
-      reader.meta_u64("world.open_resolver_misconfigs"));
-  w.single_ns_share = reader.meta_f64("world.single_ns_share");
-  w.lame_ns_share = reader.meta_f64("world.lame_ns_share");
-  w.capacity_base_pps = reader.meta_f64("world.capacity_base_pps");
-  w.capacity_exponent = reader.meta_f64("world.capacity_exponent");
-  w.legit_pps_per_domain = reader.meta_f64("world.legit_pps_per_domain");
-  w.legit_pps_floor = reader.meta_f64("world.legit_pps_floor");
-
-  LongitudinalParams& wl = cfg.workload;
-  wl.seed = reader.meta_u64("workload.seed");
-  wl.scale = reader.meta_f64("workload.scale");
-  wl.multivector_prob = reader.meta_f64("workload.multivector_prob");
-  wl.victim_reuse_prob = reader.meta_f64("workload.victim_reuse_prob");
-  wl.dns_port_intensity_boost =
-      reader.meta_f64("workload.dns_port_intensity_boost");
-  wl.scripted_cases = reader.meta_u64("workload.scripted_cases") != 0;
-
-  cfg.inference = stored_inference(reader);
-
-  core::JoinParams& jp = cfg.join;
-  jp.min_measured_domains = static_cast<std::uint32_t>(
-      reader.meta_u64("join.min_measured_domains"));
-  jp.match_slash24 = reader.meta_u64("join.match_slash24") != 0;
-  jp.merge_concurrent = reader.meta_u64("join.merge_concurrent") != 0;
-
-  cfg.sweep_seed = reader.meta_u64("run.sweep_seed");
-  cfg.feed_seed = reader.meta_u64("run.feed_seed");
-  run.threads = static_cast<unsigned>(reader.meta_u64("run.threads"));
-
-  run.attacks = reader.meta_u64("result.attacks");
-  run.swept_measurements = reader.meta_u64("result.swept_measurements");
-
-  core::JoinStats& js = run.join_stats;
-  js.total_events = reader.meta_u64("stats.total_events");
-  js.open_resolver_filtered = reader.meta_u64("stats.open_resolver_filtered");
-  js.non_dns = reader.meta_u64("stats.non_dns");
-  js.not_seen_day_before = reader.meta_u64("stats.not_seen_day_before");
-  js.below_measurement_floor =
-      reader.meta_u64("stats.below_measurement_floor");
-  js.no_baseline = reader.meta_u64("stats.no_baseline");
-  js.joined = reader.meta_u64("stats.joined");
-  js.dns_events = reader.meta_u64("stats.dns_events");
+  static_cast<Provenance&>(run) = stored_provenance(reader);
+  const store::RunCounts counts = store::read_counts(reader);
+  run.attacks = counts.attacks;
+  run.swept_measurements = counts.swept_measurements;
+  run.join_stats = counts.stats;
 
   // Every block checksum is verified up front so corruption fails loudly
   // before any analysis consumes decoded data. Verification is tracked
   // per block, so the decodes below never re-hash a block.
   reader.validate_all();
 
-  run.feed = telescope::RSDoSFeed(cfg.inference, cfg.backscatter);
+  run.feed =
+      telescope::RSDoSFeed(run.config.inference, run.config.backscatter);
   run.feed.set_records(store::read_feed_records(reader));
   run.feed_records = run.feed.records().size();
-  check_stored_count(reader, "feed record", "result.feed_records",
+  store::check_count(reader, "feed record", counts.feed_records,
                      run.feed_records);
 
   // Stitched events are not stored: they are a deterministic function of
   // the records + inference params, so re-deriving them is both cheaper
   // and a consistency check against the stored count.
   run.events = run.feed.events();
-  check_stored_count(reader, "stitched event", "result.events",
+  store::check_count(reader, "stitched event", counts.events,
                      run.events.size());
 
   store::read_measurements(reader, run.store);
@@ -774,21 +717,12 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   store::ColumnArena arena;
   run.joined =
       core::events_from_frame(store::read_event_frame(reader, arena));
-  check_stored_count(reader, "joined event", "result.joined",
+  store::check_count(reader, "joined event", counts.joined,
                      run.joined.size());
 
   span.set_items(reader.columns().size());
-  if (observer) {
-    observer->pipeline.store_bytes_read.set(
-        static_cast<double>(reader.file_size()));
-    const double load_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - load_start)
-            .count());
-    if (load_ns > 0.0)
-      observer->pipeline.store_read_MBps.set(
-          static_cast<double>(reader.file_size()) * 1e3 / load_ns);
-  }
+  store::record_store_read(reader.file_size(),
+                           std::chrono::steady_clock::now() - load_start);
   return run;
 }
 
@@ -812,35 +746,21 @@ RejoinResult rejoin_from_store(const StoredRun& run) {
 }
 
 StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
-  obs::Observer* observer = obs::Observer::installed();
-  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr, "store.scan");
+  obs::ScopedSpan span(obs::installed_tracer(), "store.scan");
 
   const store::Reader reader(
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
 
   StoreAnalysis a;
-  a.world_seed = reader.meta_u64("world.seed");
-  a.domain_count =
-      static_cast<std::uint32_t>(reader.meta_u64("world.domain_count"));
-  a.provider_count =
-      static_cast<std::uint32_t>(reader.meta_u64("world.provider_count"));
-  a.workload_seed = reader.meta_u64("workload.seed");
-  a.workload_scale = reader.meta_f64("workload.scale");
-  a.sweep_seed = reader.meta_u64("run.sweep_seed");
-  a.feed_seed = reader.meta_u64("run.feed_seed");
-  a.threads = static_cast<unsigned>(reader.meta_u64("run.threads"));
-  a.attacks = reader.meta_u64("result.attacks");
-  a.feed_records = reader.meta_u64("result.feed_records");
-  a.events = reader.meta_u64("result.events");
-  a.joined = reader.meta_u64("result.joined");
-  a.swept_measurements = reader.meta_u64("result.swept_measurements");
+  static_cast<Provenance&>(a) = stored_provenance(reader);
+  static_cast<store::RunCounts&>(a) = store::read_counts(reader);
   a.file_bytes = reader.file_size();
   a.mapped = reader.mapped();
 
-  check_count(reader, "joined event (footer)", a.joined,
-              reader.dataset_rows("events"));
-  check_count(reader, "feed record (footer)", a.feed_records,
-              reader.dataset_rows("feed"));
+  store::check_count(reader, "joined event (footer)", a.joined,
+                     reader.dataset_rows("events"));
+  store::check_count(reader, "feed record (footer)", a.feed_records,
+                     reader.dataset_rows("feed"));
 
   // The timed region is the data-plane read: every block of every
   // dataset decoded (or mapped through) exactly once, lazy CRC included.
@@ -848,13 +768,8 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   store::ColumnArena arena;
   store::scan_all(reader, arena);
   const core::EventFrame frame = store::read_event_frame(reader, arena);
-  const auto scan_end = std::chrono::steady_clock::now();
-  const double scan_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(scan_end -
-                                                           scan_start)
-          .count());
-  if (scan_ns > 0.0)
-    a.read_MBps = static_cast<double>(a.file_bytes) * 1e3 / scan_ns;
+  a.read_MBps = store::record_store_read(
+      a.file_bytes, std::chrono::steady_clock::now() - scan_start);
 
   a.impact = core::impact_summary_columnar(frame);
   a.failures = core::failure_summary_columnar(frame);
@@ -863,10 +778,6 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   a.monthly = core::monthly_joined_summary_columnar(frame);
 
   span.set_items(reader.columns().size());
-  if (observer) {
-    observer->pipeline.store_bytes_read.set(static_cast<double>(a.file_bytes));
-    observer->pipeline.store_read_MBps.set(a.read_MBps);
-  }
   return a;
 }
 

@@ -35,11 +35,8 @@
 #include "scenario/plan.h"
 #include "scenario/workload.h"
 #include "scenario/world.h"
+#include "store/dataset.h"
 #include "telescope/feed.h"
-
-namespace ddos::store {
-class Reader;
-}  // namespace ddos::store
 
 namespace ddos::scenario {
 
@@ -166,14 +163,18 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
 // aggregates to assert the store reproduces the generating run
 // bit-for-bit.
 
-struct StoredRun : RunArtifacts {
-  /// Provenance-restored config: world, workload seed/scale knobs,
-  /// inference, join and sweep/feed seeds. Model/resolver params stay at
-  /// defaults (the CLI cannot change them); rejoin_from_store's equality
-  /// assertion would catch any divergence loudly.
-  LongitudinalConfig config;
-  unsigned threads = 0;            // generating run's worker count
-  std::uint64_t attacks = 0;       // generating workload size
+/// A store's generating provenance: the config fields its footer records
+/// (world, workload seed/scale knobs, inference, join, sweep/feed seeds)
+/// and the generating run's worker count. Model/resolver params stay at
+/// defaults (the CLI cannot change them); rejoin_from_store's equality
+/// assertion would catch any divergence loudly.
+struct Provenance {
+  LongitudinalConfig config = default_longitudinal_config();
+  unsigned threads = 0;
+};
+
+struct StoredRun : RunArtifacts, Provenance {
+  std::uint64_t attacks = 0;  // generating workload size
 };
 
 /// Write `result` (+ provenance) as a DRS store. Returns bytes written;
@@ -190,17 +191,9 @@ std::uint64_t save_run(const std::string& path,
 /// buffered fallback (`analyze --no-mmap`).
 StoredRun load_run(const std::string& path, bool use_mmap = true);
 
-/// The generating run's telescope inference params, restored from a
-/// save_run store's provenance meta — what the event stitcher needs to
-/// re-derive events from the stored feed. Throws store::StoreError when
-/// a key is missing or malformed.
-telescope::InferenceParams stored_inference(const store::Reader& reader);
-
-/// Throws store::StoreError naming the store when `decoded` differs from
-/// the unsigned count the meta records under `key` ("result.events", ...)
-/// — `what` names the count in the message.
-void check_stored_count(const store::Reader& reader, const std::string& what,
-                        const std::string& key, std::uint64_t decoded);
+/// Restores a save_run store's provenance from its footer meta. Throws
+/// store::StoreError when a key is missing or malformed.
+Provenance stored_provenance(const store::Reader& reader);
 
 /// Re-run the join stage from a loaded store: the world is rebuilt from
 /// the stored provenance (deterministic in the seed) and the join reads
@@ -222,22 +215,9 @@ RejoinResult rejoin_from_store(const StoredRun& run);
 // with ordered reduction — no NssetAttackEvent row is ever built. The
 // kernel results are bit-identical to load_run + the row analyses.
 
-struct StoreAnalysis {
-  // Provenance echoed for the analyze header.
-  std::uint64_t world_seed = 0;
-  std::uint32_t domain_count = 0;
-  std::uint32_t provider_count = 0;
-  std::uint64_t workload_seed = 0;
-  double workload_scale = 0.0;
-  std::uint64_t sweep_seed = 0;
-  std::uint64_t feed_seed = 0;
-  unsigned threads = 0;  // generating run's worker count
-  // Stored result counts (the pipeline summary line).
-  std::uint64_t attacks = 0;
-  std::uint64_t feed_records = 0;
-  std::uint64_t events = 0;
-  std::uint64_t joined = 0;
-  std::uint64_t swept_measurements = 0;
+/// The footer (provenance for the analyze header, stored counts for the
+/// pipeline summary line) plus what the scan computed.
+struct StoreAnalysis : Provenance, store::RunCounts {
   // Scan statistics.
   std::uint64_t file_bytes = 0;
   bool mapped = false;

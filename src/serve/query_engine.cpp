@@ -7,6 +7,7 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "openintel/storage.h"
+#include "store/dataset.h"
 #include "store/reader.h"
 #include "store/scan.h"
 
@@ -287,15 +288,14 @@ WindowScanResult QueryEngine::window_scan(netsim::DayIndex day_lo,
 }
 
 std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
-  obs::Observer* observer = obs::Observer::installed();
-  obs::ScopedSpan span(observer ? &observer->tracer() : nullptr,
-                       "serve.load_engine");
+  obs::ScopedSpan span(obs::installed_tracer(), "serve.load_engine");
   const auto load_start = std::chrono::steady_clock::now();
 
   const store::Reader reader(store_path, store::ReadMode::Mapped);
   // Every block is CRC-checked up front, the ones the engine never reads
   // included: a corrupt store is refused whole, never served in part.
   reader.validate_all();
+  const store::RunCounts counts = store::read_counts(reader);
   store::ColumnArena arena;
   const auto u64 = [&](const char* dataset, const char* column) {
     return store::scan_u64(reader, reader.column(dataset, column), arena);
@@ -305,11 +305,11 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
   // so stitching those two feed columns yields the stored run's events
   // one for one without materializing a single feed record.
   const std::uint64_t feed_rows = reader.dataset_rows("feed");
-  scenario::check_stored_count(reader, "feed record", "result.feed_records",
-                               feed_rows);
+  store::check_count(reader, "feed record", counts.feed_records, feed_rows);
   const auto victim = u64("feed", "victim");
   const auto window = u64("feed", "window");
-  telescope::EventStitcher stitcher(scenario::stored_inference(reader));
+  telescope::EventStitcher stitcher(
+      scenario::stored_provenance(reader).config.inference);
   telescope::RSDoSRecord record;
   for (std::uint64_t i = 0; i < feed_rows; ++i) {
     record.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(victim[i]));
@@ -317,13 +317,11 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
     stitcher.add(record);
   }
   const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
-  scenario::check_stored_count(reader, "stitched event", "result.events",
-                               events.size());
+  store::check_count(reader, "stitched event", counts.events, events.size());
   const std::vector<VictimAttacks> attacks = count_attacks(events);
 
   const core::EventFrame joined = store::read_event_frame(reader, arena);
-  scenario::check_stored_count(reader, "joined event", "result.joined",
-                               joined.rows);
+  store::check_count(reader, "joined event", counts.joined, joined.rows);
 
   reader.dataset_rows("daily");  // throws when the columns disagree
   DailyColumns daily;
@@ -337,17 +335,8 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
 
   auto engine =
       std::make_unique<QueryEngine>(EngineColumns{joined, daily, attacks});
-  if (observer) {
-    observer->pipeline.store_bytes_read.set(
-        static_cast<double>(reader.file_size()));
-    const double load_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - load_start)
-            .count());
-    if (load_ns > 0.0)
-      observer->pipeline.store_read_MBps.set(
-          static_cast<double>(reader.file_size()) * 1e3 / load_ns);
-  }
+  store::record_store_read(reader.file_size(),
+                           std::chrono::steady_clock::now() - load_start);
   return engine;
 }
 

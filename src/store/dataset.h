@@ -12,6 +12,9 @@
 //               every field, lossless (unlike the events CSV); its one
 //               column list is for_each_event_column below.
 //
+// The footer meta ends with the result counts: one list, for_each_count
+// below, that writers, readers, count checks and merge_stores all walk.
+//
 // Id/timestamp columns are delta+varint encoded (sorted keys compress to
 // ~1 byte per row); counts are varints; RTT/impact columns are raw f64
 // bit patterns so round trips are bit-exact. Writers encode one column
@@ -20,7 +23,9 @@
 // throw store::StoreError on any checksum or schema defect.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/columnar.h"
@@ -83,5 +88,68 @@ void for_each_event_column(Frame& frame, Visit&& visit) {
 /// Row holders pass core::OwnedEventFrame(rows).frame(); a stored run
 /// reads back with core::events_from_frame(read_event_frame(...)).
 void write_joined_events(Writer& writer, const core::EventFrame& events);
+
+/// The result counts a store's footer records after the generating
+/// provenance: the run's sizes and its join dispositions.
+struct RunCounts {
+  std::uint64_t attacks = 0;       // scheduled attacks
+  std::uint64_t feed_records = 0;  // rows of the "feed" dataset
+  std::uint64_t events = 0;        // stitched telescope events
+  std::uint64_t joined = 0;        // rows of the "events" dataset
+  std::uint64_t swept_measurements = 0;
+  core::JoinStats stats;
+};
+
+/// How merge_stores combines one count over the shard stores.
+enum class CountMerge : std::uint8_t {
+  Equal,    // a whole-world count: every shard records the same value
+  Recount,  // counted again from the merged events
+  Sum,      // a per-shard tally
+};
+
+/// The footer's count keys in footer order: calls visit(key, rule, value)
+/// for each count of `counts`.
+template <typename Counts, typename Visit>
+void for_each_count(Counts& counts, Visit&& visit) {
+  visit("result.attacks", CountMerge::Equal, counts.attacks);
+  visit("result.feed_records", CountMerge::Sum, counts.feed_records);
+  visit("result.events", CountMerge::Equal, counts.events);
+  visit("result.joined", CountMerge::Recount, counts.joined);
+  visit("result.swept_measurements", CountMerge::Sum,
+        counts.swept_measurements);
+  auto& s = counts.stats;
+  visit("stats.total_events", CountMerge::Sum, s.total_events);
+  visit("stats.open_resolver_filtered", CountMerge::Sum,
+        s.open_resolver_filtered);
+  visit("stats.non_dns", CountMerge::Sum, s.non_dns);
+  visit("stats.not_seen_day_before", CountMerge::Sum, s.not_seen_day_before);
+  visit("stats.below_measurement_floor", CountMerge::Sum,
+        s.below_measurement_floor);
+  visit("stats.no_baseline", CountMerge::Sum, s.no_baseline);
+  visit("stats.joined", CountMerge::Recount, s.joined);
+  visit("stats.dns_events", CountMerge::Sum, s.dns_events);
+}
+
+/// Adds (or, for keys already present, overwrites in place) every count.
+void write_counts(Writer& writer, const RunCounts& counts);
+/// Throws StoreError when a count key is missing or not an integer.
+RunCounts read_counts(const Reader& reader);
+/// Throws StoreError naming the store when `decoded` differs from the
+/// count the footer records; `what` names the count in the message.
+void check_count(const Reader& reader, std::string_view what,
+                 std::uint64_t stored, std::uint64_t decoded);
+
+/// The one provenance key the store layer reads itself: merge_stores
+/// re-runs the concurrent-event merge only when the generating join did.
+inline constexpr std::string_view kMergeConcurrentKey =
+    "join.merge_concurrent";
+
+/// `bytes` over `elapsed` in MB/s (0 for an empty interval).
+double mb_per_s(std::uint64_t bytes,
+                std::chrono::steady_clock::duration elapsed);
+/// Sets the installed observer's store-read gauges for `bytes` read over
+/// `elapsed` and returns that read rate in MB/s.
+double record_store_read(std::uint64_t bytes,
+                         std::chrono::steady_clock::duration elapsed);
 
 }  // namespace ddos::store

@@ -25,11 +25,16 @@ bool has_prefix(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-// Keys whose values the merger recomputes (validated-equal or summed)
-// rather than copies; everything else is generating provenance and must
-// be identical across shards.
-bool is_result_key(std::string_view key) {
-  return has_prefix(key, "result.") || has_prefix(key, "stats.");
+// Count keys are recombined by their merge rule rather than copied;
+// every other non-manifest key is generating provenance and must be
+// identical across shards.
+bool is_count_key(std::string_view key) {
+  const RunCounts counts;
+  bool found = false;
+  for_each_count(counts, [&](std::string_view k, CountMerge, std::uint64_t) {
+    found |= k == key;
+  });
+  return found;
 }
 
 bool is_shard_key(std::string_view key) { return has_prefix(key, "shard."); }
@@ -249,7 +254,7 @@ MergeStats merge_stores(const std::string& out_path,
   // run at that thread count).
   const Reader& first = *shards[0];
   for (const auto& [key, value] : first.meta()) {
-    if (is_result_key(key) || is_shard_key(key)) continue;
+    if (is_count_key(key) || is_shard_key(key)) continue;
     for (std::uint32_t s = 1; s < count; ++s) {
       if (!shards[s]->has_meta(key) || shards[s]->meta_value(key) != value) {
         throw StoreError("merge provenance mismatch on '" + key + "': " +
@@ -269,67 +274,43 @@ MergeStats merge_stores(const std::string& out_path,
     }
   }
 
-  // ---- recomputed result/stat counts: whole-world counts must agree
-  // across shards, per-shard dispositions sum.
-  const auto equal_across = [&](std::string_view key) {
-    const std::uint64_t v = first.meta_u64(key);
+  // ---- the result counts, combined by each key's merge rule: whole-world
+  // counts must agree across shards, per-shard tallies sum, and the
+  // joined counts are taken again after the events merge.
+  RunCounts counts;
+  for_each_count(counts, [&](std::string_view key, CountMerge rule,
+                             std::uint64_t& value) {
+    value = first.meta_u64(key);
     for (std::uint32_t s = 1; s < count; ++s) {
-      if (shards[s]->meta_u64(key) != v) {
+      const std::uint64_t v = shards[s]->meta_u64(key);
+      if (rule == CountMerge::Sum) {
+        value += v;
+      } else if (rule == CountMerge::Equal && v != value) {
         throw StoreError("merge provenance mismatch on '" + std::string(key) +
                          "': " + first.path() + " and " + shards[s]->path() +
                          " disagree — shards must come from one generate "
                          "configuration");
       }
     }
-    return v;
-  };
-  const auto summed = [&](std::string_view key) {
-    std::uint64_t v = 0;
-    for (const Reader* shard : shards) v += shard->meta_u64(key);
-    return v;
-  };
-
-  const std::uint64_t events_total = equal_across("result.events");
-  const std::uint64_t owned_total = summed("stats.total_events");
-  if (owned_total != events_total) {
+  });
+  if (counts.stats.total_events != counts.events) {
     throw StoreError(out_path + ": shard ownership does not cover the event "
                      "list (" +
-                     std::to_string(owned_total) + " events owned across " +
-                     std::to_string(count) + " shards, " +
-                     std::to_string(events_total) +
+                     std::to_string(counts.stats.total_events) +
+                     " events owned across " + std::to_string(count) +
+                     " shards, " + std::to_string(counts.events) +
                      " stitched) — were all shards generated with the same "
                      "i/N partition?");
   }
 
-  std::vector<std::pair<std::string, std::string>> computed;
-  computed.emplace_back("result.attacks",
-                        std::to_string(equal_across("result.attacks")));
-  computed.emplace_back("result.events", std::to_string(events_total));
-  computed.emplace_back("stats.total_events", std::to_string(owned_total));
-  for (const std::string_view key :
-       {"result.feed_records", "result.swept_measurements",
-        "stats.open_resolver_filtered", "stats.non_dns",
-        "stats.not_seen_day_before", "stats.below_measurement_floor",
-        "stats.no_baseline", "stats.dns_events"}) {
-    computed.emplace_back(std::string(key), std::to_string(summed(key)));
-  }
-
   // ---- meta replay in shard 0's footer order (save_run's insertion
-  // order), manifest keys stripped, recomputed values substituted.
-  // result.joined/stats.joined temporarily carry shard 0's values and are
-  // overwritten in place after the events merge — add_meta keeps the
-  // first insertion's footer position, which is what byte-identity needs.
+  // order), manifest keys stripped. The counts carry shard 0's values
+  // until write_counts overwrites them in place after the events merge —
+  // add_meta keeps the first insertion's footer position, which is what
+  // byte-identity needs.
   Writer writer(out_path);
   for (const auto& [key, value] : first.meta()) {
-    if (is_shard_key(key)) continue;
-    std::string_view out_value = value;
-    for (const auto& [ckey, cvalue] : computed) {
-      if (ckey == key) {
-        out_value = cvalue;
-        break;
-      }
-    }
-    writer.add_meta(key, out_value);
+    if (!is_shard_key(key)) writer.add_meta(key, value);
   }
 
   // Per-shard progress sources for the watchdog/telemetry: columns of
@@ -360,7 +341,7 @@ MergeStats merge_stores(const std::string& out_path,
   // ---- column merge in shard 0's block order == save_run's block order
   // (feed, daily, window, ns_seen, events), with the manifest dataset
   // dropped and the events dataset row-merged as one unit.
-  const bool merge_concurrent = first.meta_u64("join.merge_concurrent") != 0;
+  const bool merge_concurrent = first.meta_u64(kMergeConcurrentKey) != 0;
   bool events_merged = false;
   for (const ColumnDesc& desc : first.columns()) {
     if (desc.dataset == "shard") continue;  // manifest column, not data
@@ -375,8 +356,11 @@ MergeStats merge_stores(const std::string& out_path,
         merge_column(writer, shards, desc, columns_done.get());
   }
 
-  writer.add_meta("result.joined", std::to_string(stats.events_out));
-  writer.add_meta("stats.joined", std::to_string(stats.events_out));
+  for_each_count(counts, [&](std::string_view, CountMerge rule,
+                             std::uint64_t& value) {
+    if (rule == CountMerge::Recount) value = stats.events_out;
+  });
+  write_counts(writer, counts);
   writer.finish();
   stats.bytes_written = writer.bytes_written();
 
@@ -388,14 +372,8 @@ MergeStats merge_stores(const std::string& out_path,
         static_cast<double>(stats.bytes_read));
     observer->pipeline.merge_bytes_written.set(
         static_cast<double>(stats.bytes_written));
-    const double merge_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - merge_start)
-            .count());
-    if (merge_ns > 0.0) {
-      observer->pipeline.merge_MBps.set(
-          static_cast<double>(stats.bytes_written) * 1e3 / merge_ns);
-    }
+    observer->pipeline.merge_MBps.set(mb_per_s(
+        stats.bytes_written, std::chrono::steady_clock::now() - merge_start));
   }
   return stats;
 }

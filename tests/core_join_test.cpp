@@ -193,6 +193,39 @@ TEST(Join, MissingBaselineFilters) {
   EXPECT_TRUE(events.empty());
 }
 
+// The victim is seen the day before through NSSet A, and NSSet B, which
+// shares that server, is measured during the attack but not the day
+// before: B's pair has no baseline, which is not the measurement floor.
+TEST(Join, NoBaselineCountedApartFromMeasurementFloor) {
+  JoinFixture fx;
+  const dns::DomainId solo =
+      fx.registry.add_domain(dns::DomainName::must("solo.com"), {fx.ns1});
+  const dns::NssetId nsset_b = fx.registry.nsset_of_domain(solo);
+  ASSERT_NE(nsset_b, fx.nsset);
+  fx.add_baseline();
+  for (int i = 0; i < 5; ++i) {
+    fx.add_measurement(fx.attack_day, i, dns::ResponseStatus::Ok, 200.0,
+                       fx.ns1);
+    openintel::Measurement m;
+    m.time = SimTime(fx.attack_day * netsim::kSecondsPerDay +
+                     i * netsim::kSecondsPerWindow + 20);
+    m.domain = solo;
+    m.nsset = nsset_b;
+    m.status = dns::ResponseStatus::Ok;
+    m.rtt_ms = 200.0;
+    m.chosen_ns = fx.ns1;
+    fx.store.add(m);
+  }
+
+  auto pipeline = fx.pipeline();
+  const auto events = pipeline.run({fx.event_on(fx.ns1)});
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].nsset, fx.nsset);
+  EXPECT_EQ(pipeline.stats().joined, 1u);
+  EXPECT_EQ(pipeline.stats().no_baseline, 1u);
+  EXPECT_EQ(pipeline.stats().below_measurement_floor, 0u);
+}
+
 TEST(Join, MeanImpactWeightedByMeasurements) {
   JoinFixture fx;
   fx.add_baseline();

@@ -12,10 +12,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/columnar.h"
 #include "scenario/driver.h"
 #include "store/format.h"
+#include "store/reader.h"
 
 namespace ddos::scenario {
 namespace {
@@ -97,20 +99,137 @@ LongitudinalResult* StorePipelineTest::result_ = nullptr;
 StoredRun* StorePipelineTest::loaded_ = nullptr;
 std::string* StorePipelineTest::path_ = nullptr;
 
+// Every config field the footer records round-trips. Each is set to a
+// value distinct from its default and from every other field's, so a key
+// read into the wrong field fails here; the stored run itself is empty.
 TEST_F(StorePipelineTest, ProvenanceRoundTrips) {
-  const LongitudinalConfig& cfg = loaded_->config;
-  EXPECT_EQ(cfg.world.seed, config_->world.seed);
-  EXPECT_EQ(cfg.world.domain_count, config_->world.domain_count);
-  EXPECT_EQ(cfg.world.provider_count, config_->world.provider_count);
-  EXPECT_EQ(cfg.world.anycast_recall, config_->world.anycast_recall);
-  EXPECT_EQ(cfg.workload.seed, config_->workload.seed);
-  EXPECT_EQ(cfg.workload.scale, config_->workload.scale);
-  EXPECT_EQ(cfg.sweep_seed, config_->sweep_seed);
-  EXPECT_EQ(cfg.feed_seed, config_->feed_seed);
+  LongitudinalConfig cfg = default_longitudinal_config();
+  WorldParams& w = cfg.world;
+  w.seed = 1001;
+  w.provider_count = 1002;
+  w.domain_count = 1003;
+  w.size_exponent = 1.0 / 3.0;
+  w.anycast_recall = 0.1 + 0.2;
+  w.open_resolver_misconfigs = 1004;
+  w.single_ns_share = 0.0171;
+  w.lame_ns_share = 0.00437;
+  w.capacity_base_pps = 17000.5;
+  w.capacity_exponent = 0.41;
+  w.legit_pps_per_domain = 0.021;
+  w.legit_pps_floor = 101.25;
+  LongitudinalParams& wl = cfg.workload;
+  wl.seed = 1005;
+  wl.scale = 123.456;
+  wl.multivector_prob = 0.11;
+  wl.victim_reuse_prob = 0.76;
+  wl.dns_port_intensity_boost = 1.9;
+  wl.scripted_cases = false;
+  telescope::InferenceParams& inf = cfg.inference;
+  inf.min_packets_per_window = 1006;
+  inf.min_distinct_slash16 = 1007;
+  inf.min_ppm = 5.5;
+  inf.max_gap_windows = 8;
+  core::JoinParams& jp = cfg.join;
+  jp.min_measured_domains = 1009;
+  jp.match_slash24 = true;
+  jp.merge_concurrent = false;
+  cfg.sweep_seed = 1010;
+  cfg.feed_seed = 1011;
+
+  const std::string path = temp_path("provenance.drs");
+  save_run(path, cfg, /*threads=*/5, LongitudinalResult{});
+  const StoredRun run = load_run(path);
+  std::filesystem::remove(path);
+  const LongitudinalConfig& got = run.config;
+  EXPECT_EQ(run.threads, 5u);
+  EXPECT_EQ(got.world.seed, w.seed);
+  EXPECT_EQ(got.world.provider_count, w.provider_count);
+  EXPECT_EQ(got.world.domain_count, w.domain_count);
+  EXPECT_EQ(got.world.size_exponent, w.size_exponent);
+  EXPECT_EQ(got.world.anycast_recall, w.anycast_recall);
+  EXPECT_EQ(got.world.open_resolver_misconfigs, w.open_resolver_misconfigs);
+  EXPECT_EQ(got.world.single_ns_share, w.single_ns_share);
+  EXPECT_EQ(got.world.lame_ns_share, w.lame_ns_share);
+  EXPECT_EQ(got.world.capacity_base_pps, w.capacity_base_pps);
+  EXPECT_EQ(got.world.capacity_exponent, w.capacity_exponent);
+  EXPECT_EQ(got.world.legit_pps_per_domain, w.legit_pps_per_domain);
+  EXPECT_EQ(got.world.legit_pps_floor, w.legit_pps_floor);
+  EXPECT_EQ(got.workload.seed, wl.seed);
+  EXPECT_EQ(got.workload.scale, wl.scale);
+  EXPECT_EQ(got.workload.multivector_prob, wl.multivector_prob);
+  EXPECT_EQ(got.workload.victim_reuse_prob, wl.victim_reuse_prob);
+  EXPECT_EQ(got.workload.dns_port_intensity_boost,
+            wl.dns_port_intensity_boost);
+  EXPECT_EQ(got.workload.scripted_cases, wl.scripted_cases);
+  EXPECT_EQ(got.inference.min_packets_per_window, inf.min_packets_per_window);
+  EXPECT_EQ(got.inference.min_distinct_slash16, inf.min_distinct_slash16);
+  EXPECT_EQ(got.inference.min_ppm, inf.min_ppm);
+  EXPECT_EQ(got.inference.max_gap_windows, inf.max_gap_windows);
+  EXPECT_EQ(got.join.min_measured_domains, jp.min_measured_domains);
+  EXPECT_EQ(got.join.match_slash24, jp.match_slash24);
+  EXPECT_EQ(got.join.merge_concurrent, jp.merge_concurrent);
+  EXPECT_EQ(got.sweep_seed, cfg.sweep_seed);
+  EXPECT_EQ(got.feed_seed, cfg.feed_seed);
+
+  // The generating run's own counts round-trip too.
   EXPECT_EQ(loaded_->threads, 2u);
   EXPECT_EQ(loaded_->attacks, result_->workload.schedule.size());
   EXPECT_EQ(loaded_->swept_measurements, result_->swept_measurements);
   EXPECT_EQ(loaded_->join_stats, result_->join_stats);
+}
+
+// Stores already on disk, shard merges and CI's byte comparisons all rely
+// on this footer: every key, in this order.
+TEST_F(StorePipelineTest, FooterKeysInSaveRunOrder) {
+  const std::vector<std::string> expected = {
+      "format.tool",
+      "world.seed",
+      "world.provider_count",
+      "world.domain_count",
+      "world.size_exponent",
+      "world.anycast_recall",
+      "world.open_resolver_misconfigs",
+      "world.single_ns_share",
+      "world.lame_ns_share",
+      "world.capacity_base_pps",
+      "world.capacity_exponent",
+      "world.legit_pps_per_domain",
+      "world.legit_pps_floor",
+      "workload.seed",
+      "workload.scale",
+      "workload.multivector_prob",
+      "workload.victim_reuse_prob",
+      "workload.dns_port_intensity_boost",
+      "workload.scripted_cases",
+      "inference.min_packets_per_window",
+      "inference.min_distinct_slash16",
+      "inference.min_ppm",
+      "inference.max_gap_windows",
+      "join.min_measured_domains",
+      "join.match_slash24",
+      "join.merge_concurrent",
+      "run.sweep_seed",
+      "run.feed_seed",
+      "run.threads",
+      "result.attacks",
+      "result.feed_records",
+      "result.events",
+      "result.joined",
+      "result.swept_measurements",
+      "stats.total_events",
+      "stats.open_resolver_filtered",
+      "stats.non_dns",
+      "stats.not_seen_day_before",
+      "stats.below_measurement_floor",
+      "stats.no_baseline",
+      "stats.joined",
+      "stats.dns_events",
+  };
+  const store::Reader reader(*path_);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : reader.meta()) keys.push_back(key);
+  EXPECT_EQ(keys, expected);
+  EXPECT_EQ(reader.meta_value("format.tool"), "ddosrepro");
 }
 
 TEST_F(StorePipelineTest, FeedRecordsRoundTripBitForBit) {

@@ -545,16 +545,17 @@ int cmd_analyze_store(util::FlagParser& flags, Session& session,
   session.config("store", path);
   const scenario::StoreAnalysis analysis =
       scenario::analyze_store(path, use_mmap);
+  const scenario::LongitudinalConfig& cfg = analysis.config;
 
   std::cout << "store: " << path << " ("
             << util::format_count(static_cast<double>(analysis.file_bytes))
-            << "B)\nprovenance: world seed " << analysis.world_seed << ", "
-            << analysis.domain_count << " domains, "
-            << analysis.provider_count << " providers; workload seed "
-            << analysis.workload_seed << ", scale "
-            << analysis.workload_scale << "; sweep/feed seeds "
-            << analysis.sweep_seed << "/" << analysis.feed_seed
-            << "; generated with " << analysis.threads << " threads\n";
+            << "B)\nprovenance: world seed " << cfg.world.seed << ", "
+            << cfg.world.domain_count << " domains, "
+            << cfg.world.provider_count << " providers; workload seed "
+            << cfg.workload.seed << ", scale " << cfg.workload.scale
+            << "; sweep/feed seeds " << cfg.sweep_seed << "/"
+            << cfg.feed_seed << "; generated with " << analysis.threads
+            << " threads\n";
 
   if (flags.get_bool("rejoin")) {
     const scenario::StoredRun run = scenario::load_run(path, use_mmap);
