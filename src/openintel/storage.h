@@ -184,10 +184,6 @@ class MeasurementStore {
   void reserve_window(std::size_t additional) {
     window_.reserve(window_.size() + additional);
   }
-  void reserve_ns_seen(netsim::DayIndex day, std::size_t additional) {
-    auto& ips = ns_seen_[day];
-    ips.reserve(ips.size() + additional);
-  }
 
   void restore_daily(std::uint64_t key, const Aggregate& agg) {
     daily_.insert_or_assign(key, agg);

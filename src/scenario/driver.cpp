@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -19,7 +20,6 @@
 #include "obs/obs.h"
 #include "scenario/plan.h"
 #include "store/dataset.h"
-#include "store/epoch.h"
 #include "store/reader.h"
 #include "store/scan.h"
 #include "store/writer.h"
@@ -108,14 +108,25 @@ std::string meta_text(const T& value) {
 }
 
 // The inverse of meta_text; the writing tool (a constant) is not read.
+// Integers parse exactly in their field's own type, signed ones signed,
+// so a value outside the field's range is refused, never truncated.
 template <typename T>
 void read_meta(const store::Reader& reader, std::string_view key, T& field) {
-  if constexpr (std::is_same_v<T, bool>) {
-    field = reader.meta_u64(key) != 0;
-  } else if constexpr (std::is_floating_point_v<T>) {
+  if constexpr (std::is_floating_point_v<T>) {
     field = reader.meta_f64(key);
   } else if constexpr (std::is_integral_v<T>) {
-    field = static_cast<T>(reader.meta_u64(key));
+    const std::string text = reader.meta_value(key);
+    const char* end = text.data() + text.size();
+    using Parsed = std::conditional_t<std::is_same_v<T, bool>, unsigned, T>;
+    Parsed value{};
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end ||
+        (std::is_same_v<T, bool> && value > 1)) {
+      throw store::StoreError(reader.path() + ": meta key '" +
+                              std::string(key) + "' holds '" + text +
+                              "', not a value of its field's type");
+    }
+    field = static_cast<T>(value);
   }
 }
 
@@ -158,8 +169,14 @@ std::uint64_t save_run(const std::string& path,
                        const LongitudinalResult& result) {
   obs::ScopedSpan span(obs::installed_tracer(), "store.write");
   store::Writer writer(path);
-  store::write_feed_records(writer, result.feed.records());
-  store::write_measurements(writer, result.store);
+  store::write_dataset<store::FeedColumns>(writer, "feed",
+                                           result.feed.records());
+  store::write_dataset<store::AggregateColumns>(writer, "daily",
+                                                result.store.sorted_daily());
+  store::write_dataset<store::AggregateColumns>(writer, "window",
+                                                result.store.sorted_window());
+  store::write_dataset<store::NsSeenColumns>(writer, "ns_seen",
+                                             result.store.sorted_ns_seen());
   return publish_store(writer, config, threads, result, result.feed_records,
                        span);
 }
@@ -217,14 +234,15 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   // "feed"), aggregate columns are appended per retired epoch, and
   // publish_store closes it.
   std::optional<store::Writer> writer;
-  std::optional<store::AggregateColumnsAppender> daily_columns;
-  std::optional<store::AggregateColumnsAppender> window_columns;
-  std::optional<store::NsSeenAppender> ns_seen_columns;
+  std::optional<store::DatasetAppender<store::AggregateColumns>> daily_columns;
+  std::optional<store::DatasetAppender<store::AggregateColumns>>
+      window_columns;
+  std::optional<store::DatasetAppender<store::NsSeenColumns>> ns_seen_columns;
   if (!spec.store_path.empty()) {
     writer.emplace(spec.store_path);
     daily_columns.emplace("daily");
     window_columns.emplace("window");
-    ns_seen_columns.emplace();
+    ns_seen_columns.emplace("ns_seen");
   }
 
   LongitudinalResult result;
@@ -253,8 +271,8 @@ LongitudinalResult execute(const LongitudinalConfig& config,
     result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
     telescope::EventStitcher stitcher(config.inference);
     const bool keep_records = spec.retain_feed || spec.shard;
-    std::optional<store::FeedColumnsAppender> feed_columns;
-    if (writer) feed_columns.emplace();
+    std::optional<store::DatasetAppender<store::FeedColumns>> feed_columns;
+    if (writer) feed_columns.emplace("feed");
     result.feed_records = result.feed.ingest_stream(
         result.workload.schedule, result.darknet, config.feed_seed,
         [&](std::vector<telescope::RSDoSRecord>&& records) {
@@ -364,15 +382,9 @@ LongitudinalResult execute(const LongitudinalConfig& config,
     last_threshold = threshold;
     const auto retired = result.store.retire_days_below(threshold);
     if (writer) {
-      for (const auto& [key, agg] : retired.daily) {
-        daily_columns->append(key, agg);
-      }
-      for (const auto& [key, agg] : retired.window) {
-        window_columns->append(key, agg);
-      }
-      for (const auto& [day, ip] : retired.ns_seen) {
-        ns_seen_columns->append(day, ip);
-      }
+      for (const auto& entry : retired.daily) daily_columns->append(entry);
+      for (const auto& entry : retired.window) window_columns->append(entry);
+      for (const auto& seen : retired.ns_seen) ns_seen_columns->append(seen);
     }
     if (observer) {
       observer->pipeline.stream_retired_days.set(static_cast<double>(
@@ -697,9 +709,20 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   // per block, so the decodes below never re-hash a block.
   reader.validate_all();
 
+  std::vector<telescope::RSDoSRecord> records;
+  records.reserve(reader.dataset_rows("feed"));
+  {
+    // The feed columns are the largest decode: release them before the
+    // stitch below allocates.
+    store::ColumnArena feed_arena;
+    store::read_dataset<store::FeedColumns>(
+        reader, "feed", feed_arena, [&](const telescope::RSDoSRecord& record) {
+          records.push_back(record);
+        });
+  }
   run.feed =
       telescope::RSDoSFeed(run.config.inference, run.config.backscatter);
-  run.feed.set_records(store::read_feed_records(reader));
+  run.feed.set_records(std::move(records));
   run.feed_records = run.feed.records().size();
   store::check_count(reader, "feed record", counts.feed_records,
                      run.feed_records);
@@ -711,10 +734,25 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   store::check_count(reader, "stitched event", counts.events,
                      run.events.size());
 
-  store::read_measurements(reader, run.store);
+  // Restore targets are sized from the row counts up front, so loads
+  // probe into final-size tables instead of rehashing O(log n) times.
+  store::ColumnArena arena;
+  run.store.reserve_daily(reader.dataset_rows("daily"));
+  store::read_dataset<store::AggregateColumns>(
+      reader, "daily", arena, [&](const store::AggregateRow& row) {
+        run.store.restore_daily(row.key, row.aggregate());
+      });
+  run.store.reserve_window(reader.dataset_rows("window"));
+  store::read_dataset<store::AggregateColumns>(
+      reader, "window", arena, [&](const store::AggregateRow& row) {
+        run.store.restore_window(row.key, row.aggregate());
+      });
+  store::read_dataset<store::NsSeenColumns>(
+      reader, "ns_seen", arena, [&](const store::NsSeenRow& seen) {
+        run.store.restore_ns_seen(seen.first, seen.second);
+      });
   run.store.set_total_measurements(run.swept_measurements);
 
-  store::ColumnArena arena;
   run.joined =
       core::events_from_frame(store::read_event_frame(reader, arena));
   store::check_count(reader, "joined event", counts.joined,

@@ -30,6 +30,18 @@ std::vector<VictimAttacks> count_attacks(
   return out;
 }
 
+/// The series point of one daily (key, aggregate): avg_rtt and
+/// failure_rate exactly as openintel::Aggregate derives them.
+NssetDayPoint series_point(std::uint64_t key, const openintel::Aggregate& agg) {
+  NssetDayPoint p;
+  p.nsset = openintel::MeasurementStore::key_nsset(key);
+  p.point.day = openintel::MeasurementStore::day_key_day(key);
+  p.point.measured = agg.measured;
+  p.point.avg_rtt_ms = agg.avg_rtt();
+  p.point.failure_rate = agg.failure_rate();
+  return p;
+}
+
 netsim::DayIndex start_day(const core::EventFrame& f, std::size_t i) {
   return netsim::window_start(static_cast<netsim::WindowIndex>(
                                   f.start_window[i]))
@@ -38,31 +50,23 @@ netsim::DayIndex start_day(const core::EventFrame& f, std::size_t i) {
 
 }  // namespace
 
-QueryEngine::QueryEngine(const EngineColumns& columns) { build(columns); }
+QueryEngine::QueryEngine(EngineColumns columns) { build(columns); }
 
 QueryEngine::QueryEngine(const scenario::RunArtifacts& run) {
   const core::OwnedEventFrame joined(run.joined);
-  const auto daily_rows = run.store.sorted_daily();
-  std::vector<std::uint64_t> key, measured, timeout, servfail, rtt_n;
-  std::vector<double> rtt_sum;
-  for (const auto& [k, agg] : daily_rows) {
-    key.push_back(k);
-    measured.push_back(agg.measured);
-    timeout.push_back(agg.timeout);
-    servfail.push_back(agg.servfail);
-    rtt_n.push_back(agg.rtt.raw().n);
-    rtt_sum.push_back(agg.rtt.raw().sum);
+  std::vector<NssetDayPoint> series;
+  for (const auto& [key, agg] : run.store.sorted_daily()) {
+    series.push_back(series_point(key, agg));
   }
   const std::vector<VictimAttacks> attacks = count_attacks(run.events);
-  build(EngineColumns{joined.frame(),
-                      {key, measured, timeout, servfail, rtt_n, rtt_sum},
-                      attacks});
+  EngineColumns columns{joined.frame(), std::move(series), attacks};
+  build(columns);
 }
 
-void QueryEngine::build(const EngineColumns& columns) {
+void QueryEngine::build(EngineColumns& columns) {
   obs::ScopedSpan span(obs::installed_tracer(), "serve.build_indexes");
   build_nsset_index(columns.joined);
-  build_series_index(columns.daily);
+  build_series_index(columns.series);
   build_leaderboards(columns.attacks);
   build_window_index(columns.joined);
   span.set_items(summaries_.size());
@@ -122,39 +126,15 @@ void QueryEngine::build_nsset_index(const core::EventFrame& joined) {
   }
 }
 
-void QueryEngine::build_series_index(const DailyColumns& daily) {
+void QueryEngine::build_series_index(std::vector<NssetDayPoint>& rows) {
   // The store's daily keys are time-major ((day, nsset) ascending); the
   // serving index wants nsset-major so one NSSet's series is a contiguous
-  // span. Re-key and sort — unique keys, so the order is total.
-  struct Keyed {
-    dns::NssetId nsset;
-    DayPoint point;
-  };
-  std::vector<Keyed> rows;
-  rows.reserve(daily.key.size());
-  for (std::size_t i = 0; i < daily.key.size(); ++i) {
-    // avg_rtt / failure_rate exactly as openintel::Aggregate derives them.
-    openintel::Aggregate agg;
-    agg.measured = static_cast<std::uint32_t>(daily.measured[i]);
-    agg.timeout = static_cast<std::uint32_t>(daily.timeout[i]);
-    agg.servfail = static_cast<std::uint32_t>(daily.servfail[i]);
-    util::RunningStats::Raw raw;
-    raw.n = daily.rtt_n[i];
-    raw.sum = daily.rtt_sum[i];
-    agg.rtt = util::RunningStats::from_raw(raw);
-
-    Keyed row;
-    row.nsset = openintel::MeasurementStore::key_nsset(daily.key[i]);
-    row.point.day = openintel::MeasurementStore::day_key_day(daily.key[i]);
-    row.point.measured = agg.measured;
-    row.point.avg_rtt_ms = agg.avg_rtt();
-    row.point.failure_rate = agg.failure_rate();
-    rows.push_back(row);
-  }
-  std::sort(rows.begin(), rows.end(), [](const Keyed& a, const Keyed& b) {
-    return a.nsset != b.nsset ? a.nsset < b.nsset
-                              : a.point.day < b.point.day;
-  });
+  // span. Sort by (nsset, day) — unique keys, so the order is total.
+  std::sort(rows.begin(), rows.end(),
+            [](const NssetDayPoint& a, const NssetDayPoint& b) {
+              return a.nsset != b.nsset ? a.nsset < b.nsset
+                                        : a.point.day < b.point.day;
+            });
 
   day_points_.reserve(rows.size());
   series_ranges_.resize(summaries_.size());
@@ -297,25 +277,19 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
   reader.validate_all();
   const store::RunCounts counts = store::read_counts(reader);
   store::ColumnArena arena;
-  const auto u64 = [&](const char* dataset, const char* column) {
-    return store::scan_u64(reader, reader.column(dataset, column), arena);
-  };
 
   // Attacks per victim: event boundaries depend only on (victim, window),
-  // so stitching those two feed columns yields the stored run's events
-  // one for one without materializing a single feed record.
-  const std::uint64_t feed_rows = reader.dataset_rows("feed");
-  store::check_count(reader, "feed record", counts.feed_records, feed_rows);
-  const auto victim = u64("feed", "victim");
-  const auto window = u64("feed", "window");
+  // so stitching the rows of those two feed columns yields the stored
+  // run's events one for one; no other feed column is decoded.
+  using Record = telescope::RSDoSRecord;
+  store::check_count(reader, "feed record", counts.feed_records,
+                     reader.dataset_rows("feed"));
   telescope::EventStitcher stitcher(
       scenario::stored_provenance(reader).config.inference);
-  telescope::RSDoSRecord record;
-  for (std::uint64_t i = 0; i < feed_rows; ++i) {
-    record.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(victim[i]));
-    record.window = static_cast<netsim::WindowIndex>(window[i]);
-    stitcher.add(record);
-  }
+  store::read_dataset<store::FeedColumns>(
+      reader, "feed", arena,
+      [&](const Record& record) { stitcher.add(record); }, &Record::victim,
+      &Record::window);
   const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
   store::check_count(reader, "stitched event", counts.events, events.size());
   const std::vector<VictimAttacks> attacks = count_attacks(events);
@@ -323,18 +297,20 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
   const core::EventFrame joined = store::read_event_frame(reader, arena);
   store::check_count(reader, "joined event", counts.joined, joined.rows);
 
-  reader.dataset_rows("daily");  // throws when the columns disagree
-  DailyColumns daily;
-  daily.key = u64("daily", "key");
-  daily.measured = u64("daily", "measured");
-  daily.timeout = u64("daily", "timeout");
-  daily.servfail = u64("daily", "servfail");
-  daily.rtt_n = u64("daily", "rtt_n");
-  daily.rtt_sum =
-      store::scan_f64(reader, reader.column("daily", "rtt_sum"), arena);
+  // The daily columns a series point derives from; the rest stay encoded.
+  using Daily = store::AggregateRow;
+  std::vector<NssetDayPoint> series;
+  series.reserve(reader.dataset_rows("daily"));
+  store::read_dataset<store::AggregateColumns>(
+      reader, "daily", arena,
+      [&](const Daily& row) {
+        series.push_back(series_point(row.key, row.aggregate()));
+      },
+      &Daily::key, &Daily::measured, &Daily::timeout, &Daily::servfail,
+      &Daily::rtt_n, &Daily::rtt_sum);
 
-  auto engine =
-      std::make_unique<QueryEngine>(EngineColumns{joined, daily, attacks});
+  auto engine = std::make_unique<QueryEngine>(
+      EngineColumns{joined, std::move(series), attacks});
   store::record_store_read(reader.file_size(),
                            std::chrono::steady_clock::now() - load_start);
   return engine;

@@ -3,10 +3,10 @@
 // A run today is write-once/analyze-once: `analyze --store` recomputes the
 // headline statistics in one batch pass and exits. The engine turns the
 // same data into an interactive read path. Its index build reads three
-// column inputs (EngineColumns): the joined NSSet-attack events as a
-// core::EventFrame, the per-(NSSet, day) sweep aggregates as the store's
-// "daily" columns, and the telescope attack count per victim IP. It
-// builds three immutable, read-optimized indexes from them:
+// inputs (EngineColumns): the joined NSSet-attack events as a
+// core::EventFrame, one series point per (NSSet, day) sweep aggregate of
+// the store's "daily" dataset, and the telescope attack count per victim
+// IP. It builds three immutable, read-optimized indexes from them:
 //
 //   * per-NSSet index — joined NSSet-attack events grouped by NSSet plus
 //     the per-(NSSet, day) sweep time series, both behind one
@@ -140,16 +140,10 @@ struct WindowScanResult {
                          const WindowScanResult&) = default;
 };
 
-/// Per-(NSSet, day) sweep aggregates in the store's "daily" schema
-/// (store/dataset.cpp): MeasurementStore day keys, ascending, and the
-/// counts and RTT sums a DayPoint derives from. Equal-length spans.
-struct DailyColumns {
-  std::span<const std::uint64_t> key;
-  std::span<const std::uint64_t> measured;
-  std::span<const std::uint64_t> timeout;
-  std::span<const std::uint64_t> servfail;
-  std::span<const std::uint64_t> rtt_n;
-  std::span<const double> rtt_sum;
+/// One per-(NSSet, day) sweep aggregate as the series index keeps it.
+struct NssetDayPoint {
+  dns::NssetId nsset = 0;
+  DayPoint point;
 };
 
 /// Telescope attack events against one victim IP.
@@ -162,14 +156,14 @@ struct VictimAttacks {
 /// construction.
 struct EngineColumns {
   core::EventFrame joined;
-  DailyColumns daily;
+  std::vector<NssetDayPoint> series;  // any order; the build sorts it
   std::span<const VictimAttacks> attacks;  // ascending, unique victims
 };
 
 class QueryEngine {
  public:
   /// Build the indexes. Single-threaded, called once.
-  explicit QueryEngine(const EngineColumns& columns);
+  explicit QueryEngine(EngineColumns columns);
   /// Lay a run's joined rows, sorted_daily() aggregates and stitched
   /// events out as EngineColumns and build from those.
   explicit QueryEngine(const scenario::RunArtifacts& run);
@@ -223,9 +217,9 @@ class QueryEngine {
     double max_peak_impact = 0.0;
   };
 
-  void build(const EngineColumns& columns);
+  void build(EngineColumns& columns);
   void build_nsset_index(const core::EventFrame& joined);
-  void build_series_index(const DailyColumns& daily);
+  void build_series_index(std::vector<NssetDayPoint>& rows);
   void build_leaderboards(std::span<const VictimAttacks> attacks);
   void build_window_index(const core::EventFrame& joined);
 

@@ -1,10 +1,11 @@
 // Column encoders: one appender per (type, encoding), the only code that
-// writes DRS block payloads. Writer::add_* feeds a whole column through
-// one; the streaming executor feeds one day-epoch at a time and keeps only
-// the growing encoded payload. DeltaVarint carries its `prev` across
-// append calls, so feeding the same values in the same order, whole or
-// chunk by chunk, produces the same bytes — which is what keeps a streamed
-// DRS file bit-for-bit equal to save_run's.
+// writes DRS block payloads. Writer::add_* and write_column feed a whole
+// column through one; the streaming executor's DatasetAppender
+// (store/dataset.h) feeds one day-epoch at a time and keeps only the
+// growing encoded payload. DeltaVarint carries its `prev` across append
+// calls, so feeding the same values in the same order, whole or chunk by
+// chunk, produces the same bytes — which is what keeps a streamed DRS file
+// bit-for-bit equal to save_run's.
 #pragma once
 
 #include <bit>
@@ -12,10 +13,8 @@
 #include <string>
 #include <string_view>
 
-#include "openintel/storage.h"
 #include "store/format.h"
 #include "store/writer.h"
-#include "telescope/rsdos.h"
 
 namespace ddos::store {
 
@@ -120,68 +119,5 @@ void write_column(Writer& writer, std::string_view dataset,
   for (const auto& row : rows) appender.append(get(row));
   appender.flush_to(writer, dataset, column);
 }
-
-/// The 8 columns of the "feed" dataset, append-per-record. flush_to emits
-/// blocks in exactly the column order of write_feed_records (dataset.h),
-/// so a streamed store keeps save_run's block layout byte for byte while
-/// the record vector itself is never materialised.
-class FeedColumnsAppender {
- public:
-  void append(const telescope::RSDoSRecord& record);
-  void flush_to(Writer& writer) const;
-
-  std::uint64_t rows() const { return window_.rows(); }
-
- private:
-  U64Appender window_{Encoding::DeltaVarint};
-  U64Appender victim_{Encoding::Varint};
-  U64Appender slash16_{Encoding::Varint};
-  U8Appender protocol_;
-  U64Appender first_port_{Encoding::Varint};
-  U64Appender unique_ports_{Encoding::Varint};
-  F64Appender max_ppm_;
-  U64Appender packets_{Encoding::Varint};
-};
-
-/// The 11 columns of one aggregate dataset ("daily" or "window"),
-/// append-per-row. flush_to emits blocks in exactly the column order of
-/// write_measurements (dataset.h).
-class AggregateColumnsAppender {
- public:
-  explicit AggregateColumnsAppender(std::string dataset)
-      : dataset_(std::move(dataset)) {}
-
-  void append(std::uint64_t key, const openintel::Aggregate& agg);
-  void flush_to(Writer& writer) const;
-
-  std::uint64_t rows() const { return key_.rows(); }
-
- private:
-  std::string dataset_;
-  U64Appender key_{Encoding::DeltaVarint};
-  U64Appender measured_{Encoding::Varint};
-  U64Appender ok_{Encoding::Varint};
-  U64Appender timeout_{Encoding::Varint};
-  U64Appender servfail_{Encoding::Varint};
-  U64Appender rtt_n_{Encoding::Varint};
-  F64Appender rtt_sum_;
-  F64Appender rtt_m_;
-  F64Appender rtt_m2_;
-  F64Appender rtt_min_;
-  F64Appender rtt_max_;
-};
-
-/// The "ns_seen" dataset (day, ip), append-per-row.
-class NsSeenAppender {
- public:
-  void append(netsim::DayIndex day, netsim::IPv4Addr ip);
-  void flush_to(Writer& writer) const;
-
-  std::uint64_t rows() const { return day_.rows(); }
-
- private:
-  U64Appender day_{Encoding::DeltaVarint};
-  U64Appender ip_{Encoding::DeltaVarint};
-};
 
 }  // namespace ddos::store

@@ -39,13 +39,16 @@ bool is_count_key(std::string_view key) {
 
 bool is_shard_key(std::string_view key) { return has_prefix(key, "shard."); }
 
-// Leading sort-key columns of the day-partitioned datasets: consecutive
-// shards must hand over in strictly ascending order or the partition the
-// byte-identity proof rests on is broken.
+// Leading sort-key columns (each list's first column) of the
+// day-partitioned datasets: consecutive shards must hand over in strictly
+// ascending order or the partition the byte-identity proof rests on is
+// broken.
 bool is_time_major_key(const ColumnDesc& desc) {
-  return ((desc.dataset == "daily" || desc.dataset == "window") &&
-          desc.column == "key") ||
-         (desc.dataset == "ns_seen" && desc.column == "day");
+  if (desc.dataset == "daily" || desc.dataset == "window") {
+    return desc.column == first_column<AggregateColumns>();
+  }
+  return desc.dataset == "ns_seen" &&
+         desc.column == first_column<NsSeenColumns>();
 }
 
 // Generic column path: scan every shard's block in parallel, each into

@@ -1,7 +1,7 @@
 // Columnar scan layer over a store::Reader — the store's one decoder.
-// The analysis kernels (core/columnar.h), the serving load, the row
-// loaders of store/dataset.h (load_run) and merge_stores all read column
-// values through scan_u64/scan_f64/scan_u8/scan_strings.
+// The analysis kernels (core/columnar.h), store/dataset.h's read_dataset
+// (load_run and the serving load) and merge_stores all read column values
+// through scan_u64/scan_f64/scan_u8/scan_strings.
 //
 //   * Fixed-width columns (f64, u8, and Fixed-encoded u64) are returned
 //     as spans directly over the reader's backing — in Mapped mode that
@@ -41,7 +41,7 @@ namespace ddos::store {
 /// zero steady-state allocation. Buffers are heap-stable: growing the
 /// arena never invalidates spans handed out earlier. Slot lookup is
 /// locked, so scans of distinct columns may share an arena across
-/// threads (scan_all, the parallel row loaders).
+/// threads (scan_all, read_dataset).
 class ColumnArena {
  public:
   /// Buffer for (dataset, column[, aux]); created on first use, reused

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -48,6 +49,40 @@ std::string temp_path(const char* name) {
   return (std::filesystem::path(testing::TempDir()) /
           (std::to_string(::getpid()) + "-" + name))
       .string();
+}
+
+// Drive latencies land in log bins a tenth of a decade wide, and a
+// reported quantile lies inside the bin of the true one: above the true
+// value times 10^-0.1. Bounds that must hold exactly scale by this.
+const double kBinLow = std::pow(10.0, -0.1);
+
+// A server whose event loop holds every non-Hello request for `hold`
+// before executing it.
+ServerOptions holding(std::chrono::microseconds hold) {
+  ServerOptions options;
+  options.before_request = [hold](Opcode op) {
+    if (op != Opcode::Hello) std::this_thread::sleep_for(hold);
+  };
+  return options;
+}
+
+// Point lookups only, one connection, open loop at `qps`.
+RemoteDriveOptions open_loop(std::uint16_t port, double qps,
+                             std::uint64_t ops) {
+  RemoteDriveOptions open;
+  open.host = "127.0.0.1";
+  open.port = port;
+  open.connections = 1;
+  open.workload.seed = 9;
+  open.workload.mix = {1, 0, 0};
+  open.ops_per_thread = ops;
+  open.target_qps = qps;
+  return open;
+}
+
+const serve::QueryTypeReport& point_report(const serve::DriveReport& report) {
+  return report
+      .by_type[static_cast<std::size_t>(serve::QueryType::PointLookup)];
 }
 
 class NetServerTest : public testing::Test {
@@ -226,80 +261,54 @@ TEST_F(NetServerTest, OpenLoopLatencyIsMeasuredFromIntendedSendTime) {
 }
 
 // Below saturation the fixed schedule has slack: intended-send-time
-// latency collapses back to ~service time (no queueing term), and the
-// run's wall clock is the schedule's, not the server's.
+// latency collapses back to the service time (no queueing term), and the
+// run's wall clock is the schedule's, not the server's. Both bounds are
+// set by the schedule, not by the host's speed: the last of 24 sends 25 ms
+// apart is due 575 ms after the first, and a backlog would put at least
+// half the replies past their next send slot, so the median would reach a
+// slot.
 TEST_F(NetServerTest, OpenLoopBelowSaturationPacesTheSchedule) {
-  ServerOptions options;
-  options.before_request = [](Opcode op) {
-    if (op != Opcode::Hello) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  Server server(handle(), options);
+  constexpr double kQps = 40.0;  // 25 ms slots >> 1 ms service: slack
+  constexpr std::uint64_t kOps = 24;
+  Server server(handle(), holding(std::chrono::milliseconds(1)));
   server.start();
-
-  RemoteDriveOptions open;
-  open.host = "127.0.0.1";
-  open.port = server.port();
-  open.connections = 1;
-  open.workload.seed = 9;
-  open.workload.mix = {1, 0, 0};
-  open.ops_per_thread = 60;
-  open.target_qps = 200.0;  // 5ms between sends >> 1ms service: slack
-  const serve::DriveReport report = drive_remote(open);
+  const serve::DriveReport report =
+      drive_remote(open_loop(server.port(), kQps, kOps));
   server.stop();
 
-  ASSERT_EQ(report.total_ops, 60u);
-  // The schedule dictates the wall clock: 60 ops at 200/s = 300ms.
-  EXPECT_GT(report.wall_s, 0.25);
-  EXPECT_LT(report.wall_s, 2.0);
-  const auto& point =
-      report.by_type[static_cast<std::size_t>(serve::QueryType::PointLookup)];
-  // No backlog accumulates, so p99 from intended send times is the
-  // ~1ms service time plus loopback noise — far under the 20ms the
-  // saturated run exceeds.
-  EXPECT_LT(point.p99_us, 20'000.0);
+  ASSERT_EQ(report.total_ops, kOps);
+  const double slot_s = 1.0 / kQps;
+  EXPECT_GE(report.wall_s, static_cast<double>(kOps - 1) * slot_s);
+  EXPECT_LT(point_report(report).p50_us, kBinLow * slot_s * 1e6)
+      << "replies queue behind each other below saturation";
 }
 
 // Replies are timestamped when they arrive: between send slots the
-// driver waits on the socket, not on a sleep to the next slot. At 1,000
-// q/s the slots are 1 ms apart, so a driver that sleeps through the reply
-// reports a p50 near the interval. The bound: the open loop's p50 may
-// exceed the closed loop's (one bare round trip on the same server — tens
-// of microseconds natively, a few hundred under TSan) by less than a
-// quarter of the interval. A sleeping driver misses it on every attempt;
-// the best of three keeps a host busy with other tests from failing a
-// correct one.
+// driver waits on the socket, not on a sleep to the next slot. The server
+// holds every reply for 4 ms, well inside the 50 ms slots, so the
+// recorded latency must track the hold: at least the hold, since no reply
+// leaves before it ends, and under one slot. A driver that sleeps to the
+// next slot reads no reply before it, so every latency but the tail
+// drain's is at least a slot and the median fails the bound on every run;
+// a correct driver fails it only if the host delays the median reply by
+// tens of milliseconds.
 TEST_F(NetServerTest, OpenLoopTimestampsRepliesOnArrival) {
-  Server server(handle(), ServerOptions{});
+  constexpr auto kHold = std::chrono::milliseconds(4);
+  constexpr double kQps = 20.0;
+  constexpr std::uint64_t kOps = 20;
+  Server server(handle(), holding(kHold));
   server.start();
-
-  RemoteDriveOptions closed;
-  closed.host = "127.0.0.1";
-  closed.port = server.port();
-  closed.connections = 1;
-  closed.workload.seed = 9;
-  closed.workload.mix = {1, 0, 0};
-  closed.ops_per_thread = 300;
-  RemoteDriveOptions open = closed;
-  open.target_qps = 1000.0;
-  const auto point_p50_us = [](const serve::DriveReport& report) {
-    EXPECT_EQ(report.total_ops, 300u);
-    return report
-        .by_type[static_cast<std::size_t>(serve::QueryType::PointLookup)]
-        .p50_us;
-  };
-  double best_excess_us = 0.0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const double round_trip_us = point_p50_us(drive_remote(closed));
-    const double excess_us = point_p50_us(drive_remote(open)) - round_trip_us;
-    best_excess_us = attempt == 0 ? excess_us
-                                  : std::min(best_excess_us, excess_us);
-    if (best_excess_us < 250.0) break;
-  }
+  const serve::DriveReport report =
+      drive_remote(open_loop(server.port(), kQps, kOps));
   server.stop();
 
-  EXPECT_LT(best_excess_us, 250.0)
+  ASSERT_EQ(report.total_ops, kOps);
+  const double p50_us = point_report(report).p50_us;
+  const double hold_us =
+      std::chrono::duration<double, std::micro>(kHold).count();
+  EXPECT_GE(p50_us, kBinLow * hold_us)
+      << "recorded latency is shorter than the server's hold";
+  EXPECT_LT(p50_us, kBinLow * 1e6 / kQps)
       << "replies are timestamped at the next send slot, not on arrival";
 }
 

@@ -11,13 +11,17 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/columnar.h"
+#include "scan_columns.h"
 #include "scenario/driver.h"
+#include "serve/query_engine.h"
 #include "store/format.h"
 #include "store/reader.h"
+#include "store/writer.h"
 
 namespace ddos::scenario {
 namespace {
@@ -30,6 +34,53 @@ std::string temp_path(const char* name) {
   return (std::filesystem::path(testing::TempDir()) /
           (std::to_string(::getpid()) + "-" + name))
       .string();
+}
+
+// One edit of a hand-written store copy: row 0 of the u64 column
+// `column` ("dataset.column") becomes `row0`, and the footer key `key`
+// gets `value`. Empty names edit nothing.
+struct StoreEdit {
+  std::string column = {};
+  std::uint64_t row0 = 0;
+  std::string key = {};
+  std::string value = {};
+};
+
+// Writes a copy of the store at `from` through store::Writer, every block
+// and footer key as stored except for `edit`, and returns its path.
+std::string rewrite_store(const std::string& from, const char* name,
+                          const StoreEdit& edit) {
+  const std::string to = temp_path(name);
+  const store::Reader reader(from);
+  store::Writer writer(to);
+  for (const store::ColumnDesc& desc : reader.columns()) {
+    if (desc.dataset + "." + desc.column == edit.column) {
+      std::vector<std::uint64_t> values =
+          store::testing_columns::u64s(reader, desc.dataset, desc.column);
+      values.at(0) = edit.row0;
+      writer.add_u64(desc.dataset, desc.column, values, desc.encoding);
+    } else {
+      writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                         desc.rows, std::string(reader.verified_payload(desc)));
+    }
+  }
+  for (const auto& [key, value] : reader.meta()) {
+    writer.add_meta(key, key == edit.key ? edit.value : value);
+  }
+  writer.finish();
+  return to;
+}
+
+// `load` throws store::StoreError whose message contains `needle`.
+void expect_refused(const std::function<void()>& load,
+                    const std::string& needle) {
+  try {
+    load();
+    ADD_FAILURE() << "loaded; expected a StoreError naming " << needle;
+  } catch (const store::StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
 }
 
 void expect_stats_equal(const util::RunningStats& a,
@@ -230,6 +281,145 @@ TEST_F(StorePipelineTest, FooterKeysInSaveRunOrder) {
   for (const auto& [key, value] : reader.meta()) keys.push_back(key);
   EXPECT_EQ(keys, expected);
   EXPECT_EQ(reader.meta_value("format.tool"), "ddosrepro");
+}
+
+// The same pin for the blocks: stores already on disk are read by these
+// names, types and encodings, and both store writers walk one column list
+// per dataset, so comparing their outputs cannot catch an edit to a list.
+TEST_F(StorePipelineTest, BlocksInSaveRunOrder) {
+  const std::vector<std::string> expected = {
+      "feed.window u64 delta",
+      "feed.victim u64 varint",
+      "feed.slash16 u64 varint",
+      "feed.protocol u8 fixed",
+      "feed.first_port u64 varint",
+      "feed.unique_ports u64 varint",
+      "feed.max_ppm f64 fixed",
+      "feed.packets u64 varint",
+      "daily.key u64 delta",
+      "daily.measured u64 varint",
+      "daily.ok u64 varint",
+      "daily.timeout u64 varint",
+      "daily.servfail u64 varint",
+      "daily.rtt_n u64 varint",
+      "daily.rtt_sum f64 fixed",
+      "daily.rtt_m f64 fixed",
+      "daily.rtt_m2 f64 fixed",
+      "daily.rtt_min f64 fixed",
+      "daily.rtt_max f64 fixed",
+      "window.key u64 delta",
+      "window.measured u64 varint",
+      "window.ok u64 varint",
+      "window.timeout u64 varint",
+      "window.servfail u64 varint",
+      "window.rtt_n u64 varint",
+      "window.rtt_sum f64 fixed",
+      "window.rtt_m f64 fixed",
+      "window.rtt_m2 f64 fixed",
+      "window.rtt_min f64 fixed",
+      "window.rtt_max f64 fixed",
+      "ns_seen.day u64 delta",
+      "ns_seen.ip u64 delta",
+      "events.victim u64 varint",
+      "events.start_window u64 delta",
+      "events.end_window u64 delta",
+      "events.max_ppm f64 fixed",
+      "events.total_packets u64 varint",
+      "events.max_slash16 u64 varint",
+      "events.protocol u8 fixed",
+      "events.first_port u64 varint",
+      "events.max_unique_ports u64 varint",
+      "events.nsset u64 varint",
+      "events.domains_hosted u64 varint",
+      "events.domains_measured u64 varint",
+      "events.baseline_rtt_ms f64 fixed",
+      "events.peak_impact f64 fixed",
+      "events.mean_impact f64 fixed",
+      "events.ok u64 varint",
+      "events.timeouts u64 varint",
+      "events.servfails u64 varint",
+      "events.failure_rate f64 fixed",
+      "events.anycast_class u8 fixed",
+      "events.distinct_asns u64 varint",
+      "events.distinct_slash24 u64 varint",
+      "events.nameserver_count u64 varint",
+      "events.asn u64 varint",
+      "events.org str string",
+  };
+  const auto encoding_name = [](store::Encoding e) {
+    switch (e) {
+      case store::Encoding::DeltaVarint: return "delta";
+      case store::Encoding::Varint: return "varint";
+      case store::Encoding::Fixed: return "fixed";
+      case store::Encoding::StringBlock: return "string";
+    }
+    return "?";
+  };
+  const store::Reader reader(*path_);
+  std::vector<std::string> blocks;
+  for (const store::ColumnDesc& desc : reader.columns()) {
+    blocks.push_back(desc.dataset + "." + desc.column + " " +
+                     store::to_string(desc.type) + " " +
+                     encoding_name(desc.encoding));
+  }
+  EXPECT_EQ(blocks, expected);
+}
+
+// A column value wider than its row field is refused with the column's
+// name, never loaded truncated: the u16 ports, the u32 counts and the
+// u32 victim address.
+TEST_F(StorePipelineTest, NarrowingColumnValuesAreRefused) {
+  const std::string wide_port = rewrite_store(
+      *path_, "wide-port.drs", {.column = "feed.first_port", .row0 = 65536});
+  expect_refused([&] { load_run(wide_port); }, "feed.first_port");
+
+  const std::string wide_count =
+      rewrite_store(*path_, "wide-count.drs",
+                    {.column = "daily.measured", .row0 = 1ULL << 32});
+  expect_refused([&] { load_run(wide_count); }, "daily.measured");
+  expect_refused([&] { serve::load_engine(wide_count); }, "daily.measured");
+
+  const std::string wide_victim = rewrite_store(
+      *path_, "wide-victim.drs", {.column = "feed.victim", .row0 = 1ULL << 32});
+  expect_refused([&] { load_run(wide_victim); }, "feed.victim");
+  expect_refused([&] { serve::load_engine(wide_victim); }, "feed.victim");
+
+  // The untouched copy loads: only the edited value is refused.
+  const std::string copy = rewrite_store(*path_, "copy.drs", {});
+  EXPECT_EQ(load_run(copy).feed.records(), loaded_->feed.records());
+  for (const std::string& p : {wide_port, wide_count, wide_victim, copy}) {
+    std::filesystem::remove(p);
+  }
+}
+
+// Signed provenance is read signed: a negative gap tolerance round-trips.
+TEST_F(StorePipelineTest, NegativeGapRoundTrips) {
+  LongitudinalConfig cfg = default_longitudinal_config();
+  cfg.inference.max_gap_windows = -1;
+  const std::string path = temp_path("negative-gap.drs");
+  save_run(path, cfg, /*threads=*/1, LongitudinalResult{});
+  const StoredRun run = load_run(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(run.config.inference.max_gap_windows, -1);
+}
+
+// A footer value outside its field's type is refused with the key's name,
+// never narrowed: a u32 field past 2^32 - 1, an int field past INT_MAX, a
+// bool other than 0 or 1, and a negative value in an unsigned field.
+TEST_F(StorePipelineTest, OutOfRangeProvenanceIsRefused) {
+  const std::vector<StoreEdit> edits = {
+      {.key = "inference.min_distinct_slash16", .value = "4294967296"},
+      {.key = "inference.max_gap_windows", .value = "2147483648"},
+      {.key = "join.match_slash24", .value = "2"},
+      {.key = "world.domain_count", .value = "-1"},
+  };
+  for (const StoreEdit& edit : edits) {
+    const std::string path =
+        rewrite_store(*path_, "wide-provenance.drs", edit);
+    expect_refused([&] { load_run(path); }, edit.key);
+    expect_refused([&] { analyze_store(path); }, edit.key);
+    std::filesystem::remove(path);
+  }
 }
 
 TEST_F(StorePipelineTest, FeedRecordsRoundTripBitForBit) {
