@@ -77,7 +77,7 @@ void Client::close() {
 }
 
 HelloResult Client::hello(std::uint32_t request_id) {
-  encode_hello(request_id, tx_buf_);
+  encode(request_id, HelloRequest{}, tx_buf_);
   flush();
   const Answer& answer = recv();
   if (answer.opcode == Opcode::Error) {
@@ -93,14 +93,15 @@ HelloResult Client::hello(std::uint32_t request_id) {
 void Client::queue_op(const serve::Op& op, std::uint32_t request_id) {
   switch (op.type) {
     case serve::QueryType::PointLookup:
-      encode_point_lookup(request_id, op.key_index, tx_buf_);
+      encode(request_id, PointLookupRequest{op.key_index}, tx_buf_);
       break;
     case serve::QueryType::TopK:
-      encode_top_k(request_id, static_cast<serve::TopKMetric>(op.metric),
-                   op.k, tx_buf_);
+      encode(request_id,
+             TopKRequest{static_cast<serve::TopKMetric>(op.metric), op.k},
+             tx_buf_);
       break;
     case serve::QueryType::WindowScan:
-      encode_window_scan(request_id, op.day_lo, op.day_hi, tx_buf_);
+      encode(request_id, WindowScanRequest{op.day_lo, op.day_hi}, tx_buf_);
       break;
   }
 }
@@ -169,45 +170,16 @@ void Client::decode_into_answer(const Frame& frame) {
   answer_ = Answer{};
   answer_.opcode = frame.opcode;
   answer_.request_id = frame.request_id;
-  bool ok = false;
-  switch (frame.opcode) {
-    case Opcode::HelloOk:
-      if (auto hello = decode_hello_ok(frame)) {
-        answer_.hello = *hello;
-        ok = true;
-      }
-      break;
-    case Opcode::PointOk:
-      if (auto point = decode_point_ok(frame)) {
-        answer_.point = *point;
-        ok = true;
-      }
-      break;
-    case Opcode::TopKOk:
-      if (decode_top_k_ok(frame, rows_)) {
-        answer_.rows = &rows_;
-        ok = true;
-      }
-      break;
-    case Opcode::ScanOk:
-      if (auto scan = decode_scan_ok(frame)) {
-        answer_.scan = *scan;
-        ok = true;
-      }
-      break;
-    case Opcode::Error:
-      if (auto error = decode_error(frame)) {
-        answer_.error = *error;
-        ok = true;
-      }
-      break;
-    default:
-      break;  // request opcode from a server: nonsense
-  }
+  // Each decode declines another opcode's frame, so at most one accepts;
+  // none does for a request opcode or a malformed body.
+  const bool ok = decode(frame, answer_.hello) ||
+                  decode(frame, answer_.point) || decode(frame, rows_) ||
+                  decode(frame, answer_.scan) || decode(frame, answer_.error);
   if (!ok) {
     throw std::runtime_error("net::Client: bad response body for opcode " +
                              std::string(to_string(frame.opcode)));
   }
+  if (frame.opcode == Opcode::TopKOk) answer_.rows = &rows_.rows;
 }
 
 const Answer& Client::recv() {

@@ -40,7 +40,7 @@ struct Answer {
   HelloResult hello;
   WirePointResult point;
   const std::vector<serve::TopEntry>* rows = nullptr;  // TopKOk
-  serve::WindowScanResult scan;
+  WireScanResult scan;
   WireError error;
 };
 
@@ -88,7 +88,7 @@ class Client {
   std::vector<std::uint8_t> tx_buf_;
   std::vector<std::uint8_t> rx_buf_;
   std::size_t rx_off_ = 0;
-  std::vector<serve::TopEntry> rows_;
+  TopKRows rows_;
   Answer answer_;
 };
 

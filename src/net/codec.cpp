@@ -1,102 +1,31 @@
 #include "net/codec.h"
 
-#include <bit>
-#include <cstring>
-
 namespace ddos::net {
 
 namespace {
 
-// Byte-level little-endian writers/readers: the format must not depend on
-// host struct layout, and byte stores sidestep alignment entirely.
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+/// Calls f(Body{}) for the request or response body whose opcode is `op`;
+/// false when no body has it.
+template <class F>
+bool visit_message(Opcode op, F&& f) {
+  return Requests::visit(op, f) < Requests::kSize ||
+         Responses::visit(op, f) < Responses::kSize;
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+}  // namespace
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+namespace detail {
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-// Cursor over a frame body; every get_* checks bounds and trips `ok`
-// sticky-false on underrun, so decoders read linearly and test once.
-struct Reader {
-  std::span<const std::uint8_t> buf;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || buf.size() - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint8_t get_u8() {
-    if (!need(1)) return 0;
-    return buf[pos++];
-  }
-  std::uint16_t get_u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = static_cast<std::uint16_t>(buf[pos]) |
-                      static_cast<std::uint16_t>(buf[pos + 1]) << 8;
-    pos += 2;
-    return v;
-  }
-  std::uint32_t get_u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(buf[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t get_u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(buf[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  double get_f64() { return std::bit_cast<double>(get_u64()); }
-  /// Strict decoders require the body fully consumed.
-  bool done() const { return ok && pos == buf.size(); }
-};
-
-// Reserve the 4-byte length slot, write header, return the slot offset.
 std::size_t begin_frame(std::vector<std::uint8_t>& out, Opcode op,
                         std::uint32_t request_id) {
   const std::size_t len_at = out.size();
-  put_u32(out, 0);  // patched by end_frame
-  put_u8(out, kMagic);
-  put_u8(out, kProtocolVersion);
-  put_u8(out, static_cast<std::uint8_t>(op));
-  put_u8(out, 0);  // reserved
-  put_u32(out, request_id);
+  const FieldWriter put{out};
+  put(std::uint32_t{0});  // patched by end_frame
+  put(kMagic);
+  put(kProtocolVersion);
+  put(op);
+  put(std::uint8_t{0});  // reserved
+  put(request_id);
   return len_at;
 }
 
@@ -108,37 +37,12 @@ void end_frame(std::vector<std::uint8_t>& out, std::size_t len_at) {
   }
 }
 
-bool valid_opcode(std::uint8_t op) {
-  switch (static_cast<Opcode>(op)) {
-    case Opcode::Hello:
-    case Opcode::PointLookup:
-    case Opcode::TopK:
-    case Opcode::WindowScan:
-    case Opcode::HelloOk:
-    case Opcode::PointOk:
-    case Opcode::TopKOk:
-    case Opcode::ScanOk:
-    case Opcode::Error:
-      return true;
-  }
-  return false;
-}
-
-}  // namespace
+}  // namespace detail
 
 const char* to_string(Opcode op) {
-  switch (op) {
-    case Opcode::Hello: return "hello";
-    case Opcode::PointLookup: return "point_lookup";
-    case Opcode::TopK: return "top_k";
-    case Opcode::WindowScan: return "window_scan";
-    case Opcode::HelloOk: return "hello_ok";
-    case Opcode::PointOk: return "point_ok";
-    case Opcode::TopKOk: return "top_k_ok";
-    case Opcode::ScanOk: return "scan_ok";
-    case Opcode::Error: return "error";
-  }
-  return "?";
+  const char* name = "?";
+  visit_message(op, [&name](auto body) { name = decltype(body)::kName; });
+  return name;
 }
 
 const char* to_string(DecodeStatus status) {
@@ -156,120 +60,12 @@ const char* to_string(DecodeStatus status) {
   return "?";
 }
 
-void encode_hello(std::uint32_t request_id, std::vector<std::uint8_t>& out) {
-  end_frame(out, begin_frame(out, Opcode::Hello, request_id));
-}
-
-void encode_point_lookup(std::uint32_t request_id, std::uint64_t key_index,
-                         std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::PointLookup, request_id);
-  put_u64(out, key_index);
-  end_frame(out, at);
-}
-
-void encode_top_k(std::uint32_t request_id, serve::TopKMetric metric,
-                  std::uint32_t k, std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::TopK, request_id);
-  put_u8(out, static_cast<std::uint8_t>(metric));
-  put_u8(out, 0);
-  put_u8(out, 0);
-  put_u8(out, 0);
-  put_u32(out, k);
-  end_frame(out, at);
-}
-
-void encode_window_scan(std::uint32_t request_id, netsim::DayIndex day_lo,
-                        netsim::DayIndex day_hi,
-                        std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::WindowScan, request_id);
-  put_i64(out, day_lo);
-  put_i64(out, day_hi);
-  end_frame(out, at);
-}
-
-void encode_hello_ok(std::uint32_t request_id, const HelloResult& result,
-                     std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::HelloOk, request_id);
-  put_u64(out, result.key_count);
-  put_i64(out, result.day_min);
-  put_i64(out, result.day_max);
-  put_u64(out, result.nsset_count);
-  put_u64(out, result.engine_epoch);
-  end_frame(out, at);
-}
-
-void encode_point_ok(std::uint32_t request_id, const WirePointResult& result,
-                     std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::PointOk, request_id);
-  put_u8(out, result.found ? 1 : 0);
-  put_u8(out, 0);
-  put_u8(out, 0);
-  put_u8(out, 0);
-  const serve::NssetSummary& s = result.summary;
-  put_u32(out, s.nsset);
-  put_u32(out, s.events);
-  put_u64(out, s.domains_hosted);
-  put_f64(out, s.peak_impact);
-  put_f64(out, s.max_failure_rate);
-  put_u32(out, s.ok);
-  put_u32(out, s.timeouts);
-  put_u32(out, s.servfails);
-  put_i64(out, s.first_day);
-  put_i64(out, s.last_day);
-  put_u32(out, result.event_count);
-  put_u32(out, result.series_len);
-  end_frame(out, at);
-}
-
-void encode_top_k_ok(std::uint32_t request_id,
-                     std::span<const serve::TopEntry> rows,
-                     std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::TopKOk, request_id);
-  put_u32(out, static_cast<std::uint32_t>(rows.size()));
-  for (const serve::TopEntry& row : rows) {
-    put_u64(out, row.key);
-    put_f64(out, row.value);
-  }
-  end_frame(out, at);
-}
-
-void encode_scan_ok(std::uint32_t request_id,
-                    const serve::WindowScanResult& result,
-                    std::vector<std::uint8_t>& out) {
-  const std::size_t at = begin_frame(out, Opcode::ScanOk, request_id);
-  put_i64(out, result.day_lo);
-  put_i64(out, result.day_hi);
-  put_u64(out, result.events);
-  put_u64(out, result.events_with_failures);
-  put_u64(out, result.timeouts);
-  put_u64(out, result.servfails);
-  put_u64(out, result.impaired_10x);
-  put_u64(out, result.severe_100x);
-  put_f64(out, result.max_peak_impact);
-  end_frame(out, at);
-}
-
-void encode_error(std::uint32_t request_id, ErrorCode code,
-                  std::string_view message, std::vector<std::uint8_t>& out) {
-  // Clamp the message so an error can never itself exceed the frame cap.
-  const std::size_t max_msg = 512;
-  if (message.size() > max_msg) message = message.substr(0, max_msg);
-  const std::size_t at = begin_frame(out, Opcode::Error, request_id);
-  put_u16(out, static_cast<std::uint16_t>(code));
-  put_u16(out, static_cast<std::uint16_t>(message.size()));
-  out.insert(out.end(), message.begin(), message.end());
-  end_frame(out, at);
-}
-
 DecodeStatus decode_frame(std::span<const std::uint8_t> buf, Frame& frame,
                           std::size_t& consumed) {
   consumed = 0;
   if (buf.size() < 4) return DecodeStatus::NeedMore;
   std::uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<std::uint32_t>(buf[static_cast<std::size_t>(i)])
-                   << (8 * i);
-  }
+  detail::FieldReader{buf}(payload_len);
   // The length is validated BEFORE waiting for the bytes: an oversized
   // announcement is rejected immediately, so a hostile peer cannot make
   // the server buffer toward a 4 GiB frame that will never be accepted.
@@ -283,145 +79,15 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf, Frame& frame,
   const std::span<const std::uint8_t> payload = buf.subspan(4, payload_len);
   if (payload[0] != kMagic) return DecodeStatus::BadMagic;
   if (payload[1] != kProtocolVersion) return DecodeStatus::BadVersion;
-  if (!valid_opcode(payload[2])) return DecodeStatus::BadOpcode;
+  const auto opcode = static_cast<Opcode>(payload[2]);
+  if (!visit_message(opcode, [](auto) {})) return DecodeStatus::BadOpcode;
   if (payload[3] != 0) return DecodeStatus::BadReserved;
 
-  frame.opcode = static_cast<Opcode>(payload[2]);
-  frame.request_id = 0;
-  for (int i = 0; i < 4; ++i) {
-    frame.request_id |=
-        static_cast<std::uint32_t>(payload[4 + static_cast<std::size_t>(i)])
-        << (8 * i);
-  }
+  frame.opcode = opcode;
+  detail::FieldReader{payload.subspan(4)}(frame.request_id);
   frame.body = payload.subspan(kHeaderBytes);
   consumed = 4 + static_cast<std::size_t>(payload_len);
   return DecodeStatus::Ok;
-}
-
-std::optional<std::uint64_t> decode_point_lookup(const Frame& frame) {
-  if (frame.opcode != Opcode::PointLookup) return std::nullopt;
-  Reader r{frame.body};
-  const std::uint64_t key_index = r.get_u64();
-  if (!r.done()) return std::nullopt;
-  return key_index;
-}
-
-std::optional<TopKRequest> decode_top_k(const Frame& frame) {
-  if (frame.opcode != Opcode::TopK) return std::nullopt;
-  Reader r{frame.body};
-  TopKRequest req;
-  const std::uint8_t metric = r.get_u8();
-  if (metric > static_cast<std::uint8_t>(serve::TopKMetric::FailureRate)) {
-    return std::nullopt;
-  }
-  req.metric = static_cast<serve::TopKMetric>(metric);
-  if (r.get_u8() != 0 || r.get_u8() != 0 || r.get_u8() != 0) {
-    return std::nullopt;
-  }
-  req.k = r.get_u32();
-  if (!r.done()) return std::nullopt;
-  return req;
-}
-
-std::optional<WindowScanRequest> decode_window_scan(const Frame& frame) {
-  if (frame.opcode != Opcode::WindowScan) return std::nullopt;
-  Reader r{frame.body};
-  WindowScanRequest req;
-  req.day_lo = r.get_i64();
-  req.day_hi = r.get_i64();
-  if (!r.done()) return std::nullopt;
-  return req;
-}
-
-std::optional<HelloResult> decode_hello_ok(const Frame& frame) {
-  if (frame.opcode != Opcode::HelloOk) return std::nullopt;
-  Reader r{frame.body};
-  HelloResult res;
-  res.key_count = r.get_u64();
-  res.day_min = r.get_i64();
-  res.day_max = r.get_i64();
-  res.nsset_count = r.get_u64();
-  res.engine_epoch = r.get_u64();
-  if (!r.done()) return std::nullopt;
-  return res;
-}
-
-std::optional<WirePointResult> decode_point_ok(const Frame& frame) {
-  if (frame.opcode != Opcode::PointOk) return std::nullopt;
-  Reader r{frame.body};
-  WirePointResult res;
-  const std::uint8_t found = r.get_u8();
-  if (found > 1) return std::nullopt;
-  res.found = found == 1;
-  if (r.get_u8() != 0 || r.get_u8() != 0 || r.get_u8() != 0) {
-    return std::nullopt;
-  }
-  serve::NssetSummary& s = res.summary;
-  s.nsset = r.get_u32();
-  s.events = r.get_u32();
-  s.domains_hosted = r.get_u64();
-  s.peak_impact = r.get_f64();
-  s.max_failure_rate = r.get_f64();
-  s.ok = r.get_u32();
-  s.timeouts = r.get_u32();
-  s.servfails = r.get_u32();
-  s.first_day = r.get_i64();
-  s.last_day = r.get_i64();
-  res.event_count = r.get_u32();
-  res.series_len = r.get_u32();
-  if (!r.done()) return std::nullopt;
-  return res;
-}
-
-bool decode_top_k_ok(const Frame& frame, std::vector<serve::TopEntry>& rows) {
-  rows.clear();
-  if (frame.opcode != Opcode::TopKOk) return false;
-  Reader r{frame.body};
-  const std::uint32_t n = r.get_u32();
-  if (!r.ok) return false;
-  // The row count must match the remaining bytes exactly.
-  if (frame.body.size() - r.pos != static_cast<std::size_t>(n) * 16) {
-    return false;
-  }
-  rows.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    serve::TopEntry e;
-    e.key = r.get_u64();
-    e.value = r.get_f64();
-    rows.push_back(e);
-  }
-  return r.done();
-}
-
-std::optional<serve::WindowScanResult> decode_scan_ok(const Frame& frame) {
-  if (frame.opcode != Opcode::ScanOk) return std::nullopt;
-  Reader r{frame.body};
-  serve::WindowScanResult res;
-  res.day_lo = r.get_i64();
-  res.day_hi = r.get_i64();
-  res.events = r.get_u64();
-  res.events_with_failures = r.get_u64();
-  res.timeouts = r.get_u64();
-  res.servfails = r.get_u64();
-  res.impaired_10x = r.get_u64();
-  res.severe_100x = r.get_u64();
-  res.max_peak_impact = r.get_f64();
-  if (!r.done()) return std::nullopt;
-  return res;
-}
-
-std::optional<WireError> decode_error(const Frame& frame) {
-  if (frame.opcode != Opcode::Error) return std::nullopt;
-  Reader r{frame.body};
-  WireError err;
-  const std::uint16_t code = r.get_u16();
-  if (code < 1 || code > 3) return std::nullopt;
-  err.code = static_cast<ErrorCode>(code);
-  const std::uint16_t len = r.get_u16();
-  if (!r.ok || frame.body.size() - r.pos != len) return std::nullopt;
-  err.message.assign(reinterpret_cast<const char*>(frame.body.data()) + r.pos,
-                     len);
-  return err;
 }
 
 }  // namespace ddos::net

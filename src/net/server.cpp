@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -31,24 +32,68 @@ constexpr std::size_t kRequestUsBins = 100;
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-const char* op_label(Opcode op) {
-  switch (op) {
-    case Opcode::Hello: return "hello";
-    case Opcode::PointLookup: return "point";
-    case Opcode::TopK: return "topk";
-    case Opcode::WindowScan: return "scan";
-    default: return "?";
-  }
+/// net.request_us{op=...} label of each body in Requests, in list order.
+constexpr std::array<const char*, Requests::kSize> kRequestLabels = {
+    "hello", "point", "topk", "scan"};
+
+// One answer per request body: append the response frame to `out`.
+
+void answer(const HelloRequest&, std::uint32_t id, const EngineHandle& engine,
+            std::vector<std::uint8_t>& out) {
+  const serve::QueryEngine& q = engine.engine();
+  HelloResult hello;
+  hello.key_count = q.keys().size();
+  hello.day_min = q.day_min();
+  hello.day_max = q.day_max();
+  hello.nsset_count = q.nsset_count();
+  hello.engine_epoch = engine.epoch();
+  encode(id, hello, out);
 }
 
-/// hello/point/topk/scan -> 0..3 for the per-op histogram array.
-std::size_t op_slot(Opcode op) {
-  switch (op) {
-    case Opcode::Hello: return 0;
-    case Opcode::PointLookup: return 1;
-    case Opcode::TopK: return 2;
-    default: return 3;
+void answer(const PointLookupRequest& req, std::uint32_t id,
+            const EngineHandle& engine, std::vector<std::uint8_t>& out) {
+  const serve::QueryEngine& q = engine.engine();
+  if (req.key_index >= q.keys().size()) {
+    encode(id,
+           WireError{ErrorCode::BadRequest,
+                     "key_index " + std::to_string(req.key_index) +
+                         " out of range (key universe " +
+                         std::to_string(q.keys().size()) + ")"},
+           out);
+    return;
   }
+  const serve::PointResult r = q.point_lookup(q.keys()[req.key_index]);
+  WirePointResult wire;
+  wire.found = r.found;
+  wire.summary = r.summary;
+  wire.event_count = static_cast<std::uint32_t>(r.event_indices.size());
+  wire.series_len = static_cast<std::uint32_t>(r.series.size());
+  encode(id, wire, out);
+}
+
+void answer(const TopKRequest& req, std::uint32_t id,
+            const EngineHandle& engine, std::vector<std::uint8_t>& out) {
+  // Cap k so one request cannot demand a response larger than a frame
+  // can carry (the engine clamps to its universe too).
+  if (req.k > kMaxTopKRows) {
+    encode(id,
+           WireError{ErrorCode::BadRequest,
+                     "k " + std::to_string(req.k) + " exceeds frame cap " +
+                         std::to_string(kMaxTopKRows)},
+           out);
+    return;
+  }
+  // answer() only ever runs on the owning loop's thread, so one scratch
+  // body per thread is as shared-nothing as one per loop.
+  static thread_local TopKRows scratch;
+  engine.engine().top_k(req.metric, req.k, scratch.rows);
+  encode(id, scratch, out);
+}
+
+void answer(const WindowScanRequest& req, std::uint32_t id,
+            const EngineHandle& engine, std::vector<std::uint8_t>& out) {
+  const serve::QueryEngine& q = engine.engine();
+  encode(id, WireScanResult{q.window_scan(req.day_lo, req.day_hi)}, out);
 }
 
 }  // namespace
@@ -141,11 +186,10 @@ void Server::start() {
     m_swaps_ = &metrics.counter("net.engine_swaps");
     m_open_ = &metrics.gauge("net.connections_open");
     m_queue_depth_ = &metrics.gauge("net.queue_depth_bytes");
-    for (const Opcode op : {Opcode::Hello, Opcode::PointLookup, Opcode::TopK,
-                            Opcode::WindowScan}) {
-      m_request_us_[op_slot(op)] = &metrics.histogram(
+    for (std::size_t i = 0; i < Requests::kSize; ++i) {
+      m_request_us_[i] = &metrics.histogram(
           "net.request_us", kRequestUsBase, kRequestUsDecadesPerBin,
-          kRequestUsBins, {{"op", op_label(op)}});
+          kRequestUsBins, {{"op", kRequestLabels[i]}});
     }
     progress_.emplace(&o->progress_sources(), "net.requests", [this] {
       return requests_.load(std::memory_order_relaxed);
@@ -372,8 +416,8 @@ bool Server::drain_frames(Connection& conn, const EngineHandle& engine) {
       const std::size_t before = conn.write_buf.size();
       // Best-effort goodbye; the header may be garbage so id 0 is all we
       // can echo.
-      encode_error(0, ErrorCode::Malformed, to_string(status),
-                   conn.write_buf);
+      encode(0, WireError{ErrorCode::Malformed, to_string(status)},
+             conn.write_buf);
       note_tx_queued(
           static_cast<std::int64_t>(conn.write_buf.size() - before));
       return false;
@@ -397,102 +441,32 @@ void Server::handle_frame(Connection& conn, const Frame& frame,
   if (options_.before_request) options_.before_request(frame.opcode);
   const std::size_t before = conn.write_buf.size();
   const Clock::time_point t0 = Clock::now();
-  const serve::QueryEngine& q = engine.engine();
-
-  switch (frame.opcode) {
-    case Opcode::Hello: {
-      if (!frame.body.empty()) {
-        encode_error(frame.request_id, ErrorCode::Malformed,
-                     "hello takes no body", conn.write_buf);
-        break;
-      }
-      HelloResult hello;
-      hello.key_count = q.keys().size();
-      hello.day_min = q.day_min();
-      hello.day_max = q.day_max();
-      hello.nsset_count = q.nsset_count();
-      hello.engine_epoch = engine.epoch();
-      encode_hello_ok(frame.request_id, hello, conn.write_buf);
-      break;
-    }
-    case Opcode::PointLookup: {
-      const std::optional<std::uint64_t> key_index =
-          decode_point_lookup(frame);
-      if (!key_index) {
-        encode_error(frame.request_id, ErrorCode::Malformed,
-                     "bad point_lookup body", conn.write_buf);
-        break;
-      }
-      if (*key_index >= q.keys().size()) {
-        encode_error(frame.request_id, ErrorCode::BadRequest,
-                     "key_index " + std::to_string(*key_index) +
-                         " out of range (key universe " +
-                         std::to_string(q.keys().size()) + ")",
-                     conn.write_buf);
-        break;
-      }
-      const serve::PointResult r = q.point_lookup(q.keys()[*key_index]);
-      WirePointResult wire;
-      wire.found = r.found;
-      wire.summary = r.summary;
-      wire.event_count = static_cast<std::uint32_t>(r.event_indices.size());
-      wire.series_len = static_cast<std::uint32_t>(r.series.size());
-      encode_point_ok(frame.request_id, wire, conn.write_buf);
-      break;
-    }
-    case Opcode::TopK: {
-      const std::optional<TopKRequest> req = decode_top_k(frame);
-      if (!req) {
-        encode_error(frame.request_id, ErrorCode::Malformed,
-                     "bad top_k body", conn.write_buf);
-        break;
-      }
-      // Cap k so one request cannot demand a response larger than a frame
-      // can carry (16 bytes/row; the engine clamps to its universe too).
-      const std::uint32_t max_k =
-          static_cast<std::uint32_t>((kMaxFrameBytes - kHeaderBytes - 4) / 16);
-      if (req->k > max_k) {
-        encode_error(frame.request_id, ErrorCode::BadRequest,
-                     "k " + std::to_string(req->k) + " exceeds frame cap " +
-                         std::to_string(max_k),
-                     conn.write_buf);
-        break;
-      }
-      // handle_frame only ever runs on the owning loop's thread, so one
-      // scratch vector per thread is as shared-nothing as one per loop.
-      static thread_local std::vector<serve::TopEntry> scratch;
-      const std::size_t n = q.top_k(req->metric, req->k, scratch);
-      encode_top_k_ok(frame.request_id,
-                      std::span<const serve::TopEntry>(scratch.data(), n),
-                      conn.write_buf);
-      break;
-    }
-    case Opcode::WindowScan: {
-      const std::optional<WindowScanRequest> req = decode_window_scan(frame);
-      if (!req) {
-        encode_error(frame.request_id, ErrorCode::Malformed,
-                     "bad window_scan body", conn.write_buf);
-        break;
-      }
-      const serve::WindowScanResult r = q.window_scan(req->day_lo,
-                                                      req->day_hi);
-      encode_scan_ok(frame.request_id, r, conn.write_buf);
-      break;
-    }
-    default:
-      // decode_frame only admits request opcodes from valid_opcode, but a
-      // client sending a *response* opcode lands here.
-      encode_error(frame.request_id, ErrorCode::BadRequest,
-                   "not a request opcode", conn.write_buf);
-      break;
+  const std::size_t slot =
+      Requests::visit(frame.opcode, [&]<class Body>(Body request) {
+        if (decode(frame, request)) {
+          answer(request, frame.request_id, engine, conn.write_buf);
+        } else {
+          encode(frame.request_id,
+                 WireError{ErrorCode::Malformed,
+                           std::string("bad ") + Body::kName + " body"},
+                 conn.write_buf);
+        }
+      });
+  if (slot == Requests::kSize) {
+    // decode_frame admits every listed opcode, so a client sending a
+    // *response* opcode lands here.
+    encode(frame.request_id,
+           WireError{ErrorCode::BadRequest, "not a request opcode"},
+           conn.write_buf);
   }
 
   const double us = std::chrono::duration<double, std::micro>(
                         Clock::now() - t0).count();
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (m_requests_ != nullptr) m_requests_->inc();
-  if (obs::HistogramMetric* h = m_request_us_[op_slot(frame.opcode)]) {
-    h->observe(us);
+  // Only requests are timed: a rejected response opcode has no op label.
+  if (slot < Requests::kSize && m_request_us_[slot] != nullptr) {
+    m_request_us_[slot]->observe(us);
   }
   note_tx_queued(static_cast<std::int64_t>(conn.write_buf.size() - before));
 }

@@ -184,7 +184,7 @@ class Server {
   obs::Counter* m_swaps_ = nullptr;
   obs::Gauge* m_open_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;
-  std::array<obs::HistogramMetric*, 4> m_request_us_{};  // hello/point/topk/scan
+  std::array<obs::HistogramMetric*, Requests::kSize> m_request_us_{};
   std::optional<obs::ScopedProgressSource> progress_;
 };
 

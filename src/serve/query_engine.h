@@ -59,8 +59,8 @@
 
 namespace ddos::serve {
 
-/// Leaderboard choice for TopK queries.
-enum class TopKMetric {
+/// Leaderboard choice for TopK queries (one byte on the wire).
+enum class TopKMetric : std::uint8_t {
   Attacks,      // telescope attack events per victim IP (cf. Table 5)
   PeakImpact,   // max Impact_on_RTT per NSSet (cf. Table 6)
   FailureRate,  // max joined-event failure rate per NSSet

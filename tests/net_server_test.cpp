@@ -37,6 +37,7 @@
 #include "net/codec.h"
 #include "net/remote.h"
 #include "net/server.h"
+#include "obs/obs.h"
 #include "scenario/driver.h"
 #include "serve/driver.h"
 #include "serve/query_engine.h"
@@ -565,7 +566,7 @@ TEST_F(NetServerTest, MalformedFrameGetsOneErrorFrameThenClose) {
   const int fd = raw_connect(server.port());
 
   std::vector<std::uint8_t> wire;
-  encode_hello(1, wire);
+  encode(1, HelloRequest{}, wire);
   wire[4] = 0x00;  // corrupt the magic byte
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
             static_cast<ssize_t>(wire.size()));
@@ -578,9 +579,9 @@ TEST_F(NetServerTest, MalformedFrameGetsOneErrorFrameThenClose) {
   ASSERT_EQ(decode_frame(reply, frame, consumed), DecodeStatus::Ok);
   EXPECT_EQ(frame.opcode, Opcode::Error);
   EXPECT_EQ(frame.request_id, 0u);  // header was garbage; id 0 goodbye
-  const std::optional<WireError> error = decode_error(frame);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->code, ErrorCode::Malformed);
+  WireError error;
+  ASSERT_TRUE(decode(frame, error));
+  EXPECT_EQ(error.code, ErrorCode::Malformed);
   EXPECT_EQ(consumed, reply.size());  // exactly one frame, nothing after
 
   server.stop();
@@ -611,9 +612,9 @@ TEST_F(NetServerTest, OversizedLengthPrefixClosesWithoutBuffering) {
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(reply, frame, consumed), DecodeStatus::Ok);
   EXPECT_EQ(frame.opcode, Opcode::Error);
-  const std::optional<WireError> error = decode_error(frame);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->code, ErrorCode::Malformed);
+  WireError error;
+  ASSERT_TRUE(decode(frame, error));
+  EXPECT_EQ(error.code, ErrorCode::Malformed);
 
   server.stop();
   EXPECT_EQ(server.stats().malformed_frames, 1u);
@@ -645,6 +646,99 @@ TEST_F(NetServerTest, BadRequestAnswersErrorAndKeepsConnection) {
   server.stop();
   EXPECT_EQ(server.stats().malformed_frames, 0u);
   EXPECT_EQ(server.stats().connections_accepted, 1u);
+}
+
+/// Read until `n` whole frames have arrived (or the peer closes); returns
+/// the bytes received.
+std::vector<std::uint8_t> read_frames(int fd, std::size_t n) {
+  std::vector<std::uint8_t> all;
+  for (;;) {
+    std::span<const std::uint8_t> rest(all);
+    std::size_t got = 0;
+    Frame frame;
+    std::size_t consumed = 0;
+    while (decode_frame(rest, frame, consumed) == DecodeStatus::Ok) {
+      rest = rest.subspan(consumed);
+      ++got;
+    }
+    if (got >= n) return all;
+    std::uint8_t chunk[4096];
+    const ssize_t r = ::read(fd, chunk, sizeof(chunk));
+    if (r <= 0) return all;
+    all.insert(all.end(), chunk, chunk + r);
+  }
+}
+
+/// Total of the net.request_us histogram labelled op=`op`.
+double request_us_count(const obs::Observer& observer, const char* op) {
+  for (const obs::MetricSample& s : observer.metrics().snapshot().samples) {
+    if (s.name == "net.request_us" && s.labels.at("op") == op) return s.value;
+  }
+  ADD_FAILURE() << "no net.request_us{op=" << op << "}";
+  return -1.0;
+}
+
+// The reject branches that keep the connection open, in one pipelined
+// burst: a Hello with a body is Malformed, a k past the frame's row cap
+// and a response opcode are BadRequest, and each is answered under its
+// own request id before the closing Hello is served. A frame that is no
+// request is charged to no request's service-time histogram.
+TEST_F(NetServerTest, RejectedRequestsKeepTheConnectionOpen) {
+  obs::Observer observer;
+  const obs::ScopedInstall install(observer);
+  Server server(handle(), ServerOptions{});
+  server.start();
+  const int fd = raw_connect(server.port());
+
+  const auto max_k = static_cast<std::uint32_t>(kMaxTopKRows);
+  std::vector<std::uint8_t> wire;
+  encode(1, HelloRequest{}, wire);
+  wire.push_back(0);  // a Hello takes no body
+  ++wire[0];          // ... so lengthen the frame by that byte
+  encode(2, TopKRequest{serve::TopKMetric::Attacks, max_k}, wire);
+  encode(3, TopKRequest{serve::TopKMetric::Attacks, max_k + 1}, wire);
+  encode(4, WirePointResult{}, wire);
+  encode(5, HelloRequest{}, wire);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+
+  const std::vector<std::uint8_t> reply = read_frames(fd, 5);
+  ::close(fd);
+  struct Expect {
+    Opcode opcode;
+    ErrorCode code;
+  };
+  const Expect expect[] = {
+      {Opcode::Error, ErrorCode::Malformed},
+      {Opcode::TopKOk, {}},
+      {Opcode::Error, ErrorCode::BadRequest},
+      {Opcode::Error, ErrorCode::BadRequest},
+      {Opcode::HelloOk, {}},
+  };
+  std::span<const std::uint8_t> rest(reply);
+  for (std::uint32_t id = 1; id <= 5; ++id) {
+    Frame frame;
+    std::size_t consumed = 0;
+    ASSERT_EQ(decode_frame(rest, frame, consumed), DecodeStatus::Ok)
+        << "reply " << id;
+    rest = rest.subspan(consumed);
+    EXPECT_EQ(frame.request_id, id);
+    ASSERT_EQ(frame.opcode, expect[id - 1].opcode) << "reply " << id;
+    if (frame.opcode == Opcode::Error) {
+      WireError error;
+      ASSERT_TRUE(decode(frame, error));
+      EXPECT_EQ(error.code, expect[id - 1].code) << "reply " << id;
+    }
+  }
+  EXPECT_TRUE(rest.empty());
+
+  server.stop();
+  EXPECT_EQ(server.stats().malformed_frames, 0u);
+  EXPECT_EQ(request_us_count(observer, "hello"), 2.0);
+  EXPECT_EQ(request_us_count(observer, "point"), 0.0);
+  EXPECT_EQ(request_us_count(observer, "topk"), 2.0);
+  EXPECT_EQ(request_us_count(observer, "scan"), 0.0)
+      << "a rejected response opcode was charged to the WindowScan histogram";
 }
 
 }  // namespace
