@@ -2,7 +2,9 @@
 // (store/scan.h decode_varint_block / decode_delta_varint_block /
 // decode_string_offsets, the store's one decoder): they decode into a
 // pre-sized buffer with a fully unrolled LEB128 inner loop, and strings
-// to SoA offsets instead of per-row std::string copies. Payloads are
+// to SoA offsets instead of per-row std::string copies. Beside them, the
+// structure-only varint check (varint_block_well_formed) that
+// check_all runs on blocks analyze does not decode. Payloads are
 // encoded by the store/epoch.h appenders, the store's one encoder.
 //
 // Inputs are pipeline-shaped, not uniform-random:
@@ -110,6 +112,27 @@ void BM_VarintDecodeUnrolled(benchmark::State& state) {
   set_throughput(state, values.size(), payload.size());
 }
 BENCHMARK(BM_VarintDecodeUnrolled)->Arg(1 << 16)->Arg(1 << 20);
+
+// The structure-only check analyze_store applies to every varint block
+// it does not decode (store/scan.h varint_block_well_formed): no output
+// buffer, so its bytes/s reads against the decode above, store_read_MBps
+// and the memcpy ceiling.
+void BM_VarintCheckStructure(benchmark::State& state) {
+  const auto values =
+      tailed_values(static_cast<std::size_t>(state.range(0)), 1);
+  const std::string payload =
+      encode(store::U64Appender(store::Encoding::Varint), values);
+  if (!store::varint_block_well_formed(payload, values.size())) {
+    state.SkipWithError("structure check refused a well-formed block");
+    return;
+  }
+  for (auto _ : state) {
+    bool ok = store::varint_block_well_formed(payload, values.size());
+    benchmark::DoNotOptimize(ok);
+  }
+  set_throughput(state, values.size(), payload.size());
+}
+BENCHMARK(BM_VarintCheckStructure)->Arg(1 << 16)->Arg(1 << 20);
 
 // ---- delta-varint (sorted keys) -------------------------------------
 

@@ -379,12 +379,14 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
 
   // DRS store round trip at the same world size: write the N-thread
   // result, then read it back three ways —
-  //   * store_read_ns / store_read_MBps: the zero-copy columnar scan
-  //     (mmap Reader + ColumnArena + scan_all + read_event_frame), the
-  //     path `analyze --store` actually takes. Guarded.
-  //   * store_analyze_ns / analyze_vs_run_speedup: the full
-  //     analyze_store pass (scan + every headline kernel) against the
-  //     wall clock of re-simulating. Guarded floor.
+  //   * store_read_ns / store_read_MBps: full-decode read throughput —
+  //     every block of every dataset decoded once through the zero-copy
+  //     columnar scan (mmap Reader + ColumnArena + scan_all +
+  //     read_event_frame). Guarded.
+  //   * store_analyze_ns / analyze_vs_run_speedup: the analyze_store
+  //     pass (every block CRC- and structure-checked, only the events
+  //     dataset decoded, every headline kernel) against the wall clock
+  //     of re-simulating. Guarded floor.
   //   * store_load_ns / store_load_MBps: the row-materializing load_run
   //     (what serve/net use at startup). Informational.
   const char* store_path = "bench_perf_pipeline.drs";
@@ -666,7 +668,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
   report.add_result("sampler_series",
                     static_cast<std::int64_t>(sampler.series().series_count()));
   // analyze --store replaces a full re-simulation with one columnar
-  // analyze pass (mmap scan + every headline kernel, analyze_store).
+  // analyze pass (analyze_store: every block checked, the events
+  // decoded, every headline kernel).
   report.add_result("analyze_vs_run_speedup",
                     store_analyze_ns > 0
                         ? static_cast<double>(total_tn) /

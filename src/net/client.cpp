@@ -29,6 +29,7 @@ Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       tx_buf_(std::move(other.tx_buf_)),
       rx_buf_(std::move(other.rx_buf_)),
+      rx_scratch_(std::move(other.rx_scratch_)),
       rx_off_(std::exchange(other.rx_off_, 0)),
       rows_(std::move(other.rows_)) {}
 
@@ -38,6 +39,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     tx_buf_ = std::move(other.tx_buf_);
     rx_buf_ = std::move(other.rx_buf_);
+    rx_scratch_ = std::move(other.rx_scratch_);
     rx_off_ = std::exchange(other.rx_off_, 0);
     rows_ = std::move(other.rows_);
   }
@@ -122,16 +124,17 @@ void Client::flush() {
 }
 
 bool Client::fill(bool blocking) {
+  // A response is tens of bytes to a few KiB: recv() into a scratch
+  // buffer allocated once per client and append only what arrived.
   constexpr std::size_t kChunk = 64 * 1024;
-  const std::size_t old_size = rx_buf_.size();
-  rx_buf_.resize(old_size + kChunk);
-  const ssize_t n = ::recv(fd_, rx_buf_.data() + old_size, kChunk,
+  if (rx_scratch_.empty()) rx_scratch_.resize(kChunk);
+  const ssize_t n = ::recv(fd_, rx_scratch_.data(), kChunk,
                            blocking ? 0 : MSG_DONTWAIT);
   if (n > 0) {
-    rx_buf_.resize(old_size + static_cast<std::size_t>(n));
+    const std::uint8_t* const got = rx_scratch_.data();
+    rx_buf_.insert(rx_buf_.end(), got, got + n);
     return true;
   }
-  rx_buf_.resize(old_size);
   if (n == 0) {
     throw std::runtime_error("net::Client: connection closed by server");
   }

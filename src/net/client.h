@@ -87,6 +87,7 @@ class Client {
   int fd_ = -1;
   std::vector<std::uint8_t> tx_buf_;
   std::vector<std::uint8_t> rx_buf_;
+  std::vector<std::uint8_t> rx_scratch_;  // fill()'s recv target
   std::size_t rx_off_ = 0;
   TopKRows rows_;
   Answer answer_;

@@ -129,10 +129,17 @@ struct Server::Connection {
   bool closing = false;     // close as soon as write_buf drains
 };
 
+// Bytes one read() may take. A request is tens of bytes, so reads land
+// in a scratch buffer allocated once per loop and only what arrived is
+// appended to the connection's read buffer.
+constexpr std::size_t kReadChunk = 64 * 1024;
+
 struct Server::Loop {
   int epoll_fd = -1;
   int wake_fd = -1;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
+  std::vector<std::uint8_t> read_scratch =
+      std::vector<std::uint8_t>(kReadChunk);
 };
 
 Server::Server(std::shared_ptr<const EngineHandle> engine,
@@ -354,20 +361,18 @@ void Server::accept_ready(Loop& loop) {
 
 void Server::conn_readable(Loop& loop, Connection& conn) {
   bool peer_closed = false;
+  std::uint8_t* const scratch = loop.read_scratch.data();
   for (;;) {
-    constexpr std::size_t kChunk = 64 * 1024;
-    const std::size_t old_size = conn.read_buf.size();
-    conn.read_buf.resize(old_size + kChunk);
-    const ssize_t n = ::read(conn.fd, conn.read_buf.data() + old_size, kChunk);
+    const ssize_t n = ::read(conn.fd, scratch, kReadChunk);
     if (n > 0) {
-      conn.read_buf.resize(old_size + static_cast<std::size_t>(n));
+      conn.read_buf.insert(conn.read_buf.end(), scratch, scratch + n);
       rx_bytes_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
       if (m_rx_bytes_ != nullptr) m_rx_bytes_->inc(static_cast<std::uint64_t>(n));
-      if (static_cast<std::size_t>(n) < kChunk) break;  // drained the socket
+      // A short read drained the socket.
+      if (static_cast<std::size_t>(n) < kReadChunk) break;
       continue;
     }
-    conn.read_buf.resize(old_size);
     if (n == 0) {
       peer_closed = true;
     } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {

@@ -210,10 +210,12 @@ RejoinResult rejoin_from_store(const StoredRun& run);
 //
 // `analyze_store` recomputes the headline §6 statistics straight off the
 // DRS column spans: the file is mapped (or buffered with
-// use_mmap=false), every block decodes exactly once into reusable arena
-// buffers or zero-copy spans, and the kernels fan out over row shards
-// with ordered reduction — no NssetAttackEvent row is ever built. The
-// kernel results are bit-identical to load_run + the row analyses.
+// use_mmap=false), every block is CRC- and structure-checked in place
+// (store::check_all refuses every store a full decode would, with the
+// same error), only the events dataset is decoded into arena buffers or
+// zero-copy spans, and the kernels fan out over row shards with ordered
+// reduction — no NssetAttackEvent row is ever built. The kernel results
+// are bit-identical to load_run + the row analyses.
 
 /// The footer (provenance for the analyze header, stored counts for the
 /// pipeline summary line) plus what the scan computed.
@@ -221,7 +223,7 @@ struct StoreAnalysis : Provenance, store::RunCounts {
   // Scan statistics.
   std::uint64_t file_bytes = 0;
   bool mapped = false;
-  double read_MBps = 0.0;  // full-file columnar scan throughput
+  double read_MBps = 0.0;  // file bytes / (check every block + decode events)
   // Headline kernels (columnar; bit-identical to the row path).
   core::ImpactSummary impact;
   core::FailureSummary failures;

@@ -1,5 +1,6 @@
 #include "store/scan.h"
 
+#include <bit>
 #include <cstring>
 #include <functional>
 #include <mutex>
@@ -74,6 +75,26 @@ void decode_varints(std::string_view payload, std::uint64_t rows,
   if (pos != payload.size()) bad_block("trailing bytes after varint block");
 }
 
+// The string block walk: a varint length then that many bytes, per row.
+// Calls emit(row, start, len) and returns the defect, or nullptr when
+// the rows parse to the block's exact end. Each row takes at least one
+// byte, so a hostile `rows` ends the walk at the payload's end.
+template <typename Emit>
+const char* walk_strings(std::string_view payload, std::uint64_t rows,
+                         Emit&& emit) {
+  std::size_t pos = 0;
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    std::uint64_t len = 0;
+    if (!get_varint(payload, pos, len)) return "truncated string block";
+    // pos <= size here; `pos + len` could wrap for a hostile length.
+    if (len > payload.size() - pos) return "truncated string block";
+    emit(i, pos, len);
+    pos += len;
+  }
+  if (pos != payload.size()) return "trailing bytes after string block";
+  return nullptr;
+}
+
 }  // namespace
 
 std::vector<std::uint64_t>& ColumnArena::u64_slot(std::string_view dataset,
@@ -134,17 +155,51 @@ void decode_string_offsets(std::string_view payload, std::uint64_t rows,
   expect_rows_fit(payload, rows, "truncated string block");
   starts.resize(rows);
   lens.resize(rows);
-  std::size_t pos = 0;
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::uint64_t len = 0;
-    if (!get_varint(payload, pos, len)) bad_block("truncated string block");
-    // pos <= size here; `pos + len` could wrap for a hostile length.
-    if (len > payload.size() - pos) bad_block("truncated string block");
-    starts[i] = pos;
-    lens[i] = len;
-    pos += len;
+  const char* defect =
+      walk_strings(payload, rows,
+                   [&](std::uint64_t i, std::size_t start, std::uint64_t len) {
+                     starts[i] = start;
+                     lens[i] = len;
+                   });
+  if (defect != nullptr) bad_block(defect);
+}
+
+bool varint_block_well_formed(std::string_view payload, std::uint64_t rows) {
+  // Bit 7 of every byte: set on a continuation byte, clear on the last
+  // byte of a varint (a terminator).
+  constexpr std::uint64_t kTopBits = 0x8080808080808080ull;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(payload.data());
+  const std::size_t n = payload.size();
+  // With the last byte a terminator, every varint ends inside the block,
+  // and one is too long when its terminator lies 9+ bytes past its start.
+  if (n != 0 && (p[n - 1] & 0x80u) != 0) return false;
+  std::uint64_t terminators = 0;
+  std::size_t start = 0;  // where the current varint began
+  bool overlong = false;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p + i, 8);  // little-endian load; x86/arm64 targets
+    const std::uint64_t ends = ~word & kTopBits;
+    // One bit per terminator, at bit 7 of its byte: a multiply sums the
+    // eight lanes into the top byte (no popcnt in baseline x86-64).
+    terminators += ((ends >> 7) * 0x0101010101010101ull) >> 56;
+    // The word's first terminator ends the current varint; the next
+    // starts after its last one. A word with none gives first = i + 8,
+    // flagging a varint begun before it, and start = i, which then loses
+    // nothing.
+    const std::size_t first = i + std::countr_zero(ends) / 8;
+    overlong |= first - start >= 9;
+    start = i + 8 - std::countl_zero(ends) / 8;
   }
-  if (pos != payload.size()) bad_block("trailing bytes after string block");
+  for (; i < n; ++i) {
+    if ((p[i] & 0x80u) == 0) {
+      ++terminators;
+      overlong |= i - start >= 9;
+      start = i + 1;
+    }
+  }
+  return !overlong && terminators == rows;
 }
 
 namespace {
@@ -170,12 +225,17 @@ void expect_type(const Reader& reader, const ColumnDesc& desc,
   }
 }
 
-// A Fixed block holds exactly desc.rows values of `width` bytes, checked
+// A Fixed block holds exactly rows values of `width` bytes, checked
 // before any span is formed over it — by division, as rows * width can
 // wrap for a hostile row count.
+bool fixed_size_ok(std::string_view payload, std::uint64_t rows,
+                   std::uint64_t width) {
+  return payload.size() / width == rows && payload.size() % width == 0;
+}
+
 void expect_fixed_size(const Reader& reader, const ColumnDesc& desc,
                        std::string_view payload, std::uint64_t width) {
-  if (payload.size() / width != desc.rows || payload.size() % width != 0)
+  if (!fixed_size_ok(payload, desc.rows, width))
     column_error(reader, desc, "fixed block size does not match row count");
 }
 
@@ -276,23 +336,76 @@ core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena) {
   return f;
 }
 
-std::uint64_t scan_all(const Reader& reader, ColumnArena& arena) {
+namespace {
+
+// Decode one block by its type, as every consumer would.
+void scan_column(const Reader& reader, const ColumnDesc& desc,
+                 ColumnArena& arena) {
+  switch (desc.type) {
+    case ColumnType::U64: scan_u64(reader, desc, arena); return;
+    case ColumnType::F64: scan_f64(reader, desc, arena); return;
+    case ColumnType::U8: scan_u8(reader, desc); return;
+    case ColumnType::Str: scan_strings(reader, desc, arena); return;
+  }
+  column_error(reader, desc, "unknown column type");
+}
+
+// True when `payload` is a block its scan accepts, judged from its
+// structure alone. False is not a verdict: the scan decides.
+bool block_well_formed(const ColumnDesc& desc, std::string_view payload) {
+  switch (desc.type) {
+    case ColumnType::U64:
+      if (desc.encoding == Encoding::Fixed)
+        return fixed_size_ok(payload, desc.rows, 8);
+      return (desc.encoding == Encoding::Varint ||
+              desc.encoding == Encoding::DeltaVarint) &&
+             varint_block_well_formed(payload, desc.rows);
+    case ColumnType::F64: return fixed_size_ok(payload, desc.rows, 8);
+    case ColumnType::U8: return fixed_size_ok(payload, desc.rows, 1);
+    case ColumnType::Str:
+      return walk_strings(payload, desc.rows,
+                          [](std::uint64_t, std::size_t, std::uint64_t) {}) ==
+             nullptr;
+  }
+  return false;
+}
+
+// Run `fn(desc)` for every block across the exec pool; returns the
+// payload bytes of all blocks.
+template <typename Fn>
+std::uint64_t for_each_block(const Reader& reader, Fn fn) {
   std::vector<std::function<void()>> jobs;
   std::uint64_t bytes = 0;
   for (const ColumnDesc& desc : reader.columns()) {
     bytes += desc.size;
-    jobs.push_back([&reader, &desc, &arena] {
-      switch (desc.type) {
-        case ColumnType::U64: scan_u64(reader, desc, arena); return;
-        case ColumnType::F64: scan_f64(reader, desc, arena); return;
-        case ColumnType::U8: scan_u8(reader, desc); return;
-        case ColumnType::Str: scan_strings(reader, desc, arena); return;
-      }
-      column_error(reader, desc, "unknown column type");
-    });
+    jobs.push_back([&fn, &desc] { fn(desc); });
   }
   Reader::parallel_decode(jobs);
   return bytes;
+}
+
+void check_column(const Reader& reader, const ColumnDesc& desc) {
+  const std::string_view payload = reader.verified_payload(desc);
+  if (block_well_formed(desc, payload)) return;
+  // The structure check only ever accepts. The scan is the one authority
+  // on a refusal and its message; a block it accepts (a varint of nine
+  // continuation bytes) decodes here once, into a buffer thrown away.
+  ColumnArena scratch;
+  scan_column(reader, desc, scratch);
+}
+
+}  // namespace
+
+std::uint64_t scan_all(const Reader& reader, ColumnArena& arena) {
+  return for_each_block(reader, [&](const ColumnDesc& desc) {
+    scan_column(reader, desc, arena);
+  });
+}
+
+void check_all(const Reader& reader) {
+  for_each_block(reader, [&](const ColumnDesc& desc) {
+    check_column(reader, desc);
+  });
 }
 
 }  // namespace ddos::store

@@ -19,7 +19,9 @@
 // verifies lazily and exactly once per block, and throws StoreError
 // "<path>: column 'dataset.column': <defect>" on a malformed block. Spans
 // borrow from the Reader and the arena: keep both alive while a frame is
-// in use.
+// in use. check_all refuses the same blocks with the same errors but
+// decodes none it can accept from structure alone, so a reader that
+// needs one dataset (analyze_store) still vets the whole file.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +75,13 @@ void decode_varint_block(std::string_view payload, std::uint64_t rows,
 /// As above plus the zigzag delta prefix-sum (DeltaVarint encoding).
 void decode_delta_varint_block(std::string_view payload, std::uint64_t rows,
                                std::vector<std::uint64_t>& out);
+/// Structure-only check of a varint or delta-varint block, word at a
+/// time, storing no value: `rows` terminator bytes (top bit clear), the
+/// last byte one of them, and no run of nine or more continuation bytes.
+/// True only for a block both decoders above accept; false is no verdict
+/// (a legal 10-byte varint is false too), so a caller that needs one runs
+/// the decoder.
+bool varint_block_well_formed(std::string_view payload, std::uint64_t rows);
 /// String block to SoA offsets: starts[i]/lens[i] slice row i out of
 /// `payload` itself — the string bytes are not copied.
 void decode_string_offsets(std::string_view payload, std::uint64_t rows,
@@ -96,6 +105,15 @@ core::StringColumnView scan_strings(const Reader& reader,
 /// per store/dataset.h's events schema; spans borrow from `reader` and
 /// `arena`.
 core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena);
+
+/// CRC-check every block and apply the rules its scan applies, without
+/// storing a value: fixed blocks by size, varint blocks by
+/// varint_block_well_formed, string blocks by their offset walk. Fanned
+/// out across the exec pool like scan_all, and refuses exactly the stores
+/// scan_all refuses: a block the check cannot accept is scanned into a
+/// throwaway arena, so a malformed block throws the scan's own StoreError
+/// (path and column).
+void check_all(const Reader& reader);
 
 /// Decode every column of every dataset once (one scan per block, fanned
 /// out across the exec pool). Returns the payload bytes touched — the

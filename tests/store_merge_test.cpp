@@ -5,7 +5,8 @@
 // mismatch). Also covers the scan layer's error attribution: decode
 // failures carry the file path and column name, so a multi-shard merge
 // failure identifies the corrupt shard, and one matrix of malformed
-// blocks that pass their CRC fails every store consumer the same way.
+// blocks that pass their CRC fails every store consumer the same way —
+// analyze_store too, in the columns it checks but does not decode.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "netsim/rng.h"
 #include "reference_run.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
@@ -320,7 +322,8 @@ const MalformedBlock kMalformedBlocks[] = {
 void expect_names_path_and_column(const std::function<void()>& consume,
                                   const std::string& path,
                                   const std::string& column,
-                                  const std::string& what) {
+                                  const std::string& what,
+                                  const std::string& defect = "") {
   try {
     consume();
     ADD_FAILURE() << what << ": no StoreError";
@@ -328,6 +331,8 @@ void expect_names_path_and_column(const std::function<void()>& consume,
     const std::string message = e.what();
     EXPECT_NE(message.find(path), std::string::npos) << what << ": " << message;
     EXPECT_NE(message.find("column '" + column + "'"), std::string::npos)
+        << what << ": " << message;
+    EXPECT_NE(message.find(defect), std::string::npos)
         << what << ": " << message;
   }
 }
@@ -374,6 +379,228 @@ TEST(MalformedBlock, EveryConsumerNamesPathAndColumn) {
   for (const std::string& path : {whole, bad, bad_shard, merged}) {
     std::filesystem::remove(path);
   }
+}
+
+// Blocks in columns analyze_store only checks (it decodes just the
+// events dataset); each is refused with the decoder's own defect.
+struct UndecodedBlock {
+  const char* name;
+  const char* column;  // in the feed dataset
+  const char* defect;
+  std::string (*payload)(std::uint64_t rows);
+};
+
+const UndecodedBlock kUndecodedBlocks[] = {
+    {"one varint short of the row count", "victim", "truncated varint block",
+     [](std::uint64_t rows) { return ones(rows - 1); }},
+    {"trailing continuation byte", "victim",
+     "trailing bytes after varint block",
+     [](std::uint64_t rows) { return ones(rows) + "\x80"; }},
+    // Starts at byte 3, so it straddles an 8-byte word boundary.
+    {"non-canonical 10-byte varint at an unaligned offset", "victim",
+     "malformed varint in block",
+     [](std::uint64_t rows) {
+       return ones(3) + std::string(9, '\xff') + "\x02" + ones(rows - 4);
+     }},
+    {"fixed block one row short", "max_ppm",
+     "fixed block size does not match row count",
+     [](std::uint64_t rows) { return std::string((rows - 1) * 8, '\0'); }},
+};
+
+TEST(MalformedBlock, UndecodedColumnsAreStillRefused) {
+  const scenario::LongitudinalConfig cfg = test_config();
+  const std::string whole = temp_path("undecoded-whole.drs");
+  scenario::save_run(whole, cfg, 1, scenario::run_longitudinal(cfg));
+  const std::uint64_t rows = Reader(whole).dataset_rows("feed");
+
+  // Damage the shard with the most feed rows.
+  std::size_t target = 0;
+  for (std::size_t i = 1; i < shards2().size(); ++i) {
+    if (Reader(shards2()[i]).dataset_rows("feed") >
+        Reader(shards2()[target]).dataset_rows("feed"))
+      target = i;
+  }
+  const std::uint64_t shard_rows =
+      Reader(shards2()[target]).dataset_rows("feed");
+  ASSERT_GE(shard_rows, 4u);  // the unaligned 10-byte varint needs four
+
+  const std::string bad = temp_path("undecoded.drs");
+  const std::string bad_shard = temp_path("undecoded-shard.drs");
+  const std::string merged = temp_path("undecoded-merged.drs");
+  for (const UndecodedBlock& block : kUndecodedBlocks) {
+    const std::string column = std::string("feed.") + block.column;
+    const auto expect_refused = [&](const std::function<void()>& consume,
+                                    const std::string& path,
+                                    const char* consumer) {
+      expect_names_path_and_column(consume, path, column,
+                                   block.name + std::string(" ") + consumer,
+                                   block.defect);
+    };
+    copy_with_block(whole, bad, "feed", block.column, block.payload(rows));
+    expect_refused([&] { scenario::analyze_store(bad); }, bad, "analyze");
+    expect_refused([&] { scenario::analyze_store(bad, false); }, bad,
+                   "analyze --no-mmap");
+    expect_refused([&] { scenario::load_run(bad); }, bad, "load_run");
+
+    copy_with_block(shards2()[target], bad_shard, "feed", block.column,
+                    block.payload(shard_rows));
+    std::vector<std::string> inputs = shards2();
+    inputs[target] = bad_shard;
+    expect_refused([&] { merge_stores(merged, inputs); }, bad_shard, "merge");
+  }
+  for (const std::string& path : {whole, bad, bad_shard, merged}) {
+    std::filesystem::remove(path);
+  }
+}
+
+// ---- varint structure check against the decoders ---------------------
+
+// A valid varint block of `rows` values whose encoded widths span 1..10
+// bytes (the widest need bit 63).
+std::string random_varint_block(netsim::Rng& rng, std::uint64_t rows) {
+  std::string payload;
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    const unsigned bits = static_cast<unsigned>(rng.uniform_u64(65));
+    const std::uint64_t v =
+        bits == 0 ? 0
+                  : (rng.next_u64() >> (64 - bits)) |
+                        (std::uint64_t{1} << (bits - 1));
+    put_varint(payload, v);
+  }
+  return payload;
+}
+
+// One of the damages a block can take: a changed, inserted or dropped
+// byte, a cut, an appended tail, a row count off by one, or a run of
+// continuation bytes (legal or not) written over it.
+void mutate(netsim::Rng& rng, std::string& payload, std::uint64_t& rows) {
+  const auto at = [&](std::size_t extra) {
+    return static_cast<std::size_t>(rng.uniform_u64(payload.size() + extra));
+  };
+  const auto byte = [&] {
+    return static_cast<char>(rng.uniform_u64(256));
+  };
+  switch (rng.uniform_u64(8)) {
+    case 0:
+      if (!payload.empty()) payload[at(0)] ^= static_cast<char>(0x80);
+      break;
+    case 1:
+      if (!payload.empty()) payload[at(0)] = byte();
+      break;
+    case 2: payload.insert(at(1), 1, byte()); break;
+    case 3:
+      if (!payload.empty()) payload.erase(at(0), 1);
+      break;
+    case 4: payload.resize(at(1)); break;
+    case 5: payload.push_back(byte()); break;
+    case 6:
+      if (rows == 0 || rng.uniform_u64(2) == 0) {
+        ++rows;
+      } else {
+        --rows;
+      }
+      break;
+    default: {
+      std::string run(8 + rng.uniform_u64(4), '\xff');
+      run.push_back(static_cast<char>(rng.uniform_u64(4)));  // 0x00..0x03
+      payload.replace(at(1), run.size(), run);
+      break;
+    }
+  }
+}
+
+bool has_nine_continuation_run(std::string_view payload) {
+  std::size_t run = 0;
+  for (const char c : payload) {
+    run = (static_cast<std::uint8_t>(c) & 0x80u) != 0 ? run + 1 : 0;
+    if (run >= 9) return true;
+  }
+  return false;
+}
+
+// The decoder's verdict: empty when it accepts, else its message.
+template <typename Decode>
+std::string verdict(Decode decode) {
+  try {
+    decode();
+    return {};
+  } catch (const StoreError& e) {
+    return std::string("refused: ") + e.what();
+  }
+}
+
+// The structure check may only accept what both decoders accept, and may
+// pass on a block they accept only for a run of nine or more
+// continuation bytes (a legal 10-byte varint). Both decoders refuse the
+// same blocks with the same message, so check_all's fallback to the scan
+// gives one verdict whichever encoding the block has.
+TEST(MalformedBlock, VarintStructureCheckAgreesWithTheDecoders) {
+  netsim::Rng rng(0x5CA11);
+  std::vector<std::uint64_t> out;
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  std::size_t deferred = 0;
+  for (int iter = 0; iter < 50000; ++iter) {
+    std::uint64_t rows = rng.uniform_u64(40);
+    std::string payload = random_varint_block(rng, rows);
+    const int damages = static_cast<int>(rng.uniform_u64(4));  // 0 = intact
+    for (int i = 0; i < damages; ++i) mutate(rng, payload, rows);
+
+    const std::string varint =
+        verdict([&] { decode_varint_block(payload, rows, out); });
+    const std::string delta =
+        verdict([&] { decode_delta_varint_block(payload, rows, out); });
+    ASSERT_EQ(varint, delta) << "iteration " << iter;
+    const bool fast = varint_block_well_formed(payload, rows);
+    if (fast) {
+      ASSERT_EQ(varint, "") << "iteration " << iter;
+    }
+    if (!varint.empty()) {
+      ++refused;
+    } else if (fast) {
+      ++accepted;
+    } else {
+      ASSERT_TRUE(has_nine_continuation_run(payload))
+          << "iteration " << iter << ": a decodable block without a "
+          << "nine-byte run was not accepted from its structure";
+      ++deferred;
+    }
+  }
+  // Every kind of outcome is exercised, not just one.
+  EXPECT_GT(accepted, 5000u);
+  EXPECT_GT(refused, 5000u);
+  EXPECT_GT(deferred, 100u);
+}
+
+// check_all refuses exactly what scan_all refuses, with the same
+// message, on stores of one mutated varint block (one block per store,
+// so the refusal is not a race between failing blocks).
+TEST(MalformedBlock, CheckAllRefusesWhatScanAllRefuses) {
+  netsim::Rng rng(0xC4EC);
+  const std::string path = temp_path("check-all.drs");
+  std::size_t refused = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    std::uint64_t rows = rng.uniform_u64(40);
+    std::string payload = random_varint_block(rng, rows);
+    const int damages = static_cast<int>(rng.uniform_u64(3));
+    for (int i = 0; i < damages; ++i) mutate(rng, payload, rows);
+    const Encoding encoding =
+        iter % 2 == 0 ? Encoding::Varint : Encoding::DeltaVarint;
+    {
+      Writer writer(path);
+      writer.add_encoded("ds", "col", ColumnType::U64, encoding, rows,
+                         payload);
+      writer.finish();
+    }
+    const Reader reader(path, ReadMode::Mapped);
+    ColumnArena arena;
+    const std::string scan = verdict([&] { scan_all(reader, arena); });
+    ASSERT_EQ(verdict([&] { check_all(reader); }), scan)
+        << "iteration " << iter;
+    if (!scan.empty()) ++refused;
+  }
+  EXPECT_GT(refused, 100u);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -538,9 +538,11 @@ int cmd_analyze_store(util::FlagParser& flags, Session& session,
                       const std::string& path) {
   exec::set_global_threads(static_cast<unsigned>(flags.get_uint("threads")));
   // Column-native analysis: the store is mapped read-only (--no-mmap
-  // falls back to the buffered reader) and every headline statistic is
-  // recomputed from column spans — no row materialization. Output is
-  // byte-identical to the row path (`run`); CI diffs the two.
+  // falls back to the buffered reader), every block is CRC- and
+  // structure-checked, and every headline statistic is recomputed from
+  // the events dataset's column spans, the only one decoded — no row
+  // materialization. Output is byte-identical to the row path (`run`);
+  // CI diffs the two.
   const bool use_mmap = !flags.get_bool("no-mmap");
   session.config("store", path);
   const scenario::StoreAnalysis analysis =
