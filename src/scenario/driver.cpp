@@ -130,6 +130,16 @@ void read_meta(const store::Reader& reader, std::string_view key, T& field) {
   }
 }
 
+// A store's provenance from its footer; a missing or malformed key throws.
+Provenance stored_provenance(const store::Reader& reader) {
+  Provenance p;
+  for_each_provenance_key(p.config, p.threads,
+                          [&](std::string_view key, auto& field) {
+                            read_meta(reader, key, field);
+                          });
+  return p;
+}
+
 // The closing sequence of every store this driver writes — save_run's and
 // the executor's — so the two can never emit different key sets or orders
 // (the footer serialises meta in insertion order, and CI compares the
@@ -681,33 +691,32 @@ ShardRunResult run_shard(const LongitudinalConfig& config,
   return out;
 }
 
-Provenance stored_provenance(const store::Reader& reader) {
-  Provenance p;
-  for_each_provenance_key(p.config, p.threads,
-                          [&](std::string_view key, auto& field) {
-                            read_meta(reader, key, field);
-                          });
-  return p;
+CheckedStore::CheckedStore(const std::string& path, store::ReadMode mode)
+    : reader(path, mode),
+      provenance(stored_provenance(reader)),
+      counts(store::read_counts(reader)) {
+  // The O(footer) checks first, then every block; each CRC is recorded
+  // per block, so the caller's decodes never re-hash one.
+  store::check_count(reader, "feed record", counts.feed_records,
+                     reader.dataset_rows("feed"));
+  store::check_count(reader, "joined event", counts.joined,
+                     reader.dataset_rows("events"));
+  store::check_all(reader);
 }
 
 StoredRun load_run(const std::string& path, bool use_mmap) {
   obs::ScopedSpan span(obs::installed_tracer(), "store.read");
   const auto load_start = std::chrono::steady_clock::now();
 
-  const store::Reader reader(
+  const CheckedStore checked(
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
+  const store::Reader& reader = checked.reader;
 
   StoredRun run;
-  static_cast<Provenance&>(run) = stored_provenance(reader);
-  const store::RunCounts counts = store::read_counts(reader);
-  run.attacks = counts.attacks;
-  run.swept_measurements = counts.swept_measurements;
-  run.join_stats = counts.stats;
-
-  // Every block checksum is verified up front so corruption fails loudly
-  // before any analysis consumes decoded data. Verification is tracked
-  // per block, so the decodes below never re-hash a block.
-  reader.validate_all();
+  static_cast<Provenance&>(run) = checked.provenance;
+  run.attacks = checked.counts.attacks;
+  run.swept_measurements = checked.counts.swept_measurements;
+  run.join_stats = checked.counts.stats;
 
   std::vector<telescope::RSDoSRecord> records;
   records.reserve(reader.dataset_rows("feed"));
@@ -724,14 +733,12 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
       telescope::RSDoSFeed(run.config.inference, run.config.backscatter);
   run.feed.set_records(std::move(records));
   run.feed_records = run.feed.records().size();
-  store::check_count(reader, "feed record", counts.feed_records,
-                     run.feed_records);
 
   // Stitched events are not stored: they are a deterministic function of
   // the records + inference params, so re-deriving them is both cheaper
   // and a consistency check against the stored count.
   run.events = run.feed.events();
-  store::check_count(reader, "stitched event", counts.events,
+  store::check_count(reader, "stitched event", checked.counts.events,
                      run.events.size());
 
   // Restore targets are sized from the row counts up front, so loads
@@ -755,8 +762,6 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
 
   run.joined =
       core::events_from_frame(store::read_event_frame(reader, arena));
-  store::check_count(reader, "joined event", counts.joined,
-                     run.joined.size());
 
   span.set_items(reader.columns().size());
   store::record_store_read(reader.file_size(),
@@ -786,26 +791,19 @@ RejoinResult rejoin_from_store(const StoredRun& run) {
 StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   obs::ScopedSpan span(obs::installed_tracer(), "store.scan");
 
-  const store::Reader reader(
+  // The timed region is the data-plane read: the checked open, then only
+  // the events dataset decoded — the one the kernels read.
+  const auto scan_start = std::chrono::steady_clock::now();
+  const CheckedStore checked(
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
+  const store::Reader& reader = checked.reader;
 
   StoreAnalysis a;
-  static_cast<Provenance&>(a) = stored_provenance(reader);
-  static_cast<store::RunCounts&>(a) = store::read_counts(reader);
+  static_cast<Provenance&>(a) = checked.provenance;
+  static_cast<store::RunCounts&>(a) = checked.counts;
   a.file_bytes = reader.file_size();
   a.mapped = reader.mapped();
 
-  store::check_count(reader, "joined event (footer)", a.joined,
-                     reader.dataset_rows("events"));
-  store::check_count(reader, "feed record (footer)", a.feed_records,
-                     reader.dataset_rows("feed"));
-
-  // The timed region is the data-plane read: every block of every
-  // dataset CRC- and structure-checked in place (check_all refuses what
-  // a full decode would), then only the events dataset decoded — the
-  // one the kernels read.
-  const auto scan_start = std::chrono::steady_clock::now();
-  store::check_all(reader);
   store::ColumnArena arena;
   const core::EventFrame frame = store::read_event_frame(reader, arena);
   a.read_MBps = store::record_store_read(

@@ -157,7 +157,7 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
 // windows, OpenINTEL sweep aggregates, joined NSSet-attack events — plus
 // the full generating provenance (world/workload/inference/join params,
 // seeds, thread count, result counts) as one DRS container.
-// `load_run` reads it back (every block CRC-validated, decodes fanned out
+// `load_run` reads it back (opened as a CheckedStore, decodes fanned out
 // across the exec pool) so analyses re-run without re-simulating, and
 // `rejoin_from_store` re-executes the join stage from the stored
 // aggregates to assert the store reproduces the generating run
@@ -183,17 +183,26 @@ std::uint64_t save_run(const std::string& path,
                        const LongitudinalConfig& config, unsigned threads,
                        const LongitudinalResult& result);
 
-/// Load a save_run store. Validates every block checksum and asserts the
-/// decoded datasets match the stored result counts; throws
+/// The one store open of load_run, analyze_store and serve::load_engine,
+/// so a store one of them accepts, all accept: maps (or buffers) the file,
+/// reads the provenance and result counts from its footer, checks the feed
+/// and events row counts against them, and CRC- and structure-checks every
+/// block (store::check_all). Throws store::StoreError naming the path.
+struct CheckedStore {
+  CheckedStore(const std::string& path, store::ReadMode mode);
+
+  const store::Reader reader;
+  const Provenance provenance;
+  const store::RunCounts counts;
+};
+
+/// Load a save_run store: a CheckedStore whose feed, aggregate and event
+/// datasets are decoded, plus the stitched-event count check; throws
 /// store::StoreError on any defect. `use_mmap` selects the zero-copy
 /// mapped reader (the default; decoded datasets are copies either way,
 /// so nothing dangles when the mapping closes on return) or the
 /// buffered fallback (`analyze --no-mmap`).
 StoredRun load_run(const std::string& path, bool use_mmap = true);
-
-/// Restores a save_run store's provenance from its footer meta. Throws
-/// store::StoreError when a key is missing or malformed.
-Provenance stored_provenance(const store::Reader& reader);
 
 /// Re-run the join stage from a loaded store: the world is rebuilt from
 /// the stored provenance (deterministic in the seed) and the join reads
@@ -209,10 +218,9 @@ RejoinResult rejoin_from_store(const StoredRun& run);
 // ---- columnar analyze pass (store/scan.h + core/columnar.h).
 //
 // `analyze_store` recomputes the headline §6 statistics straight off the
-// DRS column spans: the file is mapped (or buffered with
-// use_mmap=false), every block is CRC- and structure-checked in place
-// (store::check_all refuses every store a full decode would, with the
-// same error), only the events dataset is decoded into arena buffers or
+// DRS column spans: the file is opened as a CheckedStore (mapped, or
+// buffered with use_mmap=false; every block CRC- and structure-checked
+// in place), only the events dataset is decoded into arena buffers or
 // zero-copy spans, and the kernels fan out over row shards with ordered
 // reduction — no NssetAttackEvent row is ever built. The kernel results
 // are bit-identical to load_run + the row analyses.
@@ -223,7 +231,7 @@ struct StoreAnalysis : Provenance, store::RunCounts {
   // Scan statistics.
   std::uint64_t file_bytes = 0;
   bool mapped = false;
-  double read_MBps = 0.0;  // file bytes / (check every block + decode events)
+  double read_MBps = 0.0;  // file bytes / (checked open + decode events)
   // Headline kernels (columnar; bit-identical to the row path).
   core::ImpactSummary impact;
   core::FailureSummary failures;

@@ -271,31 +271,27 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
   obs::ScopedSpan span(obs::installed_tracer(), "serve.load_engine");
   const auto load_start = std::chrono::steady_clock::now();
 
-  const store::Reader reader(store_path, store::ReadMode::Mapped);
-  // Every block is CRC-checked up front, the ones the engine never reads
-  // included: a corrupt store is refused whole, never served in part.
-  reader.validate_all();
-  const store::RunCounts counts = store::read_counts(reader);
+  // Every block is checked up front, the ones the engine never reads
+  // included: a bad store is refused whole, never served in part.
+  const scenario::CheckedStore checked(store_path, store::ReadMode::Mapped);
+  const store::Reader& reader = checked.reader;
   store::ColumnArena arena;
 
   // Attacks per victim: event boundaries depend only on (victim, window),
   // so stitching the rows of those two feed columns yields the stored
   // run's events one for one; no other feed column is decoded.
   using Record = telescope::RSDoSRecord;
-  store::check_count(reader, "feed record", counts.feed_records,
-                     reader.dataset_rows("feed"));
-  telescope::EventStitcher stitcher(
-      scenario::stored_provenance(reader).config.inference);
+  telescope::EventStitcher stitcher(checked.provenance.config.inference);
   store::read_dataset<store::FeedColumns>(
       reader, "feed", arena,
       [&](const Record& record) { stitcher.add(record); }, &Record::victim,
       &Record::window);
   const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
-  store::check_count(reader, "stitched event", counts.events, events.size());
+  store::check_count(reader, "stitched event", checked.counts.events,
+                     events.size());
   const std::vector<VictimAttacks> attacks = count_attacks(events);
 
   const core::EventFrame joined = store::read_event_frame(reader, arena);
-  store::check_count(reader, "joined event", counts.joined, joined.rows);
 
   // The daily columns a series point derives from; the rest stay encoded.
   using Daily = store::AggregateRow;

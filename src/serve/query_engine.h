@@ -20,10 +20,11 @@
 //     failure_summary_columnar), so WindowScan(day_lo, day_hi) is a short
 //     scan of a contiguous array (WindowScan).
 //
-// Two sources lay out those inputs. load_engine maps a DRS store and
-// reads only the columns the build needs — it never materializes feed
-// records, a MeasurementStore or joined rows, and the per-victim counts
-// come from stitching the feed's victim and window columns. The
+// Two sources lay out those inputs. load_engine opens a DRS store as a
+// scenario::CheckedStore and decodes only the columns the build needs —
+// it never materializes feed records, a MeasurementStore or joined rows,
+// and the per-victim counts come from stitching the feed's victim and
+// window columns. The
 // RunArtifacts constructor lays a live run (or a scenario::load_run
 // image) out as the same inputs. Either way the engine copies what it
 // indexes and keeps no pointer into its source.
@@ -242,11 +243,11 @@ class QueryEngine {
 };
 
 /// The serving load path, shared by `serve --store` and
-/// net::EngineHandle::load: map the save_run store at `store_path`,
-/// CRC-check every block, read only the columns EngineColumns needs,
-/// check the feed, stitched-event and joined counts against the meta,
-/// and build the engine. Throws store::StoreError naming the path on any
-/// defect.
+/// net::EngineHandle::load: open the save_run store at `store_path` as a
+/// scenario::CheckedStore (mapped; every block CRC- and structure-checked,
+/// the feed and joined counts checked against the footer), read only the
+/// columns EngineColumns needs, check the stitched-event count, and build
+/// the engine. Throws store::StoreError naming the path on any defect.
 std::unique_ptr<QueryEngine> load_engine(const std::string& store_path);
 
 }  // namespace ddos::serve

@@ -248,9 +248,9 @@ MergeStats merge_stores(const std::string& out_path,
   }
   // count slots, count readers, no duplicates — every slot is filled.
 
-  // Every block of every shard is checksum-verified before any decode, so
-  // a corrupt shard fails loudly here, naming its own path.
-  for (const Reader* shard : shards) shard->validate_all();
+  // Every block of every shard is CRC- and structure-checked before any
+  // decode, so a bad shard fails here, naming its own path.
+  for (const Reader* shard : shards) check_all(*shard);
 
   // ---- provenance union: the shards must come from ONE generate config
   // (including run.threads — the merged file reproduces a single-process
@@ -268,6 +268,13 @@ MergeStats merge_stores(const std::string& out_path,
                          "configuration");
       }
     }
+  }
+  // A flag, read as stored_provenance reads it, so a merged store loads.
+  const std::uint64_t merge_concurrent = first.meta_u64(kMergeConcurrentKey);
+  if (merge_concurrent > 1) {
+    throw StoreError(first.path() + ": meta key '" +
+                     std::string(kMergeConcurrentKey) + "' holds '" +
+                     first.meta_value(kMergeConcurrentKey) + "', not 0 or 1");
   }
   for (std::uint32_t s = 1; s < count; ++s) {
     if (shards[s]->columns().size() != first.columns().size()) {
@@ -344,7 +351,6 @@ MergeStats merge_stores(const std::string& out_path,
   // ---- column merge in shard 0's block order == save_run's block order
   // (feed, daily, window, ns_seen, events), with the manifest dataset
   // dropped and the events dataset row-merged as one unit.
-  const bool merge_concurrent = first.meta_u64(kMergeConcurrentKey) != 0;
   bool events_merged = false;
   for (const ColumnDesc& desc : first.columns()) {
     if (desc.dataset == "shard") continue;  // manifest column, not data
@@ -352,7 +358,8 @@ MergeStats merge_stores(const std::string& out_path,
       if (events_merged) continue;
       events_merged = true;
       stats.events_out =
-          merge_events(writer, shards, merge_concurrent, columns_done.get());
+          merge_events(writer, shards, merge_concurrent == 1,
+                       columns_done.get());
       continue;
     }
     stats.rows_merged +=

@@ -245,14 +245,4 @@ void Reader::parallel_decode(const std::vector<std::function<void()>>& jobs) {
   });
 }
 
-void Reader::validate_all() const {
-  exec::RegionOptions opts;
-  opts.label = "store.validate";
-  exec::parallel_for(columns_.size(), opts,
-                     [&](const exec::ShardRange& range) {
-                       for (std::size_t i = range.begin; i < range.end; ++i)
-                         check_crc(columns_[i]);
-                     });
-}
-
 }  // namespace ddos::store

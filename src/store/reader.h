@@ -10,11 +10,12 @@
 //
 // In both modes each block's CRC32C is verified lazily on first touch
 // and the verification is recorded per block, so a block touched many
-// times (or scanned column-by-column) is checksummed exactly once.
-// validate_all() checks every block, fanning the checksum work out
-// across the exec worker pool. All failure modes (bad magic,
-// unsupported version, truncation, checksum mismatch, missing columns)
-// throw StoreError with a message naming the problem.
+// times (or scanned column-by-column) is checksummed exactly once. The
+// whole-file check — every block's CRC and structure — is
+// store::check_all (store/scan.h); the store readers run it through
+// scenario::CheckedStore, merge_stores on each shard. All failure modes
+// (bad magic, unsupported version, truncation, checksum mismatch,
+// missing columns) throw StoreError with a message naming the problem.
 #pragma once
 
 #include <atomic>
@@ -85,14 +86,9 @@ class Reader {
   }
 
   /// Run `jobs` (independent column decodes) across the exec pool; each
-  /// job must write only its own output slot. Dataset readers and
-  /// scan_all use this to fan block decoding out.
+  /// job must write only its own output slot. Dataset readers, scan_all
+  /// and check_all use this to fan block work out.
   static void parallel_decode(const std::vector<std::function<void()>>& jobs);
-
-  /// Validate every block's CRC32C in parallel; throws on the first
-  /// mismatch naming the offending dataset/column. Blocks already
-  /// verified lazily are not re-hashed.
-  void validate_all() const;
 
   /// Blocks whose CRC has been verified so far (monotonic; at most one
   /// count per block regardless of how often it is read).

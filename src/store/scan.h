@@ -21,7 +21,9 @@
 // borrow from the Reader and the arena: keep both alive while a frame is
 // in use. check_all refuses the same blocks with the same errors but
 // decodes none it can accept from structure alone, so a reader that
-// needs one dataset (analyze_store) still vets the whole file.
+// decodes a few datasets still vets the whole file: the store readers
+// run it in their one open (scenario::CheckedStore), merge_stores on
+// every shard.
 #pragma once
 
 #include <cstdint>

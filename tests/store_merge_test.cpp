@@ -2,11 +2,12 @@
 // when the inputs are a complete, healthy shard set — and must fail
 // loudly, naming the offending shard file, on every defect (corrupt
 // block, non-shard input, wrong or duplicate shard index, provenance
-// mismatch). Also covers the scan layer's error attribution: decode
-// failures carry the file path and column name, so a multi-shard merge
-// failure identifies the corrupt shard, and one matrix of malformed
-// blocks that pass their CRC fails every store consumer the same way —
-// analyze_store too, in the columns it checks but does not decode.
+// mismatch, a join.merge_concurrent that is not 0 or 1). Also covers the
+// scan layer's error attribution: decode failures carry the file path
+// and column name, so a multi-shard merge failure identifies the corrupt
+// shard, and one matrix of malformed blocks that pass their CRC fails
+// every store consumer the same way — analyze_store and
+// serve::load_engine too, in the columns they check but do not decode.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netsim/rng.h"
@@ -236,6 +238,34 @@ TEST(StoreMerge, UnwritableOutputPathThrows) {
   }
 }
 
+// Copy `src` to `dst` block for block, with meta `key` set to `value`.
+void copy_with_meta(const std::string& src, const std::string& dst,
+                    std::string_view key, const std::string& value) {
+  const Reader reader(src);
+  Writer writer(dst);
+  for (const auto& [k, v] : reader.meta()) {
+    writer.add_meta(k, k == key ? value : v);
+  }
+  for (const ColumnDesc& desc : reader.columns()) {
+    writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                       desc.rows, std::string(reader.verified_payload(desc)));
+  }
+  writer.finish();
+}
+
+// join.merge_concurrent is a flag. Shards that agree on any other value
+// must not merge into a store that no reader then loads.
+TEST(StoreMerge, MergeConcurrentOtherThanZeroOrOneIsRefused) {
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < shards2().size(); ++i) {
+    inputs.push_back(temp_path("m2-concurrent-" + std::to_string(i) + ".drs"));
+    copy_with_meta(shards2()[i], inputs.back(), kMergeConcurrentKey, "2");
+  }
+  expect_merge_error(inputs, "meta key 'join.merge_concurrent' holds '2'");
+  expect_merge_error(inputs, inputs[0]);
+  for (const std::string& path : inputs) std::filesystem::remove(path);
+}
+
 // Scan failures carry the file path and column, so a corrupt-but-CRC-
 // valid block (possible only via add_encoded, whose caller vouches for the
 // payload) is still attributed to its shard file.
@@ -382,36 +412,48 @@ TEST(MalformedBlock, EveryConsumerNamesPathAndColumn) {
 }
 
 // Blocks in columns analyze_store only checks (it decodes just the
-// events dataset); each is refused with the decoder's own defect.
+// events dataset), most of them in columns serve::load_engine never
+// decodes either (it reads feed victim/window, some daily columns and
+// the events); each is refused with the decoder's own defect.
 struct UndecodedBlock {
   const char* name;
-  const char* column;  // in the feed dataset
+  const char* dataset;
+  const char* column;
   const char* defect;
   std::string (*payload)(std::uint64_t rows);
 };
 
 const UndecodedBlock kUndecodedBlocks[] = {
-    {"one varint short of the row count", "victim", "truncated varint block",
+    {"one varint short of the row count", "feed", "victim",
+     "truncated varint block",
      [](std::uint64_t rows) { return ones(rows - 1); }},
-    {"trailing continuation byte", "victim",
+    {"trailing continuation byte", "feed", "victim",
      "trailing bytes after varint block",
      [](std::uint64_t rows) { return ones(rows) + "\x80"; }},
     // Starts at byte 3, so it straddles an 8-byte word boundary.
-    {"non-canonical 10-byte varint at an unaligned offset", "victim",
+    {"non-canonical 10-byte varint at an unaligned offset", "feed", "victim",
      "malformed varint in block",
      [](std::uint64_t rows) {
        return ones(3) + std::string(9, '\xff') + "\x02" + ones(rows - 4);
      }},
-    {"fixed block one row short", "max_ppm",
+    {"fixed block one row short", "feed", "max_ppm",
      "fixed block size does not match row count",
      [](std::uint64_t rows) { return std::string((rows - 1) * 8, '\0'); }},
+    {"window varint one short of the row count", "window", "measured",
+     "truncated varint block",
+     [](std::uint64_t rows) { return ones(rows - 1); }},
+    {"ns_seen delta varint one short of the row count", "ns_seen", "ip",
+     "truncated varint block",
+     [](std::uint64_t rows) { return ones(rows - 1); }},
 };
 
+// Every store reader opens through one check (scenario::CheckedStore),
+// so each bad block fails them all — load_engine included, though it
+// decodes none of the damaged columns but feed.victim.
 TEST(MalformedBlock, UndecodedColumnsAreStillRefused) {
   const scenario::LongitudinalConfig cfg = test_config();
   const std::string whole = temp_path("undecoded-whole.drs");
   scenario::save_run(whole, cfg, 1, scenario::run_longitudinal(cfg));
-  const std::uint64_t rows = Reader(whole).dataset_rows("feed");
 
   // Damage the shard with the most feed rows.
   std::size_t target = 0;
@@ -420,15 +462,18 @@ TEST(MalformedBlock, UndecodedColumnsAreStillRefused) {
         Reader(shards2()[target]).dataset_rows("feed"))
       target = i;
   }
-  const std::uint64_t shard_rows =
-      Reader(shards2()[target]).dataset_rows("feed");
-  ASSERT_GE(shard_rows, 4u);  // the unaligned 10-byte varint needs four
 
   const std::string bad = temp_path("undecoded.drs");
   const std::string bad_shard = temp_path("undecoded-shard.drs");
   const std::string merged = temp_path("undecoded-merged.drs");
   for (const UndecodedBlock& block : kUndecodedBlocks) {
-    const std::string column = std::string("feed.") + block.column;
+    const std::string column =
+        std::string(block.dataset) + "." + block.column;
+    const std::uint64_t rows = Reader(whole).dataset_rows(block.dataset);
+    const std::uint64_t shard_rows =
+        Reader(shards2()[target]).dataset_rows(block.dataset);
+    // The unaligned 10-byte varint needs four rows.
+    ASSERT_GE(shard_rows, 4u) << column;
     const auto expect_refused = [&](const std::function<void()>& consume,
                                     const std::string& path,
                                     const char* consumer) {
@@ -436,13 +481,15 @@ TEST(MalformedBlock, UndecodedColumnsAreStillRefused) {
                                    block.name + std::string(" ") + consumer,
                                    block.defect);
     };
-    copy_with_block(whole, bad, "feed", block.column, block.payload(rows));
+    copy_with_block(whole, bad, block.dataset, block.column,
+                    block.payload(rows));
     expect_refused([&] { scenario::analyze_store(bad); }, bad, "analyze");
     expect_refused([&] { scenario::analyze_store(bad, false); }, bad,
                    "analyze --no-mmap");
     expect_refused([&] { scenario::load_run(bad); }, bad, "load_run");
+    expect_refused([&] { serve::load_engine(bad); }, bad, "load_engine");
 
-    copy_with_block(shards2()[target], bad_shard, "feed", block.column,
+    copy_with_block(shards2()[target], bad_shard, block.dataset, block.column,
                     block.payload(shard_rows));
     std::vector<std::string> inputs = shards2();
     inputs[target] = bad_shard;

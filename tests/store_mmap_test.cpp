@@ -5,7 +5,7 @@
 // 8-byte block alignment must hold so Fixed columns map as aligned
 // spans straight over the file. The serving load path (which reads only
 // a few columns) must still refuse a store with any corrupt block or a
-// count that disagrees with its meta.
+// count that disagrees with its meta, as analyze_store and load_run do.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/server.h"
@@ -280,7 +281,9 @@ TEST_F(ServingLoad, CorruptColumnTheEngineNeverReadsFailsTheLoad) {
 }
 
 // A store whose feed, stitched-event or joined count disagrees with its
-// meta is refused by the serving load, as by load_run.
+// meta is refused by the serving load, as by load_run; the feed and
+// joined counts, which every reader checks in its one checked open, by
+// analyze_store too (mapped and buffered).
 TEST_F(ServingLoad, MetaCountMismatchIsRejected) {
   const std::string path = saved("serve_counts.drs");
   const Reader original(path);
@@ -303,6 +306,18 @@ TEST_F(ServingLoad, MetaCountMismatchIsRejected) {
           << e.what();
     }
     EXPECT_THROW(scenario::load_run(copy), StoreError) << key;
+    if (std::string_view(key) != "result.events") {
+      for (const bool use_mmap : {true, false}) {
+        try {
+          scenario::analyze_store(copy, use_mmap);
+          ADD_FAILURE() << key << ": analyze succeeded, mmap " << use_mmap;
+        } catch (const StoreError& e) {
+          EXPECT_NE(std::string(e.what()).find("count mismatch"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
     std::filesystem::remove(copy);
   }
   std::filesystem::remove(path);

@@ -143,7 +143,7 @@ TEST(WriterReader, RoundTripAllColumnTypes) {
   EXPECT_EQ(strings(reader, "ds", "org"), orgs);
   EXPECT_FALSE(reader.has_column("ds", "absent"));
   EXPECT_THROW(reader.column("ds", "absent"), StoreError);
-  EXPECT_NO_THROW(reader.validate_all());
+  EXPECT_NO_THROW(check_all(reader));
 }
 
 TEST(WriterReader, EmptyDatasetRoundTrips) {
@@ -160,7 +160,7 @@ TEST(WriterReader, EmptyDatasetRoundTrips) {
   EXPECT_TRUE(u64s(reader, "feed", "window").empty());
   EXPECT_TRUE(f64s(reader, "feed", "ppm").empty());
   EXPECT_TRUE(strings(reader, "feed", "org").empty());
-  EXPECT_NO_THROW(reader.validate_all());
+  EXPECT_NO_THROW(check_all(reader));
 }
 
 TEST(WriterReader, SingleRowBlocks) {
@@ -193,7 +193,7 @@ TEST(WriterReader, DetectsCorruptBlock) {
   corrupt_byte(path, kHeaderSize);
   const Reader reader(path);  // footer itself is intact
   EXPECT_THROW(u64s(reader, "ds", "key"), StoreError);
-  EXPECT_THROW(reader.validate_all(), StoreError);
+  EXPECT_THROW(check_all(reader), StoreError);
 }
 
 TEST(WriterReader, DetectsTruncatedFile) {
@@ -299,7 +299,7 @@ TEST(Writer, MappedReaderSurvivesRepublish) {
   const Reader old_reader(path, ReadMode::Mapped);
   write_generation(path, "new", {4, 5, 6, 7});
 
-  old_reader.validate_all();
+  check_all(old_reader);
   EXPECT_EQ(old_reader.meta_value("gen"), "old");
   EXPECT_EQ(u64s(old_reader, "ds", "key"),
             (std::vector<std::uint64_t>{1, 2, 3}));
