@@ -35,6 +35,8 @@ namespace ddos::core {
 /// SoA view of one string column: per-row [start, start+len) slices of a
 /// shared byte buffer (the block payload itself on the zero-copy path).
 struct StringColumnView {
+  using value_type = std::string_view;  // a row, as std::span names it
+
   std::string_view bytes;
   std::span<const std::uint64_t> starts;
   std::span<const std::uint64_t> lens;
@@ -43,6 +45,20 @@ struct StringColumnView {
   std::string_view operator[](std::size_t i) const {
     return bytes.substr(starts[i], lens[i]);
   }
+
+  /// The rows in order, so a string column iterates like a span.
+  struct Iterator {
+    const StringColumnView* view;
+    std::size_t row;
+    std::string_view operator*() const { return (*view)[row]; }
+    Iterator& operator++() {
+      ++row;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+  };
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, size()}; }
 };
 
 /// Column spans of the joined NSSet-attack "events" dataset, in the

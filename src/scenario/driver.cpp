@@ -332,12 +332,13 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   // from position i on still reads (a suffix-min of first_day-1), which is
   // the retirement watermark once the cursor passes the joined prefix.
   std::vector<std::pair<netsim::DayIndex, std::uint32_t>> ready_order;
-  for (const auto& batch : telescope::group_events_by_day(result.events)) {
-    if (!bounds.owns_day(batch.day)) continue;
-    for (const std::uint32_t idx : batch.event_indices) {
-      ready_order.emplace_back(batch.day, idx);
-    }
+  for (std::uint32_t idx = 0; idx < result.events.size(); ++idx) {
+    const netsim::DayIndex last_day = (result.events[idx].end_time() - 1).day();
+    if (bounds.owns_day(last_day)) ready_order.emplace_back(last_day, idx);
   }
+  // Pairs sort by (day, index): canonical order within a day, no stable
+  // sort needed.
+  std::sort(ready_order.begin(), ready_order.end());
   std::vector<netsim::DayIndex> min_first_read(ready_order.size() + 1,
                                                kNoPendingReads);
   for (std::size_t i = ready_order.size(); i-- > 0;) {
@@ -632,8 +633,9 @@ LongitudinalResult execute(const LongitudinalConfig& config,
       writer->add_meta("shard.count", std::to_string(spec.shard->spec.count));
       writer->add_meta("shard.owned_events",
                        std::to_string(ready_order.size()));
-      writer->add_u64("shard", "src_event", src_event,
-                      store::Encoding::DeltaVarint);
+      store::write_column(*writer, "shard", "src_event",
+                          store::U64Appender(store::Encoding::DeltaVarint),
+                          src_event);
     }
     result.store_bytes = publish_store(*writer, config, spec.threads, result,
                                        feed_rows, span);

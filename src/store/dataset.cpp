@@ -1,31 +1,18 @@
 #include "store/dataset.h"
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <type_traits>
 
 #include "obs/obs.h"
 
 namespace ddos::store {
 
 void write_joined_events(Writer& writer, const core::EventFrame& events) {
-  for_each_event_column(events, [&](const char* column, Encoding encoding,
-                                    const auto& values) {
-    using Values = std::decay_t<decltype(values)>;
-    if constexpr (std::is_same_v<Values, std::span<const std::uint64_t>>) {
-      writer.add_u64("events", column, values, encoding);
-    } else if constexpr (std::is_same_v<Values, std::span<const double>>) {
-      writer.add_f64("events", column, values);
-    } else if constexpr (std::is_same_v<Values,
-                                        std::span<const std::uint8_t>>) {
-      writer.add_u8("events", column, values);
-    } else {
-      StringAppender org;
-      org.reserve(values.size());
-      for (std::size_t i = 0; i < values.size(); ++i) org.append(values[i]);
-      org.flush_to(writer, "events", column);
-    }
+  for_each_event_column(events, [&]<typename Values>(const char* column,
+                                                     Encoding encoding,
+                                                     const Values& values) {
+    write_column(writer, "events", column,
+                 AppenderFor<typename Values::value_type>(encoding), values);
   });
 }
 

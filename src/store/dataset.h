@@ -16,12 +16,14 @@
 //               the events CSV).
 //
 // A row list names each column, its encoding and the row field it
-// stores, in block order; the field's type picks the column type. Three
-// generic bodies walk the row lists: write_dataset (save_run, one whole
-// column at a time), DatasetAppender (the streaming executor, every
-// column open, row by row) and read_dataset (load_run and
-// serve::load_engine, column decodes fanned out, narrowing reads
-// range-checked). merge_stores takes the time-major sort keys from them.
+// stores, in block order; the field's type picks the stored value type
+// (to_column), and store/epoch.h's column-type rule gives that type its
+// appender and its scan. Three generic bodies walk the row lists:
+// write_dataset (save_run, one whole column at a time), DatasetAppender
+// (the streaming executor, every column open, row by row) and
+// read_dataset (load_run and serve::load_engine, column decodes fanned
+// out, narrowing reads range-checked). merge_stores takes the time-major
+// sort keys from them.
 //
 // The footer meta ends with the result counts: one list, for_each_count
 // below, that writers, readers, count checks and merge_stores all walk.
@@ -207,18 +209,6 @@ bool from_column(Value value, T& field) {
   return true;
 }
 
-/// The appender encoding a column of T fields.
-template <typename T>
-auto appender_for(Encoding encoding) {
-  if constexpr (std::is_same_v<ColumnValue<T>, double>) {
-    return F64Appender();
-  } else if constexpr (std::is_same_v<ColumnValue<T>, std::uint8_t>) {
-    return U8Appender();
-  } else {
-    return U64Appender(encoding);
-  }
-}
-
 /// Writes `rows` (Columns::Row, or convertible to it) as the `Columns`
 /// dataset `dataset`, one whole column at a time: each column's payload
 /// is built and handed to the writer before the next one starts.
@@ -228,7 +218,8 @@ void write_dataset(Writer& writer, std::string_view dataset,
   using Row = typename Columns::Row;
   Columns::for_each_column([&]<typename T>(std::string_view column,
                                            Encoding encoding, T Row::*field) {
-    write_column(writer, dataset, column, appender_for<T>(encoding), rows,
+    write_column(writer, dataset, column,
+                 AppenderFor<ColumnValue<T>>(encoding), rows,
                  [field](const Row& row) { return to_column(row.*field); });
   });
 }
@@ -246,7 +237,7 @@ class DatasetAppender {
       : dataset_(std::move(dataset)) {
     Columns::for_each_column([&]<typename T>(std::string_view,
                                              Encoding encoding, T Row::*) {
-      columns_.emplace_back(appender_for<T>(encoding));
+      columns_.emplace_back(AppenderFor<ColumnValue<T>>(encoding));
     });
   }
 
@@ -254,8 +245,8 @@ class DatasetAppender {
     std::size_t i = 0;
     Columns::for_each_column([&]<typename T>(std::string_view, Encoding,
                                              T Row::*field) {
-      using Appender = decltype(appender_for<T>(Encoding::Fixed));
-      std::get<Appender>(columns_[i++]).append(to_column(row.*field));
+      std::get<AppenderFor<ColumnValue<T>>>(columns_[i++])
+          .append(to_column(row.*field));
     });
   }
 
@@ -272,7 +263,7 @@ class DatasetAppender {
 
  private:
   std::string dataset_;
-  std::vector<std::variant<U64Appender, F64Appender, U8Appender>> columns_;
+  std::vector<ColumnTypes::AnyAppender> columns_;
 };
 
 /// True when the member pointers `a` and `b` name the same field.
@@ -299,10 +290,7 @@ void read_dataset(const Reader& reader, std::string_view dataset,
     return sizeof...(only) == 0 || (same_field(field, only) || ...);
   };
   const std::uint64_t rows = reader.dataset_rows(dataset);
-  std::vector<std::variant<std::span<const std::uint64_t>,
-                           std::span<const double>,
-                           std::span<const std::uint8_t>>>
-      values;
+  std::vector<ColumnTypes::AnyOf<ColumnSpan>> values;
   std::vector<std::function<void()>> decodes;
   Columns::for_each_column([&]<typename T>(std::string_view column, Encoding,
                                            T Row::*field) {
@@ -310,13 +298,7 @@ void read_dataset(const Reader& reader, std::string_view dataset,
     if (!wanted(field)) return;
     const ColumnDesc* desc = &reader.column(dataset, column);
     decodes.push_back([&, desc, i = values.size() - 1] {
-      if constexpr (std::is_same_v<ColumnValue<T>, double>) {
-        values[i] = scan_f64(reader, *desc, arena);
-      } else if constexpr (std::is_same_v<ColumnValue<T>, std::uint8_t>) {
-        values[i] = scan_u8(reader, *desc);
-      } else {
-        values[i] = scan_u64(reader, *desc, arena);
-      }
+      values[i] = scan<ColumnValue<T>>(reader, *desc, arena);
     });
   });
   Reader::parallel_decode(decodes);
@@ -329,7 +311,7 @@ void read_dataset(const Reader& reader, std::string_view dataset,
       const auto& column_values = values[i++];
       if (!wanted(field)) return;
       const ColumnValue<T> value =
-          std::get<std::span<const ColumnValue<T>>>(column_values)[r];
+          std::get<ColumnSpan<ColumnValue<T>>>(column_values)[r];
       if (!from_column(value, row.*field)) {
         throw StoreError(reader.path() + ": column '" + std::string(dataset) +
                          "." + std::string(column) + "': row " +

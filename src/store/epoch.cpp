@@ -2,10 +2,13 @@
 
 namespace ddos::store {
 
-U64Appender::U64Appender(Encoding encoding)
-    : BlockAppender(ColumnType::U64, encoding) {
-  if (encoding == Encoding::StringBlock)
-    throw StoreError("u64 column cannot use string-block encoding");
+BlockAppender::BlockAppender(ColumnType type, Encoding encoding)
+    : type_(type), encoding_(encoding) {
+  if (!ColumnTypes::admits(type, encoding)) {
+    throw StoreError(std::string(to_string(type)) +
+                     " column cannot use encoding " +
+                     std::to_string(static_cast<int>(encoding)));
+  }
 }
 
 }  // namespace ddos::store

@@ -13,11 +13,10 @@
 //
 // A reader seeks to the trailer, validates magic + footer checksum, and
 // has O(1) access to any column's block from the footer index. Every
-// block carries its own CRC32C, validated on read. Each encoding has one
-// encoder, the appenders of store/epoch.h (Writer::add_* and the
-// streaming executor both use them), and one decoder, the block decoders
-// of store/scan.h behind scan_u64/scan_f64/scan_u8/scan_strings.
-// Encodings:
+// block carries its own CRC32C, validated on read. Each stored value type
+// has one encoder, its store/epoch.h appender, and one decoder, scan<V>
+// in store/scan.h; store/epoch.h's ColumnTypes is the (type, encoding)
+// rule, and a reader refuses any other pair at open. Encodings:
 //
 //   DeltaVarint  u64 values as zigzag(value - previous) LEB128 varints
 //                (timestamps, window indices, sorted keys/ids);
@@ -49,9 +48,10 @@ inline constexpr std::uint32_t kMagic = 0x31535244u;  // "DRS1" little-endian
 //      append sorted chunks. v1 stores would silently mis-join if read
 //      with the new layout, hence the bump.
 //   3  every block payload starts at an 8-byte-aligned file offset (the
-//      writer zero-pads between blocks) so a mapped reader can expose
-//      Fixed f64 columns as aligned spans directly over the mapping.
-//      Offsets moved, so v2 footers no longer describe v3 bytes.
+//      writer zero-pads between blocks) so a reader exposes Fixed
+//      columns as aligned spans directly over its backing; it refuses a
+//      block at any other offset at open. Offsets moved, so v2 footers
+//      no longer describe v3 bytes.
 inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr std::size_t kTrailerSize = 16;

@@ -56,31 +56,31 @@ bool is_time_major_key(const ColumnDesc& desc) {
 // then replay the values in shard order through the column's appender —
 // whose chunk-wise appends produce payloads byte-identical to the
 // one-shot encode of the concatenated column that save_run would have
-// written. `appender` and `scan` fix the column type.
-template <typename Appender, typename Scan>
+// written. V is the column's stored value type.
+template <typename V>
 std::uint64_t merge_values(Writer& writer,
                            const std::vector<const Reader*>& shards,
-                           const ColumnDesc& desc, Appender appender,
-                           Scan scan,
+                           const ColumnDesc& desc,
                            std::atomic<std::uint64_t>* columns_done) {
   const std::size_t n = shards.size();
   std::vector<ColumnArena> arenas(n);
-  std::vector<decltype(scan(*shards[0], desc, arenas[0]))> values(n);
+  std::vector<ColumnSpan<V>> values(n);
   std::vector<std::function<void()>> jobs;
   jobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     jobs.push_back([&, i] {
-      values[i] = scan(*shards[i],
-                       shards[i]->column(desc.dataset, desc.column),
-                       arenas[i]);
+      values[i] = scan<V>(*shards[i],
+                          shards[i]->column(desc.dataset, desc.column),
+                          arenas[i]);
     });
   }
   Reader::parallel_decode(jobs);
   if (is_time_major_key(desc)) {
     std::size_t prev = n;  // last non-empty shard so far
     for (std::size_t i = 0; i < n; ++i) {
-      if (values[i].empty()) continue;
-      if (prev != n && values[i].front() <= values[prev].back()) {
+      if (values[i].size() == 0) continue;
+      if (prev != n &&
+          values[i][0] <= values[prev][values[prev].size() - 1]) {
         throw StoreError(shards[i]->path() + ": '" + desc.dataset + "." +
                          desc.column +
                          "' overlaps the preceding shard's range — "
@@ -90,6 +90,7 @@ std::uint64_t merge_values(Writer& writer,
       prev = i;
     }
   }
+  AppenderFor<V> appender(desc.encoding);
   for (std::size_t i = 0; i < n; ++i) {
     for (const auto v : values[i]) appender.append(v);
     if (columns_done) columns_done[i].fetch_add(1, std::memory_order_relaxed);
@@ -111,28 +112,11 @@ std::uint64_t merge_column(Writer& writer,
                        " — shards were written by different builds?");
     }
   }
-  switch (desc.type) {
-    case ColumnType::U64:
-      return merge_values(writer, shards, desc, U64Appender(desc.encoding),
-                          scan_u64, columns_done);
-    case ColumnType::F64:
-      return merge_values(writer, shards, desc, F64Appender(), scan_f64,
-                          columns_done);
-    case ColumnType::U8:
-      return merge_values(
-          writer, shards, desc, U8Appender(),
-          [](const Reader& r, const ColumnDesc& d, ColumnArena&) {
-            return scan_u8(r, d);
-          },
-          columns_done);
-    default:
-      // Only the events dataset carries strings, and events take the
-      // row-merge path below — a Str column here means a layout the
-      // merger does not understand.
-      throw StoreError(shards[0]->path() + ": unexpected " +
-                       to_string(desc.type) + " column '" + desc.dataset +
-                       "." + desc.column + "' outside the events dataset");
-  }
+  std::uint64_t rows = 0;
+  ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
+    rows = merge_values<V>(writer, shards, desc, columns_done);
+  });
+  return rows;
 }
 
 // Events path: rows must interleave across shards, not concatenate. Each
@@ -158,7 +142,8 @@ std::uint64_t merge_events(Writer& writer,
     }
     ColumnArena arena;
     rows[i] = core::events_from_frame(read_event_frame(shard, arena));
-    const auto s = scan_u64(shard, shard.column("shard", "src_event"), arena);
+    const auto s = scan<std::uint64_t>(
+        shard, shard.column("shard", "src_event"), arena);
     src[i].assign(s.begin(), s.end());
     if (rows[i].size() != src[i].size()) {
       throw StoreError(shards[i]->path() + ": shard.src_event has " +

@@ -11,6 +11,7 @@
 #include "exec/parallel.h"
 #include "obs/obs.h"
 #include "store/checksum.h"
+#include "store/epoch.h"
 #include "util/strings.h"
 
 namespace ddos::store {
@@ -84,6 +85,10 @@ void Reader::parse(std::string_view data) {
   const std::string& path = path_;
   if (data.size() < kHeaderSize + kTrailerSize)
     fail(path, "truncated: smaller than header + trailer");
+  // mmap is page-aligned and the buffered string comes from operator new;
+  // with the block offsets checked below, every payload is 8-aligned.
+  if (reinterpret_cast<std::uintptr_t>(data.data()) % 8 != 0)
+    fail(path, "store backing is not 8-byte aligned");
 
   std::size_t pos = 0;
   std::uint32_t magic = 0, version = 0;
@@ -138,10 +143,21 @@ void Reader::parse(std::string_view data) {
       fail(path, "malformed footer column index");
     // Subtraction, not `offset + size`: both are untrusted and the sum
     // can wrap past the check.
+    const std::string name = "column '" + c.dataset + "." + c.column + "'";
     if (c.offset < kHeaderSize || c.offset > footer_begin ||
         c.size > footer_begin - c.offset)
-      fail(path, "column '" + c.dataset + "." + c.column +
-                     "' extends outside the block region");
+      fail(path, name + " extends outside the block region");
+    // Format v3 pads every block to an 8-byte offset, so a Fixed block
+    // is an aligned span over the backing.
+    if (c.offset % 8 != 0)
+      fail(path, name + " starts at offset " + std::to_string(c.offset) +
+                     ", not a multiple of 8");
+    if (!ColumnTypes::admits(c.type, c.encoding))
+      fail(path, name + " has type byte " +
+                     std::to_string(static_cast<int>(c.type)) + " (" +
+                     to_string(c.type) + ") with encoding byte " +
+                     std::to_string(static_cast<int>(c.encoding)) +
+                     ", which no column type admits");
     columns_.push_back(std::move(c));
   }
   if (fpos != footer.size()) fail(path, "trailing bytes in footer");

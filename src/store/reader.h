@@ -39,7 +39,9 @@ enum class ReadMode : std::uint8_t {
 class Reader {
  public:
   /// Reads and verifies `path` (header magic/version, trailer, footer
-  /// checksum, block-extent sanity). Throws StoreError on any defect.
+  /// checksum, block-extent sanity, every block at an 8-byte offset and
+  /// of a (type, encoding) pair store/epoch.h's ColumnTypes admits).
+  /// Throws StoreError on any defect.
   /// Block CRCs are NOT checked here — they verify lazily on first
   /// touch so a mapped open stays O(footer).
   explicit Reader(const std::string& path,

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "store/dataset.h"
+#include "store/epoch.h"
 
 namespace ddos::store {
 
@@ -114,18 +115,6 @@ std::vector<std::uint64_t>& ColumnArena::u64_slot(std::string_view dataset,
   return *slot;
 }
 
-std::vector<double>& ColumnArena::f64_slot(std::string_view dataset,
-                                           std::string_view column) {
-  std::string key;
-  key.reserve(dataset.size() + column.size() + 1);
-  key.append(dataset).push_back('.');
-  key.append(column);
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = f64_[key];
-  if (!slot) slot = std::make_unique<std::vector<double>>();
-  return *slot;
-}
-
 void decode_varint_block(std::string_view payload, std::uint64_t rows,
                          std::vector<std::uint64_t>& out) {
   expect_rows_fit(payload, rows, "truncated varint block");
@@ -204,25 +193,12 @@ bool varint_block_well_formed(std::string_view payload, std::uint64_t rows) {
 
 namespace {
 
-bool aligned8(const char* p) {
-  return (reinterpret_cast<std::uintptr_t>(p) & 7u) == 0;
-}
-
 // The block decoders name only the defect; a scan adds the store path and
 // the column, so a failure in a multi-shard merge names the corrupt file.
 [[noreturn]] void column_error(const Reader& reader, const ColumnDesc& desc,
                                std::string_view what) {
   throw StoreError(reader.path() + ": column '" + desc.dataset + "." +
                    desc.column + "': " + std::string(what));
-}
-
-void expect_type(const Reader& reader, const ColumnDesc& desc,
-                 ColumnType type) {
-  if (desc.type != type) {
-    column_error(reader, desc,
-                 std::string("stored as ") + to_string(desc.type) +
-                     ", read as " + to_string(type));
-  }
 }
 
 // A Fixed block holds exactly rows values of `width` bytes, checked
@@ -233,105 +209,70 @@ bool fixed_size_ok(std::string_view payload, std::uint64_t rows,
   return payload.size() / width == rows && payload.size() % width == 0;
 }
 
-void expect_fixed_size(const Reader& reader, const ColumnDesc& desc,
-                       std::string_view payload, std::uint64_t width) {
-  if (!fixed_size_ok(payload, desc.rows, width))
-    column_error(reader, desc, "fixed block size does not match row count");
-}
-
 }  // namespace
 
-std::span<const std::uint64_t> scan_u64(const Reader& reader,
-                                        const ColumnDesc& desc,
-                                        ColumnArena& arena) {
-  expect_type(reader, desc, ColumnType::U64);
-  const std::string_view payload = reader.verified_payload(desc);
-  if (desc.encoding == Encoding::Fixed) {
-    expect_fixed_size(reader, desc, payload, 8);
-    if (aligned8(payload.data()))
-      return {reinterpret_cast<const std::uint64_t*>(payload.data()),
-              desc.rows};
+template <typename V>
+ColumnSpan<V> scan(const Reader& reader, const ColumnDesc& desc,
+                   ColumnArena& arena) {
+  constexpr ColumnType type = AppenderFor<V>::kType;
+  if (desc.type != type) {
+    column_error(reader, desc,
+                 std::string("stored as ") + to_string(desc.type) +
+                     ", read as " + to_string(type));
   }
-  auto& buf = arena.u64_slot(desc.dataset, desc.column);
+  const std::string_view payload = reader.verified_payload(desc);
   try {
-    switch (desc.encoding) {
-      case Encoding::DeltaVarint:
-        decode_delta_varint_block(payload, desc.rows, buf);
-        break;
-      case Encoding::Varint:
-        decode_varint_block(payload, desc.rows, buf);
-        break;
-      case Encoding::Fixed:  // misaligned (never written by our writer)
-        buf.resize(desc.rows);
-        std::memcpy(buf.data(), payload.data(), payload.size());
-        break;
-      default:
-        bad_block("u64 column needs a varint or fixed encoding");
+    if constexpr (std::is_same_v<V, std::string_view>) {
+      std::vector<std::uint64_t>& starts =
+          arena.u64_slot(desc.dataset, desc.column, "starts");
+      std::vector<std::uint64_t>& lens =
+          arena.u64_slot(desc.dataset, desc.column, "lens");
+      decode_string_offsets(payload, desc.rows, starts, lens);
+      return {payload, starts, lens};
+    } else {
+      // Reader admits varint encodings for u64 columns only.
+      if constexpr (std::is_same_v<V, std::uint64_t>) {
+        if (desc.encoding != Encoding::Fixed) {
+          std::vector<std::uint64_t>& buf =
+              arena.u64_slot(desc.dataset, desc.column);
+          if (desc.encoding == Encoding::DeltaVarint) {
+            decode_delta_varint_block(payload, desc.rows, buf);
+          } else {
+            decode_varint_block(payload, desc.rows, buf);
+          }
+          return {buf.data(), buf.size()};
+        }
+      }
+      // Reader refused any block not 8-byte aligned at open: the span
+      // lies over the backing itself.
+      if (!fixed_size_ok(payload, desc.rows, sizeof(V)))
+        bad_block("fixed block size does not match row count");
+      return {reinterpret_cast<const V*>(payload.data()), desc.rows};
     }
   } catch (const StoreError& e) {
     column_error(reader, desc, e.what());
   }
-  return {buf.data(), buf.size()};
 }
 
-std::span<const double> scan_f64(const Reader& reader, const ColumnDesc& desc,
-                                 ColumnArena& arena) {
-  expect_type(reader, desc, ColumnType::F64);
-  const std::string_view payload = reader.verified_payload(desc);
-  expect_fixed_size(reader, desc, payload, 8);
-  if (aligned8(payload.data()))
-    return {reinterpret_cast<const double*>(payload.data()), desc.rows};
-  std::vector<double>& buf = arena.f64_slot(desc.dataset, desc.column);
-  buf.resize(desc.rows);
-  std::memcpy(buf.data(), payload.data(), payload.size());
-  return {buf.data(), buf.size()};
-}
-
-std::span<const std::uint8_t> scan_u8(const Reader& reader,
-                                      const ColumnDesc& desc) {
-  expect_type(reader, desc, ColumnType::U8);
-  const std::string_view payload = reader.verified_payload(desc);
-  expect_fixed_size(reader, desc, payload, 1);
-  return {reinterpret_cast<const std::uint8_t*>(payload.data()), desc.rows};
-}
-
-core::StringColumnView scan_strings(const Reader& reader,
-                                    const ColumnDesc& desc,
-                                    ColumnArena& arena) {
-  expect_type(reader, desc, ColumnType::Str);
-  const std::string_view payload = reader.verified_payload(desc);
-  std::vector<std::uint64_t>& starts =
-      arena.u64_slot(desc.dataset, desc.column, "starts");
-  std::vector<std::uint64_t>& lens =
-      arena.u64_slot(desc.dataset, desc.column, "lens");
-  try {
-    decode_string_offsets(payload, desc.rows, starts, lens);
-  } catch (const StoreError& e) {
-    column_error(reader, desc, e.what());
-  }
-  core::StringColumnView view;
-  view.bytes = payload;
-  view.starts = {starts.data(), starts.size()};
-  view.lens = {lens.data(), lens.size()};
-  return view;
-}
+// One scan per stored value type (ColumnTypes).
+template ColumnSpan<std::uint64_t> scan<std::uint64_t>(const Reader&,
+                                                       const ColumnDesc&,
+                                                       ColumnArena&);
+template ColumnSpan<double> scan<double>(const Reader&, const ColumnDesc&,
+                                         ColumnArena&);
+template ColumnSpan<std::uint8_t> scan<std::uint8_t>(const Reader&,
+                                                     const ColumnDesc&,
+                                                     ColumnArena&);
+template ColumnSpan<std::string_view> scan<std::string_view>(
+    const Reader&, const ColumnDesc&, ColumnArena&);
 
 core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena) {
   core::EventFrame f;
   f.rows = reader.dataset_rows("events");
-  for_each_event_column(f, [&](const char* column, Encoding, auto& values) {
-    const ColumnDesc& desc = reader.column("events", column);
-    using Values = std::remove_reference_t<decltype(values)>;
-    if constexpr (std::is_same_v<Values, std::span<const std::uint64_t>>) {
-      values = scan_u64(reader, desc, arena);
-    } else if constexpr (std::is_same_v<Values, std::span<const double>>) {
-      values = scan_f64(reader, desc, arena);
-    } else if constexpr (std::is_same_v<Values,
-                                         std::span<const std::uint8_t>>) {
-      values = scan_u8(reader, desc);
-    } else {
-      values = scan_strings(reader, desc, arena);
-    }
+  for_each_event_column(f, [&]<typename Values>(const char* column, Encoding,
+                                                Values& values) {
+    values = scan<typename Values::value_type>(
+        reader, reader.column("events", column), arena);
   });
   return f;
 }
@@ -341,28 +282,21 @@ namespace {
 // Decode one block by its type, as every consumer would.
 void scan_column(const Reader& reader, const ColumnDesc& desc,
                  ColumnArena& arena) {
-  switch (desc.type) {
-    case ColumnType::U64: scan_u64(reader, desc, arena); return;
-    case ColumnType::F64: scan_f64(reader, desc, arena); return;
-    case ColumnType::U8: scan_u8(reader, desc); return;
-    case ColumnType::Str: scan_strings(reader, desc, arena); return;
-  }
-  column_error(reader, desc, "unknown column type");
+  ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
+    scan<V>(reader, desc, arena);
+  });
 }
 
-// True when `payload` is a block its scan accepts, judged from its
+// True when `payload` is a block scan<V> accepts, judged from its
 // structure alone. False is not a verdict: the scan decides.
+template <typename V>
 bool block_well_formed(const ColumnDesc& desc, std::string_view payload) {
-  switch (desc.type) {
-    case ColumnType::U64:
-      if (desc.encoding == Encoding::Fixed)
-        return fixed_size_ok(payload, desc.rows, 8);
-      return (desc.encoding == Encoding::Varint ||
-              desc.encoding == Encoding::DeltaVarint) &&
-             varint_block_well_formed(payload, desc.rows);
-    case ColumnType::F64: return fixed_size_ok(payload, desc.rows, 8);
-    case ColumnType::U8: return fixed_size_ok(payload, desc.rows, 1);
-    case ColumnType::Str:
+  switch (desc.encoding) {
+    case Encoding::Fixed: return fixed_size_ok(payload, desc.rows, sizeof(V));
+    case Encoding::DeltaVarint:
+    case Encoding::Varint:
+      return varint_block_well_formed(payload, desc.rows);
+    case Encoding::StringBlock:
       return walk_strings(payload, desc.rows,
                           [](std::uint64_t, std::size_t, std::uint64_t) {}) ==
              nullptr;
@@ -386,12 +320,15 @@ std::uint64_t for_each_block(const Reader& reader, Fn fn) {
 
 void check_column(const Reader& reader, const ColumnDesc& desc) {
   const std::string_view payload = reader.verified_payload(desc);
-  if (block_well_formed(desc, payload)) return;
-  // The structure check only ever accepts. The scan is the one authority
-  // on a refusal and its message; a block it accepts (a varint of nine
-  // continuation bytes) decodes here once, into a buffer thrown away.
-  ColumnArena scratch;
-  scan_column(reader, desc, scratch);
+  ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
+    if (block_well_formed<V>(desc, payload)) return;
+    // The structure check only ever accepts. The scan is the one
+    // authority on a refusal and its message; a block it accepts (a
+    // varint of nine continuation bytes) decodes here once, into a
+    // buffer thrown away.
+    ColumnArena scratch;
+    scan<V>(reader, desc, scratch);
+  });
 }
 
 }  // namespace

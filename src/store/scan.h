@@ -1,14 +1,14 @@
 // Columnar scan layer over a store::Reader — the store's one decoder.
 // The analysis kernels (core/columnar.h), store/dataset.h's read_dataset
 // (load_run and the serving load) and merge_stores all read column values
-// through scan_u64/scan_f64/scan_u8/scan_strings.
+// through scan<V>, V a stored value type of store/epoch.h's ColumnTypes.
 //
 //   * Fixed-width columns (f64, u8, and Fixed-encoded u64) are returned
 //     as spans directly over the reader's backing — in Mapped mode that
 //     is the mmap itself, so no byte of the block is ever copied. Format
-//     v3 pads every block to an 8-byte file offset, so the alignment
-//     check in scan_f64/scan_u64 succeeds on any v3 store; a misaligned
-//     payload (never produced by our writer) falls back to an arena copy.
+//     v3 pads every block to an 8-byte file offset and Reader refuses a
+//     store whose blocks are not aligned at open, so every such span is
+//     aligned.
 //   * Varint and delta-varint columns decode into reusable ColumnArena
 //     buffers with an unrolled LEB128 inner loop and a branch-light
 //     delta prefix-sum — one resize per column, no per-row allocation.
@@ -32,6 +32,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -53,18 +54,15 @@ class ColumnArena {
   std::vector<std::uint64_t>& u64_slot(std::string_view dataset,
                                        std::string_view column,
                                        std::string_view aux = {});
-  std::vector<double>& f64_slot(std::string_view dataset,
-                                std::string_view column);
 
   /// Distinct buffers allocated so far (stable across repeat scans —
   /// the arena-reuse property tests pin).
-  std::size_t slots() const { return u64_.size() + f64_.size(); }
+  std::size_t slots() const { return u64_.size(); }
 
  private:
   std::mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<std::vector<std::uint64_t>>>
       u64_;
-  std::unordered_map<std::string, std::unique_ptr<std::vector<double>>> f64_;
 };
 
 // ---- fast block decoders (exposed for bench_micro_decode) ------------
@@ -92,16 +90,18 @@ void decode_string_offsets(std::string_view payload, std::uint64_t rows,
 
 // ---- column scans ----------------------------------------------------
 
-std::span<const std::uint64_t> scan_u64(const Reader& reader,
-                                        const ColumnDesc& desc,
-                                        ColumnArena& arena);
-std::span<const double> scan_f64(const Reader& reader, const ColumnDesc& desc,
-                                 ColumnArena& arena);
-std::span<const std::uint8_t> scan_u8(const Reader& reader,
-                                      const ColumnDesc& desc);
-core::StringColumnView scan_strings(const Reader& reader,
-                                    const ColumnDesc& desc,
-                                    ColumnArena& arena);
+/// What scan<V> returns: the column's values, or for strings their
+/// offsets into the block.
+template <typename V>
+using ColumnSpan = std::conditional_t<std::is_same_v<V, std::string_view>,
+                                      core::StringColumnView,
+                                      std::span<const V>>;
+
+/// The values of `desc`'s block, which must store value type V (u64, f64,
+/// u8 or std::string_view); spans borrow from `reader` and `arena`.
+template <typename V>
+ColumnSpan<V> scan(const Reader& reader, const ColumnDesc& desc,
+                   ColumnArena& arena);
 
 /// Columnar view of the joined "events" dataset, read column by column
 /// per store/dataset.h's events schema; spans borrow from `reader` and

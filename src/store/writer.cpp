@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "store/checksum.h"
-#include "store/epoch.h"
 
 namespace ddos::store {
 
@@ -67,33 +66,6 @@ void Writer::append_block(std::string_view dataset, std::string_view column,
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   offset_ += payload.size();
   columns_.push_back(std::move(desc));
-}
-
-namespace {
-
-constexpr auto kSame = [](const auto& v) -> const auto& { return v; };
-
-}  // namespace
-
-void Writer::add_u64(std::string_view dataset, std::string_view column,
-                     std::span<const std::uint64_t> values,
-                     Encoding encoding) {
-  write_column(*this, dataset, column, U64Appender(encoding), values, kSame);
-}
-
-void Writer::add_f64(std::string_view dataset, std::string_view column,
-                     std::span<const double> values) {
-  write_column(*this, dataset, column, F64Appender(), values, kSame);
-}
-
-void Writer::add_u8(std::string_view dataset, std::string_view column,
-                    std::span<const std::uint8_t> values) {
-  write_column(*this, dataset, column, U8Appender(), values, kSame);
-}
-
-void Writer::add_strings(std::string_view dataset, std::string_view column,
-                         std::span<const std::string> values) {
-  write_column(*this, dataset, column, StringAppender(), values, kSame);
 }
 
 void Writer::finish() {

@@ -1,8 +1,11 @@
-// DRS writer — streams column blocks to disk as they are added and
-// appends the footer index + trailer on finish(). Columns are grouped
-// into named datasets ("feed", "events", ...); metadata key/value pairs
+// DRS writer — streams encoded column blocks to disk as they are added
+// and appends the footer index + trailer on finish(). It encodes no
+// values: every block comes from a store/epoch.h appender's flush_to
+// (write_column for a whole column). Columns are grouped into named
+// datasets ("feed", "events", ...); metadata key/value pairs
 // (provenance: config, seed, thread count, result counts) travel in the
-// footer. Blocks are checksummed (CRC32C) as written.
+// footer. Blocks are checksummed (CRC32C) and padded to an 8-byte file
+// offset (format v3) as written.
 //
 // The file is built under a per-process sibling temp name and renamed
 // onto the target path only by a successful finish(), so the path never
@@ -13,7 +16,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,21 +39,10 @@ class Writer {
   /// Footer metadata; later add_meta with the same key overwrites.
   void add_meta(std::string_view key, std::string_view value);
 
-  /// Append one column block, encoded by the matching store/epoch.h
-  /// appender. Dataset/column pairs must be unique.
-  void add_u64(std::string_view dataset, std::string_view column,
-               std::span<const std::uint64_t> values,
-               Encoding encoding = Encoding::DeltaVarint);
-  void add_f64(std::string_view dataset, std::string_view column,
-               std::span<const double> values);
-  void add_u8(std::string_view dataset, std::string_view column,
-              std::span<const std::uint8_t> values);
-  void add_strings(std::string_view dataset, std::string_view column,
-                   std::span<const std::string> values);
-
-  /// Append a block whose payload was encoded elsewhere (the appenders'
-  /// flush_to). The caller vouches that `payload` is a valid encoding of
-  /// `rows` rows; a block that is not fails its decode on read.
+  /// Append one encoded block (the appenders' flush_to). Dataset/column
+  /// pairs must be unique. The caller vouches that `payload` is a valid
+  /// encoding of `rows` rows; a block that is not fails its decode on
+  /// read.
   void add_encoded(std::string_view dataset, std::string_view column,
                    ColumnType type, Encoding encoding, std::uint64_t rows,
                    const std::string& payload) {

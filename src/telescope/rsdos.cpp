@@ -135,25 +135,4 @@ std::vector<RSDoSEvent> EventStitcher::finish() const {
   return events;
 }
 
-std::vector<DayEventBatch> group_events_by_day(
-    const std::vector<RSDoSEvent>& events) {
-  std::vector<std::pair<netsim::DayIndex, std::uint32_t>> keyed;
-  keyed.reserve(events.size());
-  for (std::uint32_t i = 0; i < events.size(); ++i) {
-    keyed.emplace_back((events[i].end_time() - 1).day(), i);
-  }
-  // Pairs sort by (day, index): within a day the canonical event order is
-  // preserved without needing a stable sort.
-  std::sort(keyed.begin(), keyed.end());
-
-  std::vector<DayEventBatch> batches;
-  for (const auto& [day, idx] : keyed) {
-    if (batches.empty() || batches.back().day != day) {
-      batches.push_back(DayEventBatch{day, {}});
-    }
-    batches.back().event_indices.push_back(idx);
-  }
-  return batches;
-}
-
 }  // namespace ddos::telescope

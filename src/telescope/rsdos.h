@@ -140,21 +140,4 @@ class EventStitcher {
   std::uint32_t last_slot_ = 0;
 };
 
-/// One day-epoch's worth of stitched events, identified by index into the
-/// canonical (victim, start_window)-ordered event vector rather than by
-/// copies — downstream consumers (the streaming join) must preserve the
-/// canonical order even though they process day by day.
-struct DayEventBatch {
-  /// Last attacked day, (end_time()-1).day(): the epoch after which every
-  /// measurement-store read of the event's join is final (the join reads
-  /// day first_day-1 baselines and the attack windows, all <= this day).
-  netsim::DayIndex day = 0;
-  std::vector<std::uint32_t> event_indices;  // ascending, into the vector
-};
-
-/// Bucket stitched events by last attacked day, batches in ascending day
-/// order, indices within a batch in canonical event order.
-std::vector<DayEventBatch> group_events_by_day(
-    const std::vector<RSDoSEvent>& events);
-
 }  // namespace ddos::telescope

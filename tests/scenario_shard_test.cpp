@@ -142,14 +142,15 @@ TEST(ShardPlan, DayCutsDeterministicAndCovering) {
       EXPECT_EQ(owners, 1u) << "day " << day << " at N=" << count;
     }
     // An event is owned by the shard owning its last attacked day.
-    for (const auto& batch : telescope::group_events_by_day(whole().events)) {
+    for (const auto& event : whole().events) {
+      const netsim::DayIndex last_day = (event.end_time() - 1).day();
       std::uint32_t owners = 0;
       for (std::uint32_t i = 0; i < count; ++i) {
-        if (shard_bounds(plan, ShardSpec{i, count}).owns_day(batch.day)) {
+        if (shard_bounds(plan, ShardSpec{i, count}).owns_day(last_day)) {
           ++owners;
         }
       }
-      EXPECT_EQ(owners, 1u) << "events ending day " << batch.day
+      EXPECT_EQ(owners, 1u) << "event ending day " << last_day
                             << " at N=" << count;
     }
   }

@@ -284,7 +284,7 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
   const Reader reader(path, ReadMode::Buffered);
   ColumnArena arena;
   try {
-    scan_u64(reader, reader.column("ds", "col"), arena);
+    scan<std::uint64_t>(reader, reader.column("ds", "col"), arena);
     FAIL() << "decode of a truncated varint did not throw";
   } catch (const StoreError& e) {
     const std::string message = e.what();
@@ -296,23 +296,34 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
 
 // ---- malformed blocks that pass their CRC ----------------------------
 
-// Copy `src` to `dst` block for block, with the payload of
-// dataset.column replaced by `payload` (row count kept). The writer
-// checksums the new payload, so only its decode can catch it.
-void copy_with_block(const std::string& src, const std::string& dst,
-                     const std::string& dataset, const std::string& column,
-                     const std::string& payload) {
+// Copy `src` to `dst` block for block, dataset.column's footer entry
+// and payload first passed to edit(desc, payload). The writer checksums
+// every block and the footer, so only the reader's own rules can catch
+// the edit.
+void copy_with_edit(
+    const std::string& src, const std::string& dst,
+    const std::string& dataset, const std::string& column,
+    const std::function<void(ColumnDesc&, std::string&)>& edit) {
   const Reader reader(src);
   Writer writer(dst);
   for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
-  for (const ColumnDesc& desc : reader.columns()) {
-    const bool target = desc.dataset == dataset && desc.column == column;
+  for (const ColumnDesc& stored : reader.columns()) {
+    ColumnDesc desc = stored;
+    std::string payload(reader.verified_payload(stored));
+    if (desc.dataset == dataset && desc.column == column) edit(desc, payload);
     writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                       desc.rows,
-                       target ? payload
-                              : std::string(reader.verified_payload(desc)));
+                       desc.rows, payload);
   }
   writer.finish();
+}
+
+// Copy `src` to `dst` with the payload of dataset.column replaced by
+// `payload` (row count kept), so only its decode can catch it.
+void copy_with_block(const std::string& src, const std::string& dst,
+                     const std::string& dataset, const std::string& column,
+                     const std::string& payload) {
+  copy_with_edit(src, dst, dataset, column,
+                 [&](ColumnDesc&, std::string& p) { p = payload; });
 }
 
 struct MalformedBlock {
@@ -405,6 +416,50 @@ TEST(MalformedBlock, EveryConsumerNamesPathAndColumn) {
     expect_names_path_and_column([&] { merge_stores(merged, inputs); },
                                  bad_shard, column,
                                  block.name + std::string(" merge"));
+  }
+  for (const std::string& path : {whole, bad, bad_shard, merged}) {
+    std::filesystem::remove(path);
+  }
+}
+
+// A footer entry whose (type, encoding) pair the column-type rule does
+// not admit — an f64 or u8 block marked with a varint encoding, its
+// payload and CRC intact — fails every reader at open, naming the
+// column, where the block used to load as Fixed.
+TEST(MalformedBlock, PairsOutsideTheColumnTypeRuleFailEveryReader) {
+  const scenario::LongitudinalConfig cfg = test_config();
+  const std::string whole = temp_path("pair-whole.drs");
+  scenario::save_run(whole, cfg, 1, scenario::run_longitudinal(cfg));
+  const std::string bad = temp_path("pair.drs");
+  const std::string bad_shard = temp_path("pair-shard.drs");
+  const std::string merged = temp_path("pair-merged.drs");
+  const struct {
+    const char* dataset;
+    const char* column;
+    Encoding encoding;
+  } cases[] = {
+      {"events", "peak_impact", Encoding::Varint},
+      {"feed", "protocol", Encoding::DeltaVarint},
+  };
+  for (const auto& c : cases) {
+    const std::string column = std::string(c.dataset) + "." + c.column;
+    const auto mark = [&](ColumnDesc& desc, std::string&) {
+      desc.encoding = c.encoding;
+    };
+    copy_with_edit(whole, bad, c.dataset, c.column, mark);
+    expect_names_path_and_column([&] { scenario::load_run(bad); }, bad,
+                                 column, column + " load_run", "admits");
+    expect_names_path_and_column([&] { scenario::analyze_store(bad); }, bad,
+                                 column, column + " analyze", "admits");
+    expect_names_path_and_column([&] { serve::load_engine(bad); }, bad, column,
+                                 column + " load_engine", "admits");
+
+    copy_with_edit(shards2()[0], bad_shard, c.dataset, c.column, mark);
+    std::vector<std::string> inputs = shards2();
+    inputs[0] = bad_shard;
+    expect_names_path_and_column([&] { merge_stores(merged, inputs); },
+                                 bad_shard, column, column + " merge",
+                                 "admits");
   }
   for (const std::string& path : {whole, bad, bad_shard, merged}) {
     std::filesystem::remove(path);

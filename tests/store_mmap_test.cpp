@@ -21,6 +21,7 @@
 #include "scan_columns.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
+#include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/scan.h"
@@ -68,12 +69,13 @@ std::string write_sample_store(const char* name) {
                                           "x",       "selfhosted"};
   Writer writer(path);
   writer.add_meta("purpose", "mmap-parity-test");
-  writer.add_u64("ds", "sorted", sorted, Encoding::DeltaVarint);
-  writer.add_u64("ds", "counts", counts, Encoding::Varint);
-  writer.add_u64("ds", "raw", counts, Encoding::Fixed);
-  writer.add_f64("ds", "reals", reals);
-  writer.add_u8("ds", "bytes", bytes);
-  writer.add_strings("ds", "names", names);
+  write_column(writer, "ds", "sorted", U64Appender(Encoding::DeltaVarint),
+               sorted);
+  write_column(writer, "ds", "counts", U64Appender(Encoding::Varint), counts);
+  write_column(writer, "ds", "raw", U64Appender(Encoding::Fixed), counts);
+  write_column(writer, "ds", "reals", F64Appender(), reals);
+  write_column(writer, "ds", "bytes", U8Appender(), bytes);
+  write_column(writer, "ds", "names", StringAppender(), names);
   writer.finish();
   return path;
 }
@@ -109,8 +111,9 @@ TEST(MmapReader, V3BlocksAreEightByteAlignedAndFixedSpansZeroCopy) {
   // Fixed-width spans alias the mapping itself: same bytes, no arena copy.
   ColumnArena arena;
   const std::size_t slots_before = arena.slots();
-  const auto reals = scan_f64(reader, reader.column("ds", "reals"), arena);
-  const auto raw = scan_u64(reader, reader.column("ds", "raw"), arena);
+  const auto reals = scan<double>(reader, reader.column("ds", "reals"), arena);
+  const auto raw =
+      scan<std::uint64_t>(reader, reader.column("ds", "raw"), arena);
   EXPECT_EQ(arena.slots(), slots_before);  // zero-copy: no buffer created
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(reals.data()) % 8, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(raw.data()) % 8, 0u);
@@ -178,8 +181,9 @@ TEST(MmapReader, UnrolledDecoderRejectsTrailingBytes) {
   writer.finish();
   const Reader reader(path, ReadMode::Mapped);
   ColumnArena arena;
-  EXPECT_THROW(scan_u64(reader, reader.column("ds", "bad"), arena),
-               StoreError);
+  EXPECT_THROW(
+      scan<std::uint64_t>(reader, reader.column("ds", "bad"), arena),
+      StoreError);
 }
 
 // End-to-end: a saved pipeline run loads identically through both

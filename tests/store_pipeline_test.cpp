@@ -19,6 +19,7 @@
 #include "scan_columns.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
+#include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -58,7 +59,8 @@ std::string rewrite_store(const std::string& from, const char* name,
       std::vector<std::uint64_t> values =
           store::testing_columns::u64s(reader, desc.dataset, desc.column);
       values.at(0) = edit.row0;
-      writer.add_u64(desc.dataset, desc.column, values, desc.encoding);
+      store::write_column(writer, desc.dataset, desc.column,
+                          store::U64Appender(desc.encoding), values);
     } else {
       writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
                          desc.rows, std::string(reader.verified_payload(desc)));

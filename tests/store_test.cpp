@@ -121,11 +121,13 @@ TEST(WriterReader, RoundTripAllColumnTypes) {
     writer.add_meta("seed", "42");
     writer.add_meta("seed", "43");  // same key overwrites
     writer.add_meta("tool", "test");
-    writer.add_u64("ds", "key", keys, Encoding::DeltaVarint);
-    writer.add_u64("ds", "count", counts, Encoding::Varint);
-    writer.add_f64("ds", "rtt", rtts);
-    writer.add_u8("ds", "protocol", protocols);
-    writer.add_strings("ds", "org", orgs);
+    write_column(writer, "ds", "key", U64Appender(Encoding::DeltaVarint),
+                 keys);
+    write_column(writer, "ds", "count", U64Appender(Encoding::Varint),
+                 counts);
+    write_column(writer, "ds", "rtt", F64Appender(), rtts);
+    write_column(writer, "ds", "protocol", U8Appender(), protocols);
+    write_column(writer, "ds", "org", StringAppender(), orgs);
     writer.finish();
     EXPECT_EQ(writer.bytes_written(),
               std::filesystem::file_size(path));
@@ -150,9 +152,11 @@ TEST(WriterReader, EmptyDatasetRoundTrips) {
   const std::string path = temp_path("empty.drs");
   {
     Writer writer(path);
-    writer.add_u64("feed", "window", {}, Encoding::DeltaVarint);
-    writer.add_f64("feed", "ppm", {});
-    writer.add_strings("feed", "org", {});
+    write_column(writer, "feed", "window", U64Appender(Encoding::DeltaVarint),
+                 std::vector<std::uint64_t>{});
+    write_column(writer, "feed", "ppm", F64Appender(), std::vector<double>{});
+    write_column(writer, "feed", "org", StringAppender(),
+                 std::vector<std::string>{});
     writer.finish();
   }
   const Reader reader(path);
@@ -167,9 +171,11 @@ TEST(WriterReader, SingleRowBlocks) {
   const std::string path = temp_path("single.drs");
   {
     Writer writer(path);
-    writer.add_u64("ds", "key", std::vector<std::uint64_t>{
-        std::numeric_limits<std::uint64_t>::max()});
-    writer.add_f64("ds", "value", std::vector<double>{-0.0});
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{
+                     std::numeric_limits<std::uint64_t>::max()});
+    write_column(writer, "ds", "value", F64Appender(),
+                 std::vector<double>{-0.0});
     writer.finish();
   }
   const Reader reader(path);
@@ -186,7 +192,7 @@ TEST(WriterReader, DetectsCorruptBlock) {
   {
     Writer writer(path);
     const std::vector<std::uint64_t> keys = {1000, 2000, 3000, 4000};
-    writer.add_u64("ds", "key", keys);
+    write_column(writer, "ds", "key", U64Appender(), keys);
     writer.finish();
   }
   // First block payload starts right after the 16-byte header.
@@ -200,7 +206,8 @@ TEST(WriterReader, DetectsTruncatedFile) {
   const std::string path = temp_path("truncated.drs");
   {
     Writer writer(path);
-    writer.add_u64("ds", "key", std::vector<std::uint64_t>{1, 2, 3});
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{1, 2, 3});
     writer.finish();
   }
   const auto size = std::filesystem::file_size(path);
@@ -212,7 +219,8 @@ TEST(WriterReader, RejectsBadMagicAndVersion) {
   const std::string path = temp_path("versioned.drs");
   {
     Writer writer(path);
-    writer.add_u64("ds", "key", std::vector<std::uint64_t>{7});
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{7});
     writer.finish();
   }
   {
@@ -238,9 +246,9 @@ TEST(Writer, RejectsColumnsAfterFinish) {
   const std::string path = temp_path("finished.drs");
   Writer writer(path);
   writer.finish();
-  EXPECT_THROW(
-      writer.add_u64("ds", "key", std::vector<std::uint64_t>{1}),
-      StoreError);
+  EXPECT_THROW(write_column(writer, "ds", "key", U64Appender(),
+                            std::vector<std::uint64_t>{1}),
+               StoreError);
 }
 
 // A one-dataset store whose "gen" meta and key column identify which
@@ -249,7 +257,7 @@ void write_generation(const std::string& path, const std::string& gen,
                       const std::vector<std::uint64_t>& keys) {
   Writer writer(path);
   writer.add_meta("gen", gen);
-  writer.add_u64("ds", "key", keys);
+  write_column(writer, "ds", "key", U64Appender(), keys);
   writer.finish();
 }
 
@@ -280,7 +288,8 @@ TEST(Writer, AbandonedWriterLeavesOldFileAndNoTempFile) {
   {
     Writer writer(path);
     writer.add_meta("gen", "new");
-    writer.add_u64("ds", "key", std::vector<std::uint64_t>{9, 9, 9, 9});
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{9, 9, 9, 9});
   }
   EXPECT_EQ(read_file(path), before);
   std::vector<std::string> names;
@@ -338,19 +347,54 @@ TEST(Reader, MetaParsersNameThePathAndKey) {
 // so only the reader's bounds checks stand between the bytes and an
 // out-of-range access. Both sums they guard could wrap on u64 overflow.
 
-// Replace the footer of the store at `path` with `footer` and a fresh
-// trailer whose CRC covers it.
-void replace_footer(const std::string& path, const std::string& footer) {
+// The header and blocks of the store at `path`: the file without its
+// footer and trailer.
+std::string block_region(const std::string& path) {
   std::string file = read_file(path);
   std::size_t tpos = file.size() - kTrailerSize;
   std::uint64_t footer_size = 0;
-  ASSERT_TRUE(get_fixed64(file, tpos, footer_size));
+  EXPECT_TRUE(get_fixed64(file, tpos, footer_size));
   file.resize(file.size() - kTrailerSize - footer_size);
-  file += footer;
-  put_fixed64(file, footer.size());
-  put_fixed32(file, crc32c(footer));
-  put_fixed32(file, kMagic);
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << file;
+  return file;
+}
+
+// Write `blocks`, `footer` and a trailer whose CRC covers it to `path`.
+void write_store(const std::string& path, std::string blocks,
+                 const std::string& footer) {
+  blocks += footer;
+  put_fixed64(blocks, footer.size());
+  put_fixed32(blocks, crc32c(footer));
+  put_fixed32(blocks, kMagic);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << blocks;
+}
+
+// Replace the footer of the store at `path` with `footer` and a fresh
+// trailer whose CRC covers it.
+void replace_footer(const std::string& path, const std::string& footer) {
+  write_store(path, block_region(path), footer);
+}
+
+// The footer Writer::finish writes for `reader`'s meta and `columns`.
+std::string encode_footer(const Reader& reader,
+                          const std::vector<ColumnDesc>& columns) {
+  std::string footer;
+  put_varint(footer, reader.meta().size());
+  for (const auto& [key, value] : reader.meta()) {
+    put_string(footer, key);
+    put_string(footer, value);
+  }
+  put_varint(footer, columns.size());
+  for (const ColumnDesc& c : columns) {
+    put_string(footer, c.dataset);
+    put_string(footer, c.column);
+    footer.push_back(static_cast<char>(c.type));
+    footer.push_back(static_cast<char>(c.encoding));
+    put_varint(footer, c.rows);
+    put_varint(footer, c.offset);
+    put_varint(footer, c.size);
+    put_fixed32(footer, c.crc);
+  }
+  return footer;
 }
 
 void expect_open_fails(const std::string& path, const std::string& expected) {
@@ -417,6 +461,88 @@ TEST(HostileFooter, StringLengthThatWrapsIsRejected) {
   put_varint(footer, 0);  // no columns
   replace_footer(path, footer);
   expect_open_fails(path, "malformed footer metadata");
+}
+
+// Format v3 starts every block at an 8-byte offset, so Fixed columns are
+// aligned spans over the backing. One byte inserted before the f64 block
+// (its offset and every later one shifted, footer and trailer
+// recomputed) makes a store every block of which is intact but
+// misaligned; the reader refuses it at open, naming the column.
+TEST(HostileFooter, MisalignedBlockIsRefusedAtOpen) {
+  const std::string path = temp_path("hostile-misaligned.drs");
+  {
+    Writer writer(path);
+    writer.add_meta("gen", "aligned");
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{1, 2, 3});
+    write_column(writer, "ds", "rtt", F64Appender(),
+                 std::vector<double>{0.5, -1.5, 1e300});
+    write_column(writer, "ds", "protocol", U8Appender(),
+                 std::vector<std::uint8_t>{6, 17, 1});
+    writer.finish();
+  }
+  std::string blocks = block_region(path);
+  std::string footer;
+  std::uint64_t rtt_offset = 0;
+  {
+    const Reader reader(path);
+    std::vector<ColumnDesc> columns = reader.columns();
+    rtt_offset = reader.column("ds", "rtt").offset;
+    for (ColumnDesc& c : columns) {
+      if (c.offset >= rtt_offset) ++c.offset;
+    }
+    footer = encode_footer(reader, columns);
+  }
+  blocks.insert(rtt_offset, 1, '\0');
+  write_store(path, blocks, footer);
+  expect_open_fails(path, "column 'ds.rtt' starts at offset " +
+                              std::to_string(rtt_offset + 1));
+}
+
+// Every (type, encoding) pair outside the column-type rule is refused at
+// open, naming the column, with payload and CRCs intact: an f64 or u8
+// block marked with a varint encoding, a u64 block marked StringBlock, a
+// string block marked Fixed, and unknown type and encoding bytes.
+TEST(HostileFooter, PairsOutsideTheColumnTypeRuleAreRefused) {
+  F64Appender impact;
+  impact.append(0.25);
+  U8Appender protocol;
+  protocol.append(17);
+  U64Appender victim(Encoding::Varint);
+  victim.append(7);
+  StringAppender org;
+  org.append("x");
+  const struct {
+    const char* column;  // dataset.column
+    ColumnType type;
+    Encoding encoding;
+    std::string payload;
+  } cases[] = {
+      {"events.peak_impact", ColumnType::F64, Encoding::Varint,
+       impact.payload()},
+      {"feed.protocol", ColumnType::U8, Encoding::DeltaVarint,
+       protocol.payload()},
+      {"feed.victim", ColumnType::U64, Encoding::StringBlock,
+       victim.payload()},
+      {"events.org", ColumnType::Str, Encoding::Fixed, org.payload()},
+      {"feed.victim", static_cast<ColumnType>(9), Encoding::Varint,
+       victim.payload()},
+      {"feed.victim", ColumnType::U64, static_cast<Encoding>(7),
+       victim.payload()},
+  };
+  const std::string path = temp_path("hostile-pair.drs");
+  for (const auto& c : cases) {
+    const std::string name = c.column;
+    const std::size_t dot = name.find('.');
+    {
+      Writer writer(path);
+      writer.add_encoded(name.substr(0, dot), name.substr(dot + 1), c.type,
+                         c.encoding, 1, c.payload);
+      writer.finish();
+    }
+    expect_open_fails(path, "column '" + name + "' has type byte " +
+                                std::to_string(static_cast<int>(c.type)));
+  }
 }
 
 }  // namespace
