@@ -268,29 +268,41 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   }
   const World& world = *result.world;
 
-  // Telescope: observe backscatter, infer the feed, and stitch events as
-  // the ordered shard reduction hands each ingest shard's records over in
-  // records() order. RSDoSFeed::events() runs the same EventStitcher over
-  // the same sequence, so the events match it bit for bit; unless kept,
-  // each shard's records are released once folded, so peak memory stays
-  // bounded by the parallel region itself. A shard persists only its row
-  // slice of the feed, which needs the total first, so it keeps them.
+  // Telescope: observe backscatter, infer the feed, and stitch events one
+  // ingest region at a time, as ingest_stream hands each region's records
+  // over in records() order. RSDoSFeed::events() runs the same
+  // EventStitcher over the same records, so the events match it bit for
+  // bit; the stitch ranges are cut at the schedule's victims, known before
+  // any record is. Unless kept, each region's records are released once
+  // folded, so peak memory stays bounded by the parallel region itself. A
+  // shard persists only its row slice of the feed, which needs the total
+  // first, so it keeps them.
   std::uint64_t feed_rows = 0;
   {
     obs::ScopedSpan span(tracer, "telescope.infer");
     result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
-    telescope::EventStitcher stitcher(config.inference);
+    const auto& attacks = result.workload.schedule.attacks();
+    telescope::EventStitcher stitcher(
+        config.inference,
+        telescope::sample_victims(attacks.size(), [&](std::size_t i) {
+          return attacks[i].target.value();
+        }));
     const bool keep_records = spec.retain_feed || spec.shard;
+    if (keep_records) result.feed.reserve_for(result.workload.schedule);
     std::optional<store::DatasetAppender<store::FeedColumns>> feed_columns;
     if (writer) feed_columns.emplace("feed");
     result.feed_records = result.feed.ingest_stream(
         result.workload.schedule, result.darknet, config.feed_seed,
-        [&](std::vector<telescope::RSDoSRecord>&& records) {
-          for (const telescope::RSDoSRecord& rec : records) {
-            if (feed_columns && !spec.shard) feed_columns->append(rec);
-            stitcher.add(rec);
-            if (keep_records) result.feed.add_record(rec);
+        [&](telescope::RecordBatch batch) {
+          for (const std::span<const telescope::RSDoSRecord> part : batch) {
+            if (feed_columns && !spec.shard) {
+              for (const telescope::RSDoSRecord& rec : part) {
+                feed_columns->append(rec);
+              }
+            }
+            if (keep_records) result.feed.add_records(part);
           }
+          stitcher.add(batch);
         });
     feed_rows = result.feed_records;
     if (spec.shard) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <span>
+#include <tuple>
 
 #include "core/impact.h"
 #include "obs/obs.h"
@@ -15,15 +18,13 @@ namespace ddos::serve {
 
 namespace {
 
-/// Events per victim, ascending by victim.
+/// Events per victim, ascending by victim: one pass, as stitched events
+/// come in canonical (victim, start_window) order.
 std::vector<VictimAttacks> count_attacks(
     const std::vector<telescope::RSDoSEvent>& events) {
-  std::vector<std::uint32_t> victims;
-  victims.reserve(events.size());
-  for (const auto& ev : events) victims.push_back(ev.victim.value());
-  std::sort(victims.begin(), victims.end());
   std::vector<VictimAttacks> out;
-  for (const std::uint32_t victim : victims) {
+  for (const auto& ev : events) {
+    const std::uint32_t victim = ev.victim.value();
     if (out.empty() || out.back().victim != victim) out.push_back({victim, 0});
     ++out.back().attacks;
   }
@@ -268,42 +269,58 @@ WindowScanResult QueryEngine::window_scan(netsim::DayIndex day_lo,
 }
 
 std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
-  obs::ScopedSpan span(obs::installed_tracer(), "serve.load_engine");
+  obs::Tracer* tracer = obs::installed_tracer();
+  obs::ScopedSpan span(tracer, "serve.load_engine");
   const auto load_start = std::chrono::steady_clock::now();
 
   // Every block is checked up front, the ones the engine never reads
   // included: a bad store is refused whole, never served in part.
-  const scenario::CheckedStore checked(store_path, store::ReadMode::Mapped);
+  const scenario::CheckedStore checked = [&] {
+    obs::ScopedSpan check(tracer, "serve.load.check");
+    return scenario::CheckedStore(store_path, store::ReadMode::Mapped);
+  }();
   const store::Reader& reader = checked.reader;
   store::ColumnArena arena;
 
-  // Attacks per victim: event boundaries depend only on (victim, window),
-  // so stitching the rows of those two feed columns yields the stored
-  // run's events one for one; no other feed column is decoded.
+  // Only the columns the engine derives from are decoded: the feed's
+  // victim and window, the joined events and the daily columns a series
+  // point reads; the rest stay encoded.
   using Record = telescope::RSDoSRecord;
-  telescope::EventStitcher stitcher(checked.provenance.config.inference);
-  store::read_dataset<store::FeedColumns>(
-      reader, "feed", arena,
-      [&](const Record& record) { stitcher.add(record); }, &Record::victim,
-      &Record::window);
-  const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
-  store::check_count(reader, "stitched event", checked.counts.events,
-                     events.size());
-  const std::vector<VictimAttacks> attacks = count_attacks(events);
-
-  const core::EventFrame joined = store::read_event_frame(reader, arena);
-
-  // The daily columns a series point derives from; the rest stay encoded.
   using Daily = store::AggregateRow;
+  std::span<const std::uint64_t> victims;
+  std::span<const std::uint64_t> windows;
+  core::EventFrame joined;
   std::vector<NssetDayPoint> series;
-  series.reserve(reader.dataset_rows("daily"));
-  store::read_dataset<store::AggregateColumns>(
-      reader, "daily", arena,
-      [&](const Daily& row) {
-        series.push_back(series_point(row.key, row.aggregate()));
-      },
-      &Daily::key, &Daily::measured, &Daily::timeout, &Daily::servfail,
-      &Daily::rtt_n, &Daily::rtt_sum);
+  {
+    obs::ScopedSpan decode(tracer, "serve.load.decode");
+    std::tie(victims, windows) = store::read_columns<store::FeedColumns>(
+        reader, "feed", arena, &Record::victim, &Record::window);
+    joined = store::read_event_frame(reader, arena);
+    series.reserve(reader.dataset_rows("daily"));
+    store::read_dataset<store::AggregateColumns>(
+        reader, "daily", arena,
+        [&](const Daily& row) {
+          series.push_back(series_point(row.key, row.aggregate()));
+        },
+        &Daily::key, &Daily::measured, &Daily::timeout, &Daily::servfail,
+        &Daily::rtt_n, &Daily::rtt_sum);
+  }
+
+  // Attacks per victim: event boundaries depend only on (victim, window),
+  // so stitching those two feed columns in place yields the stored run's
+  // events one for one.
+  const std::vector<VictimAttacks> attacks = [&] {
+    telescope::EventStitcher stitcher(
+        checked.provenance.config.inference,
+        telescope::sample_victims(victims.size(), [&](std::size_t i) {
+          return static_cast<std::uint32_t>(victims[i]);
+        }));
+    stitcher.add(victims, windows);
+    const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
+    store::check_count(reader, "stitched event", checked.counts.events,
+                       events.size());
+    return count_attacks(events);
+  }();
 
   auto engine = std::make_unique<QueryEngine>(
       EngineColumns{joined, std::move(series), attacks});

@@ -35,11 +35,13 @@
 // defect.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -276,52 +278,120 @@ constexpr bool same_field(A a, B b) {
   }
 }
 
-/// Decodes the `Columns` dataset `dataset` into `arena` and calls
-/// each(row) for every row in stored order; the column decodes fan out
-/// through Reader::parallel_decode. When `only` names fields, just their
-/// columns are decoded and the other fields keep their defaults. Throws
-/// StoreError naming the path and `dataset.column` when a stored value
-/// does not fit its field.
-template <typename Columns, typename Each, typename... Fields>
-void read_dataset(const Reader& reader, std::string_view dataset,
-                  ColumnArena& arena, Each&& each, Fields... only) {
+/// True when a read of the fields `only` (all fields when it names none)
+/// covers `field`.
+template <typename Field, typename... Fields>
+constexpr bool wants([[maybe_unused]] Field field, Fields... only) {
+  return sizeof...(only) == 0 || (same_field(field, only) || ...);
+}
+
+/// The field type of a member pointer.
+template <typename Member>
+struct FieldOf;
+template <typename T, typename Row>
+struct FieldOf<T Row::*> {
+  using type = T;
+};
+
+/// Decodes the `Columns` dataset `dataset` into `arena` — just the columns
+/// of the fields `only` names, or all when it names none — and returns one
+/// span per column in Columns order, left empty for the columns not
+/// decoded. The column decodes fan out through Reader::parallel_decode,
+/// each checking that its values fit the field; the first misfit in row
+/// order (then column order) throws StoreError naming the path and
+/// `dataset.column`.
+template <typename Columns, typename... Fields>
+std::vector<ColumnTypes::AnyOf<ColumnSpan>> decode_dataset(
+    const Reader& reader, std::string_view dataset, ColumnArena& arena,
+    Fields... only) {
   using Row = typename Columns::Row;
-  const auto wanted = [&]([[maybe_unused]] auto field) {
-    return sizeof...(only) == 0 || (same_field(field, only) || ...);
+  struct Misfit {
+    std::uint64_t row = 0;  // the column's first value that does not fit
+    std::string error;
   };
   const std::uint64_t rows = reader.dataset_rows(dataset);
   std::vector<ColumnTypes::AnyOf<ColumnSpan>> values;
+  std::vector<Misfit> misfits;
   std::vector<std::function<void()>> decodes;
   Columns::for_each_column([&]<typename T>(std::string_view column, Encoding,
                                            T Row::*field) {
     values.emplace_back();
-    if (!wanted(field)) return;
+    misfits.push_back({rows, {}});
+    if (!wants(field, only...)) return;
     const ColumnDesc* desc = &reader.column(dataset, column);
-    decodes.push_back([&, desc, i = values.size() - 1] {
-      values[i] = scan<ColumnValue<T>>(reader, *desc, arena);
+    decodes.push_back([&, column, desc, i = values.size() - 1] {
+      const ColumnSpan<ColumnValue<T>> span =
+          scan<ColumnValue<T>>(reader, *desc, arena);
+      values[i] = span;
+      T unused{};
+      for (std::uint64_t r = 0; r < span.size(); ++r) {
+        if (from_column(span[r], unused)) continue;
+        misfits[i] = {r, reader.path() + ": column '" + std::string(dataset) +
+                             "." + std::string(column) + "': row " +
+                             std::to_string(r) + " holds " +
+                             std::to_string(span[r]) +
+                             ", which does not fit its field"};
+        break;
+      }
     });
   });
   Reader::parallel_decode(decodes);
 
+  const auto first = std::min_element(
+      misfits.begin(), misfits.end(),
+      [](const Misfit& a, const Misfit& b) { return a.row < b.row; });
+  if (first != misfits.end() && first->row < rows) {
+    throw StoreError(first->error);
+  }
+  return values;
+}
+
+/// Decodes the `Columns` dataset `dataset` into `arena` and calls
+/// each(row) for every row in stored order. When `only` names fields,
+/// just their columns are decoded and the other fields keep their
+/// defaults. Throws as decode_dataset does.
+template <typename Columns, typename Each, typename... Fields>
+void read_dataset(const Reader& reader, std::string_view dataset,
+                  ColumnArena& arena, Each&& each, Fields... only) {
+  using Row = typename Columns::Row;
+  const std::vector<ColumnTypes::AnyOf<ColumnSpan>> values =
+      decode_dataset<Columns>(reader, dataset, arena, only...);
+  const std::uint64_t rows = reader.dataset_rows(dataset);
   for (std::uint64_t r = 0; r < rows; ++r) {
     Row row{};
     std::size_t i = 0;
-    Columns::for_each_column([&]<typename T>(std::string_view column,
-                                             Encoding, T Row::*field) {
+    Columns::for_each_column([&]<typename T>(std::string_view, Encoding,
+                                             T Row::*field) {
       const auto& column_values = values[i++];
-      if (!wanted(field)) return;
-      const ColumnValue<T> value =
-          std::get<ColumnSpan<ColumnValue<T>>>(column_values)[r];
-      if (!from_column(value, row.*field)) {
-        throw StoreError(reader.path() + ": column '" + std::string(dataset) +
-                         "." + std::string(column) + "': row " +
-                         std::to_string(r) + " holds " +
-                         std::to_string(value) +
-                         ", which does not fit its field");
-      }
+      if (!wants(field, only...)) return;
+      from_column(std::get<ColumnSpan<ColumnValue<T>>>(column_values)[r],
+                  row.*field);
     });
     each(row);
   }
+}
+
+/// The stored values of the `fields` columns of the `Columns` dataset
+/// `dataset`, as one span per field in `fields` order: read_dataset's
+/// decode without its row loop, for callers that walk columns in place.
+/// Spans borrow from `reader` and `arena`; throws as decode_dataset does.
+template <typename Columns, typename... Fields>
+auto read_columns(const Reader& reader, std::string_view dataset,
+                  ColumnArena& arena, Fields... fields) {
+  const std::vector<ColumnTypes::AnyOf<ColumnSpan>> values =
+      decode_dataset<Columns>(reader, dataset, arena, fields...);
+  const auto index_of = [](auto wanted) {
+    std::size_t index = 0;
+    std::size_t i = 0;
+    Columns::for_each_column([&](std::string_view, Encoding, auto field) {
+      if (same_field(field, wanted)) index = i;
+      ++i;
+    });
+    return index;
+  };
+  return std::tuple{
+      std::get<ColumnSpan<ColumnValue<typename FieldOf<Fields>::type>>>(
+          values[index_of(fields)])...};
 }
 
 /// The "events" dataset schema: calls visit(column, encoding, span) for

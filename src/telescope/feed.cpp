@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <string>
 #include <utility>
 
@@ -15,20 +14,26 @@ RSDoSFeed::RSDoSFeed(InferenceParams inference,
                      attack::BackscatterModelParams model)
     : inference_(inference), model_(model) {}
 
+void RSDoSFeed::reserve_for(const attack::AttackSchedule& schedule) {
+  std::size_t windows = 0;
+  for (const attack::AttackSpec& atk : schedule.attacks()) {
+    windows +=
+        static_cast<std::size_t>(atk.last_window() - atk.first_window() + 1);
+  }
+  records_.reserve(records_.size() + windows);
+}
+
 void RSDoSFeed::ingest(const attack::AttackSchedule& schedule,
                        const Darknet& darknet, std::uint64_t seed) {
-  ingest_stream(schedule, darknet, seed,
-                [this](std::vector<RSDoSRecord>&& records) {
-                  records_.insert(records_.end(),
-                                  std::make_move_iterator(records.begin()),
-                                  std::make_move_iterator(records.end()));
-                });
+  reserve_for(schedule);
+  ingest_stream(schedule, darknet, seed, [this](RecordBatch batch) {
+    for (const std::span<const RSDoSRecord> part : batch) add_records(part);
+  });
 }
 
 std::size_t RSDoSFeed::ingest_stream(
     const attack::AttackSchedule& schedule, const Darknet& darknet,
-    std::uint64_t seed,
-    const std::function<void(std::vector<RSDoSRecord>&&)>& sink) {
+    std::uint64_t seed, const std::function<void(RecordBatch)>& sink) {
   obs::ScopedSpan span(obs::installed_tracer(), "feed.ingest");
   const double fraction = darknet.ipv4_fraction();
   const std::uint32_t subnets = darknet.slash16_count();
@@ -51,12 +56,14 @@ std::size_t RSDoSFeed::ingest_stream(
   // resident — that region is the streaming pipeline's peak-memory term.
   // Order is unaffected: shards (and chunks) are contiguous ascending
   // attack ranges, each attack's records are emitted in window order, and
-  // the ordered reduction hands shards to the sink in shard-index order —
-  // so the concatenated stream is identical for any chunking, any shard
+  // the ordered reduction lists shards in shard-index order — so the
+  // concatenated stream is identical for any chunking, any shard
   // decomposition and any thread count, and matches what ingest() appends
   // to records().
   constexpr std::size_t kAttacksPerRegion = 4096;
   Totals totals;
+  std::vector<std::vector<RSDoSRecord>> region;
+  std::vector<std::span<const RSDoSRecord>> parts;
   for (std::size_t chunk = 0; chunk < attacks.size();
        chunk += kAttacksPerRegion) {
     const std::size_t chunk_size =
@@ -83,11 +90,14 @@ std::size_t RSDoSFeed::ingest_stream(
           }
           return out;
         },
-        [&sink](Totals& total, ShardOut&& shard) {
+        [&region](Totals& total, ShardOut&& shard) {
           total.windows_observed += shard.windows_observed;
           total.records += shard.records.size();
-          sink(std::move(shard.records));
+          region.push_back(std::move(shard.records));
         });
+    parts.assign(region.begin(), region.end());
+    sink(parts);
+    region.clear();
   }
   span.set_items(totals.windows_observed);
   if (obs::Observer* o = obs::Observer::installed()) {
@@ -98,10 +108,11 @@ std::size_t RSDoSFeed::ingest_stream(
 }
 
 std::vector<RSDoSEvent> RSDoSFeed::events() const {
-  obs::ScopedSpan span(obs::installed_tracer(), "feed.stitch");
-  span.set_items(records_.size());
-  EventStitcher stitcher(inference_);
-  for (const RSDoSRecord& rec : records_) stitcher.add(rec);
+  EventStitcher stitcher(inference_,
+                         sample_victims(records_.size(), [&](std::size_t i) {
+                           return records_[i].victim.value();
+                         }));
+  stitcher.add(records_);
   return stitcher.finish();
 }
 

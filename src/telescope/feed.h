@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -35,20 +36,27 @@ class RSDoSFeed {
               std::uint64_t seed);
 
   /// Streaming ingest: instead of retaining the records, hand each
-  /// parallel shard's batch to `sink` — in deterministic shard order, so
-  /// concatenating the batches reproduces exactly what ingest() would have
-  /// appended to records(). The records are moved out and released as soon
-  /// as the sink returns, which is what bounds the run executor's
-  /// memory: the sink folds them into the incremental event stitcher and
-  /// the DRS feed columns, never a full vector. Returns the record count;
-  /// identical observer metrics to ingest().
-  std::size_t ingest_stream(
-      const attack::AttackSchedule& schedule, const Darknet& darknet,
-      std::uint64_t seed,
-      const std::function<void(std::vector<RSDoSRecord>&&)>& sink);
+  /// parallel region's records to `sink` as one batch — its shards'
+  /// outputs in shard order, regions in schedule order, so concatenating
+  /// the batches reproduces exactly what ingest() appends to records().
+  /// The records are released as soon as the sink returns, which is what
+  /// bounds the run executor's memory: the sink folds them into the event
+  /// stitcher and the DRS feed columns, never a full vector. Returns the
+  /// record count; identical observer metrics to ingest().
+  std::size_t ingest_stream(const attack::AttackSchedule& schedule,
+                            const Darknet& darknet, std::uint64_t seed,
+                            const std::function<void(RecordBatch)>& sink);
 
-  /// Append a pre-built record (tests / replays).
-  void add_record(const RSDoSRecord& record) { records_.push_back(record); }
+  /// Reserve room for every record `schedule` can yield, one per attack
+  /// window, so retaining its feed never regrows the record vector: a
+  /// regrowth holds the old and the new copy at once, the largest term of
+  /// the ingest's peak memory. Pages never written stay unmapped.
+  void reserve_for(const attack::AttackSchedule& schedule);
+
+  /// Append records in bulk (ingest regions, tests, replays).
+  void add_records(std::span<const RSDoSRecord> records) {
+    records_.insert(records_.end(), records.begin(), records.end());
+  }
 
   /// Replace all records wholesale (DRS store load / replays).
   void set_records(std::vector<RSDoSRecord> records) {
@@ -57,8 +65,8 @@ class RSDoSFeed {
 
   const std::vector<RSDoSRecord>& records() const { return records_; }
 
-  /// Stitched per-victim events (EventStitcher over records(), recomputed
-  /// on call).
+  /// Stitched per-victim events (EventStitcher over records(), cut at a
+  /// sample of them; recomputed on call).
   std::vector<RSDoSEvent> events() const;
 
   /// Table-1 style totals. `origin_of` maps a victim IP to its origin AS

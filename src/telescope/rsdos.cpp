@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <tuple>
 
+#include "exec/parallel.h"
 #include "util/strings.h"
 
 namespace ddos::telescope {
@@ -66,22 +68,87 @@ void absorb(Run& a, const Run& b) {
   a.max_unique_ports = std::max(a.max_unique_ports, b.max_unique_ports);
 }
 
+/// One parallel region with a task per stitch range.
+template <typename Body>
+void per_range(std::size_t ranges, Body&& body) {
+  exec::RegionOptions opts;
+  opts.label = "telescope.stitch";
+  opts.max_shards = ranges;
+  exec::parallel_for(ranges, opts, [&](const exec::ShardRange& shard) {
+    for (std::size_t r = shard.begin; r < shard.end; ++r) body(r);
+  });
+}
+
 }  // namespace
 
-void EventStitcher::add(const RSDoSRecord& record) {
-  ++records_added_;
-  const netsim::WindowIndex reach =
-      static_cast<netsim::WindowIndex>(params_.max_gap_windows) + 1;
+EventStitcher::EventStitcher(const InferenceParams& params,
+                             std::vector<std::uint32_t> victim_sample)
+    : params_(params) {
+  // One range per pool participant, cut at the sample's quantiles; a
+  // repeated quantile adds no cut, so no range has zero width.
+  std::sort(victim_sample.begin(), victim_sample.end());
+  const std::size_t wanted =
+      victim_sample.empty() ? 1 : exec::global_pool().thread_count();
+  std::uint64_t lo = 0;
+  for (std::size_t r = 1; r <= wanted; ++r) {
+    const std::uint64_t hi =
+        r == wanted ? std::uint64_t{1} << 32
+                    : victim_sample[r * victim_sample.size() / wanted];
+    if (hi <= lo) continue;
+    Range& range = ranges_.emplace_back();
+    range.lo = lo;
+    range.width = hi - lo;
+    lo = hi;
+  }
+}
+
+void EventStitcher::add(RecordBatch batch) {
+  for (const std::span<const RSDoSRecord> part : batch) {
+    records_added_ += part.size();
+  }
+  const netsim::WindowIndex reach = params_.max_gap_windows + 1;
+  per_range(ranges_.size(), [&](std::size_t r) {
+    Range& range = ranges_[r];
+    for (const std::span<const RSDoSRecord> part : batch) {
+      for (const RSDoSRecord& record : part) {
+        if (range.holds(record.victim.value())) range.add(record, reach);
+      }
+    }
+  });
+}
+
+void EventStitcher::add(std::span<const std::uint64_t> victims,
+                        std::span<const std::uint64_t> windows) {
+  if (victims.size() != windows.size()) {
+    throw std::invalid_argument("EventStitcher: victim and window columns "
+                                "differ in length");
+  }
+  records_added_ += victims.size();
+  const netsim::WindowIndex reach = params_.max_gap_windows + 1;
+  per_range(ranges_.size(), [&](std::size_t r) {
+    Range& range = ranges_[r];
+    RSDoSRecord record;
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if (!range.holds(victims[i])) continue;
+      record.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(victims[i]));
+      record.window = static_cast<netsim::WindowIndex>(windows[i]);
+      range.add(record, reach);
+    }
+  });
+}
+
+void EventStitcher::Range::add(const RSDoSRecord& record,
+                               netsim::WindowIndex reach) {
   // Feed records arrive grouped by attack, so consecutive adds mostly hit
   // one victim: reuse its slot without a hash probe.
-  if (runs_.empty() || record.victim.value() != last_victim_) {
-    last_victim_ = record.victim.value();
-    const auto [slot, inserted] = slot_of_.try_emplace(
-        last_victim_, static_cast<std::uint32_t>(runs_.size()));
-    if (inserted) runs_.emplace_back();
-    last_slot_ = *slot;
+  if (runs.empty() || record.victim.value() != last_victim) {
+    last_victim = record.victim.value();
+    const auto [slot, inserted] = slot_of.try_emplace(
+        last_victim, static_cast<std::uint32_t>(runs.size()));
+    if (inserted) runs.emplace_back();
+    last_slot = *slot;
   }
-  std::vector<Run>& runs = runs_[last_slot_];
+  std::vector<Run>& victim_runs = runs[last_slot];
 
   Run single;
   single.head = record;
@@ -98,28 +165,31 @@ void EventStitcher::add(const RSDoSRecord& record) {
   // end to at most max(left.end, window), and the run past the right
   // neighbour stays > reach away from the right neighbour's end.
   const auto pos = std::upper_bound(
-      runs.begin(), runs.end(), record.window,
+      victim_runs.begin(), victim_runs.end(), record.window,
       [](netsim::WindowIndex w, const Run& r) { return w < r.start; });
-  std::size_t i = static_cast<std::size_t>(pos - runs.begin());
-  if (i > 0 && single.start - runs[i - 1].end <= reach) {
-    absorb(runs[--i], single);
+  std::size_t i = static_cast<std::size_t>(pos - victim_runs.begin());
+  if (i > 0 && single.start - victim_runs[i - 1].end <= reach) {
+    absorb(victim_runs[--i], single);
   } else {
-    runs.insert(pos, single);
+    victim_runs.insert(pos, single);
   }
-  if (i + 1 < runs.size() && runs[i + 1].start - runs[i].end <= reach) {
-    absorb(runs[i], runs[i + 1]);
-    runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+  if (i + 1 < victim_runs.size() &&
+      victim_runs[i + 1].start - victim_runs[i].end <= reach) {
+    absorb(victim_runs[i], victim_runs[i + 1]);
+    victim_runs.erase(victim_runs.begin() + static_cast<std::ptrdiff_t>(i) + 1);
   }
 }
 
-std::vector<RSDoSEvent> EventStitcher::finish() const {
+std::size_t EventStitcher::Range::events() const {
   std::size_t total = 0;
-  for (const auto& runs : runs_) total += runs.size();
-  std::vector<RSDoSEvent> events;
-  events.reserve(total);
-  for (const auto& [victim, slot] : slot_of_.sorted_items()) {
-    for (const Run& run : runs_[slot]) {
-      RSDoSEvent ev;
+  for (const auto& victim_runs : runs) total += victim_runs.size();
+  return total;
+}
+
+void EventStitcher::Range::write_events(RSDoSEvent* out) const {
+  for (const auto& [victim, slot] : slot_of.sorted_items()) {
+    for (const Run& run : runs[slot]) {
+      RSDoSEvent& ev = *out++;
       ev.victim = netsim::IPv4Addr(victim);
       ev.start_window = run.start;
       ev.end_window = run.end;
@@ -129,9 +199,19 @@ std::vector<RSDoSEvent> EventStitcher::finish() const {
       ev.protocol = run.head.protocol;
       ev.first_port = run.head.first_port;
       ev.max_unique_ports = run.max_unique_ports;
-      events.push_back(ev);
     }
   }
+}
+
+std::vector<RSDoSEvent> EventStitcher::finish() const {
+  std::vector<std::size_t> offset(ranges_.size() + 1, 0);
+  for (std::size_t r = 0; r < ranges_.size(); ++r) {
+    offset[r + 1] = offset[r] + ranges_[r].events();
+  }
+  std::vector<RSDoSEvent> events(offset.back());
+  per_range(ranges_.size(), [&](std::size_t r) {
+    ranges_[r].write_events(events.data() + offset[r]);
+  });
   return events;
 }
 

@@ -11,7 +11,9 @@
 // duration analysis (§6.5).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,25 +95,68 @@ struct RSDoSEvent {
 /// produced (ingest order, shard order, a store's column order).
 bool record_less(const RSDoSRecord& a, const RSDoSRecord& b);
 
+/// One batch of feed records for EventStitcher::add: the concatenation of
+/// its parts (an ingest region's shard outputs, in shard order, or one
+/// whole record vector).
+using RecordBatch = std::span<const std::span<const RSDoSRecord>>;
+
+/// Every stride-th of n victims, victim_of(i) giving the i-th address
+/// value, with the stride picked so at most ~4096 are taken: the sample
+/// EventStitcher cuts its victim ranges from.
+template <typename VictimOf>
+std::vector<std::uint32_t> sample_victims(std::size_t n, VictimOf&& victim_of) {
+  constexpr std::size_t kSample = 4096;
+  const std::size_t stride = n / kSample + 1;
+  std::vector<std::uint32_t> sample;
+  sample.reserve(n / stride + 1);
+  for (std::size_t i = 0; i < n; i += stride) sample.push_back(victim_of(i));
+  return sample;
+}
+
 /// The event stitcher — the one place feed records become RSDoSEvents.
-/// Accepts records one at a time in any order; finish() yields one event
-/// per maximal run of a victim's records whose consecutive windows are at
-/// most max_gap_windows+1 apart, in canonical (victim, start_window)
-/// order. Per victim it maintains disjoint runs (adjacent runs separated
-/// by more than max_gap_windows+1 windows); a new record inserts as a
-/// singleton run and merges with at most one neighbour on each side. Each
-/// run keeps only the record_less-minimal record (the head, which
-/// supplies protocol/first_port) plus order-independent folds (max_ppm,
-/// total_packets, max_slash16, max_unique_ports), so memory is
-/// O(events), not O(records) and the output is a function of the record
-/// multiset alone. That is what lets the streaming driver retire feed
-/// records shard by shard, and RSDoSFeed::events() and the serving load
-/// path run the same code over a record vector or a store's columns.
+/// Accepts records in batches, in any order; finish() yields one event per
+/// maximal run of a victim's records whose consecutive windows are at most
+/// max_gap_windows+1 apart, in canonical (victim, start_window) order.
+///
+/// Victims are split into contiguous address ranges, cut at quantiles of a
+/// victim sample, one range per participant of the exec pool (a 1-thread
+/// pool, or no sample, is one range: a plain serial loop). Each add() and
+/// finish() is one parallel region with a task per range; a range's task
+/// reads the whole batch in place and takes the records whose victim lies
+/// in its range. Events never span victims, so every event belongs to one
+/// range, and finish() writes range r's events, sorted, into its slice of
+/// one pre-sized vector: the slices in range order are the canonical order
+/// with no merge. The cuts only decide which task stitches a victim, so
+/// no output depends on the sample or on the pool width.
+///
+/// Per victim a range keeps disjoint runs (adjacent runs separated by more
+/// than max_gap_windows+1 windows); a new record inserts as a singleton
+/// run and merges with at most one neighbour on each side. Each run keeps
+/// only the record_less-minimal record (the head, which supplies
+/// protocol/first_port) plus order-independent folds (max_ppm,
+/// total_packets, max_slash16, max_unique_ports), so memory is O(events),
+/// not O(records), and the output is a function of the record multiset
+/// alone. That is what lets the streaming driver retire feed records one
+/// ingest region at a time, and RSDoSFeed::events(), load_run and the
+/// serving load run the same code over a record vector or a store's
+/// columns.
 class EventStitcher {
  public:
-  explicit EventStitcher(const InferenceParams& params) : params_(params) {}
+  /// `victim_sample`: any sample of the victims to come (sample_victims),
+  /// in any order; empty stitches everything as one range.
+  explicit EventStitcher(const InferenceParams& params,
+                         std::vector<std::uint32_t> victim_sample = {});
 
-  void add(const RSDoSRecord& record);
+  void add(RecordBatch batch);
+  void add(std::span<const RSDoSRecord> records) {
+    add(RecordBatch(&records, 1));
+  }
+  /// A store's decoded feed columns, read in place: row i is the record
+  /// (victims[i], windows[i]) as the DRS feed dataset stores them (address
+  /// value; window index as two's complement) with every other field at
+  /// its default. Event boundaries depend on (victim, window) alone.
+  void add(std::span<const std::uint64_t> victims,
+           std::span<const std::uint64_t> windows);
 
   /// Events in canonical (victim, start_window) order.
   std::vector<RSDoSEvent> finish() const;
@@ -129,15 +174,28 @@ class EventStitcher {
     std::uint16_t max_unique_ports = 1;
   };
 
+  /// The stitch state of one victim range [lo, lo + width); each on its
+  /// own cache lines, as each is written by its own task.
+  struct alignas(64) Range {
+    std::uint64_t lo = 0;
+    std::uint64_t width = 0;
+    // Victim address value -> its run list in runs. Run lists stay sorted
+    // by start with gaps > max_gap_windows+1 between neighbours.
+    util::FlatMap<std::uint32_t, std::uint32_t> slot_of;
+    std::vector<std::vector<Run>> runs;
+    // The previous add's victim and its slot.
+    std::uint32_t last_victim = 0;
+    std::uint32_t last_slot = 0;
+
+    bool holds(std::uint64_t victim) const { return victim - lo < width; }
+    void add(const RSDoSRecord& record, netsim::WindowIndex reach);
+    std::size_t events() const;
+    void write_events(RSDoSEvent* out) const;
+  };
+
   InferenceParams params_;
   std::uint64_t records_added_ = 0;
-  // Victim address value -> its run list in runs_. Run lists stay sorted
-  // by start with gaps > max_gap_windows+1 between neighbours.
-  util::FlatMap<std::uint32_t, std::uint32_t> slot_of_;
-  std::vector<std::vector<Run>> runs_;
-  // The previous add's victim and its slot.
-  std::uint32_t last_victim_ = 0;
-  std::uint32_t last_slot_ = 0;
+  std::vector<Range> ranges_;
 };
 
 }  // namespace ddos::telescope

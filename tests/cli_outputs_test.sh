@@ -6,8 +6,8 @@
 #     zone file);
 #   * generate --shard, merge and analyze --store write a trace holding
 #     their root span, and a metrics file;
-#   * serve --listen writes its trace after SIGINT, and rejects
-#     --watchdog-timeout-s with exit 2.
+#   * serve --listen writes its trace after SIGINT, with the load's check,
+#     decode and stitch spans, and rejects --watchdog-timeout-s with exit 2.
 #
 # Usage: cli_outputs_test.sh <ddosrepro binary> <scratch directory>
 set -u
@@ -93,6 +93,9 @@ wait "$pid"
 status=$?
 pid=
 [ "$status" -eq 0 ] || fail "serve --listen: exit $status after SIGINT"
-grep -qF '"name":"serve.load_engine"' "$dir/listen.json" 2>/dev/null ||
-  fail "no serve.load_engine span in the --listen trace"
+for span in serve.load_engine serve.load.check serve.load.decode \
+            telescope.stitch; do
+  grep -qF "\"name\":\"$span\"" "$dir/listen.json" 2>/dev/null ||
+    fail "no $span span in the --listen trace"
+done
 echo "ok"

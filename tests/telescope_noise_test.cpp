@@ -82,7 +82,8 @@ TEST(IbrNoise, NoiseDoesNotPerturbAttackInference) {
   for (const auto& bw :
        generate_ibr_noise(noise_params, 0, 11, Darknet::ucsd_like())) {
     if (passes_thresholds(bw, feed.inference())) {
-      feed.add_record(to_record(bw));
+      const RSDoSRecord rec = to_record(bw);
+      feed.add_records({&rec, 1});
     }
   }
   EXPECT_EQ(feed.records().size(), clean_records);  // all noise rejected

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <sstream>
 
+#include "exec/pool.h"
 #include "scenario/driver.h"
 #include "telescope/darknet.h"
 #include "telescope/feed.h"
@@ -213,13 +215,13 @@ TEST(Segmentation, IncrementalStitcherMatchesBatch) {
   const auto batch = segment_events(records, params);
 
   EventStitcher forward(params);
-  for (const auto& rec : records) forward.add(rec);
+  for (const auto& rec : records) forward.add({&rec, 1});
   EXPECT_EQ(forward.records_added(), records.size());
   EXPECT_EQ(forward.finish(), batch);
 
   EventStitcher reverse(params);
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    reverse.add(*it);
+    reverse.add({&*it, 1});
   }
   EXPECT_EQ(reverse.finish(), batch);
 }
@@ -336,6 +338,208 @@ TEST(Segmentation, GapBoundaryMatchesOracle) {
   }
 }
 
+// ---- the victim-range partition -------------------------------------------
+
+/// One stitch of `records` at the current pool width: ranges cut at
+/// `sample`, the records added as `batches` near-equal batches, each a
+/// RecordBatch of up to three parts.
+std::vector<RSDoSEvent> stitch_in_batches(
+    const std::vector<RSDoSRecord>& records, const InferenceParams& params,
+    std::vector<std::uint32_t> sample, std::size_t batches) {
+  EventStitcher stitcher(params, std::move(sample));
+  const std::span<const RSDoSRecord> all(records);
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const std::size_t end = records.size() * (b + 1) / batches;
+    const std::size_t third = (end - begin) / 3;
+    const std::span<const RSDoSRecord> parts[] = {
+        all.subspan(begin, third), all.subspan(begin + third, third),
+        all.subspan(begin + 2 * third, end - begin - 2 * third)};
+    stitcher.add(RecordBatch(parts));
+    begin = end;
+  }
+  EXPECT_EQ(stitcher.records_added(), records.size());
+  return stitcher.finish();
+}
+
+/// The same records as a store's victim and window columns, read in place:
+/// only (victim, window) reach the stitcher.
+std::vector<RSDoSEvent> stitch_columns(const std::vector<RSDoSRecord>& records,
+                                       const InferenceParams& params,
+                                       std::vector<std::uint32_t> sample) {
+  std::vector<std::uint64_t> victims;
+  std::vector<std::uint64_t> windows;
+  for (const RSDoSRecord& rec : records) {
+    victims.push_back(rec.victim.value());
+    windows.push_back(static_cast<std::uint64_t>(rec.window));
+  }
+  EventStitcher stitcher(params, std::move(sample));
+  stitcher.add(victims, windows);
+  return stitcher.finish();
+}
+
+/// `records` with every field but (victim, window) at its default.
+std::vector<RSDoSRecord> keys_only(const std::vector<RSDoSRecord>& records) {
+  std::vector<RSDoSRecord> out;
+  for (const RSDoSRecord& rec : records) {
+    RSDoSRecord key;
+    key.victim = rec.victim;
+    key.window = rec.window;
+    out.push_back(key);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> victims_of(const std::vector<RSDoSRecord>& records) {
+  return sample_victims(records.size(), [&](std::size_t i) {
+    return records[i].victim.value();
+  });
+}
+
+/// Runs each case at pool widths 1, 2, 4 and 8; the stitcher takes one
+/// victim range per pool participant.
+class PartitionedStitch : public ::testing::TestWithParam<unsigned> {
+ protected:
+  void SetUp() override {
+    saved_ = exec::global_pool().thread_count();
+    exec::set_global_threads(GetParam());
+  }
+  void TearDown() override { exec::set_global_threads(saved_); }
+
+  /// The partitioned stitch, in record batches and as columns, equals the
+  /// oracle and the one-range stitcher, for the sample `sample`.
+  void expect_matches(const std::vector<RSDoSRecord>& records,
+                      const InferenceParams& params,
+                      const std::vector<std::uint32_t>& sample) {
+    const std::vector<RSDoSEvent> oracle = segment_events(records, params);
+    const std::vector<RSDoSEvent> one_range =
+        stitch_in_batches(records, params, {}, 1);
+    EXPECT_EQ(one_range, oracle);
+    for (const std::size_t batches : {1, 3, 7}) {
+      EXPECT_EQ(stitch_in_batches(records, params, sample, batches), oracle)
+          << batches << " batches";
+    }
+    EXPECT_EQ(stitch_columns(records, params, sample),
+              segment_events(keys_only(records), params));
+  }
+
+ private:
+  unsigned saved_ = 0;
+};
+
+TEST_P(PartitionedStitch, MatchesOracleOnShuffledSmallConfigFeed) {
+  const scenario::LongitudinalConfig cfg =
+      scenario::small_longitudinal_config(7);
+  const auto world = scenario::build_world(cfg.world);
+  const scenario::Workload workload =
+      scenario::generate_workload(*world, cfg.workload);
+  RSDoSFeed feed(cfg.inference, cfg.backscatter);
+  feed.ingest(workload.schedule, Darknet::ucsd_like(), cfg.feed_seed);
+  ASSERT_GT(feed.records().size(), 1000u);
+
+  std::vector<RSDoSRecord> records = feed.records();
+  expect_matches(records, cfg.inference, victims_of(records));
+  std::mt19937_64 rng(2022);
+  std::shuffle(records.begin(), records.end(), rng);
+  expect_matches(records, cfg.inference, victims_of(records));
+  EXPECT_EQ(feed_events(records, cfg.inference), feed.events());
+}
+
+// Every sample value is a cut point at some pool width; the victims on,
+// just below and just above them must land in exactly one range.
+TEST_P(PartitionedStitch, VictimsOnCutPoints) {
+  const InferenceParams params;
+  std::vector<std::uint32_t> sample;
+  std::vector<RSDoSRecord> records;
+  for (std::uint32_t v = 100; v <= 800; v += 100) {
+    sample.push_back(v);
+    for (const std::uint32_t victim : {v - 1, v, v + 1}) {
+      for (const netsim::WindowIndex w : {10, 11, 20}) {
+        records.push_back(rec_at(IPv4Addr(victim), w + victim % 3));
+      }
+    }
+  }
+  // The extremes of the address space sit in the first and last ranges.
+  records.push_back(rec_at(IPv4Addr(0u), 5));
+  records.push_back(rec_at(IPv4Addr(0xFFFFFFFFu), 5));
+  expect_matches(records, params, sample);
+  std::reverse(records.begin(), records.end());
+  expect_matches(records, params, sample);
+}
+
+// Same-(victim, window) records with different tails, split across
+// batches: the head is the record_less-minimal one whichever range and
+// batch see it.
+TEST_P(PartitionedStitch, DuplicateKeysAcrossBatchesKeepTheHead) {
+  const InferenceParams params;
+  std::vector<RSDoSRecord> records;
+  for (const std::uint32_t victim : {100u, 200u, 300u, 400u}) {
+    for (std::uint16_t port = 9; port > 0; --port) {
+      RSDoSRecord rec = rec_at(IPv4Addr(victim), 50, 100.0 + port);
+      rec.protocol = port % 2 ? attack::Protocol::UDP : attack::Protocol::TCP;
+      rec.first_port = port;
+      rec.unique_ports = static_cast<std::uint16_t>(10 - port);
+      records.push_back(rec);
+    }
+  }
+  expect_matches(records, params, {100, 200, 300, 400});
+  const std::vector<RSDoSEvent> events =
+      stitch_in_batches(records, params, {100, 200, 300, 400}, 7);
+  ASSERT_EQ(events.size(), 4u);
+  for (const RSDoSEvent& ev : events) {
+    EXPECT_EQ(ev.protocol, attack::Protocol::TCP);
+    EXPECT_EQ(ev.first_port, 2u);
+    EXPECT_EQ(ev.max_unique_ports, 9u);
+  }
+}
+
+// Gaps of exactly max_gap_windows + 1 stitch and + 2 split, for victims in
+// every range.
+TEST_P(PartitionedStitch, GapBoundaries) {
+  for (const int gap : {0, 2, 5}) {
+    InferenceParams params;
+    params.max_gap_windows = gap;
+    const netsim::WindowIndex reach = gap + 1;
+    std::vector<RSDoSRecord> records;
+    std::vector<std::uint32_t> sample;
+    for (std::uint32_t victim = 1000; victim < 9000; victim += 1000) {
+      sample.push_back(victim);
+      const netsim::WindowIndex a = 10;
+      const netsim::WindowIndex b = a + reach;      // stitches to a
+      const netsim::WindowIndex c = b + reach + 1;  // splits from b
+      for (const netsim::WindowIndex w : {c, a, b}) {
+        records.push_back(rec_at(IPv4Addr(victim), w));
+      }
+    }
+    const std::vector<RSDoSEvent> oracle = segment_events(records, params);
+    ASSERT_EQ(oracle.size(), 2 * sample.size()) << "gap " << gap;
+    expect_matches(records, params, sample);
+  }
+}
+
+// One victim owns every record: every cut is the same address, so one
+// range gets the whole feed and the others stay empty.
+TEST_P(PartitionedStitch, OneVictimFillsOneRange) {
+  const InferenceParams params;
+  std::vector<RSDoSRecord> records;
+  for (netsim::WindowIndex w = 0; w < 400; w += (w % 7 == 0) ? 5 : 1) {
+    records.push_back(rec_at(IPv4Addr(10, 0, 0, 1), w, 1.0 + w));
+  }
+  expect_matches(records, params, victims_of(records));
+}
+
+TEST_P(PartitionedStitch, EmptyInput) {
+  const InferenceParams params;
+  EventStitcher no_batch(params, {1, 2, 3});
+  EXPECT_TRUE(no_batch.finish().empty());
+  EXPECT_TRUE(stitch_in_batches({}, params, {1, 2, 3}, 3).empty());
+  EXPECT_TRUE(stitch_columns({}, params, {}).empty());
+  EXPECT_TRUE(feed_events({}, params).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolWidths, PartitionedStitch,
+                         ::testing::Values(1u, 2u, 4u, 8u));
+
 TEST(Feed, IngestVisibleAttack) {
   attack::AttackSchedule sched;
   attack::AttackSpec spec;
@@ -402,10 +606,12 @@ TEST(Feed, IngestIsDeterministicAndOrderIndependent) {
 
 TEST(Feed, SummarizeCountsUniques) {
   RSDoSFeed feed{InferenceParams{}, attack::BackscatterModelParams{}};
-  feed.add_record(rec_at(IPv4Addr(1, 1, 1, 1), 10));
-  feed.add_record(rec_at(IPv4Addr(1, 1, 1, 2), 10));   // same /24
-  feed.add_record(rec_at(IPv4Addr(1, 1, 1, 1), 100));  // second event, same IP
-  feed.add_record(rec_at(IPv4Addr(2, 2, 2, 2), 10));
+  feed.set_records({
+      rec_at(IPv4Addr(1, 1, 1, 1), 10),
+      rec_at(IPv4Addr(1, 1, 1, 2), 10),   // same /24
+      rec_at(IPv4Addr(1, 1, 1, 1), 100),  // second event, same IP
+      rec_at(IPv4Addr(2, 2, 2, 2), 10),
+  });
   const auto summary = feed.summarize([](IPv4Addr ip) {
     return ip.value() >> 24;  // octet as fake ASN
   });
@@ -417,7 +623,7 @@ TEST(Feed, SummarizeCountsUniques) {
 
 TEST(Feed, CsvSerialisation) {
   RSDoSFeed feed{InferenceParams{}, attack::BackscatterModelParams{}};
-  feed.add_record(rec_at(IPv4Addr(1, 1, 1, 1), 10));
+  feed.set_records({rec_at(IPv4Addr(1, 1, 1, 1), 10)});
   std::ostringstream out;
   feed.write_csv(out);
   const std::string s = out.str();
