@@ -143,12 +143,21 @@ Provenance stored_provenance(const store::Reader& reader) {
 // The closing sequence of every store this driver writes — save_run's and
 // the executor's — so the two can never emit different key sets or orders
 // (the footer serialises meta in insertion order, and CI compares the
-// files byte for byte): the joined events, the last dataset; the
-// generating provenance; the result counts; then the publish.
+// files byte for byte): the victims — for a shard, its row slice, cut as
+// the feed is — then the joined events, the last dataset; the generating
+// provenance; the result counts; then the publish.
 std::uint64_t publish_store(store::Writer& writer,
                             const LongitudinalConfig& config, unsigned threads,
                             const LongitudinalResult& result,
-                            std::uint64_t feed_rows, obs::ScopedSpan& span) {
+                            std::uint64_t feed_rows, const ShardSpec* shard,
+                            obs::ScopedSpan& span) {
+  const std::vector<telescope::VictimAttacks> victims =
+      telescope::count_attacks(result.events);
+  const auto [lo, hi] =
+      shard_feed_slice(victims.size(), shard ? *shard : ShardSpec{0, 1});
+  store::write_dataset<store::VictimColumns>(
+      writer, "victims",
+      std::span(victims).subspan(lo, static_cast<std::size_t>(hi - lo)));
   store::write_joined_events(writer,
                              core::OwnedEventFrame(result.joined).frame());
   for_each_provenance_key(config, threads,
@@ -188,7 +197,7 @@ std::uint64_t save_run(const std::string& path,
   store::write_dataset<store::NsSeenColumns>(writer, "ns_seen",
                                              result.store.sorted_ns_seen());
   return publish_store(writer, config, threads, result, result.feed_records,
-                       span);
+                       nullptr, span);
 }
 
 // ---- the run executor: one streaming day-epoch pipeline behind all three
@@ -649,8 +658,9 @@ LongitudinalResult execute(const LongitudinalConfig& config,
                           store::U64Appender(store::Encoding::DeltaVarint),
                           src_event);
     }
-    result.store_bytes = publish_store(*writer, config, spec.threads, result,
-                                       feed_rows, span);
+    result.store_bytes =
+        publish_store(*writer, config, spec.threads, result, feed_rows,
+                      spec.shard ? &spec.shard->spec : nullptr, span);
   }
 
   if (spec.shard) {
@@ -750,10 +760,16 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
 
   // Stitched events are not stored: they are a deterministic function of
   // the records + inference params, so re-deriving them is both cheaper
-  // and a consistency check against the stored count.
+  // and a consistency check against the stored count and victims.
   run.events = run.feed.events();
   store::check_count(reader, "stitched event", checked.counts.events,
                      run.events.size());
+  if (telescope::count_attacks(run.events) !=
+      store::read_victims(reader, checked.counts.events)) {
+    throw store::StoreError(path +
+                            ": the victims dataset does not match the "
+                            "per-victim counts of the feed's stitched events");
+  }
 
   // Restore targets are sized from the row counts up front, so loads
   // probe into final-size tables instead of rehashing O(log n) times.

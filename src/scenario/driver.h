@@ -153,10 +153,11 @@ LongitudinalResult run_longitudinal_streaming(const LongitudinalConfig& config,
 
 // ---- generate/analyze stage split (DRS dataset store, src/store/).
 //
-// `save_run` persists a finished run's three datasets — RSDoS feed
-// windows, OpenINTEL sweep aggregates, joined NSSet-attack events — plus
-// the full generating provenance (world/workload/inference/join params,
-// seeds, thread count, result counts) as one DRS container.
+// `save_run` persists a finished run's datasets — RSDoS feed windows,
+// OpenINTEL sweep aggregates, per-victim attack counts, joined
+// NSSet-attack events — plus the full generating provenance
+// (world/workload/inference/join params, seeds, thread count, result
+// counts) as one DRS container.
 // `load_run` reads it back (opened as a CheckedStore, decodes fanned out
 // across the exec pool) so analyses re-run without re-simulating, and
 // `rejoin_from_store` re-executes the join stage from the stored
@@ -184,10 +185,15 @@ std::uint64_t save_run(const std::string& path,
                        const LongitudinalResult& result);
 
 /// The one store open of load_run, analyze_store and serve::load_engine,
-/// so a store one of them accepts, all accept: maps (or buffers) the file,
-/// reads the provenance and result counts from its footer, checks the feed
-/// and events row counts against them, and CRC- and structure-checks every
-/// block (store::check_all). Throws store::StoreError naming the path.
+/// so all three trust a file's footer and blocks by the same check: maps
+/// (or buffers) the file, reads the provenance and result counts from its
+/// footer, checks the feed and events row counts against them, and CRC-
+/// and structure-checks every block (store::check_all). Throws
+/// store::StoreError naming the path. Stored values are checked by the
+/// reader that decodes them (read_dataset's field fit,
+/// store::read_victims), so analyze_store, which decodes only the
+/// events, accepts a store whose feed or victims values the others
+/// refuse.
 struct CheckedStore {
   CheckedStore(const std::string& path, store::ReadMode mode);
 
@@ -197,7 +203,8 @@ struct CheckedStore {
 };
 
 /// Load a save_run store: a CheckedStore whose feed, aggregate and event
-/// datasets are decoded, plus the stitched-event count check; throws
+/// datasets are decoded, the feed re-stitched into events, and the events
+/// checked against the stored event count and victims; throws
 /// store::StoreError on any defect. `use_mmap` selects the zero-copy
 /// mapped reader (the default; decoded datasets are copies either way,
 /// so nothing dangles when the mapping closes on return) or the

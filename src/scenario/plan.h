@@ -113,11 +113,11 @@ std::vector<netsim::DayIndex> shard_day_cuts(const SweepPlan& plan,
 /// Bounds of one shard: {cuts[index], cuts[index + 1]}.
 ShardBounds shard_bounds(const SweepPlan& plan, const ShardSpec& spec);
 
-/// The contiguous [begin, end) slice of the feed record vector shard
-/// `spec` persists. Records are a deterministic function of the workload
-/// seed and identical across shards, so slicing by row index partitions
-/// them exactly; concatenating the slices in shard order reproduces the
-/// whole vector.
+/// The contiguous [begin, end) slice of a world-wide row list — the feed
+/// records, the per-victim attack counts — that shard `spec` persists.
+/// Both are deterministic functions of the workload seed and identical
+/// across shards, so slicing by row index partitions them exactly;
+/// concatenating the slices in shard order reproduces the whole list.
 std::pair<std::uint64_t, std::uint64_t> shard_feed_slice(
     std::uint64_t total_rows, const ShardSpec& spec);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <span>
-#include <tuple>
 
 #include "core/impact.h"
 #include "obs/obs.h"
@@ -17,19 +16,6 @@
 namespace ddos::serve {
 
 namespace {
-
-/// Events per victim, ascending by victim: one pass, as stitched events
-/// come in canonical (victim, start_window) order.
-std::vector<VictimAttacks> count_attacks(
-    const std::vector<telescope::RSDoSEvent>& events) {
-  std::vector<VictimAttacks> out;
-  for (const auto& ev : events) {
-    const std::uint32_t victim = ev.victim.value();
-    if (out.empty() || out.back().victim != victim) out.push_back({victim, 0});
-    ++out.back().attacks;
-  }
-  return out;
-}
 
 /// The series point of one daily (key, aggregate): avg_rtt and
 /// failure_rate exactly as openintel::Aggregate derives them.
@@ -59,7 +45,8 @@ QueryEngine::QueryEngine(const scenario::RunArtifacts& run) {
   for (const auto& [key, agg] : run.store.sorted_daily()) {
     series.push_back(series_point(key, agg));
   }
-  const std::vector<VictimAttacks> attacks = count_attacks(run.events);
+  const std::vector<telescope::VictimAttacks> attacks =
+      telescope::count_attacks(run.events);
   EngineColumns columns{joined.frame(), std::move(series), attacks};
   build(columns);
 }
@@ -168,12 +155,13 @@ void QueryEngine::build_series_index(std::vector<NssetDayPoint>& rows) {
   std::sort(keys_.begin(), keys_.end());
 }
 
-void QueryEngine::build_leaderboards(std::span<const VictimAttacks> attacks) {
+void QueryEngine::build_leaderboards(
+    std::span<const telescope::VictimAttacks> attacks) {
   // Attacks per victim IP, over ALL telescope events (the raw "top
   // attacked targets" view; the joined leaderboards below are DNS-only by
   // construction).
   top_attacks_.reserve(attacks.size());
-  for (const VictimAttacks& row : attacks) {
+  for (const telescope::VictimAttacks& row : attacks) {
     top_attacks_.push_back({row.victim, static_cast<double>(row.attacks)});
   }
   // Descending value; the input's ascending victim order makes the stable
@@ -282,19 +270,17 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
   const store::Reader& reader = checked.reader;
   store::ColumnArena arena;
 
-  // Only the columns the engine derives from are decoded: the feed's
-  // victim and window, the joined events and the daily columns a series
-  // point reads; the rest stay encoded.
-  using Record = telescope::RSDoSRecord;
+  // Only the columns the engine derives from are decoded: the stored
+  // per-victim attack counts (checked against the stitched-event count),
+  // the joined events and the daily columns a series point reads; the
+  // feed and the rest stay encoded.
   using Daily = store::AggregateRow;
-  std::span<const std::uint64_t> victims;
-  std::span<const std::uint64_t> windows;
+  std::vector<telescope::VictimAttacks> attacks;
   core::EventFrame joined;
   std::vector<NssetDayPoint> series;
   {
     obs::ScopedSpan decode(tracer, "serve.load.decode");
-    std::tie(victims, windows) = store::read_columns<store::FeedColumns>(
-        reader, "feed", arena, &Record::victim, &Record::window);
+    attacks = store::read_victims(reader, checked.counts.events);
     joined = store::read_event_frame(reader, arena);
     series.reserve(reader.dataset_rows("daily"));
     store::read_dataset<store::AggregateColumns>(
@@ -305,22 +291,6 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
         &Daily::key, &Daily::measured, &Daily::timeout, &Daily::servfail,
         &Daily::rtt_n, &Daily::rtt_sum);
   }
-
-  // Attacks per victim: event boundaries depend only on (victim, window),
-  // so stitching those two feed columns in place yields the stored run's
-  // events one for one.
-  const std::vector<VictimAttacks> attacks = [&] {
-    telescope::EventStitcher stitcher(
-        checked.provenance.config.inference,
-        telescope::sample_victims(victims.size(), [&](std::size_t i) {
-          return static_cast<std::uint32_t>(victims[i]);
-        }));
-    stitcher.add(victims, windows);
-    const std::vector<telescope::RSDoSEvent> events = stitcher.finish();
-    store::check_count(reader, "stitched event", checked.counts.events,
-                       events.size());
-    return count_attacks(events);
-  }();
 
   auto engine = std::make_unique<QueryEngine>(
       EngineColumns{joined, std::move(series), attacks});

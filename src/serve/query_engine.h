@@ -21,13 +21,13 @@
 //     scan of a contiguous array (WindowScan).
 //
 // Two sources lay out those inputs. load_engine opens a DRS store as a
-// scenario::CheckedStore and decodes only the columns the build needs —
-// it never materializes feed records, a MeasurementStore or joined rows,
-// and the per-victim counts come from stitching the feed's victim and
-// window columns. The
-// RunArtifacts constructor lays a live run (or a scenario::load_run
-// image) out as the same inputs. Either way the engine copies what it
-// indexes and keeps no pointer into its source.
+// scenario::CheckedStore and decodes only the columns the build needs,
+// the stored per-victim counts among them — it never decodes the feed,
+// stitches events, or materializes a MeasurementStore or joined rows. The RunArtifacts constructor lays a live run (or a
+// scenario::load_run image) out as the same inputs, counting its stitched
+// events with telescope::count_attacks, as the store writer does. Either
+// way the engine copies what it indexes and keeps no pointer into its
+// source.
 //
 // Concurrency model: shared-nothing reads. build happens once on the
 // constructing thread; afterwards every query method is const, touches
@@ -147,18 +147,13 @@ struct NssetDayPoint {
   DayPoint point;
 };
 
-/// Telescope attack events against one victim IP.
-struct VictimAttacks {
-  std::uint32_t victim = 0;
-  std::uint64_t attacks = 0;
-};
-
 /// Everything the index build reads. The spans are only read during
 /// construction.
 struct EngineColumns {
   core::EventFrame joined;
   std::vector<NssetDayPoint> series;  // any order; the build sorts it
-  std::span<const VictimAttacks> attacks;  // ascending, unique victims
+  // ascending, unique victims
+  std::span<const telescope::VictimAttacks> attacks;
 };
 
 class QueryEngine {
@@ -221,7 +216,7 @@ class QueryEngine {
   void build(EngineColumns& columns);
   void build_nsset_index(const core::EventFrame& joined);
   void build_series_index(std::vector<NssetDayPoint>& rows);
-  void build_leaderboards(std::span<const VictimAttacks> attacks);
+  void build_leaderboards(std::span<const telescope::VictimAttacks> attacks);
   void build_window_index(const core::EventFrame& joined);
 
   // nsset -> slot into summaries_/event_ranges_/series_ranges_.
@@ -246,8 +241,9 @@ class QueryEngine {
 /// net::EngineHandle::load: open the save_run store at `store_path` as a
 /// scenario::CheckedStore (mapped; every block CRC- and structure-checked,
 /// the feed and joined counts checked against the footer), read only the
-/// columns EngineColumns needs, check the stitched-event count, and build
-/// the engine. Throws store::StoreError naming the path on any defect.
+/// columns EngineColumns needs — the victims through store::read_victims,
+/// which checks them against the stitched-event count — and build the
+/// engine. Throws store::StoreError naming the path on any defect.
 std::unique_ptr<QueryEngine> load_engine(const std::string& store_path);
 
 }  // namespace ddos::serve

@@ -42,6 +42,38 @@ void check_count(const Reader& reader, std::string_view what,
   }
 }
 
+std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
+                                                   std::uint64_t events) {
+  std::vector<telescope::VictimAttacks> rows;
+  rows.reserve(reader.dataset_rows("victims"));
+  ColumnArena arena;
+  read_dataset<VictimColumns>(
+      reader, "victims", arena,
+      [&](const telescope::VictimAttacks& row) { rows.push_back(row); });
+  const auto refuse = [&](const char* column, std::size_t r,
+                          const std::string& why) {
+    throw StoreError(reader.path() + ": column 'victims." + column +
+                     "': row " + std::to_string(r) + " " + why);
+  };
+  std::uint64_t sum = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (r > 0 && rows[r].victim <= rows[r - 1].victim) {
+      refuse("victim", r,
+             "holds " + std::to_string(rows[r].victim) +
+                 ", not above the row before it — victims must be strictly "
+                 "ascending");
+    }
+    if (rows[r].attacks == 0) {
+      refuse("attacks", r, "holds 0 — a stored victim has at least one attack");
+    }
+    if (__builtin_add_overflow(sum, rows[r].attacks, &sum)) {
+      refuse("attacks", r, "overflows the sum of the counts");
+    }
+  }
+  check_count(reader, "victims.attacks", events, sum);
+  return rows;
+}
+
 double mb_per_s(std::uint64_t bytes,
                 std::chrono::steady_clock::duration elapsed) {
   const double ns = std::chrono::duration<double, std::nano>(elapsed).count();

@@ -11,6 +11,10 @@
 //               per (NSSet, window), with their full Welford RTT state;
 //   "ns_seen" — NsSeenColumns: the seen-NS sets driving the previous-day
 //               join, one (day, NS address) row per sighting;
+//   "victims" — VictimColumns: stitched telescope events per victim IP
+//               (telescope::count_attacks), ascending by victim — what
+//               the serving engine's attack leaderboard reads, so a load
+//               never re-stitches the feed;
 //   "events"  — for_each_event_column: the joined NSSet-attack events
 //               (core::NssetAttackEvent), every field, lossless (unlike
 //               the events CSV).
@@ -21,9 +25,9 @@
 // appender and its scan. Three generic bodies walk the row lists:
 // write_dataset (save_run, one whole column at a time), DatasetAppender
 // (the streaming executor, every column open, row by row) and
-// read_dataset (load_run and serve::load_engine, column decodes fanned
-// out, narrowing reads range-checked). merge_stores takes the time-major
-// sort keys from them.
+// read_dataset (load_run, serve::load_engine and read_victims, column
+// decodes fanned out, narrowing reads range-checked). merge_stores takes
+// the sort keys its shard handover check reads from them.
 //
 // The footer meta ends with the result counts: one list, for_each_count
 // below, that writers, readers, count checks and merge_stores all walk.
@@ -41,7 +45,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -159,8 +162,20 @@ struct NsSeenColumns {
   }
 };
 
+/// The "victims" dataset; rows are strictly ascending by victim, and
+/// every count is at least 1.
+struct VictimColumns {
+  using Row = telescope::VictimAttacks;
+
+  template <typename Visit>
+  static void for_each_column(Visit&& visit) {
+    visit("victim", Encoding::DeltaVarint, &Row::victim);
+    visit("attacks", Encoding::Varint, &Row::attacks);
+  }
+};
+
 /// The name of the first column of `Columns` — the sort key of a
-/// time-major dataset.
+/// dataset whose rows are sorted.
 template <typename Columns>
 std::string_view first_column() {
   std::string_view first;
@@ -285,14 +300,6 @@ constexpr bool wants([[maybe_unused]] Field field, Fields... only) {
   return sizeof...(only) == 0 || (same_field(field, only) || ...);
 }
 
-/// The field type of a member pointer.
-template <typename Member>
-struct FieldOf;
-template <typename T, typename Row>
-struct FieldOf<T Row::*> {
-  using type = T;
-};
-
 /// Decodes the `Columns` dataset `dataset` into `arena` — just the columns
 /// of the fields `only` names, or all when it names none — and returns one
 /// span per column in Columns order, left empty for the columns not
@@ -369,29 +376,6 @@ void read_dataset(const Reader& reader, std::string_view dataset,
     });
     each(row);
   }
-}
-
-/// The stored values of the `fields` columns of the `Columns` dataset
-/// `dataset`, as one span per field in `fields` order: read_dataset's
-/// decode without its row loop, for callers that walk columns in place.
-/// Spans borrow from `reader` and `arena`; throws as decode_dataset does.
-template <typename Columns, typename... Fields>
-auto read_columns(const Reader& reader, std::string_view dataset,
-                  ColumnArena& arena, Fields... fields) {
-  const std::vector<ColumnTypes::AnyOf<ColumnSpan>> values =
-      decode_dataset<Columns>(reader, dataset, arena, fields...);
-  const auto index_of = [](auto wanted) {
-    std::size_t index = 0;
-    std::size_t i = 0;
-    Columns::for_each_column([&](std::string_view, Encoding, auto field) {
-      if (same_field(field, wanted)) index = i;
-      ++i;
-    });
-    return index;
-  };
-  return std::tuple{
-      std::get<ColumnSpan<ColumnValue<typename FieldOf<Fields>::type>>>(
-          values[index_of(fields)])...};
 }
 
 /// The "events" dataset schema: calls visit(column, encoding, span) for
@@ -474,6 +458,13 @@ void for_each_count(Counts& counts, Visit&& visit) {
   visit("stats.joined", CountMerge::Recount, s.joined);
   visit("stats.dns_events", CountMerge::Sum, s.dns_events);
 }
+
+/// The "victims" dataset of a whole-run store. Throws StoreError naming
+/// the path and `victims.*` unless the victims are strictly ascending,
+/// every count is at least 1 and the counts sum to `events`, the footer's
+/// stitched-event count.
+std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
+                                                   std::uint64_t events);
 
 /// Adds (or, for keys already present, overwrites in place) every count.
 void write_counts(Writer& writer, const RunCounts& counts);

@@ -52,7 +52,10 @@ inline constexpr std::uint32_t kMagic = 0x31535244u;  // "DRS1" little-endian
 //      columns as aligned spans directly over its backing; it refuses a
 //      block at any other offset at open. Offsets moved, so v2 footers
 //      no longer describe v3 bytes.
-inline constexpr std::uint32_t kFormatVersion = 3;
+//   4  a "victims" dataset (victim, attacks) holds the stitched events per
+//      victim IP, so serving loads read it instead of re-stitching the
+//      feed; a v3 store lacks it, hence the bump.
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::size_t kHeaderSize = 16;
 inline constexpr std::size_t kTrailerSize = 16;
 

@@ -39,16 +39,20 @@ bool is_count_key(std::string_view key) {
 
 bool is_shard_key(std::string_view key) { return has_prefix(key, "shard."); }
 
-// Leading sort-key columns (each list's first column) of the
-// day-partitioned datasets: consecutive shards must hand over in strictly
-// ascending order or the partition the byte-identity proof rests on is
-// broken.
-bool is_time_major_key(const ColumnDesc& desc) {
+// Leading sort-key columns (each list's first column) of the datasets
+// shards partition — the day-partitioned daily, window and ns_seen, and
+// victims, cut by row count: consecutive shards must hand over in
+// strictly ascending order or the partition the byte-identity proof rests
+// on is broken.
+bool is_sort_key(const ColumnDesc& desc) {
   if (desc.dataset == "daily" || desc.dataset == "window") {
     return desc.column == first_column<AggregateColumns>();
   }
-  return desc.dataset == "ns_seen" &&
-         desc.column == first_column<NsSeenColumns>();
+  if (desc.dataset == "ns_seen") {
+    return desc.column == first_column<NsSeenColumns>();
+  }
+  return desc.dataset == "victims" &&
+         desc.column == first_column<VictimColumns>();
 }
 
 // Generic column path: scan every shard's block in parallel, each into
@@ -75,7 +79,7 @@ std::uint64_t merge_values(Writer& writer,
     });
   }
   Reader::parallel_decode(jobs);
-  if (is_time_major_key(desc)) {
+  if (is_sort_key(desc)) {
     std::size_t prev = n;  // last non-empty shard so far
     for (std::size_t i = 0; i < n; ++i) {
       if (values[i].size() == 0) continue;
@@ -84,8 +88,8 @@ std::uint64_t merge_values(Writer& writer,
         throw StoreError(shards[i]->path() + ": '" + desc.dataset + "." +
                          desc.column +
                          "' overlaps the preceding shard's range — "
-                         "shard day ranges must be disjoint and "
-                         "ascending by shard index");
+                         "shard ranges must be disjoint and ascending by "
+                         "shard index");
       }
       prev = i;
     }
@@ -334,8 +338,8 @@ MergeStats merge_stores(const std::string& out_path,
   for (const Reader* shard : shards) stats.bytes_read += shard->file_size();
 
   // ---- column merge in shard 0's block order == save_run's block order
-  // (feed, daily, window, ns_seen, events), with the manifest dataset
-  // dropped and the events dataset row-merged as one unit.
+  // (feed, daily, window, ns_seen, victims, events), with the manifest
+  // dataset dropped and the events dataset row-merged as one unit.
   bool events_merged = false;
   for (const ColumnDesc& desc : first.columns()) {
     if (desc.dataset == "shard") continue;  // manifest column, not data

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <stdexcept>
 #include <tuple>
 
 #include "exec/parallel.h"
@@ -42,6 +41,16 @@ RSDoSRecord to_record(const attack::BackscatterWindow& bw) {
   rec.max_ppm = bw.peak_ppm;
   rec.packets = bw.packets;
   return rec;
+}
+
+std::vector<VictimAttacks> count_attacks(std::span<const RSDoSEvent> events) {
+  std::vector<VictimAttacks> out;
+  for (const RSDoSEvent& ev : events) {
+    const std::uint32_t victim = ev.victim.value();
+    if (out.empty() || out.back().victim != victim) out.push_back({victim, 0});
+    ++out.back().attacks;
+  }
+  return out;
 }
 
 bool record_less(const RSDoSRecord& a, const RSDoSRecord& b) {
@@ -113,26 +122,6 @@ void EventStitcher::add(RecordBatch batch) {
       for (const RSDoSRecord& record : part) {
         if (range.holds(record.victim.value())) range.add(record, reach);
       }
-    }
-  });
-}
-
-void EventStitcher::add(std::span<const std::uint64_t> victims,
-                        std::span<const std::uint64_t> windows) {
-  if (victims.size() != windows.size()) {
-    throw std::invalid_argument("EventStitcher: victim and window columns "
-                                "differ in length");
-  }
-  records_added_ += victims.size();
-  const netsim::WindowIndex reach = params_.max_gap_windows + 1;
-  per_range(ranges_.size(), [&](std::size_t r) {
-    Range& range = ranges_[r];
-    RSDoSRecord record;
-    for (std::size_t i = 0; i < victims.size(); ++i) {
-      if (!range.holds(victims[i])) continue;
-      record.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(victims[i]));
-      record.window = static_cast<netsim::WindowIndex>(windows[i]);
-      range.add(record, reach);
     }
   });
 }

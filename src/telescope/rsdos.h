@@ -86,6 +86,19 @@ struct RSDoSEvent {
   friend bool operator==(const RSDoSEvent&, const RSDoSEvent&) = default;
 };
 
+/// Stitched events against one victim IP: the paper's "top attacked
+/// targets" count (Tables 4-5).
+struct VictimAttacks {
+  std::uint32_t victim = 0;  // address value
+  std::uint64_t attacks = 0;
+
+  friend bool operator==(const VictimAttacks&, const VictimAttacks&) = default;
+};
+
+/// Events per victim, ascending by victim, from events in canonical
+/// (victim, start_window) order: one row per victim, every count >= 1.
+std::vector<VictimAttacks> count_attacks(std::span<const RSDoSEvent> events);
+
 /// Total order on feed records: (victim, window) first — the canonical
 /// event order — then every remaining field as a tie-break. Two attacks
 /// can hit one victim in the same window (victim reuse), and the stitched
@@ -137,9 +150,8 @@ std::vector<std::uint32_t> sample_victims(std::size_t n, VictimOf&& victim_of) {
 /// total_packets, max_slash16, max_unique_ports), so memory is O(events),
 /// not O(records), and the output is a function of the record multiset
 /// alone. That is what lets the streaming driver retire feed records one
-/// ingest region at a time, and RSDoSFeed::events(), load_run and the
-/// serving load run the same code over a record vector or a store's
-/// columns.
+/// ingest region at a time, and RSDoSFeed::events() and load_run run the
+/// same code over a record vector.
 class EventStitcher {
  public:
   /// `victim_sample`: any sample of the victims to come (sample_victims),
@@ -151,12 +163,6 @@ class EventStitcher {
   void add(std::span<const RSDoSRecord> records) {
     add(RecordBatch(&records, 1));
   }
-  /// A store's decoded feed columns, read in place: row i is the record
-  /// (victims[i], windows[i]) as the DRS feed dataset stores them (address
-  /// value; window index as two's complement) with every other field at
-  /// its default. Event boundaries depend on (victim, window) alone.
-  void add(std::span<const std::uint64_t> victims,
-           std::span<const std::uint64_t> windows);
 
   /// Events in canonical (victim, start_window) order.
   std::vector<RSDoSEvent> finish() const;

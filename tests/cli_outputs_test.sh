@@ -6,8 +6,9 @@
 #     zone file);
 #   * generate --shard, merge and analyze --store write a trace holding
 #     their root span, and a metrics file;
-#   * serve --listen writes its trace after SIGINT, with the load's check,
-#     decode and stitch spans, and rejects --watchdog-timeout-s with exit 2.
+#   * serve --listen writes its trace after SIGINT, with the load's check
+#     and decode spans and no stitch span (the load reads the stored
+#     per-victim counts), and rejects --watchdog-timeout-s with exit 2.
 #
 # Usage: cli_outputs_test.sh <ddosrepro binary> <scratch directory>
 set -u
@@ -93,9 +94,10 @@ wait "$pid"
 status=$?
 pid=
 [ "$status" -eq 0 ] || fail "serve --listen: exit $status after SIGINT"
-for span in serve.load_engine serve.load.check serve.load.decode \
-            telescope.stitch; do
+for span in serve.load_engine serve.load.check serve.load.decode; do
   grep -qF "\"name\":\"$span\"" "$dir/listen.json" 2>/dev/null ||
     fail "no $span span in the --listen trace"
 done
+! grep -qF '"name":"telescope.stitch"' "$dir/listen.json" ||
+  fail "the --listen trace has a telescope.stitch span: the load stitched"
 echo "ok"

@@ -266,6 +266,40 @@ TEST(StoreMerge, MergeConcurrentOtherThanZeroOrOneIsRefused) {
   for (const std::string& path : inputs) std::filesystem::remove(path);
 }
 
+// Shards slice the victims dataset by row count, so their slices hand
+// over in strictly ascending victim order. Two shards that each carry the
+// other's victims blocks — every other dataset in order — are refused,
+// naming the column and the shard that overlaps.
+TEST(StoreMerge, VictimsOutOfShardOrderAreRefused) {
+  const auto with_victims_of = [](const std::string& src,
+                                  const std::string& donor,
+                                  const std::string& dst) {
+    const Reader reader(src);
+    const Reader other(donor);
+    Writer writer(dst);
+    for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
+    for (const ColumnDesc& stored : reader.columns()) {
+      const Reader& from = stored.dataset == "victims" ? other : reader;
+      const ColumnDesc& desc = from.column(stored.dataset, stored.column);
+      writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                         desc.rows, std::string(from.verified_payload(desc)));
+    }
+    writer.finish();
+  };
+  ASSERT_EQ(shards2().size(), 2u);
+  for (const std::string& shard : shards2()) {
+    ASSERT_GT(Reader(shard).dataset_rows("victims"), 0u) << shard;
+  }
+  const std::vector<std::string> swapped = {temp_path("m2-victims-0.drs"),
+                                            temp_path("m2-victims-1.drs")};
+  with_victims_of(shards2()[0], shards2()[1], swapped[0]);
+  with_victims_of(shards2()[1], shards2()[0], swapped[1]);
+  expect_merge_error(swapped, "'victims.victim' overlaps the preceding "
+                              "shard's range");
+  expect_merge_error(swapped, swapped[1]);
+  for (const std::string& path : swapped) std::filesystem::remove(path);
+}
+
 // Scan failures carry the file path and column, so a corrupt-but-CRC-
 // valid block (possible only via add_encoded, whose caller vouches for the
 // payload) is still attributed to its shard file.
@@ -468,8 +502,8 @@ TEST(MalformedBlock, PairsOutsideTheColumnTypeRuleFailEveryReader) {
 
 // Blocks in columns analyze_store only checks (it decodes just the
 // events dataset), most of them in columns serve::load_engine never
-// decodes either (it reads feed victim/window, some daily columns and
-// the events); each is refused with the decoder's own defect.
+// decodes either (it reads the victims, some daily columns and the
+// events); each is refused with the decoder's own defect.
 struct UndecodedBlock {
   const char* name;
   const char* dataset;
@@ -504,7 +538,7 @@ const UndecodedBlock kUndecodedBlocks[] = {
 
 // Every store reader opens through one check (scenario::CheckedStore),
 // so each bad block fails them all — load_engine included, though it
-// decodes none of the damaged columns but feed.victim.
+// decodes none of the damaged columns.
 TEST(MalformedBlock, UndecodedColumnsAreStillRefused) {
   const scenario::LongitudinalConfig cfg = test_config();
   const std::string whole = temp_path("undecoded-whole.drs");

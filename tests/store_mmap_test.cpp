@@ -4,8 +4,9 @@
 // the ColumnArena must reuse its buffers across repeat scans, and v3's
 // 8-byte block alignment must hold so Fixed columns map as aligned
 // spans straight over the file. The serving load path (which reads only
-// a few columns) must still refuse a store with any corrupt block or a
-// count that disagrees with its meta, as analyze_store and load_run do.
+// a few columns) must still refuse a store with any corrupt block, a
+// count that disagrees with its meta or a malformed victims dataset, as
+// analyze_store and load_run do.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,14 +14,17 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/server.h"
 #include "scan_columns.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
+#include "store/dataset.h"
 #include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
@@ -324,6 +328,94 @@ TEST_F(ServingLoad, MetaCountMismatchIsRejected) {
     }
     std::filesystem::remove(copy);
   }
+  std::filesystem::remove(path);
+}
+
+// Copy `src` to `dst` block for block, with the victims dataset written
+// from `rows` in its place, or left out when `rows` is null.
+void copy_with_victims(const std::string& src, const std::string& dst,
+                       const std::vector<telescope::VictimAttacks>* rows) {
+  const Reader reader(src);
+  Writer writer(dst);
+  for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
+  for (const ColumnDesc& desc : reader.columns()) {
+    if (desc.dataset != "victims") {
+      writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                         desc.rows, std::string(reader.verified_payload(desc)));
+    } else if (rows != nullptr && desc.column == "victim") {
+      write_dataset<VictimColumns>(writer, "victims", *rows);
+    }
+  }
+  writer.finish();
+}
+
+// The serving load reads the stored per-victim counts instead of
+// stitching the feed, so it trusts them only when they are well formed:
+// victims strictly ascending, every count at least 1, the counts summing
+// to the stitched-event count, the dataset present. Each defect is
+// refused naming victims, by load_run too, which also reads them; the
+// blocks themselves are sound, so analyze_store, which decodes only the
+// events, reports the same analysis as for the sound store.
+TEST_F(ServingLoad, HostileVictimsAreRejected) {
+  const std::string path = saved("serve_victims.drs");
+  const std::vector<telescope::VictimAttacks> stored =
+      telescope::count_attacks(result_->events);
+  ASSERT_GE(stored.size(), 2u);
+
+  std::vector<telescope::VictimAttacks> unsorted = stored;
+  std::swap(unsorted[0], unsorted[1]);
+  std::vector<telescope::VictimAttacks> zero = stored;
+  zero[0].attacks += zero[1].attacks;  // the sum stays the event count
+  zero[1].attacks = 0;
+  std::vector<telescope::VictimAttacks> extra = stored;
+  ++extra.back().attacks;
+  struct Case {
+    const char* name;
+    const std::vector<telescope::VictimAttacks>* rows;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {"not strictly ascending", &unsorted, "column 'victims.victim'"},
+      {"a zero count", &zero, "column 'victims.attacks'"},
+      {"counts off the event count", &extra,
+       "victims.attacks count mismatch"},
+      {"dataset missing", nullptr, "missing dataset 'victims'"},
+  };
+
+  const std::string copy = temp_path("serve_victims_copy.drs");
+  // The unchanged rows load: the copy itself is sound.
+  copy_with_victims(path, copy, &stored);
+  ASSERT_NO_THROW(serve::load_engine(copy));
+  const scenario::StoreAnalysis sound = scenario::analyze_store(copy);
+  for (const Case& c : cases) {
+    copy_with_victims(path, copy, c.rows);
+    const auto expect_refused = [&](const std::function<void()>& load,
+                                    const char* reader) {
+      try {
+        load();
+        ADD_FAILURE() << c.name << ": " << reader << " succeeded";
+      } catch (const StoreError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+            << c.name << ", " << reader << ": " << e.what();
+        EXPECT_NE(std::string(e.what()).find(copy), std::string::npos)
+            << c.name << ", " << reader << ": " << e.what();
+      }
+    };
+    expect_refused([&] { serve::load_engine(copy); }, "load_engine");
+    expect_refused([&] { net::EngineHandle::load(copy, 1); },
+                   "EngineHandle::load");
+    expect_refused([&] { scenario::load_run(copy); }, "load_run");
+    for (const bool use_mmap : {true, false}) {
+      const scenario::StoreAnalysis a = scenario::analyze_store(copy, use_mmap);
+      EXPECT_EQ(a.events, sound.events) << c.name;
+      EXPECT_EQ(a.joined, sound.joined) << c.name;
+      EXPECT_EQ(a.impact.impaired_10x, sound.impact.impaired_10x) << c.name;
+      EXPECT_EQ(a.failures.events_with_failures,
+                sound.failures.events_with_failures)
+          << c.name;
+    }
+  }
+  std::filesystem::remove(copy);
   std::filesystem::remove(path);
 }
 

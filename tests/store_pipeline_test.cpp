@@ -322,6 +322,8 @@ TEST_F(StorePipelineTest, BlocksInSaveRunOrder) {
       "window.rtt_max f64 fixed",
       "ns_seen.day u64 delta",
       "ns_seen.ip u64 delta",
+      "victims.victim u64 delta",
+      "victims.attacks u64 varint",
       "events.victim u64 varint",
       "events.start_window u64 delta",
       "events.end_window u64 delta",
@@ -384,12 +386,21 @@ TEST_F(StorePipelineTest, NarrowingColumnValuesAreRefused) {
   const std::string wide_victim = rewrite_store(
       *path_, "wide-victim.drs", {.column = "feed.victim", .row0 = 1ULL << 32});
   expect_refused([&] { load_run(wide_victim); }, "feed.victim");
-  expect_refused([&] { serve::load_engine(wide_victim); }, "feed.victim");
+
+  // The serving load never decodes the feed; it reads each victim from
+  // the victims dataset, as load_run does too.
+  const std::string wide_stored_victim =
+      rewrite_store(*path_, "wide-stored-victim.drs",
+                    {.column = "victims.victim", .row0 = 1ULL << 32});
+  expect_refused([&] { load_run(wide_stored_victim); }, "victims.victim");
+  expect_refused([&] { serve::load_engine(wide_stored_victim); },
+                 "victims.victim");
 
   // The untouched copy loads: only the edited value is refused.
   const std::string copy = rewrite_store(*path_, "copy.drs", {});
   EXPECT_EQ(load_run(copy).feed.records(), loaded_->feed.records());
-  for (const std::string& p : {wide_port, wide_count, wide_victim, copy}) {
+  for (const std::string& p :
+       {wide_port, wide_count, wide_victim, wide_stored_victim, copy}) {
     std::filesystem::remove(p);
   }
 }

@@ -238,6 +238,33 @@ TEST(WriterReader, RejectsBadMagicAndVersion) {
   EXPECT_THROW(Reader{path}, StoreError);
 }
 
+// A v3 store has no victims dataset, which serving loads now read in
+// place of the feed, so it is refused at open by its header version.
+TEST(WriterReader, RefusesAVersion3Store) {
+  const std::string path = temp_path("v3.drs");
+  {
+    Writer writer(path);
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{7});
+    writer.finish();
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);  // the version field, u32 LE
+    f.write("\x03\x00\x00\x00", 4);
+  }
+  try {
+    const Reader reader(path);
+    FAIL() << "a v3 store opened";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported DRS version 3 "
+                                         "(expected 4)"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(WriterReader, MissingFileThrows) {
   EXPECT_THROW(Reader{temp_path("does-not-exist.drs")}, StoreError);
 }

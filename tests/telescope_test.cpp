@@ -1,12 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <limits>
+#include <map>
 #include <random>
 #include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "exec/pool.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
+#include "store/merge.h"
+#include "store/reader.h"
 #include "telescope/darknet.h"
 #include "telescope/feed.h"
 #include "telescope/rsdos.h"
@@ -362,34 +373,6 @@ std::vector<RSDoSEvent> stitch_in_batches(
   return stitcher.finish();
 }
 
-/// The same records as a store's victim and window columns, read in place:
-/// only (victim, window) reach the stitcher.
-std::vector<RSDoSEvent> stitch_columns(const std::vector<RSDoSRecord>& records,
-                                       const InferenceParams& params,
-                                       std::vector<std::uint32_t> sample) {
-  std::vector<std::uint64_t> victims;
-  std::vector<std::uint64_t> windows;
-  for (const RSDoSRecord& rec : records) {
-    victims.push_back(rec.victim.value());
-    windows.push_back(static_cast<std::uint64_t>(rec.window));
-  }
-  EventStitcher stitcher(params, std::move(sample));
-  stitcher.add(victims, windows);
-  return stitcher.finish();
-}
-
-/// `records` with every field but (victim, window) at its default.
-std::vector<RSDoSRecord> keys_only(const std::vector<RSDoSRecord>& records) {
-  std::vector<RSDoSRecord> out;
-  for (const RSDoSRecord& rec : records) {
-    RSDoSRecord key;
-    key.victim = rec.victim;
-    key.window = rec.window;
-    out.push_back(key);
-  }
-  return out;
-}
-
 std::vector<std::uint32_t> victims_of(const std::vector<RSDoSRecord>& records) {
   return sample_victims(records.size(), [&](std::size_t i) {
     return records[i].victim.value();
@@ -406,8 +389,8 @@ class PartitionedStitch : public ::testing::TestWithParam<unsigned> {
   }
   void TearDown() override { exec::set_global_threads(saved_); }
 
-  /// The partitioned stitch, in record batches and as columns, equals the
-  /// oracle and the one-range stitcher, for the sample `sample`.
+  /// The partitioned stitch, in record batches, equals the oracle and the
+  /// one-range stitcher, for the sample `sample`.
   void expect_matches(const std::vector<RSDoSRecord>& records,
                       const InferenceParams& params,
                       const std::vector<std::uint32_t>& sample) {
@@ -419,8 +402,6 @@ class PartitionedStitch : public ::testing::TestWithParam<unsigned> {
       EXPECT_EQ(stitch_in_batches(records, params, sample, batches), oracle)
           << batches << " batches";
     }
-    EXPECT_EQ(stitch_columns(records, params, sample),
-              segment_events(keys_only(records), params));
   }
 
  private:
@@ -533,12 +514,116 @@ TEST_P(PartitionedStitch, EmptyInput) {
   EventStitcher no_batch(params, {1, 2, 3});
   EXPECT_TRUE(no_batch.finish().empty());
   EXPECT_TRUE(stitch_in_batches({}, params, {1, 2, 3}, 3).empty());
-  EXPECT_TRUE(stitch_columns({}, params, {}).empty());
   EXPECT_TRUE(feed_events({}, params).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolWidths, PartitionedStitch,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+// ---- the stored victims dataset ---------------------------------------
+
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) /
+          (std::to_string(::getpid()) + "-" + name))
+      .string();
+}
+
+/// Events per victim by brute force: a count of the oracle's events under
+/// each victim address, ascending.
+std::vector<VictimAttacks> oracle_victims(
+    const std::vector<RSDoSRecord>& records, const InferenceParams& params) {
+  std::map<std::uint32_t, std::uint64_t> counts;
+  for (const RSDoSEvent& ev : segment_events(records, params)) {
+    ++counts[ev.victim.value()];
+  }
+  std::vector<VictimAttacks> out;
+  for (const auto& [victim, attacks] : counts) out.push_back({victim, attacks});
+  return out;
+}
+
+/// The rows of a store's "victims" dataset, as stored.
+std::vector<VictimAttacks> stored_victims(const std::string& path) {
+  const store::Reader reader(path);
+  store::ColumnArena arena;
+  std::vector<VictimAttacks> rows;
+  store::read_dataset<store::VictimColumns>(
+      reader, "victims", arena,
+      [&](const VictimAttacks& row) { rows.push_back(row); });
+  return rows;
+}
+
+/// `cfg` generated as `count` shards and merged; returns the merged path
+/// and the fewest victims rows any shard stored.
+std::pair<std::string, std::uint64_t> merged_shards(
+    const scenario::LongitudinalConfig& cfg, std::uint32_t count,
+    const std::string& tag) {
+  std::vector<std::string> paths;
+  std::uint64_t fewest = std::numeric_limits<std::uint64_t>::max();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    paths.push_back(temp_path(tag + "-" + std::to_string(i) + ".drs"));
+    scenario::run_shard(cfg, scenario::ShardSpec{i, count}, 1, paths.back());
+    fewest = std::min(fewest,
+                      store::Reader(paths.back()).dataset_rows("victims"));
+  }
+  const std::string merged = temp_path(tag + "-merged.drs");
+  store::merge_stores(merged, paths);
+  for (const std::string& path : paths) std::filesystem::remove(path);
+  return {merged, fewest};
+}
+
+/// The whole-run store of `cfg` at `threads` pool threads (the generate
+/// path) and the per-victim oracle over its feed records.
+std::vector<VictimAttacks> expect_whole_store_matches_oracle(
+    const scenario::LongitudinalConfig& cfg, unsigned threads) {
+  const unsigned saved = exec::global_pool().thread_count();
+  exec::set_global_threads(threads);
+  scenario::StreamingOptions options;
+  options.store_path = temp_path("victims-whole.drs");
+  options.threads = threads;
+  options.retain_feed = true;
+  const scenario::LongitudinalResult result =
+      scenario::run_longitudinal_streaming(cfg, options);
+  exec::set_global_threads(saved);
+  const std::vector<VictimAttacks> oracle =
+      oracle_victims(result.feed.records(), cfg.inference);
+  EXPECT_EQ(stored_victims(options.store_path), oracle)
+      << threads << " threads";
+  std::filesystem::remove(options.store_path);
+  return oracle;
+}
+
+// The stored victims rows are an independent function of the feed: they
+// equal a brute-force count over the segment_events oracle for a whole
+// run at 1 and 4 threads, for a 3-shard merge, and for a merge of more
+// shards than there are victims, where some shards store an empty slice.
+TEST(StoredVictims, MatchBruteForceCountsOverTheOracle) {
+  const scenario::LongitudinalConfig cfg =
+      scenario::small_longitudinal_config(7);
+  const std::vector<VictimAttacks> oracle =
+      expect_whole_store_matches_oracle(cfg, 1);
+  ASSERT_GT(oracle.size(), 3u);
+  EXPECT_EQ(expect_whole_store_matches_oracle(cfg, 4), oracle);
+  const auto [merged, fewest] = merged_shards(cfg, 3, "victims-3");
+  EXPECT_EQ(stored_victims(merged), oracle);
+  EXPECT_GT(fewest, 0u);
+  std::filesystem::remove(merged);
+
+  // Few attacks (a large scale divides the paper's counts), so a handful
+  // of victims.
+  scenario::LongitudinalConfig sparse = cfg;
+  sparse.workload.scale = 200000.0;
+  sparse.workload.scripted_cases = false;
+  const std::vector<VictimAttacks> sparse_oracle =
+      expect_whole_store_matches_oracle(sparse, 1);
+  ASSERT_FALSE(sparse_oracle.empty());
+  ASSERT_LT(sparse_oracle.size(), 16u);
+  const auto [sparse_merged, sparse_fewest] = merged_shards(
+      sparse, static_cast<std::uint32_t>(sparse_oracle.size() + 1),
+      "victims-sparse");
+  EXPECT_EQ(stored_victims(sparse_merged), sparse_oracle);
+  EXPECT_EQ(sparse_fewest, 0u);
+  std::filesystem::remove(sparse_merged);
+}
 
 TEST(Feed, IngestVisibleAttack) {
   attack::AttackSchedule sched;
