@@ -9,13 +9,15 @@
 // machine-readable per-stage ns + items/sec trajectory to diff against.
 #include <benchmark/benchmark.h>
 
-#include <malloc.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -57,35 +59,58 @@ void report_violation(const std::string& message) {
 
 // ---- peak-RSS comparison: streaming vs materialized pipeline.
 //
-// VmHWM is the process-lifetime RSS high-water mark, so ordering is the
-// whole measurement: the streaming run goes FIRST, in a fresh process
-// before any benchmark state exists, and its VmHWM is an honest ceiling.
-// Between the two runs the freed memory is returned to the kernel
-// (malloc_trim) and the peak counter is reset by writing "5" to
-// /proc/self/clear_refs. If the reset is unsupported the materialized
-// reading degrades to max(streaming, materialized) — still a valid bound
-// for the streaming <= ratio * materialized gate below.
+// Each pass runs in its own forked child, started first thing in main —
+// before the exec pool has a thread, so the fork is safe — and its peak
+// is the child's ru_maxrss from wait4. A forked child starts with the
+// parent's resident pages, the same small pre-fork footprint for both
+// passes (reported as rss_bytes_at_fork), and neither pass sees the
+// other's allocations. The child sends its joined count down a pipe for
+// the determinism check.
 
-std::uint64_t read_vm_hwm_bytes() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream fields(line.substr(6));
-      std::uint64_t kb = 0;
-      fields >> kb;
-      return kb * 1024;
-    }
+struct PassResult {
+  std::uint64_t peak_bytes = 0;
+  std::uint64_t joined = 0;
+};
+
+PassResult run_pass_in_child(const std::function<std::uint64_t()>& pass) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    report_violation("PEAK RSS PROBE VIOLATION: pipe failed");
+    return {};
   }
-  return 0;
-}
-
-void reset_peak_rss() {
-  std::ofstream out("/proc/self/clear_refs");
-  out << "5";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::uint64_t joined = 0;
+    try {
+      joined = pass();
+    } catch (const std::exception& e) {
+      std::cerr << "peak-RSS pass failed: " << e.what() << "\n";
+      ::_exit(1);
+    }
+    const bool sent = ::write(fds[1], &joined, sizeof joined) ==
+                      static_cast<ssize_t>(sizeof joined);
+    ::_exit(sent ? 0 : 1);  // no destructors: the parent owns the rest
+  }
+  ::close(fds[1]);
+  PassResult out;
+  const bool received =
+      pid > 0 && ::read(fds[0], &out.joined, sizeof out.joined) ==
+                     static_cast<ssize_t>(sizeof out.joined);
+  ::close(fds[0]);
+  int status = 0;
+  rusage usage{};
+  if (pid < 0 || ::wait4(pid, &status, 0, &usage) != pid || !received ||
+      !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    report_violation("PEAK RSS PROBE VIOLATION: a measured pass failed");
+    return {};
+  }
+  out.peak_bytes = static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // KiB
+  return out;
 }
 
 struct PeakRss {
+  std::uint64_t rss_at_fork_bytes = 0;
   std::uint64_t streaming_bytes = 0;
   std::uint64_t materialized_bytes = 0;
   double ratio() const {
@@ -117,24 +142,18 @@ PeakRss measure_peak_rss() {
   scenario::LongitudinalConfig cfg = bench_config();
   cfg.workload.scale = 20.0;
   PeakRss peaks;
-  std::size_t streamed_joined = 0;
-  {
-    const auto r = scenario::run_longitudinal_streaming(cfg, {});
-    streamed_joined = r.joined.size();
-    benchmark::DoNotOptimize(streamed_joined);
-    peaks.streaming_bytes = read_vm_hwm_bytes();
-  }
-  malloc_trim(0);
-  reset_peak_rss();
-  {
-    const auto r = scenario::run_longitudinal(cfg);
-    benchmark::DoNotOptimize(r.joined.size());
-    peaks.materialized_bytes = read_vm_hwm_bytes();
-    if (r.joined.size() != streamed_joined) {
-      report_violation(
-          "STREAMING DETERMINISM VIOLATION: streaming and materialized "
-          "joined counts disagree");
-    }
+  peaks.rss_at_fork_bytes = obs::read_proc_stats().vm_rss_bytes;
+  const PassResult streamed = run_pass_in_child([&] {
+    return scenario::run_longitudinal_streaming(cfg, {}).joined.size();
+  });
+  const PassResult materialized = run_pass_in_child(
+      [&] { return scenario::run_longitudinal(cfg).joined.size(); });
+  peaks.streaming_bytes = streamed.peak_bytes;
+  peaks.materialized_bytes = materialized.peak_bytes;
+  if (streamed.joined != materialized.joined) {
+    report_violation(
+        "STREAMING DETERMINISM VIOLATION: streaming and materialized "
+        "joined counts disagree");
   }
   return peaks;
 }
@@ -657,6 +676,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
   report.add_result("serve_p99_us", serve_p99_us);
   report.add_result("net_qps", net_qps);
   report.add_result("net_rtt_p99_us", net_rtt_p99_us);
+  report.add_result("rss_bytes_at_fork",
+                    static_cast<std::int64_t>(peaks.rss_at_fork_bytes));
   report.add_result("peak_rss_bytes_streaming",
                     static_cast<std::int64_t>(peaks.streaming_bytes));
   report.add_result("peak_rss_bytes_materialized",
@@ -717,8 +738,8 @@ void write_pipeline_json(const char* path, const PeakRss& peaks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Before anything else: the streaming-vs-materialized peak-RSS probe
-  // needs a pristine address space (see measure_peak_rss).
+  // Before anything else: the peak-RSS probe forks its passes while this
+  // process is small and has no pool threads (see run_pass_in_child).
   const PeakRss peaks = measure_peak_rss();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <malloc.h>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include "obs/obs.h"
 #include "scenario/plan.h"
 #include "store/dataset.h"
+#include "store/merge.h"
 #include "store/reader.h"
 #include "store/scan.h"
 #include "store/writer.h"
@@ -143,18 +145,16 @@ Provenance stored_provenance(const store::Reader& reader) {
 // The closing sequence of every store this driver writes — save_run's and
 // the executor's — so the two can never emit different key sets or orders
 // (the footer serialises meta in insertion order, and CI compares the
-// files byte for byte): the victims — for a shard, its row slice, cut as
-// the feed is — then the joined events, the last dataset; the generating
-// provenance; the result counts; then the publish.
+// files byte for byte): the owner's row slice of the victims, then the
+// joined events, the last dataset; the generating provenance; the result
+// counts; then the publish.
 std::uint64_t publish_store(store::Writer& writer,
                             const LongitudinalConfig& config, unsigned threads,
                             const LongitudinalResult& result,
-                            std::uint64_t feed_rows, const ShardSpec* shard,
-                            obs::ScopedSpan& span) {
+                            const ShardSpec& owner, obs::ScopedSpan& span) {
   const std::vector<telescope::VictimAttacks> victims =
       telescope::count_attacks(result.events);
-  const auto [lo, hi] =
-      shard_feed_slice(victims.size(), shard ? *shard : ShardSpec{0, 1});
+  const auto [lo, hi] = shard_slice(victims.size(), owner);
   store::write_dataset<store::VictimColumns>(
       writer, "victims",
       std::span(victims).subspan(lo, static_cast<std::size_t>(hi - lo)));
@@ -166,7 +166,7 @@ std::uint64_t publish_store(store::Writer& writer,
                           });
   store::write_counts(writer,
                       {.attacks = result.workload.schedule.size(),
-                       .feed_records = feed_rows,
+                       .feed_records = result.feed_records,
                        .events = result.events.size(),
                        .joined = result.joined.size(),
                        .swept_measurements = result.swept_measurements,
@@ -196,8 +196,7 @@ std::uint64_t save_run(const std::string& path,
                                                 result.store.sorted_window());
   store::write_dataset<store::NsSeenColumns>(writer, "ns_seen",
                                              result.store.sorted_ns_seen());
-  return publish_store(writer, config, threads, result, result.feed_records,
-                       nullptr, span);
+  return publish_store(writer, config, threads, result, ShardSpec{}, span);
 }
 
 // ---- the run executor: one streaming day-epoch pipeline behind all three
@@ -225,11 +224,10 @@ constexpr std::size_t kChannelCapacity = 4;
 /// One executor configuration: the three public drivers differ only here.
 struct RunSpec {
   const char* name = "";  // root span
-  /// Null: every day and event, joined and merged. Else shard->spec's
-  /// owned day range plus the halo its owned events read below it, joined
-  /// pre-merge with each row's event index stored as shard.src_event; the
-  /// rest of *shard is filled in.
-  ShardRunResult* shard = nullptr;
+  /// Null: a whole run, joined and merged. Else this shard's days (plus
+  /// the halo its events read), events and ingest regions, joined
+  /// pre-merge for the shard manifest.
+  const ShardSpec* shard = nullptr;
   /// Keep every folded day in result.store (what save_run writes) instead
   /// of retiring days at the join watermark.
   bool retain_store = false;
@@ -243,9 +241,10 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   obs::Observer* observer = obs::Observer::installed();
   obs::Tracer* tracer = observer ? &observer->tracer() : nullptr;
   obs::ScopedSpan total(tracer, spec.name);
+  const ShardSpec owner = spec.shard ? *spec.shard : ShardSpec{};
   if (spec.shard) {
-    total.arg("shard", static_cast<std::int64_t>(spec.shard->spec.index));
-    total.arg("count", static_cast<std::int64_t>(spec.shard->spec.count));
+    total.arg("shard", static_cast<std::int64_t>(owner.index));
+    total.arg("count", static_cast<std::int64_t>(owner.count));
   }
 
   // The store opens first, so an unwritable path fails before any work:
@@ -283,10 +282,9 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   // EventStitcher over the same records, so the events match it bit for
   // bit; the stitch ranges are cut at the schedule's victims, known before
   // any record is. Unless kept, each region's records are released once
-  // folded, so peak memory stays bounded by the parallel region itself. A
-  // shard persists only its row slice of the feed, which needs the total
-  // first, so it keeps them.
-  std::uint64_t feed_rows = 0;
+  // folded, so peak memory stays bounded by the parallel region itself.
+  // Only the owner's regions (all for a whole run) are counted and stored,
+  // so the shards' feeds concatenate to the whole feed.
   {
     obs::ScopedSpan span(tracer, "telescope.infer");
     result.feed = telescope::RSDoSFeed(config.inference, config.backscatter);
@@ -296,31 +294,28 @@ LongitudinalResult execute(const LongitudinalConfig& config,
         telescope::sample_victims(attacks.size(), [&](std::size_t i) {
           return attacks[i].target.value();
         }));
-    const bool keep_records = spec.retain_feed || spec.shard;
-    if (keep_records) result.feed.reserve_for(result.workload.schedule);
+    if (spec.retain_feed) result.feed.reserve_for(result.workload.schedule);
     std::optional<store::DatasetAppender<store::FeedColumns>> feed_columns;
     if (writer) feed_columns.emplace("feed");
-    result.feed_records = result.feed.ingest_stream(
+    const auto [region_lo, region_hi] = shard_slice(
+        telescope::RSDoSFeed::region_count(result.workload.schedule), owner);
+    std::uint64_t region = 0;
+    result.feed.ingest_stream(
         result.workload.schedule, result.darknet, config.feed_seed,
         [&](telescope::RecordBatch batch) {
+          const bool owned = region >= region_lo && region < region_hi;
+          ++region;
           for (const std::span<const telescope::RSDoSRecord> part : batch) {
-            if (feed_columns && !spec.shard) {
-              for (const telescope::RSDoSRecord& rec : part) {
-                feed_columns->append(rec);
-              }
+            if (spec.retain_feed) result.feed.add_records(part);
+            if (!owned) continue;
+            result.feed_records += part.size();
+            if (!feed_columns) continue;
+            for (const telescope::RSDoSRecord& rec : part) {
+              feed_columns->append(rec);
             }
-            if (keep_records) result.feed.add_records(part);
           }
           stitcher.add(batch);
         });
-    feed_rows = result.feed_records;
-    if (spec.shard) {
-      const auto [lo, hi] = shard_feed_slice(feed_rows, spec.shard->spec);
-      for (std::uint64_t i = lo; feed_columns && i < hi; ++i) {
-        feed_columns->append(result.feed.records()[i]);
-      }
-      feed_rows = hi - lo;
-    }
     if (feed_columns) feed_columns->flush_to(*writer);
     result.events = stitcher.finish();
     span.set_items(result.events.size());
@@ -331,18 +326,15 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   const PlanRetention retention{plan.daily_keys, plan.window_keys,
                                 plan.ns_seen_keys};
 
-  // The owned day range: every day, or one shard of the plan's partition.
-  // Every shard derives the identical plan from the identical event list
-  // (world, workload, telescope and sweep are pure functions of their
-  // seeds), so a day swept here is bit-identical to the same day of the
-  // whole-world run, and the shards agree on the cuts without
-  // coordinating. An event is owned by the range holding its last day.
+  // The owned day range: one shard of the plan's partition (every day for
+  // ShardSpec{0, 1}). Every shard derives the identical plan from the
+  // identical event list (world, workload, telescope and sweep are pure
+  // functions of their seeds), so a day swept here is bit-identical to the
+  // same day of the whole-world run, and the shards agree on the cuts
+  // without coordinating. An event belongs to the range of its last day.
+  const ShardBounds bounds = shard_bounds(plan, owner);
   constexpr netsim::DayIndex kNoPendingReads =
       std::numeric_limits<netsim::DayIndex>::max();
-  const ShardBounds bounds =
-      spec.shard ? shard_bounds(plan, spec.shard->spec)
-                 : ShardBounds{std::numeric_limits<netsim::DayIndex>::min(),
-                               kNoPendingReads};
 
   // Join readiness: an event's store reads — daily and ns_seen at
   // first_day-1, ns_seen at first_day, windows across the attack — are all
@@ -649,30 +641,11 @@ LongitudinalResult execute(const LongitudinalConfig& config,
     window_columns->flush_to(*writer);
     ns_seen_columns->flush_to(*writer);
     if (spec.shard) {
-      // The shard manifest and src_event column; the merger strips both.
-      writer->add_meta("shard.index", std::to_string(spec.shard->spec.index));
-      writer->add_meta("shard.count", std::to_string(spec.shard->spec.count));
-      writer->add_meta("shard.owned_events",
-                       std::to_string(ready_order.size()));
-      store::write_column(*writer, "shard", "src_event",
-                          store::U64Appender(store::Encoding::DeltaVarint),
-                          src_event);
+      store::write_shard_manifest(*writer, owner.index, owner.count,
+                                  src_event);
     }
     result.store_bytes =
-        publish_store(*writer, config, spec.threads, result, feed_rows,
-                      spec.shard ? &spec.shard->spec : nullptr, span);
-  }
-
-  if (spec.shard) {
-    ShardRunResult& out = *spec.shard;
-    out.day_lo = bounds.day_lo;
-    out.day_hi = bounds.day_hi;
-    out.events_total = result.events.size();
-    out.owned_events = ready_order.size();
-    out.feed_rows = feed_rows;
-    out.joined_rows = result.joined.size();
-    out.swept_measurements = result.swept_measurements;
-    out.store_bytes = result.store_bytes;
+        publish_store(*writer, config, spec.threads, result, owner, span);
   }
   return result;
 }
@@ -704,14 +677,26 @@ ShardRunResult run_shard(const LongitudinalConfig& config,
     throw std::invalid_argument(
         "run_shard: need shard index < count, count >= 1");
   }
-  ShardRunResult out;
-  out.spec = spec;
   RunSpec run;
   run.name = "run_shard";
-  run.shard = &out;
+  run.shard = &spec;
   run.store_path = store_path;
   run.threads = threads;
-  execute(config, run);
+  const ShardRunResult out = [&] {
+    const LongitudinalResult r = execute(config, run);
+    return ShardRunResult{.spec = spec,
+                          .events_total = r.events.size(),
+                          .owned_events = r.join_stats.total_events,
+                          .feed_rows = r.feed_records,
+                          .joined_rows = r.joined.size(),
+                          .swept_measurements = r.swept_measurements,
+                          .store_bytes = r.store_bytes};
+  }();
+  // Everything the shard built is freed by now, but glibc keeps 40-90 MiB
+  // of it resident, more or less from run to run as fragmentation pins it.
+  // Give it back, so a caller that runs the next shard or merges in this
+  // process starts from the same heap every time.
+  malloc_trim(0);
   return out;
 }
 

@@ -65,10 +65,9 @@ struct RunArtifacts {
   telescope::Darknet darknet = telescope::Darknet::ucsd_like();
   telescope::RSDoSFeed feed{telescope::InferenceParams{},
                             attack::BackscatterModelParams{}};
-  /// Records the telescope inferred. Streaming runs retire the record
-  /// vector shard by shard (feed.records() stays empty unless
-  /// StreamingOptions::retain_feed), so counts must come from here, not
-  /// from feed.records().size().
+  /// Records the telescope inferred (a shard's: of its own ingest regions).
+  /// The executor releases them region by region unless retain_feed, so
+  /// counts must come from here, not from feed.records().size().
   std::uint64_t feed_records = 0;
   std::vector<telescope::RSDoSEvent> events;  // stitched telescope events
   openintel::MeasurementStore store;
@@ -95,23 +94,18 @@ LongitudinalResult run_longitudinal(const LongitudinalConfig& config);
 // run_shard executes one shard of plan.h's N-way day partition — its
 // owned day range plus the halo day below it that its owned events'
 // previous-day reads reach — and writes an independent DRS shard store:
-// the same meta/block layout as save_run restricted to the owned days
-// and events, plus a shard manifest (shard.index/shard.count footer meta)
-// and a "shard.src_event" column recording each pre-merge joined row's
-// canonical telescope-event index.
-// store::merge_stores k-way merges the N shard files into one store
-// byte-identical to a single-process `generate --store` of the same
-// config — for any N and any thread count.
+// the same meta/block layout as save_run restricted to the owned days,
+// events and ingest regions, plus store::write_shard_manifest's manifest.
+// store::merge_stores compacts the N shard stores into one store
+// byte-identical to the whole run's, for any N and any thread count.
 
 /// What one shard produced — the CLI summary line and the accounting the
 /// shard tests check (per-shard counts sum to the whole run's).
 struct ShardRunResult {
   ShardSpec spec;
-  netsim::DayIndex day_lo = 0;  // owned day range [day_lo, day_hi)
-  netsim::DayIndex day_hi = 0;
   std::uint64_t events_total = 0;  // world-wide stitched telescope events
   std::uint64_t owned_events = 0;  // telescope events this shard joined
-  std::uint64_t feed_rows = 0;     // feed slice persisted by this shard
+  std::uint64_t feed_rows = 0;     // records of its owned ingest regions
   std::uint64_t joined_rows = 0;   // pre-merge NSSet-events persisted
   std::uint64_t swept_measurements = 0;  // owned-day measurements only
   std::uint64_t store_bytes = 0;

@@ -172,10 +172,10 @@ ShardBounds shard_bounds(const SweepPlan& plan, const ShardSpec& spec) {
   return ShardBounds{cuts[spec.index], cuts[spec.index + 1]};
 }
 
-std::pair<std::uint64_t, std::uint64_t> shard_feed_slice(
-    std::uint64_t total_rows, const ShardSpec& spec) {
-  return {total_rows * spec.index / spec.count,
-          total_rows * (spec.index + 1) / spec.count};
+std::pair<std::uint64_t, std::uint64_t> shard_slice(std::uint64_t total,
+                                                    const ShardSpec& spec) {
+  return {total * spec.index / spec.count,
+          total * (spec.index + 1) / spec.count};
 }
 
 }  // namespace ddos::scenario

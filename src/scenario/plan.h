@@ -113,12 +113,12 @@ std::vector<netsim::DayIndex> shard_day_cuts(const SweepPlan& plan,
 /// Bounds of one shard: {cuts[index], cuts[index + 1]}.
 ShardBounds shard_bounds(const SweepPlan& plan, const ShardSpec& spec);
 
-/// The contiguous [begin, end) slice of a world-wide row list — the feed
-/// records, the per-victim attack counts — that shard `spec` persists.
-/// Both are deterministic functions of the workload seed and identical
-/// across shards, so slicing by row index partitions them exactly;
+/// The contiguous [begin, end) slice of `total` world-wide items — the
+/// feed's ingest regions, the victims dataset's rows — that shard `spec`
+/// persists (all of them for ShardSpec{0, 1}, a whole run). Both lists are
+/// identical across shards, so slicing by index partitions them exactly;
 /// concatenating the slices in shard order reproduces the whole list.
-std::pair<std::uint64_t, std::uint64_t> shard_feed_slice(
-    std::uint64_t total_rows, const ShardSpec& spec);
+std::pair<std::uint64_t, std::uint64_t> shard_slice(std::uint64_t total,
+                                                    const ShardSpec& spec);
 
 }  // namespace ddos::scenario

@@ -19,10 +19,36 @@
 
 namespace ddos::store {
 
+// ---- the shard manifest: every "shard." footer key, the "shard" dataset.
+constexpr std::string_view kShard = "shard";
+constexpr std::string_view kIndexKey = "shard.index";
+constexpr std::string_view kCountKey = "shard.count";
+constexpr std::string_view kSrcEvent = "src_event";
+
+void write_shard_manifest(Writer& writer, std::uint32_t index,
+                          std::uint32_t count,
+                          std::span<const std::uint64_t> src_event) {
+  writer.add_meta(kIndexKey, std::to_string(index));
+  writer.add_meta(kCountKey, std::to_string(count));
+  write_column(writer, kShard, kSrcEvent, U64Appender(Encoding::DeltaVarint),
+               src_event);
+}
+
 namespace {
 
-bool has_prefix(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
+// The shard's {index, count}; merge_events reads its src_event column.
+std::pair<std::uint64_t, std::uint64_t> read_shard_manifest(
+    const Reader& reader) {
+  if (!reader.has_meta(kIndexKey) || !reader.has_meta(kCountKey)) {
+    throw StoreError(reader.path() + ": not a shard store (no shard.index/"
+                     "shard.count manifest; shard stores come from "
+                     "generate --shard i/N)");
+  }
+  return {reader.meta_u64(kIndexKey), reader.meta_u64(kCountKey)};
+}
+
+bool is_shard_key(std::string_view key) {
+  return key.starts_with(kShard) && key.substr(kShard.size()).starts_with('.');
 }
 
 // Count keys are recombined by their merge rule rather than copied;
@@ -36,8 +62,6 @@ bool is_count_key(std::string_view key) {
   });
   return found;
 }
-
-bool is_shard_key(std::string_view key) { return has_prefix(key, "shard."); }
 
 // Leading sort-key columns (each list's first column) of the datasets
 // shards partition — the day-partitioned daily, window and ns_seen, and
@@ -139,15 +163,10 @@ std::uint64_t merge_events(Writer& writer,
   std::vector<std::vector<std::uint64_t>> src(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Reader& shard = *shards[i];
-    if (!shard.has_column("shard", "src_event")) {
-      throw StoreError(shard.path() +
-                       ": missing shard.src_event column — not a shard "
-                       "store written by generate --shard?");
-    }
     ColumnArena arena;
     rows[i] = core::events_from_frame(read_event_frame(shard, arena));
-    const auto s = scan<std::uint64_t>(
-        shard, shard.column("shard", "src_event"), arena);
+    const auto s =
+        scan<std::uint64_t>(shard, shard.column(kShard, kSrcEvent), arena);
     src[i].assign(s.begin(), s.end());
     if (rows[i].size() != src[i].size()) {
       throw StoreError(shards[i]->path() + ": shard.src_event has " +
@@ -208,14 +227,7 @@ MergeStats merge_stores(const std::string& out_path,
   const std::uint32_t count = static_cast<std::uint32_t>(shard_paths.size());
   std::vector<const Reader*> shards(count, nullptr);
   for (const auto& reader : readers) {
-    if (!reader->has_meta("shard.index") || !reader->has_meta("shard.count")) {
-      throw StoreError(reader->path() +
-                       ": not a shard store (no shard.index/shard.count "
-                       "manifest; shard stores come from generate --shard "
-                       "i/N)");
-    }
-    const std::uint64_t index = reader->meta_u64("shard.index");
-    const std::uint64_t n = reader->meta_u64("shard.count");
+    const auto [index, n] = read_shard_manifest(*reader);
     if (n != count) {
       throw StoreError(reader->path() + ": shard count mismatch — store is "
                        "shard " +
@@ -342,7 +354,7 @@ MergeStats merge_stores(const std::string& out_path,
   // dataset dropped and the events dataset row-merged as one unit.
   bool events_merged = false;
   for (const ColumnDesc& desc : first.columns()) {
-    if (desc.dataset == "shard") continue;  // manifest column, not data
+    if (desc.dataset == kShard) continue;  // manifest column, not data
     if (desc.dataset == "events") {
       if (events_merged) continue;
       events_merged = true;

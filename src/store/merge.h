@@ -8,9 +8,9 @@
 //     recomputed — whole-world counts (attacks, telescope events) are
 //     validated equal across shards, per-shard dispositions are summed,
 //     and the joined counts are re-counted after the concurrent merge;
-//   * the time-major datasets (feed by construction; daily, window and
-//     ns_seen by the day partition) concatenate in shard-index order —
-//     which IS globally sorted order — re-encoded through the epoch
+//   * feed and victims (cut by index) and the time-major daily, window
+//     and ns_seen (by the day partition) concatenate in shard-index order
+//     — which IS the whole run's order — re-encoded through the epoch
 //     appenders, whose chunk-wise appends are byte-identical to
 //     save_run's one-shot encodes (every block re-CRC'd as written);
 //   * the events dataset k-way merges by each row's source telescope
@@ -23,10 +23,19 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace ddos::store {
+
+class Writer;
+
+/// Write the shard manifest: index, count and each pre-merge joined row's
+/// telescope event index, by which merge_stores interleaves, then drops it.
+void write_shard_manifest(Writer& writer, std::uint32_t index,
+                          std::uint32_t count,
+                          std::span<const std::uint64_t> src_event);
 
 struct MergeStats {
   std::uint32_t shards = 0;

@@ -197,13 +197,6 @@ double Reader::meta_f64(std::string_view key) const {
   return out;
 }
 
-bool Reader::has_column(std::string_view dataset,
-                        std::string_view column) const {
-  for (const auto& c : columns_)
-    if (c.dataset == dataset && c.column == column) return true;
-  return false;
-}
-
 const ColumnDesc& Reader::column(std::string_view dataset,
                                  std::string_view column) const {
   for (const auto& c : columns_)

@@ -70,7 +70,6 @@ class Reader {
   std::uint64_t meta_u64(std::string_view key) const;
   double meta_f64(std::string_view key) const;
 
-  bool has_column(std::string_view dataset, std::string_view column) const;
   /// Footer entry for (dataset, column); throws when absent.
   const ColumnDesc& column(std::string_view dataset,
                            std::string_view column) const;

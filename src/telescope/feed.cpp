@@ -31,9 +31,9 @@ void RSDoSFeed::ingest(const attack::AttackSchedule& schedule,
   });
 }
 
-std::size_t RSDoSFeed::ingest_stream(
-    const attack::AttackSchedule& schedule, const Darknet& darknet,
-    std::uint64_t seed, const std::function<void(RecordBatch)>& sink) {
+void RSDoSFeed::ingest_stream(const attack::AttackSchedule& schedule,
+                              const Darknet& darknet, std::uint64_t seed,
+                              const std::function<void(RecordBatch)>& sink) {
   obs::ScopedSpan span(obs::installed_tracer(), "feed.ingest");
   const double fraction = darknet.ipv4_fraction();
   const std::uint32_t subnets = darknet.slash16_count();
@@ -60,7 +60,6 @@ std::size_t RSDoSFeed::ingest_stream(
   // concatenated stream is identical for any chunking, any shard
   // decomposition and any thread count, and matches what ingest() appends
   // to records().
-  constexpr std::size_t kAttacksPerRegion = 4096;
   Totals totals;
   std::vector<std::vector<RSDoSRecord>> region;
   std::vector<std::span<const RSDoSRecord>> parts;
@@ -104,7 +103,6 @@ std::size_t RSDoSFeed::ingest_stream(
     o->pipeline.feed_windows_observed.inc(totals.windows_observed);
     o->pipeline.feed_records.inc(totals.records);
   }
-  return totals.records;
 }
 
 std::vector<RSDoSEvent> RSDoSFeed::events() const {

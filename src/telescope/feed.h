@@ -35,17 +35,23 @@ class RSDoSFeed {
   void ingest(const attack::AttackSchedule& schedule, const Darknet& darknet,
               std::uint64_t seed);
 
-  /// Streaming ingest: instead of retaining the records, hand each
-  /// parallel region's records to `sink` as one batch — its shards'
-  /// outputs in shard order, regions in schedule order, so concatenating
-  /// the batches reproduces exactly what ingest() appends to records().
-  /// The records are released as soon as the sink returns, which is what
-  /// bounds the run executor's memory: the sink folds them into the event
-  /// stitcher and the DRS feed columns, never a full vector. Returns the
-  /// record count; identical observer metrics to ingest().
-  std::size_t ingest_stream(const attack::AttackSchedule& schedule,
-                            const Darknet& darknet, std::uint64_t seed,
-                            const std::function<void(RecordBatch)>& sink);
+  /// Streaming ingest: instead of retaining the records, hand each ingest
+  /// region's records to `sink` as one batch, empty regions included —
+  /// its shards' outputs in shard order, regions in schedule order, so
+  /// concatenating the batches reproduces exactly what ingest() appends to
+  /// records(). The records are released as soon as the sink returns,
+  /// which is what bounds the run executor's memory: the sink folds them
+  /// into the event stitcher and the DRS feed columns, never a full
+  /// vector. Identical observer metrics to ingest().
+  void ingest_stream(const attack::AttackSchedule& schedule,
+                     const Darknet& darknet, std::uint64_t seed,
+                     const std::function<void(RecordBatch)>& sink);
+
+  /// Ingest regions (ingest_stream sink calls) for `schedule`: runs of
+  /// kAttacksPerRegion attacks, the last one possibly shorter.
+  static std::size_t region_count(const attack::AttackSchedule& schedule) {
+    return (schedule.size() + kAttacksPerRegion - 1) / kAttacksPerRegion;
+  }
 
   /// Reserve room for every record `schedule` can yield, one per attack
   /// window, so retaining its feed never regrows the record vector: a
@@ -101,6 +107,7 @@ class RSDoSFeed {
   const InferenceParams& inference() const { return inference_; }
 
  private:
+  static constexpr std::size_t kAttacksPerRegion = 4096;  // one ingest region
   InferenceParams inference_;
   attack::BackscatterModelParams model_;
   std::vector<RSDoSRecord> records_;

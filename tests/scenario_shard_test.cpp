@@ -2,9 +2,10 @@
 // pipeline must reproduce a single-process run exactly. parse_shard's
 // diagnostics are asserted verbatim (the CLI prints them after "flag --",
 // like parse_mix); shard_day_cuts must partition every plan day and every
-// telescope event deterministically; and merge(shard_0..N-1) must be
-// byte-identical to save_run of reference_run (the plain composition of
-// the public stages) for N in {1, 2, 3, 8}.
+// telescope event deterministically; each shard must store exactly the
+// whole run's feed records of the ingest regions it owns; and
+// merge(shard_0..N-1) must be byte-identical to save_run of reference_run
+// (the plain composition of the public stages) for N in {1, 2, 3, 8}.
 // ctest variants re-run this binary under DDOSREPRO_THREADS=2/8 so the
 // identity also holds across sweep-pool widths.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,8 +26,10 @@
 #include "reference_run.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
+#include "store/dataset.h"
 #include "store/format.h"
 #include "store/merge.h"
+#include "store/reader.h"
 
 namespace ddos::scenario {
 namespace {
@@ -69,6 +73,35 @@ const SweepPlan& whole_plan() {
   static const SweepPlan plan =
       derive_sweep_plan(*whole().world, whole().events, nullptr, nullptr);
   return plan;
+}
+
+// Where each ingest region starts in whole().feed.records(): region r is
+// rows [offsets[r], offsets[r + 1]), one entry per ingest_stream sink call.
+const std::vector<std::size_t>& region_offsets() {
+  static const std::vector<std::size_t> offsets = [] {
+    const LongitudinalConfig cfg = test_config();
+    std::vector<std::size_t> out{0};
+    telescope::RSDoSFeed feed(cfg.inference, cfg.backscatter);
+    feed.ingest_stream(whole().workload.schedule, whole().darknet,
+                       cfg.feed_seed, [&](telescope::RecordBatch batch) {
+                         std::size_t rows = 0;
+                         for (const auto part : batch) rows += part.size();
+                         out.push_back(out.back() + rows);
+                       });
+    return out;
+  }();
+  return offsets;
+}
+
+// A store's feed dataset, decoded back into records.
+std::vector<telescope::RSDoSRecord> stored_feed(const std::string& path) {
+  const store::Reader reader(path);
+  store::ColumnArena arena;
+  std::vector<telescope::RSDoSRecord> records;
+  store::read_dataset<store::FeedColumns>(
+      reader, "feed", arena,
+      [&](const telescope::RSDoSRecord& rec) { records.push_back(rec); });
+  return records;
 }
 
 TEST(ParseShard, Valid) {
@@ -161,7 +194,7 @@ TEST(ShardPlan, FeedSlicesPartitionTheRows) {
     for (const std::uint64_t total : {0ull, 1ull, 7ull, 1000ull, 1001ull}) {
       std::uint64_t expect_begin = 0;
       for (std::uint32_t i = 0; i < count; ++i) {
-        const auto [begin, end] = shard_feed_slice(total, ShardSpec{i, count});
+        const auto [begin, end] = shard_slice(total, ShardSpec{i, count});
         EXPECT_EQ(begin, expect_begin) << i << "/" << count << " of " << total;
         EXPECT_LE(begin, end);
         expect_begin = end;
@@ -171,19 +204,39 @@ TEST(ShardPlan, FeedSlicesPartitionTheRows) {
   }
 }
 
+// The ingest-region cut: the whole run's feed, in records() order, is the
+// concatenation of the regions ingest_stream hands its sink, and the test
+// world has more than one region but fewer than 8, so an 8-way partition
+// leaves some shards without any.
+TEST(ShardPlan, TestWorldHasSeveralIngestRegions) {
+  const std::vector<std::size_t>& offsets = region_offsets();
+  const std::uint64_t regions = offsets.size() - 1;
+  EXPECT_EQ(regions,
+            telescope::RSDoSFeed::region_count(whole().workload.schedule));
+  EXPECT_GE(regions, 2u);
+  EXPECT_LT(regions, 8u);
+  EXPECT_EQ(offsets.back(), whole().feed.records().size());
+}
+
 // The headline invariant: merging the N shard stores reproduces the
 // single-process store at the byte level, and the per-shard accounting
-// sums to the whole run's counts.
+// sums to the whole run's counts. Each shard's feed is exactly the whole
+// run's records of its shard_slice of the ingest regions — empty for a
+// shard that owns none, which must merge all the same.
 TEST(ShardMerge, ByteIdenticalToWholeRunStore) {
   const LongitudinalConfig cfg = test_config();
   const std::string whole_path = temp_path("shard-whole.drs");
   save_run(whole_path, cfg, 1, whole());
   const std::string whole_bytes = read_file(whole_path);
   ASSERT_FALSE(whole_bytes.empty());
+  const std::vector<std::size_t>& offsets = region_offsets();
+  const std::span<const telescope::RSDoSRecord> records =
+      whole().feed.records();
 
   for (const std::uint32_t count : {1u, 2u, 3u, 8u}) {
     std::vector<std::string> shard_paths;
     std::uint64_t owned = 0, feed_rows = 0, swept = 0;
+    std::uint32_t regionless = 0;
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::string path = temp_path(
           "shard-" + std::to_string(i) + "of" + std::to_string(count) +
@@ -194,6 +247,17 @@ TEST(ShardMerge, ByteIdenticalToWholeRunStore) {
       EXPECT_EQ(shard.events_total, whole().events.size());
       EXPECT_EQ(shard.store_bytes,
                 std::filesystem::file_size(std::filesystem::path(path)));
+      const auto [lo, hi] =
+          shard_slice(offsets.size() - 1, ShardSpec{i, count});
+      const auto expected =
+          records.subspan(offsets[lo], offsets[hi] - offsets[lo]);
+      const std::vector<telescope::RSDoSRecord> stored = stored_feed(path);
+      EXPECT_TRUE(std::equal(stored.begin(), stored.end(), expected.begin(),
+                             expected.end()))
+          << "shard " << i << "/" << count << " stores " << stored.size()
+          << " feed rows, not regions [" << lo << ", " << hi << ")";
+      EXPECT_EQ(shard.feed_rows, expected.size());
+      if (lo == hi) ++regionless;
       owned += shard.owned_events;
       feed_rows += shard.feed_rows;
       swept += shard.swept_measurements;
@@ -202,6 +266,9 @@ TEST(ShardMerge, ByteIdenticalToWholeRunStore) {
     EXPECT_EQ(owned, whole().events.size()) << "N=" << count;
     EXPECT_EQ(feed_rows, whole().feed_records) << "N=" << count;
     EXPECT_EQ(swept, whole().swept_measurements) << "N=" << count;
+    if (count == 8) {
+      EXPECT_GT(regionless, 0u);
+    }
 
     // Shard paths may arrive in any order — each store carries its own
     // manifest index. Reverse one set to exercise that.

@@ -143,7 +143,6 @@ TEST(WriterReader, RoundTripAllColumnTypes) {
   EXPECT_EQ(f64s(reader, "ds", "rtt"), rtts);
   EXPECT_EQ(u8s(reader, "ds", "protocol"), protocols);
   EXPECT_EQ(strings(reader, "ds", "org"), orgs);
-  EXPECT_FALSE(reader.has_column("ds", "absent"));
   EXPECT_THROW(reader.column("ds", "absent"), StoreError);
   EXPECT_NO_THROW(check_all(reader));
 }
