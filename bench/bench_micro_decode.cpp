@@ -2,10 +2,11 @@
 // (store/scan.h decode_varint_block / decode_delta_varint_block /
 // decode_string_offsets, the store's one decoder): they decode into a
 // pre-sized buffer with a fully unrolled LEB128 inner loop, and strings
-// to SoA offsets instead of per-row std::string copies. Beside them, the
-// structure-only varint check (varint_block_well_formed) that
-// check_all runs on blocks analyze does not decode. Payloads are
-// encoded by the store/epoch.h appenders, the store's one encoder.
+// to SoA offsets instead of per-row std::string copies. Beside them,
+// what store::check_all runs on every block: the structure-only varint
+// check (scalar and SSE2) and the CRC32C kernels (store/checksum.h).
+// Payloads are encoded by the store/epoch.h appenders, the store's one
+// encoder.
 //
 // Inputs are pipeline-shaped, not uniform-random:
 //
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "netsim/rng.h"
+#include "store/checksum.h"
 #include "store/epoch.h"
 #include "store/scan.h"
 
@@ -113,26 +115,37 @@ void BM_VarintDecodeUnrolled(benchmark::State& state) {
 }
 BENCHMARK(BM_VarintDecodeUnrolled)->Arg(1 << 16)->Arg(1 << 20);
 
-// The structure-only check analyze_store applies to every varint block
-// it does not decode (store/scan.h varint_block_well_formed): no output
-// buffer, so its bytes/s reads against the decode above, store_read_MBps
-// and the memcpy ceiling.
-void BM_VarintCheckStructure(benchmark::State& state) {
+// The structure-only check store::check_all applies to every varint
+// block (store/scan.h VarintSummary::well_formed): no output buffer, so its
+// bytes/s reads against the decode above, store_read_MBps and the memcpy
+// ceiling. Summarize is the kernel: the SSE2 one check_all runs on
+// x86-64, or the word-at-a-time oracle.
+template <store::VarintSummary (*Summarize)(std::string_view)>
+void varint_check_structure(benchmark::State& state) {
   const auto values =
       tailed_values(static_cast<std::size_t>(state.range(0)), 1);
   const std::string payload =
       encode(store::U64Appender(store::Encoding::Varint), values);
-  if (!store::varint_block_well_formed(payload, values.size())) {
+  if (!Summarize(payload).well_formed(values.size())) {
     state.SkipWithError("structure check refused a well-formed block");
     return;
   }
   for (auto _ : state) {
-    bool ok = store::varint_block_well_formed(payload, values.size());
+    bool ok = Summarize(payload).well_formed(values.size());
     benchmark::DoNotOptimize(ok);
   }
   set_throughput(state, values.size(), payload.size());
 }
+
+void BM_VarintCheckStructure(benchmark::State& state) {
+  varint_check_structure<&store::varint_summary_scalar>(state);
+}
 BENCHMARK(BM_VarintCheckStructure)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_VarintCheckStructureSse2(benchmark::State& state) {
+  varint_check_structure<&store::varint_summary>(state);
+}
+BENCHMARK(BM_VarintCheckStructureSse2)->Arg(1 << 16)->Arg(1 << 20);
 
 // ---- delta-varint (sorted keys) -------------------------------------
 
@@ -164,6 +177,42 @@ void BM_StringDecodeOffsets(benchmark::State& state) {
   set_throughput(state, values.size(), payload.size());
 }
 BENCHMARK(BM_StringDecodeOffsets)->Arg(1 << 14)->Arg(1 << 18);
+
+// ---- block CRC32C -----------------------------------------------------
+
+// The block checksum over 1 MiB (check_all's piece) of random bytes,
+// per kernel: the slice-by-8 tables, one crc32 chain, three chains. The
+// bytes/s of the last is the CRC ceiling bench/e2e reports.
+void crc32c_kernel(benchmark::State& state, store::Crc32cKernel kernel) {
+  if (!store::crc32c_supported(kernel)) {
+    state.SkipWithError("this CPU has no SSE4.2");
+    return;
+  }
+  std::string bytes(std::size_t{1} << 20, '\0');
+  netsim::Rng rng(4);
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_u64(256));
+  for (auto _ : state) {
+    std::uint32_t crc = store::crc32c_with(kernel, bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+
+void BM_Crc32cTable(benchmark::State& state) {
+  crc32c_kernel(state, store::Crc32cKernel::Table);
+}
+BENCHMARK(BM_Crc32cTable);
+
+void BM_Crc32cOneLane(benchmark::State& state) {
+  crc32c_kernel(state, store::Crc32cKernel::OneLane);
+}
+BENCHMARK(BM_Crc32cOneLane);
+
+void BM_Crc32cThreeLane(benchmark::State& state) {
+  crc32c_kernel(state, store::Crc32cKernel::ThreeLane);
+}
+BENCHMARK(BM_Crc32cThreeLane);
 
 }  // namespace
 

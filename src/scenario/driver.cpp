@@ -806,8 +806,9 @@ RejoinResult rejoin_from_store(const StoredRun& run) {
 StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   obs::ScopedSpan span(obs::installed_tracer(), "store.scan");
 
-  // The timed region is the data-plane read: the checked open, then only
-  // the events dataset decoded — the one the kernels read.
+  // The timed region is the data-plane read: the checked open, the
+  // victims check, then only the events dataset decoded — the one the
+  // kernels read.
   const auto scan_start = std::chrono::steady_clock::now();
   const CheckedStore checked(
       path, use_mmap ? store::ReadMode::Mapped : store::ReadMode::Buffered);
@@ -818,6 +819,9 @@ StoreAnalysis analyze_store(const std::string& path, bool use_mmap) {
   static_cast<store::RunCounts&>(a) = checked.counts;
   a.file_bytes = reader.file_size();
   a.mapped = reader.mapped();
+  // The stored victims are checked as load_run and load_engine check
+  // them (~100 KB), so every reader refuses the same victims dataset.
+  store::read_victims(reader, checked.counts.events);
 
   store::ColumnArena arena;
   const core::EventFrame frame = store::read_event_frame(reader, arena);

@@ -185,9 +185,9 @@ std::uint64_t save_run(const std::string& path,
 /// and structure-checks every block (store::check_all). Throws
 /// store::StoreError naming the path. Stored values are checked by the
 /// reader that decodes them (read_dataset's field fit,
-/// store::read_victims), so analyze_store, which decodes only the
-/// events, accepts a store whose feed or victims values the others
-/// refuse.
+/// store::read_victims, which all three run), so analyze_store, which
+/// decodes no feed column, accepts a store whose feed values load_run
+/// refuses.
 struct CheckedStore {
   CheckedStore(const std::string& path, store::ReadMode mode);
 
@@ -221,10 +221,11 @@ RejoinResult rejoin_from_store(const StoredRun& run);
 // `analyze_store` recomputes the headline §6 statistics straight off the
 // DRS column spans: the file is opened as a CheckedStore (mapped, or
 // buffered with use_mmap=false; every block CRC- and structure-checked
-// in place), only the events dataset is decoded into arena buffers or
-// zero-copy spans, and the kernels fan out over row shards with ordered
-// reduction — no NssetAttackEvent row is ever built. The kernel results
-// are bit-identical to load_run + the row analyses.
+// in place), the stored victims are checked as the other readers check
+// them (store::read_victims), only the events dataset is decoded into
+// arena buffers or zero-copy spans, and the kernels fan out over row
+// shards with ordered reduction — no NssetAttackEvent row is ever built.
+// The kernel results are bit-identical to load_run + the row analyses.
 
 /// The footer (provenance for the analyze header, stored counts for the
 /// pipeline summary line) plus what the scan computed.
@@ -232,7 +233,8 @@ struct StoreAnalysis : Provenance, store::RunCounts {
   // Scan statistics.
   std::uint64_t file_bytes = 0;
   bool mapped = false;
-  double read_MBps = 0.0;  // file bytes / (checked open + decode events)
+  // file bytes / (checked open + victims check + decode events)
+  double read_MBps = 0.0;
   // Headline kernels (columnar; bit-identical to the row path).
   core::ImpactSummary impact;
   core::FailureSummary failures;

@@ -228,18 +228,20 @@ void Reader::check_crc(const ColumnDesc& desc) const {
   // Descs handed out by this reader are elements of columns_, so the
   // pointer difference is the block index into the lazy-check flags.
   const auto idx = static_cast<std::size_t>(&desc - columns_.data());
-  if (idx >= columns_.size()) {  // foreign desc: verify, nothing to track
-    if (crc32c(payload(desc)) != desc.crc)
-      fail(path_, "checksum mismatch in block '" + desc.dataset + "." +
-                      desc.column + "' (corrupt store)");
+  if (idx < columns_.size() &&
+      crc_checked_[idx].load(std::memory_order_acquire) != 0) {
     return;
   }
-  std::atomic<std::uint8_t>& flag = crc_checked_[idx];
-  if (flag.load(std::memory_order_acquire) != 0) return;
-  if (crc32c(payload(desc)) != desc.crc)
+  record_crc(desc, crc32c(payload(desc)));
+}
+
+void Reader::record_crc(const ColumnDesc& desc, std::uint32_t crc) const {
+  if (crc != desc.crc)
     fail(path_, "checksum mismatch in block '" + desc.dataset + "." +
                     desc.column + "' (corrupt store)");
-  if (flag.exchange(1, std::memory_order_acq_rel) == 0) {
+  const auto idx = static_cast<std::size_t>(&desc - columns_.data());
+  if (idx >= columns_.size()) return;  // foreign desc: nothing to track
+  if (crc_checked_[idx].exchange(1, std::memory_order_acq_rel) == 0) {
     lazy_checks_.fetch_add(1, std::memory_order_relaxed);
     if (obs::Observer* o = obs::Observer::installed())
       o->pipeline.store_crc_lazy_checks.inc();

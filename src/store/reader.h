@@ -86,9 +86,20 @@ class Reader {
     return payload(desc);
   }
 
+  /// The same bytes unverified, for a caller that hashes them itself and
+  /// reports the result through record_crc (store::check_all, which
+  /// hashes big blocks in pieces across the exec pool).
+  std::string_view payload(const ColumnDesc& desc) const;
+
+  /// Record `crc`, computed over payload(desc), as the block's checksum:
+  /// throws StoreError "checksum mismatch in block ..." when it is not the
+  /// footer's, else marks the block verified — counted once in
+  /// lazy_crc_checks, and never hashed again by verified_payload.
+  void record_crc(const ColumnDesc& desc, std::uint32_t crc) const;
+
   /// Run `jobs` (independent column decodes) across the exec pool; each
   /// job must write only its own output slot. Dataset readers, scan_all
-  /// and check_all use this to fan block work out.
+  /// and check_all's fallback scans use this to fan block work out.
   static void parallel_decode(const std::vector<std::function<void()>>& jobs);
 
   /// Blocks whose CRC has been verified so far (monotonic; at most one
@@ -101,7 +112,6 @@ class Reader {
   const std::string& path() const { return path_; }
 
  private:
-  std::string_view payload(const ColumnDesc& desc) const;
   /// CRC-check `desc`'s payload once; throws StoreError on mismatch.
   void check_crc(const ColumnDesc& desc) const;
   void parse(std::string_view data);

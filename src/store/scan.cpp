@@ -1,11 +1,18 @@
 #include "store/scan.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <functional>
 #include <mutex>
 #include <type_traits>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "exec/parallel.h"
+#include "store/checksum.h"
 #include "store/dataset.h"
 #include "store/epoch.h"
 
@@ -153,18 +160,28 @@ void decode_string_offsets(std::string_view payload, std::uint64_t rows,
   if (defect != nullptr) bad_block(defect);
 }
 
-bool varint_block_well_formed(std::string_view payload, std::uint64_t rows) {
+VarintSummary VarintSummary::then(const VarintSummary& next) const {
+  VarintSummary joined;
+  joined.bytes = bytes + next.bytes;
+  joined.terminators = terminators + next.terminators;
+  joined.lead = terminators != 0 ? lead : bytes + next.lead;
+  joined.trail = next.terminators != 0 ? next.trail : trail + next.bytes;
+  // A run across the seam: this side's trailing continuation bytes and
+  // the next side's leading ones.
+  joined.overlong = overlong || next.overlong || trail + next.lead >= 9;
+  return joined;
+}
+
+VarintSummary varint_summary_scalar(std::string_view bytes) {
   // Bit 7 of every byte: set on a continuation byte, clear on the last
   // byte of a varint (a terminator).
   constexpr std::uint64_t kTopBits = 0x8080808080808080ull;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(payload.data());
-  const std::size_t n = payload.size();
-  // With the last byte a terminator, every varint ends inside the block,
-  // and one is too long when its terminator lies 9+ bytes past its start.
-  if (n != 0 && (p[n - 1] & 0x80u) != 0) return false;
-  std::uint64_t terminators = 0;
-  std::size_t start = 0;  // where the current varint began
-  bool overlong = false;
+  const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  const std::size_t n = bytes.size();
+  VarintSummary s;
+  s.bytes = n;
+  std::uint64_t run = 0;  // continuation bytes since the last terminator
+  bool seen = false;      // a terminator has been seen
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     std::uint64_t word;
@@ -172,24 +189,95 @@ bool varint_block_well_formed(std::string_view payload, std::uint64_t rows) {
     const std::uint64_t ends = ~word & kTopBits;
     // One bit per terminator, at bit 7 of its byte: a multiply sums the
     // eight lanes into the top byte (no popcnt in baseline x86-64).
-    terminators += ((ends >> 7) * 0x0101010101010101ull) >> 56;
-    // The word's first terminator ends the current varint; the next
-    // starts after its last one. A word with none gives first = i + 8,
-    // flagging a varint begun before it, and start = i, which then loses
-    // nothing.
-    const std::size_t first = i + std::countr_zero(ends) / 8;
-    overlong |= first - start >= 9;
-    start = i + 8 - std::countl_zero(ends) / 8;
+    s.terminators += ((ends >> 7) * 0x0101010101010101ull) >> 56;
+    // Runs between two terminators of one word are at most six bytes;
+    // the run into the word's first terminator (or through a word with
+    // none, first = 8) continues the one before it.
+    const std::uint64_t first = std::countr_zero(ends) / 8;
+    s.overlong |= run + first >= 9;
+    if (!seen) s.lead = run + first;  // final once a terminator is seen
+    seen |= ends != 0;
+    run = ends != 0 ? std::countl_zero(ends) / 8 : run + 8;
   }
   for (; i < n; ++i) {
-    if ((p[i] & 0x80u) == 0) {
-      ++terminators;
-      overlong |= i - start >= 9;
-      start = i + 1;
+    if ((p[i] & 0x80u) != 0) {
+      s.overlong |= ++run >= 9;
+      continue;
     }
+    ++s.terminators;
+    if (!seen) s.lead = run;
+    seen = true;
+    run = 0;
   }
-  return !overlong && terminators == rows;
+  if (!seen) s.lead = n;
+  s.trail = run;
+  return s;
 }
+
+#if defined(__SSE2__)
+VarintSummary varint_summary(std::string_view bytes) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  const std::size_t whole = bytes.size() / 64 * 64;
+  VarintSummary s;
+  s.bytes = whole;
+  std::uint64_t run = 0;  // continuation bytes since the last terminator
+  bool seen = false;      // a terminator has been seen
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i minus_one = _mm_set1_epi8(-1);
+  __m128i counted = zero;  // terminators, two 64-bit lane sums
+  for (std::size_t i = 0; i < whole; i += 64) {
+    const auto* at = reinterpret_cast<const __m128i*>(p + i);
+    const __m128i v0 = _mm_loadu_si128(at);
+    const __m128i v1 = _mm_loadu_si128(at + 1);
+    const __m128i v2 = _mm_loadu_si128(at + 2);
+    const __m128i v3 = _mm_loadu_si128(at + 3);
+    // Bit k set: byte i + k is a continuation byte.
+    const std::uint64_t c =
+        static_cast<std::uint64_t>(static_cast<std::uint16_t>(
+            _mm_movemask_epi8(v0))) |
+        static_cast<std::uint64_t>(static_cast<std::uint16_t>(
+            _mm_movemask_epi8(v1)))
+            << 16 |
+        static_cast<std::uint64_t>(static_cast<std::uint16_t>(
+            _mm_movemask_epi8(v2)))
+            << 32 |
+        static_cast<std::uint64_t>(static_cast<std::uint16_t>(
+            _mm_movemask_epi8(v3)))
+            << 48;
+    // Terminators (signed byte > -1) count 1 per byte lane, at most 4 a
+    // lane; SAD sums the lanes (no popcnt in baseline x86-64).
+    __m128i t = _mm_sub_epi8(zero, _mm_cmpgt_epi8(v0, minus_one));
+    t = _mm_sub_epi8(t, _mm_cmpgt_epi8(v1, minus_one));
+    t = _mm_sub_epi8(t, _mm_cmpgt_epi8(v2, minus_one));
+    t = _mm_sub_epi8(t, _mm_cmpgt_epi8(v3, minus_one));
+    counted = _mm_add_epi64(counted, _mm_sad_epu8(t, zero));
+    // Nine set bits in a row inside the word: halve the run each step.
+    std::uint64_t r = c & c >> 1;  // runs of 2
+    r &= r >> 2;                   // of 4
+    r &= r >> 4;                   // of 8
+    r &= c >> 8;                   // of 9
+    // The run into the word's first terminator (or through a word with
+    // none, first = 64) continues the one before it.
+    const std::uint64_t ends = ~c;
+    const std::uint64_t first = std::countr_zero(ends);
+    s.overlong |= (r != 0) | (run + first >= 9);
+    if (!seen) s.lead = run + first;  // final once a terminator is seen
+    seen |= ends != 0;
+    run = ends != 0 ? std::countl_zero(ends) : run + 64;
+  }
+  s.terminators = static_cast<std::uint64_t>(_mm_cvtsi128_si64(counted)) +
+                  static_cast<std::uint64_t>(
+                      _mm_cvtsi128_si64(_mm_unpackhi_epi64(counted, counted)));
+  if (!seen) s.lead = whole;
+  s.trail = run;
+  // The last bytes (under 64) through the word loop.
+  return s.then(varint_summary_scalar(bytes.substr(whole)));
+}
+#else
+VarintSummary varint_summary(std::string_view bytes) {
+  return varint_summary_scalar(bytes);
+}
+#endif
 
 namespace {
 
@@ -204,9 +292,9 @@ namespace {
 // A Fixed block holds exactly rows values of `width` bytes, checked
 // before any span is formed over it — by division, as rows * width can
 // wrap for a hostile row count.
-bool fixed_size_ok(std::string_view payload, std::uint64_t rows,
+bool fixed_size_ok(std::uint64_t bytes, std::uint64_t rows,
                    std::uint64_t width) {
-  return payload.size() / width == rows && payload.size() % width == 0;
+  return bytes / width == rows && bytes % width == 0;
 }
 
 }  // namespace
@@ -245,7 +333,7 @@ ColumnSpan<V> scan(const Reader& reader, const ColumnDesc& desc,
       }
       // Reader refused any block not 8-byte aligned at open: the span
       // lies over the backing itself.
-      if (!fixed_size_ok(payload, desc.rows, sizeof(V)))
+      if (!fixed_size_ok(payload.size(), desc.rows, sizeof(V)))
         bad_block("fixed block size does not match row count");
       return {reinterpret_cast<const V*>(payload.data()), desc.rows};
     }
@@ -287,62 +375,127 @@ void scan_column(const Reader& reader, const ColumnDesc& desc,
   });
 }
 
-// True when `payload` is a block scan<V> accepts, judged from its
-// structure alone. False is not a verdict: the scan decides.
-template <typename V>
-bool block_well_formed(const ColumnDesc& desc, std::string_view payload) {
-  switch (desc.encoding) {
-    case Encoding::Fixed: return fixed_size_ok(payload, desc.rows, sizeof(V));
-    case Encoding::DeltaVarint:
-    case Encoding::Varint:
-      return varint_block_well_formed(payload, desc.rows);
-    case Encoding::StringBlock:
-      return walk_strings(payload, desc.rows,
-                          [](std::uint64_t, std::size_t, std::uint64_t) {}) ==
-             nullptr;
-  }
-  return false;
-}
+// check_all's pool task: this many bytes of a fixed or varint block, or
+// one whole string block. Big enough that a task's fixed cost vanishes,
+// small enough that the largest feed block spreads over the pool and
+// that a piece is still in cache for the structure pass after the CRC.
+constexpr std::size_t kPieceBytes = std::size_t{1} << 20;
 
-// Run `fn(desc)` for every block across the exec pool; returns the
-// payload bytes of all blocks.
-template <typename Fn>
-std::uint64_t for_each_block(const Reader& reader, Fn fn) {
-  std::vector<std::function<void()>> jobs;
-  std::uint64_t bytes = 0;
+struct Piece {
+  Piece(const ColumnDesc& block, std::size_t at, std::size_t bytes)
+      : desc(&block), offset(at), size(bytes) {}
+
+  const ColumnDesc* desc;
+  std::size_t offset;  // into the block's payload
+  std::size_t size;
+  std::uint32_t crc = 0;
+  VarintSummary shape;      // varint blocks
+  bool strings_ok = false;  // string blocks: the offset walk accepts
+};
+
+std::vector<Piece> cut_pieces(const Reader& reader) {
+  std::vector<Piece> pieces;
   for (const ColumnDesc& desc : reader.columns()) {
-    bytes += desc.size;
-    jobs.push_back([&fn, &desc] { fn(desc); });
+    if (desc.encoding == Encoding::StringBlock) {
+      pieces.emplace_back(desc, 0, desc.size);
+      continue;
+    }
+    std::size_t offset = 0;
+    do {
+      const std::size_t size = std::min<std::size_t>(kPieceBytes,
+                                                     desc.size - offset);
+      pieces.emplace_back(desc, offset, size);
+      offset += size;
+    } while (offset < desc.size);
   }
-  Reader::parallel_decode(jobs);
-  return bytes;
+  return pieces;
 }
 
-void check_column(const Reader& reader, const ColumnDesc& desc) {
-  const std::string_view payload = reader.verified_payload(desc);
-  ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
-    if (block_well_formed<V>(desc, payload)) return;
-    // The structure check only ever accepts. The scan is the one
-    // authority on a refusal and its message; a block it accepts (a
-    // varint of nine continuation bytes) decodes here once, into a
-    // buffer thrown away.
-    ColumnArena scratch;
-    scan<V>(reader, desc, scratch);
-  });
+// Hash one piece and check its structure while it is in cache. Reads the
+// unverified payload: the CRC is judged at the fold.
+void check_piece(const Reader& reader, Piece& piece) {
+  const ColumnDesc& desc = *piece.desc;
+  const std::string_view bytes =
+      reader.payload(desc).substr(piece.offset, piece.size);
+  piece.crc = crc32c(bytes);
+  switch (desc.encoding) {
+    case Encoding::Fixed: break;
+    case Encoding::DeltaVarint:
+    case Encoding::Varint: piece.shape = varint_summary(bytes); break;
+    case Encoding::StringBlock:
+      piece.strings_ok =
+          walk_strings(bytes, desc.rows,
+                       [](std::uint64_t, std::size_t, std::uint64_t) {}) ==
+          nullptr;
+      break;
+  }
+}
+
+// True when scan accepts `desc`'s block, judged from the fold of its
+// pieces. False is not a verdict: the scan decides.
+bool accepted(const ColumnDesc& desc, const Piece& folded) {
+  bool ok = false;
+  switch (desc.encoding) {
+    case Encoding::Fixed:
+      ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
+        ok = fixed_size_ok(desc.size, desc.rows, sizeof(V));
+      });
+      break;
+    case Encoding::DeltaVarint:
+    case Encoding::Varint: ok = folded.shape.well_formed(desc.rows); break;
+    case Encoding::StringBlock: ok = folded.strings_ok; break;
+  }
+  return ok;
 }
 
 }  // namespace
 
 std::uint64_t scan_all(const Reader& reader, ColumnArena& arena) {
-  return for_each_block(reader, [&](const ColumnDesc& desc) {
-    scan_column(reader, desc, arena);
-  });
+  std::vector<std::function<void()>> jobs;
+  std::uint64_t bytes = 0;
+  for (const ColumnDesc& desc : reader.columns()) {
+    bytes += desc.size;
+    jobs.push_back([&reader, &desc, &arena] {
+      scan_column(reader, desc, arena);
+    });
+  }
+  Reader::parallel_decode(jobs);
+  return bytes;
 }
 
 void check_all(const Reader& reader) {
-  for_each_block(reader, [&](const ColumnDesc& desc) {
-    check_column(reader, desc);
+  std::vector<Piece> pieces = cut_pieces(reader);
+  exec::RegionOptions opts;
+  opts.label = "store.read";
+  opts.max_shards = pieces.size();  // one claimable task per piece
+  exec::parallel_for(pieces.size(), opts, [&](const exec::ShardRange& range) {
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      check_piece(reader, pieces[i]);
+    }
   });
+
+  // Fold each block's pieces in order; a block the structure cannot
+  // accept goes to the scan.
+  std::vector<std::function<void()>> scans;
+  for (std::size_t i = 0; i < pieces.size();) {
+    const ColumnDesc& desc = *pieces[i].desc;
+    Piece folded = pieces[i];
+    for (++i; i < pieces.size() && pieces[i].desc == &desc; ++i) {
+      folded.crc = crc32c_combine(folded.crc, pieces[i].crc, pieces[i].size);
+      folded.shape = folded.shape.then(pieces[i].shape);
+    }
+    reader.record_crc(desc, folded.crc);
+    if (accepted(desc, folded)) continue;
+    // The structure check only ever accepts. The scan is the one
+    // authority on a refusal and its message; a block it accepts (a
+    // varint of nine continuation bytes) decodes here once, into a
+    // buffer thrown away.
+    scans.push_back([&reader, &desc] {
+      ColumnArena scratch;
+      scan_column(reader, desc, scratch);
+    });
+  }
+  Reader::parallel_decode(scans);
 }
 
 }  // namespace ddos::store

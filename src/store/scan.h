@@ -23,7 +23,11 @@
 // decodes none it can accept from structure alone, so a reader that
 // decodes a few datasets still vets the whole file: the store readers
 // run it in their one open (scenario::CheckedStore), merge_stores on
-// every shard.
+// every shard. It runs near memory speed: fixed and varint blocks are
+// cut into 1 MiB pieces, one pool task each, that hash with the
+// three-lane CRC32C (store/checksum.h) and summarize their varint
+// structure with SSE2 while the piece is in cache; a block's CRC and
+// verdict are the fold of its pieces.
 #pragma once
 
 #include <cstdint>
@@ -75,13 +79,38 @@ void decode_varint_block(std::string_view payload, std::uint64_t rows,
 /// As above plus the zigzag delta prefix-sum (DeltaVarint encoding).
 void decode_delta_varint_block(std::string_view payload, std::uint64_t rows,
                                std::vector<std::uint64_t>& out);
-/// Structure-only check of a varint or delta-varint block, word at a
-/// time, storing no value: `rows` terminator bytes (top bit clear), the
-/// last byte one of them, and no run of nine or more continuation bytes.
-/// True only for a block both decoders above accept; false is no verdict
-/// (a legal 10-byte varint is false too), so a caller that needs one runs
-/// the decoder.
-bool varint_block_well_formed(std::string_view payload, std::uint64_t rows);
+/// Structure of a run of bytes of a varint or delta-varint block, with
+/// no value decoded. Summaries of adjacent pieces chain with `then`, so
+/// a block checked in pieces gets the verdict of the whole.
+struct VarintSummary {
+  std::uint64_t bytes = 0;        // bytes summarized
+  std::uint64_t terminators = 0;  // bytes with the top bit clear
+  // Continuation bytes before the first and after the last terminator
+  // (both `bytes` when there is none).
+  std::uint64_t lead = 0;
+  std::uint64_t trail = 0;
+  // A run of nine or more continuation bytes lies inside these bytes.
+  bool overlong = false;
+
+  /// The summary of these bytes followed by `next`'s.
+  VarintSummary then(const VarintSummary& next) const;
+  /// The structure check of a block of `rows` rows whose whole payload
+  /// this summarizes: `rows` terminator bytes, the last byte one of them,
+  /// and no run of nine or more continuation bytes. True only for a block
+  /// both decoders above accept; false is no verdict (a legal 10-byte
+  /// varint is false too), so a caller that needs one runs the decoder.
+  bool well_formed(std::uint64_t rows) const {
+    return !overlong && trail == 0 && terminators == rows;
+  }
+  bool operator==(const VarintSummary&) const = default;
+};
+
+/// Summary of `bytes`: 64 bytes per step through four SSE2 movemasks on
+/// x86-64 (baseline there), varint_summary_scalar elsewhere.
+VarintSummary varint_summary(std::string_view bytes);
+/// The same summary eight bytes at a time: the oracle of the SSE2 path
+/// and the path on other ISAs.
+VarintSummary varint_summary_scalar(std::string_view bytes);
 /// String block to SoA offsets: starts[i]/lens[i] slice row i out of
 /// `payload` itself — the string bytes are not copied.
 void decode_string_offsets(std::string_view payload, std::uint64_t rows,
@@ -109,12 +138,16 @@ ColumnSpan<V> scan(const Reader& reader, const ColumnDesc& desc,
 core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena);
 
 /// CRC-check every block and apply the rules its scan applies, without
-/// storing a value: fixed blocks by size, varint blocks by
-/// varint_block_well_formed, string blocks by their offset walk. Fanned
-/// out across the exec pool like scan_all, and refuses exactly the stores
-/// scan_all refuses: a block the check cannot accept is scanned into a
-/// throwaway arena, so a malformed block throws the scan's own StoreError
-/// (path and column).
+/// storing a value: fixed blocks by size, varint blocks by their
+/// VarintSummary, string blocks by their offset walk. Fixed and varint
+/// blocks are checked in 1 MiB pieces across the exec pool (a string
+/// block is one task: its walk is serial); each piece yields its CRC and
+/// varint summary, and folding them in block order gives the whole
+/// block's, whose CRC goes to Reader::record_crc. Refuses exactly the
+/// stores scan_all refuses: a CRC mismatch throws record_crc's error
+/// (the first mismatched block in footer order), and a block the check
+/// cannot accept is scanned into a throwaway arena, so a malformed block
+/// throws the scan's own StoreError (path and column).
 void check_all(const Reader& reader);
 
 /// Decode every column of every dataset once (one scan per block, fanned

@@ -665,29 +665,43 @@ std::string verdict(Decode decode) {
   }
 }
 
-// The structure check may only accept what both decoders accept, and may
-// pass on a block they accept only for a run of nine or more
-// continuation bytes (a legal 10-byte varint). Both decoders refuse the
-// same blocks with the same message, so check_all's fallback to the scan
-// gives one verdict whichever encoding the block has.
-TEST(MalformedBlock, VarintStructureCheckAgreesWithTheDecoders) {
+// The decoders' verdicts and the structure check's on the 50,000 mutated
+// blocks both tests below walk, in the same order.
+template <typename Check>
+void for_each_mutated_block(Check check) {
   netsim::Rng rng(0x5CA11);
-  std::vector<std::uint64_t> out;
-  std::size_t accepted = 0;
-  std::size_t refused = 0;
-  std::size_t deferred = 0;
   for (int iter = 0; iter < 50000; ++iter) {
     std::uint64_t rows = rng.uniform_u64(40);
     std::string payload = random_varint_block(rng, rows);
     const int damages = static_cast<int>(rng.uniform_u64(4));  // 0 = intact
     for (int i = 0; i < damages; ++i) mutate(rng, payload, rows);
+    check(iter, payload, rows);
+  }
+}
 
+// The structure check may only accept what both decoders accept, and may
+// pass on a block they accept only for a run of nine or more
+// continuation bytes (a legal 10-byte varint). Both decoders refuse the
+// same blocks with the same message, so check_all's fallback to the scan
+// gives one verdict whichever encoding the block has. The SSE2 summary
+// and the word-at-a-time one agree field for field.
+TEST(MalformedBlock, VarintStructureCheckAgreesWithTheDecoders) {
+  std::vector<std::uint64_t> out;
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  std::size_t deferred = 0;
+  for_each_mutated_block([&](int iter, const std::string& payload,
+                             std::uint64_t rows) {
     const std::string varint =
         verdict([&] { decode_varint_block(payload, rows, out); });
     const std::string delta =
         verdict([&] { decode_delta_varint_block(payload, rows, out); });
     ASSERT_EQ(varint, delta) << "iteration " << iter;
-    const bool fast = varint_block_well_formed(payload, rows);
+    const bool fast = varint_summary(payload).well_formed(rows);
+    ASSERT_EQ(varint_summary(payload), varint_summary_scalar(payload))
+        << "iteration " << iter;
+    ASSERT_EQ(varint_summary_scalar(payload).well_formed(rows), fast)
+        << "iteration " << iter;
     if (fast) {
       ASSERT_EQ(varint, "") << "iteration " << iter;
     }
@@ -701,11 +715,82 @@ TEST(MalformedBlock, VarintStructureCheckAgreesWithTheDecoders) {
           << "nine-byte run was not accepted from its structure";
       ++deferred;
     }
-  }
+  });
   // Every kind of outcome is exercised, not just one.
   EXPECT_GT(accepted, 5000u);
   EXPECT_GT(refused, 5000u);
   EXPECT_GT(deferred, 100u);
+}
+
+// check_all summarizes a varint block in pieces and chains the summaries:
+// on every mutated block, cut at every byte and at random pairs of cuts,
+// the chained summaries of the pieces equal the whole block's, through
+// the SSE2 path and the scalar path alike, so the folded verdict is
+// the whole block's. The cuts fall inside 10-byte varints and
+// leave pieces that hold no terminator; runs longer than an SSE2 step
+// are added at the end.
+TEST(MalformedBlock, VarintSummariesOfPiecesChainToTheWholeBlock) {
+  using Summarize = VarintSummary (*)(std::string_view);
+  const Summarize paths[] = {&varint_summary, &varint_summary_scalar};
+  std::size_t cuts_in_long_runs = 0;
+  std::size_t pieces_without_terminator = 0;
+  netsim::Rng rng(0xC075);
+  for_each_mutated_block([&](int iter, const std::string& block,
+                             std::uint64_t rows) {
+    const std::string_view payload = block;
+    const bool verdict = varint_summary(payload).well_formed(rows);
+    for (const Summarize summarize : paths) {
+      const VarintSummary whole = summarize(payload);
+      ASSERT_EQ(whole.well_formed(rows), verdict) << "iteration " << iter;
+      for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+        const VarintSummary head = summarize(payload.substr(0, cut));
+        const VarintSummary tail = summarize(payload.substr(cut));
+        ASSERT_EQ(head.then(tail), whole)
+            << "iteration " << iter << ", cut " << cut;
+        if (head.trail > 0 && tail.lead > 0 && head.trail + tail.lead >= 9) {
+          ++cuts_in_long_runs;
+        }
+      }
+      for (int i = 0; i < 4; ++i) {
+        std::size_t a = rng.uniform_u64(payload.size() + 1);
+        std::size_t b = rng.uniform_u64(payload.size() + 1);
+        if (a > b) std::swap(a, b);
+        const VarintSummary middle = summarize(payload.substr(a, b - a));
+        if (middle.bytes > 0 && middle.terminators == 0) {
+          ++pieces_without_terminator;
+        }
+        ASSERT_EQ(summarize(payload.substr(0, a))
+                      .then(middle)
+                      .then(summarize(payload.substr(b))),
+                  whole)
+            << "iteration " << iter << ", cuts " << a << " and " << b;
+      }
+    }
+  });
+  EXPECT_GT(cuts_in_long_runs, 10000u);
+  EXPECT_GT(pieces_without_terminator, 1000u);
+
+  // Runs of continuation bytes as long as one SSE2 step and longer, at
+  // every offset into a step: both paths carry them alike.
+  for (const std::size_t run : {63u, 64u, 65u, 127u, 128u, 129u, 300u}) {
+    for (std::size_t at = 0; at < 64; at += 7) {
+      std::uint64_t rows = 30;
+      std::string block = random_varint_block(rng, rows);
+      block.insert(std::min(at, block.size()), run, '\x80');
+      const std::string_view payload = block;
+      for (std::size_t cut = 0; cut <= payload.size(); cut += 5) {
+        const std::string_view head = payload.substr(0, cut);
+        const std::string_view tail = payload.substr(cut);
+        ASSERT_EQ(varint_summary(head), varint_summary_scalar(head))
+            << "run " << run << " at " << at << ", cut " << cut;
+        ASSERT_EQ(varint_summary(tail), varint_summary_scalar(tail))
+            << "run " << run << " at " << at << ", cut " << cut;
+        ASSERT_EQ(varint_summary(head).then(varint_summary(tail)),
+                  varint_summary(payload))
+            << "run " << run << " at " << at << ", cut " << cut;
+      }
+    }
+  }
 }
 
 // check_all refuses exactly what scan_all refuses, with the same
@@ -736,6 +821,82 @@ TEST(MalformedBlock, CheckAllRefusesWhatScanAllRefuses) {
     if (!scan.empty()) ++refused;
   }
   EXPECT_GT(refused, 100u);
+
+  // Blocks of over two 1 MiB pieces (check_all's unit of work), damaged
+  // in their last piece: varint blocks of up-to-8-byte values with a
+  // mutated tail, fixed blocks with a row count off by one. Then one byte
+  // flipped in the stored second piece is a checksum mismatch to both.
+  constexpr std::size_t kPiece = std::size_t{1} << 20;
+  std::size_t big_refused = 0;
+  for (int iter = 0; iter < 12; ++iter) {
+    const Encoding encoding = iter % 3 == 0   ? Encoding::Varint
+                              : iter % 3 == 1 ? Encoding::DeltaVarint
+                                              : Encoding::Fixed;
+    std::uint64_t rows = 0;
+    std::string payload;
+    if (encoding == Encoding::Fixed) {
+      rows = 2 * kPiece / 8 + rng.uniform_u64(kPiece / 8);
+      for (std::uint64_t r = 0; r < rows; ++r) {
+        put_fixed64(payload, rng.next_u64());
+      }
+      if (rng.uniform_u64(2) == 0) {
+        if (iter % 2 == 0) {
+          ++rows;
+        } else {
+          --rows;
+        }
+      }
+    } else {
+      while (payload.size() < 2 * kPiece + rng.uniform_u64(kPiece / 2)) {
+        put_varint(payload, rng.next_u64() >> 8 >> rng.uniform_u64(56));
+        ++rows;
+      }
+      std::uint64_t tail_rows = rng.uniform_u64(40);
+      std::string tail = random_varint_block(rng, tail_rows);
+      const int damages = static_cast<int>(rng.uniform_u64(3));
+      for (int i = 0; i < damages; ++i) mutate(rng, tail, tail_rows);
+      payload += tail;
+      rows += tail_rows;
+    }
+    {
+      Writer writer(path);
+      writer.add_encoded("ds", "col", ColumnType::U64, encoding, rows,
+                         payload);
+      writer.finish();
+    }
+    {
+      const Reader reader(path, ReadMode::Mapped);
+      ColumnArena arena;
+      const std::string scan = verdict([&] { scan_all(reader, arena); });
+      ASSERT_EQ(verdict([&] { check_all(reader); }), scan)
+          << "big block " << iter;
+      if (!scan.empty()) ++big_refused;
+    }
+    std::uint64_t offset = 0;
+    {
+      const Reader reader(path, ReadMode::Buffered);
+      offset = reader.column("ds", "col").offset + kPiece +
+               rng.uniform_u64(kPiece);
+    }
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(static_cast<std::streamoff>(offset));
+      char c = 0;
+      f.get(c);
+      f.seekp(static_cast<std::streamoff>(offset));
+      f.put(static_cast<char>(c ^ 0x5A));
+    }
+    const Reader reader(path, ReadMode::Mapped);
+    ColumnArena arena;
+    const std::string scan = verdict([&] { scan_all(reader, arena); });
+    ASSERT_EQ(verdict([&] { check_all(reader); }), scan)
+        << "big block " << iter << ", flipped";
+    EXPECT_NE(scan.find("checksum mismatch in block 'ds.col'"),
+              std::string::npos)
+        << scan;
+  }
+  EXPECT_GT(big_refused, 2u);
+  EXPECT_LT(big_refused, 12u);
   std::filesystem::remove(path);
 }
 

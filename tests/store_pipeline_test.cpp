@@ -388,13 +388,14 @@ TEST_F(StorePipelineTest, NarrowingColumnValuesAreRefused) {
   expect_refused([&] { load_run(wide_victim); }, "feed.victim");
 
   // The serving load never decodes the feed; it reads each victim from
-  // the victims dataset, as load_run does too.
+  // the victims dataset, as load_run does too, and analyze checks it.
   const std::string wide_stored_victim =
       rewrite_store(*path_, "wide-stored-victim.drs",
                     {.column = "victims.victim", .row0 = 1ULL << 32});
   expect_refused([&] { load_run(wide_stored_victim); }, "victims.victim");
   expect_refused([&] { serve::load_engine(wide_stored_victim); },
                  "victims.victim");
+  expect_refused([&] { analyze_store(wide_stored_victim); }, "victims.victim");
 
   // The untouched copy loads: only the edited value is refused.
   const std::string copy = rewrite_store(*path_, "copy.drs", {});

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,72 @@ TEST(Checksum, SeedChains) {
   const std::uint32_t whole = crc32c("123456789", 9);
   const std::uint32_t first = crc32c("12345", 5);
   EXPECT_EQ(crc32c("6789", 4, first), whole);
+}
+
+std::string random_bytes(std::size_t n, std::mt19937_64& rng) {
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng());
+  return bytes;
+}
+
+// Every kernel computes the slice-by-8 tables' bits at every length up
+// to 4096 (the three-lane path starts at three 256-byte stripes), around
+// the 8 KiB long-stripe steps and past 1 MiB, from aligned and unaligned
+// starts and random seeds. On a CPU without SSE4.2 the hardware kernels
+// run the tables and this compares the tables with themselves.
+TEST(Checksum, KernelsMatchTheTables) {
+  std::mt19937_64 rng(0xC5C32);
+  const std::string bytes = random_bytes((std::size_t{1} << 20) + 64, rng);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 4096; ++n) lengths.push_back(n);
+  for (const std::size_t n : {24575u, 24576u, 24577u, 25343u, 25344u,
+                              25345u, 49920u, 1048576u, 1048583u}) {
+    lengths.push_back(n);
+  }
+  for (const std::size_t n : lengths) {
+    for (const std::size_t at : {0u, 1u, 7u}) {
+      const std::uint32_t seed =
+          n % 3 == 0 ? 0u : static_cast<std::uint32_t>(rng());
+      const char* p = bytes.data() + at;
+      const std::uint32_t table =
+          crc32c_with(Crc32cKernel::Table, p, n, seed);
+      ASSERT_EQ(crc32c_with(Crc32cKernel::ThreeLane, p, n, seed), table)
+          << "length " << n << " at " << at;
+      ASSERT_EQ(crc32c_with(Crc32cKernel::OneLane, p, n, seed), table)
+          << "length " << n << " at " << at;
+      ASSERT_EQ(crc32c(p, n, seed), table) << "length " << n << " at " << at;
+    }
+  }
+}
+
+// Checksums of pieces hashed apart merge to the whole buffer's, for
+// random 1-, 2- and 3-way splits (empty pieces included), and a merge
+// equals chaining through the seed.
+TEST(Checksum, CombineMergesPiecesInOrder) {
+  std::mt19937_64 rng(0xC0B1E);
+  const std::string bytes = random_bytes(70000, rng);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::size_t n = rng() % (bytes.size() + 1);
+    const std::string_view whole(bytes.data(), n);
+    std::vector<std::size_t> cuts = {0, n};
+    const std::size_t ways = 1 + iter % 3;
+    for (std::size_t i = 1; i < ways; ++i) cuts.push_back(rng() % (n + 1));
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t merged = 0;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const std::string_view piece =
+          whole.substr(cuts[i], cuts[i + 1] - cuts[i]);
+      merged = crc32c_combine(merged, crc32c(piece), piece.size());
+      ASSERT_EQ(merged, crc32c(whole.substr(0, cuts[i + 1])))
+          << "iteration " << iter << ", piece " << i;
+    }
+    ASSERT_EQ(merged, crc32c(whole)) << "iteration " << iter;
+    const std::string_view head = whole.substr(0, cuts[1]);
+    const std::string_view tail = whole.substr(cuts[1]);
+    ASSERT_EQ(crc32c_combine(crc32c(head), crc32c(tail), tail.size()),
+              crc32c(tail, crc32c(head)))
+        << "iteration " << iter;
+  }
 }
 
 TEST(Format, VarintRoundTrip) {
