@@ -6,7 +6,9 @@
 // what store::check_all runs on every block: the structure-only varint
 // check (scalar and SSE2) and the CRC32C kernels (store/checksum.h).
 // Payloads are encoded by the store/epoch.h appenders, the store's one
-// encoder.
+// encoder; BM_EncodeColumnPieces times that encode itself, one appender
+// per column against the piece encoder that save_run and merge_stores
+// use.
 //
 // Inputs are pipeline-shaped, not uniform-random:
 //
@@ -24,11 +26,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "exec/pool.h"
 #include "netsim/rng.h"
 #include "store/checksum.h"
+#include "store/dataset.h"
 #include "store/epoch.h"
 #include "store/scan.h"
 
@@ -177,6 +182,80 @@ void BM_StringDecodeOffsets(benchmark::State& state) {
   set_throughput(state, values.size(), payload.size());
 }
 BENCHMARK(BM_StringDecodeOffsets)->Arg(1 << 14)->Arg(1 << 18);
+
+// ---- column encode: one appender vs pieces ----------------------------
+
+// Feed-shaped rows, as many as the default store's feed (1,819,461):
+// windows ascending by small steps, victims and counts with the tails of
+// tailed_values, a two-valued protocol and real-valued rates.
+std::vector<telescope::RSDoSRecord> feed_rows() {
+  constexpr std::size_t kRows = 1'819'461;
+  const std::vector<std::uint64_t> tails = tailed_values(kRows, 5);
+  std::vector<telescope::RSDoSRecord> rows(kRows);
+  netsim::Rng rng(6);
+  netsim::WindowIndex window = 0;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    telescope::RSDoSRecord& row = rows[i];
+    window += static_cast<netsim::WindowIndex>(rng.uniform_u64(3));
+    row.window = window;
+    row.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(rng.next_u64()));
+    row.distinct_slash16 = static_cast<std::uint32_t>(rng.uniform_u64(300));
+    row.protocol = rng.uniform_u64(4) == 0 ? attack::Protocol::UDP
+                                           : attack::Protocol::TCP;
+    row.first_port = static_cast<std::uint16_t>(rng.uniform_u64(1024));
+    row.unique_ports = static_cast<std::uint16_t>(1 + rng.uniform_u64(8));
+    row.max_ppm = static_cast<double>(tails[i]) / 3.0;
+    row.packets = tails[i];
+  }
+  return rows;
+}
+
+// Every feed column of feed_rows(), as save_run writes them, without the
+// file. threads == 0: one appender per column fed every row on the
+// calling thread (save_run before the piece encoder); otherwise the
+// piece encoder at that pool width. Bytes are the encoded payload.
+void BM_EncodeColumnPieces(benchmark::State& state) {
+  using Row = telescope::RSDoSRecord;
+  static const std::vector<Row> rows = feed_rows();
+  const auto threads = static_cast<unsigned>(state.range(0));
+  if (threads > 0) exec::set_global_threads(threads);
+  store::PieceEncoder pieces;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    bytes = 0;
+    store::FeedColumns::for_each_column([&]<typename T>(
+                                            std::string_view,
+                                            store::Encoding encoding,
+                                            T Row::*field) {
+      const store::AppenderFor<store::ColumnValue<T>> appender(encoding);
+      const auto get = [field](const Row& row) {
+        return store::to_column(row.*field);
+      };
+      if (threads == 0) {
+        auto one = appender;
+        for (const Row& row : rows) one.append(get(row));
+        bytes += one.payload().size();
+        benchmark::DoNotOptimize(one.payload().data());
+        return;
+      }
+      for (const store::PayloadPiece& piece :
+           pieces.encode(appender, std::span(&rows, 1), get)) {
+        bytes += piece.bytes.size();
+        benchmark::DoNotOptimize(piece.bytes.data());
+      }
+    });
+    benchmark::ClobberMemory();
+  }
+  if (threads > 0) exec::set_global_threads(0);
+  set_throughput(state, rows.size(), bytes);
+}
+BENCHMARK(BM_EncodeColumnPieces)
+    ->ArgName("threads")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---- block CRC32C -----------------------------------------------------
 

@@ -1,7 +1,10 @@
 #include "exec/pool.h"
 
+#include <pthread.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <new>
 
 #include "obs/trace.h"
 
@@ -171,8 +174,37 @@ void WorkerPool::record_shards(unsigned participant, std::uint64_t shards,
   cells_[participant]->busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
 }
 
+void WorkerPool::before_fork() { mu_.lock(); }
+
+void WorkerPool::after_fork_in_parent() { mu_.unlock(); }
+
+void WorkerPool::after_fork_in_child() {
+  // Only the forking thread lives on in the child, so the worker handles
+  // name threads that do not exist here: a join would wait forever, and
+  // destroying a joinable std::thread terminates. They are kept unjoined
+  // where nothing destroys them (reachable, so no leak is reported), and
+  // the condition variables the parent's workers were parked in start
+  // over; the next region starts the child's own workers.
+  static auto* const orphans = new std::vector<std::thread>();
+  for (std::thread& worker : workers_) orphans->push_back(std::move(worker));
+  workers_.clear();
+  job_ = nullptr;
+  active_workers_ = 0;
+  stop_ = false;
+  new (&work_cv_) std::condition_variable();
+  new (&done_cv_) std::condition_variable();
+  mu_.unlock();  // locked by before_fork on this thread
+}
+
 WorkerPool& global_pool() {
   static WorkerPool pool(env_default_threads());
+  static const bool fork_handlers = [] {
+    ::pthread_atfork([] { global_pool().before_fork(); },
+                     [] { global_pool().after_fork_in_parent(); },
+                     [] { global_pool().after_fork_in_child(); });
+    return true;
+  }();
+  (void)fork_handlers;
   return pool;
 }
 

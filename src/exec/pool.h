@@ -13,6 +13,10 @@
 // Per-participant execution accounting (shards run, busy time, publish-to-
 // first-claim queue wait) accumulates across regions and is exported as
 // the `exec.*` metrics when an observer is installed.
+//
+// The global pool survives fork(): a child has only the forking thread,
+// so its copy of the pool drops the parent's worker handles and starts
+// its own workers on its first region.
 #pragma once
 
 #include <atomic>
@@ -73,6 +77,14 @@ class WorkerPool {
                      std::uint64_t busy_ns);
 
  private:
+  friend WorkerPool& global_pool();  // installs the fork handlers below
+
+  // pthread_atfork handlers: the forking thread holds mu_ across fork(),
+  // so the child's copy of the pool state is consistent.
+  void before_fork();
+  void after_fork_in_parent();
+  void after_fork_in_child();
+
   void worker_main(unsigned participant);
   void start_workers_locked();
   void stop_workers();
@@ -99,7 +111,7 @@ class WorkerPool {
 
 /// The process-wide pool every pipeline stage shares. Constructed on first
 /// use with the DDOSREPRO_THREADS environment override when set, otherwise
-/// hardware_concurrency.
+/// hardware_concurrency; usable in a forked child.
 WorkerPool& global_pool();
 
 /// Retarget the global pool (the CLI's --threads). 0 = hardware.

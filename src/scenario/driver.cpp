@@ -305,13 +305,19 @@ LongitudinalResult execute(const LongitudinalConfig& config,
         [&](telescope::RecordBatch batch) {
           const bool owned = region >= region_lo && region < region_hi;
           ++region;
+          const std::uint64_t records_before = result.feed_records;
           for (const std::span<const telescope::RSDoSRecord> part : batch) {
             if (spec.retain_feed) result.feed.add_records(part);
-            if (!owned) continue;
-            result.feed_records += part.size();
-            if (!feed_columns) continue;
-            for (const telescope::RSDoSRecord& rec : part) {
-              feed_columns->append(rec);
+            if (owned) result.feed_records += part.size();
+          }
+          if (owned && feed_columns) {
+            // Serial, on the calling thread, one row at a time.
+            obs::ScopedSpan append_span(tracer, "store.feed.append");
+            append_span.set_items(result.feed_records - records_before);
+            for (const std::span<const telescope::RSDoSRecord> part : batch) {
+              for (const telescope::RSDoSRecord& rec : part) {
+                feed_columns->append(rec);
+              }
             }
           }
           stitcher.add(batch);

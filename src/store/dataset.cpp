@@ -8,10 +8,11 @@
 namespace ddos::store {
 
 void write_joined_events(Writer& writer, const core::EventFrame& events) {
+  PieceEncoder pieces;
   for_each_event_column(events, [&]<typename Values>(const char* column,
                                                      Encoding encoding,
                                                      const Values& values) {
-    write_column(writer, "events", column,
+    write_column(writer, pieces, "events", column,
                  AppenderFor<typename Values::value_type>(encoding), values);
   });
 }

@@ -23,7 +23,8 @@
 // stores, in block order; the field's type picks the stored value type
 // (to_column), and store/epoch.h's column-type rule gives that type its
 // appender and its scan. Three generic bodies walk the row lists:
-// write_dataset (save_run, one whole column at a time), DatasetAppender
+// write_dataset (save_run, one whole column at a time, each encoded in
+// pieces across the exec pool), DatasetAppender
 // (the streaming executor, every column open, row by row) and
 // read_dataset (load_run, serve::load_engine and read_victims, column
 // decodes fanned out, narrowing reads range-checked). merge_stores takes
@@ -227,15 +228,17 @@ bool from_column(Value value, T& field) {
 }
 
 /// Writes `rows` (Columns::Row, or convertible to it) as the `Columns`
-/// dataset `dataset`, one whole column at a time: each column's payload
-/// is built and handed to the writer before the next one starts.
+/// dataset `dataset`, one whole column at a time: each column's pieces
+/// are encoded on the exec pool and handed to the writer before the next
+/// column starts, into buffers the columns share.
 template <typename Columns, typename Rows>
 void write_dataset(Writer& writer, std::string_view dataset,
                    const Rows& rows) {
   using Row = typename Columns::Row;
+  PieceEncoder pieces;
   Columns::for_each_column([&]<typename T>(std::string_view column,
                                            Encoding encoding, T Row::*field) {
-    write_column(writer, dataset, column,
+    write_column(writer, pieces, dataset, column,
                  AppenderFor<ColumnValue<T>>(encoding), rows,
                  [field](const Row& row) { return to_column(row.*field); });
   });

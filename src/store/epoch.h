@@ -3,23 +3,35 @@
 // its Value, its footer ColumnType and the encodings it admits, and
 // ColumnTypes below lists them: AppenderFor<V> picks a value type's
 // encoder, store/scan.h's scan<V> its decoder, and ColumnTypes::visit
-// turns a footer's type byte back into V. write_column feeds a whole
-// column through an appender; the streaming executor's DatasetAppender
-// (store/dataset.h) feeds one day-epoch at a time and keeps only the
-// growing encoded payload. DeltaVarint carries its `prev` across append
-// calls, so feeding the same values in the same order, whole or chunk by
-// chunk, produces the same bytes — which is what keeps a streamed DRS file
-// bit-for-bit equal to save_run's.
+// turns a footer's type byte back into V.
+//
+// Two writers drive the appenders. write_column encodes a whole column
+// through a PieceEncoder: the rows are cut into kPieceRows-row pieces,
+// each encoded by its own appender in an exec-pool task, and the writer
+// takes the pieces in order as the block (a StringBlock column stays one
+// piece: its offset walk is serial). The streaming executor's
+// DatasetAppender (store/dataset.h) feeds one day-epoch at a time into
+// one appender per column and flushes its payload as one piece.
+// DeltaVarint carries its `prev` across append calls, and a piece starts
+// from the value before its first row (U64Appender::carry), so the same
+// values in the same order, whole, chunk by chunk or piece by piece,
+// encode to the same bytes — which is what keeps a streamed or merged
+// DRS file bit-for-bit equal to save_run's.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <variant>
+#include <vector>
 
+#include "exec/parallel.h"
 #include "store/format.h"
 #include "store/writer.h"
 
@@ -30,13 +42,25 @@ namespace ddos::store {
 /// type does not admit.
 class BlockAppender {
  public:
+  /// Adds the payload to `writer` as one block of one piece.
   void flush_to(Writer& writer, std::string_view dataset,
                 std::string_view column) const {
-    writer.add_encoded(dataset, column, type_, encoding_, rows_, payload_);
+    const PayloadPiece whole(payload_);
+    writer.add_encoded(dataset, column, type_, encoding_, rows_, {&whole, 1});
   }
 
   std::uint64_t rows() const { return rows_; }
+  Encoding encoding() const { return encoding_; }
   const std::string& payload() const { return payload_; }
+
+  /// Encodes into `buffer` from here on: its bytes are dropped, its
+  /// capacity kept. PieceEncoder hands each task a buffer reserved on
+  /// the calling thread this way, and takes it back with release().
+  void adopt(std::string&& buffer) {
+    payload_ = std::move(buffer);
+    payload_.clear();
+  }
+  std::string release() && { return std::move(payload_); }
 
  protected:
   BlockAppender(ColumnType type, Encoding encoding);
@@ -60,11 +84,15 @@ class U64Appender : public BlockAppender {
   explicit U64Appender(Encoding encoding = Encoding::DeltaVarint)
       : BlockAppender(kType, encoding) {}
 
-  /// Room for `rows` more values at ~2 bytes each (1-2 byte varints are
-  /// the common case; Fixed grows past it).
-  void reserve(std::size_t rows) {
-    payload_.reserve(payload_.size() + rows * 2);
+  /// The most bytes `rows` values can take: 10 per varint, 8 Fixed.
+  std::size_t bytes_for(std::size_t rows) const {
+    return rows * (encoding_ == Encoding::Fixed ? 8 : 10);
   }
+
+  /// Continues a DeltaVarint column after a row holding `prev`: the next
+  /// value is encoded as its delta from `prev`. A fresh appender carries
+  /// 0; the piece encoder carries each piece over the row before it.
+  void carry(std::uint64_t prev) { prev_ = prev; }
 
   void append(std::uint64_t v) {
     if (encoding_ == Encoding::DeltaVarint) {
@@ -94,9 +122,7 @@ class F64Appender : public BlockAppender {
   explicit F64Appender(Encoding encoding = Encoding::Fixed)
       : BlockAppender(kType, encoding) {}
 
-  void reserve(std::size_t rows) {
-    payload_.reserve(payload_.size() + rows * 8);
-  }
+  std::size_t bytes_for(std::size_t rows) const { return rows * 8; }
   void append(double v) {
     put_fixed64(payload_, std::bit_cast<std::uint64_t>(v));
     ++rows_;
@@ -113,7 +139,7 @@ class U8Appender : public BlockAppender {
   explicit U8Appender(Encoding encoding = Encoding::Fixed)
       : BlockAppender(kType, encoding) {}
 
-  void reserve(std::size_t rows) { payload_.reserve(payload_.size() + rows); }
+  std::size_t bytes_for(std::size_t rows) const { return rows; }
   void append(std::uint8_t v) {
     payload_.push_back(static_cast<char>(v));
     ++rows_;
@@ -132,8 +158,9 @@ class StringAppender : public BlockAppender {
   explicit StringAppender(Encoding encoding = Encoding::StringBlock)
       : BlockAppender(kType, encoding) {}
 
-  /// Room for `rows` more length prefixes (the bytes grow as they come).
-  void reserve(std::size_t rows) { payload_.reserve(payload_.size() + rows); }
+  /// Room for `rows` one-byte length prefixes; the bytes grow as they
+  /// come.
+  std::size_t bytes_for(std::size_t rows) const { return rows; }
   void append(std::string_view s) {
     put_string(payload_, s);
     ++rows_;
@@ -183,17 +210,127 @@ template <typename V>
 using AppenderFor = std::variant_alternative_t<ColumnTypes::index<V>(),
                                                ColumnTypes::AnyAppender>;
 
-/// Encode one whole column through `appender`, get(row) giving each row's
-/// value (the row itself by default), and add it to `writer` as one
-/// block. Only the column's payload is built, never a column vector of
-/// the values.
+/// Rows per piece of a whole-column encode. A constant, so a column's
+/// pieces do not depend on the pool width; 64Ki rows of the widest
+/// value (a 10-byte varint) is 640 KiB, which keeps the feed's ~1.8M
+/// rows at ~28 pieces for the pool to spread.
+inline constexpr std::size_t kPieceRows = std::size_t{1} << 16;
+
+/// Encodes whole columns as kPieceRows-row pieces, one exec-pool task
+/// each (region "store.encode"), whose payloads join to the payload one
+/// appender fed every row would build, byte for byte. Three allocation
+/// rules keep it fast and small:
+///   1. a task's appender is its own local, moved onto its buffer and
+///      back off it, so no two tasks append into neighbouring state;
+///   2. every buffer is reserved on the calling thread for its piece's
+///      worst case (Appender::bytes_for), so no task allocates and no
+///      piece lands in a worker's malloc arena;
+///   3. the buffers are kept across the columns one encoder writes, so a
+///      dataset's transient is one column's pieces and never a payload
+///      that grows by doubling.
+/// A StringBlock column is one piece, encoded on the calling thread: its
+/// offset walk is serial.
+class PieceEncoder {
+ public:
+  /// Encodes the rows of `segments` (each a random-access range of rows;
+  /// the column is their concatenation) through copies of `appender`,
+  /// get(row) giving each row's value (the row itself by default).
+  /// Pieces never span segments; an empty segment has none. Returns the
+  /// pieces in order, viewing this encoder's buffers until its next
+  /// encode.
+  template <typename Appender, typename Segments, typename Get = std::identity>
+  std::span<const PayloadPiece> encode(const Appender& appender,
+                                       const Segments& segments,
+                                       Get get = {}) {
+    if constexpr (std::is_same_v<Appender, StringAppender>) {
+      std::size_t rows = 0;
+      for (const auto& segment : segments) rows += std::size(segment);
+      Appender local = appender;
+      local.adopt(std::move(reserved(0, local.bytes_for(rows))));
+      for (const auto& segment : segments) {
+        for (const auto& row : segment) local.append(get(row));
+      }
+      buffers_[0] = std::move(local).release();
+      pieces_.assign(1, PayloadPiece(buffers_[0]));
+      return pieces_;
+    } else {
+      // Each piece starts from the value of the row before it: in its
+      // own segment, else the last row of the last non-empty one.
+      struct Cut {
+        std::size_t segment, begin, end;
+        typename Appender::Value carry;
+      };
+      std::vector<Cut> cuts;
+      typename Appender::Value last{};
+      for (std::size_t s = 0; s < std::size(segments); ++s) {
+        const auto& segment = segments[s];
+        const std::size_t n = std::size(segment);
+        for (std::size_t begin = 0; begin < n; begin += kPieceRows) {
+          cuts.push_back({s, begin, std::min(n, begin + kPieceRows),
+                          begin == 0 ? last : get(segment[begin - 1])});
+        }
+        if (n > 0) last = get(segment[n - 1]);
+      }
+      for (std::size_t i = 0; i < cuts.size(); ++i) {
+        reserved(i, appender.bytes_for(cuts[i].end - cuts[i].begin));
+      }
+      pieces_.assign(cuts.size(), PayloadPiece());
+      exec::RegionOptions opts;
+      opts.label = "store.encode";
+      opts.max_shards = cuts.size();  // one claimable task per piece
+      exec::parallel_for(cuts.size(), opts, [&](const exec::ShardRange& range) {
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          const Cut& cut = cuts[i];
+          Appender local = appender;
+          local.adopt(std::move(buffers_[i]));
+          if constexpr (std::is_same_v<Appender, U64Appender>) {
+            local.carry(cut.carry);
+          }
+          const auto& segment = segments[cut.segment];
+          for (std::size_t r = cut.begin; r < cut.end; ++r) {
+            local.append(get(segment[r]));
+          }
+          buffers_[i] = std::move(local).release();
+          pieces_[i] = PayloadPiece(buffers_[i]);
+        }
+      });
+      return pieces_;
+    }
+  }
+
+ private:
+  // Buffer i, emptied and reserved for `bytes` on the calling thread.
+  std::string& reserved(std::size_t i, std::size_t bytes) {
+    if (buffers_.size() <= i) buffers_.resize(i + 1);
+    buffers_[i].clear();
+    buffers_[i].reserve(bytes);
+    return buffers_[i];
+  }
+
+  std::vector<std::string> buffers_;
+  std::vector<PayloadPiece> pieces_;
+};
+
+/// Encodes one whole column through `pieces` and adds it to `writer` as
+/// one block; get(row) gives each row's value (the row itself by
+/// default). Only the column's pieces are built, never a column vector
+/// of the values or one joined payload.
+template <typename Appender, typename Rows, typename Get = std::identity>
+void write_column(Writer& writer, PieceEncoder& pieces,
+                  std::string_view dataset, std::string_view column,
+                  const Appender& appender, const Rows& rows, Get get = {}) {
+  writer.add_encoded(dataset, column, Appender::kType, appender.encoding(),
+                     std::size(rows),
+                     pieces.encode(appender, std::span(&rows, 1), get));
+}
+
+/// write_column through buffers of its own, for a one-column write.
 template <typename Appender, typename Rows, typename Get = std::identity>
 void write_column(Writer& writer, std::string_view dataset,
-                  std::string_view column, Appender appender,
+                  std::string_view column, const Appender& appender,
                   const Rows& rows, Get get = {}) {
-  appender.reserve(std::size(rows));
-  for (const auto& row : rows) appender.append(get(row));
-  appender.flush_to(writer, dataset, column);
+  PieceEncoder pieces;
+  write_column(writer, pieces, dataset, column, appender, rows, get);
 }
 
 }  // namespace ddos::store

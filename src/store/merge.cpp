@@ -81,12 +81,13 @@ bool is_sort_key(const ColumnDesc& desc) {
 
 // Generic column path: scan every shard's block in parallel, each into
 // its own short-lived arena (one column per shard resident at a time),
-// then replay the values in shard order through the column's appender —
-// whose chunk-wise appends produce payloads byte-identical to the
-// one-shot encode of the concatenated column that save_run would have
-// written. V is the column's stored value type.
+// then encode the shards' values in pieces as one column, each shard's
+// first piece carrying the last value of the shard before it that has
+// rows — so the payload is byte-identical to the one-shot encode of the
+// concatenated column that save_run would have written. V is the
+// column's stored value type.
 template <typename V>
-std::uint64_t merge_values(Writer& writer,
+std::uint64_t merge_values(Writer& writer, PieceEncoder& pieces,
                            const std::vector<const Reader*>& shards,
                            const ColumnDesc& desc,
                            std::atomic<std::uint64_t>* columns_done) {
@@ -103,6 +104,8 @@ std::uint64_t merge_values(Writer& writer,
     });
   }
   Reader::parallel_decode(jobs);
+  std::uint64_t rows = 0;
+  for (const ColumnSpan<V>& shard_values : values) rows += shard_values.size();
   if (is_sort_key(desc)) {
     std::size_t prev = n;  // last non-empty shard so far
     for (std::size_t i = 0; i < n; ++i) {
@@ -118,16 +121,17 @@ std::uint64_t merge_values(Writer& writer,
       prev = i;
     }
   }
-  AppenderFor<V> appender(desc.encoding);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto v : values[i]) appender.append(v);
-    if (columns_done) columns_done[i].fetch_add(1, std::memory_order_relaxed);
+  writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding, rows,
+                     pieces.encode(AppenderFor<V>(desc.encoding), values));
+  if (columns_done) {
+    for (std::size_t i = 0; i < n; ++i) {
+      columns_done[i].fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  appender.flush_to(writer, desc.dataset, desc.column);
-  return appender.rows();
+  return rows;
 }
 
-std::uint64_t merge_column(Writer& writer,
+std::uint64_t merge_column(Writer& writer, PieceEncoder& pieces,
                            const std::vector<const Reader*>& shards,
                            const ColumnDesc& desc,
                            std::atomic<std::uint64_t>* columns_done) {
@@ -142,7 +146,7 @@ std::uint64_t merge_column(Writer& writer,
   }
   std::uint64_t rows = 0;
   ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
-    rows = merge_values<V>(writer, shards, desc, columns_done);
+    rows = merge_values<V>(writer, pieces, shards, desc, columns_done);
   });
   return rows;
 }
@@ -352,9 +356,17 @@ MergeStats merge_stores(const std::string& out_path,
   // ---- column merge in shard 0's block order == save_run's block order
   // (feed, daily, window, ns_seen, victims, events), with the manifest
   // dataset dropped and the events dataset row-merged as one unit.
+  // One piece encoder per dataset: its buffers serve that dataset's
+  // columns and go before the next dataset's.
   bool events_merged = false;
+  PieceEncoder pieces;
+  std::string_view dataset;
   for (const ColumnDesc& desc : first.columns()) {
     if (desc.dataset == kShard) continue;  // manifest column, not data
+    if (desc.dataset != dataset) {
+      dataset = desc.dataset;
+      pieces = PieceEncoder();
+    }
     if (desc.dataset == "events") {
       if (events_merged) continue;
       events_merged = true;
@@ -364,7 +376,7 @@ MergeStats merge_stores(const std::string& out_path,
       continue;
     }
     stats.rows_merged +=
-        merge_column(writer, shards, desc, columns_done.get());
+        merge_column(writer, pieces, shards, desc, columns_done.get());
   }
 
   for_each_count(counts, [&](std::string_view, CountMerge rule,

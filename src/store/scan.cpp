@@ -463,7 +463,7 @@ std::uint64_t scan_all(const Reader& reader, ColumnArena& arena) {
   return bytes;
 }
 
-void check_all(const Reader& reader) {
+std::size_t check_all(const Reader& reader) {
   std::vector<Piece> pieces = cut_pieces(reader);
   exec::RegionOptions opts;
   opts.label = "store.read";
@@ -496,6 +496,7 @@ void check_all(const Reader& reader) {
     });
   }
   Reader::parallel_decode(scans);
+  return scans.size();
 }
 
 }  // namespace ddos::store

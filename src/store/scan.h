@@ -147,8 +147,10 @@ core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena);
 /// stores scan_all refuses: a CRC mismatch throws record_crc's error
 /// (the first mismatched block in footer order), and a block the check
 /// cannot accept is scanned into a throwaway arena, so a malformed block
-/// throws the scan's own StoreError (path and column).
-void check_all(const Reader& reader);
+/// throws the scan's own StoreError (path and column). Returns how many
+/// blocks went to that scan: 0 on a sound store written by this
+/// library, whose varints are all under ten bytes.
+std::size_t check_all(const Reader& reader);
 
 /// Decode every column of every dataset once (one scan per block, fanned
 /// out across the exec pool). Returns the payload bytes touched — the

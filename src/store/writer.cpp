@@ -1,7 +1,11 @@
 #include "store/writer.h"
 
+#include <fcntl.h>
+#include <limits.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,8 +17,9 @@ namespace ddos::store {
 Writer::Writer(const std::string& path)
     : path_(path),
       tmp_path_(path + ".tmp." + std::to_string(::getpid())),
-      out_(tmp_path_, std::ios::binary | std::ios::trunc) {
-  if (!out_) {
+      fd_(::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                 0666)) {
+  if (fd_ < 0) {
     throw StoreError(path_ + ": cannot create store file (" +
                      std::strerror(errno) + ")");
   }
@@ -22,14 +27,43 @@ Writer::Writer(const std::string& path)
   put_fixed32(header, kMagic);
   put_fixed32(header, kFormatVersion);
   put_fixed64(header, 0);  // reserved
-  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  const std::string_view part = header;
+  write_parts({&part, 1});
   offset_ = header.size();
 }
 
 Writer::~Writer() {
   if (published_) return;
-  out_.close();
+  if (fd_ >= 0) ::close(fd_);
   std::remove(tmp_path_.c_str());
+}
+
+void Writer::write_parts(std::span<const std::string_view> parts) {
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (const std::string_view part : parts) {
+    if (!part.empty()) {
+      iov.push_back({const_cast<char*>(part.data()), part.size()});
+    }
+  }
+  std::size_t next = 0;
+  while (next < iov.size() && write_errno_ == 0) {
+    const int count =
+        static_cast<int>(std::min<std::size_t>(iov.size() - next, IOV_MAX));
+    const ssize_t n = ::writev(fd_, iov.data() + next, count);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      write_errno_ = n < 0 ? errno : EIO;
+      return;
+    }
+    // Step past what was written; a short write resumes mid-part.
+    auto done = static_cast<std::size_t>(n);
+    while (done > 0 && done >= iov[next].iov_len) done -= iov[next++].iov_len;
+    if (done > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + done;
+      iov[next].iov_len -= done;
+    }
+  }
 }
 
 void Writer::add_meta(std::string_view key, std::string_view value) {
@@ -42,18 +76,20 @@ void Writer::add_meta(std::string_view key, std::string_view value) {
   meta_.emplace_back(key, value);
 }
 
-void Writer::append_block(std::string_view dataset, std::string_view column,
-                          ColumnType type, Encoding encoding,
-                          std::uint64_t rows, const std::string& payload) {
+PayloadPiece::PayloadPiece(std::string_view payload)
+    : bytes(payload), crc(crc32c(payload)) {}
+
+void Writer::add_encoded(std::string_view dataset, std::string_view column,
+                         ColumnType type, Encoding encoding,
+                         std::uint64_t rows,
+                         std::span<const PayloadPiece> pieces) {
   if (finished_) throw StoreError("Writer: add after finish()");
   // Format v3: zero-pad so every payload starts 8-byte aligned and a
   // mapped reader can hand out Fixed f64 columns as aligned spans.
   static constexpr char kPad[8] = {};
-  if (std::size_t rem = offset_ % 8; rem != 0) {
-    std::size_t pad = 8 - rem;
-    out_.write(kPad, static_cast<std::streamsize>(pad));
-    offset_ += pad;
-  }
+  std::vector<std::string_view> parts = {
+      std::string_view(kPad, (8 - offset_ % 8) % 8)};
+  offset_ += parts[0].size();
   ColumnDesc desc;
   desc.dataset = dataset;
   desc.column = column;
@@ -61,10 +97,13 @@ void Writer::append_block(std::string_view dataset, std::string_view column,
   desc.encoding = encoding;
   desc.rows = rows;
   desc.offset = offset_;
-  desc.size = payload.size();
-  desc.crc = crc32c(payload);
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  offset_ += payload.size();
+  for (const PayloadPiece& piece : pieces) {
+    desc.crc = crc32c_combine(desc.crc, piece.crc, piece.bytes.size());
+    desc.size += piece.bytes.size();
+    parts.push_back(piece.bytes);
+  }
+  write_parts(parts);
+  offset_ += desc.size;
   columns_.push_back(std::move(desc));
 }
 
@@ -95,11 +134,15 @@ void Writer::finish() {
   put_fixed32(trailer, crc32c(footer));
   put_fixed32(trailer, kMagic);
 
-  out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
-  out_.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
+  const std::string_view tail[] = {footer, trailer};
+  write_parts(tail);
   offset_ += footer.size() + trailer.size();
-  out_.close();
-  if (!out_) throw StoreError(path_ + ": write failed");
+  if (::close(fd_) != 0 && write_errno_ == 0) write_errno_ = errno;
+  fd_ = -1;
+  if (write_errno_ != 0) {
+    throw StoreError(path_ + ": write failed (" +
+                     std::strerror(write_errno_) + ")");
+  }
   if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     throw StoreError(path_ + ": cannot publish store file (" +
                      std::strerror(errno) + ")");

@@ -5,7 +5,9 @@
 #     "wrote ... <path>" line (run's CSV and telemetry outputs, world's
 #     zone file);
 #   * generate --shard, merge and analyze --store write a trace holding
-#     their root span, and a metrics file;
+#     their root span, and a metrics file; the shard's trace shows the
+#     serial feed append (store.feed.append) and the merge's the piece
+#     encode of its columns (store.encode);
 #   * serve --listen writes its trace after SIGINT, with the load's check
 #     and decode spans and no stitch span (the load reads the stored
 #     per-victim counts), and rejects --watchdog-timeout-s with exit 2.
@@ -64,10 +66,12 @@ expect_trace() {
   --trace-out "$dir/shard.json" --metrics-out "$dir/shard.m" \
   >"$dir/out" 2>&1 || fail "generate --shard"
 expect_trace "$dir/shard.json" run_shard "$dir/shard.m"
+expect_trace "$dir/shard.json" store.feed.append "$dir/shard.m"
 "$bin" merge "$dir/m.drs" "$dir/s.drs" \
   --trace-out "$dir/merge.json" --metrics-out "$dir/merge.m" \
   >"$dir/out" 2>&1 || fail "merge"
 expect_trace "$dir/merge.json" store.merge "$dir/merge.m"
+expect_trace "$dir/merge.json" store.encode "$dir/merge.m"
 "$bin" analyze --store "$dir/m.drs" \
   --trace-out "$dir/analyze.json" --metrics-out "$dir/analyze.m" \
   --metrics-format openmetrics >"$dir/out" 2>&1 || fail "analyze --store"

@@ -5,6 +5,9 @@
 // thread count (1, 2, 8, oversubscribed) produces bit-identical results.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <numeric>
 #include <sstream>
@@ -19,6 +22,12 @@
 #include "scenario/driver.h"
 
 using namespace ddos;
+
+#if defined(__SANITIZE_THREAD__)
+// GlobalPoolRunsRegionsInAForkedChild's child starts threads after a
+// multi-threaded fork, which ThreadSanitizer refuses unless told not to.
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
+#endif
 
 namespace {
 
@@ -201,6 +210,38 @@ TEST(WorkerPool, StatsAccumulateAcrossRegions) {
   std::uint64_t tasks = 0;
   for (const auto& s : stats) tasks += s.tasks;
   EXPECT_EQ(tasks, exec::plan_shards(1000));
+}
+
+// A child forked after the global pool started its workers has none of
+// them: its regions start the child's own (no more threads than the pool
+// width) instead of waiting forever for the parent's. alarm() turns a
+// hang into a killed child, which the parent sees.
+TEST(WorkerPool, GlobalPoolRunsRegionsInAForkedChild) {
+  exec::set_global_threads(2);
+  const auto region_sum = [] {
+    std::atomic<std::uint64_t> sum{0};
+    exec::parallel_for(1000, exec::RegionOptions{},
+                       [&](const exec::ShardRange& range) {
+                         for (std::size_t i = range.begin; i < range.end; ++i) {
+                           sum += i;
+                         }
+                       });
+    return sum.load();
+  };
+  ASSERT_EQ(region_sum(), 499500u);  // the parent's worker is running
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(10);
+    ::_exit(region_sum() == 499500u ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status))
+      << "child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(region_sum(), 499500u);  // the parent's pool still runs
+  exec::set_global_threads(0);
 }
 
 TEST(Observer, ProgressThrottleIsRaceFreeUnderConcurrentEmitters) {

@@ -10,6 +10,7 @@
 // serve::load_engine too, in the columns they check but do not decode.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <unistd.h>
 
 #include <algorithm>
@@ -23,11 +24,14 @@
 #include <string_view>
 #include <vector>
 
+#include "exec/pool.h"
 #include "netsim/rng.h"
 #include "reference_run.h"
 #include "scenario/driver.h"
 #include "scenario/plan.h"
 #include "serve/query_engine.h"
+#include "store/dataset.h"
+#include "store/epoch.h"
 #include "store/format.h"
 #include "store/merge.h"
 #include "store/reader.h"
@@ -156,6 +160,78 @@ TEST(StoreMerge, EmptyShardsStayByteIdentical) {
   std::filesystem::remove(merged_path);
 }
 
+// Synthetic feed rows: windows from `window` down by small steps, so
+// every delta is negative.
+std::vector<telescope::RSDoSRecord> falling_feed(std::size_t n,
+                                                 netsim::WindowIndex window,
+                                                 netsim::Rng& rng) {
+  std::vector<telescope::RSDoSRecord> rows(n);
+  for (telescope::RSDoSRecord& row : rows) {
+    row.window = window -= static_cast<netsim::WindowIndex>(rng.uniform_u64(4));
+    row.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(rng.next_u64()));
+    row.distinct_slash16 = static_cast<std::uint32_t>(rng.uniform_u64(70000));
+    row.protocol = rng.uniform_u64(2) == 0 ? attack::Protocol::TCP
+                                           : attack::Protocol::UDP;
+    row.first_port = static_cast<std::uint16_t>(rng.uniform_u64(65536));
+    row.max_ppm = static_cast<double>(rng.uniform_u64(1u << 20)) / 7.0;
+    row.packets = rng.next_u64() >> rng.uniform_u64(64);
+  }
+  return rows;
+}
+
+// Shards 0 and 2 of four have no feed rows. The merged feed is encoded in
+// pieces per shard, each shard's first piece carrying the last row of the
+// last shard with rows: shard 3's first window is a negative delta from
+// shard 1's last one, across the empty shard 2, and shard 1's first is a
+// delta from 0, after the empty shard 0. Every merged feed block equals
+// one appender fed shard 1's rows and then shard 3's.
+TEST(StoreMerge, DeltaVarintCarriesAcrossEmptyShards) {
+  const std::vector<std::string> shards = make_shards(test_config(), 4, "m4");
+  netsim::Rng rng(0xCA77);
+  std::vector<std::vector<telescope::RSDoSRecord>> feeds(4);
+  feeds[1] = falling_feed(kPieceRows + 5, 5'000'000, rng);
+  feeds[3] = falling_feed(9, feeds[1].back().window - 1, rng);
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    inputs.push_back(temp_path("m4-feed-" + std::to_string(i) + ".drs"));
+    const Reader reader(shards[i]);
+    Writer writer(inputs.back());
+    for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
+    for (const ColumnDesc& desc : reader.columns()) {
+      if (desc.dataset != "feed") {
+        writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
+                           desc.rows,
+                           std::array{PayloadPiece(reader.payload(desc))});
+      } else if (desc.column == first_column<FeedColumns>()) {
+        write_dataset<FeedColumns>(writer, "feed", feeds[i]);
+      }
+    }
+    writer.finish();
+  }
+  const std::string merged_path = temp_path("m4-feed-merged.drs");
+  exec::set_global_threads(4);
+  merge_stores(merged_path, inputs);
+  exec::set_global_threads(0);
+
+  std::vector<telescope::RSDoSRecord> whole = feeds[1];
+  whole.insert(whole.end(), feeds[3].begin(), feeds[3].end());
+  const Reader merged(merged_path);
+  using Row = telescope::RSDoSRecord;
+  FeedColumns::for_each_column([&]<typename T>(std::string_view column,
+                                               Encoding encoding,
+                                               T Row::*field) {
+    AppenderFor<ColumnValue<T>> oracle(encoding);
+    for (const Row& row : whole) oracle.append(to_column(row.*field));
+    const ColumnDesc& desc = merged.column("feed", column);
+    EXPECT_EQ(desc.rows, whole.size()) << column;
+    EXPECT_TRUE(merged.verified_payload(desc) == oracle.payload()) << column;
+  });
+
+  for (const std::string& path : shards) std::filesystem::remove(path);
+  for (const std::string& path : inputs) std::filesystem::remove(path);
+  std::filesystem::remove(merged_path);
+}
+
 TEST(StoreMerge, ProvenanceMismatchNamesKeyAndShard) {
   scenario::LongitudinalConfig other = test_config();
   other.world.seed += 1;
@@ -248,7 +324,8 @@ void copy_with_meta(const std::string& src, const std::string& dst,
   }
   for (const ColumnDesc& desc : reader.columns()) {
     writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                       desc.rows, std::string(reader.verified_payload(desc)));
+                       desc.rows,
+                       std::array{PayloadPiece(reader.verified_payload(desc))});
   }
   writer.finish();
 }
@@ -282,7 +359,8 @@ TEST(StoreMerge, VictimsOutOfShardOrderAreRefused) {
       const Reader& from = stored.dataset == "victims" ? other : reader;
       const ColumnDesc& desc = from.column(stored.dataset, stored.column);
       writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                         desc.rows, std::string(from.verified_payload(desc)));
+                         desc.rows,
+                         std::array{PayloadPiece(from.verified_payload(desc))});
     }
     writer.finish();
   };
@@ -312,7 +390,7 @@ TEST(StoreReader, DecodeErrorNamesPathAndColumn) {
     // written, so checksum validation passes and only the decode fails.
     const std::string payload(1, '\x80');
     writer.add_encoded("ds", "col", ColumnType::U64, Encoding::Varint, 1,
-                       payload);
+                       std::array{PayloadPiece(payload)});
     writer.finish();
   }
   const Reader reader(path, ReadMode::Buffered);
@@ -346,7 +424,7 @@ void copy_with_edit(
     std::string payload(reader.verified_payload(stored));
     if (desc.dataset == dataset && desc.column == column) edit(desc, payload);
     writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                       desc.rows, payload);
+                       desc.rows, std::array{PayloadPiece(payload)});
   }
   writer.finish();
 }
@@ -810,7 +888,7 @@ TEST(MalformedBlock, CheckAllRefusesWhatScanAllRefuses) {
     {
       Writer writer(path);
       writer.add_encoded("ds", "col", ColumnType::U64, encoding, rows,
-                         payload);
+                         std::array{PayloadPiece(payload)});
       writer.finish();
     }
     const Reader reader(path, ReadMode::Mapped);
@@ -861,7 +939,7 @@ TEST(MalformedBlock, CheckAllRefusesWhatScanAllRefuses) {
     {
       Writer writer(path);
       writer.add_encoded("ds", "col", ColumnType::U64, encoding, rows,
-                         payload);
+                         std::array{PayloadPiece(payload)});
       writer.finish();
     }
     {

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -181,7 +182,7 @@ TEST(MmapReader, UnrolledDecoderRejectsTrailingBytes) {
   payload.push_back('\x01');  // one varint too many for rows=2
   Writer writer(path);
   writer.add_encoded("ds", "bad", ColumnType::U64, Encoding::Varint, 2,
-                     payload);
+                     std::array{PayloadPiece(payload)});
   writer.finish();
   const Reader reader(path, ReadMode::Mapped);
   ColumnArena arena;
@@ -252,7 +253,8 @@ void copy_with_meta(const std::string& src, const std::string& dst,
   }
   for (const ColumnDesc& desc : reader.columns()) {
     writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                       desc.rows, std::string(reader.verified_payload(desc)));
+                       desc.rows,
+                       std::array{PayloadPiece(reader.verified_payload(desc))});
   }
   writer.finish();
 }
@@ -341,7 +343,9 @@ void copy_with_victims(const std::string& src, const std::string& dst,
   for (const ColumnDesc& desc : reader.columns()) {
     if (desc.dataset != "victims") {
       writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                         desc.rows, std::string(reader.verified_payload(desc)));
+                         desc.rows,
+                         std::array{PayloadPiece(
+                             reader.verified_payload(desc))});
     } else if (rows != nullptr && desc.column == "victim") {
       write_dataset<VictimColumns>(writer, "victims", *rows);
     }

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -63,7 +64,9 @@ std::string rewrite_store(const std::string& from, const char* name,
                           store::U64Appender(desc.encoding), values);
     } else {
       writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
-                         desc.rows, std::string(reader.verified_payload(desc)));
+                         desc.rows,
+                         std::array{store::PayloadPiece(
+                             reader.verified_payload(desc))});
     }
   }
   for (const auto& [key, value] : reader.meta()) {

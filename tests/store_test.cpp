@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <array>
 #include <algorithm>
+#include <bit>
+#include <csignal>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -8,9 +15,11 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "exec/pool.h"
 #include "scan_columns.h"
 #include "store/checksum.h"
 #include "store/epoch.h"
@@ -394,6 +403,71 @@ TEST(Writer, AbandonedWriterLeavesOldFileAndNoTempFile) {
   std::filesystem::remove_all(dir);
 }
 
+// A block goes out in one writev of its pieces; past IOV_MAX pieces (and
+// with empty ones among them) it takes several, and the block, its CRC
+// and the offsets of the blocks after it still come out whole.
+TEST(Writer, BlockOfMorePiecesThanOneWritevTakes) {
+  const std::string path = temp_path("many-pieces.drs");
+  std::vector<std::string> bytes(3000);
+  std::vector<PayloadPiece> pieces;
+  std::string joined;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i].assign(i % 7, static_cast<char>('a' + i % 26));
+    pieces.emplace_back(bytes[i]);
+    joined += bytes[i];
+  }
+  {
+    Writer writer(path);
+    writer.add_encoded("ds", "bytes", ColumnType::U8, Encoding::Fixed,
+                       joined.size(), pieces);
+    write_column(writer, "ds", "key", U64Appender(),
+                 std::vector<std::uint64_t>{5, 3, 8});
+    writer.finish();
+  }
+  const Reader reader(path);
+  const ColumnDesc& desc = reader.column("ds", "bytes");
+  EXPECT_TRUE(reader.payload(desc) == joined);
+  EXPECT_EQ(desc.crc, crc32c(joined));
+  EXPECT_EQ(check_all(reader), 0u);
+  EXPECT_EQ(u64s(reader, "ds", "key"), (std::vector<std::uint64_t>{5, 3, 8}));
+}
+
+// A write the file system refuses (here: past the process's file-size
+// limit, in a forked child) fails finish() naming the path, publishes
+// nothing and leaves no temp file.
+TEST(Writer, FailedWriteFailsFinishNamingThePath) {
+  const std::filesystem::path dir = temp_path("full-dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "s.drs").string();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);  // a write past the limit fails with EFBIG
+    const rlimit limit{4096, 4096};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+    try {
+      Writer writer(path);
+      write_column(writer, "ds", "key", U64Appender(Encoding::Fixed),
+                   std::vector<std::uint64_t>(10'000, 7));
+      writer.finish();
+    } catch (const StoreError& e) {
+      const std::string what = e.what();
+      ::_exit(what.find(path) != std::string::npos &&
+                      what.find("write failed") != std::string::npos
+                  ? 0
+                  : 3);
+    }
+    ::_exit(4);  // finish() did not throw
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+}
+
 // Publishing by rename leaves the old inode intact under an existing
 // mapping: a serving reader never sees a torn or swapped-out store.
 TEST(Writer, MappedReaderSurvivesRepublish) {
@@ -513,11 +587,11 @@ TEST(HostileFooter, RowCountsBeyondThePayloadAreRejected) {
   {
     Writer writer(path);
     writer.add_encoded("f", "x", ColumnType::F64, Encoding::Fixed, huge,
-                       std::string(8, '\0'));
+                       std::array{PayloadPiece(std::string(8, '\0'))});
     writer.add_encoded("v", "x", ColumnType::U64, Encoding::Varint, huge,
-                       "\x01");
+                       std::array{PayloadPiece("\x01")});
     writer.add_encoded("s", "x", ColumnType::Str, Encoding::StringBlock, huge,
-                       std::string(1, '\0'));
+                       std::array{PayloadPiece(std::string(1, '\0'))});
     writer.finish();
   }
   const Reader reader(path);
@@ -631,12 +705,237 @@ TEST(HostileFooter, PairsOutsideTheColumnTypeRuleAreRefused) {
     {
       Writer writer(path);
       writer.add_encoded(name.substr(0, dot), name.substr(dot + 1), c.type,
-                         c.encoding, 1, c.payload);
+                         c.encoding, 1, std::array{PayloadPiece(c.payload)});
       writer.finish();
     }
     expect_open_fails(path, "column '" + name + "' has type byte " +
                                 std::to_string(static_cast<int>(c.type)));
   }
+}
+
+// ---- the piece encoder -------------------------------------------------
+
+// The oracle of the piece encoder: the payload one appender fed every
+// value builds.
+template <typename Appender, typename Values>
+std::string one_appender_payload(Appender appender, const Values& values) {
+  for (const auto& v : values) appender.append(v);
+  return appender.payload();
+}
+
+// DeltaVarint values that step by small amounts inside a piece and jump
+// at every piece seam: the last row before a seam sits just under 2^64,
+// and the first row after it is a third of that (odd seams: the delta is
+// negative) or 100 more (even seams: the value wraps mod 2^64).
+std::vector<std::uint64_t> seam_values(std::size_t n, std::mt19937_64& rng) {
+  std::vector<std::uint64_t> values;
+  values.reserve(n);
+  std::uint64_t v = 1000;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (r > 0 && r % kPieceRows == 0) {
+      v = (r / kPieceRows) % 2 == 1 ? v / 3 : v + 100;
+    } else if ((r + 1) % kPieceRows == 0) {
+      v = std::numeric_limits<std::uint64_t>::max() - rng() % 64;
+    } else {
+      v += rng() % 5;
+    }
+    values.push_back(v);
+  }
+  return values;
+}
+
+std::vector<std::uint64_t> tailed_u64s(std::size_t n, std::mt19937_64& rng) {
+  std::vector<std::uint64_t> values(n);
+  for (std::uint64_t& v : values) v = rng() >> (rng() % 64);
+  return values;
+}
+
+std::vector<double> any_doubles(std::size_t n, std::mt19937_64& rng) {
+  std::vector<double> values(n);
+  for (double& v : values) v = std::bit_cast<double>(rng());
+  return values;
+}
+
+std::vector<std::uint8_t> any_bytes(std::size_t n, std::mt19937_64& rng) {
+  std::vector<std::uint8_t> values(n);
+  for (std::uint8_t& v : values) v = static_cast<std::uint8_t>(rng());
+  return values;
+}
+
+std::vector<std::string> short_strings(std::size_t n, std::mt19937_64& rng) {
+  std::vector<std::string> values(n);
+  for (std::string& v : values) v.assign(rng() % 12, static_cast<char>(rng()));
+  return values;
+}
+
+// Encodes `values` as one column through `pieces` and checks the joined
+// pieces against the one-appender payload, each piece's CRC against its
+// bytes and the fold of those CRCs against the CRC of the whole.
+template <typename Appender, typename Values>
+void expect_pieces_join_to_oracle(PieceEncoder& pieces,
+                                  const Appender& appender,
+                                  const Values& values,
+                                  const std::string& what) {
+  const std::string oracle = one_appender_payload(appender, values);
+  const std::span<const PayloadPiece> out =
+      pieces.encode(appender, std::span(&values, 1));
+  const std::size_t expected_pieces =
+      std::is_same_v<Appender, StringAppender>
+          ? 1
+          : (values.size() + kPieceRows - 1) / kPieceRows;
+  EXPECT_EQ(out.size(), expected_pieces) << what;
+  std::string joined;
+  std::uint32_t folded = 0;
+  for (const PayloadPiece& piece : out) {
+    EXPECT_EQ(piece.crc, crc32c(piece.bytes)) << what;
+    joined += piece.bytes;
+    folded = crc32c_combine(folded, piece.crc, piece.bytes.size());
+  }
+  EXPECT_TRUE(joined == oracle) << what << ": " << joined.size() << " vs "
+                                << oracle.size() << " bytes";
+  EXPECT_EQ(folded, crc32c(oracle)) << what;
+}
+
+const std::size_t kPieceSizes[] = {0,          1,
+                                   kPieceRows - 1, kPieceRows,
+                                   kPieceRows + 1, 3 * kPieceRows + 7};
+
+// Every appender type and encoding, at sizes around the piece seams and
+// at pool widths 1 to 8, joins to the one-appender payload; one encoder
+// serves every column, so its reused buffers are covered too.
+TEST(PieceEncoder, PiecesJoinToTheOneAppenderPayload) {
+  std::mt19937_64 rng(0x91EC);
+  for (const unsigned width : {1u, 2u, 4u, 8u}) {
+    exec::set_global_threads(width);
+    PieceEncoder pieces;
+    for (const std::size_t n : kPieceSizes) {
+      const std::string at =
+          " n=" + std::to_string(n) + " width=" + std::to_string(width);
+      expect_pieces_join_to_oracle(pieces, U64Appender(Encoding::DeltaVarint),
+                                   seam_values(n, rng), "delta" + at);
+      expect_pieces_join_to_oracle(pieces, U64Appender(Encoding::Varint),
+                                   tailed_u64s(n, rng), "varint" + at);
+      expect_pieces_join_to_oracle(pieces, U64Appender(Encoding::Fixed),
+                                   tailed_u64s(n, rng), "fixed u64" + at);
+      expect_pieces_join_to_oracle(pieces, F64Appender(), any_doubles(n, rng),
+                                   "f64" + at);
+      expect_pieces_join_to_oracle(pieces, U8Appender(), any_bytes(n, rng),
+                                   "u8" + at);
+      expect_pieces_join_to_oracle(pieces, StringAppender(),
+                                   short_strings(n, rng), "strings" + at);
+    }
+  }
+  exec::set_global_threads(0);
+}
+
+// A column given as segments (merge_stores' shards) carries DeltaVarint
+// from the last row of the last non-empty segment, across empty ones.
+TEST(PieceEncoder, SegmentsCarryAcrossEmptyOnes) {
+  std::mt19937_64 rng(0x5E6);
+  const std::vector<std::uint64_t> a = seam_values(kPieceRows + 3, rng);
+  std::vector<std::uint64_t> b = {a.back() - 7, 5,
+                                  std::numeric_limits<std::uint64_t>::max()};
+  const std::vector<std::span<const std::uint64_t>> segments = {
+      {}, a, {}, {}, b};
+  std::vector<std::uint64_t> whole = a;
+  whole.insert(whole.end(), b.begin(), b.end());
+  exec::set_global_threads(4);
+  PieceEncoder pieces;
+  const auto out =
+      pieces.encode(U64Appender(Encoding::DeltaVarint), segments);
+  ASSERT_EQ(out.size(), 3u);  // two pieces of a, one of b
+  std::string joined;
+  for (const PayloadPiece& piece : out) joined += piece.bytes;
+  EXPECT_TRUE(joined == one_appender_payload(
+                            U64Appender(Encoding::DeltaVarint), whole));
+  exec::set_global_threads(0);
+}
+
+// write_column stores the joined pieces as one block whose footer CRC is
+// the fold of the pieces' CRCs: the CRC of the whole payload.
+TEST(PieceEncoder, BlockCrcIsTheCrcOfTheJoinedPayload) {
+  std::mt19937_64 rng(0xB10C);
+  const std::size_t n = 3 * kPieceRows + 7;
+  const std::vector<std::uint64_t> keys = seam_values(n, rng);
+  const std::vector<std::uint64_t> counts = tailed_u64s(n, rng);
+  const std::vector<double> reals = any_doubles(n, rng);
+  const std::vector<std::uint8_t> bytes = any_bytes(n, rng);
+  const std::string path = temp_path("pieces.drs");
+  exec::set_global_threads(4);
+  {
+    Writer writer(path);
+    PieceEncoder pieces;
+    write_column(writer, pieces, "ds", "key",
+                 U64Appender(Encoding::DeltaVarint), keys);
+    write_column(writer, pieces, "ds", "count", U64Appender(Encoding::Varint),
+                 counts);
+    write_column(writer, pieces, "ds", "real", F64Appender(), reals);
+    write_column(writer, pieces, "ds", "byte", U8Appender(), bytes);
+    writer.finish();
+  }
+  exec::set_global_threads(0);
+  const Reader reader(path);
+  const auto expect_block = [&](const char* column, const std::string& oracle) {
+    const ColumnDesc& desc = reader.column("ds", column);
+    EXPECT_EQ(desc.rows, n) << column;
+    EXPECT_EQ(desc.crc, crc32c(oracle)) << column;
+    EXPECT_TRUE(reader.payload(desc) == oracle) << column;
+  };
+  expect_block("key", one_appender_payload(U64Appender(Encoding::DeltaVarint),
+                                           keys));
+  expect_block("count",
+               one_appender_payload(U64Appender(Encoding::Varint), counts));
+  expect_block("real", one_appender_payload(F64Appender(), reals));
+  expect_block("byte", one_appender_payload(U8Appender(), bytes));
+  EXPECT_EQ(u64s(reader, "ds", "key"), keys);
+  EXPECT_NO_THROW(check_all(reader));
+}
+
+// ---- check_all's fast path ---------------------------------------------
+
+// A sound store, with varint blocks of several 1 MiB check pieces, is
+// accepted from its structure alone: no block goes to the scan. A legal
+// 10-byte varint is no structure verdict, so its block is scanned (and
+// accepted).
+TEST(CheckAll, SoundBlocksNeverFallBackToTheScan) {
+  std::mt19937_64 rng(0xFA57);
+  const std::size_t n = 600'000;
+  std::vector<std::uint64_t> big(n);  // ~5 bytes per varint: ~3 MB
+  for (std::uint64_t& v : big) v = rng() >> 30;
+  std::vector<std::uint64_t> keys(n);
+  std::uint64_t key = 0;
+  for (std::uint64_t& v : keys) v = key += 1 + rng() % 100'000;
+  const std::string path = temp_path("check-fast.drs");
+  {
+    Writer writer(path);
+    write_column(writer, "ds", "big", U64Appender(Encoding::Varint), big);
+    write_column(writer, "ds", "keys", U64Appender(Encoding::DeltaVarint),
+                 keys);
+    write_column(writer, "ds", "real", F64Appender(), any_doubles(n, rng));
+    write_column(writer, "ds", "name", StringAppender(),
+                 short_strings(n, rng));
+    writer.finish();
+  }
+  {
+    const Reader reader(path);
+    ASSERT_GT(reader.column("ds", "big").size, std::uint64_t{2} << 20);
+    ASSERT_GT(reader.column("ds", "keys").size, std::uint64_t{1} << 20);
+    EXPECT_EQ(check_all(reader), 0u);
+  }
+  {
+    Writer writer(path);
+    write_column(writer, "ds", "big", U64Appender(Encoding::Varint),
+                 std::vector<std::uint64_t>{
+                     1, std::numeric_limits<std::uint64_t>::max(), 2});
+    write_column(writer, "ds", "keys", U64Appender(Encoding::DeltaVarint),
+                 std::vector<std::uint64_t>{3, 4});
+    writer.finish();
+  }
+  const Reader reader(path);
+  EXPECT_GE(check_all(reader), 1u);
+  EXPECT_EQ(u64s(reader, "ds", "big"),
+            (std::vector<std::uint64_t>{
+                1, std::numeric_limits<std::uint64_t>::max(), 2}));
 }
 
 }  // namespace
