@@ -5,6 +5,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <malloc.h>
 #include <optional>
@@ -142,6 +143,16 @@ Provenance stored_provenance(const store::Reader& reader) {
   return p;
 }
 
+// The aggregate datasets of every store this driver writes, in block
+// order after "feed": save_run passes the store's sorted tables, the
+// executor the rows it kept as each epoch retired.
+void write_aggregates(store::Writer& writer,
+                      const openintel::MeasurementStore::RetiredState& rows) {
+  store::write_dataset<store::AggregateColumns>(writer, "daily", rows.daily);
+  store::write_dataset<store::AggregateColumns>(writer, "window", rows.window);
+  store::write_dataset<store::NsSeenColumns>(writer, "ns_seen", rows.ns_seen);
+}
+
 // The closing sequence of every store this driver writes — save_run's and
 // the executor's — so the two can never emit different key sets or orders
 // (the footer serialises meta in insertion order, and CI compares the
@@ -190,12 +201,9 @@ std::uint64_t save_run(const std::string& path,
   store::Writer writer(path);
   store::write_dataset<store::FeedColumns>(writer, "feed",
                                            result.feed.records());
-  store::write_dataset<store::AggregateColumns>(writer, "daily",
-                                                result.store.sorted_daily());
-  store::write_dataset<store::AggregateColumns>(writer, "window",
-                                                result.store.sorted_window());
-  store::write_dataset<store::NsSeenColumns>(writer, "ns_seen",
-                                             result.store.sorted_ns_seen());
+  write_aggregates(writer, {.daily = result.store.sorted_daily(),
+                            .window = result.store.sorted_window(),
+                            .ns_seen = result.store.sorted_ns_seen()});
   return publish_store(writer, config, threads, result, ShardSpec{}, span);
 }
 
@@ -249,19 +257,11 @@ LongitudinalResult execute(const LongitudinalConfig& config,
 
   // The store opens first, so an unwritable path fails before any work:
   // the feed blocks go out up front (save_run's block order starts with
-  // "feed"), aggregate columns are appended per retired epoch, and
-  // publish_store closes it.
+  // "feed"), the aggregate rows are kept as each epoch retires and
+  // written at the end by write_aggregates, and publish_store closes it.
   std::optional<store::Writer> writer;
-  std::optional<store::DatasetAppender<store::AggregateColumns>> daily_columns;
-  std::optional<store::DatasetAppender<store::AggregateColumns>>
-      window_columns;
-  std::optional<store::DatasetAppender<store::NsSeenColumns>> ns_seen_columns;
-  if (!spec.store_path.empty()) {
-    writer.emplace(spec.store_path);
-    daily_columns.emplace("daily");
-    window_columns.emplace("window");
-    ns_seen_columns.emplace("ns_seen");
-  }
+  openintel::MeasurementStore::RetiredState kept;  // retired rows to store
+  if (!spec.store_path.empty()) writer.emplace(spec.store_path);
 
   LongitudinalResult result;
   {
@@ -311,18 +311,18 @@ LongitudinalResult execute(const LongitudinalConfig& config,
             if (owned) result.feed_records += part.size();
           }
           if (owned && feed_columns) {
-            // Serial, on the calling thread, one row at a time.
+            // The region's columns, encoded in pieces on the pool.
             obs::ScopedSpan append_span(tracer, "store.feed.append");
             append_span.set_items(result.feed_records - records_before);
-            for (const std::span<const telescope::RSDoSRecord> part : batch) {
-              for (const telescope::RSDoSRecord& rec : part) {
-                feed_columns->append(rec);
-              }
-            }
+            feed_columns->append(batch);
           }
           stitcher.add(batch);
         });
-    if (feed_columns) feed_columns->flush_to(*writer);
+    if (feed_columns) {
+      feed_columns->flush_to(*writer);
+      feed_columns.reset();  // frees the piece copies; the trim returns
+      malloc_trim(0);        // their heap, which the sweep reuses in part
+    }
     result.events = stitcher.finish();
     span.set_items(result.events.size());
   }
@@ -400,7 +400,7 @@ LongitudinalResult execute(const LongitudinalConfig& config,
   };
 
   // Retirement evicts every day below `threshold` and, when persisting,
-  // appends it to the store columns; callers never pass a threshold above
+  // keeps its rows for the store; callers never pass a threshold above
   // the watermark, so no pending join loses data. Halo days are evicted
   // unpersisted.
   netsim::DayIndex last_threshold = std::numeric_limits<netsim::DayIndex>::min();
@@ -412,9 +412,9 @@ LongitudinalResult execute(const LongitudinalConfig& config,
     last_threshold = threshold;
     const auto retired = result.store.retire_days_below(threshold);
     if (writer) {
-      for (const auto& entry : retired.daily) daily_columns->append(entry);
-      for (const auto& entry : retired.window) window_columns->append(entry);
-      for (const auto& seen : retired.ns_seen) ns_seen_columns->append(seen);
+      std::ranges::copy(retired.daily, std::back_inserter(kept.daily));
+      std::ranges::copy(retired.window, std::back_inserter(kept.window));
+      std::ranges::copy(retired.ns_seen, std::back_inserter(kept.ns_seen));
     }
     if (observer) {
       observer->pipeline.stream_retired_days.set(static_cast<double>(
@@ -643,9 +643,7 @@ LongitudinalResult execute(const LongitudinalConfig& config,
 
   if (writer) {
     obs::ScopedSpan span(tracer, "store.write");
-    daily_columns->flush_to(*writer);
-    window_columns->flush_to(*writer);
-    ns_seen_columns->flush_to(*writer);
+    write_aggregates(*writer, kept);
     if (spec.shard) {
       store::write_shard_manifest(*writer, owner.index, owner.count,
                                   src_event);

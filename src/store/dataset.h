@@ -23,12 +23,12 @@
 // stores, in block order; the field's type picks the stored value type
 // (to_column), and store/epoch.h's column-type rule gives that type its
 // appender and its scan. Three generic bodies walk the row lists:
-// write_dataset (save_run, one whole column at a time, each encoded in
-// pieces across the exec pool), DatasetAppender
-// (the streaming executor, every column open, row by row) and
-// read_dataset (load_run, serve::load_engine and read_victims, column
-// decodes fanned out, narrowing reads range-checked). merge_stores takes
-// the sort keys its shard handover check reads from them.
+// write_dataset (one whole column at a time) and DatasetAppender (the
+// streaming executor's feed, one ingest region at a time), both encoding
+// through store/epoch.h's PieceEncoder, and read_dataset (load_run,
+// serve::load_engine and read_victims, column decodes fanned out,
+// narrowing reads range-checked). merge_stores takes the sort keys its
+// shard handover check reads from them.
 //
 // The footer meta ends with the result counts: one list, for_each_count
 // below, that writers, readers, count checks and merge_stores all walk.
@@ -43,7 +43,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -244,10 +246,14 @@ void write_dataset(Writer& writer, std::string_view dataset,
   });
 }
 
-/// Every column of one `Columns` dataset open at once, fed row by row —
-/// the streaming executor's writer, which never holds the rows. Appending
-/// the rows write_dataset would write, in its order, and flushing
-/// produces its blocks byte for byte.
+/// One `Columns` dataset written a batch of rows at a time — the
+/// streaming executor's feed writer, which never holds the rows. Each
+/// append encodes every column through one PieceEncoder (the batch's parts
+/// as segments, carrying the row before the batch) and keeps one
+/// exact-size copy of the column's pieces, with its CRC, not the encoder's
+/// worst-case buffers: one copy per batch, as thousands of piece-sized
+/// ones fragment the heap. Appending the rows write_dataset would write,
+/// in its order, and flushing produces its blocks byte for byte.
 template <typename Columns>
 class DatasetAppender {
  public:
@@ -255,35 +261,51 @@ class DatasetAppender {
 
   explicit DatasetAppender(std::string dataset)
       : dataset_(std::move(dataset)) {
-    Columns::for_each_column([&]<typename T>(std::string_view,
-                                             Encoding encoding, T Row::*) {
-      columns_.emplace_back(AppenderFor<ColumnValue<T>>(encoding));
-    });
+    Columns::for_each_column([&](auto...) { columns_.emplace_back(); });
   }
 
-  void append(const Row& row) {
+  /// Encodes the rows of `parts`, in order, as every column's next rows.
+  void append(std::span<const std::span<const Row>> parts) {
     std::size_t i = 0;
-    Columns::for_each_column([&]<typename T>(std::string_view, Encoding,
+    Columns::for_each_column([&]<typename T>(std::string_view,
+                                             Encoding encoding,
                                              T Row::*field) {
-      std::get<AppenderFor<ColumnValue<T>>>(columns_[i++])
-          .append(to_column(row.*field));
+      const auto get = [field](const Row& row) {
+        return to_column(row.*field);
+      };
+      const ColumnValue<T> carry = rows_ > 0 ? get(last_) : ColumnValue<T>{};
+      const std::span<const PayloadPiece> pieces = pieces_.encode(
+          AppenderFor<ColumnValue<T>>(encoding), parts, get, carry);
+      std::size_t bytes = 0;
+      for (const PayloadPiece& piece : pieces) bytes += piece.bytes.size();
+      std::string& copy = copies_.emplace_back();
+      copy.reserve(bytes);
+      for (const PayloadPiece& piece : pieces) copy += piece.bytes;
+      columns_[i++].emplace_back(copy);
     });
+    for (const auto part : parts) {
+      rows_ += part.size();
+      if (!part.empty()) last_ = part.back();
+    }
   }
 
+  /// Adds every column to `writer` as one block of its pieces.
   void flush_to(Writer& writer) const {
     std::size_t i = 0;
-    Columns::for_each_column([&](std::string_view column, Encoding, auto) {
-      std::visit(
-          [&](const BlockAppender& appender) {
-            appender.flush_to(writer, dataset_, column);
-          },
-          columns_[i++]);
+    Columns::for_each_column([&]<typename T>(std::string_view column,
+                                             Encoding encoding, T Row::*) {
+      writer.add_encoded(dataset_, column, AppenderFor<ColumnValue<T>>::kType,
+                         encoding, rows_, columns_[i++]);
     });
   }
 
  private:
   std::string dataset_;
-  std::vector<ColumnTypes::AnyAppender> columns_;
+  PieceEncoder pieces_;
+  std::deque<std::string> copies_;  // one per column and batch; never moved
+  std::vector<std::vector<PayloadPiece>> columns_;  // viewing copies_
+  std::uint64_t rows_ = 0;
+  Row last_{};  // the last row appended, once rows_ > 0
 };
 
 /// True when the member pointers `a` and `b` name the same field.

@@ -3,7 +3,7 @@
 namespace ddos::store {
 
 BlockAppender::BlockAppender(ColumnType type, Encoding encoding)
-    : type_(type), encoding_(encoding) {
+    : encoding_(encoding) {
   if (!ColumnTypes::admits(type, encoding)) {
     throw StoreError(std::string(to_string(type)) +
                      " column cannot use encoding " +

@@ -5,18 +5,15 @@
 // encoder, store/scan.h's scan<V> its decoder, and ColumnTypes::visit
 // turns a footer's type byte back into V.
 //
-// Two writers drive the appenders. write_column encodes a whole column
-// through a PieceEncoder: the rows are cut into kPieceRows-row pieces,
-// each encoded by its own appender in an exec-pool task, and the writer
-// takes the pieces in order as the block (a StringBlock column stays one
-// piece: its offset walk is serial). The streaming executor's
-// DatasetAppender (store/dataset.h) feeds one day-epoch at a time into
-// one appender per column and flushes its payload as one piece.
-// DeltaVarint carries its `prev` across append calls, and a piece starts
-// from the value before its first row (U64Appender::carry), so the same
-// values in the same order, whole, chunk by chunk or piece by piece,
-// encode to the same bytes — which is what keeps a streamed or merged
-// DRS file bit-for-bit equal to save_run's.
+// One encoder drives the appenders: PieceEncoder cuts rows into
+// kPieceRows-row pieces, each encoded by its own appender in an exec-pool
+// task, for write_column (a whole column), merge_stores (the shards'
+// columns) and the streaming DatasetAppender (store/dataset.h, one
+// ingest region at a time). A piece starts from the value before its
+// first row (U64Appender::carry), so the same values in the same order,
+// whole, region by region or piece by piece, encode to the same bytes —
+// which keeps a streamed or merged DRS file bit-for-bit equal to
+// save_run's.
 #pragma once
 
 #include <algorithm>
@@ -37,19 +34,10 @@
 
 namespace ddos::store {
 
-/// One column payload under construction: the encoded bytes so far and
-/// their row count. Throws StoreError when `encoding` is one the column
-/// type does not admit.
+/// One column payload under construction. Throws StoreError when
+/// `encoding` is one the column type does not admit.
 class BlockAppender {
  public:
-  /// Adds the payload to `writer` as one block of one piece.
-  void flush_to(Writer& writer, std::string_view dataset,
-                std::string_view column) const {
-    const PayloadPiece whole(payload_);
-    writer.add_encoded(dataset, column, type_, encoding_, rows_, {&whole, 1});
-  }
-
-  std::uint64_t rows() const { return rows_; }
   Encoding encoding() const { return encoding_; }
   const std::string& payload() const { return payload_; }
 
@@ -65,10 +53,8 @@ class BlockAppender {
  protected:
   BlockAppender(ColumnType type, Encoding encoding);
 
-  ColumnType type_;
   Encoding encoding_;
   std::string payload_;
-  std::uint64_t rows_ = 0;
 };
 
 /// u64 column: DeltaVarint, Varint or Fixed.
@@ -105,7 +91,6 @@ class U64Appender : public BlockAppender {
     } else {
       put_fixed64(payload_, v);
     }
-    ++rows_;
   }
 
  private:
@@ -125,7 +110,6 @@ class F64Appender : public BlockAppender {
   std::size_t bytes_for(std::size_t rows) const { return rows * 8; }
   void append(double v) {
     put_fixed64(payload_, std::bit_cast<std::uint64_t>(v));
-    ++rows_;
   }
 };
 
@@ -140,10 +124,7 @@ class U8Appender : public BlockAppender {
       : BlockAppender(kType, encoding) {}
 
   std::size_t bytes_for(std::size_t rows) const { return rows; }
-  void append(std::uint8_t v) {
-    payload_.push_back(static_cast<char>(v));
-    ++rows_;
-  }
+  void append(std::uint8_t v) { payload_.push_back(static_cast<char>(v)); }
 };
 
 /// String column: StringBlock, a varint length then the bytes per row.
@@ -161,10 +142,7 @@ class StringAppender : public BlockAppender {
   /// Room for `rows` one-byte length prefixes; the bytes grow as they
   /// come.
   std::size_t bytes_for(std::size_t rows) const { return rows; }
-  void append(std::string_view s) {
-    put_string(payload_, s);
-    ++rows_;
-  }
+  void append(std::string_view s) { put_string(payload_, s); }
 };
 
 /// The column-type rule over `Appenders`, one per stored value type.
@@ -216,18 +194,18 @@ using AppenderFor = std::variant_alternative_t<ColumnTypes::index<V>(),
 /// rows at ~28 pieces for the pool to spread.
 inline constexpr std::size_t kPieceRows = std::size_t{1} << 16;
 
-/// Encodes whole columns as kPieceRows-row pieces, one exec-pool task
-/// each (region "store.encode"), whose payloads join to the payload one
-/// appender fed every row would build, byte for byte. Three allocation
-/// rules keep it fast and small:
+/// Encodes columns, or the next rows of one, as kPieceRows-row pieces,
+/// one exec-pool task each (region "store.encode"), whose payloads join
+/// to the payload one appender fed every row would build, byte for byte.
+/// Three allocation rules keep it fast and small:
 ///   1. a task's appender is its own local, moved onto its buffer and
 ///      back off it, so no two tasks append into neighbouring state;
 ///   2. every buffer is reserved on the calling thread for its piece's
 ///      worst case (Appender::bytes_for), so no task allocates and no
 ///      piece lands in a worker's malloc arena;
-///   3. the buffers are kept across the columns one encoder writes, so a
-///      dataset's transient is one column's pieces and never a payload
-///      that grows by doubling.
+///   3. the buffers are kept across the columns (and batches) one encoder
+///      writes, so a dataset's transient is one column's pieces and never
+///      a payload that grows by doubling.
 /// A StringBlock column is one piece, encoded on the calling thread: its
 /// offset walk is serial.
 class PieceEncoder {
@@ -235,13 +213,14 @@ class PieceEncoder {
   /// Encodes the rows of `segments` (each a random-access range of rows;
   /// the column is their concatenation) through copies of `appender`,
   /// get(row) giving each row's value (the row itself by default).
-  /// Pieces never span segments; an empty segment has none. Returns the
-  /// pieces in order, viewing this encoder's buffers until its next
-  /// encode.
+  /// Pieces never span segments; an empty segment has none. The first
+  /// row continues a column whose last value was `carry` (a fresh column
+  /// carries 0). Returns the pieces in order, viewing this encoder's
+  /// buffers until its next encode.
   template <typename Appender, typename Segments, typename Get = std::identity>
-  std::span<const PayloadPiece> encode(const Appender& appender,
-                                       const Segments& segments,
-                                       Get get = {}) {
+  std::span<const PayloadPiece> encode(
+      const Appender& appender, const Segments& segments, Get get = {},
+      typename Appender::Value carry = {}) {
     if constexpr (std::is_same_v<Appender, StringAppender>) {
       std::size_t rows = 0;
       for (const auto& segment : segments) rows += std::size(segment);
@@ -254,14 +233,14 @@ class PieceEncoder {
       pieces_.assign(1, PayloadPiece(buffers_[0]));
       return pieces_;
     } else {
-      // Each piece starts from the value of the row before it: in its
-      // own segment, else the last row of the last non-empty one.
+      // Each piece starts from the value of the row before it: in its own
+      // segment, else the last row of the last non-empty one, else `carry`.
       struct Cut {
         std::size_t segment, begin, end;
         typename Appender::Value carry;
       };
       std::vector<Cut> cuts;
-      typename Appender::Value last{};
+      typename Appender::Value last = carry;
       for (std::size_t s = 0; s < std::size(segments); ++s) {
         const auto& segment = segments[s];
         const std::size_t n = std::size(segment);

@@ -1,17 +1,18 @@
 // DRS writer — streams encoded column blocks to disk as they are added
 // and appends the footer index + trailer on finish(). It encodes no
-// values: every block comes from store/epoch.h, as the pieces of a
-// whole-column encode (write_column) or as the one piece of an
-// appender's flush_to. A block goes to the file in one writev of its
-// pieces, never joined into one payload first. One call per block, not
-// per piece: the same bytes written one call per 64Ki-row piece mapped
-// back ~30% slower in analyze_store (the scale-10 store, read from the
-// page cache its write filled), as the page cache appears to size a
-// write's folios by the call's length. Columns are grouped into named
-// datasets ("feed", "events", ...); metadata key/value pairs
-// (provenance: config, seed, thread count, result counts) travel in the
-// footer. Blocks are checksummed (CRC32C, folded from the pieces' own
-// checksums) and padded to an 8-byte file offset (format v3) as written.
+// values: every block comes from store/epoch.h's PieceEncoder, as the
+// pieces of a whole-column encode (write_column, merge_stores) or of a
+// streamed dataset's batches (DatasetAppender::flush_to). A block goes
+// to the file in one writev of its pieces, never joined into one payload
+// first. One call per block, not per piece: the same bytes written one
+// call per 64Ki-row piece mapped back ~30% slower in analyze_store (the
+// scale-10 store, read from the page cache its write filled), as the
+// page cache appears to size a write's folios by the call's length.
+// Columns are grouped into named datasets ("feed", "events", ...);
+// metadata key/value pairs (provenance: config, seed, thread count,
+// result counts) travel in the footer. Blocks are checksummed (CRC32C,
+// folded from the pieces' own checksums) and padded to an 8-byte file
+// offset (format v3) as written.
 //
 // The file is built under a per-process sibling temp name and renamed
 // onto the target path only by a successful finish(), so the path never
@@ -57,8 +58,8 @@ class Writer {
   void add_meta(std::string_view key, std::string_view value);
 
   /// Append one encoded block, its payload given as `pieces` in order
-  /// (write_column's pieces, or the one piece of an appender's
-  /// flush_to); the block's CRC is the fold of the pieces' CRCs.
+  /// (a PieceEncoder's, or a DatasetAppender's copy per batch); the
+  /// block's CRC is the fold of the pieces' CRCs.
   /// Dataset/column pairs must be unique. The caller vouches that the
   /// payload is a valid encoding of `rows` rows; a block that is not
   /// fails its decode on read.

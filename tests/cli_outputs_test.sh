@@ -6,8 +6,8 @@
 #     zone file);
 #   * generate --shard, merge and analyze --store write a trace holding
 #     their root span, and a metrics file; the shard's trace shows the
-#     serial feed append (store.feed.append) and the merge's the piece
-#     encode of its columns (store.encode);
+#     per-region feed append (store.feed.append) and the merge's the
+#     piece encode of its columns (store.encode);
 #   * serve --listen writes its trace after SIGINT, with the load's check
 #     and decode spans and no stitch span (the load reads the stored
 #     per-victim counts), and rejects --watchdog-timeout-s with exit 2.

@@ -22,6 +22,7 @@
 #include "exec/pool.h"
 #include "scan_columns.h"
 #include "store/checksum.h"
+#include "store/dataset.h"
 #include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
@@ -889,6 +890,116 @@ TEST(PieceEncoder, BlockCrcIsTheCrcOfTheJoinedPayload) {
   expect_block("byte", one_appender_payload(U8Appender(), bytes));
   EXPECT_EQ(u64s(reader, "ds", "key"), keys);
   EXPECT_NO_THROW(check_all(reader));
+}
+
+// ---- the streaming dataset appender ------------------------------------
+
+using FeedBatch = std::vector<std::vector<telescope::RSDoSRecord>>;
+
+// Feed batches of the given part sizes, with random fields. Windows
+// descend: by 0-2 inside a batch and by 1-4 across each batch seam, and
+// the first seam steps from window 0 to a negative one, so the stored
+// DeltaVarint deltas wrap mod 2^64 across every seam.
+std::vector<FeedBatch> feed_batches(
+    const std::vector<std::vector<std::size_t>>& shape, std::mt19937_64& rng) {
+  std::vector<FeedBatch> batches;
+  std::vector<std::uint64_t> steps;  // window step into each row
+  std::size_t first_batch_rows = 0;
+  for (const std::vector<std::size_t>& sizes : shape) {
+    FeedBatch& batch = batches.emplace_back();
+    bool seam = !steps.empty();
+    for (const std::size_t n : sizes) {
+      auto& part = batch.emplace_back(n);
+      for (telescope::RSDoSRecord& rec : part) {
+        steps.push_back(seam ? 1 + rng() % 4 : rng() % 3);
+        seam = false;
+        rec.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(rng()));
+        rec.distinct_slash16 = static_cast<std::uint32_t>(rng() % 65536);
+        rec.protocol =
+            rng() % 2 ? attack::Protocol::UDP : attack::Protocol::TCP;
+        rec.first_port = static_cast<std::uint16_t>(rng());
+        rec.unique_ports = static_cast<std::uint16_t>(rng());
+        rec.max_ppm = std::bit_cast<double>(rng());
+        rec.packets = rng() >> (rng() % 64);
+      }
+    }
+    if (first_batch_rows == 0) first_batch_rows = steps.size();
+  }
+  // The first non-empty batch ends on window 0.
+  std::uint64_t window = 0;
+  for (std::size_t r = 1; r < first_batch_rows; ++r) window += steps[r];
+  std::size_t r = 0;
+  for (FeedBatch& batch : batches) {
+    for (auto& part : batch) {
+      for (telescope::RSDoSRecord& rec : part) {
+        if (r > 0) window -= steps[r];
+        rec.window = static_cast<netsim::WindowIndex>(window);
+        ++r;
+      }
+    }
+  }
+  return batches;
+}
+
+// DatasetAppender, fed batches whose parts sit around the piece seams
+// (empty batches and empty parts included) at pool widths 1 to 8, writes
+// the blocks — payloads and CRCs — that write_dataset writes for the
+// concatenated rows, byte for byte.
+TEST(DatasetAppender, BatchesWriteTheWholeDatasetBlocks) {
+  std::mt19937_64 rng(0xFEED);
+  const std::vector<FeedBatch> batches =
+      feed_batches({{1, kPieceRows - 1, 0, kPieceRows + 1},
+                    {},
+                    {0, 1},
+                    {0},
+                    {kPieceRows + 1, kPieceRows - 1},
+                    {1}},
+                   rng);
+  std::vector<telescope::RSDoSRecord> rows;
+  for (const FeedBatch& batch : batches) {
+    for (const auto& part : batch) {
+      rows.insert(rows.end(), part.begin(), part.end());
+    }
+  }
+  const std::size_t first_seam = 2 * kPieceRows + 1;  // the first batch's rows
+  ASSERT_EQ(rows[first_seam - 1].window, 0);
+  ASSERT_LT(rows[first_seam].window, 0);
+  const std::string oracle_path = temp_path("feed_whole.drs");
+  const std::string path = temp_path("feed_batches.drs");
+  for (const unsigned width : {1u, 2u, 4u, 8u}) {
+    exec::set_global_threads(width);
+    {
+      Writer oracle(oracle_path);
+      write_dataset<FeedColumns>(oracle, "feed", rows);
+      oracle.finish();
+    }
+    {
+      Writer writer(path);
+      DatasetAppender<FeedColumns> feed("feed");
+      for (const FeedBatch& batch : batches) {
+        const std::vector<std::span<const telescope::RSDoSRecord>> parts(
+            batch.begin(), batch.end());
+        feed.append(parts);
+      }
+      feed.flush_to(writer);
+      writer.finish();
+    }
+    const Reader oracle(oracle_path);
+    const Reader reader(path);
+    ASSERT_EQ(reader.columns().size(), oracle.columns().size());
+    for (std::size_t c = 0; c < oracle.columns().size(); ++c) {
+      const ColumnDesc& want = oracle.columns()[c];
+      const ColumnDesc& got = reader.columns()[c];
+      const std::string at = want.column + " width=" + std::to_string(width);
+      EXPECT_EQ(got.column, want.column) << at;
+      EXPECT_EQ(got.rows, rows.size()) << at;
+      EXPECT_EQ(got.crc, want.crc) << at;
+      EXPECT_TRUE(reader.payload(got) == oracle.payload(want)) << at;
+    }
+    EXPECT_TRUE(read_file(path) == read_file(oracle_path))
+        << "width=" << width;
+  }
+  exec::set_global_threads(0);
 }
 
 // ---- check_all's fast path ---------------------------------------------
