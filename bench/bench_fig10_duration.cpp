@@ -3,6 +3,7 @@
 #include "bench_common.h"
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 
 using namespace ddos;
 
@@ -12,7 +13,7 @@ int main() {
       "durations bimodal at 15 min and 1 h; high-impact attacks live in "
       "those modes; long attacks trend weak except Contabo (19h, ~30x)");
   const auto& r = bench::longitudinal();
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const auto series = core::duration_impact_series_columnar(joined.frame());
 
   util::TextTable table({"Metric", "Paper", "Measured"});

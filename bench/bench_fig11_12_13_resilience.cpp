@@ -3,6 +3,7 @@
 #include "bench_common.h"
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 
 using namespace ddos;
 
@@ -34,7 +35,7 @@ int main() {
       "single-ASN; 60% of failing NSSets single-/24; 99% of failing domains "
       "unicast");
   const auto& r = bench::longitudinal();
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const core::EventFrame& f = joined.frame();
 
   print_groups("Fig. 11 — anycast class:",

@@ -4,6 +4,7 @@
 #include "bench_common.h"
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 
 using namespace ddos;
 
@@ -14,7 +15,7 @@ int main() {
       "SERVFAIL; harmful attacks target 53 (49%), 80 (31%), 443 (11%); 99% "
       "of failing domains on unicast");
   const auto& r = bench::longitudinal();
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const auto s = core::failure_summary_columnar(joined.frame());
 
   util::TextTable table({"Metric", "Paper", "Measured"});

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 #include "util/histogram.h"
 #include "util/stats.h"
 
@@ -15,7 +16,7 @@ int main() {
       "~5% of events at >=10x; one third of those at >=100x; very large "
       "deployments cap at 2-3x");
   const auto& r = bench::longitudinal();
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const auto s = core::impact_summary_columnar(joined.frame());
 
   util::TextTable table({"Metric", "Paper", "Measured"});

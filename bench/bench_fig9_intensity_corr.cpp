@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 #include "util/histogram.h"
 
 using namespace ddos;
@@ -15,7 +16,7 @@ int main() {
       "low Pearson correlation; bimodal telescope rate with modes near 50 "
       "ppm (~17K ppm victim-side) and 6,000 ppm (~2M ppm victim-side)");
   const auto& r = bench::longitudinal();
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const auto series =
       core::intensity_impact_series_columnar(joined.frame(), r.darknet);
 

@@ -2,6 +2,7 @@
 #include "bench_common.h"
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 
 using namespace ddos;
 
@@ -21,7 +22,7 @@ int main() {
 
   util::TextTable table({"Rank", "Paper company (impact)", "Measured company",
                          "Impact"});
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const auto top = core::top_companies_by_impact_columnar(joined.frame(), 10);
   for (std::size_t i = 0; i < 10; ++i) {
     table.add_row({std::to_string(i + 1),

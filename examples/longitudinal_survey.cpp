@@ -12,6 +12,7 @@
 #include "core/analysis.h"
 #include "core/columnar.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
 
   // §6.3.1 + Fig 7. The joined-event statistics are frame kernels: lay
   // the joined rows out once.
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const core::EventFrame& f = joined.frame();
   const auto fails = core::failure_summary_columnar(f);
   std::cout << "events with failures: "

@@ -10,6 +10,7 @@
 #include "core/columnar.h"
 #include "core/impact.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -58,7 +59,7 @@ int main() {
             << table.to_string() << "\n";
 
   // The summaries are frame kernels: lay the joined rows out once.
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const core::ImpactSummary impacts =
       core::impact_summary_columnar(joined.frame());
   std::cout << "impact summary: " << impacts.events << " events, "

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -21,102 +20,6 @@ std::int64_t EventFrame::duration_s(std::size_t i) const {
   const auto start = static_cast<std::int64_t>(start_window[i]);
   const auto end = static_cast<std::int64_t>(end_window[i]);
   return (end - start + 1) * netsim::kSecondsPerWindow;
-}
-
-OwnedEventFrame::OwnedEventFrame(const std::vector<NssetAttackEvent>& events) {
-  using E = NssetAttackEvent;
-  const auto column = [&events](auto& columns, auto get) {
-    auto& col = columns.emplace_back();
-    col.reserve(events.size());
-    for (const E& e : events) {
-      col.push_back(static_cast<typename std::decay_t<decltype(col)>::value_type>(
-          get(e)));
-    }
-    return std::span(std::as_const(col));
-  };
-  const auto u64 = [&](auto get) { return column(u64_, get); };
-  const auto f64 = [&](auto get) { return column(f64_, get); };
-  const auto u8 = [&](auto get) { return column(u8_, get); };
-
-  EventFrame& f = frame_;
-  f.rows = events.size();
-  f.victim = u64([](const E& e) { return e.rsdos.victim.value(); });
-  f.start_window = u64([](const E& e) { return e.rsdos.start_window; });
-  f.end_window = u64([](const E& e) { return e.rsdos.end_window; });
-  f.max_ppm = f64([](const E& e) { return e.rsdos.max_ppm; });
-  f.total_packets = u64([](const E& e) { return e.rsdos.total_packets; });
-  f.max_slash16 = u64([](const E& e) { return e.rsdos.max_slash16; });
-  f.protocol = u8([](const E& e) { return e.rsdos.protocol; });
-  f.first_port = u64([](const E& e) { return e.rsdos.first_port; });
-  f.max_unique_ports =
-      u64([](const E& e) { return e.rsdos.max_unique_ports; });
-  f.nsset = u64([](const E& e) { return e.nsset; });
-  f.domains_hosted = u64([](const E& e) { return e.domains_hosted; });
-  f.domains_measured = u64([](const E& e) { return e.domains_measured; });
-  f.baseline_rtt_ms = f64([](const E& e) { return e.baseline_rtt_ms; });
-  f.peak_impact = f64([](const E& e) { return e.peak_impact; });
-  f.mean_impact = f64([](const E& e) { return e.mean_impact; });
-  f.ok = u64([](const E& e) { return e.ok; });
-  f.timeouts = u64([](const E& e) { return e.timeouts; });
-  f.servfails = u64([](const E& e) { return e.servfails; });
-  f.failure_rate = f64([](const E& e) { return e.failure_rate; });
-  f.anycast_class = u8([](const E& e) { return e.resilience.anycast_class; });
-  f.distinct_asns = u64([](const E& e) { return e.resilience.distinct_asns; });
-  f.distinct_slash24 =
-      u64([](const E& e) { return e.resilience.distinct_slash24; });
-  f.nameserver_count =
-      u64([](const E& e) { return e.resilience.nameserver_count; });
-  f.asn = u64([](const E& e) { return e.resilience.asn; });
-
-  auto& starts = u64_.emplace_back();
-  auto& lens = u64_.emplace_back();
-  starts.reserve(events.size());
-  lens.reserve(events.size());
-  for (const E& e : events) {
-    starts.push_back(org_bytes_.size());
-    lens.push_back(e.resilience.org.size());
-    org_bytes_ += e.resilience.org;
-  }
-  f.org.bytes = org_bytes_;
-  f.org.starts = starts;
-  f.org.lens = lens;
-}
-
-std::vector<NssetAttackEvent> events_from_frame(const EventFrame& f) {
-  std::vector<NssetAttackEvent> events(f.rows);
-  for (std::size_t i = 0; i < f.rows; ++i) {
-    NssetAttackEvent& e = events[i];
-    e.rsdos.victim = netsim::IPv4Addr(static_cast<std::uint32_t>(f.victim[i]));
-    e.rsdos.start_window = static_cast<netsim::WindowIndex>(f.start_window[i]);
-    e.rsdos.end_window = static_cast<netsim::WindowIndex>(f.end_window[i]);
-    e.rsdos.max_ppm = f.max_ppm[i];
-    e.rsdos.total_packets = f.total_packets[i];
-    e.rsdos.max_slash16 = static_cast<std::uint32_t>(f.max_slash16[i]);
-    e.rsdos.protocol = static_cast<attack::Protocol>(f.protocol[i]);
-    e.rsdos.first_port = static_cast<std::uint16_t>(f.first_port[i]);
-    e.rsdos.max_unique_ports =
-        static_cast<std::uint16_t>(f.max_unique_ports[i]);
-    e.nsset = static_cast<dns::NssetId>(f.nsset[i]);
-    e.domains_hosted = f.domains_hosted[i];
-    e.domains_measured = static_cast<std::uint32_t>(f.domains_measured[i]);
-    e.baseline_rtt_ms = f.baseline_rtt_ms[i];
-    e.peak_impact = f.peak_impact[i];
-    e.mean_impact = f.mean_impact[i];
-    e.ok = static_cast<std::uint32_t>(f.ok[i]);
-    e.timeouts = static_cast<std::uint32_t>(f.timeouts[i]);
-    e.servfails = static_cast<std::uint32_t>(f.servfails[i]);
-    e.failure_rate = f.failure_rate[i];
-    e.resilience.anycast_class =
-        static_cast<anycast::AnycastClass>(f.anycast_class[i]);
-    e.resilience.distinct_asns = static_cast<std::uint32_t>(f.distinct_asns[i]);
-    e.resilience.distinct_slash24 =
-        static_cast<std::uint32_t>(f.distinct_slash24[i]);
-    e.resilience.nameserver_count =
-        static_cast<std::uint32_t>(f.nameserver_count[i]);
-    e.resilience.asn = static_cast<topology::Asn>(f.asn[i]);
-    e.resilience.org = f.org[i];
-  }
-  return events;
 }
 
 namespace {

@@ -1,9 +1,10 @@
 // Joined-event analyses (§6.3–6.6: Figs. 7–13, Table 6) — one kernel per
 // statistic, each over the column spans of a core::EventFrame. A stored
-// run hands the kernels the DRS "events" dataset's columns; an in-memory
-// run (or a CSV import) lays its joined rows out once as an
-// OwnedEventFrame. Either way every statistic has exactly one
-// implementation.
+// run hands the kernels the DRS "events" dataset's columns
+// (store::read_event_frame); an in-memory run (or a CSV import) lays its
+// joined rows out once as a store::OwnedEventFrame. Both fill the frame
+// from one column list, store::EventColumns, so every statistic has
+// exactly one implementation and one input layout.
 //
 // The parallel kernels are bit-identical at any thread count: shards are
 // a pure function of the row count (exec::plan_shards) and per-shard
@@ -14,13 +15,13 @@
 //
 // The spans in an EventFrame borrow from a store::Reader (zero-copy
 // fixed-width columns over the mapping) and a store::ColumnArena (decoded
-// varint/string columns), or from an OwnedEventFrame; callers keep the
-// owner alive while the frame is in use. core does not depend on store —
-// store/scan.h provides the loader.
+// varint/string columns), or from a store::OwnedEventFrame; callers keep
+// the owner alive while the frame is in use. core does not depend on
+// store: the frame's layout is the store schema, so both loaders live in
+// store.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
@@ -61,9 +62,9 @@ struct StringColumnView {
   Iterator end() const { return {this, size()}; }
 };
 
-/// Column spans of the joined NSSet-attack "events" dataset, in the
-/// store schema (store/dataset.h for_each_event_column). All spans have
-/// `rows` elements.
+/// Column spans of the joined NSSet-attack "events" dataset, one per
+/// column of store::EventColumns (store/dataset.h), whose list names the
+/// span each column fills. All spans have `rows` elements.
 struct EventFrame {
   std::size_t rows = 0;
   // telescope event
@@ -103,33 +104,6 @@ struct EventFrame {
   }
   std::int64_t duration_s(std::size_t i) const;
 };
-
-/// An EventFrame over owned columns laid out from joined rows in the
-/// store schema — how an in-memory run presents its events to the
-/// kernels, and how rows are written to a store. Build it once per row
-/// set and pass frame() to every kernel.
-class OwnedEventFrame {
- public:
-  explicit OwnedEventFrame(const std::vector<NssetAttackEvent>& events);
-
-  OwnedEventFrame(const OwnedEventFrame&) = delete;
-  OwnedEventFrame& operator=(const OwnedEventFrame&) = delete;
-
-  const EventFrame& frame() const { return frame_; }
-
- private:
-  EventFrame frame_;
-  // Deques: appending a column never moves the ones frame_ already spans.
-  std::deque<std::vector<std::uint64_t>> u64_;
-  std::deque<std::vector<double>> f64_;
-  std::deque<std::vector<std::uint8_t>> u8_;
-  std::string org_bytes_;
-};
-
-/// The joined rows of a frame — the inverse of OwnedEventFrame:
-/// events_from_frame(OwnedEventFrame(rows).frame()) == rows. load_run and
-/// merge_stores read stored events back as rows through it.
-std::vector<NssetAttackEvent> events_from_frame(const EventFrame& f);
 
 // ---------------------------------------------------- Fig 7 and §6.3.1
 

@@ -169,8 +169,7 @@ std::uint64_t publish_store(store::Writer& writer,
   store::write_dataset<store::VictimColumns>(
       writer, "victims",
       std::span(victims).subspan(lo, static_cast<std::size_t>(hi - lo)));
-  store::write_joined_events(writer,
-                             core::OwnedEventFrame(result.joined).frame());
+  store::write_dataset<store::EventColumns>(writer, "events", result.joined);
   for_each_provenance_key(config, threads,
                           [&](std::string_view key, const auto& field) {
                             writer.add_meta(key, meta_text(field));
@@ -779,8 +778,11 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
       });
   run.store.set_total_measurements(run.swept_measurements);
 
-  run.joined =
-      core::events_from_frame(store::read_event_frame(reader, arena));
+  run.joined.reserve(reader.dataset_rows("events"));
+  store::read_dataset<store::EventColumns>(
+      reader, "events", arena, [&](core::NssetAttackEvent&& event) {
+        run.joined.push_back(std::move(event));
+      });
 
   span.set_items(reader.columns().size());
   store::record_store_read(reader.file_size(),

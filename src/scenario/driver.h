@@ -184,10 +184,11 @@ std::uint64_t save_run(const std::string& path,
 /// footer, checks the feed and events row counts against them, and CRC-
 /// and structure-checks every block (store::check_all). Throws
 /// store::StoreError naming the path. Stored values are checked by the
-/// reader that decodes them (read_dataset's field fit,
-/// store::read_victims, which all three run), so analyze_store, which
-/// decodes no feed column, accepts a store whose feed values load_run
-/// refuses.
+/// reader that decodes them (read_dataset's field fit and
+/// store::read_victims): the events and victims values by all three,
+/// which decode both datasets whole; the daily values by load_run and
+/// load_engine; the feed, window and ns_seen values by load_run alone,
+/// so analyze_store accepts a store whose feed values load_run refuses.
 struct CheckedStore {
   CheckedStore(const std::string& path, store::ReadMode mode);
 

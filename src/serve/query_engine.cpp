@@ -40,7 +40,7 @@ netsim::DayIndex start_day(const core::EventFrame& f, std::size_t i) {
 QueryEngine::QueryEngine(EngineColumns columns) { build(columns); }
 
 QueryEngine::QueryEngine(const scenario::RunArtifacts& run) {
-  const core::OwnedEventFrame joined(run.joined);
+  const store::OwnedEventFrame joined(run.joined);
   std::vector<NssetDayPoint> series;
   for (const auto& [key, agg] : run.store.sorted_daily()) {
     series.push_back(series_point(key, agg));
@@ -270,11 +270,11 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
   const store::Reader& reader = checked.reader;
   store::ColumnArena arena;
 
-  // Only the columns the engine derives from are decoded: the stored
+  // Only the datasets the engine derives from are decoded: the stored
   // per-victim attack counts (checked against the stitched-event count),
-  // the joined events and the daily columns a series point reads; the
-  // feed and the rest stay encoded.
-  using Daily = store::AggregateRow;
+  // the joined events and the daily aggregates a series point reads, each
+  // whole and fit-checked as load_run decodes it; the feed and the rest
+  // stay encoded.
   std::vector<telescope::VictimAttacks> attacks;
   core::EventFrame joined;
   std::vector<NssetDayPoint> series;
@@ -284,12 +284,9 @@ std::unique_ptr<QueryEngine> load_engine(const std::string& store_path) {
     joined = store::read_event_frame(reader, arena);
     series.reserve(reader.dataset_rows("daily"));
     store::read_dataset<store::AggregateColumns>(
-        reader, "daily", arena,
-        [&](const Daily& row) {
+        reader, "daily", arena, [&](const store::AggregateRow& row) {
           series.push_back(series_point(row.key, row.aggregate()));
-        },
-        &Daily::key, &Daily::measured, &Daily::timeout, &Daily::servfail,
-        &Daily::rtt_n, &Daily::rtt_sum);
+        });
   }
 
   auto engine = std::make_unique<QueryEngine>(

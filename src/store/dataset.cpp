@@ -7,14 +7,36 @@
 
 namespace ddos::store {
 
-void write_joined_events(Writer& writer, const core::EventFrame& events) {
-  PieceEncoder pieces;
-  for_each_event_column(events, [&]<typename Values>(const char* column,
-                                                     Encoding encoding,
-                                                     const Values& values) {
-    write_column(writer, pieces, "events", column,
-                 AppenderFor<typename Values::value_type>(encoding), values);
+OwnedEventFrame::OwnedEventFrame(
+    std::span<const core::NssetAttackEvent> rows) {
+  using Row = core::NssetAttackEvent;
+  frame_.rows = rows.size();
+  EventColumns::for_each_column([&]<typename Field, typename Span>(
+                                    std::string_view, Encoding, Field field,
+                                    Span core::EventFrame::*span) {
+    using Value = ColumnValue<FieldOf<Row, Field>>;
+    auto& column = std::get<OwnedColumn<Value>>(
+        columns_.emplace_back(std::in_place_type<OwnedColumn<Value>>,
+                              rows.size()));
+    for (const Row& row : rows) {
+      column.push_back(to_column(std::invoke(field, row)));
+    }
+    frame_.*span = column.span();
   });
+}
+
+core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena) {
+  const std::vector<ColumnTypes::AnyOf<ColumnSpan>> values =
+      decode_dataset<EventColumns>(reader, "events", arena);
+  core::EventFrame frame;
+  frame.rows = reader.dataset_rows("events");
+  std::size_t i = 0;
+  EventColumns::for_each_column([&]<typename Span>(
+                                    std::string_view, Encoding, auto,
+                                    Span core::EventFrame::*span) {
+    frame.*span = std::get<Span>(values[i++]);
+  });
+  return frame;
 }
 
 void write_counts(Writer& writer, const RunCounts& counts) {

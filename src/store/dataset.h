@@ -15,20 +15,24 @@
 //               (telescope::count_attacks), ascending by victim — what
 //               the serving engine's attack leaderboard reads, so a load
 //               never re-stitches the feed;
-//   "events"  — for_each_event_column: the joined NSSet-attack events
+//   "events"  — EventColumns: the joined NSSet-attack events
 //               (core::NssetAttackEvent), every field, lossless (unlike
-//               the events CSV).
+//               the events CSV); each column also names the
+//               core::EventFrame span the analysis kernels read.
 //
 // A row list names each column, its encoding and the row field it
-// stores, in block order; the field's type picks the stored value type
-// (to_column), and store/epoch.h's column-type rule gives that type its
-// appender and its scan. Three generic bodies walk the row lists:
-// write_dataset (one whole column at a time) and DatasetAppender (the
-// streaming executor's feed, one ingest region at a time), both encoding
-// through store/epoch.h's PieceEncoder, and read_dataset (load_run,
-// serve::load_engine and read_victims, column decodes fanned out,
-// narrowing reads range-checked). merge_stores takes the sort keys its
-// shard handover check reads from them.
+// stores (a member pointer, or a `nested` accessor one struct down), in
+// block order; the field's type picks the stored value type (to_column),
+// and store/epoch.h's column-type rule gives that type its appender and
+// its scan. Three generic bodies walk the row lists, reading a field
+// through std::invoke: write_dataset (one whole column at a time) and
+// DatasetAppender (the streaming executor's feed, one ingest region at a
+// time), both encoding through store/epoch.h's PieceEncoder, and
+// read_dataset (load_run, serve::load_engine, read_victims and the shard
+// merge, column decodes fanned out, narrowing reads range-checked). The
+// events frame loaders, read_event_frame (store/scan.h) and
+// OwnedEventFrame, fill EventColumns' spans. merge_stores takes the sort
+// keys its shard handover check reads from the lists.
 //
 // The footer meta ends with the result counts: one list, for_each_count
 // below, that writers, readers, count checks and merge_stores all walk.
@@ -55,6 +59,7 @@
 
 #include "core/columnar.h"
 #include "core/join.h"
+#include "core/resilience.h"
 #include "netsim/ipv4.h"
 #include "netsim/simtime.h"
 #include "openintel/storage.h"
@@ -182,15 +187,28 @@ struct VictimColumns {
 template <typename Columns>
 std::string_view first_column() {
   std::string_view first;
-  Columns::for_each_column([&](std::string_view column, Encoding, auto) {
+  Columns::for_each_column([&](std::string_view column, Encoding, auto...) {
     if (first.empty()) first = column;
   });
   return first;
 }
 
+/// A row field one struct down: std::invoke(nested<&A::b, &B::c>, a) is
+/// a.b.c, const when `a` is.
+template <auto Outer, auto Inner>
+inline constexpr auto nested = [](auto& row) -> auto& {
+  return row.*Outer.*Inner;
+};
+
+/// The type of the row field that `field` (a member pointer or a nested
+/// accessor) names.
+template <typename Row, typename Field>
+using FieldOf =
+    std::remove_cvref_t<std::invoke_result_t<const Field&, const Row&>>;
+
 /// The stored value of a row field, whose type picks the column type:
 /// u64 for integers and addresses (signed ones as their two's-complement
-/// bits), f64 for doubles, u8 for one-byte enums.
+/// bits), f64 for doubles, u8 for one-byte enums, the bytes for strings.
 template <typename T>
 auto to_column(const T& field) {
   if constexpr (std::is_same_v<T, double>) {
@@ -200,6 +218,8 @@ auto to_column(const T& field) {
     return static_cast<std::uint8_t>(field);
   } else if constexpr (std::is_same_v<T, netsim::IPv4Addr>) {
     return std::uint64_t{field.value()};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return std::string_view(field);
   } else {
     static_assert(std::is_integral_v<T>, "no column type for this field");
     return static_cast<std::uint64_t>(field);
@@ -223,11 +243,87 @@ bool from_column(Value value, T& field) {
   } else if constexpr (std::is_integral_v<T>) {
     if (!std::in_range<T>(value)) return false;
     field = static_cast<T>(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field.assign(value);
   } else {
     field = static_cast<T>(value);  // f64 and u8 enums: no narrowing
   }
   return true;
 }
+
+/// The "events" dataset: the joined NSSet-attack events, every field,
+/// lossless (unlike the events CSV). Each column also names the
+/// core::EventFrame span the analysis kernels read it through, which
+/// read_event_frame and OwnedEventFrame fill.
+struct EventColumns {
+  using Row = core::NssetAttackEvent;
+
+  template <auto Field>
+  static constexpr auto rsdos = nested<&Row::rsdos, Field>;
+  template <auto Field>
+  static constexpr auto resilience = nested<&Row::resilience, Field>;
+
+  /// Calls visit(column, encoding, field, &core::EventFrame::span) for
+  /// each column in block order.
+  template <typename Visit>
+  static void for_each_column(Visit&& visit) {
+    using E = telescope::RSDoSEvent;
+    using P = core::ResilienceProfile;
+    using F = core::EventFrame;
+    const auto column = [&]<typename Field, typename Span>(
+                            std::string_view name, Encoding encoding,
+                            Field field, Span F::*span) {
+      static_assert(
+          std::is_same_v<Span, ColumnSpan<ColumnValue<FieldOf<Row, Field>>>>,
+          "a frame span holds its column's stored values");
+      visit(name, encoding, field, span);
+    };
+    // telescope event
+    column("victim", Encoding::Varint, rsdos<&E::victim>, &F::victim);
+    column("start_window", Encoding::DeltaVarint, rsdos<&E::start_window>,
+           &F::start_window);
+    column("end_window", Encoding::DeltaVarint, rsdos<&E::end_window>,
+           &F::end_window);
+    column("max_ppm", Encoding::Fixed, rsdos<&E::max_ppm>, &F::max_ppm);
+    column("total_packets", Encoding::Varint, rsdos<&E::total_packets>,
+           &F::total_packets);
+    column("max_slash16", Encoding::Varint, rsdos<&E::max_slash16>,
+           &F::max_slash16);
+    column("protocol", Encoding::Fixed, rsdos<&E::protocol>, &F::protocol);
+    column("first_port", Encoding::Varint, rsdos<&E::first_port>,
+           &F::first_port);
+    column("max_unique_ports", Encoding::Varint, rsdos<&E::max_unique_ports>,
+           &F::max_unique_ports);
+    // join outcome
+    column("nsset", Encoding::Varint, &Row::nsset, &F::nsset);
+    column("domains_hosted", Encoding::Varint, &Row::domains_hosted,
+           &F::domains_hosted);
+    column("domains_measured", Encoding::Varint, &Row::domains_measured,
+           &F::domains_measured);
+    column("baseline_rtt_ms", Encoding::Fixed, &Row::baseline_rtt_ms,
+           &F::baseline_rtt_ms);
+    column("peak_impact", Encoding::Fixed, &Row::peak_impact,
+           &F::peak_impact);
+    column("mean_impact", Encoding::Fixed, &Row::mean_impact,
+           &F::mean_impact);
+    column("ok", Encoding::Varint, &Row::ok, &F::ok);
+    column("timeouts", Encoding::Varint, &Row::timeouts, &F::timeouts);
+    column("servfails", Encoding::Varint, &Row::servfails, &F::servfails);
+    column("failure_rate", Encoding::Fixed, &Row::failure_rate,
+           &F::failure_rate);
+    // resilience profile
+    column("anycast_class", Encoding::Fixed, resilience<&P::anycast_class>,
+           &F::anycast_class);
+    column("distinct_asns", Encoding::Varint, resilience<&P::distinct_asns>,
+           &F::distinct_asns);
+    column("distinct_slash24", Encoding::Varint,
+           resilience<&P::distinct_slash24>, &F::distinct_slash24);
+    column("nameserver_count", Encoding::Varint,
+           resilience<&P::nameserver_count>, &F::nameserver_count);
+    column("asn", Encoding::Varint, resilience<&P::asn>, &F::asn);
+    column("org", Encoding::StringBlock, resilience<&P::org>, &F::org);
+  }
+};
 
 /// Writes `rows` (Columns::Row, or convertible to it) as the `Columns`
 /// dataset `dataset`, one whole column at a time: each column's pieces
@@ -238,11 +334,14 @@ void write_dataset(Writer& writer, std::string_view dataset,
                    const Rows& rows) {
   using Row = typename Columns::Row;
   PieceEncoder pieces;
-  Columns::for_each_column([&]<typename T>(std::string_view column,
-                                           Encoding encoding, T Row::*field) {
+  Columns::for_each_column([&]<typename Field>(std::string_view column,
+                                               Encoding encoding, Field field,
+                                               auto...) {
     write_column(writer, pieces, dataset, column,
-                 AppenderFor<ColumnValue<T>>(encoding), rows,
-                 [field](const Row& row) { return to_column(row.*field); });
+                 AppenderFor<ColumnValue<FieldOf<Row, Field>>>(encoding), rows,
+                 [field](const Row& row) {
+                   return to_column(std::invoke(field, row));
+                 });
   });
 }
 
@@ -267,15 +366,16 @@ class DatasetAppender {
   /// Encodes the rows of `parts`, in order, as every column's next rows.
   void append(std::span<const std::span<const Row>> parts) {
     std::size_t i = 0;
-    Columns::for_each_column([&]<typename T>(std::string_view,
-                                             Encoding encoding,
-                                             T Row::*field) {
+    Columns::for_each_column([&]<typename Field>(std::string_view,
+                                                 Encoding encoding,
+                                                 Field field, auto...) {
+      using Value = ColumnValue<FieldOf<Row, Field>>;
       const auto get = [field](const Row& row) {
-        return to_column(row.*field);
+        return to_column(std::invoke(field, row));
       };
-      const ColumnValue<T> carry = rows_ > 0 ? get(last_) : ColumnValue<T>{};
-      const std::span<const PayloadPiece> pieces = pieces_.encode(
-          AppenderFor<ColumnValue<T>>(encoding), parts, get, carry);
+      const Value carry = rows_ > 0 ? get(last_) : Value{};
+      const std::span<const PayloadPiece> pieces =
+          pieces_.encode(AppenderFor<Value>(encoding), parts, get, carry);
       std::size_t bytes = 0;
       for (const PayloadPiece& piece : pieces) bytes += piece.bytes.size();
       std::string& copy = copies_.emplace_back();
@@ -292,9 +392,11 @@ class DatasetAppender {
   /// Adds every column to `writer` as one block of its pieces.
   void flush_to(Writer& writer) const {
     std::size_t i = 0;
-    Columns::for_each_column([&]<typename T>(std::string_view column,
-                                             Encoding encoding, T Row::*) {
-      writer.add_encoded(dataset_, column, AppenderFor<ColumnValue<T>>::kType,
+    Columns::for_each_column([&]<typename Field>(std::string_view column,
+                                                 Encoding encoding, Field,
+                                                 auto...) {
+      writer.add_encoded(dataset_, column,
+                         AppenderFor<ColumnValue<FieldOf<Row, Field>>>::kType,
                          encoding, rows_, columns_[i++]);
     });
   }
@@ -308,34 +410,14 @@ class DatasetAppender {
   Row last_{};  // the last row appended, once rows_ > 0
 };
 
-/// True when the member pointers `a` and `b` name the same field.
-template <typename A, typename B>
-constexpr bool same_field(A a, B b) {
-  if constexpr (std::is_same_v<A, B>) {
-    return a == b;
-  } else {
-    return false;
-  }
-}
-
-/// True when a read of the fields `only` (all fields when it names none)
-/// covers `field`.
-template <typename Field, typename... Fields>
-constexpr bool wants([[maybe_unused]] Field field, Fields... only) {
-  return sizeof...(only) == 0 || (same_field(field, only) || ...);
-}
-
-/// Decodes the `Columns` dataset `dataset` into `arena` — just the columns
-/// of the fields `only` names, or all when it names none — and returns one
-/// span per column in Columns order, left empty for the columns not
-/// decoded. The column decodes fan out through Reader::parallel_decode,
-/// each checking that its values fit the field; the first misfit in row
-/// order (then column order) throws StoreError naming the path and
-/// `dataset.column`.
-template <typename Columns, typename... Fields>
+/// Decodes the `Columns` dataset `dataset` into `arena` and returns one
+/// span per column in Columns order. The column decodes fan out through
+/// Reader::parallel_decode, each checking that its values fit the field;
+/// the first misfit in row order (then column order) throws StoreError
+/// naming the path and `dataset.column`.
+template <typename Columns>
 std::vector<ColumnTypes::AnyOf<ColumnSpan>> decode_dataset(
-    const Reader& reader, std::string_view dataset, ColumnArena& arena,
-    Fields... only) {
+    const Reader& reader, std::string_view dataset, ColumnArena& arena) {
   using Row = typename Columns::Row;
   struct Misfit {
     std::uint64_t row = 0;  // the column's first value that does not fit
@@ -345,25 +427,28 @@ std::vector<ColumnTypes::AnyOf<ColumnSpan>> decode_dataset(
   std::vector<ColumnTypes::AnyOf<ColumnSpan>> values;
   std::vector<Misfit> misfits;
   std::vector<std::function<void()>> decodes;
-  Columns::for_each_column([&]<typename T>(std::string_view column, Encoding,
-                                           T Row::*field) {
+  Columns::for_each_column([&]<typename Field>(std::string_view column,
+                                               Encoding, Field, auto...) {
+    using T = FieldOf<Row, Field>;
     values.emplace_back();
     misfits.push_back({rows, {}});
-    if (!wants(field, only...)) return;
     const ColumnDesc* desc = &reader.column(dataset, column);
     decodes.push_back([&, column, desc, i = values.size() - 1] {
       const ColumnSpan<ColumnValue<T>> span =
           scan<ColumnValue<T>>(reader, *desc, arena);
       values[i] = span;
-      T unused{};
-      for (std::uint64_t r = 0; r < span.size(); ++r) {
-        if (from_column(span[r], unused)) continue;
-        misfits[i] = {r, reader.path() + ": column '" + std::string(dataset) +
-                             "." + std::string(column) + "': row " +
-                             std::to_string(r) + " holds " +
-                             std::to_string(span[r]) +
-                             ", which does not fit its field"};
-        break;
+      if constexpr (!std::is_same_v<T, std::string>) {  // strings always fit
+        T unused{};
+        for (std::uint64_t r = 0; r < span.size(); ++r) {
+          if (from_column(span[r], unused)) continue;
+          misfits[i] = {r, reader.path() + ": column '" +
+                               std::string(dataset) + "." +
+                               std::string(column) + "': row " +
+                               std::to_string(r) + " holds " +
+                               std::to_string(span[r]) +
+                               ", which does not fit its field"};
+          break;
+        }
       }
     });
   });
@@ -379,69 +464,74 @@ std::vector<ColumnTypes::AnyOf<ColumnSpan>> decode_dataset(
 }
 
 /// Decodes the `Columns` dataset `dataset` into `arena` and calls
-/// each(row) for every row in stored order. When `only` names fields,
-/// just their columns are decoded and the other fields keep their
-/// defaults. Throws as decode_dataset does.
-template <typename Columns, typename Each, typename... Fields>
+/// each(row) for every row in stored order, the row an rvalue. Throws as
+/// decode_dataset does.
+template <typename Columns, typename Each>
 void read_dataset(const Reader& reader, std::string_view dataset,
-                  ColumnArena& arena, Each&& each, Fields... only) {
+                  ColumnArena& arena, Each&& each) {
   using Row = typename Columns::Row;
   const std::vector<ColumnTypes::AnyOf<ColumnSpan>> values =
-      decode_dataset<Columns>(reader, dataset, arena, only...);
+      decode_dataset<Columns>(reader, dataset, arena);
   const std::uint64_t rows = reader.dataset_rows(dataset);
   for (std::uint64_t r = 0; r < rows; ++r) {
     Row row{};
     std::size_t i = 0;
-    Columns::for_each_column([&]<typename T>(std::string_view, Encoding,
-                                             T Row::*field) {
-      const auto& column_values = values[i++];
-      if (!wants(field, only...)) return;
-      from_column(std::get<ColumnSpan<ColumnValue<T>>>(column_values)[r],
-                  row.*field);
+    Columns::for_each_column([&]<typename Field>(std::string_view, Encoding,
+                                                 Field field, auto...) {
+      using Value = ColumnValue<FieldOf<Row, Field>>;
+      from_column(std::get<ColumnSpan<Value>>(values[i++])[r],
+                  std::invoke(field, row));
     });
-    each(row);
+    each(std::move(row));
   }
 }
 
-/// The "events" dataset schema: calls visit(column, encoding, span) for
-/// each column of `frame` in block order. The span's type is the column's
-/// type (u64, f64, u8 or the org string column). The events writer and
-/// read_event_frame (store/scan.h) both walk this list.
-template <typename Frame, typename Visit>
-void for_each_event_column(Frame& frame, Visit&& visit) {
-  // telescope event
-  visit("victim", Encoding::Varint, frame.victim);
-  visit("start_window", Encoding::DeltaVarint, frame.start_window);
-  visit("end_window", Encoding::DeltaVarint, frame.end_window);
-  visit("max_ppm", Encoding::Fixed, frame.max_ppm);
-  visit("total_packets", Encoding::Varint, frame.total_packets);
-  visit("max_slash16", Encoding::Varint, frame.max_slash16);
-  visit("protocol", Encoding::Fixed, frame.protocol);
-  visit("first_port", Encoding::Varint, frame.first_port);
-  visit("max_unique_ports", Encoding::Varint, frame.max_unique_ports);
-  // join outcome
-  visit("nsset", Encoding::Varint, frame.nsset);
-  visit("domains_hosted", Encoding::Varint, frame.domains_hosted);
-  visit("domains_measured", Encoding::Varint, frame.domains_measured);
-  visit("baseline_rtt_ms", Encoding::Fixed, frame.baseline_rtt_ms);
-  visit("peak_impact", Encoding::Fixed, frame.peak_impact);
-  visit("mean_impact", Encoding::Fixed, frame.mean_impact);
-  visit("ok", Encoding::Varint, frame.ok);
-  visit("timeouts", Encoding::Varint, frame.timeouts);
-  visit("servfails", Encoding::Varint, frame.servfails);
-  visit("failure_rate", Encoding::Fixed, frame.failure_rate);
-  // resilience profile
-  visit("anycast_class", Encoding::Fixed, frame.anycast_class);
-  visit("distinct_asns", Encoding::Varint, frame.distinct_asns);
-  visit("distinct_slash24", Encoding::Varint, frame.distinct_slash24);
-  visit("nameserver_count", Encoding::Varint, frame.nameserver_count);
-  visit("asn", Encoding::Varint, frame.asn);
-  visit("org", Encoding::StringBlock, frame.org);
-}
+/// One column's values owned, as OwnedEventFrame holds them; span() is
+/// what scan<V> would return for them.
+template <typename V>
+struct OwnedColumn {
+  explicit OwnedColumn(std::size_t rows) { values.reserve(rows); }
+  std::vector<V> values;
+  void push_back(V value) { values.push_back(value); }
+  ColumnSpan<V> span() const { return values; }
+};
 
-/// Row holders pass core::OwnedEventFrame(rows).frame(); a stored run
-/// reads back with core::events_from_frame(read_event_frame(...)).
-void write_joined_events(Writer& writer, const core::EventFrame& events);
+/// A string column owned as its bytes and the SoA offsets into them.
+template <>
+struct OwnedColumn<std::string_view> {
+  explicit OwnedColumn(std::size_t rows) {
+    starts.reserve(rows);
+    lens.reserve(rows);
+  }
+  std::string bytes;
+  std::vector<std::uint64_t> starts;
+  std::vector<std::uint64_t> lens;
+  void push_back(std::string_view value) {
+    starts.push_back(bytes.size());
+    lens.push_back(value.size());
+    bytes += value;
+  }
+  ColumnSpan<std::string_view> span() const { return {bytes, starts, lens}; }
+};
+
+/// An EventFrame over owned columns laid out from joined rows, one per
+/// EventColumns column — how an in-memory run presents its events to the
+/// analysis kernels. Build it once per row set and pass frame() to every
+/// kernel.
+class OwnedEventFrame {
+ public:
+  explicit OwnedEventFrame(std::span<const core::NssetAttackEvent> rows);
+
+  OwnedEventFrame(const OwnedEventFrame&) = delete;
+  OwnedEventFrame& operator=(const OwnedEventFrame&) = delete;
+
+  const core::EventFrame& frame() const { return frame_; }
+
+ private:
+  core::EventFrame frame_;
+  // A deque: adding a column never moves the ones frame_ already spans.
+  std::deque<ColumnTypes::AnyOf<OwnedColumn>> columns_;
+};
 
 /// The result counts a store's footer records after the generating
 /// provenance: the run's sizes and its join dispositions.

@@ -8,7 +8,6 @@
 #include <string_view>
 #include <utility>
 
-#include "core/columnar.h"
 #include "core/join.h"
 #include "obs/obs.h"
 #include "store/dataset.h"
@@ -168,7 +167,11 @@ std::uint64_t merge_events(Writer& writer,
   for (std::size_t i = 0; i < n; ++i) {
     const Reader& shard = *shards[i];
     ColumnArena arena;
-    rows[i] = core::events_from_frame(read_event_frame(shard, arena));
+    rows[i].reserve(shard.dataset_rows("events"));
+    read_dataset<EventColumns>(shard, "events", arena,
+                               [&](core::NssetAttackEvent&& event) {
+                                 rows[i].push_back(std::move(event));
+                               });
     const auto s =
         scan<std::uint64_t>(shard, shard.column(kShard, kSrcEvent), arena);
     src[i].assign(s.begin(), s.end());
@@ -206,7 +209,7 @@ std::uint64_t merge_events(Writer& writer,
   if (merge_concurrent) {
     merged = core::merge_concurrent_events(std::move(merged));
   }
-  write_joined_events(writer, core::OwnedEventFrame(merged).frame());
+  write_dataset<EventColumns>(writer, "events", merged);
   return merged.size();
 }
 

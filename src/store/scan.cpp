@@ -354,17 +354,6 @@ template ColumnSpan<std::uint8_t> scan<std::uint8_t>(const Reader&,
 template ColumnSpan<std::string_view> scan<std::string_view>(
     const Reader&, const ColumnDesc&, ColumnArena&);
 
-core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena) {
-  core::EventFrame f;
-  f.rows = reader.dataset_rows("events");
-  for_each_event_column(f, [&]<typename Values>(const char* column, Encoding,
-                                                Values& values) {
-    values = scan<typename Values::value_type>(
-        reader, reader.column("events", column), arena);
-  });
-  return f;
-}
-
 namespace {
 
 // Decode one block by its type, as every consumer would.

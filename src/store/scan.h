@@ -132,9 +132,11 @@ template <typename V>
 ColumnSpan<V> scan(const Reader& reader, const ColumnDesc& desc,
                    ColumnArena& arena);
 
-/// Columnar view of the joined "events" dataset, read column by column
-/// per store/dataset.h's events schema; spans borrow from `reader` and
-/// `arena`.
+/// Columnar view of the joined "events" dataset, read through
+/// store/dataset.h's decode_dataset<EventColumns> (store/dataset.cpp): the
+/// columns decode on the exec pool and are fit-checked against their row
+/// fields, so a value a field cannot hold throws StoreError naming
+/// `events.column` and the row. Spans borrow from `reader` and `arena`.
 core::EventFrame read_event_frame(const Reader& reader, ColumnArena& arena);
 
 /// CRC-check every block and apply the rules its scan applies, without

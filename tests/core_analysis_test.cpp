@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/columnar.h"
+#include "store/dataset.h"
 
 namespace ddos::core {
 namespace {
@@ -190,7 +191,7 @@ class Frame {
   operator const EventFrame&() const { return owned_.frame(); }
 
  private:
-  OwnedEventFrame owned_;
+  store::OwnedEventFrame owned_;
 };
 
 TEST(FailureSummary, CountsAndShares) {
@@ -392,7 +393,7 @@ TEST(TopCompanies, MaxImpactPerOrg) {
 // Every joined-event kernel over a zero-row frame: empty series and
 // points, zero tallies, and the three listed groups of each grouping.
 const EventFrame& empty_frame() {
-  static const OwnedEventFrame owned({});
+  static const store::OwnedEventFrame owned({});
   return owned.frame();
 }
 

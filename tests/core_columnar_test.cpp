@@ -3,17 +3,22 @@
 // equal a serial loop over the run's joined rows written in this file —
 // exactly, series element order and group medians/p90s included — at
 // any thread count (the threads2/8 ctest variants re-run this binary
-// under DDOSREPRO_THREADS). Also pins events_from_frame, the inverse of
-// OwnedEventFrame that load_run and merge read stored events through.
+// under DDOSREPRO_THREADS). Also pins the two frame loaders against the
+// one events column list, store::EventColumns: the rows read_dataset
+// reads back are the rows write_dataset wrote, and an in-memory run's
+// OwnedEventFrame equals its store's read_event_frame span for span.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,8 +27,10 @@
 #include "core/impact.h"
 #include "netsim/simtime.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 #include "store/reader.h"
 #include "store/scan.h"
+#include "store/writer.h"
 #include "util/stats.h"
 
 namespace ddos::core {
@@ -205,30 +212,61 @@ store::Reader* ColumnarParity::reader_ = nullptr;
 store::ColumnArena* ColumnarParity::arena_ = nullptr;
 EventFrame* ColumnarParity::frame_ = nullptr;
 
+// The rows of a store's events dataset, read through the column list.
+std::vector<NssetAttackEvent> stored_rows(const store::Reader& reader) {
+  std::vector<NssetAttackEvent> rows;
+  store::ColumnArena arena;
+  store::read_dataset<store::EventColumns>(
+      reader, "events", arena,
+      [&](NssetAttackEvent&& row) { rows.push_back(std::move(row)); });
+  return rows;
+}
+
+// A value's bits, so that doubles compare exactly (-0.0 is not 0.0).
+template <typename V>
+auto bits(V value) {
+  if constexpr (std::is_same_v<V, double>) {
+    return std::bit_cast<std::uint64_t>(value);
+  } else {
+    return value;
+  }
+}
+
+// `a` and `b` hold the same values in every EventColumns span.
+void expect_same_frame(const EventFrame& a, const EventFrame& b) {
+  ASSERT_EQ(a.rows, b.rows);
+  store::EventColumns::for_each_column(
+      [&](std::string_view column, store::Encoding, auto, auto span) {
+        const auto& x = a.*span;
+        const auto& y = b.*span;
+        ASSERT_EQ(x.size(), a.rows) << column;
+        ASSERT_EQ(y.size(), b.rows) << column;
+        for (std::size_t i = 0; i < a.rows; ++i) {
+          EXPECT_EQ(bits(x[i]), bits(y[i])) << column << " row " << i;
+        }
+      });
+}
+
 TEST_F(ColumnarParity, FrameMatchesRows) {
   ASSERT_GT(frame_->rows, 0u) << "small run produced no joined events";
   EXPECT_EQ(frame_->rows, result_->joined.size());
-  EXPECT_EQ(events_from_frame(*frame_), result_->joined);
+  EXPECT_EQ(stored_rows(*reader_), result_->joined);
 }
 
 // An in-memory run's frame, laid out from its rows, equals the stored
 // frame column for column — string column included.
 TEST_F(ColumnarParity, OwnedFrameOfRowsMatchesRows) {
-  const OwnedEventFrame owned(result_->joined);
-  const EventFrame& f = owned.frame();
-  EXPECT_EQ(f.rows, frame_->rows);
-  EXPECT_EQ(events_from_frame(f), result_->joined);
-  for (std::size_t i = 0; i < f.rows; ++i) {
-    EXPECT_EQ(f.org[i], (*frame_).org[i]) << "row " << i;
-  }
-  const OwnedEventFrame empty({});
-  EXPECT_EQ(empty.frame().rows, 0u);
-  EXPECT_TRUE(events_from_frame(empty.frame()).empty());
+  const store::OwnedEventFrame owned(result_->joined);
+  expect_same_frame(owned.frame(), *frame_);
+  const store::OwnedEventFrame empty({});
+  expect_same_frame(empty.frame(), EventFrame{});
 }
 
-// events_from_frame inverts OwnedEventFrame field for field, at the
-// extremes of every field's type.
-TEST_F(ColumnarParity, EventsFromFrameInvertsOwnedFrame) {
+// Rows at the extremes of every field's type round-trip through a store
+// written and read by the column list, and their owned frame equals the
+// stored one: a negative start window, u64-max counts, u16-max ports and
+// an org with an embedded NUL.
+TEST_F(ColumnarParity, ExtremeRowsRoundTripThroughTheColumnList) {
   auto rows = result_->joined;
   ASSERT_FALSE(rows.empty());
   core::NssetAttackEvent& e = rows.back();
@@ -257,7 +295,21 @@ TEST_F(ColumnarParity, EventsFromFrameInvertsOwnedFrame) {
   e.resilience.nameserver_count = 13;
   e.resilience.asn = std::numeric_limits<topology::Asn>::max();
   e.resilience.org = std::string("with\0nul", 8);
-  EXPECT_EQ(events_from_frame(OwnedEventFrame(rows).frame()), rows);
+
+  const std::string path = temp_path("columnar_extremes.drs");
+  {
+    store::Writer writer(path);
+    store::write_dataset<store::EventColumns>(writer, "events", rows);
+    writer.finish();
+  }
+  {
+    const store::Reader reader(path);
+    EXPECT_EQ(stored_rows(reader), rows);
+    store::ColumnArena arena;
+    expect_same_frame(store::OwnedEventFrame(rows).frame(),
+                      store::read_event_frame(reader, arena));
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(ColumnarParity, ImpactSummaryBitIdentical) {

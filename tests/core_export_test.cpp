@@ -6,6 +6,7 @@
 
 #include "core/columnar.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 
 namespace ddos::core {
 namespace {
@@ -110,8 +111,8 @@ TEST(EventsCsv, PipelineEventsRoundTripAggregates) {
   const auto events = read_events_csv(in);
   ASSERT_EQ(events.size(), result.joined.size());
   // The figure-level analyses over the re-imported events must agree.
-  const OwnedEventFrame run(result.joined);
-  const OwnedEventFrame imported(events);
+  const store::OwnedEventFrame run(result.joined);
+  const store::OwnedEventFrame imported(events);
   const auto a = impact_summary_columnar(run.frame());
   const auto b = impact_summary_columnar(imported.frame());
   EXPECT_EQ(a.impaired_10x, b.impaired_10x);

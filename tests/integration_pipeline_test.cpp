@@ -7,6 +7,7 @@
 #include "core/analysis.h"
 #include "core/columnar.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 
 namespace ddos::scenario {
 namespace {
@@ -107,7 +108,7 @@ TEST_F(PipelineTest, AnycastNeverSuffersSevereImpact) {
 
 TEST_F(PipelineTest, CompleteFailuresAreUnicastSingleAsn) {
   const auto attr = core::failure_attribution_columnar(
-      core::OwnedEventFrame(result_->joined).frame());
+      store::OwnedEventFrame(result_->joined).frame());
   if (attr.complete_failures > 0) {
     EXPECT_GT(attr.single_asn_share(), 0.5);
     EXPECT_GT(attr.unicast_share(), 0.5);
@@ -116,7 +117,7 @@ TEST_F(PipelineTest, CompleteFailuresAreUnicastSingleAsn) {
 
 TEST_F(PipelineTest, IntensityDoesNotPredictImpact) {
   const auto series = core::intensity_impact_series_columnar(
-      core::OwnedEventFrame(result_->joined).frame(), result_->darknet);
+      store::OwnedEventFrame(result_->joined).frame(), result_->darknet);
   if (series.n() >= 20) {
     EXPECT_LT(std::abs(series.pearson), 0.5);  // Fig. 9's key takeaway
   }

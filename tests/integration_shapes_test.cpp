@@ -8,6 +8,7 @@
 #include "core/analysis.h"
 #include "core/columnar.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 
 namespace ddos::scenario {
 namespace {
@@ -42,7 +43,7 @@ TEST_P(ShapeSweep, HeadlineShapesHold) {
 
   // Fig. 8 shape: a minority of events are impaired; a minority of those
   // severe.
-  const core::OwnedEventFrame joined(r.joined);
+  const store::OwnedEventFrame joined(r.joined);
   const auto impacts = core::impact_summary_columnar(joined.frame());
   EXPECT_LT(impacts.impaired_share(), 0.25);
   if (impacts.impaired_10x > 0) {

@@ -19,6 +19,7 @@
 #include "core/columnar.h"
 #include "reference_run.h"
 #include "scenario/driver.h"
+#include "store/dataset.h"
 #include "store/format.h"
 
 namespace ddos::scenario {
@@ -86,8 +87,8 @@ void expect_equivalent(const LongitudinalResult& streamed,
     EXPECT_EQ(ms[i].dns_ips, mm[i].dns_ips);
     EXPECT_EQ(ms[i].other_ips, mm[i].other_ips);
   }
-  const core::OwnedEventFrame streamed_joined(streamed.joined);
-  const core::OwnedEventFrame reference_joined(reference.joined);
+  const store::OwnedEventFrame streamed_joined(streamed.joined);
+  const store::OwnedEventFrame reference_joined(reference.joined);
   const auto fs = core::failure_attribution_columnar(streamed_joined.frame());
   const auto fm = core::failure_attribution_columnar(reference_joined.frame());
   EXPECT_EQ(fs.complete_failures, fm.complete_failures);

@@ -21,6 +21,7 @@
 #include "openintel/storage.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
+#include "store/dataset.h"
 
 namespace ddos::serve {
 namespace {
@@ -68,7 +69,7 @@ TEST_F(ServeParityTest, RunHasEnoughStateToBeWorthServing) {
 // WindowScan over the full indexed range must reproduce the batch
 // headline statistics byte for byte.
 TEST_F(ServeParityTest, FullRangeWindowScanMatchesBatchSummaries) {
-  const core::OwnedEventFrame joined(result_->joined);
+  const store::OwnedEventFrame joined(result_->joined);
   const core::ImpactSummary impacts =
       core::impact_summary_columnar(joined.frame());
   const core::FailureSummary failures =

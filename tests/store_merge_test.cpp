@@ -378,6 +378,51 @@ TEST(StoreMerge, VictimsOutOfShardOrderAreRefused) {
   for (const std::string& path : swapped) std::filesystem::remove(path);
 }
 
+// A shard's joined events are read through the events column list, so a
+// value wider than its row field is refused, naming the shard and the
+// column, before any merged byte is published.
+TEST(StoreMerge, WideEventValueIsRefused) {
+  const std::size_t edited =
+      Reader(shards2()[0]).dataset_rows("events") > 0 ? 0 : 1;
+  const std::string& donor = shards2()[edited];
+  ASSERT_GT(Reader(donor).dataset_rows("events"), 0u);
+  const std::string wide = temp_path("m2-wide-ok.drs");
+  {
+    const Reader reader(donor);
+    Writer writer(wide);
+    for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
+    for (const ColumnDesc& desc : reader.columns()) {
+      if (desc.dataset == "events" && desc.column == "ok") {
+        ColumnArena arena;
+        const auto stored = scan<std::uint64_t>(reader, desc, arena);
+        std::vector<std::uint64_t> values(stored.begin(), stored.end());
+        values.at(0) = std::uint64_t{1} << 32;
+        write_column(writer, desc.dataset, desc.column,
+                     U64Appender(desc.encoding), values);
+      } else {
+        writer.add_encoded(
+            desc.dataset, desc.column, desc.type, desc.encoding, desc.rows,
+            std::array{PayloadPiece(reader.verified_payload(desc))});
+      }
+    }
+    writer.finish();
+  }
+  std::vector<std::string> inputs = shards2();
+  inputs[edited] = wide;
+  expect_merge_error(inputs, wide + ": column 'events.ok': row 0");
+
+  const std::string out = temp_path("m2-wide-out.drs");
+  EXPECT_THROW(merge_stores(out, inputs), StoreError);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testing::TempDir())) {
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  std::filesystem::path(out).filename().string(), 0),
+              0u)
+        << "merge left " << entry.path();
+  }
+  std::filesystem::remove(wide);
+}
+
 // Scan failures carry the file path and column, so a corrupt-but-CRC-
 // valid block (possible only via add_encoded, whose caller vouches for the
 // payload) is still attributed to its shard file.

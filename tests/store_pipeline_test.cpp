@@ -20,6 +20,7 @@
 #include "scan_columns.h"
 #include "scenario/driver.h"
 #include "serve/query_engine.h"
+#include "store/dataset.h"
 #include "store/epoch.h"
 #include "store/format.h"
 #include "store/reader.h"
@@ -374,7 +375,10 @@ TEST_F(StorePipelineTest, BlocksInSaveRunOrder) {
 
 // A column value wider than its row field is refused with the column's
 // name, never loaded truncated: the u16 ports, the u32 counts and the
-// u32 victim address.
+// u32 victim address. The daily and events datasets are decoded whole by
+// every reader that decodes them, so the serving load refuses a daily
+// column no series point reads, and all three readers, mapped and
+// buffered, refuse a wide joined event.
 TEST_F(StorePipelineTest, NarrowingColumnValuesAreRefused) {
   const std::string wide_port = rewrite_store(
       *path_, "wide-port.drs", {.column = "feed.first_port", .row0 = 65536});
@@ -385,6 +389,26 @@ TEST_F(StorePipelineTest, NarrowingColumnValuesAreRefused) {
                     {.column = "daily.measured", .row0 = 1ULL << 32});
   expect_refused([&] { load_run(wide_count); }, "daily.measured");
   expect_refused([&] { serve::load_engine(wide_count); }, "daily.measured");
+
+  const std::string wide_ok = rewrite_store(
+      *path_, "wide-ok.drs", {.column = "daily.ok", .row0 = 1ULL << 32});
+  expect_refused([&] { load_run(wide_ok); }, "daily.ok");
+  expect_refused([&] { serve::load_engine(wide_ok); }, "daily.ok");
+
+  for (const StoreEdit& edit :
+       {StoreEdit{.column = "events.ok", .row0 = 1ULL << 32},
+        StoreEdit{.column = "events.victim", .row0 = 1ULL << 32},
+        StoreEdit{.column = "events.first_port", .row0 = 65536}}) {
+    const std::string wide_event =
+        rewrite_store(*path_, "wide-event.drs", edit);
+    const std::string needle = edit.column + "': row 0";
+    for (const bool use_mmap : {true, false}) {
+      expect_refused([&] { load_run(wide_event, use_mmap); }, needle);
+      expect_refused([&] { analyze_store(wide_event, use_mmap); }, needle);
+    }
+    expect_refused([&] { serve::load_engine(wide_event); }, needle);
+    std::filesystem::remove(wide_event);
+  }
 
   const std::string wide_victim = rewrite_store(
       *path_, "wide-victim.drs", {.column = "feed.victim", .row0 = 1ULL << 32});
@@ -404,7 +428,8 @@ TEST_F(StorePipelineTest, NarrowingColumnValuesAreRefused) {
   const std::string copy = rewrite_store(*path_, "copy.drs", {});
   EXPECT_EQ(load_run(copy).feed.records(), loaded_->feed.records());
   for (const std::string& p :
-       {wide_port, wide_count, wide_victim, wide_stored_victim, copy}) {
+       {wide_port, wide_count, wide_ok, wide_victim, wide_stored_victim,
+        copy}) {
     std::filesystem::remove(p);
   }
 }
@@ -459,8 +484,8 @@ TEST_F(StorePipelineTest, JoinedEventsRoundTripBitForBit) {
 }
 
 TEST_F(StorePipelineTest, HeadlineStatisticsMatch) {
-  const core::OwnedEventFrame run(result_->joined);
-  const core::OwnedEventFrame loaded(loaded_->joined);
+  const store::OwnedEventFrame run(result_->joined);
+  const store::OwnedEventFrame loaded(loaded_->joined);
   const auto a = core::impact_summary_columnar(run.frame());
   const auto b = core::impact_summary_columnar(loaded.frame());
   EXPECT_EQ(a.events, b.events);

@@ -78,6 +78,7 @@
 #include "serve/driver.h"
 #include "serve/query_engine.h"
 #include "serve/workload.h"
+#include "store/dataset.h"
 #include "store/format.h"
 #include "store/merge.h"
 #include "util/flags.h"
@@ -384,7 +385,7 @@ void print_analysis_values(const core::ImpactSummary& impacts,
 }
 
 void print_analysis(const std::vector<core::NssetAttackEvent>& events) {
-  const core::OwnedEventFrame owned(events);
+  const store::OwnedEventFrame owned(events);
   const core::EventFrame& f = owned.frame();
   print_analysis_values(core::impact_summary_columnar(f),
                         core::failure_summary_columnar(f),
