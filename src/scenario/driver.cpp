@@ -709,9 +709,9 @@ CheckedStore::CheckedStore(const std::string& path, store::ReadMode mode)
       counts(store::read_counts(reader)) {
   // The O(footer) checks first, then every block; each CRC is recorded
   // per block, so the caller's decodes never re-hash one.
-  store::check_count(reader, "feed record", counts.feed_records,
+  store::check_count(path, "feed record", counts.feed_records,
                      reader.dataset_rows("feed"));
-  store::check_count(reader, "joined event", counts.joined,
+  store::check_count(path, "joined event", counts.joined,
                      reader.dataset_rows("events"));
   store::check_all(reader);
 }
@@ -750,7 +750,7 @@ StoredRun load_run(const std::string& path, bool use_mmap) {
   // the records + inference params, so re-deriving them is both cheaper
   // and a consistency check against the stored count and victims.
   run.events = run.feed.events();
-  store::check_count(reader, "stitched event", checked.counts.events,
+  store::check_count(path, "stitched event", checked.counts.events,
                      run.events.size());
   if (telescope::count_attacks(run.events) !=
       store::read_victims(reader, checked.counts.events)) {

@@ -184,11 +184,13 @@ std::uint64_t save_run(const std::string& path,
 /// footer, checks the feed and events row counts against them, and CRC-
 /// and structure-checks every block (store::check_all). Throws
 /// store::StoreError naming the path. Stored values are checked by the
-/// reader that decodes them (read_dataset's field fit and
-/// store::read_victims): the events and victims values by all three,
-/// which decode both datasets whole; the daily values by load_run and
-/// load_engine; the feed, window and ns_seen values by load_run alone,
-/// so analyze_store accepts a store whose feed values load_run refuses.
+/// reader that decodes them (store::decode_field's field fit and
+/// store::check_victims' rule): the events and victims values by all
+/// three, which decode both datasets whole; the daily values by load_run
+/// and load_engine; the feed, window and ns_seen values by load_run
+/// alone, so analyze_store accepts a store whose feed values load_run
+/// refuses. store::merge_stores, which opens no CheckedStore, applies
+/// the same two checks to every shard value it merges.
 struct CheckedStore {
   CheckedStore(const std::string& path, store::ReadMode mode);
 

@@ -55,28 +55,23 @@ RunCounts read_counts(const Reader& reader) {
   return counts;
 }
 
-void check_count(const Reader& reader, std::string_view what,
+void check_count(const std::string& path, std::string_view what,
                  std::uint64_t stored, std::uint64_t decoded) {
   if (stored != decoded) {
-    throw StoreError(reader.path() + ": " + std::string(what) +
-                     " count mismatch (" + std::to_string(decoded) +
-                     " decoded, provenance says " + std::to_string(stored) +
+    throw StoreError(path + ": " + std::string(what) + " count mismatch (" +
+                     std::to_string(decoded) + " decoded, provenance says " +
+                     std::to_string(stored) +
                      ") — store and generating run disagree");
   }
 }
 
-std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
-                                                   std::uint64_t events) {
-  std::vector<telescope::VictimAttacks> rows;
-  rows.reserve(reader.dataset_rows("victims"));
-  ColumnArena arena;
-  read_dataset<VictimColumns>(
-      reader, "victims", arena,
-      [&](const telescope::VictimAttacks& row) { rows.push_back(row); });
+void check_victims(const std::string& path,
+                   std::span<const telescope::VictimAttacks> rows,
+                   std::uint64_t events) {
   const auto refuse = [&](const char* column, std::size_t r,
                           const std::string& why) {
-    throw StoreError(reader.path() + ": column 'victims." + column +
-                     "': row " + std::to_string(r) + " " + why);
+    throw StoreError(path + ": column 'victims." + column + "': row " +
+                     std::to_string(r) + " " + why);
   };
   std::uint64_t sum = 0;
   for (std::size_t r = 0; r < rows.size(); ++r) {
@@ -93,7 +88,18 @@ std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
       refuse("attacks", r, "overflows the sum of the counts");
     }
   }
-  check_count(reader, "victims.attacks", events, sum);
+  check_count(path, "victims.attacks", events, sum);
+}
+
+std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
+                                                   std::uint64_t events) {
+  std::vector<telescope::VictimAttacks> rows;
+  rows.reserve(reader.dataset_rows("victims"));
+  ColumnArena arena;
+  read_dataset<VictimColumns>(
+      reader, "victims", arena,
+      [&](const telescope::VictimAttacks& row) { rows.push_back(row); });
+  check_victims(reader.path(), rows, events);
   return rows;
 }
 

@@ -24,15 +24,15 @@
 // stores (a member pointer, or a `nested` accessor one struct down), in
 // block order; the field's type picks the stored value type (to_column),
 // and store/epoch.h's column-type rule gives that type its appender and
-// its scan. Three generic bodies walk the row lists, reading a field
-// through std::invoke: write_dataset (one whole column at a time) and
-// DatasetAppender (the streaming executor's feed, one ingest region at a
-// time), both encoding through store/epoch.h's PieceEncoder, and
-// read_dataset (load_run, serve::load_engine, read_victims and the shard
-// merge, column decodes fanned out, narrowing reads range-checked). The
-// events frame loaders, read_event_frame (store/scan.h) and
-// OwnedEventFrame, fill EventColumns' spans. merge_stores takes the sort
-// keys its shard handover check reads from the lists.
+// its scan. Generic bodies walk the row lists, reading a field through
+// std::invoke: write_dataset (one whole column at a time), DatasetAppender
+// (the streaming executor's feed, one ingest region at a time) and
+// merge_stores (the shards' columns in turn), all encoding through the
+// epoch.h PieceEncoder, and read_dataset (load_run, serve::load_engine,
+// read_victims), whose per-column read, decode_field, the merge shares: a
+// value its field cannot hold is refused. The events frame loaders,
+// read_event_frame (store/scan.h) and OwnedEventFrame, fill EventColumns'
+// spans.
 //
 // The footer meta ends with the result counts: one list, for_each_count
 // below, that writers, readers, count checks and merge_stores all walk.
@@ -181,17 +181,6 @@ struct VictimColumns {
     visit("attacks", Encoding::Varint, &Row::attacks);
   }
 };
-
-/// The name of the first column of `Columns` — the sort key of a
-/// dataset whose rows are sorted.
-template <typename Columns>
-std::string_view first_column() {
-  std::string_view first;
-  Columns::for_each_column([&](std::string_view column, Encoding, auto...) {
-    if (first.empty()) first = column;
-  });
-  return first;
-}
 
 /// A row field one struct down: std::invoke(nested<&A::b, &B::c>, a) is
 /// a.b.c, const when `a` is.
@@ -410,46 +399,59 @@ class DatasetAppender {
   Row last_{};  // the last row appended, once rows_ > 0
 };
 
+/// The first value of a column that its row field cannot hold: its row
+/// (the column's row count when every value fits) and the error naming
+/// the path, `dataset.column` and the row.
+struct Misfit {
+  std::uint64_t row = 0;
+  std::string error;
+};
+
+/// Decodes `desc`'s block into `arena` as the stored values of a T row
+/// field and sets `misfit` to the first value the field cannot hold — the
+/// one per-column read of decode_dataset and merge_stores.
+template <typename T>
+ColumnSpan<ColumnValue<T>> decode_field(const Reader& reader,
+                                        const ColumnDesc& desc,
+                                        ColumnArena& arena, Misfit& misfit) {
+  const ColumnSpan<ColumnValue<T>> values =
+      scan<ColumnValue<T>>(reader, desc, arena);
+  misfit = {values.size(), {}};
+  if constexpr (!std::is_same_v<T, std::string>) {  // strings always fit
+    T unused{};
+    for (std::uint64_t r = 0; r < values.size(); ++r) {
+      if (from_column(values[r], unused)) continue;
+      misfit = {r, reader.path() + ": column '" + desc.dataset + "." +
+                       desc.column + "': row " + std::to_string(r) +
+                       " holds " + std::to_string(values[r]) +
+                       ", which does not fit its field"};
+      break;
+    }
+  }
+  return values;
+}
+
 /// Decodes the `Columns` dataset `dataset` into `arena` and returns one
-/// span per column in Columns order. The column decodes fan out through
-/// Reader::parallel_decode, each checking that its values fit the field;
-/// the first misfit in row order (then column order) throws StoreError
-/// naming the path and `dataset.column`.
+/// span per column in Columns order. The column decodes (decode_field)
+/// fan out through Reader::parallel_decode; the first misfit in row order
+/// (then column order) throws StoreError naming the path and
+/// `dataset.column`.
 template <typename Columns>
 std::vector<ColumnTypes::AnyOf<ColumnSpan>> decode_dataset(
     const Reader& reader, std::string_view dataset, ColumnArena& arena) {
   using Row = typename Columns::Row;
-  struct Misfit {
-    std::uint64_t row = 0;  // the column's first value that does not fit
-    std::string error;
-  };
   const std::uint64_t rows = reader.dataset_rows(dataset);
   std::vector<ColumnTypes::AnyOf<ColumnSpan>> values;
   std::vector<Misfit> misfits;
   std::vector<std::function<void()>> decodes;
   Columns::for_each_column([&]<typename Field>(std::string_view column,
                                                Encoding, Field, auto...) {
-    using T = FieldOf<Row, Field>;
     values.emplace_back();
-    misfits.push_back({rows, {}});
+    misfits.emplace_back();
     const ColumnDesc* desc = &reader.column(dataset, column);
-    decodes.push_back([&, column, desc, i = values.size() - 1] {
-      const ColumnSpan<ColumnValue<T>> span =
-          scan<ColumnValue<T>>(reader, *desc, arena);
-      values[i] = span;
-      if constexpr (!std::is_same_v<T, std::string>) {  // strings always fit
-        T unused{};
-        for (std::uint64_t r = 0; r < span.size(); ++r) {
-          if (from_column(span[r], unused)) continue;
-          misfits[i] = {r, reader.path() + ": column '" +
-                               std::string(dataset) + "." +
-                               std::string(column) + "': row " +
-                               std::to_string(r) + " holds " +
-                               std::to_string(span[r]) +
-                               ", which does not fit its field"};
-          break;
-        }
-      }
+    decodes.push_back([&, desc, i = values.size() - 1] {
+      values[i] = decode_field<FieldOf<Row, Field>>(reader, *desc, arena,
+                                                    misfits[i]);
     });
   });
   Reader::parallel_decode(decodes);
@@ -574,10 +576,15 @@ void for_each_count(Counts& counts, Visit&& visit) {
   visit("stats.dns_events", CountMerge::Sum, s.dns_events);
 }
 
-/// The "victims" dataset of a whole-run store. Throws StoreError naming
-/// the path and `victims.*` unless the victims are strictly ascending,
-/// every count is at least 1 and the counts sum to `events`, the footer's
-/// stitched-event count.
+/// The rule of the "victims" dataset of a whole-run store: throws
+/// StoreError naming `path` and `victims.*` unless `rows` are strictly
+/// ascending by victim, every count is at least 1 and the counts sum to
+/// `events`, the footer's stitched-event count.
+void check_victims(const std::string& path,
+                   std::span<const telescope::VictimAttacks> rows,
+                   std::uint64_t events);
+/// The "victims" dataset of a whole-run store, refused unless it keeps
+/// check_victims' rule.
 std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
                                                    std::uint64_t events);
 
@@ -585,9 +592,10 @@ std::vector<telescope::VictimAttacks> read_victims(const Reader& reader,
 void write_counts(Writer& writer, const RunCounts& counts);
 /// Throws StoreError when a count key is missing or not an integer.
 RunCounts read_counts(const Reader& reader);
-/// Throws StoreError naming the store when `decoded` differs from the
-/// count the footer records; `what` names the count in the message.
-void check_count(const Reader& reader, std::string_view what,
+/// Throws StoreError naming the store at `path` when `decoded` differs
+/// from the count the footer records; `what` names the count in the
+/// message.
+void check_count(const std::string& path, std::string_view what,
                  std::uint64_t stored, std::uint64_t decoded);
 
 /// The one provenance key the store layer reads itself: merge_stores

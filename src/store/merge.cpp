@@ -62,92 +62,88 @@ bool is_count_key(std::string_view key) {
   return found;
 }
 
-// Leading sort-key columns (each list's first column) of the datasets
-// shards partition — the day-partitioned daily, window and ns_seen, and
-// victims, cut by row count: consecutive shards must hand over in
-// strictly ascending order or the partition the byte-identity proof rests
-// on is broken.
-bool is_sort_key(const ColumnDesc& desc) {
-  if (desc.dataset == "daily" || desc.dataset == "window") {
-    return desc.column == first_column<AggregateColumns>();
-  }
-  if (desc.dataset == "ns_seen") {
-    return desc.column == first_column<NsSeenColumns>();
-  }
-  return desc.dataset == "victims" &&
-         desc.column == first_column<VictimColumns>();
-}
-
-// Generic column path: scan every shard's block in parallel, each into
-// its own short-lived arena (one column per shard resident at a time),
-// then encode the shards' values in pieces as one column, each shard's
-// first piece carrying the last value of the shard before it that has
-// rows — so the payload is byte-identical to the one-shot encode of the
-// concatenated column that save_run would have written. V is the
-// column's stored value type.
-template <typename V>
-std::uint64_t merge_values(Writer& writer, PieceEncoder& pieces,
-                           const std::vector<const Reader*>& shards,
-                           const ColumnDesc& desc,
-                           std::atomic<std::uint64_t>* columns_done) {
+// One dataset the shards partition, merged column by column in Columns
+// order. Each shard's column decodes in its own pool task, into its own
+// short-lived arena (one column per shard resident at a time), and is
+// fit-checked against its row field as every reader checks it
+// (decode_field). The shards' values are then encoded in pieces as one
+// column, each shard's first piece carrying the last value of the shard
+// before it that has rows, so the payload is byte-identical to the
+// one-shot encode of the concatenated column that save_run would have
+// written. The shards of a `sorted` dataset must hand over in strictly
+// ascending order of its first column, the sort key, or the partition the
+// byte-identity proof rests on is broken. `merged`, when given, receives
+// the merged rows. Returns the column values appended.
+template <typename Columns>
+std::uint64_t merge_dataset(Writer& writer,
+                            const std::vector<const Reader*>& shards,
+                            std::string_view dataset, bool sorted,
+                            std::atomic<std::uint64_t>* columns_done,
+                            std::vector<typename Columns::Row>* merged = {}) {
+  using Row = typename Columns::Row;
   const std::size_t n = shards.size();
-  std::vector<ColumnArena> arenas(n);
-  std::vector<ColumnSpan<V>> values(n);
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    jobs.push_back([&, i] {
-      values[i] = scan<V>(*shards[i],
-                          shards[i]->column(desc.dataset, desc.column),
-                          arenas[i]);
-    });
-  }
-  Reader::parallel_decode(jobs);
-  std::uint64_t rows = 0;
-  for (const ColumnSpan<V>& shard_values : values) rows += shard_values.size();
-  if (is_sort_key(desc)) {
-    std::size_t prev = n;  // last non-empty shard so far
+  // Throws unless each shard's columns of the dataset agree on a row count.
+  for (const Reader* shard : shards) shard->dataset_rows(dataset);
+  PieceEncoder pieces;
+  std::uint64_t appended = 0;
+  bool sort_key = sorted;
+  Columns::for_each_column([&]<typename Field>(std::string_view column,
+                                               Encoding encoding, Field field,
+                                               auto...) {
+    using T = FieldOf<Row, Field>;
+    using V = ColumnValue<T>;
+    std::vector<ColumnArena> arenas(n);
+    std::vector<ColumnSpan<V>> values(n);
+    std::vector<Misfit> misfits(n);
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (values[i].size() == 0) continue;
-      if (prev != n &&
-          values[i][0] <= values[prev][values[prev].size() - 1]) {
-        throw StoreError(shards[i]->path() + ": '" + desc.dataset + "." +
-                         desc.column +
-                         "' overlaps the preceding shard's range — "
-                         "shard ranges must be disjoint and ascending by "
-                         "shard index");
-      }
-      prev = i;
+      jobs.push_back([&, i] {
+        values[i] = decode_field<T>(*shards[i],
+                                    shards[i]->column(dataset, column),
+                                    arenas[i], misfits[i]);
+      });
     }
-  }
-  writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding, rows,
-                     pieces.encode(AppenderFor<V>(desc.encoding), values));
-  if (columns_done) {
+    Reader::parallel_decode(jobs);
+    std::uint64_t rows = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (misfits[i].row < values[i].size()) {
+        throw StoreError(misfits[i].error);
+      }
+      rows += values[i].size();
+    }
+    if (sort_key) {
+      std::size_t prev = n;  // last non-empty shard so far
+      for (std::size_t i = 0; i < n; ++i) {
+        if (values[i].empty()) continue;
+        if (prev != n && values[i].front() <= values[prev].back()) {
+          throw StoreError(shards[i]->path() + ": '" + std::string(dataset) +
+                           "." + std::string(column) +
+                           "' overlaps the preceding shard's range — "
+                           "shard ranges must be disjoint and ascending by "
+                           "shard index");
+        }
+        prev = i;
+      }
+      sort_key = false;
+    }
+    writer.add_encoded(dataset, column, AppenderFor<V>::kType, encoding, rows,
+                       pieces.encode(AppenderFor<V>(encoding), values));
+    if (merged) {
+      merged->resize(rows);
+      std::size_t r = 0;
+      for (const ColumnSpan<V>& shard_values : values) {
+        for (const V value : shard_values) {
+          from_column(value, std::invoke(field, (*merged)[r++]));
+        }
+      }
+    }
     for (std::size_t i = 0; i < n; ++i) {
       columns_done[i].fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  return rows;
-}
-
-std::uint64_t merge_column(Writer& writer, PieceEncoder& pieces,
-                           const std::vector<const Reader*>& shards,
-                           const ColumnDesc& desc,
-                           std::atomic<std::uint64_t>* columns_done) {
-  for (const Reader* shard : shards) {
-    const ColumnDesc& d = shard->column(desc.dataset, desc.column);
-    if (d.type != desc.type || d.encoding != desc.encoding) {
-      throw StoreError(shard->path() + ": column '" + desc.dataset + "." +
-                       desc.column + "' type/encoding differs from " +
-                       shards[0]->path() +
-                       " — shards were written by different builds?");
-    }
-  }
-  std::uint64_t rows = 0;
-  ColumnTypes::visit(desc.type, [&]<typename V>(std::type_identity<V>) {
-    rows = merge_values<V>(writer, pieces, shards, desc, columns_done);
+    appended += rows;
   });
-  return rows;
+  return appended;
 }
 
 // Events path: rows must interleave across shards, not concatenate. Each
@@ -181,7 +177,7 @@ std::uint64_t merge_events(Writer& writer,
                        " rows but the events dataset has " +
                        std::to_string(rows[i].size()));
     }
-    if (columns_done) columns_done[i].fetch_add(1, std::memory_order_relaxed);
+    columns_done[i].fetch_add(1, std::memory_order_relaxed);
   }
 
   std::size_t total = 0;
@@ -284,13 +280,6 @@ MergeStats merge_stores(const std::string& out_path,
                      std::string(kMergeConcurrentKey) + "' holds '" +
                      first.meta_value(kMergeConcurrentKey) + "', not 0 or 1");
   }
-  for (std::uint32_t s = 1; s < count; ++s) {
-    if (shards[s]->columns().size() != first.columns().size()) {
-      throw StoreError(shards[s]->path() + ": column count differs from " +
-                       first.path() +
-                       " — shards were written by different builds?");
-    }
-  }
 
   // ---- the result counts, combined by each key's merge rule: whole-world
   // counts must agree across shards, per-shard tallies sum, and the
@@ -335,11 +324,7 @@ MergeStats merge_stores(const std::string& out_path,
   // each shard consumed so far.
   obs::ProgressRegistry* progress =
       observer ? &observer->progress_sources() : nullptr;
-  const auto columns_done =
-      std::make_unique<std::atomic<std::uint64_t>[]>(count);
-  for (std::uint32_t s = 0; s < count; ++s) {
-    columns_done[s].store(0, std::memory_order_relaxed);
-  }
+  std::vector<std::atomic<std::uint64_t>> columns_done(count);
   std::vector<std::unique_ptr<obs::ScopedProgressSource>> shard_sources;
   if (progress) {
     shard_sources.reserve(count);
@@ -356,31 +341,22 @@ MergeStats merge_stores(const std::string& out_path,
   stats.shards = count;
   for (const Reader* shard : shards) stats.bytes_read += shard->file_size();
 
-  // ---- column merge in shard 0's block order == save_run's block order
-  // (feed, daily, window, ns_seen, victims, events), with the manifest
-  // dataset dropped and the events dataset row-merged as one unit.
-  // One piece encoder per dataset: its buffers serve that dataset's
-  // columns and go before the next dataset's.
-  bool events_merged = false;
-  PieceEncoder pieces;
-  std::string_view dataset;
-  for (const ColumnDesc& desc : first.columns()) {
-    if (desc.dataset == kShard) continue;  // manifest column, not data
-    if (desc.dataset != dataset) {
-      dataset = desc.dataset;
-      pieces = PieceEncoder();
-    }
-    if (desc.dataset == "events") {
-      if (events_merged) continue;
-      events_merged = true;
-      stats.events_out =
-          merge_events(writer, shards, merge_concurrent == 1,
-                       columns_done.get());
-      continue;
-    }
-    stats.rows_merged +=
-        merge_column(writer, pieces, shards, desc, columns_done.get());
-  }
+  // ---- the datasets in save_run's block order, the shard manifest
+  // dropped: column by column the feed, which is not sorted, and the
+  // sorted daily, window, ns_seen and victims, whose merged rows must
+  // keep the victims' rule; then the row-merged events.
+  std::atomic<std::uint64_t>* done = columns_done.data();
+  std::uint64_t& rows = stats.rows_merged;
+  rows += merge_dataset<FeedColumns>(writer, shards, "feed", false, done);
+  rows += merge_dataset<AggregateColumns>(writer, shards, "daily", true, done);
+  rows += merge_dataset<AggregateColumns>(writer, shards, "window", true, done);
+  rows += merge_dataset<NsSeenColumns>(writer, shards, "ns_seen", true, done);
+  std::vector<telescope::VictimAttacks> victims;
+  rows += merge_dataset<VictimColumns>(writer, shards, "victims", true, done,
+                                       &victims);
+  check_victims(out_path, victims, counts.events);
+  stats.events_out =
+      merge_events(writer, shards, merge_concurrent == 1, done);
 
   for_each_count(counts, [&](std::string_view, CountMerge rule,
                              std::uint64_t& value) {

@@ -8,18 +8,21 @@
 //     recomputed — whole-world counts (attacks, telescope events) are
 //     validated equal across shards, per-shard dispositions are summed,
 //     and the joined counts are re-counted after the concurrent merge;
-//   * feed and victims (cut by index) and the time-major daily, window
-//     and ns_seen (by the day partition) concatenate in shard-index order
-//     — which IS the whole run's order — re-encoded through the epoch
-//     appenders, whose chunk-wise appends are byte-identical to
-//     save_run's one-shot encodes (every block re-CRC'd as written);
+//   * the datasets are walked through their column lists
+//     (store/dataset.h) in save_run's block order, the shard manifest
+//     dropped; feed and victims (cut by index) and the time-major daily,
+//     window and ns_seen (by the day partition) concatenate in
+//     shard-index order — which IS the whole run's order — column by
+//     column, each shard column fit-checked against its row field as
+//     every reader checks it, then piece-encoded to save_run's bytes;
 //   * the events dataset k-way merges by each row's source telescope
 //     event index (the canonical stitch order the single-process join
 //     emits) and then re-applies the concurrent-event merge.
 //
 // Every defect — corrupt block, non-shard input, wrong or duplicate
-// shard index, provenance mismatch, overlapping day ranges — throws
-// StoreError naming the offending shard file.
+// shard index, provenance mismatch, overlapping day ranges, a value a
+// reader refuses — throws StoreError naming the offending shard file
+// (or, for the merged victims' rule, the output path) and leaves no file.
 #pragma once
 
 #include <cstdint>

@@ -2,10 +2,11 @@
 // when the inputs are a complete, healthy shard set — and must fail
 // loudly, naming the offending shard file, on every defect (corrupt
 // block, non-shard input, wrong or duplicate shard index, provenance
-// mismatch, a join.merge_concurrent that is not 0 or 1). Also covers the
-// scan layer's error attribution: decode failures carry the file path
-// and column name, so a multi-shard merge failure identifies the corrupt
-// shard, and one matrix of malformed blocks that pass their CRC fails
+// mismatch, a join.merge_concurrent that is not 0 or 1, a value a reader
+// refuses). Also covers the scan layer's error attribution: decode
+// failures carry the file path and column name, so a multi-shard merge
+// failure identifies the corrupt shard, and one matrix of malformed
+// blocks that pass their CRC fails
 // every store consumer the same way — analyze_store and
 // serve::load_engine too, in the columns they check but do not decode.
 #include <gtest/gtest.h>
@@ -197,13 +198,15 @@ TEST(StoreMerge, DeltaVarintCarriesAcrossEmptyShards) {
     const Reader reader(shards[i]);
     Writer writer(inputs.back());
     for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
+    bool feed_written = false;
     for (const ColumnDesc& desc : reader.columns()) {
       if (desc.dataset != "feed") {
         writer.add_encoded(desc.dataset, desc.column, desc.type, desc.encoding,
                            desc.rows,
                            std::array{PayloadPiece(reader.payload(desc))});
-      } else if (desc.column == first_column<FeedColumns>()) {
+      } else if (!feed_written) {
         write_dataset<FeedColumns>(writer, "feed", feeds[i]);
+        feed_written = true;
       }
     }
     writer.finish();
@@ -378,51 +381,6 @@ TEST(StoreMerge, VictimsOutOfShardOrderAreRefused) {
   for (const std::string& path : swapped) std::filesystem::remove(path);
 }
 
-// A shard's joined events are read through the events column list, so a
-// value wider than its row field is refused, naming the shard and the
-// column, before any merged byte is published.
-TEST(StoreMerge, WideEventValueIsRefused) {
-  const std::size_t edited =
-      Reader(shards2()[0]).dataset_rows("events") > 0 ? 0 : 1;
-  const std::string& donor = shards2()[edited];
-  ASSERT_GT(Reader(donor).dataset_rows("events"), 0u);
-  const std::string wide = temp_path("m2-wide-ok.drs");
-  {
-    const Reader reader(donor);
-    Writer writer(wide);
-    for (const auto& [key, value] : reader.meta()) writer.add_meta(key, value);
-    for (const ColumnDesc& desc : reader.columns()) {
-      if (desc.dataset == "events" && desc.column == "ok") {
-        ColumnArena arena;
-        const auto stored = scan<std::uint64_t>(reader, desc, arena);
-        std::vector<std::uint64_t> values(stored.begin(), stored.end());
-        values.at(0) = std::uint64_t{1} << 32;
-        write_column(writer, desc.dataset, desc.column,
-                     U64Appender(desc.encoding), values);
-      } else {
-        writer.add_encoded(
-            desc.dataset, desc.column, desc.type, desc.encoding, desc.rows,
-            std::array{PayloadPiece(reader.verified_payload(desc))});
-      }
-    }
-    writer.finish();
-  }
-  std::vector<std::string> inputs = shards2();
-  inputs[edited] = wide;
-  expect_merge_error(inputs, wide + ": column 'events.ok': row 0");
-
-  const std::string out = temp_path("m2-wide-out.drs");
-  EXPECT_THROW(merge_stores(out, inputs), StoreError);
-  for (const auto& entry :
-       std::filesystem::directory_iterator(testing::TempDir())) {
-    EXPECT_NE(entry.path().filename().string().rfind(
-                  std::filesystem::path(out).filename().string(), 0),
-              0u)
-        << "merge left " << entry.path();
-  }
-  std::filesystem::remove(wide);
-}
-
 // Scan failures carry the file path and column, so a corrupt-but-CRC-
 // valid block (possible only via add_encoded, whose caller vouches for the
 // payload) is still attributed to its shard file.
@@ -481,6 +439,80 @@ void copy_with_block(const std::string& src, const std::string& dst,
                      const std::string& payload) {
   copy_with_edit(src, dst, dataset, column,
                  [&](ColumnDesc&, std::string& p) { p = payload; });
+}
+
+// Re-encodes a varint or delta-varint u64 block, as its writer encodes
+// it, after edit(values) — which may also change the row count.
+void edit_values(ColumnDesc& desc, std::string& payload,
+                 void (*edit)(std::vector<std::uint64_t>&)) {
+  std::vector<std::uint64_t> values;
+  if (desc.encoding == Encoding::DeltaVarint) {
+    decode_delta_varint_block(payload, desc.rows, values);
+  } else {
+    decode_varint_block(payload, desc.rows, values);
+  }
+  edit(values);
+  U64Appender appender(desc.encoding);
+  for (const std::uint64_t v : values) appender.append(v);
+  payload = appender.payload();
+  desc.rows = values.size();
+}
+
+// A shard that every reader of a whole store would refuse is refused by
+// the merge too, before any merged byte is published. Each shard column
+// is read through its column list, so a value wider than its row field
+// names the shard and `dataset.column`, and a column whose row count
+// differs from its dataset's names the shard and the dataset; the merged
+// victims are held to read_victims' rule, so a count that breaks their
+// sum names `victims.attacks`.
+TEST(StoreMerge, WhatEveryReaderRefusesIsRefused) {
+  using Values = std::vector<std::uint64_t>;
+  const auto widen = [](Values& v) { v.at(0) = std::uint64_t{1} << 32; };
+  const auto drop_last = [](Values& v) { v.pop_back(); };
+  const struct {
+    const char* dataset;
+    const char* column;
+    void (*edit)(Values&);
+    bool names_shard;  // else the output path: the merged victims' rule
+    const char* defect;
+  } cases[] = {
+      {"events", "ok", widen, true, "column 'events.ok': row 0"},
+      {"feed", "victim", widen, true, "column 'feed.victim': row 0"},
+      {"daily", "ok", widen, true, "column 'daily.ok': row 0"},
+      {"window", "ok", widen, true, "column 'window.ok': row 0"},
+      {"ns_seen", "ip", widen, true, "column 'ns_seen.ip': row 0"},
+      {"victims", "attacks", widen, false, "victims.attacks count mismatch"},
+      {"feed", "victim", drop_last, true,
+       "dataset 'feed' has columns with differing row counts"},
+  };
+  const std::string bad = temp_path("m2-refused.drs");
+  const std::string out = temp_path("m2-refused-out.drs");
+  for (const auto& c : cases) {
+    const std::string what = std::string(c.defect);
+    std::size_t edited = 0;  // the first shard holding rows of the dataset
+    while (edited < shards2().size() &&
+           Reader(shards2()[edited]).dataset_rows(c.dataset) == 0) {
+      ++edited;
+    }
+    ASSERT_LT(edited, shards2().size()) << what;
+    copy_with_edit(shards2()[edited], bad, c.dataset, c.column,
+                   [&](ColumnDesc& desc, std::string& payload) {
+                     edit_values(desc, payload, c.edit);
+                   });
+    std::vector<std::string> inputs = shards2();
+    inputs[edited] = bad;
+    expect_merge_error(inputs, (c.names_shard ? bad + ": " : "") + what);
+
+    EXPECT_THROW(merge_stores(out, inputs), StoreError) << what;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(testing::TempDir())) {
+      EXPECT_NE(entry.path().filename().string().rfind(
+                    std::filesystem::path(out).filename().string(), 0),
+                0u)
+          << what << ": merge left " << entry.path();
+    }
+  }
+  std::filesystem::remove(bad);
 }
 
 struct MalformedBlock {

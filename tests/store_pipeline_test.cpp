@@ -14,6 +14,8 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/columnar.h"
@@ -371,6 +373,65 @@ TEST_F(StorePipelineTest, BlocksInSaveRunOrder) {
                      encoding_name(desc.encoding));
   }
   EXPECT_EQ(blocks, expected);
+}
+
+// The columns whose row field is narrower than the stored u64, derived
+// from the five row lists by the field rule every reader applies
+// (store::from_column): a stored 2^32 does not fit them. Each is a value
+// a reader that decodes the column must refuse, so a list edit that adds
+// a narrow column shows up here.
+TEST(StoreColumnLists, NarrowFieldColumnsArePinned) {
+  std::vector<std::string> narrow;
+  const auto collect = [&]<typename Columns>(std::string_view dataset) {
+    using Row = typename Columns::Row;
+    Columns::for_each_column([&]<typename Field>(std::string_view column,
+                                                 store::Encoding, Field,
+                                                 auto...) {
+      using T = store::FieldOf<Row, Field>;
+      if constexpr (std::is_same_v<store::ColumnValue<T>, std::uint64_t>) {
+        T field{};
+        if (!store::from_column(std::uint64_t{1} << 32, field)) {
+          narrow.push_back(std::string(dataset) + "." + std::string(column));
+        }
+      }
+    });
+  };
+  collect.operator()<store::FeedColumns>("feed");
+  collect.operator()<store::AggregateColumns>("daily");
+  collect.operator()<store::AggregateColumns>("window");
+  collect.operator()<store::NsSeenColumns>("ns_seen");
+  collect.operator()<store::VictimColumns>("victims");
+  collect.operator()<store::EventColumns>("events");
+  const std::vector<std::string> expected = {
+      "feed.victim",
+      "feed.slash16",
+      "feed.first_port",
+      "feed.unique_ports",
+      "daily.measured",
+      "daily.ok",
+      "daily.timeout",
+      "daily.servfail",
+      "window.measured",
+      "window.ok",
+      "window.timeout",
+      "window.servfail",
+      "ns_seen.ip",
+      "victims.victim",
+      "events.victim",
+      "events.max_slash16",
+      "events.first_port",
+      "events.max_unique_ports",
+      "events.nsset",
+      "events.domains_measured",
+      "events.ok",
+      "events.timeouts",
+      "events.servfails",
+      "events.distinct_asns",
+      "events.distinct_slash24",
+      "events.nameserver_count",
+      "events.asn",
+  };
+  EXPECT_EQ(narrow, expected);
 }
 
 // A column value wider than its row field is refused with the column's
